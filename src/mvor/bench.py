@@ -29,9 +29,9 @@ import numpy as np
 import zlib
 
 from .errors import NonPlanarEstimate, PlacementFailure, ReobservationFailed
-from .geometry import PlanarTransform, planar_compose, planar_error, wrap_angle
+from .geometry import PlanarTransform, Pose3, planar_compose, planar_error, wrap_angle
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
-from .perception import PerceptionConfig, build_database, prepare_goal_regions
+from .perception import PerceptionConfig, build_database, describe_region, extract_regions
 from .planner import PlannerConfig, plan_and_execute
 from .serialize import dump_json
 from .sim import (
@@ -212,9 +212,9 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
     """Home-viewpoint re-estimation hook for the planner (noisy actuation).
 
     Renders the current scene from the home viewpoint, picks the region
-    nearest the dead-reckoned guess, and estimates its motion relative to
-    the database (built on the initial scene), restricted to the object's
-    own instance list.
+    nearest the dead-reckoned guess, describes that region alone, and
+    estimates its motion relative to the database (built on the initial
+    scene), restricted to the object's own instance list.
     """
     intr = inst.config.intrinsics()
     segmenter = ground_truth_segmenter()
@@ -224,7 +224,9 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
         frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
-        regions = prepare_goal_regions(frame, segmenter, backend, pcfg)
+        regions = extract_regions(
+            frame, segmenter(frame), min_points=pcfg.min_region_points, cloud_cap=pcfg.cloud_cap
+        )
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [
@@ -232,6 +234,7 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
             for r in regions
         ]
         region = regions[int(np.argmin(dists))]
+        describe_region(region, backend)
         excluded = frozenset(set(range(db.num_instances)) - {u})
         est = estimate_object(region, db, matcher, intr, loc_cfg, excluded)
         if not est.accepted:
@@ -274,7 +277,7 @@ def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
                 cfg.planner, actuation_sigma=cfg.sim.actuation_sigma, seed=seed
             )
             estimates = {
-                i: by_object.get(i, PoseEstimate(T=_identity_pose(), accepted=False))
+                i: by_object.get(i, PoseEstimate(T=Pose3.identity(), accepted=False))
                 for i in range(inst.initial.num_objects)
             }
             reobserve = None
@@ -318,12 +321,6 @@ def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
         wall_clock_s=time.time() - t0,
         skipped_scenes=skipped,
     )
-
-
-def _identity_pose():
-    from .geometry import Pose3
-
-    return Pose3.identity()
 
 
 def compute_completion_summary(rows, skipped_scenes=0) -> dict:

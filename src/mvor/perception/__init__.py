@@ -4,6 +4,7 @@ from .database import (
     PerceptionConfig,
     associate,
     build_database,
+    describe_region,
     infer_k,
     load_database,
     prepare_goal_regions,
@@ -18,6 +19,7 @@ __all__ = [
     "PerceptionConfig",
     "associate",
     "build_database",
+    "describe_region",
     "infer_k",
     "load_database",
     "prepare_goal_regions",

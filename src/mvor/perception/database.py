@@ -20,6 +20,13 @@ from .regions import ObjectRegion, RegionCrop, extract_regions
 
 DB_FORMAT = "mvor-db"
 DB_VERSION = 1
+# members of a dump, as save_database writes them
+DB_ARRAYS = (
+    "header", "region_instance", "region_frame", "source_instance", "descriptors",
+    "obs_dirs", "viewpoints", "instance_centroids", "cloud_offsets", "cloud_points",
+    "crop_origin", "crop_shape", "crop_offsets", "crop_feature_ids", "crop_px",
+    "crop_depth", "crop_world", "crop_view",
+)
 
 
 @dataclass
@@ -120,6 +127,13 @@ def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig | No
     )
 
 
+def describe_region(region: ObjectRegion, backend) -> None:
+    """Set a region's observation direction, then its descriptor (which
+    encodes that direction)."""
+    region.obs_dir = observation_vector(region.viewpoint, region.cloud)
+    region.descriptor = backend.extract(region)
+
+
 def build_database(frames, segmenter, backend, config: PerceptionConfig | None = None) -> Database:
     """Full database construction: segment each frame, extract regions,
     fill observation directions and descriptors, infer the instance count,
@@ -137,8 +151,7 @@ def build_database(frames, segmenter, backend, config: PerceptionConfig | None =
     if not regions:
         raise NoRegions("no regions extracted from any frame")
     for r in regions:
-        r.obs_dir = observation_vector(r.viewpoint, r.cloud)
-        r.descriptor = backend.extract(r)
+        describe_region(r, backend)
     k = infer_k(regions_by_frame)
     return associate(regions, k, config)
 
@@ -150,8 +163,7 @@ def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig | N
         frame, segmenter(frame), min_points=config.min_region_points, cloud_cap=config.cloud_cap
     )
     for r in regions:
-        r.obs_dir = observation_vector(r.viewpoint, r.cloud)
-        r.descriptor = backend.extract(r)
+        describe_region(r, backend)
     return regions
 
 
@@ -198,16 +210,35 @@ def save_database(db: Database, path, extra_meta: dict | None = None) -> None:
 
 
 def load_database(path) -> tuple[Database, dict]:
+    """Read a ``save_database`` dump. A file that is not one, or lacks a
+    member, raises IOFailure."""
     try:
-        data = np.load(path)
+        npz = np.load(path)
     except (OSError, ValueError) as e:
         raise IOFailure(f"cannot read database {path}: {e}") from e
-    header = json.loads(bytes(data["header"]).decode("utf-8"))
-    if header.get("format") != DB_FORMAT or header.get("version") != DB_VERSION:
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise IOFailure(f"{path}: not a database dump")
+    # an NpzFile re-reads a member from the archive on every access, so read
+    # each one once
+    with npz:
+        data = {name: npz[name] for name in npz.files}
+    # NpzFile hands back a member that is not an .npy array as raw bytes
+    missing = [name for name in DB_ARRAYS if not isinstance(data.get(name), np.ndarray)]
+    if missing:
+        raise IOFailure(f"{path}: not a database dump (missing {', '.join(missing)})")
+    try:
+        header = json.loads(bytes(data["header"]).decode("utf-8"))
+    except ValueError as e:
+        raise IOFailure(f"{path}: unreadable database header: {e}") from e
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != DB_FORMAT
+        or header.get("version") != DB_VERSION
+        or not {"num_regions", "num_instances"} <= header.keys()
+    ):
         raise IOFailure(f"{path}: not a database dump or unsupported version")
     regions = []
-    n = header["num_regions"]
-    for i in range(n):
+    for i in range(header["num_regions"]):
         h, w = data["crop_shape"][i]
         o0, o1 = data["crop_offsets"][i], data["crop_offsets"][i + 1]
         c0, c1 = data["cloud_offsets"][i], data["cloud_offsets"][i + 1]

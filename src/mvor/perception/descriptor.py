@@ -13,6 +13,12 @@ to arrangement, sharpening the ranking among views of one object) and a
 soft binned encoding of the observation direction. The concatenation goes
 through a fixed seeded random projection and is normalized. Swappable:
 anything with an ``extract(region) -> (d,) unit vector`` method stands in.
+
+Pooling is count-weighted over distinct (feature, cell) pairs: the filled
+samples of the normalized grid repeat each visible feature many times, so
+each distinct feature's point descriptor is looked up once and the cell
+sums are one (cells x features) count matrix times those descriptors; the
+whole-crop block is the sum of the cell blocks.
 """
 
 from __future__ import annotations
@@ -58,15 +64,18 @@ class GridPooledDescriptor:
         hit = fids >= 0
         if not hit.any():
             raise EmptyRegion("region mask has no filled pixels")
-        desc = self.library.descriptors_for(fids[hit])
-        d_pt = desc.shape[1]
+        rows, cols = np.nonzero(hit)
+        step = res // g
+        key = fids[hit] * (g * g) + (rows // step) * g + cols // step
+        pairs, counts = np.unique(key, return_counts=True)
+        features, column = np.unique(pairs // (g * g), return_inverse=True)
+        weights = np.zeros((g * g, len(features)))
+        weights[pairs % (g * g), column] = counts
+        cells = weights @ self.library.descriptors_for(features)
 
-        whole = desc.sum(axis=0)
+        whole = cells.sum(axis=0)
         whole /= np.linalg.norm(whole)
 
-        cell = (np.nonzero(hit)[0] // (res // g)) * g + np.nonzero(hit)[1] // (res // g)
-        cells = np.zeros((g * g, d_pt))
-        np.add.at(cells, cell, desc)
         cells = cells.ravel()
         cells *= self.grid_weight / np.linalg.norm(cells)
         return np.concatenate([whole, cells])

@@ -16,8 +16,9 @@ from mvor.bench import (
 )
 from mvor.cli import main as cli_main
 from mvor.geometry import PlanarTransform, Pose3
-from mvor.localization import LocalizationConfig, PoseEstimate
-from mvor.perception import PerceptionConfig, build_database
+from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
+from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
+from mvor.planner import _pose_to_planar
 from mvor.sim import (
     SimConfig,
     apply_move,
@@ -199,6 +200,56 @@ class TestNoiseModeCorrection:
                     ok += 1
         assert trials == 200
         assert ok >= 190
+
+
+class CountingBackend:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def extract(self, region):
+        self.calls += 1
+        return self.inner.extract(region)
+
+
+class TestReobserver:
+    def test_describes_only_the_chosen_region(self):
+        cfg = SimConfig(object_count_min=4, object_count_max=4)
+        pcfg = PerceptionConfig()
+        lcfg = LocalizationConfig()
+        library = generate_model_library(cfg)
+        backend = pcfg.make_backend(library)
+        segmenter = ground_truth_segmenter()
+        intr = cfg.intrinsics()
+        inst = generate_instance(cfg, library, seed=7)
+        frames = [
+            render(inst.initial, vp, intr, library, frame_id=i)
+            for i, vp in enumerate(inst.ring_viewpoints)
+        ]
+        db = build_database(frames, segmenter, backend, pcfg)
+        object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
+        guess = inst.goal.placements[0].pose
+        scene = apply_move(inst.initial, library, 0, guess, 0.003, np.random.default_rng(1))
+
+        counting = CountingBackend(backend)
+        reobserve = make_reobserver(
+            inst, library, db, counting, lcfg.make_matcher(library), lcfg, pcfg, object_instance
+        )
+        tracked = reobserve(scene, 0, guess)
+        assert counting.calls == 1
+
+        frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
+        regions = prepare_goal_regions(frame, segmenter, backend, pcfg)
+        assert len(regions) > 1
+        region = min(
+            regions,
+            key=lambda r: np.hypot(r.cloud_centroid[0] - guess.tx, r.cloud_centroid[1] - guess.ty),
+        )
+        excluded = frozenset(set(range(db.num_instances)) - {object_instance[0]})
+        est = estimate_object(region, db, lcfg.make_matcher(library), intr, lcfg, excluded)
+        assert est.accepted
+        expected = geo.planar_compose(_pose_to_planar(est.T), inst.initial.placements[0].pose)
+        assert tracked == expected
 
 
 class TestCliDeterminism:

@@ -1,8 +1,13 @@
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor.errors import ClusterCountInfeasible, NoRegions
+from mvor.cli import main as cli_main
+from mvor.errors import ClusterCountInfeasible, EmptyRegion, IOFailure, NoRegions
 from mvor.geometry import PlanarTransform
 from mvor.perception import (
     PerceptionConfig,
@@ -16,8 +21,10 @@ from mvor.perception import (
     prepare_goal_regions,
     save_database,
 )
+from mvor.perception.database import DB_ARRAYS
 from mvor.perception.regions import ObjectRegion, RegionCrop
 from mvor.sim import (
+    FEATURE_ID_STRIDE,
     Placement,
     Rect,
     SceneState,
@@ -195,6 +202,109 @@ class TestDescriptor:
         assert np.mean(same) > np.mean(cross) + 0.1
 
 
+def reference_pooled(backend, region):
+    """Pooling as first written: one point descriptor per filled grid sample,
+    scattered into the grid cells with np.add.at. None when no grid sample
+    is filled."""
+    res, g = backend.norm_resolution, backend.pool_grid
+    rr, cc, valid = region.crop.pad_map(res).source_index_grid()
+    h, w = region.crop.shape
+    fids = np.where(valid, region.crop.feature_ids[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
+    hit = fids >= 0
+    if not hit.any():
+        return None
+    desc = backend.library.descriptors_for(fids[hit])
+    whole = desc.sum(axis=0)
+    whole /= np.linalg.norm(whole)
+    rows, cols = np.nonzero(hit)
+    cells = np.zeros((g * g, desc.shape[1]))
+    np.add.at(cells, (rows // (res // g)) * g + cols // (res // g), desc)
+    cells = cells.ravel()
+    cells *= backend.grid_weight / np.linalg.norm(cells)
+    return np.concatenate([whole, cells])
+
+
+def fid_region(feature_ids):
+    """A region carrying only a feature-id crop (all pooling reads)."""
+    h, w = feature_ids.shape
+    crop = RegionCrop(
+        0, 0, feature_ids, np.zeros((h, w, 2)), np.zeros((h, w)),
+        np.zeros((h, w, 3)), np.zeros((h, w, 3)),
+    )
+    return ObjectRegion(crop, np.zeros((1, 3)), geo.Pose3.identity(), 0, 0)
+
+
+class TestPooling:
+    """Count-weighted pooling over distinct (feature, cell) pairs equals
+    per-sample pooling up to summation order."""
+
+    @pytest.fixture(scope="class")
+    def rendered(self, library):
+        scene = make_scene(
+            [
+                Placement(1, PlanarTransform(0.0, -0.3, -0.2)),
+                Placement(3, PlanarTransform(0.7, 0.25, 0.2)),
+                Placement(6, PlanarTransform(-1.2, 0.0, 0.0)),
+            ]
+        )
+        # the default camera gives crops under the normalized resolution, a
+        # long focal length crops over it
+        frames = ring_frames(scene, library) + ring_frames(
+            scene, library, SimConfig(focal_px=1100.0)
+        )
+        return [r for f in frames for r in extract_regions(f, segment(f))]
+
+    @pytest.mark.parametrize("resample", ["up", "down"])
+    def test_rendered_crops(self, backend, rendered, resample):
+        res = backend.norm_resolution
+        picked = [
+            r for r in rendered
+            if (max(r.crop.shape) < res if resample == "up" else max(r.crop.shape) > res)
+        ]
+        assert picked
+        for r in picked:
+            np.testing.assert_allclose(
+                backend._pooled_appearance(r), reference_pooled(backend, r), rtol=0, atol=1e-12
+            )
+
+    def test_one_pixel_region(self, backend, rendered):
+        fid = rendered[0].crop.feature_ids
+        region = fid_region(fid[fid >= 0][:1].reshape(1, 1))
+        np.testing.assert_allclose(
+            backend._pooled_appearance(region), reference_pooled(backend, region),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_empty_crop_raises(self, backend):
+        with pytest.raises(EmptyRegion):
+            backend._pooled_appearance(fid_region(np.full((7, 5), -1, dtype=np.int64)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        h=st.integers(1, 150),
+        w=st.integers(1, 150),
+        hole_rate=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_feature_grids(self, backend, h, w, hole_rate, seed):
+        rng = np.random.default_rng(seed)
+        lib = backend.library
+        models = rng.integers(len(lib.models), size=2)
+        which = models[rng.integers(2, size=(h, w))]
+        sizes = np.array([len(m.point_descriptors) for m in lib.models])
+        local = (rng.random((h, w)) * sizes[which]).astype(np.int64)
+        fids = np.where(rng.random((h, w)) < hole_rate, -1, which * FEATURE_ID_STRIDE + local)
+        region = fid_region(fids)
+        expected = reference_pooled(backend, region)
+        if expected is None:
+            with pytest.raises(EmptyRegion):
+                backend._pooled_appearance(region)
+            return
+        np.testing.assert_allclose(
+            backend._pooled_appearance(region), expected, rtol=0, atol=1e-12
+        )
+
+
 class TestKMeans:
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(0)
@@ -347,6 +457,37 @@ class TestDatabaseIO:
             np.testing.assert_array_equal(a.crop.px, b.crop.px)
             np.testing.assert_array_equal(a.viewpoint.matrix, b.viewpoint.matrix)
             assert (a.crop.row0, a.crop.col0) == (b.crop.row0, b.crop.col0)
+
+    @pytest.fixture
+    def members(self, library, backend, tmp_path):
+        path = tmp_path / "db.npz"
+        db = db_for(make_scene([Placement(2, PlanarTransform(0, 0, 0))]), library, backend)
+        save_database(db, path)
+        with np.load(path) as npz:
+            return {name: npz[name] for name in npz.files}
+
+    def test_dump_members(self, members):
+        assert set(members) == set(DB_ARRAYS)
+
+    @pytest.mark.parametrize("garbled", [False, True])
+    @pytest.mark.parametrize("member", ["header", "crop_px"])
+    def test_missing_member(self, members, member, garbled, tmp_path, capsys):
+        path = tmp_path / "partial.npz"
+        np.savez(path, **{k: v for k, v in members.items() if k != member})
+        if garbled:
+            with zipfile.ZipFile(path, "a") as z:
+                z.writestr(f"{member}.npy", b"not an array")
+        with pytest.raises(IOFailure, match=member):
+            load_database(path)
+        rc = cli_main(["localize", "--db", str(path), "--instance", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_not_an_archive(self, tmp_path):
+        path = tmp_path / "array.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(IOFailure):
+            load_database(path)
 
     def test_goal_region_prep(self, library, backend):
         cfg = SimConfig(object_count_min=2, object_count_max=2)
