@@ -9,38 +9,23 @@ recovered transforms are compared against the generator's ground truth.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import estimates_by_object
-from mvor.localization import LocalizationConfig, estimate_all
-from mvor.perception import PerceptionConfig, build_database
-from mvor.sim import (
-    SimConfig,
-    generate_instance,
-    generate_model_library,
-    ground_truth_segmenter,
-    render,
+from mvor.bench import BenchConfig, build_scene_database, localize_scene
+from mvor.localization import LocalizationConfig
+from mvor.sim import SimConfig, generate_instance, generate_model_library
+
+cfg = BenchConfig(
+    sim=SimConfig(object_count_min=5, object_count_max=5, seed=3, rotation_regime="full"),
+    # a slightly adversarial matcher: pixel noise plus 20% injected outliers
+    localization=LocalizationConfig(sigma_px=1.0, outlier_rate=0.2),
 )
 
-config = SimConfig(object_count_min=5, object_count_max=5, seed=3, rotation_regime="full")
-perception = PerceptionConfig()
-# a slightly adversarial matcher: pixel noise plus 20% injected outliers
-localization = LocalizationConfig(sigma_px=1.0, outlier_rate=0.2)
+library = generate_model_library(cfg.sim)
+backend = cfg.perception.make_backend(library)
 
-library = generate_model_library(config)
-backend = perception.make_backend(library)
-segmenter = ground_truth_segmenter()
-intr = config.intrinsics()
-
-instance = generate_instance(config, library, seed=3)
-frames = [
-    render(instance.initial, vp, intr, library, frame_id=i)
-    for i, vp in enumerate(instance.ring_viewpoints)
-]
-db = build_database(frames, segmenter, backend, perception)
-goal_frame = render(instance.goal, instance.home_viewpoint, intr, library, frame_id=99)
-
-matcher = localization.make_matcher(library, rng=np.random.default_rng(0))
-estimates = estimate_all(goal_frame, db, matcher, backend, segmenter, localization, perception)
-by_object = estimates_by_object(instance, db, estimates)
+instance = generate_instance(cfg.sim, library, seed=3)
+db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
+matcher = cfg.localization.make_matcher(library, rng=np.random.default_rng(0))
+by_object = localize_scene(instance, db, library, backend, matcher, cfg).by_object
 
 print(f"{'object':>6s} {'true dyaw':>10s} {'est dyaw':>10s} {'err deg':>8s} {'err cm':>7s} "
       f"{'inliers':>7s} {'visited':>7s}")
@@ -48,7 +33,7 @@ for i in range(instance.initial.num_objects):
     est = by_object[i]
     truth = instance.true_offsets[i]
     dtheta, dt = geo.planar_error(est.T, truth)
-    est_yaw = np.degrees(np.arctan2(est.T.rotation[1, 0], est.T.rotation[0, 0]))
+    est_yaw = np.degrees(geo.pose_yaw(est.T))
     print(
         f"{i:>6d} {np.degrees(truth.yaw):>9.1f}  {est_yaw:>9.1f}  {dtheta:>8.3f} {dt:>7.3f} "
         f"{est.inlier_count:>7d} {est.candidates_visited:>7d}"

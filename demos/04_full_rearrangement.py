@@ -9,29 +9,15 @@ direct moves succeed.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import estimates_by_object
+from mvor.bench import BenchConfig, build_scene_database, localize_scene, rearrange_scene
 from mvor.geometry import PlanarTransform
-from mvor.localization import LocalizationConfig, PoseEstimate, estimate_all
-from mvor.perception import PerceptionConfig, build_database
-from mvor.planner import plan_and_execute
-from mvor.sim import (
-    Placement,
-    Rect,
-    SceneState,
-    SimConfig,
-    generate_model_library,
-    ground_truth_segmenter,
-    render,
-)
+from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
 from mvor.sim.scene import RearrangementInstance
 
 config = SimConfig(seed=12)
-perception = PerceptionConfig()
-localization = LocalizationConfig()
+cfg = BenchConfig(sim=config)
 library = generate_model_library(config)
-backend = perception.make_backend(library)
-segmenter = ground_truth_segmenter()
-intr = config.intrinsics()
+backend = cfg.perception.make_backend(library)
 
 # objects 0 and 1 trade places (non-monotone: someone must yield first);
 # objects 2 and 3 have plain independent moves
@@ -66,23 +52,10 @@ instance = RearrangementInstance(
     seed=12,
     config=config,
 )
-frames = [
-    render(instance.initial, vp, intr, library, frame_id=i)
-    for i, vp in enumerate(instance.ring_viewpoints)
-]
-db = build_database(frames, segmenter, backend, perception)
-goal_frame = render(instance.goal, instance.home_viewpoint, intr, library, frame_id=99)
-matcher = localization.make_matcher(library)
-by_object = estimates_by_object(
-    instance, db,
-    estimate_all(goal_frame, db, matcher, backend, segmenter, localization, perception),
-)
-estimates = {
-    i: by_object.get(i, PoseEstimate(T=geo.Pose3.identity(), accepted=False))
-    for i in range(instance.initial.num_objects)
-}
-
-result = plan_and_execute(instance, estimates, library)
+db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
+matcher = cfg.localization.make_matcher(library)
+found = localize_scene(instance, db, library, backend, matcher, cfg)
+_, result = rearrange_scene(instance, db, found, library, backend, matcher, cfg)
 print(f"completed: {result.completed} in {result.outer_iterations} outer iterations")
 print(f"manipulations: {result.total_manipulations} "
       f"({sum(result.goal_moves.values())} goal, {sum(result.buffer_moves.values())} buffer)\n")
@@ -97,7 +70,5 @@ for m in result.moves:
 
 print("\nfinal placement error per object:")
 for i, p in enumerate(result.final_scene.placements):
-    g = instance.goal.placements[i].pose
-    dyaw = abs(np.degrees(geo.wrap_angle(p.pose.yaw - g.yaw)))
-    dt = np.hypot(p.pose.tx - g.tx, p.pose.ty - g.ty) * 100
+    dyaw, dt = geo.planar_distance(p.pose, instance.goal.placements[i].pose)
     print(f"  object {i}: {dyaw:.4f} deg, {dt:.4f} cm")

@@ -1,4 +1,11 @@
-"""Dataset-scale benchmark driver.
+"""Per-scene pipeline and the dataset-scale benchmark drivers.
+
+A scene runs in three stages, shared by the drivers, the CLI and the demos:
+``build_scene_database`` (the initial scene rendered from the ring or the
+home viewpoint, then the region database), ``localize_scene`` (the goal
+frame, ``estimate_all``, and the instance-to-object pairing) and
+``rearrange_scene`` (the planner, with a home-view re-observer when the
+instance's actuation is noisy).
 
 Pose benchmark: per seeded scene, build the multi-view database of the
 initial scene, estimate every object's relative pose from the goal frame,
@@ -8,10 +15,10 @@ alone, on the same seeds, so comparisons are paired. Rejected estimates
 contribute their best-effort error (an object with no usable estimate
 counts as "assumed unmoved"), never get dropped from the medians.
 
-Completion benchmark: runs the full perception + planning loop per scene;
-a scene succeeds when every object ends within the success thresholds, and
-the one-step setting additionally requires at most one goal move per object
-(buffer moves excluded).
+Completion benchmark: runs all three stages per scene; a scene succeeds
+when every object ends within the success thresholds, and the one-step
+setting additionally requires at most one goal move per object (buffer
+moves excluded).
 
 All machine-readable outputs are pure functions of (config, seed): loops
 are ordered, every stochastic component is seeded per (regime, mode, scene),
@@ -29,10 +36,17 @@ import numpy as np
 import zlib
 
 from .errors import NonPlanarEstimate, PlacementFailure, ReobservationFailed
-from .geometry import PlanarTransform, Pose3, planar_compose, planar_error, wrap_angle
+from .geometry import (
+    PlanarTransform,
+    Pose3,
+    planar_compose,
+    planar_distance,
+    planar_error,
+    planar_projection,
+)
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
 from .perception import PerceptionConfig, build_database, describe_region, extract_regions
-from .planner import PlannerConfig, plan_and_execute
+from .planner import ExecutionResult, PlannerConfig, plan_and_execute
 from .serialize import dump_json
 from .sim import (
     SimConfig,
@@ -61,7 +75,6 @@ class BenchConfig:
     base_seed: int = 0
     regimes: list = field(default_factory=lambda: ["minor", "full"])
     include_single_view: bool = True
-    setting: str = "both"  # 'one-step' | 'multi-step' | 'both' (reporting only)
     sim: SimConfig = field(default_factory=SimConfig)
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
@@ -105,8 +118,7 @@ def best_effort_error(est: PoseEstimate | None, truth: PlanarTransform) -> tuple
             return planar_error(est.T, truth)
         except NonPlanarEstimate:
             pass
-    dtheta = abs(float(np.degrees(wrap_angle(truth.yaw))))
-    return dtheta, float(np.hypot(truth.tx, truth.ty) * 100.0)
+    return planar_distance(truth, PlanarTransform.identity())
 
 
 def _scene_rng(tag: str, *parts) -> np.random.Generator:
@@ -115,33 +127,62 @@ def _scene_rng(tag: str, *parts) -> np.random.Generator:
     return np.random.default_rng([zlib.crc32(tag.encode()), *[int(p) for p in parts]])
 
 
-def _build_scene_db(inst, library, backend, segmenter, cfg, view_mode: str):
+def build_scene_database(inst, viewpoints, library, backend, cfg: BenchConfig):
+    """Database stage: the initial scene rendered from ``viewpoints``
+    (frame ids in list order), segmented and described."""
     intr = inst.config.intrinsics()
-    if view_mode == "single":
-        frames = [render(inst.initial, inst.home_viewpoint, intr, library, frame_id=0)]
-    else:
-        frames = [
-            render(inst.initial, vp, intr, library, frame_id=i)
-            for i, vp in enumerate(inst.ring_viewpoints)
-        ]
-    return build_database(frames, segmenter, backend, cfg.perception)
+    frames = [
+        render(inst.initial, vp, intr, library, frame_id=i) for i, vp in enumerate(viewpoints)
+    ]
+    return build_database(frames, ground_truth_segmenter(), backend, cfg.perception)
 
 
-def estimates_by_object(inst, db, out: dict) -> dict:
-    """Re-key estimate_all output from database instances to scene objects."""
-    mapping = match_instances_to_objects(db, inst.initial)
-    by_object = {}
-    for u, est in out.items():
-        if u in mapping:
-            by_object[mapping[u]] = est
-    return by_object
+@dataclass
+class SceneEstimates:
+    by_instance: dict  # database instance -> PoseEstimate, as estimate_all returns it
+    object_of: dict  # database instance -> scene object (match_instances_to_objects)
+    by_object: dict  # scene object -> PoseEstimate, for the paired instances
+
+
+def localize_scene(inst, db, library, backend, matcher, cfg: BenchConfig) -> SceneEstimates:
+    """Localization stage: every object's relative pose from the goal frame."""
+    intr = inst.config.intrinsics()
+    goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
+    by_instance = estimate_all(
+        goal_frame, db, matcher, backend, ground_truth_segmenter(),
+        cfg.localization, cfg.perception,
+    )
+    object_of = match_instances_to_objects(db, inst.initial)
+    by_object = {object_of[u]: est for u, est in by_instance.items() if u in object_of}
+    return SceneEstimates(by_instance, object_of, by_object)
+
+
+def rearrange_scene(
+    inst, db, found: SceneEstimates, library, backend, matcher, cfg: BenchConfig
+) -> tuple[dict, ExecutionResult]:
+    """Rearrangement stage: (object -> estimate the planner used, result).
+
+    Objects without an estimate get a rejected identity estimate. With
+    actuation noise (the instance's ``config.actuation_sigma``) the planner
+    re-observes each object from the home viewpoint before moving it.
+    """
+    estimates = {
+        i: found.by_object.get(i, PoseEstimate(T=Pose3.identity(), accepted=False))
+        for i in range(inst.initial.num_objects)
+    }
+    reobserve = None
+    if inst.config.actuation_sigma > 0:
+        reobserve = make_reobserver(
+            inst, library, db, backend, matcher, cfg.localization, cfg.perception,
+            {i: u for u, i in found.object_of.items()},
+        )
+    return estimates, plan_and_execute(inst, estimates, library, cfg.planner, reobserve)
 
 
 def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
     t0 = time.time()
     library = generate_model_library(cfg.sim)
     backend = cfg.perception.make_backend(library)
-    segmenter = ground_truth_segmenter()
     modes = ["multi"] + (["single"] if cfg.include_single_view else [])
     rows = []
     skipped = 0
@@ -154,20 +195,15 @@ def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
             except PlacementFailure:
                 skipped += 1
                 continue
-            intr = sim.intrinsics()
-            goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
             for mi, mode in enumerate(modes):
-                db = _build_scene_db(inst, library, backend, segmenter, cfg, mode)
+                views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
+                db = build_scene_database(inst, views, library, backend, cfg)
                 matcher = cfg.localization.make_matcher(
                     library, rng=_scene_rng("matcher", cfg.regimes.index(regime), mi, seed)
                 )
-                out = estimate_all(
-                    goal_frame, db, matcher, backend, segmenter,
-                    cfg.localization, cfg.perception,
-                )
-                by_object = estimates_by_object(inst, db, out)
+                found = localize_scene(inst, db, library, backend, matcher, cfg)
                 for i, p in enumerate(inst.initial.placements):
-                    est = by_object.get(i)
+                    est = found.by_object.get(i)
                     dtheta, dt = best_effort_error(est, inst.true_offsets[i])
                     rows.append({
                         "regime": regime,
@@ -239,10 +275,7 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
         est = estimate_object(region, db, matcher, intr, loc_cfg, excluded)
         if not est.accepted:
             raise ReobservationFailed(est.note or "re-estimation rejected")
-        from .planner import _pose_to_planar
-
-        move = _pose_to_planar(est.T)
-        return planar_compose(move, inst.initial.placements[i].pose)
+        return planar_compose(planar_projection(est.T), inst.initial.placements[i].pose)
 
     return reobserve
 
@@ -251,7 +284,6 @@ def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
     t0 = time.time()
     library = generate_model_library(cfg.sim)
     backend = cfg.perception.make_backend(library)
-    segmenter = ground_truth_segmenter()
     rows = []
     skipped = 0
     for regime in cfg.regimes:
@@ -263,39 +295,17 @@ def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
             except PlacementFailure:
                 skipped += 1
                 continue
-            intr = sim.intrinsics()
-            goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
-            db = _build_scene_db(inst, library, backend, segmenter, cfg, "multi")
+            db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
             matcher = cfg.localization.make_matcher(
                 library, rng=_scene_rng("matcher", cfg.regimes.index(regime), 0, seed)
             )
-            out = estimate_all(
-                goal_frame, db, matcher, backend, segmenter, cfg.localization, cfg.perception
-            )
-            by_object = estimates_by_object(inst, db, out)
-            planner_cfg = replace(
-                cfg.planner, actuation_sigma=cfg.sim.actuation_sigma, seed=seed
-            )
-            estimates = {
-                i: by_object.get(i, PoseEstimate(T=Pose3.identity(), accepted=False))
-                for i in range(inst.initial.num_objects)
-            }
-            reobserve = None
-            if cfg.sim.actuation_sigma > 0:
-                mapping = match_instances_to_objects(db, inst.initial)
-                object_instance = {i: u for u, i in mapping.items()}
-                reobserve = make_reobserver(
-                    inst, library, db, backend, matcher, cfg.localization,
-                    cfg.perception, object_instance,
-                )
-            result = plan_and_execute(inst, estimates, library, planner_cfg, reobserve)
+            found = localize_scene(inst, db, library, backend, matcher, cfg)
+            estimates, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
             object_rows = []
             all_ok = True
             one_step_ok = True
             for i, p in enumerate(result.final_scene.placements):
-                goal_pose = inst.goal.placements[i].pose
-                dtheta = abs(float(np.degrees(wrap_angle(p.pose.yaw - goal_pose.yaw))))
-                dt = float(np.hypot(p.pose.tx - goal_pose.tx, p.pose.ty - goal_pose.ty) * 100)
+                dtheta, dt = planar_distance(p.pose, inst.goal.placements[i].pose)
                 ok = dtheta < cfg.planner.success_yaw_deg and dt < cfg.planner.success_t_cm
                 all_ok &= ok
                 one_step_ok &= result.goal_moves.get(i, 0) <= 1

@@ -19,27 +19,23 @@ import numpy as np
 
 from .bench import (
     BenchConfig,
-    MetricsReport,
     best_effort_error,
-    estimates_by_object,
-    make_reobserver,
-    match_instances_to_objects,
+    build_scene_database,
+    format_report,
+    localize_scene,
+    rearrange_scene,
     run_completion_bench,
     run_pose_bench,
     write_report,
 )
 from .errors import MvorError
-from .geometry import wrap_angle
-from .localization import estimate_all
-from .perception import build_database, load_database, save_database
-from .planner import plan_and_execute
+from .geometry import planar_distance, pose_yaw
+from .perception import load_database, save_database
 from .serialize import dump_json, from_dict, load_json
 from .sim import (
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     load_instance,
-    render,
     save_dataset,
     save_instance,
 )
@@ -59,10 +55,13 @@ def _out_dir(args, default_name: str) -> str:
 
 
 def _load_or_generate_instance(cfg: BenchConfig, args):
-    if getattr(args, "instance", None):
-        return load_instance(args.instance)
+    """(instance, its model library): loaded from ``--instance`` or
+    generated from the config and seed."""
+    if args.instance:
+        inst = load_instance(args.instance)
+        return inst, generate_model_library(inst.config)
     library = generate_model_library(cfg.sim)
-    return generate_instance(cfg.sim, library, seed=cfg.base_seed)
+    return generate_instance(cfg.sim, library, seed=cfg.base_seed), library
 
 
 def cmd_gen(args) -> int:
@@ -80,19 +79,11 @@ def cmd_gen(args) -> int:
 
 def cmd_build_db(args) -> int:
     cfg = load_config(args.config, args.seed)
-    inst = _load_or_generate_instance(cfg, args)
-    library = generate_model_library(inst.config)
-    intr = inst.config.intrinsics()
-    if args.view == "home":
-        frames = [render(inst.initial, inst.home_viewpoint, intr, library, frame_id=0)]
-    else:
-        frames = [
-            render(inst.initial, vp, intr, library, frame_id=i)
-            for i, vp in enumerate(inst.ring_viewpoints)
-        ]
+    inst, library = _load_or_generate_instance(cfg, args)
+    views = [inst.home_viewpoint] if args.view == "home" else inst.ring_viewpoints
     backend = cfg.perception.make_backend(library)
-    db = build_database(frames, ground_truth_segmenter(), backend, cfg.perception)
-    out = args.out or os.path.join(os.environ.get("MVOR_OUT", "."), "db.npz")
+    db = build_scene_database(inst, views, library, backend, cfg)
+    out = _out_dir(args, "db.npz")
     save_database(
         db,
         out,
@@ -107,16 +98,14 @@ def cmd_build_db(args) -> int:
     return 0
 
 
-def _pose_report_rows(inst, db, out):
-    mapping = match_instances_to_objects(db, inst.initial)
+def _pose_report_rows(inst, found):
     rows = []
-    for u in sorted(out.keys()):
-        est = out[u]
-        yaw = float(np.degrees(np.arctan2(est.T.rotation[1, 0], est.T.rotation[0, 0])))
+    for u in sorted(found.by_instance):
+        est = found.by_instance[u]
         row = {
             "instance": u,
             "accepted": bool(est.accepted),
-            "yaw_deg": yaw,
+            "yaw_deg": float(np.degrees(pose_yaw(est.T))),
             "tx_cm": float(est.T.translation[0] * 100),
             "ty_cm": float(est.T.translation[1] * 100),
             "T": [[float(v) for v in r] for r in est.T.matrix],
@@ -127,8 +116,8 @@ def _pose_report_rows(inst, db, out):
             "matcher_invocations": est.matcher_invocations,
             "note": est.note,
         }
-        if u in mapping:
-            i = mapping[u]
+        if u in found.object_of:
+            i = found.object_of[u]
             row["matched_object"] = i
             dtheta, dt = best_effort_error(est, inst.true_offsets[i])
             row["dtheta_deg"] = dtheta
@@ -147,65 +136,36 @@ def cmd_localize(args) -> int:
             f"instance uses {inst.config.library_seed}"
         )
     library = generate_model_library(inst.config)
-    intr = inst.config.intrinsics()
     backend = cfg.perception.make_backend(library)
-    goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
     matcher = cfg.localization.make_matcher(library)
-    out = estimate_all(
-        goal_frame, db, matcher, backend, ground_truth_segmenter(),
-        cfg.localization, cfg.perception,
-    )
-    path = args.out or os.path.join(os.environ.get("MVOR_OUT", "."), "poses.json")
-    dump_json({"instance_seed": inst.seed, "objects": _pose_report_rows(inst, db, out)}, path)
-    accepted = sum(1 for e in out.values() if e.accepted)
-    print(f"estimated {len(out)} objects ({accepted} accepted); report at {path}")
+    found = localize_scene(inst, db, library, backend, matcher, cfg)
+    path = _out_dir(args, "poses.json")
+    dump_json({"instance_seed": inst.seed, "objects": _pose_report_rows(inst, found)}, path)
+    accepted = sum(1 for e in found.by_instance.values() if e.accepted)
+    print(f"estimated {len(found.by_instance)} objects ({accepted} accepted); report at {path}")
     return 0
 
 
 def cmd_rearrange(args) -> int:
     cfg = load_config(args.config, args.seed)
-    inst = _load_or_generate_instance(cfg, args)
-    library = generate_model_library(inst.config)
-    intr = inst.config.intrinsics()
+    inst, library = _load_or_generate_instance(cfg, args)
     backend = cfg.perception.make_backend(library)
-    segmenter = ground_truth_segmenter()
-    frames = [
-        render(inst.initial, vp, intr, library, frame_id=i)
-        for i, vp in enumerate(inst.ring_viewpoints)
-    ]
-    db = build_database(frames, segmenter, backend, cfg.perception)
+    db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
     matcher = cfg.localization.make_matcher(library)
-    goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
-    out = estimate_all(goal_frame, db, matcher, backend, segmenter, cfg.localization, cfg.perception)
-    by_object = estimates_by_object(inst, db, out)
-    from .localization import PoseEstimate
-    from .geometry import Pose3
-
-    estimates = {
-        i: by_object.get(i, PoseEstimate(T=Pose3.identity(), accepted=False))
-        for i in range(inst.initial.num_objects)
-    }
-    planner_cfg = replace(cfg.planner, actuation_sigma=cfg.sim.actuation_sigma, seed=inst.seed)
-    reobserve = None
-    if cfg.sim.actuation_sigma > 0:
-        mapping = match_instances_to_objects(db, inst.initial)
-        reobserve = make_reobserver(
-            inst, library, db, backend, matcher, cfg.localization, cfg.perception,
-            {i: u for u, i in mapping.items()},
-        )
-    result = plan_and_execute(inst, estimates, library, planner_cfg, reobserve)
+    found = localize_scene(inst, db, library, backend, matcher, cfg)
+    _, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
     out_dir = _out_dir(args, "rearrange")
     os.makedirs(out_dir, exist_ok=True)
     save_instance(inst, os.path.join(out_dir, "instance.json"))
     dump_json([m.as_dict() for m in result.moves], os.path.join(out_dir, "moves.json"))
     finals = []
     for i, p in enumerate(result.final_scene.placements):
-        g = inst.goal.placements[i].pose
+        dtheta, dt = planar_distance(p.pose, inst.goal.placements[i].pose)
         finals.append(
             {
                 "object": i,
-                "final_dtheta_deg": abs(float(np.degrees(wrap_angle(p.pose.yaw - g.yaw)))),
-                "final_dt_cm": float(np.hypot(p.pose.tx - g.tx, p.pose.ty - g.ty) * 100),
+                "final_dtheta_deg": dtheta,
+                "final_dt_cm": dt,
                 "goal_moves": result.goal_moves.get(i, 0),
                 "buffer_moves": result.buffer_moves.get(i, 0),
             }
@@ -226,29 +186,13 @@ def cmd_rearrange(args) -> int:
     return 0
 
 
-def cmd_bench_pose(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    report = run_pose_bench(cfg)
-    out = _out_dir(args, "bench_pose")
+def cmd_bench(args) -> int:
+    report = args.driver(load_config(args.config, args.seed))
+    out = _out_dir(args, f"bench_{report.kind}")
     write_report(report, out)
-    _print_report(report, out)
-    return 0
-
-
-def cmd_bench_completion(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    report = run_completion_bench(cfg)
-    out = _out_dir(args, "bench_completion")
-    write_report(report, out)
-    _print_report(report, out)
-    return 0
-
-
-def _print_report(report: MetricsReport, out: str) -> None:
-    from .bench import format_report
-
     print(format_report(report), end="")
     print(f"outputs in {out}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench-pose", help="pose-estimation benchmark")
     common(sp, "output directory")
-    sp.set_defaults(func=cmd_bench_pose)
+    sp.set_defaults(func=cmd_bench, driver=run_pose_bench)
 
     sp = sub.add_parser("bench-completion", help="task-completion benchmark")
     common(sp, "output directory")
-    sp.set_defaults(func=cmd_bench_completion)
+    sp.set_defaults(func=cmd_bench, driver=run_completion_bench)
     return p
 
 

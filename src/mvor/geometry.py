@@ -29,7 +29,10 @@ __all__ = [
     "lift",
     "planar_compose",
     "planar_invert",
+    "pose_yaw",
+    "planar_projection",
     "planar_of_pose",
+    "planar_distance",
     "planar_error",
     "observation_vector",
     "angular_distance",
@@ -191,22 +194,40 @@ def planar_invert(a: PlanarTransform) -> PlanarTransform:
     return PlanarTransform(-a.yaw, -(c * a.tx + s * a.ty), -(-s * a.tx + c * a.ty))
 
 
+def pose_yaw(pose: Pose3) -> float:
+    """Rotation of an SE(3) pose about the table normal, in [-pi, pi]; not
+    re-wrapped as PlanarTransform does, so reports keep the exact value."""
+    return float(np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0]))
+
+
+def planar_projection(pose: Pose3) -> PlanarTransform:
+    """Project an SE(3) pose down to a planar transform, unchecked: any
+    out-of-plane rotation or vertical translation is dropped."""
+    return PlanarTransform(pose_yaw(pose), pose.translation[0], pose.translation[1])
+
+
 def planar_of_pose(
     pose: Pose3, max_tilt_deg: float = 10.0, max_dz: float = 0.02
 ) -> PlanarTransform:
-    """Project an SE(3) pose down to a planar transform.
+    """:func:`planar_projection`, checked.
 
     Raises NonPlanarEstimate when the out-of-plane rotation exceeds
     ``max_tilt_deg`` or the vertical translation exceeds ``max_dz`` meters
     (the signature of a grossly wrong pose solution given planar motion).
     """
-    yaw = float(np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0]))
-    tilt = rotation_angle(rot_z(-yaw) @ pose.rotation)
+    tilt = rotation_angle(rot_z(-pose_yaw(pose)) @ pose.rotation)
     if np.degrees(tilt) > max_tilt_deg or abs(pose.translation[2]) > max_dz:
         raise NonPlanarEstimate(
             f"tilt={np.degrees(tilt):.2f} deg, dz={pose.translation[2]:.4f} m"
         )
-    return PlanarTransform(yaw, pose.translation[0], pose.translation[1])
+    return planar_projection(pose)
+
+
+def planar_distance(a: PlanarTransform, b: PlanarTransform) -> tuple[float, float]:
+    """(|yaw difference| in degrees, wrapped so that adding 2*pi to either
+    yaw changes nothing; translation distance in cm)."""
+    dtheta = abs(float(np.degrees(wrap_angle(a.yaw - b.yaw))))
+    return dtheta, float(np.hypot(a.tx - b.tx, a.ty - b.ty) * 100.0)
 
 
 def planar_error(
@@ -215,15 +236,9 @@ def planar_error(
     max_tilt_deg: float = 10.0,
     max_dz: float = 0.02,
 ) -> tuple[float, float]:
-    """Planar pose error: (|yaw difference| in degrees, distance in cm).
-
-    The yaw difference is wrapped, so adding 2*pi to either yaw does not
-    change the result.
-    """
+    """:func:`planar_distance` of a checked SE(3) estimate from the truth."""
     est = planar_of_pose(estimate, max_tilt_deg=max_tilt_deg, max_dz=max_dz)
-    dtheta = abs(wrap_angle(est.yaw - truth.yaw))
-    dt = np.hypot(est.tx - truth.tx, est.ty - truth.ty)
-    return float(np.degrees(dtheta)), float(dt * 100.0)
+    return planar_distance(est, truth)
 
 
 def observation_vector(viewpoint: Pose3, cloud: np.ndarray) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 The loop processes objects in a fixed order (index ascending). Per object
 and outer pass: refresh the tracked pose (dead-reckoned, or re-observed
-from the home viewpoint when a reobserver is supplied), recompute the
-remaining offset from the tracked pose, skip objects already within the
-success thresholds, collision-check the move, execute on success, and on
-repeated failure relocate the blocker to a random collision-free buffer
-pose. The loop ends when nothing remains or the outer-iteration budget
-(2x object count by default) is exhausted.
+from the home viewpoint when a reobserver is supplied), skip objects
+already within the success thresholds of their believed goal,
+collision-check the goal move, execute on success, and on repeated failure
+relocate the blocker to a random collision-free buffer pose. The loop ends
+when nothing remains or the outer-iteration budget (2x object count by
+default) is exhausted.
 
-The planner operates on estimated offsets only. Absolute targets handed to
-the simulator are "apply the offset to the object wherever it currently
-is": the tracked pose initialized from the initial scene stands in for the
-robot's perception of the current scene.
+The planner operates on estimated offsets only. Each accepted estimate
+fixes the object's believed goal once, as the estimated offset applied to
+its initial pose, and every goal move targets that belief. The tracked
+pose, initialized from the initial scene, stands in for the robot's
+perception of the current scene: it decides whether an object is already
+within the success thresholds. Every attempted move is logged, including
+blocked goal moves and buffer searches that give up.
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoBufferSpace, ReobservationFailed, UnknownObject
-from .geometry import (
-    PlanarTransform,
-    Pose3,
-    lift,
-    planar_compose,
-    planar_invert,
-    wrap_angle,
-)
+from .geometry import PlanarTransform, planar_compose, planar_distance, planar_projection
 from .sim.models import ModelLibrary
 from .sim.scene import RearrangementInstance, SceneState, apply_move
 
@@ -42,8 +38,6 @@ class PlannerConfig:
     success_yaw_deg: float = 5.0
     success_t_cm: float = 2.0
     buffer_attempts: int = 1000
-    actuation_sigma: float = 0.0
-    seed: int = 0
 
 
 @dataclass
@@ -95,14 +89,6 @@ class ExecutionResult:
         return sum(self.goal_moves.values()) + sum(self.buffer_moves.values())
 
 
-def _pose_to_planar(pose: Pose3) -> PlanarTransform:
-    return PlanarTransform(
-        float(np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0])),
-        float(pose.translation[0]),
-        float(pose.translation[1]),
-    )
-
-
 def check_collision(
     scene: SceneState,
     library: ModelLibrary,
@@ -124,16 +110,6 @@ def check_collision(
         if np.hypot(target.tx - x, target.ty - y) < grown + r:
             return True
     return False
-
-
-def correct_pose(
-    object_index: int, state: PlanState, goal_placement: PlanarTransform
-) -> Pose3:
-    """Offset still needed to bring the object to its believed goal,
-    recomputed from the tracked current pose (so buffer moves and prior
-    actuation error are absorbed)."""
-    tracked = state.tracked_poses[object_index]
-    return lift(planar_compose(goal_placement, planar_invert(tracked)))
 
 
 def find_buffer_pose(
@@ -158,8 +134,7 @@ def find_buffer_pose(
 
 
 def _within_success(current: PlanarTransform, goal: PlanarTransform, config: PlannerConfig) -> bool:
-    dyaw = abs(np.degrees(wrap_angle(current.yaw - goal.yaw)))
-    dt = np.hypot(current.tx - goal.tx, current.ty - goal.ty) * 100.0
+    dyaw, dt = planar_distance(current, goal)
     return dyaw < config.success_yaw_deg and dt < config.success_t_cm
 
 
@@ -176,10 +151,13 @@ def plan_and_execute(
     objects with a not-accepted estimate are never moved toward a goal and
     accrue failures instead. ``reobserve(scene, object_index, tracked_guess)``
     may return a fresh tracked pose (or raise ReobservationFailed); without
-    it the planner dead-reckons. Deterministic for a fixed config seed.
+    it the planner dead-reckons. Actuation noise is the instance's
+    ``config.actuation_sigma``; buffer poses and noise draw from an RNG
+    seeded with the instance seed, so a run is deterministic per instance.
     """
     config = config or PlannerConfig()
-    rng = np.random.default_rng(config.seed)
+    sigma = instance.config.actuation_sigma
+    rng = np.random.default_rng(instance.seed)
     scene = instance.initial
     k = scene.num_objects
     order = sorted(estimates.keys())
@@ -197,7 +175,7 @@ def plan_and_execute(
         est = estimates[i]
         usable[i] = est.accepted
         if est.accepted:
-            goal_beliefs[i] = planar_compose(_pose_to_planar(est.T), state.tracked_poses[i])
+            goal_beliefs[i] = planar_compose(planar_projection(est.T), state.tracked_poses[i])
 
     moves: list[MoveRecord] = []
     goal_moves: dict[int, int] = {i: 0 for i in order}
@@ -212,7 +190,7 @@ def plan_and_execute(
                 state.failure_counts[i] += 1
                 if state.failure_counts[i] > config.thres_fail:
                     scene, step = _buffer_relocate(
-                        scene, library, i, state, config, rng, moves, buffer_moves, step
+                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
                     )
                 continue
             if reobserve is not None:
@@ -221,9 +199,10 @@ def plan_and_execute(
                 except ReobservationFailed:
                     state.failure_counts[i] += 1
                     continue
-            offset = correct_pose(i, state, goal_beliefs[i])
-            target = planar_compose(_pose_to_planar(offset), state.tracked_poses[i])
-            if _within_success(state.tracked_poses[i], goal_beliefs[i], config):
+            # the goal belief is absolute, so buffer moves and actuation error
+            # absorbed into the tracked pose need no correction of the target
+            target = goal_beliefs[i]
+            if _within_success(state.tracked_poses[i], target, config):
                 state.remaining.remove(i)
                 continue
             collision = check_collision(scene, library, i, target, config.collision_margin)
@@ -233,7 +212,7 @@ def plan_and_execute(
                            state.failure_counts[i])
             )
             if not collision:
-                scene = apply_move(scene, library, i, target, config.actuation_sigma, rng)
+                scene = apply_move(scene, library, i, target, sigma, rng)
                 state.tracked_poses[i] = target
                 goal_moves[i] += 1
                 state.remaining.remove(i)
@@ -241,7 +220,7 @@ def plan_and_execute(
                 state.failure_counts[i] += 1
                 if state.failure_counts[i] > config.thres_fail:
                     scene, step = _buffer_relocate(
-                        scene, library, i, state, config, rng, moves, buffer_moves, step
+                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
                     )
         if not state.remaining or state.outer_iterations > thres_outer:
             break
@@ -256,16 +235,23 @@ def plan_and_execute(
     )
 
 
-def _buffer_relocate(scene, library, i, state, config, rng, moves, buffer_moves, step):
+def _buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves, step):
+    """Move object ``i`` to a random collision-free buffer pose. A search
+    that gives up is logged as a blocked buffer move at the tracked pose;
+    the next outer pass tries again."""
+    step += 1
     try:
         pose = find_buffer_pose(
             scene, library, i, rng, config.collision_margin, config.buffer_attempts
         )
     except NoBufferSpace:
-        return scene, step  # logged implicitly by the missing record; try next round
-    step += 1
+        tracked = state.tracked_poses[i]
+        moves.append(
+            MoveRecord(step, i, "buffer-move", tracked, True, False, state.failure_counts[i])
+        )
+        return scene, step
     moves.append(MoveRecord(step, i, "buffer-move", pose, False, True, state.failure_counts[i]))
-    scene = apply_move(scene, library, i, pose, config.actuation_sigma, rng)
+    scene = apply_move(scene, library, i, pose, sigma, rng)
     state.tracked_poses[i] = pose
     buffer_moves[i] += 1
     return scene, step

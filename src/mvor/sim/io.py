@@ -4,11 +4,14 @@ An instance file is a single JSON document carrying the table bounds, a
 model-library reference (seed + size), initial and goal placements, the
 per-object true planar offsets, the viewpoint poses as 4x4 row-major
 matrices, and a full config echo. Floats round-trip bit-exactly through
-JSON because Python serializes them via repr.
+JSON because Python serializes them via repr. Loading checks the presence
+and type of every member and raises ConfigParseError on a malformed
+document.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -64,11 +67,48 @@ def instance_to_dict(inst: RearrangementInstance) -> dict:
     }
 
 
+def _conforms(value, schema) -> bool:
+    """``schema``: a type, a dict of member schemas, a tuple (fixed-length
+    list) or a one-item list (list of any length)."""
+    if isinstance(schema, dict):
+        return isinstance(value, dict) and all(_conforms(value.get(k), schema[k]) for k in schema)
+    if isinstance(schema, (tuple, list)):
+        if not isinstance(value, list):
+            return False
+        items = schema if isinstance(schema, tuple) else schema * len(value)
+        return len(value) == len(items) and all(map(_conforms, value, items))
+    kind = {int: numbers.Integral, float: numbers.Real}.get(schema, schema)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+_PLANAR = {"yaw": float, "tx": float, "ty": float}
+_MATRIX = ((float,) * 4,) * 4
+_MEMBERS = {
+    "config": dict,
+    "table_bounds": (float,) * 4,
+    "initial": [{"model_id": int, **_PLANAR}],
+    "goal": [{"model_id": int, **_PLANAR}],
+    "true_offsets": [_PLANAR],
+    "home_viewpoint": _MATRIX,
+    "ring_viewpoints": [_MATRIX],
+    "seed": int,
+}
+
+
 def instance_from_dict(data: dict) -> RearrangementInstance:
+    """Rebuild an instance; a document that is not a well-formed instance
+    raises ConfigParseError."""
+    if not isinstance(data, dict):
+        raise ConfigParseError(f"not an instance file (a JSON {type(data).__name__})")
     if data.get("format") != INSTANCE_FORMAT:
         raise ConfigParseError(f"not an instance file (format={data.get('format')!r})")
     if data.get("version") != FORMAT_VERSION:
         raise ConfigParseError(f"unsupported instance version {data.get('version')!r}")
+    for name, schema in _MEMBERS.items():
+        if not _conforms(data.get(name), schema):
+            raise ConfigParseError(f"instance member {name!r} is missing or malformed")
+    if not len(data["initial"]) == len(data["goal"]) == len(data["true_offsets"]):
+        raise ConfigParseError("instance placements and true offsets differ in length")
     config = from_dict(SimConfig, data["config"], "config")
     bounds = Rect(*data["table_bounds"])
     return RearrangementInstance(

@@ -6,9 +6,8 @@ from mvor.errors import NoBufferSpace, UnknownObject
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.localization import PoseEstimate
 from mvor.planner import (
-    PlanState,
+    PlannerConfig,
     check_collision,
-    correct_pose,
     find_buffer_pose,
     plan_and_execute,
     replay_moves,
@@ -103,30 +102,41 @@ class TestCheckCollision:
             check_collision(scene, library, 3, PlanarTransform(0, 0, 0), 0.01)
 
 
-class TestCorrectPose:
-    def _state(self, tracked):
-        return PlanState(
-            remaining=[0], failure_counts={0: 0}, outer_iterations=0,
-            tracked_poses={0: tracked},
+def assert_planar_close(a, b, tol=1e-12):
+    assert abs(geo.wrap_angle(a.yaw - b.yaw)) < tol
+    assert abs(a.tx - b.tx) < tol and abs(a.ty - b.ty) < tol
+
+
+class TestGoalTarget:
+    """A goal move targets the estimated offset applied to the initial pose,
+    whatever moves the object made before."""
+
+    def test_target_without_prior_moves(self, library):
+        initial = scene_of([PlanarTransform(0.4, x, -0.3) for x in (-0.3, 0.0, 0.3)])
+        goal = scene_of([PlanarTransform(-0.7, x, 0.3) for x in (-0.3, 0.0, 0.3)])
+        inst = instance_of(initial, goal)
+        result = plan_and_execute(inst, exact_estimates(inst), library)
+        assert [m.kind for m in result.moves] == ["goal-move"] * 3
+        for m in result.moves:
+            i = m.object_index
+            expect = geo.planar_compose(inst.true_offsets[i], initial.placements[i].pose)
+            assert_planar_close(m.target, expect)
+
+    def test_target_after_buffer_move(self, library):
+        initial = scene_of([PlanarTransform(0.1, -0.15, 0.0), PlanarTransform(0.5, 0.15, 0.0)])
+        goal = scene_of([PlanarTransform(0.9, 0.15, 0.0), PlanarTransform(-0.4, -0.15, 0.0)])
+        inst = instance_of(initial, goal)
+        result = plan_and_execute(inst, exact_estimates(inst), library)
+        assert result.completed
+        buffer = next(m for m in result.moves if m.kind == "buffer-move")
+        i = buffer.object_index
+        goal_move = next(
+            m for m in result.moves
+            if m.step > buffer.step and m.object_index == i and m.kind == "goal-move"
         )
-
-    def test_no_prior_moves_equals_original(self):
-        initial = PlanarTransform(0.4, -0.1, 0.2)
-        offset = PlanarTransform(0.7, 0.15, -0.05)
-        goal = geo.planar_compose(offset, initial)
-        corr = correct_pose(0, self._state(initial), goal)
-        np.testing.assert_allclose(corr.matrix, geo.lift(offset).matrix, atol=1e-12)
-
-    def test_buffer_displacement_absorbed(self):
-        initial = PlanarTransform(0.1, 0.0, 0.0)
-        goal = PlanarTransform(0.9, 0.3, 0.1)
-        displacement = PlanarTransform(0.0, 0.2, 0.0)
-        after_buffer = geo.planar_compose(displacement, initial)
-        original = correct_pose(0, self._state(initial), goal)
-        corrected = correct_pose(0, self._state(after_buffer), goal)
-        # corrected == original o displacement^-1
-        expect = geo.compose(original, geo.lift(geo.planar_invert(displacement)))
-        np.testing.assert_allclose(corrected.matrix, expect.matrix, atol=1e-12)
+        assert goal_move.executed
+        expect = geo.planar_compose(inst.true_offsets[i], initial.placements[i].pose)
+        assert_planar_close(goal_move.target, expect)
 
 
 class TestFindBufferPose:
@@ -250,3 +260,24 @@ class TestPlanAndExecute:
         a = plan_and_execute(inst, exact_estimates(inst), library)
         b = plan_and_execute(inst, exact_estimates(inst), library)
         assert [m.as_dict() for m in a.moves] == [m.as_dict() for m in b.moves]
+
+    def test_failed_buffer_search_is_logged(self, library):
+        # two discs of radius 0.45 on a 1 m table: every goal move collides
+        # and no buffer pose exists
+        lib_big = fixed_radius_library(library, 0.45)
+        initial = scene_of([PlanarTransform(0.0, 0.0, 0.0), PlanarTransform(0.0, 0.0, 0.0)])
+        goal = scene_of([PlanarTransform(1.0, 0.02, 0.0), PlanarTransform(-1.0, -0.02, 0.0)])
+        inst = instance_of(initial, goal)
+        config = PlannerConfig(buffer_attempts=50)
+        result = plan_and_execute(inst, exact_estimates(inst), lib_big, config)
+        assert not result.completed
+        assert sum(result.buffer_moves.values()) == 0
+        failed = [m for m in result.moves if m.kind == "buffer-move"]
+        assert failed
+        for m in failed:
+            assert m.collision and not m.executed
+            assert m.target == initial.placements[m.object_index].pose
+            assert m.failure_count > config.thres_fail
+        assert [m.step for m in result.moves] == list(range(1, len(result.moves) + 1))
+        final = replay_moves(inst, result.moves, lib_big)
+        assert final.placements == result.final_scene.placements

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvor import geometry as geo
-from mvor.errors import CollisionAtTarget, EmptyFrame, PlacementFailure
+from mvor.errors import CollisionAtTarget, ConfigParseError, EmptyFrame, PlacementFailure
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.sim import (
     FEATURE_ID_STRIDE,
@@ -320,3 +320,49 @@ class TestInstanceIO:
         json.dumps(d)  # JSON-able throughout
         back = instance_from_dict(d)
         assert back.seed == inst.seed
+
+    MEMBERS = [
+        "config", "table_bounds", "initial", "goal", "true_offsets",
+        "home_viewpoint", "ring_viewpoints", "seed",
+    ]
+
+    @pytest.mark.parametrize("doc", [[], "instance", 3, None])
+    def test_non_mapping_rejected(self, doc):
+        with pytest.raises(ConfigParseError):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("member", MEMBERS)
+    def test_missing_member_rejected(self, config, library, member):
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        del d[member]
+        with pytest.raises(ConfigParseError, match=member):
+            instance_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("config", [1, 2]),
+            ("table_bounds", [-0.5, -0.5, 0.5]),
+            ("table_bounds", "abcd"),
+            ("initial", [{"model_id": 0, "yaw": 0.0, "tx": 0.0}]),
+            ("initial", [{"model_id": "0", "yaw": 0.0, "tx": 0.0, "ty": 0.0}]),
+            ("goal", {"model_id": 0}),
+            ("goal", 7),
+            ("true_offsets", [{"yaw": "0", "tx": 0.0, "ty": 0.0}]),
+            ("home_viewpoint", [[1.0, 0.0, 0.0, 0.0]] * 3),
+            ("ring_viewpoints", [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, True, 1]]]),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_ill_typed_member_rejected(self, config, library, member, value):
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        d[member] = value
+        with pytest.raises(ConfigParseError, match=member):
+            instance_from_dict(d)
+
+    def test_length_mismatch_rejected(self, config, library):
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        d["goal"] = d["goal"][:-1]
+        with pytest.raises(ConfigParseError):
+            instance_from_dict(d)
