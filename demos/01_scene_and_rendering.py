@@ -2,7 +2,7 @@
 
 Walks through: model library generation, sampling a rearrangement task
 (goal scene first, then a shuffled initial scene), rendering the ring of
-viewpoints, and checking that stored pixels back-project onto the true
+viewpoints, and checking that the stored hits back-project onto the true
 object surfaces.
 """
 
@@ -37,18 +37,16 @@ frames = [
 ]
 print(f"\nrendered {len(frames)} ring frames at {intr.width}x{intr.height}")
 for f in frames[:3]:
-    filled = int(f.filled.sum())
     print(
-        f"  frame {f.frame_id}: {filled} pixels hit, "
+        f"  frame {f.frame_id}: {len(f.rows)} pixels hit, "
         f"{len(f.instance_list())} objects visible, "
-        f"depth range {np.nanmin(f.depth):.2f}..{np.nanmax(f.depth):.2f} m"
+        f"depth range {f.depth.min():.2f}..{f.depth.max():.2f} m"
     )
 
-# every stored pixel carries its exact projection and depth, so
-# back-projecting recovers the world point that won the z-buffer
+# a frame is the list of z-buffer winners, one per hit pixel: every hit
+# carries its exact projection and depth, so back-projecting recovers the
+# world point that won the z-buffer
 f = frames[0]
-rows, cols = np.nonzero(f.filled)
-uv = f.px[rows, cols]
-world = geo.back_project_pixels(intr, geo.invert(f.viewpoint), uv, f.depth[rows, cols])
+world = geo.back_project_pixels(intr, geo.invert(f.viewpoint), f.px, f.depth)
 print(f"\nback-projected {len(world)} pixels from frame 0")
 print(f"  world z range: {world[:, 2].min():.3f}..{world[:, 2].max():.3f} m (table is z=0)")

@@ -9,7 +9,7 @@ recovered transforms are compared against the generator's ground truth.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, build_scene_database, localize_scene
+from mvor.bench import BenchConfig, build_scene_database, localize_scene, scene_goal_regions
 from mvor.localization import LocalizationConfig
 from mvor.sim import SimConfig, generate_instance, generate_model_library
 
@@ -25,7 +25,8 @@ backend = cfg.perception.make_backend(library)
 instance = generate_instance(cfg.sim, library, seed=3)
 db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
 matcher = cfg.localization.make_matcher(library, rng=np.random.default_rng(0))
-by_object = localize_scene(instance, db, library, backend, matcher, cfg).by_object
+goal_regions = scene_goal_regions(instance, library, backend, cfg)
+by_object = localize_scene(instance, db, goal_regions, matcher, cfg).by_object
 
 print(f"{'object':>6s} {'true dyaw':>10s} {'est dyaw':>10s} {'err deg':>8s} {'err cm':>7s} "
       f"{'inliers':>7s} {'visited':>7s}")

@@ -9,7 +9,13 @@ direct moves succeed.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, build_scene_database, localize_scene, rearrange_scene
+from mvor.bench import (
+    BenchConfig,
+    build_scene_database,
+    localize_scene,
+    rearrange_scene,
+    scene_goal_regions,
+)
 from mvor.geometry import PlanarTransform
 from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
 from mvor.sim.scene import RearrangementInstance
@@ -54,7 +60,8 @@ instance = RearrangementInstance(
 )
 db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
 matcher = cfg.localization.make_matcher(library)
-found = localize_scene(instance, db, library, backend, matcher, cfg)
+goal_regions = scene_goal_regions(instance, library, backend, cfg)
+found = localize_scene(instance, db, goal_regions, matcher, cfg)
 _, result = rearrange_scene(instance, db, found, library, backend, matcher, cfg)
 print(f"completed: {result.completed} in {result.outer_iterations} outer iterations")
 print(f"manipulations: {result.total_manipulations} "

@@ -2,18 +2,20 @@
 
 A scene runs in three stages, shared by the drivers, the CLI and the demos:
 ``build_scene_database`` (the initial scene rendered from the ring or the
-home viewpoint, then the region database), ``localize_scene`` (the goal
-frame, ``estimate_all``, and the instance-to-object pairing) and
-``rearrange_scene`` (the planner, with a home-view re-observer when the
-instance's actuation is noisy).
+home viewpoint, then the region database), ``localize_scene``
+(``estimate_all`` on the goal regions, and the instance-to-object pairing)
+and ``rearrange_scene`` (the planner, with a home-view re-observer when the
+instance's actuation is noisy). ``scene_goal_regions`` renders, segments
+and describes the goal frame once per scene for every database.
 
 Pose benchmark: per seeded scene, build the multi-view database of the
 initial scene, estimate every object's relative pose from the goal frame,
 and accumulate planar errors against the generator's true offsets. The
 single-view ablation rebuilds the database from the home-viewpoint frame
-alone, on the same seeds, so comparisons are paired. Rejected estimates
-contribute their best-effort error (an object with no usable estimate
-counts as "assumed unmoved"), never get dropped from the medians.
+alone, on the same seeds and the same goal regions, so comparisons are
+paired. Rejected estimates contribute their best-effort error (an object
+with no usable estimate counts as "assumed unmoved"), never get dropped
+from the medians.
 
 Completion benchmark: runs all three stages per scene; a scene succeeds
 when every object ends within the success thresholds, and the one-step
@@ -45,7 +47,13 @@ from .geometry import (
     planar_projection,
 )
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
-from .perception import PerceptionConfig, build_database, describe_region, extract_regions
+from .perception import (
+    PerceptionConfig,
+    build_database,
+    describe_region,
+    extract_regions,
+    prepare_goal_regions,
+)
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
 from .serialize import dump_json
 from .sim import (
@@ -144,13 +152,19 @@ class SceneEstimates:
     by_object: dict  # scene object -> PoseEstimate, for the paired instances
 
 
-def localize_scene(inst, db, library, backend, matcher, cfg: BenchConfig) -> SceneEstimates:
-    """Localization stage: every object's relative pose from the goal frame."""
+def scene_goal_regions(inst, library, backend, cfg: BenchConfig) -> list:
+    """The goal frame (``frame_id=99``) segmented and described; one list
+    serves every database of the scene."""
     intr = inst.config.intrinsics()
     goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
+    return prepare_goal_regions(goal_frame, ground_truth_segmenter(), backend, cfg.perception)
+
+
+def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEstimates:
+    """Localization stage: every object's relative pose from the goal
+    regions (``scene_goal_regions``)."""
     by_instance = estimate_all(
-        goal_frame, db, matcher, backend, ground_truth_segmenter(),
-        cfg.localization, cfg.perception,
+        goal_regions, db, matcher, inst.config.intrinsics(), cfg.localization
     )
     object_of = match_instances_to_objects(db, inst.initial)
     by_object = {object_of[u]: est for u, est in by_instance.items() if u in object_of}
@@ -195,13 +209,14 @@ def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
             except PlacementFailure:
                 skipped += 1
                 continue
+            goal_regions = scene_goal_regions(inst, library, backend, cfg)
             for mi, mode in enumerate(modes):
                 views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
                 db = build_scene_database(inst, views, library, backend, cfg)
                 matcher = cfg.localization.make_matcher(
                     library, rng=_scene_rng("matcher", cfg.regimes.index(regime), mi, seed)
                 )
-                found = localize_scene(inst, db, library, backend, matcher, cfg)
+                found = localize_scene(inst, db, goal_regions, matcher, cfg)
                 for i, p in enumerate(inst.initial.placements):
                     est = found.by_object.get(i)
                     dtheta, dt = best_effort_error(est, inst.true_offsets[i])
@@ -299,7 +314,8 @@ def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
             matcher = cfg.localization.make_matcher(
                 library, rng=_scene_rng("matcher", cfg.regimes.index(regime), 0, seed)
             )
-            found = localize_scene(inst, db, library, backend, matcher, cfg)
+            goal_regions = scene_goal_regions(inst, library, backend, cfg)
+            found = localize_scene(inst, db, goal_regions, matcher, cfg)
             estimates, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
             object_rows = []
             all_ok = True

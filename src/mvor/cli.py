@@ -26,6 +26,7 @@ from .bench import (
     rearrange_scene,
     run_completion_bench,
     run_pose_bench,
+    scene_goal_regions,
     write_report,
 )
 from .errors import MvorError
@@ -138,7 +139,8 @@ def cmd_localize(args) -> int:
     library = generate_model_library(inst.config)
     backend = cfg.perception.make_backend(library)
     matcher = cfg.localization.make_matcher(library)
-    found = localize_scene(inst, db, library, backend, matcher, cfg)
+    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    found = localize_scene(inst, db, goal_regions, matcher, cfg)
     path = _out_dir(args, "poses.json")
     dump_json({"instance_seed": inst.seed, "objects": _pose_report_rows(inst, found)}, path)
     accepted = sum(1 for e in found.by_instance.values() if e.accepted)
@@ -152,7 +154,8 @@ def cmd_rearrange(args) -> int:
     backend = cfg.perception.make_backend(library)
     db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
     matcher = cfg.localization.make_matcher(library)
-    found = localize_scene(inst, db, library, backend, matcher, cfg)
+    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    found = localize_scene(inst, db, goal_regions, matcher, cfg)
     _, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
     out_dir = _out_dir(args, "rearrange")
     os.makedirs(out_dir, exist_ok=True)

@@ -24,7 +24,7 @@ from ..errors import (
     TooFewCorrespondences,
 )
 from ..geometry import Pose3, angular_distance, compose, planar_of_pose
-from ..perception.database import Database, PerceptionConfig, prepare_goal_regions
+from ..perception.database import Database
 from ..perception.regions import ObjectRegion
 from .coords import matching_to_image_coords, matching_to_source_pixels
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
@@ -312,28 +312,27 @@ def estimate_object(
 
 
 def estimate_all(
-    goal_frame,
+    goal_regions: list[ObjectRegion],
     db: Database,
     matcher,
-    descriptor_backend,
-    segmenter,
+    intr,
     config: LocalizationConfig,
-    perception_config: PerceptionConfig | None = None,
 ) -> dict[int, PoseEstimate]:
-    """Estimate every object in the goal frame; returns instance -> estimate.
+    """Estimate every goal region (``prepare_goal_regions``) against the
+    database; returns instance -> estimate. ``intr`` are the goal camera's
+    intrinsics.
 
     Two goal regions claiming the same instance are resolved by inlier
-    ratio; the loser re-runs with that instance excluded.
+    ratio; the loser re-runs with that instance excluded. Goal regions are
+    only read, so one prepared list serves several databases.
     """
-    perception_config = perception_config or PerceptionConfig()
-    goal_regions = prepare_goal_regions(goal_frame, segmenter, descriptor_backend, perception_config)
     results: dict[int, tuple[int, PoseEstimate]] = {}
     pending: list[tuple[int, frozenset]] = [(i, frozenset()) for i in range(len(goal_regions))]
     while pending:
         ridx, excl = pending.pop(0)
         if len(excl) >= db.num_instances:
             continue
-        est = estimate_object(goal_regions[ridx], db, matcher, goal_frame.intrinsics, config, excl)
+        est = estimate_object(goal_regions[ridx], db, matcher, intr, config, excl)
         u = est.instance_id
         if u is None:
             continue

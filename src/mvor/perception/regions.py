@@ -1,8 +1,8 @@
 """Object regions: one segmented observation of one object in one frame.
 
 A region keeps the tight crop of the feature image under its mask (the
-segmentation), the world-frame point cloud back-projected from the masked
-depth pixels, the observing viewpoint, and later gains a global descriptor
+segmentation), the world-frame point cloud back-projected from the frame's
+masked hits, the observing viewpoint, and later gains a global descriptor
 and an observation direction.
 """
 
@@ -102,38 +102,40 @@ class ObjectRegion:
 def extract_regions(frame, masks, min_points: int = 10, cloud_cap: int = 0) -> list[ObjectRegion]:
     """Cut one ObjectRegion per mask out of a frame.
 
-    The cloud is the back-projection of every masked depth pixel through the
-    frame's viewpoint. Masks with fewer than ``min_points`` filled pixels are
-    dropped. Descriptor and observation direction are left unset.
+    Masks are boolean masks over the frame's hits. The crop spans the masked
+    hits' bounding box; the cloud is the back-projection of every masked hit
+    through the frame's viewpoint, in the hits' row-major order. Masks with
+    fewer than ``min_points`` hits are dropped. Descriptor and observation
+    direction are left unset.
     """
     w2c = invert(frame.viewpoint)
     regions = []
     for label, mask in masks:
-        mask = mask & frame.filled
-        count = int(mask.sum())
+        count = int(np.count_nonzero(mask))
         if count < min_points:
             log.debug("dropping region (label %s): %d px < %d", label, count, min_points)
             continue
-        rr, cc = np.nonzero(mask)
-        r0, r1 = rr.min(), rr.max() + 1
-        c0, c1 = cc.min(), cc.max() + 1
-        sub = np.s_[r0:r1, c0:c1]
-        keep = mask[sub]
-        fids = np.where(keep, frame.feature_ids[sub], -1)
-        px = np.where(keep[..., None], frame.px[sub], np.nan)
-        depth = np.where(keep, frame.depth[sub], np.nan)
-        view = np.where(keep[..., None], frame.view_local[sub], np.nan)
-
-        uv = frame.px[rr, cc]
-        cloud = back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[rr, cc])
-        world = np.full((*keep.shape, 3), np.nan)
-        world[rr - r0, cc - c0] = cloud
+        rr, cc = frame.rows[mask], frame.cols[mask]
+        r0, c0 = rr.min(), cc.min()
+        shape = (int(rr.max() - r0 + 1), int(cc.max() - c0 + 1))
+        at = (rr - r0, cc - c0)
+        uv, depth = frame.px[mask], frame.depth[mask]
+        cloud = back_project_pixels(frame.intrinsics, w2c, uv, depth)
+        crop = RegionCrop(
+            int(r0),
+            int(c0),
+            _scatter(shape, at, frame.feature_ids[mask], -1),
+            _scatter(shape, at, uv, np.nan),
+            _scatter(shape, at, depth, np.nan),
+            _scatter(shape, at, cloud, np.nan),
+            _scatter(shape, at, frame.view_local[mask], np.nan),
+        )
         if cloud_cap and len(cloud) > cloud_cap:
             stride = int(np.ceil(len(cloud) / cloud_cap))
             cloud = cloud[::stride]
         regions.append(
             ObjectRegion(
-                crop=RegionCrop(int(r0), int(c0), fids, px, depth, world, view),
+                crop=crop,
                 cloud=cloud,
                 viewpoint=frame.viewpoint,
                 frame_id=frame.frame_id,
@@ -141,3 +143,11 @@ def extract_regions(frame, masks, min_points: int = 10, cloud_cap: int = 0) -> l
             )
         )
     return regions
+
+
+def _scatter(shape, at, values: np.ndarray, fill) -> np.ndarray:
+    """A crop-sized array holding ``values`` at the pixels ``at`` and
+    ``fill`` elsewhere."""
+    out = np.full(shape + values.shape[1:], fill, dtype=values.dtype)
+    out[at] = values
+    return out

@@ -154,7 +154,12 @@ def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimCon
 
 
 def load_dataset(out_dir) -> list[RearrangementInstance]:
+    """Load every instance a dataset manifest lists; a manifest that is not
+    a dataset manifest or lacks a list of file names raises
+    ConfigParseError."""
     manifest = load_json(os.path.join(out_dir, "manifest.json"))
-    if manifest.get("format") != DATASET_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != DATASET_FORMAT:
         raise ConfigParseError(f"{out_dir}: not a dataset directory")
+    if not _conforms(manifest.get("files"), [str]):
+        raise ConfigParseError(f"{out_dir}: manifest member 'files' is missing or malformed")
     return [load_instance(os.path.join(out_dir, name)) for name in manifest["files"]]

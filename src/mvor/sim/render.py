@@ -1,11 +1,15 @@
 """Point-splat rendering with a per-pixel z-buffer, plus ground-truth
 instance segmentation with optional corruption.
 
-A rendered Frame keeps, for every hit pixel, the winning point's feature id,
-instance id, exact sub-pixel projection and exact depth. Back-projecting the
-stored (u, v, depth) therefore recovers the point's world position to
-floating-point precision, which is what makes the downstream matching and
-pose-recovery paths testable against exact ground truth.
+A rendered Frame is the list of z-buffer winners, one hit per covered
+pixel, in row-major pixel order. Each hit keeps its pixel (row, col), the
+winning point's feature id, instance id, exact sub-pixel projection and
+exact depth. Back-projecting a hit's stored (u, v, depth) therefore
+recovers the point's world position to floating-point precision, which is
+what makes the downstream matching and pose-recovery paths testable against
+exact ground truth. No full-resolution image is ever allocated: segmentation
+masks are boolean masks over a frame's hits, and regions are cut from the
+masked hits.
 """
 
 from __future__ import annotations
@@ -23,33 +27,35 @@ from .scene import SceneState
 
 @dataclass
 class Frame:
-    feature_ids: np.ndarray  # (H,W) int64, -1 where empty
-    instance_ids: np.ndarray  # (H,W) int32, -1 where empty
-    px: np.ndarray  # (H,W,2) float64 exact (u,v) of the winning point, NaN empty
-    depth: np.ndarray  # (H,W) float64 camera-frame z, NaN where empty
-    view_local: np.ndarray  # (H,W,3) unit point->camera direction in the
+    """The z-buffer winners of one view, one entry per hit pixel, sorted by
+    row-major pixel index (``rows * width + cols``)."""
+
+    rows: np.ndarray  # (n,) int64 pixel row of each hit
+    cols: np.ndarray  # (n,) int64 pixel column of each hit
+    feature_ids: np.ndarray  # (n,) int64 feature id of the winning point
+    instance_ids: np.ndarray  # (n,) int32 index of its object in the scene
+    px: np.ndarray  # (n,2) float64 exact (u,v) of the winning point
+    depth: np.ndarray  # (n,) float64 camera-frame z
+    view_local: np.ndarray  # (n,3) unit point->camera direction in the
     # observed object's local frame; appearance similarity proxy for matchers
     viewpoint: Pose3  # camera-in-world
     intrinsics: CameraIntrinsics
     frame_id: int = 0
 
-    @property
-    def filled(self) -> np.ndarray:
-        return self.feature_ids >= 0
-
     def instance_list(self) -> np.ndarray:
-        ids = np.unique(self.instance_ids)
-        return ids[ids >= 0]
+        return np.unique(self.instance_ids)
 
 
 def empty_frame(viewpoint: Pose3, intr: CameraIntrinsics, frame_id: int = 0) -> Frame:
-    h, w = intr.height, intr.width
+    """A frame with no hits."""
     return Frame(
-        feature_ids=np.full((h, w), -1, dtype=np.int64),
-        instance_ids=np.full((h, w), -1, dtype=np.int32),
-        px=np.full((h, w, 2), np.nan),
-        depth=np.full((h, w), np.nan),
-        view_local=np.full((h, w, 3), np.nan),
+        rows=np.empty(0, dtype=np.int64),
+        cols=np.empty(0, dtype=np.int64),
+        feature_ids=np.empty(0, dtype=np.int64),
+        instance_ids=np.empty(0, dtype=np.int32),
+        px=np.empty((0, 2)),
+        depth=np.empty(0),
+        view_local=np.empty((0, 3)),
         viewpoint=viewpoint,
         intrinsics=intr,
         frame_id=frame_id,
@@ -118,17 +124,20 @@ def render(
     flat_sorted = flat[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    win = order[first]
+    win = order[first]  # one winner per pixel, in row-major pixel order
 
-    frame = empty_frame(viewpoint, intr, frame_id)
-    r, c = rows[win], cols[win]
-    frame.feature_ids[r, c] = fid[win]
-    frame.instance_ids[r, c] = inst[win]
-    frame.px[r, c, 0] = uv[win, 0]
-    frame.px[r, c, 1] = uv[win, 1]
-    frame.depth[r, c] = z[win]
-    frame.view_local[r, c] = view[win]
-    return frame
+    return Frame(
+        rows=rows[win],
+        cols=cols[win],
+        feature_ids=fid[win],
+        instance_ids=inst[win],
+        px=uv[win],
+        depth=z[win],
+        view_local=view[win],
+        viewpoint=viewpoint,
+        intrinsics=intr,
+        frame_id=frame_id,
+    )
 
 
 def segment(
@@ -139,23 +148,41 @@ def segment(
 ) -> list[tuple[int, np.ndarray]]:
     """Ground-truth instance masks, optionally corrupted.
 
-    Each mask is independently dropped with probability p_drop and eroded by
-    erode_radius pixels (3x3 square structuring element per step). Masks are
-    disjoint by construction. Returns [] for an empty frame.
+    A mask is a boolean mask over the frame's hits. Each mask is
+    independently dropped with probability p_drop (which needs ``rng``) and
+    eroded by erode_radius pixels (3x3 square structuring element per step,
+    pixels outside the image count as background). Masks are disjoint by
+    construction. Returns [] for an empty frame.
     """
     if p_drop > 0.0 and rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("segment: p_drop > 0 needs an rng")
     out = []
     for inst in frame.instance_list():
         if p_drop > 0.0 and rng.uniform() < p_drop:
             continue
         mask = frame.instance_ids == inst
         if erode_radius > 0:
-            mask = ndimage.binary_erosion(
-                mask, structure=np.ones((3, 3), dtype=bool), iterations=erode_radius
-            )
+            mask = _erode_hits(frame.rows, frame.cols, mask, erode_radius)
         if mask.any():
             out.append((int(inst), mask))
+    return out
+
+
+def _erode_hits(rows: np.ndarray, cols: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
+    """Binary erosion of the pixels ``mask`` selects among the hits at
+    (rows, cols), as a mask over the same hits.
+
+    The erosion runs on the selection's bounding box only. That is exact:
+    every pixel outside the box is background, and the erosion's zero border
+    treats the box edge as the full-frame erosion treats background there.
+    """
+    r, c = rows[mask], cols[mask]
+    r0, c0 = r.min(), c.min()
+    box = np.zeros((r.max() - r0 + 1, c.max() - c0 + 1), dtype=bool)
+    box[r - r0, c - c0] = True
+    box = ndimage.binary_erosion(box, structure=np.ones((3, 3), dtype=bool), iterations=radius)
+    out = np.zeros_like(mask)
+    out[mask] = box[r - r0, c - c0]
     return out
 
 

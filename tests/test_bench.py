@@ -97,6 +97,18 @@ class TestPoseBench:
         multis = [r for r in rep.rows if r["view_mode"] == "multi"]
         assert len(singles) == len(multis)  # every object contributes a row
 
+    def test_goal_regions_prepared_once_per_scene(self, monkeypatch):
+        calls = []
+
+        def counting(frame, *args, **kwargs):
+            calls.append(frame.frame_id)
+            return prepare_goal_regions(frame, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "prepare_goal_regions", counting)
+        rep = run_pose_bench(BenchConfig(scenes=1, regimes=["minor"], include_single_view=True))
+        assert {r["view_mode"] for r in rep.rows} == {"multi", "single"}
+        assert calls == [99]
+
     def test_single_view_degrades_on_full_rotation(self, pose_report):
         g = pose_report.summary["groups"]
         assert g["full/single"]["median_dtheta_deg"] > g["full/multi"]["median_dtheta_deg"]

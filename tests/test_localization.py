@@ -447,9 +447,8 @@ class TestEstimateAll:
         inst = generate_instance(cfg3, library, seed=9)
         db = ring_db(inst.initial, library, backend)
         goal_frame = render(inst.goal, inst.home_viewpoint, INTR, library, frame_id=99)
-        out = estimate_all(
-            goal_frame, db, FeatureIdMatcher(), backend, ground_truth_segmenter(), LCFG, PCFG
-        )
+        goals = prepare_goal_regions(goal_frame, ground_truth_segmenter(), backend, PCFG)
+        out = estimate_all(goals, db, FeatureIdMatcher(), INTR, LCFG)
         assert len(out) == 3
         i2s = {j: db.regions[m[0]].source_instance for j, m in enumerate(db.instances)}
         for u, est in out.items():
@@ -469,10 +468,8 @@ class TestEstimateAll:
             [PlanarTransform(0.3, 0.05, 0.1), PlanarTransform(-0.2, -0.05, -0.1)],
         )
         db = ring_db(initial, library, backend)
-        goal_frame = render(goal_scene, CFG.home_viewpoint(), INTR, library, frame_id=99)
-        out = estimate_all(
-            goal_frame, db, FeatureIdMatcher(), backend, ground_truth_segmenter(), LCFG, PCFG
-        )
+        _, goals = goal_regions_of(goal_scene, library, backend)
+        out = estimate_all(goals, db, FeatureIdMatcher(), INTR, LCFG)
         assert len(out) == 2
         assert set(out.keys()) == {0, 1}
 
@@ -480,9 +477,9 @@ class TestEstimateAll:
         from mvor.sim import empty_frame
 
         frame = empty_frame(CFG.home_viewpoint(), INTR, frame_id=99)
-        out = estimate_all(
-            frame, _EmptyDb(), FeatureIdMatcher(), backend, ground_truth_segmenter(), LCFG, PCFG
-        )
+        goals = prepare_goal_regions(frame, ground_truth_segmenter(), backend, PCFG)
+        assert goals == []
+        out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(), INTR, LCFG)
         assert out == {}
 
 

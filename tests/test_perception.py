@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from mvor import geometry as geo
 from mvor.cli import main as cli_main
@@ -99,7 +100,7 @@ class TestExtractRegions:
         reg = regions[0]
         model = library.model(1)
         world_pts = geo.lift(scene.placements[0].pose).apply(model.points)
-        seen_ids = frame.feature_ids[frame.filled]
+        seen_ids = frame.feature_ids
         id_to_row = {int(f): i for i, f in enumerate(model.point_feature_ids)}
         expect = np.stack([world_pts[id_to_row[int(f)]] for f in seen_ids])
         got = reg.cloud
@@ -111,9 +112,8 @@ class TestExtractRegions:
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
         frame = ring_frames(scene, library)[0]
         full = segment(frame)[0][1]
-        rr, cc = np.nonzero(full)
         small = np.zeros_like(full)
-        small[rr[:5], cc[:5]] = True
+        small[np.flatnonzero(full)[:5]] = True
         assert extract_regions(frame, [(0, small)], min_points=10) == []
 
     def test_empty_mask_list(self, library):
@@ -140,6 +140,103 @@ class TestExtractRegions:
         frame = ring_frames(scene, library)[0]
         regions = extract_regions(frame, segment(frame), cloud_cap=20)
         assert len(regions[0].cloud) <= 20
+
+
+def dense_planes(frame):
+    """The frame's hits scattered into full-resolution planes, the layout
+    frames had before they became hit lists."""
+    h, w = frame.intrinsics.height, frame.intrinsics.width
+    planes = {
+        "feature_ids": np.full((h, w), -1, dtype=np.int64),
+        "instance_ids": np.full((h, w), -1, dtype=np.int32),
+        "px": np.full((h, w, 2), np.nan),
+        "depth": np.full((h, w), np.nan),
+        "view_local": np.full((h, w, 3), np.nan),
+    }
+    for name, plane in planes.items():
+        plane[frame.rows, frame.cols] = getattr(frame, name)
+    return planes
+
+
+def dense_segment(planes, erode_radius):
+    """Full-frame ground-truth segmentation: one pixel mask per instance."""
+    ids = np.unique(planes["instance_ids"])
+    out = []
+    for inst in ids[ids >= 0]:
+        mask = planes["instance_ids"] == inst
+        if erode_radius > 0:
+            mask = ndimage.binary_erosion(
+                mask, structure=np.ones((3, 3), dtype=bool), iterations=erode_radius
+            )
+        if mask.any():
+            out.append((int(inst), mask))
+    return out
+
+
+def dense_extract_regions(frame, planes, masks, min_points, cloud_cap):
+    """Region extraction over full-resolution planes (the reference)."""
+    w2c = geo.invert(frame.viewpoint)
+    filled = planes["feature_ids"] >= 0
+    out = []
+    for label, mask in masks:
+        mask = mask & filled
+        if int(mask.sum()) < min_points:
+            continue
+        rr, cc = np.nonzero(mask)
+        r0, r1 = rr.min(), rr.max() + 1
+        c0, c1 = cc.min(), cc.max() + 1
+        sub = np.s_[r0:r1, c0:c1]
+        keep = mask[sub]
+        fids = np.where(keep, planes["feature_ids"][sub], -1)
+        px = np.where(keep[..., None], planes["px"][sub], np.nan)
+        depth = np.where(keep, planes["depth"][sub], np.nan)
+        view = np.where(keep[..., None], planes["view_local"][sub], np.nan)
+        cloud = geo.back_project_pixels(
+            frame.intrinsics, w2c, planes["px"][rr, cc], planes["depth"][rr, cc]
+        )
+        world = np.full((*keep.shape, 3), np.nan)
+        world[rr - r0, cc - c0] = cloud
+        if cloud_cap and len(cloud) > cloud_cap:
+            cloud = cloud[:: int(np.ceil(len(cloud) / cloud_cap))]
+        out.append((int(r0), int(c0), label, (fids, px, depth, world, view, cloud)))
+    return out
+
+
+class TestHitFrameRegions:
+    """Regions cut from a frame's hits are byte-identical to regions cut
+    from full-resolution planes holding the same hits."""
+
+    @pytest.mark.parametrize("erode_radius,cloud_cap", [(0, 0), (0, 20), (1, 0), (1, 20)])
+    def test_matches_dense_reference(self, library, erode_radius, cloud_cap):
+        cfg = SimConfig(object_count_min=5, object_count_max=5)
+        intr = cfg.intrinsics()
+        checked = 0
+        for seed in (0, 3):
+            inst = generate_instance(cfg, library, seed=seed)
+            views = [
+                (inst.initial, inst.ring_viewpoints[0]),
+                (inst.initial, inst.ring_viewpoints[5]),
+                (inst.initial, inst.home_viewpoint),
+                (inst.goal, inst.home_viewpoint),
+            ]
+            for k, (scene, vp) in enumerate(views):
+                frame = render(scene, vp, intr, library, frame_id=k)
+                got = extract_regions(
+                    frame, segment(frame, erode_radius=erode_radius), cloud_cap=cloud_cap
+                )
+                planes = dense_planes(frame)
+                expect = dense_extract_regions(
+                    frame, planes, dense_segment(planes, erode_radius), 10, cloud_cap
+                )
+                assert len(got) == len(expect) > 0
+                for reg, (r0, c0, label, arrays) in zip(got, expect):
+                    c = reg.crop
+                    assert (c.row0, c.col0, reg.source_instance) == (r0, c0, label)
+                    for a, b in zip((c.feature_ids, c.px, c.depth, c.world, c.view_local, reg.cloud), arrays):
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                        assert a.tobytes() == b.tobytes()
+                    checked += 1
+        assert checked >= 30
 
 
 class TestDescriptor:

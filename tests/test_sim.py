@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from mvor import geometry as geo
 from mvor.errors import CollisionAtTarget, ConfigParseError, EmptyFrame, PlacementFailure
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.sim import (
     FEATURE_ID_STRIDE,
+    Frame,
     ModelLibrary,
     Placement,
     Rect,
@@ -17,10 +21,18 @@ from mvor.sim import (
     empty_frame,
     generate_instance,
     generate_model_library,
+    ground_truth_segmenter,
     render,
     segment,
 )
-from mvor.sim.io import instance_from_dict, instance_to_dict, load_instance, save_instance
+from mvor.sim.io import (
+    instance_from_dict,
+    instance_to_dict,
+    load_dataset,
+    load_instance,
+    save_dataset,
+    save_instance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,18 +165,65 @@ class TestGenerateInstance:
         assert len(set(mids)) == len(mids)
 
 
+def pixel_index(frame):
+    """Row-major pixel index of each hit."""
+    return frame.rows * frame.intrinsics.width + frame.cols
+
+
+def frame_from_labels(labels, intr=None):
+    """A frame whose hits are the pixels of ``labels`` >= 0, in row-major
+    order, with those labels as instance ids."""
+    h, w = labels.shape
+    intr = intr or geo.CameraIntrinsics(100.0, 100.0, w / 2, h / 2, w, h)
+    rows, cols = np.nonzero(labels >= 0)
+    n = len(rows)
+    return Frame(
+        rows=rows,
+        cols=cols,
+        feature_ids=np.ones(n, dtype=np.int64),
+        instance_ids=labels[rows, cols].astype(np.int32),
+        px=np.stack([cols, rows], axis=1).astype(float),
+        depth=np.ones(n),
+        view_local=np.zeros((n, 3)),
+        viewpoint=Pose3.identity(),
+        intrinsics=intr,
+    )
+
+
 class TestRender:
     def test_top_down_sees_only_top_faces(self, library):
         model = next(m for m in library.models if m.family == "box")
         scene = single_object_scene(library, model.model_id)
         cam = geo.look_at([0.0, 0.0, 0.9], [0.0, 0.0, 0.0])
         frame = render(scene, cam, SimConfig().intrinsics(), library)
-        seen = frame.feature_ids[frame.filled]
+        seen = frame.feature_ids
         # oracle: points whose normal faces a straight-down camera
         up = model.normals[:, 2] > 1e-9
         top_ids = set(model.point_feature_ids[up].tolist())
         assert len(seen) > 50
         assert set(seen.tolist()) <= top_ids
+
+    def test_hits_are_distinct_pixels_in_row_major_order(self, config, library):
+        inst = generate_instance(config, library, seed=5)
+        intr = config.intrinsics()
+        frame = render(inst.initial, inst.ring_viewpoints[2], intr, library)
+        assert np.all(np.diff(pixel_index(frame)) > 0)
+        assert frame.rows.min() >= 0 and frame.rows.max() < intr.height
+        assert frame.cols.min() >= 0 and frame.cols.max() < intr.width
+        # each hit's pixel is the one its exact projection falls in
+        np.testing.assert_array_equal(frame.cols, np.floor(frame.px[:, 0] + 0.5))
+        np.testing.assert_array_equal(frame.rows, np.floor(frame.px[:, 1] + 0.5))
+
+    def test_frame_holds_no_full_resolution_array(self, config, library):
+        intr = config.intrinsics()
+        assert (intr.width, intr.height) == (640, 480)
+        inst = generate_instance(config, library, seed=5)
+        for vp in (inst.ring_viewpoints[0], inst.home_viewpoint):
+            frame = render(inst.initial, vp, intr, library)
+            arrays = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 7
+            assert max(a.size for a in arrays) < intr.width * intr.height
+            assert sum(a.nbytes for a in arrays) < 1_000_000
 
     def test_nearer_object_wins_contested_pixels(self, config, library):
         intr = config.intrinsics()
@@ -178,10 +237,14 @@ class TestRender:
         f_near = render(near, cam, intr, library)
         f_both = render(both, cam, intr, library)
 
-        contested = f_far.filled & f_near.filled
-        assert contested.sum() > 20
-        expect_near = f_near.depth[contested] < f_far.depth[contested]
-        got_near = f_both.instance_ids[contested] == 1
+        contested, i_far, i_near = np.intersect1d(
+            pixel_index(f_far), pixel_index(f_near), return_indices=True
+        )
+        assert len(contested) > 20
+        expect_near = f_near.depth[i_near] < f_far.depth[i_far]
+        i_both = np.searchsorted(pixel_index(f_both), contested)
+        np.testing.assert_array_equal(pixel_index(f_both)[i_both], contested)
+        got_near = f_both.instance_ids[i_both] == 1
         np.testing.assert_array_equal(got_near, expect_near)
 
     def test_camera_facing_away_empty(self, config, library):
@@ -195,15 +258,13 @@ class TestRender:
         intr = config.intrinsics()
         frame = render(inst.initial, inst.ring_viewpoints[2], intr, library)
         w2c = geo.invert(frame.viewpoint)
-        rr, cc = np.nonzero(frame.filled)
-        uv = frame.px[rr, cc]
-        world = geo.back_project_pixels(intr, w2c, uv, frame.depth[rr, cc])
+        world = geo.back_project_pixels(intr, w2c, frame.px, frame.depth)
         # each recovered point must coincide with an actual surface point
-        for k in range(0, len(rr), max(1, len(rr) // 200)):
-            inst_id = frame.instance_ids[rr[k], cc[k]]
-            placement = inst.initial.placements[inst_id]
+        n = len(frame.feature_ids)
+        for k in range(0, n, max(1, n // 200)):
+            placement = inst.initial.placements[frame.instance_ids[k]]
             model = library.model(placement.model_id)
-            local = model.point_feature_ids == frame.feature_ids[rr[k], cc[k]]
+            local = model.point_feature_ids == frame.feature_ids[k]
             pt = geo.lift(placement.pose).apply(model.points[local][0])
             np.testing.assert_allclose(world[k], pt, atol=1e-9)
 
@@ -212,8 +273,8 @@ class TestRender:
         intr = config.intrinsics()
         a = render(inst.initial, inst.ring_viewpoints[0], intr, library)
         b = render(inst.initial, inst.ring_viewpoints[0], intr, library)
-        np.testing.assert_array_equal(a.feature_ids, b.feature_ids)
-        np.testing.assert_array_equal(a.depth[a.filled], b.depth[b.filled])
+        for name in ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "view_local"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestSegment:
@@ -230,24 +291,64 @@ class TestSegment:
         frame = render(inst.initial, inst.ring_viewpoints[1], config.intrinsics(), library)
         assert segment(frame, p_drop=1.0, rng=np.random.default_rng(0)) == []
 
-    def test_erosion_matches_bruteforce(self, config):
+    def test_drop_without_rng_raises(self, config, library):
+        inst = generate_instance(config, library, seed=9)
+        frame = render(inst.initial, inst.ring_viewpoints[1], config.intrinsics(), library)
+        with pytest.raises(ValueError, match="rng"):
+            segment(frame, p_drop=0.5)
+        with pytest.raises(ValueError, match="rng"):
+            ground_truth_segmenter(p_drop=0.5)(frame)
+
+    def test_empty_frame_has_no_masks(self, config):
         frame = empty_frame(Pose3.identity(), config.intrinsics())
-        frame.instance_ids[100:110, 200:210] = 0
-        frame.feature_ids[100:110, 200:210] = 1
+        assert segment(frame) == [] and segment(frame, erode_radius=2) == []
+
+    def test_erosion_matches_bruteforce(self, config):
+        intr = config.intrinsics()
+        labels = np.full((intr.height, intr.width), -1)
+        labels[100:110, 200:210] = 0
+        frame = frame_from_labels(labels, intr)
         r = 2
         masks = segment(frame, erode_radius=r)
         assert len(masks) == 1
         got = masks[0][1]
         # brute force: pixel survives iff the full (2r+1)^2 neighborhood is set
-        full = frame.instance_ids == 0
+        full = labels == 0
         expect = np.zeros_like(full)
         h, w = full.shape
         for i in range(h):
             for j in range(w):
                 if full[max(0, i - r) : i + r + 1, max(0, j - r) : j + r + 1].sum() == (2 * r + 1) ** 2:
                     expect[i, j] = True
-        np.testing.assert_array_equal(got, expect)
-        assert got.sum() == 36
+        np.testing.assert_array_equal(got, expect[frame.rows, frame.cols])
+        assert got.sum() == expect.sum() == 36
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        labels=st.integers(1, 3),
+        density=st.floats(0.3, 1.0),
+        radius=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_box_erosion_equals_full_frame_erosion(self, shape, labels, density, radius, seed):
+        # random blobs on a small image; dense ones cover the image border
+        rng = np.random.default_rng(seed)
+        image = np.where(
+            rng.uniform(size=shape) < density, rng.integers(0, labels, size=shape), -1
+        )
+        frame = frame_from_labels(image)
+        got = dict(segment(frame, erode_radius=radius))
+        for inst_id in np.unique(image[image >= 0]):
+            full = ndimage.binary_erosion(
+                image == inst_id, structure=np.ones((3, 3), dtype=bool), iterations=radius
+            )
+            expect = full[frame.rows, frame.cols]
+            assert full.sum() == expect.sum()
+            if expect.any():
+                np.testing.assert_array_equal(got[int(inst_id)], expect)
+            else:
+                assert int(inst_id) not in got
 
     def test_masks_disjoint(self, config, library):
         inst = generate_instance(config, library, seed=12)
@@ -366,3 +467,39 @@ class TestInstanceIO:
         d["goal"] = d["goal"][:-1]
         with pytest.raises(ConfigParseError):
             instance_from_dict(d)
+
+
+class TestDatasetIO:
+    def test_roundtrip(self, config, library, tmp_path):
+        insts = [generate_instance(config, library, seed=s) for s in (1, 2)]
+        save_dataset(insts, tmp_path, config)
+        loaded = load_dataset(tmp_path)
+        assert [instance_to_dict(i) for i in loaded] == [instance_to_dict(i) for i in insts]
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            "absent",
+            None,
+            "instance_00000001.json",
+            {"a": "instance_00000001.json"},
+            ["instance_00000001.json", 2],
+            [["instance_00000001.json"]],
+        ],
+    )
+    def test_malformed_files_rejected(self, config, library, tmp_path, files):
+        save_dataset([generate_instance(config, library, seed=1)], tmp_path, config)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        if files == "absent":
+            del manifest["files"]
+        else:
+            manifest["files"] = files
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigParseError, match="files"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("doc", [[], "mvor-dataset", {"format": "mvor-instance"}])
+    def test_not_a_manifest_rejected(self, tmp_path, doc):
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigParseError, match="not a dataset"):
+            load_dataset(tmp_path)
