@@ -1,9 +1,9 @@
 """Build the hierarchical region database and poke at retrieval.
 
-Every segmented object region from every ring frame becomes one database
-item (crop, descriptor, point cloud, observation direction). Regions are
-grouped into object instances by clustering cloud centroids, and a goal
-region retrieves candidates by descriptor dot product.
+Every segmented object region from every ring frame becomes one row of the
+database's columns (crop, descriptor, point cloud, observation direction).
+Regions are grouped into object instances by clustering cloud centroids,
+and a goal region retrieves candidates by descriptor dot product.
 """
 
 import numpy as np
@@ -33,13 +33,14 @@ frames = [
 db = build_database(frames, segmenter, backend, perception)
 
 print(f"database: {db.num_regions} regions grouped into {db.num_instances} instances")
-for j, members in enumerate(db.instances):
-    views = sorted(db.regions[i].frame_id for i in members)
+for j in range(db.num_instances):
+    members = np.flatnonzero(db.region_instance == j)
+    views = sorted(db.region_frame[members].tolist())
     c = db.instance_centroids[j]
     print(f"  instance {j}: {len(members)} regions from frames {views}, centroid ({c[0]:+.2f}, {c[1]:+.2f})")
 
 # descriptors of the same instance agree far more than across instances
-sims = db.descriptor_matrix @ db.descriptor_matrix.T
+sims = db.descriptors @ db.descriptors.T
 same = [sims[i, j] for i in range(db.num_regions) for j in range(i + 1, db.num_regions)
         if db.region_instance[i] == db.region_instance[j]]
 cross = [sims[i, j] for i in range(db.num_regions) for j in range(i + 1, db.num_regions)

@@ -251,17 +251,20 @@ def observation_vector(viewpoint: Pose3, cloud: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def angular_distance(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Distance between two unit viewing directions in spherical coordinates.
+def angular_distance(e1: np.ndarray, e2: np.ndarray) -> float | np.ndarray:
+    """Distance between unit viewing directions in spherical coordinates.
 
     Euclidean norm of (wrapped azimuth difference, polar angle difference);
-    lies in [0, pi*sqrt(2)] and is symmetric in its arguments.
+    lies in [0, pi*sqrt(2)] and is symmetric in its arguments. Directions
+    are the last axis and broadcast: two vectors give a float, a stack of
+    them gives one distance per row.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
-    daz = wrap_angle(np.arctan2(e1[1], e1[0]) - np.arctan2(e2[1], e2[0]))
-    dpol = np.arccos(np.clip(e1[2], -1.0, 1.0)) - np.arccos(np.clip(e2[2], -1.0, 1.0))
-    return float(np.hypot(daz, dpol))
+    daz = wrap_angle(np.arctan2(e1[..., 1], e1[..., 0]) - np.arctan2(e2[..., 1], e2[..., 0]))
+    dpol = np.arccos(np.clip(e1[..., 2], -1.0, 1.0)) - np.arccos(np.clip(e2[..., 2], -1.0, 1.0))
+    d = np.hypot(daz, dpol)
+    return float(d) if d.ndim == 0 else d
 
 
 def project(

@@ -53,11 +53,13 @@ class FeatureIdMatcher:
         max_view_angle_deg: float = 35.0,
         rng=None,
     ):
+        if rng is None and max(drop_rate, sigma_px, outlier_rate) > 0.0:
+            raise ValueError("FeatureIdMatcher: drop, noise or outliers need an rng")
         self.drop_rate = drop_rate
         self.sigma_px = sigma_px
         self.outlier_rate = outlier_rate
         self.cos_max = np.cos(np.radians(max_view_angle_deg))
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
 
     def match(self, goal_crop, cand_crop, resolution: int) -> Correspondences2D:
         g_ids, g_xy, g_view = crop_matching_coords(goal_crop, resolution)

@@ -85,7 +85,7 @@ class LocalizationConfig:
 @dataclass
 class CandidateList:
     instance_id: int
-    region_indices: list[int]  # db region indices, similarity-descending
+    region_indices: np.ndarray  # db region indices, similarity-descending
     scores: np.ndarray
     pruned: np.ndarray = field(init=False)
     visited: np.ndarray = field(init=False)
@@ -95,10 +95,8 @@ class CandidateList:
         self.visited = np.zeros(len(self.region_indices), dtype=bool)
 
     def next_unvisited(self) -> int | None:
-        for i in range(len(self.region_indices)):
-            if not self.pruned[i] and not self.visited[i]:
-                return i
-        return None
+        free = np.flatnonzero(~(self.pruned | self.visited))
+        return int(free[0]) if len(free) else None
 
 
 @dataclass
@@ -134,28 +132,20 @@ def retrieve_candidates(
     instance's regions ordered by the original similarity."""
     if db.num_regions == 0:
         raise NoCandidates("database is empty")
-    sims = db.descriptor_matrix @ goal_region.descriptor
-    if exclude:
-        sims = sims.copy()
-        for u in exclude:
-            sims[db.region_instance == u] = -np.inf
+    sims = db.descriptors @ goal_region.descriptor
     order = np.argsort(-sims, kind="stable")
-    order = order[np.isfinite(sims[order])]
+    labels = db.region_instance[order]
+    keep = np.isfinite(sims[order])
+    for u in exclude:
+        keep &= labels != u
+    order, labels = order[keep], labels[keep]
     if len(order) == 0:
         raise NoCandidates("all instances excluded")
-    top = order[:top_n]
-    counts: dict[int, int] = {}
-    for i in top:
-        u = int(db.region_instance[i])
-        counts[u] = counts.get(u, 0) + 1
-    most = max(counts.values())
-    tied = {u for u, c in counts.items() if c == most}
-    if len(tied) == 1:
-        winner = tied.pop()
-    else:
-        # tie: prefer the instance holding the single best-scoring region
-        winner = next(int(db.region_instance[i]) for i in top if int(db.region_instance[i]) in tied)
-    members = [int(i) for i in order if int(db.region_instance[i]) == winner]
+    top = labels[:top_n]
+    votes = np.bincount(top)
+    # a tie goes to the instance holding the best-ranked of the tied regions
+    winner = int(top[np.argmax(votes[top] == votes.max())])
+    members = order[labels == winner]
     return CandidateList(winner, members, sims[members])
 
 
@@ -164,13 +154,10 @@ def prune_after_rejection(
 ) -> CandidateList:
     """Mark the rejected candidate and every unvisited candidate whose
     observation direction lies within theta_prune of it."""
-    e_rej = db.regions[cands.region_indices[rejected_pos]].obs_dir
+    e_rej = db.obs_dirs[cands.region_indices[rejected_pos]]
     cands.pruned[rejected_pos] = True
-    for pos, idx in enumerate(cands.region_indices):
-        if cands.visited[pos] or cands.pruned[pos]:
-            continue
-        if angular_distance(db.regions[idx].obs_dir, e_rej) < theta_prune:
-            cands.pruned[pos] = True
+    near = angular_distance(db.obs_dirs[cands.region_indices], e_rej) < theta_prune
+    cands.pruned |= near & ~cands.visited
     return cands
 
 
@@ -279,8 +266,8 @@ def estimate_object(
         while (pos := cands.next_unvisited()) is not None:
             cands.visited[pos] = True
             visited += 1
-            region_idx = cands.region_indices[pos]
-            cand_region = db.regions[region_idx]
+            region_idx = int(cands.region_indices[pos])
+            cand_region = db.region(region_idx)
             match_calls += 1
             m2d = matcher.match(goal_region.crop, cand_region.crop, config.match_resolution)
             est = None

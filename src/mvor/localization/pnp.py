@@ -90,8 +90,24 @@ def _beta_cases(l_mat, rho, pairs_products, nv):
     cases.append(betas)
 
     # case 2: assume only beta_0, beta_1 nonzero: [B_00, B_01, B_11]
-    cols = [idx_of[(0, 0)], idx_of[(0, 1)], idx_of[(1, 1)]]
-    b = solve_cols(cols)
+    b = solve_cols([idx_of[(0, 0)], idx_of[(0, 1)], idx_of[(1, 1)]])
+    cases.append(_first_two_betas(b, nv))
+
+    if nv >= 3:
+        # case 3: beta_0..beta_2 nonzero: [B_00, B_01, B_11, B_02, B_12]
+        cols = [idx_of[(0, 0)], idx_of[(0, 1)], idx_of[(1, 1)], idx_of[(0, 2)], idx_of[(1, 2)]]
+        b = solve_cols(cols)
+        betas = _first_two_betas(b, nv)
+        if abs(betas[0]) > 0:
+            betas[2] = b[3] / betas[0]
+        cases.append(betas)
+    return cases
+
+
+def _first_two_betas(b, nv):
+    """beta_0 and beta_1 from a solved [B_00, B_01, B_11, ...]: the square
+    roots of |B_00| and of B_11 when it shares B_00's sign (else 0), with
+    beta_0 negated when B_01 < 0. The other betas are zero."""
     betas = np.zeros(nv)
     if b[0] < 0:
         betas[0] = np.sqrt(-b[0])
@@ -101,25 +117,7 @@ def _beta_cases(l_mat, rho, pairs_products, nv):
         betas[1] = np.sqrt(b[2]) if b[2] > 0 else 0.0
     if b[1] < 0:
         betas[0] = -betas[0]
-    cases.append(betas)
-
-    if nv >= 3:
-        # case 3: beta_0..beta_2 nonzero: [B_00, B_01, B_11, B_02, B_12]
-        cols = [idx_of[(0, 0)], idx_of[(0, 1)], idx_of[(1, 1)], idx_of[(0, 2)], idx_of[(1, 2)]]
-        b = solve_cols(cols)
-        betas = np.zeros(nv)
-        if b[0] < 0:
-            betas[0] = np.sqrt(-b[0])
-            betas[1] = np.sqrt(-b[2]) if b[2] < 0 else 0.0
-        else:
-            betas[0] = np.sqrt(b[0])
-            betas[1] = np.sqrt(b[2]) if b[2] > 0 else 0.0
-        if b[1] < 0:
-            betas[0] = -betas[0]
-        if abs(betas[0]) > 0:
-            betas[2] = b[3] / betas[0]
-        cases.append(betas)
-    return cases
+    return betas
 
 
 def _refine_betas(betas, dv, rho, iters=8):

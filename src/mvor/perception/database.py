@@ -1,15 +1,18 @@
 """The hierarchical region database: every object region from every frame,
-grouped into per-object-instance lists via clustering of cloud centroids.
+grouped into object instances by clustering cloud centroids.
 
-Retrieval queries rank all regions by descriptor dot product, so the
-database keeps the stacked descriptor and observation-direction matrices
-alongside the per-instance index lists.
+A ``Database`` is the column arrays its dump holds, under the dump's
+names: one row per region for the labels, descriptors, observation
+directions and viewpoints, one row per instance for the centroids, and the
+regions' clouds and crops concatenated into flat arrays cut by offsets.
+Retrieval and pruning index these columns directly; ``region(i)`` views one
+region as an ``ObjectRegion`` without copying its crop.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,13 +23,6 @@ from .regions import ObjectRegion, RegionCrop, extract_regions
 
 DB_FORMAT = "mvor-db"
 DB_VERSION = 1
-# members of a dump, as save_database writes them
-DB_ARRAYS = (
-    "header", "region_instance", "region_frame", "source_instance", "descriptors",
-    "obs_dirs", "viewpoints", "instance_centroids", "cloud_offsets", "cloud_points",
-    "crop_origin", "crop_shape", "crop_offsets", "crop_feature_ids", "crop_px",
-    "crop_depth", "crop_world", "crop_view",
-)
 
 
 @dataclass
@@ -59,29 +55,69 @@ class PerceptionConfig:
         )
 
 
+def _column(rows: str, tail: tuple = (), kind: str = "f"):
+    """A Database field: ``rows`` names its length (``R`` regions, ``K``
+    instances, ``R+1`` offsets, or the ``crop``/``cloud`` flat length),
+    ``tail`` its trailing shape (-1 for any) and ``kind`` its dtype kind."""
+    return field(metadata={"rows": rows, "tail": tail, "kind": kind})
+
+
 @dataclass
 class Database:
-    regions: list[ObjectRegion]
-    region_instance: np.ndarray  # (R,) instance index per region
-    instances: list[list[int]]  # per instance: region indices
-    instance_centroids: np.ndarray  # (K,3) mean of member cloud centroids
-    descriptor_matrix: np.ndarray = field(init=False)
-    obs_dirs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.descriptor_matrix = np.stack([r.descriptor for r in self.regions])
-        self.obs_dirs = np.stack([r.obs_dir for r in self.regions])
+    region_instance: np.ndarray = _column("R", kind="i")  # instance index per region
+    region_frame: np.ndarray = _column("R", kind="i")
+    source_instance: np.ndarray = _column("R", kind="i")  # segmenter label; diagnostics, tests
+    descriptors: np.ndarray = _column("R", (-1,))
+    obs_dirs: np.ndarray = _column("R", (3,))
+    viewpoints: np.ndarray = _column("R", (4, 4))  # camera-to-world matrices
+    instance_centroids: np.ndarray = _column("K", (3,))  # mean of member cloud centroids
+    cloud_offsets: np.ndarray = _column("R+1", kind="i")  # region i: cloud_points[o[i]:o[i+1]]
+    cloud_points: np.ndarray = _column("cloud", (3,))
+    crop_origin: np.ndarray = _column("R", (2,), kind="i")  # (row0, col0)
+    crop_shape: np.ndarray = _column("R", (2,), kind="i")  # (h, w)
+    crop_offsets: np.ndarray = _column("R+1", kind="i")  # region i: crop_*[o[i]:o[i+1]], row-major
+    crop_feature_ids: np.ndarray = _column("crop", kind="i")
+    crop_px: np.ndarray = _column("crop", (2,))
+    crop_depth: np.ndarray = _column("crop")
+    crop_world: np.ndarray = _column("crop", (3,))
+    crop_view: np.ndarray = _column("crop", (3,))
 
     @property
     def num_instances(self) -> int:
-        return len(self.instances)
+        return len(self.instance_centroids)
 
     @property
     def num_regions(self) -> int:
-        return len(self.regions)
+        return len(self.region_instance)
 
-    def regions_of(self, instance: int) -> list[ObjectRegion]:
-        return [self.regions[i] for i in self.instances[instance]]
+    def region(self, i: int) -> ObjectRegion:
+        """Region ``i`` as an ObjectRegion whose crop and cloud are views of
+        the flat columns (no copy)."""
+        h, w = self.crop_shape[i]
+        o0, o1 = self.crop_offsets[i], self.crop_offsets[i + 1]
+        c0, c1 = self.cloud_offsets[i], self.cloud_offsets[i + 1]
+        crop = RegionCrop(
+            row0=int(self.crop_origin[i, 0]),
+            col0=int(self.crop_origin[i, 1]),
+            feature_ids=self.crop_feature_ids[o0:o1].reshape(h, w),
+            px=self.crop_px[o0:o1].reshape(h, w, 2),
+            depth=self.crop_depth[o0:o1].reshape(h, w),
+            world=self.crop_world[o0:o1].reshape(h, w, 3),
+            view_local=self.crop_view[o0:o1].reshape(h, w, 3),
+        )
+        return ObjectRegion(
+            crop=crop,
+            cloud=self.cloud_points[c0:c1],
+            viewpoint=Pose3.from_matrix(self.viewpoints[i]),
+            frame_id=int(self.region_frame[i]),
+            source_instance=int(self.source_instance[i]),
+            descriptor=self.descriptors[i],
+            obs_dir=self.obs_dirs[i],
+        )
+
+
+# members of a dump, as save_database writes them
+DB_ARRAYS = ("header", *(f.name for f in fields(Database)))
 
 
 def infer_k(regions_by_frame: list[list[ObjectRegion]]) -> int:
@@ -118,13 +154,30 @@ def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig | No
     relabel = np.empty(k, dtype=int)
     relabel[order] = np.arange(k)
     labels = relabel[labels]
-    instances = [[int(i) for i in np.nonzero(labels == j)[0]] for j in range(k)]
+    crops = [r.crop for r in regions]
     return Database(
-        regions=regions,
         region_instance=labels.astype(np.int64),
-        instances=instances,
+        region_frame=np.array([r.frame_id for r in regions], dtype=np.int64),
+        source_instance=np.array([r.source_instance for r in regions], dtype=np.int64),
+        descriptors=np.stack([r.descriptor for r in regions]),
+        obs_dirs=np.stack([r.obs_dir for r in regions]),
+        viewpoints=np.stack([r.viewpoint.matrix for r in regions]),
         instance_centroids=means[order],
+        cloud_offsets=_offsets([len(r.cloud) for r in regions]),
+        cloud_points=np.concatenate([r.cloud for r in regions]),
+        crop_origin=np.array([[c.row0, c.col0] for c in crops], dtype=np.int64),
+        crop_shape=np.array([c.shape for c in crops], dtype=np.int64),
+        crop_offsets=_offsets([c.feature_ids.size for c in crops]),
+        crop_feature_ids=np.concatenate([c.feature_ids.ravel() for c in crops]),
+        crop_px=np.concatenate([c.px.reshape(-1, 2) for c in crops]),
+        crop_depth=np.concatenate([c.depth.ravel() for c in crops]),
+        crop_world=np.concatenate([c.world.reshape(-1, 3) for c in crops]),
+        crop_view=np.concatenate([c.view_local.reshape(-1, 3) for c in crops]),
     )
+
+
+def _offsets(sizes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(np.array(sizes, dtype=np.int64))])
 
 
 def describe_region(region: ObjectRegion, backend) -> None:
@@ -168,12 +221,8 @@ def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig | N
 
 
 def save_database(db: Database, path, extra_meta: dict | None = None) -> None:
-    """Binary dump (npz) with a versioned JSON header; loads back bit-exact."""
-    crops = [r.crop for r in db.regions]
-    crop_sizes = np.array([c.feature_ids.size for c in crops], dtype=np.int64)
-    crop_offsets = np.concatenate([[0], np.cumsum(crop_sizes)])
-    cloud_sizes = np.array([len(r.cloud) for r in db.regions], dtype=np.int64)
-    cloud_offsets = np.concatenate([[0], np.cumsum(cloud_sizes)])
+    """Binary dump (npz) of the database's columns with a versioned JSON
+    header; loads back bit-exact."""
     header = {
         "format": DB_FORMAT,
         "version": DB_VERSION,
@@ -182,36 +231,22 @@ def save_database(db: Database, path, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         header.update(extra_meta)
-    arrays = {
-        "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        "region_instance": db.region_instance,
-        "region_frame": np.array([r.frame_id for r in db.regions], dtype=np.int64),
-        "source_instance": np.array([r.source_instance for r in db.regions], dtype=np.int64),
-        "descriptors": db.descriptor_matrix,
-        "obs_dirs": db.obs_dirs,
-        "viewpoints": np.stack([r.viewpoint.matrix for r in db.regions]),
-        "instance_centroids": db.instance_centroids,
-        "cloud_offsets": cloud_offsets,
-        "cloud_points": np.concatenate([r.cloud for r in db.regions]),
-        "crop_origin": np.array([[c.row0, c.col0] for c in crops], dtype=np.int64),
-        "crop_shape": np.array([c.shape for c in crops], dtype=np.int64),
-        "crop_offsets": crop_offsets,
-        "crop_feature_ids": np.concatenate([c.feature_ids.ravel() for c in crops]),
-        "crop_px": np.concatenate([c.px.reshape(-1, 2) for c in crops]),
-        "crop_depth": np.concatenate([c.depth.ravel() for c in crops]),
-        "crop_world": np.concatenate([c.world.reshape(-1, 3) for c in crops]),
-        "crop_view": np.concatenate([c.view_local.reshape(-1, 3) for c in crops]),
-    }
+    columns = {f.name: getattr(db, f.name) for f in fields(Database)}
     try:
         with open(path, "wb") as f:
-            np.savez(f, **arrays)
+            np.savez(
+                f,
+                header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+                **columns,
+            )
     except OSError as e:
         raise IOFailure(f"cannot write database {path}: {e}") from e
 
 
 def load_database(path) -> tuple[Database, dict]:
-    """Read a ``save_database`` dump. A file that is not one, or lacks a
-    member, raises IOFailure."""
+    """Read a ``save_database`` dump. A file that is not one, lacks a
+    member, or whose columns disagree with each other or with the header
+    raises IOFailure."""
     try:
         npz = np.load(path)
     except (OSError, ValueError) as e:
@@ -237,38 +272,42 @@ def load_database(path) -> tuple[Database, dict]:
         or not {"num_regions", "num_instances"} <= header.keys()
     ):
         raise IOFailure(f"{path}: not a database dump or unsupported version")
-    regions = []
-    for i in range(header["num_regions"]):
-        h, w = data["crop_shape"][i]
-        o0, o1 = data["crop_offsets"][i], data["crop_offsets"][i + 1]
-        c0, c1 = data["cloud_offsets"][i], data["cloud_offsets"][i + 1]
-        crop = RegionCrop(
-            row0=int(data["crop_origin"][i, 0]),
-            col0=int(data["crop_origin"][i, 1]),
-            feature_ids=data["crop_feature_ids"][o0:o1].reshape(h, w),
-            px=data["crop_px"][o0:o1].reshape(h, w, 2),
-            depth=data["crop_depth"][o0:o1].reshape(h, w),
-            world=data["crop_world"][o0:o1].reshape(h, w, 3),
-            view_local=data["crop_view"][o0:o1].reshape(h, w, 3),
-        )
-        regions.append(
-            ObjectRegion(
-                crop=crop,
-                cloud=data["cloud_points"][c0:c1],
-                viewpoint=Pose3.from_matrix(data["viewpoints"][i]),
-                frame_id=int(data["region_frame"][i]),
-                source_instance=int(data["source_instance"][i]),
-                descriptor=data["descriptors"][i],
-                obs_dir=data["obs_dirs"][i],
+    columns = {f.name: data[f.name] for f in fields(Database)}
+    _check_columns(columns, header, path)
+    return Database(**columns), header
+
+
+def _check_columns(columns: dict, header: dict, path) -> None:
+    """Raise IOFailure unless the columns form the database the header
+    describes: every member has its field's dtype kind and shape, both
+    offset arrays cut their flat member into one nondecreasing run per
+    region, each crop's h*w is its offset difference, and every region's
+    instance exists."""
+    r, k = header["num_regions"], header["num_instances"]
+    if not all(type(n) is int and n >= 0 for n in (r, k)):
+        raise IOFailure(f"{path}: header region/instance counts are not counts")
+    lengths = {"R": r, "K": k, "R+1": r + 1}
+    for name, flat in (("crop_offsets", "crop"), ("cloud_offsets", "cloud")):
+        o = columns[name]
+        if o.shape != (r + 1,) or o.dtype.kind != "i" or o[0] != 0 or np.any(np.diff(o) < 0):
+            raise IOFailure(f"{path}: {name} does not cut {r} regions")
+        lengths[flat] = int(o[-1])
+    for f in fields(Database):
+        a, meta = columns[f.name], f.metadata
+        tail = meta["tail"]
+        if (
+            a.dtype.kind != meta["kind"]
+            or a.ndim != 1 + len(tail)
+            or len(a) != lengths[meta["rows"]]
+            or any(t not in (-1, n) for t, n in zip(tail, a.shape[1:]))
+        ):
+            raise IOFailure(
+                f"{path}: {f.name} has shape {a.shape} ({a.dtype}), "
+                f"expected {meta['rows']}={lengths[meta['rows']]} rows"
             )
-        )
-    labels = data["region_instance"]
-    k = header["num_instances"]
-    instances = [[int(i) for i in np.nonzero(labels == j)[0]] for j in range(k)]
-    db = Database(
-        regions=regions,
-        region_instance=labels,
-        instances=instances,
-        instance_centroids=data["instance_centroids"],
-    )
-    return db, header
+    shapes = columns["crop_shape"]
+    if np.any(shapes < 1) or np.any(shapes.prod(axis=1) != np.diff(columns["crop_offsets"])):
+        raise IOFailure(f"{path}: crop_shape disagrees with crop_offsets")
+    labels = columns["region_instance"]
+    if np.any((labels < 0) | (labels >= k)):
+        raise IOFailure(f"{path}: region_instance outside [0, {k})")

@@ -193,6 +193,8 @@ def apply_move(
     Gaussian noise in (yaw, tx, ty), which may land short of the ideal pose
     (callers budget margins accordingly).
     """
+    if sigma > 0.0 and rng is None:
+        raise ValueError("apply_move: sigma > 0 needs an rng")
     if not 0 <= object_index < scene.num_objects:
         raise CollisionAtTarget(f"object index {object_index} not in scene")
     radius = library.model(scene.placements[object_index].model_id).footprint_radius
@@ -205,8 +207,6 @@ def apply_move(
             raise CollisionAtTarget(f"target overlaps object {j}")
     final = target
     if sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         noise = rng.normal(0.0, sigma, size=3)
         final = PlanarTransform(target.yaw + noise[0], target.tx + noise[1], target.ty + noise[2])
     return scene.with_placement(object_index, final)

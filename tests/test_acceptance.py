@@ -249,8 +249,8 @@ def test_criterion_6_association_and_retrieval_exactness():
         ]
         db = build_database(frames, segmenter, backend, pcfg)
         instance_label = {}
-        for j, members in enumerate(db.instances):
-            labels = {db.regions[i].source_instance for i in members}
+        for j in range(db.num_instances):
+            labels = set(db.source_instance[np.flatnonzero(db.region_instance == j)].tolist())
             if len(labels) != 1:
                 pure = False
                 break

@@ -163,7 +163,7 @@ class TestInstanceObjectMatching:
         mapping = match_instances_to_objects(db, inst.initial)
         assert len(mapping) == 6
         for u, i in mapping.items():
-            labels = {db.regions[r].source_instance for r in db.instances[u]}
+            labels = set(db.source_instance[np.flatnonzero(db.region_instance == u)].tolist())
             assert labels == {i}
 
 

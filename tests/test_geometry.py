@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvor import geometry as geo
 from mvor.errors import BehindCamera, DegenerateObservation, NonPlanarEstimate
@@ -74,6 +76,16 @@ class TestAngularDistance:
         e1 = [np.cos(az1) * 0.5, np.sin(az1) * 0.5, np.sqrt(0.75)]
         e2 = [np.cos(az2) * 0.5, np.sin(az2) * 0.5, np.sqrt(0.75)]
         assert geo.angular_distance(e1, e2) == pytest.approx(np.radians(2), abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=20),
+        e=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    )
+    def test_broadcast_equals_scalar_rows(self, rows, e):
+        d = geo.angular_distance(np.array(rows), e)
+        assert d.shape == (len(rows),)
+        assert d.tolist() == [geo.angular_distance(r, e) for r in rows]
 
 
 class TestProjection:

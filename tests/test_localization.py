@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor.errors import DegenerateGeometry, TooFewCorrespondences
+from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.localization import (
     Correspondences2D,
@@ -77,37 +79,40 @@ def apply_offsets(scene, offsets):
 
 
 def fake_database(descriptors, instances_of, obs_dirs=None):
-    """Database with fabricated descriptors; geometry is a stub."""
-    regions = []
-    for i, (d, inst) in enumerate(zip(descriptors, instances_of)):
-        crop = RegionCrop(
-            0, 0,
-            np.full((4, 4), i, dtype=np.int64),
-            np.zeros((4, 4, 2)),
-            np.ones((4, 4)),
-            np.zeros((4, 4, 3)),
-            np.zeros((4, 4, 3)),
-        )
-        e = obs_dirs[i] if obs_dirs is not None else np.array([0.0, 0.0, 1.0])
-        regions.append(
-            ObjectRegion(
-                crop=crop,
-                cloud=np.zeros((1, 3)) + i,
-                viewpoint=Pose3.identity(),
-                frame_id=i,
-                source_instance=inst,
-                descriptor=np.asarray(d, dtype=float),
-                obs_dir=np.asarray(e, dtype=float),
-            )
-        )
+    """Database with fabricated descriptors; geometry is a stub: region i
+    has a 4 x 4 crop of feature id i and one cloud point at (i, i, i)."""
+    r = len(descriptors)
     k = max(instances_of) + 1
-    labels = np.array(instances_of)
+    n = 16 * r
+    if obs_dirs is None:
+        obs_dirs = np.tile([0.0, 0.0, 1.0], (r, 1))
     return Database(
-        regions=regions,
-        region_instance=labels,
-        instances=[[int(i) for i in np.nonzero(labels == j)[0]] for j in range(k)],
+        region_instance=np.array(instances_of, dtype=np.int64),
+        region_frame=np.arange(r),
+        source_instance=np.array(instances_of, dtype=np.int64),
+        descriptors=np.array(descriptors, dtype=float),
+        obs_dirs=np.array(obs_dirs, dtype=float),
+        viewpoints=np.tile(np.eye(4), (r, 1, 1)),
         instance_centroids=np.zeros((k, 3)),
+        cloud_offsets=np.arange(r + 1),
+        cloud_points=np.repeat(np.arange(r, dtype=float)[:, None], 3, axis=1),
+        crop_origin=np.zeros((r, 2), dtype=np.int64),
+        crop_shape=np.full((r, 2), 4),
+        crop_offsets=16 * np.arange(r + 1),
+        crop_feature_ids=np.repeat(np.arange(r), 16),
+        crop_px=np.zeros((n, 2)),
+        crop_depth=np.ones(n),
+        crop_world=np.zeros((n, 3)),
+        crop_view=np.zeros((n, 3)),
     )
+
+
+def source_of_instance(db):
+    """Instance -> segmenter label of its first region."""
+    return {
+        j: int(db.source_instance[np.flatnonzero(db.region_instance == j)[0]])
+        for j in range(db.num_instances)
+    }
 
 
 def unit(v):
@@ -160,7 +165,7 @@ class TestRetrieveCandidates:
             inst = generate_instance(cfg, library, seed=seed)
             db = ring_db(inst.initial, library, backend)
             _, goals = goal_regions_of(inst.goal, library, backend)
-            i2s = {j: db.regions[m[0]].source_instance for j, m in enumerate(db.instances)}
+            i2s = source_of_instance(db)
             for g in goals:
                 cands = retrieve_candidates(g, db, top_n=LCFG.top_n)
                 assert i2s[cands.instance_id] == g.source_instance
@@ -186,6 +191,130 @@ def _fake_goal(descriptor):
     )
 
 
+def loop_retrieve(goal_region, db, top_n=10, exclude=frozenset()):
+    """Reference: the per-region loop retrieval that the column version
+    replaced. Returns (winner, members, scores)."""
+    if db.num_regions == 0:
+        raise NoCandidates("database is empty")
+    sims = db.descriptors @ goal_region.descriptor
+    if exclude:
+        sims = sims.copy()
+        for u in exclude:
+            sims[db.region_instance == u] = -np.inf
+    order = np.argsort(-sims, kind="stable")
+    order = order[np.isfinite(sims[order])]
+    if len(order) == 0:
+        raise NoCandidates("all instances excluded")
+    top = order[:top_n]
+    counts: dict[int, int] = {}
+    for i in top:
+        u = int(db.region_instance[i])
+        counts[u] = counts.get(u, 0) + 1
+    most = max(counts.values())
+    tied = {u for u, c in counts.items() if c == most}
+    if len(tied) == 1:
+        winner = tied.pop()
+    else:
+        winner = next(int(db.region_instance[i]) for i in top if int(db.region_instance[i]) in tied)
+    members = [int(i) for i in order if int(db.region_instance[i]) == winner]
+    return winner, members, sims[members]
+
+
+def loop_prune(region_indices, pruned, visited, rejected_pos, db, theta_prune):
+    """Reference: the per-candidate loop pruning, on a copy of ``pruned``."""
+    pruned = pruned.copy()
+    e_rej = db.obs_dirs[region_indices[rejected_pos]]
+    pruned[rejected_pos] = True
+    for pos, idx in enumerate(region_indices):
+        if visited[pos] or pruned[pos]:
+            continue
+        if geo.angular_distance(db.obs_dirs[idx], e_rej) < theta_prune:
+            pruned[pos] = True
+    return pruned
+
+
+def loop_next_unvisited(pruned, visited):
+    for i in range(len(pruned)):
+        if not pruned[i] and not visited[i]:
+            return i
+    return None
+
+
+@st.composite
+def retrieval_cases(draw):
+    """Random small databases. Small integer descriptor entries make equal
+    similarities common; the tie branch gives every region the same
+    descriptor and round-robin labels, so the top-n vote is an exact tie."""
+    r = draw(st.integers(1, 24))
+    k = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    query = draw(st.lists(entry, min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        descs = [[1] * dim] * r
+        labels = [i % k for i in range(r)]
+        top_n = k * draw(st.integers(1, max(1, r // k)))
+    else:
+        descs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=r, max_size=r))
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=r, max_size=r))
+        top_n = draw(st.integers(1, 12))
+    axis = st.floats(-1.0, 1.0)
+    obs_dirs = draw(st.lists(st.tuples(axis, axis, axis), min_size=r, max_size=r))
+    exclude = draw(st.frozensets(st.integers(0, k - 1), max_size=k))
+    db = fake_database(descs, labels, obs_dirs)
+    return db, _fake_goal(np.array(query, dtype=float)), top_n, exclude
+
+
+class TestColumnLocalizationEquivalence:
+    """The column (array) retrieval and pruning against the loops they
+    replaced: same winner, members, scores and pruned marks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=retrieval_cases(), data=st.data())
+    def test_matches_loop_reference(self, case, data):
+        db, goal, top_n, exclude = case
+        try:
+            want = loop_retrieve(goal, db, top_n, exclude)
+        except NoCandidates:
+            with pytest.raises(NoCandidates):
+                retrieve_candidates(goal, db, top_n, exclude)
+            return
+        cands = retrieve_candidates(goal, db, top_n, exclude)
+        assert cands.instance_id == want[0]
+        assert cands.region_indices.tolist() == want[1]
+        np.testing.assert_array_equal(cands.scores, want[2])
+
+        n = len(cands.region_indices)
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
+        cands.visited[:] = data.draw(flags)
+        cands.pruned[:] = data.draw(flags)
+        rejected = data.draw(st.integers(0, n - 1))
+        theta = data.draw(st.floats(0.0, 4.5))
+        expected = loop_prune(want[1], cands.pruned, cands.visited, rejected, db, theta)
+        prune_after_rejection(cands, rejected, db, theta)
+        np.testing.assert_array_equal(cands.pruned, expected)
+        assert cands.next_unvisited() == loop_next_unvisited(cands.pruned, cands.visited)
+
+    def test_real_database_walk_matches(self, library, backend):
+        inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=2)
+        db = ring_db(inst.initial, library, backend)
+        _, goals = goal_regions_of(inst.goal, library, backend)
+        for g in goals:
+            for excl in (frozenset(), frozenset({0}), frozenset({1, 2})):
+                winner, members, scores = loop_retrieve(g, db, LCFG.top_n, excl)
+                cands = retrieve_candidates(g, db, LCFG.top_n, excl)
+                assert (cands.instance_id, cands.region_indices.tolist()) == (winner, members)
+                np.testing.assert_array_equal(cands.scores, scores)
+                # reject candidates in order until none is left
+                while (pos := cands.next_unvisited()) is not None:
+                    cands.visited[pos] = True
+                    expected = loop_prune(
+                        members, cands.pruned, cands.visited, pos, db, LCFG.theta_prune
+                    )
+                    prune_after_rejection(cands, pos, db, LCFG.theta_prune)
+                    np.testing.assert_array_equal(cands.pruned, expected)
+
+
 class TestPruning:
     def _ring_candidates(self, library, backend):
         scene = make_scene([Placement(1, PlanarTransform(0.0, 0.0, 0.0))])
@@ -208,11 +337,11 @@ class TestPruning:
         db, cands = self._ring_candidates(library, backend)
         # find the candidate observed from ring azimuth 0 (frame 0)
         pos0 = next(
-            p for p, idx in enumerate(cands.region_indices) if db.regions[idx].frame_id == 0
+            p for p, idx in enumerate(cands.region_indices) if db.region_frame[idx] == 0
         )
         prune_after_rejection(cands, pos0, db, theta_prune=np.pi / 6)
         for p, idx in enumerate(cands.region_indices):
-            fid = db.regions[idx].frame_id
+            fid = db.region_frame[idx]
             if fid in (1, 7):  # +/-45 deg azimuth neighbors survive a 30 deg ball
                 assert not cands.pruned[p]
             if fid == 0:
@@ -225,12 +354,24 @@ class TestPruning:
         assert not cands.pruned[1]
 
 
+class TestFeatureIdMatcher:
+    @pytest.mark.parametrize(
+        "noise", [{"drop_rate": 0.1}, {"sigma_px": 1.0}, {"outlier_rate": 0.2}]
+    )
+    def test_noise_without_rng_raises(self, noise):
+        with pytest.raises(ValueError, match="rng"):
+            FeatureIdMatcher(**noise)
+
+    def test_noiseless_needs_no_rng(self):
+        assert FeatureIdMatcher().rng is None
+
+
 class TestLiftTo3D:
     def _matched_pair(self, library, backend, scene=None):
         scene = scene or make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.regions[retrieve_candidates(goals[0], db).region_indices[0]]
+        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
         m2d = FeatureIdMatcher().match(goals[0].crop, cand.crop, 256)
         return goals[0], cand, m2d
 
@@ -260,7 +401,7 @@ class TestSolvePose:
         scene = make_scene([Placement(3, PlanarTransform(-0.3, 0.1, 0.05))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.regions[retrieve_candidates(goals[0], db).region_indices[0]]
+        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
         m2d = FeatureIdMatcher().match(goals[0].crop, cand.crop, 256)
         m3d = lift_to_3d(m2d, goals[0], cand, 256)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
@@ -319,7 +460,7 @@ class TestSolvePose:
         db = ring_db(inst.initial, library, backend)
         _, goals = goal_regions_of(inst.goal, library, backend)
         matcher = FeatureIdMatcher(sigma_px=1.0, outlier_rate=0.3, rng=np.random.default_rng(5))
-        cand = db.regions[retrieve_candidates(goals[0], db).region_indices[0]]
+        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
         m2d = matcher.match(goals[0].crop, cand.crop, 256)
         m3d = lift_to_3d(m2d, goals[0], cand, 256)
         r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
@@ -404,8 +545,12 @@ class TestEstimateObject:
         assert not est.accepted
         assert len(rec.cand_crops) == db.num_regions
         cands = retrieve_candidates(goals[0], db, cfg.top_n)
-        expected = [db.regions[i].crop for i in cands.region_indices]
-        assert all(a is b for a, b in zip(rec.cand_crops, expected))
+        expected = [db.region(i).crop for i in cands.region_indices]
+        # each visit hands the matcher a view of that candidate's stored crop
+        assert all(
+            a.shape == b.shape and np.shares_memory(a.feature_ids, b.feature_ids)
+            for a, b in zip(rec.cand_crops, expected)
+        )
 
 
 class TestDescriptorNNMatcher:
@@ -430,7 +575,7 @@ class TestDescriptorNNMatcher:
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.regions[retrieve_candidates(goals[0], db).region_indices[0]]
+        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
         m2d = DescriptorNNMatcher(library).match(goals[0].crop, cand.crop, 256)
         assert len(m2d) >= 12
         gr, gc, gok = matching_to_source_pixels(goals[0].crop, m2d.goal_px, 256)
@@ -450,7 +595,7 @@ class TestEstimateAll:
         goals = prepare_goal_regions(goal_frame, ground_truth_segmenter(), backend, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(), INTR, LCFG)
         assert len(out) == 3
-        i2s = {j: db.regions[m[0]].source_instance for j, m in enumerate(db.instances)}
+        i2s = source_of_instance(db)
         for u, est in out.items():
             assert est.accepted
             dtheta, dt = geo.planar_error(est.T, inst.true_offsets[i2s[u]])

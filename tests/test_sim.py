@@ -386,6 +386,11 @@ class TestApplyMove:
         with pytest.raises(CollisionAtTarget):
             apply_move(scene, library, 0, PlanarTransform(0.0, 0.49, 0.0))
 
+    def test_noise_without_rng_raises(self, library):
+        scene = single_object_scene(library)
+        with pytest.raises(ValueError, match="rng"):
+            apply_move(scene, library, 0, PlanarTransform(0.0, 0.1, 0.0), sigma=0.01)
+
     def test_noise_statistics(self, library):
         rng = np.random.default_rng(42)
         sigma = 0.01
