@@ -2,8 +2,12 @@
 
 Retrieval narrows each goal region to one candidate instance; its regions
 are matched locally in similarity order; matches lift to 2D-3D pairs
-through the stored candidate geometry; robust PnP recovers the pose. The
-recovered transforms are compared against the generator's ground truth.
+through the stored candidate geometry; a RANSAC over 2-pair planar
+solves against the known goal camera recovers each object's motion on the
+table (yaw, tx, ty). The recovered transforms are compared against the
+generator's ground truth. Under the slightly adversarial matcher below,
+every estimate is accepted, each within 0.1 degree and 0.05 cm of the
+truth.
 """
 
 import numpy as np

@@ -7,7 +7,7 @@ The library is organized around the pipeline stages:
                    segmentation, pick-and-place execution
     perception     object regions, descriptors, instance association, the
                    hierarchical region database
-    localization   retrieval, local matching, EPnP + RANSAC pose estimation
+    localization   retrieval, local matching, planar RANSAC pose estimation
     planner        iterative collision-checked rearrangement execution
     bench          dataset-scale benchmark driver and metrics
     cli            command-line entry points

@@ -63,6 +63,7 @@ from .sim import (
     ground_truth_segmenter,
     render,
 )
+from .sim.config import ROTATION_REGIMES
 
 POSE_COLUMNS = [
     "regime", "view_mode", "scene_seed", "object", "model_id", "accepted",
@@ -87,6 +88,11 @@ class BenchConfig:
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
+
+    def validate(self) -> None:
+        unknown = [r for r in self.regimes if r not in ROTATION_REGIMES]
+        if unknown:
+            raise ValueError(f"unknown rotation regimes {unknown}")
 
 
 @dataclass

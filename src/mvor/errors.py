@@ -51,7 +51,8 @@ class TooFewCorrespondences(MvorError):
 
 
 class DegenerateGeometry(MvorError):
-    """All sampled point sets were too close to collinear/coplanar to solve."""
+    """Every sampled point set was degenerate: too close to collinear for
+    EPnP, or two pairs sharing their (x, y) for the planar solver."""
 
 
 class NoCandidates(MvorError):

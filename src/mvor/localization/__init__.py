@@ -11,7 +11,7 @@ from .pipeline import (
     retrieve_candidates,
     solve_pose,
 )
-from .pnp import epnp, ransac_pnp, refine_pose, reprojection_sq_errors
+from .pnp import epnp, ransac_planar, ransac_pnp, refine_pose, reprojection_sq_errors
 
 __all__ = [
     "Correspondences2D",
@@ -28,6 +28,7 @@ __all__ = [
     "retrieve_candidates",
     "solve_pose",
     "epnp",
+    "ransac_planar",
     "ransac_pnp",
     "refine_pose",
     "reprojection_sq_errors",

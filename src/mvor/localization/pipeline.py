@@ -2,13 +2,15 @@
 
 For each goal region: retrieve a candidate instance by descriptor vote,
 walk its regions in similarity order, locally match, lift matches to 2D-3D
-pairs through the candidate's stored geometry, and solve PnP. Rejected
-candidates prune their angular neighborhood (a rejection usually means the
-wrong orientation was retrieved, so nearby viewing directions are skipped).
+pairs through the candidate's stored geometry, and solve the object's
+pose. Rejected candidates prune their angular neighborhood (a rejection
+usually means the wrong orientation was retrieved, so nearby viewing
+directions are skipped).
 
-The recovered extrinsics W map current-scene world points into the goal
-camera, and the goal camera's pose is known, so the object's relative pose
-is T = goal_viewpoint o W.
+The goal camera's pose is known and objects move flat on the table, so
+the unknown is the planar motion (yaw, tx, ty) that carries the
+current-scene world points to where the goal camera sees them; the
+object's relative pose is T = lift(yaw, tx, ty), planar by construction.
 """
 
 from __future__ import annotations
@@ -17,18 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (
-    DegenerateGeometry,
-    NoCandidates,
-    NonPlanarEstimate,
-    TooFewCorrespondences,
-)
-from ..geometry import Pose3, angular_distance, compose, planar_of_pose
+from ..errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
+from ..geometry import Pose3, angular_distance, lift
 from ..perception.database import Database
 from ..perception.regions import ObjectRegion
 from .coords import matching_to_image_coords, matching_to_source_pixels
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
-from .pnp import ransac_pnp
+from .pnp import ransac_planar
 
 
 @dataclass
@@ -56,10 +53,10 @@ class LocalizationConfig:
     refine_iters: int = 20
     min_inliers: int = 12
     min_inlier_ratio: float = 0.3
-    # planar sanity filter on accepted poses
-    planar_filter: bool = True
-    planar_max_tilt_deg: float = 10.0
-    planar_max_dz: float = 0.02
+
+    def validate(self) -> None:
+        if self.matcher not in ("feature_id", "descriptor_nn"):
+            raise ValueError(f"unknown matcher {self.matcher!r}")
 
     def make_matcher(self, library=None, rng=None):
         if self.matcher == "feature_id":
@@ -199,39 +196,33 @@ def solve_pose(
     goal_viewpoint: Pose3,
     config: LocalizationConfig,
 ) -> PoseEstimate:
-    """RANSAC PnP on the lifted correspondences, composed into the object's
-    relative pose. Acceptance needs enough inliers, enough inlier ratio,
-    and (by default) an approximately planar result."""
-    if len(m3d) < 4:
-        raise TooFewCorrespondences(f"{len(m3d)} correspondences")
-    r, t, mask = ransac_pnp(
+    """The object's relative pose T = lift(yaw, tx, ty): planar RANSAC
+    (:func:`~mvor.localization.pnp.ransac_planar`) of the lifted
+    correspondences against the known goal camera ``goal_viewpoint``.
+    Acceptance needs enough inliers and enough inlier ratio; T is planar
+    by construction (third rotation row [0, 0, 1], zero height).
+
+    Raises TooFewCorrespondences (< 2 pairs) or DegenerateGeometry (no
+    non-singular pair of pairs)."""
+    p, mask = ransac_planar(
         m3d.world,
         m3d.goal_px,
         intr,
+        goal_viewpoint,
         iterations=config.ransac_iterations,
         threshold_px=config.reproj_threshold_px,
         confidence=config.ransac_confidence,
         refine_iters=config.refine_iters,
         seed=config.ransac_seed,
     )
-    T = compose(goal_viewpoint, Pose3(r, t))
     count = int(mask.sum())
     ratio = count / len(m3d)
-    accepted = count >= config.min_inliers and ratio >= config.min_inlier_ratio
-    note = ""
-    if accepted and config.planar_filter:
-        try:
-            planar_of_pose(T, config.planar_max_tilt_deg, config.planar_max_dz)
-        except NonPlanarEstimate as e:
-            accepted = False
-            note = f"non-planar solution ({e})"
     return PoseEstimate(
-        T=T,
+        T=lift(p),
         inlier_count=count,
         inlier_ratio=ratio,
         num_correspondences=len(m3d),
-        accepted=accepted,
-        note=note,
+        accepted=count >= config.min_inliers and ratio >= config.min_inlier_ratio,
     )
 
 
@@ -246,7 +237,7 @@ def estimate_object(
     """Candidate traversal for one goal region.
 
     Walks the retrieved instance's regions in similarity order; the first
-    accepted PnP solution wins. On rejection the candidate's angular
+    accepted pose wins. On rejection the candidate's angular
     neighborhood is pruned. If the instance exhausts, optionally falls back
     to the next most frequent instance in the retrieval vote. With nothing
     accepted, returns the highest-inlier attempt (or an identity pose)

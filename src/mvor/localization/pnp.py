@@ -1,24 +1,44 @@
-"""Perspective-n-point solving: EPnP minimal/refit solver, Gauss-Newton
-reprojection refinement, and a seeded RANSAC loop.
+"""Pose solving from 2D-3D correspondences: one seeded RANSAC loop with
+two models.
 
-EPnP expresses the unknown camera-frame points as fixed barycentric
-combinations of four control points (three for near-coplanar inputs),
-recovers the camera-frame control points from the null space of the
-projection constraint matrix plus the inter-control-point distance
-constraints, and reads the pose off a rigid alignment. Each hypothesis is
-polished by a few Gauss-Newton steps on the reprojection error, so exact
-correspondences recover the exact pose to machine precision.
+- **Planar** (:func:`ransac_planar`, the pipeline's solver): the camera
+  pose is known and the object moved by a planar motion (yaw, tx, ty) on
+  the table, so every camera-frame coordinate is linear in
+  (cos, sin, tx, ty). Two pairs give a 4 x 4 linear solve; the refit is a
+  3-parameter Gauss-Newton on the reprojection error.
+- **EPnP** (:func:`ransac_pnp`, the general 6-DOF reference): the unknown
+  camera-frame points are fixed barycentric combinations of four control
+  points (three for near-coplanar inputs), recovered from the null space
+  of the projection constraint matrix plus the inter-control-point
+  distance constraints; the pose is read off a rigid alignment. Each
+  4-point hypothesis is polished by a few Gauss-Newton steps on the
+  reprojection error, so exact correspondences recover the exact pose to
+  machine precision.
+
+Both share :func:`_ransac`: seeded minimal samples, inlier scoring by
+reprojection, a confidence-based early exit and up to three consensus
+refits.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..errors import DegenerateGeometry, TooFewCorrespondences
-from ..geometry import CameraIntrinsics, axis_angle_to_matrix
+from ..geometry import (
+    CameraIntrinsics,
+    PlanarTransform,
+    Pose3,
+    axis_angle_to_matrix,
+    invert,
+    rot_z,
+)
 
 _COLLINEAR_TOL = 1e-7  # second-moment ratio below which points are a line
 _PLANAR_TOL = 1e-7  # third-moment ratio below which the planar branch runs
+_SINGULAR_TOL = 1e-10  # |det| / product of row norms below which a 2-pair system is singular
 
 
 def _principal_frame(world):
@@ -159,6 +179,23 @@ def reprojection_sq_errors(world, pixels, intr, r, t):
     return err
 
 
+def _reprojection_terms(cam, pixels, intr):
+    """Gauss-Newton terms of the reprojection error at camera points ``cam``
+    (all in front of the camera): residuals (2n,), u and v interleaved,
+    and the (n, 3) derivatives of u and of v by the camera coordinates."""
+    n = len(cam)
+    z = cam[:, 2]
+    u = intr.fx * cam[:, 0] / z + intr.cx
+    v = intr.fy * cam[:, 1] / z + intr.cy
+    resid = np.empty(2 * n)
+    resid[0::2] = u - pixels[:, 0]
+    resid[1::2] = v - pixels[:, 1]
+    inv_z = 1.0 / z
+    ju = np.column_stack([intr.fx * inv_z, np.zeros(n), -intr.fx * cam[:, 0] * inv_z**2])
+    jv = np.column_stack([np.zeros(n), intr.fy * inv_z, -intr.fy * cam[:, 1] * inv_z**2])
+    return resid, ju, jv
+
+
 def refine_pose(world, pixels, intr, r, t, iters=20):
     """Gauss-Newton minimization of reprojection error over SE(3).
 
@@ -170,17 +207,9 @@ def refine_pose(world, pixels, intr, r, t, iters=20):
     n = len(world)
     for _ in range(iters):
         cam = world @ r.T + t
-        z = cam[:, 2]
-        if np.any(z <= 1e-9):
+        if np.any(cam[:, 2] <= 1e-9):
             break
-        u = intr.fx * cam[:, 0] / z + intr.cx
-        v = intr.fy * cam[:, 1] / z + intr.cy
-        resid = np.empty(2 * n)
-        resid[0::2] = u - pixels[:, 0]
-        resid[1::2] = v - pixels[:, 1]
-        inv_z = 1.0 / z
-        ju = np.column_stack([intr.fx * inv_z, np.zeros(n), -intr.fx * cam[:, 0] * inv_z**2])
-        jv = np.column_stack([np.zeros(n), intr.fy * inv_z, -intr.fy * cam[:, 1] * inv_z**2])
+        resid, ju, jv = _reprojection_terms(cam, pixels, intr)
         jac = np.empty((2 * n, 6))
         # row_vec @ (-skew(c)) == cross(c, row_vec)
         jac[0::2, :3] = np.cross(cam, ju)
@@ -250,6 +279,70 @@ def epnp(world, pixels, intr: CameraIntrinsics, polish_iters: int = 5):
     return r, t
 
 
+class _Model(NamedTuple):
+    """What the RANSAC loop needs of a pose model. ``solve`` maps sample
+    indices to a hypothesis (None for a degenerate sample), ``sq_errors``
+    a hypothesis to the squared pixel error of every pair, and ``refit`` a
+    hypothesis and a consensus mask to a refined hypothesis."""
+
+    sample_size: int
+    solve: Callable
+    sq_errors: Callable
+    refit: Callable
+
+
+def _ransac(model: _Model, n, iterations, threshold_px, confidence, seed):
+    """The seeded RANSAC loop shared by every model: minimal samples drawn
+    with ``rng.choice``, inlier scoring by reprojection, confidence-based
+    early exit (ties broken by earliest iteration), then up to three refits
+    on the consensus set. Returns (hypothesis, inlier mask)."""
+    s = model.sample_size
+    if n < s:
+        raise TooFewCorrespondences(f"{n} correspondences, need >= {s}")
+    rng = np.random.default_rng(seed)
+    thr2 = threshold_px**2
+
+    best_mask = None
+    best_count = 0
+    best_hyp = None
+    needed = iterations
+    it = 0
+    while it < min(iterations, needed):
+        it += 1
+        hyp = model.solve(rng.choice(n, size=s, replace=False))
+        if hyp is None:
+            continue
+        mask = model.sq_errors(hyp) <= thr2
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask, best_hyp = count, mask, hyp
+            w = count / n
+            if w >= 1.0:
+                needed = it
+            else:
+                needed = int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - w**s)))
+
+    if best_hyp is None:
+        raise DegenerateGeometry(f"no non-degenerate {s}-point sample found")
+
+    # refit on the consensus set, re-scoring until the inlier set stabilizes;
+    # a small slack lets the least-squares fit shed lucky borderline inliers
+    hyp, mask = best_hyp, best_mask
+    slack = max(2, int(0.02 * n))
+    for _ in range(3):
+        if mask.sum() < s:
+            break
+        new_hyp = model.refit(hyp, mask)
+        new_mask = model.sq_errors(new_hyp) <= thr2
+        if new_mask.sum() + slack < mask.sum():
+            break  # refinement drifted on a corrupt set; keep the previous fit
+        changed = not np.array_equal(new_mask, mask)
+        hyp, mask = new_hyp, new_mask
+        if not changed:
+            break
+    return hyp, mask
+
+
 def ransac_pnp(
     world,
     pixels,
@@ -260,7 +353,7 @@ def ransac_pnp(
     refine_iters: int = 20,
     seed: int = 0,
 ):
-    """Robust pose from 2D-3D correspondences.
+    """Robust 6-DOF pose from 2D-3D correspondences.
 
     Minimal EPnP on 4-point samples, inlier scoring by reprojection, final
     EPnP refit on the best inlier set followed by full Gauss-Newton
@@ -273,53 +366,127 @@ def ransac_pnp(
     """
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
-    n = len(world)
-    if n < 4:
-        raise TooFewCorrespondences(f"{n} correspondences, need >= 4")
-    rng = np.random.default_rng(seed)
-    thr2 = threshold_px**2
 
-    best_mask = None
-    best_count = 0
-    best_rt = None
-    needed = iterations
-    it = 0
-    while it < min(iterations, needed):
-        it += 1
-        sample = rng.choice(n, size=4, replace=False)
-        sol = epnp(world[sample], pixels[sample], intr)
-        if sol is None:
-            continue
-        err = reprojection_sq_errors(world, pixels, intr, *sol)
-        mask = err <= thr2
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask, best_rt = count, mask, sol
-            w = count / n
-            if w >= 1.0:
-                needed = it
-            else:
-                needed = int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - w**4)))
+    def refit(rt, mask):
+        sol = epnp(world[mask], pixels[mask], intr, polish_iters=0)
+        rr, tt = sol if sol is not None else rt
+        return refine_pose(world[mask], pixels[mask], intr, rr, tt, iters=refine_iters)
 
-    if best_rt is None:
-        raise DegenerateGeometry("no non-degenerate 4-point sample found")
-
-    # refit on the consensus set, re-scoring until the inlier set stabilizes;
-    # a small slack lets the least-squares fit shed lucky borderline inliers
-    r, t = best_rt
-    mask = best_mask
-    slack = max(2, int(0.02 * n))
-    for _ in range(3):
-        if mask.sum() < 4:
-            break
-        refit = epnp(world[mask], pixels[mask], intr, polish_iters=0)
-        rr, tt = refit if refit is not None else (r, t)
-        rr, tt = refine_pose(world[mask], pixels[mask], intr, rr, tt, iters=refine_iters)
-        new_mask = reprojection_sq_errors(world, pixels, intr, rr, tt) <= thr2
-        if new_mask.sum() + slack < mask.sum():
-            break  # refinement drifted on a corrupt set; keep the previous fit
-        changed = not np.array_equal(new_mask, mask)
-        r, t, mask = rr, tt, new_mask
-        if not changed:
-            break
+    model = _Model(
+        4,
+        lambda sample: epnp(world[sample], pixels[sample], intr),
+        lambda rt: reprojection_sq_errors(world, pixels, intr, *rt),
+        refit,
+    )
+    (r, t), mask = _ransac(model, len(world), iterations, threshold_px, confidence, seed)
     return r, t, mask
+
+
+def _planar_extrinsics(p, w2c: Pose3):
+    """World -> camera (R, t) of the scene moved by p = (yaw, tx, ty)."""
+    r = w2c.rotation @ rot_z(p[0])
+    return r, w2c.rotation @ np.array([p[1], p[2], 0.0]) + w2c.translation
+
+
+def _planar_equations(world, pixels, intr: CameraIntrinsics, w2c: Pose3):
+    """Per pair, the two projection equations linear in (cos, sin, tx, ty).
+
+    A moved point's camera coordinates are
+    ``cam = Rc (cos [x, y, 0] + sin [-y, x, 0] + [tx, ty, z]) + tc``, and a
+    pixel (u, v) constrains them by ``fx cam_x + (cx - u) cam_z = 0`` and
+    ``fy cam_y + (cy - v) cam_z = 0``. Returns coefficients (n, 2, 4) and
+    right-hand sides (n, 2).
+    """
+    n = len(world)
+    e = np.zeros((n, 2, 3))
+    e[:, 0, 0] = intr.fx
+    e[:, 0, 2] = intr.cx - pixels[:, 0]
+    e[:, 1, 1] = intr.fy
+    e[:, 1, 2] = intr.cy - pixels[:, 1]
+    g = e @ w2c.rotation
+    x, y, z = world[:, 0, None], world[:, 1, None], world[:, 2, None]
+    coeff = np.stack(
+        [g[..., 0] * x + g[..., 1] * y, g[..., 1] * x - g[..., 0] * y, g[..., 0], g[..., 1]],
+        axis=-1,
+    )
+    return coeff, -(g[..., 2] * z + e @ w2c.translation)
+
+
+def _planar_minimal(a, b):
+    """(yaw, tx, ty) from the 4 x 4 system of two pairs, or None when it is
+    singular (both pairs share their (x, y), or nearly so)."""
+    if abs(np.linalg.det(a)) <= _SINGULAR_TOL * np.prod(np.linalg.norm(a, axis=1)):
+        return None
+    c, s, tx, ty = np.linalg.solve(a, b)
+    return np.array([np.arctan2(s, c), tx, ty])
+
+
+def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
+    """Gauss-Newton minimization of reprojection error over (yaw, tx, ty).
+
+    The yaw derivative of a camera point is ``R @ (e_z x world)`` and the
+    translation derivatives are the first two columns of the camera
+    rotation.
+    """
+    p = p.copy()
+    n = len(world)
+    d_yaw_world = np.column_stack([-world[:, 1], world[:, 0], np.zeros(n)])
+    d_txy = w2c.rotation[:, :2]
+    for _ in range(iters):
+        r, t = _planar_extrinsics(p, w2c)
+        cam = world @ r.T + t
+        if np.any(cam[:, 2] <= 1e-9):
+            break
+        resid, ju, jv = _reprojection_terms(cam, pixels, intr)
+        d_yaw = d_yaw_world @ r.T
+        jac = np.empty((2 * n, 3))
+        jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
+        jac[1::2, 0] = np.einsum("ij,ij->i", jv, d_yaw)
+        jac[0::2, 1:] = ju @ d_txy
+        jac[1::2, 1:] = jv @ d_txy
+        try:
+            delta = np.linalg.solve(jac.T @ jac, -(jac.T @ resid))
+        except np.linalg.LinAlgError:
+            break
+        p += delta
+        if np.linalg.norm(delta) < 1e-14:
+            break
+    return p
+
+
+def ransac_planar(
+    world,
+    pixels,
+    intr: CameraIntrinsics,
+    viewpoint: Pose3,
+    iterations: int = 1000,
+    threshold_px: float = 2.0,
+    confidence: float = 0.999,
+    refine_iters: int = 20,
+    seed: int = 0,
+):
+    """Robust planar motion of the world points, seen from a known camera.
+
+    ``pixels`` are the projections, through the camera at ``viewpoint``
+    (camera-in-world), of ``world`` moved by an unknown rotation about the
+    world z axis and an in-plane translation. Minimal 2-pair solves of the
+    linear system in (cos, sin, tx, ty) run inside the same seeded loop as
+    :func:`ransac_pnp`; the refit is Gauss-Newton on (yaw, tx, ty) over the
+    consensus set.
+
+    Returns (PlanarTransform, inlier_mask). Raises TooFewCorrespondences
+    (< 2 pairs) or DegenerateGeometry (every sampled pair singular, as when
+    all pairs share one (x, y)).
+    """
+    world = np.asarray(world, dtype=float)
+    pixels = np.asarray(pixels, dtype=float)
+    w2c = invert(viewpoint)
+    coeff, rhs = _planar_equations(world, pixels, intr, w2c)
+    model = _Model(
+        2,
+        lambda sample: _planar_minimal(coeff[sample].reshape(4, 4), rhs[sample].reshape(4)),
+        lambda p: reprojection_sq_errors(world, pixels, intr, *_planar_extrinsics(p, w2c)),
+        lambda p, mask: _refine_planar(world[mask], pixels[mask], intr, w2c, p, refine_iters),
+    )
+    p, mask = _ransac(model, len(world), iterations, threshold_px, confidence, seed)
+    return PlanarTransform(*p), mask

@@ -18,11 +18,19 @@ def to_dict(obj):
     return obj
 
 
+# JSON types accepted for each scalar type hint; an int is a valid float
+# and is stored unchanged, so a config echo keeps its bytes
+_JSON_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
 def from_dict(cls, data, path: str = "config"):
     """Build a dataclass from a dict, recursing into dataclass-typed fields.
 
     Unknown keys are an error: configs are echoed into results files, so a
-    silently ignored typo would corrupt reproducibility.
+    silently ignored typo would corrupt reproducibility. Each scalar value
+    must have its field's type (a bool is not a number), and a class with a
+    ``validate()`` method is validated; every failure raises
+    ConfigParseError.
     """
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: expected a mapping, got {type(data).__name__}")
@@ -34,14 +42,23 @@ def from_dict(cls, data, path: str = "config"):
     kwargs = {}
     for name, value in data.items():
         hint = hints.get(name)
-        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+        if dataclasses.is_dataclass(hint):
             kwargs[name] = from_dict(hint, value, f"{path}.{name}")
-        else:
-            kwargs[name] = value
+            continue
+        kinds = _JSON_KINDS.get(hint)
+        is_bool = isinstance(value, bool)
+        if kinds and (not isinstance(value, kinds) or (is_bool and hint is not bool)):
+            raise ConfigParseError(
+                f"{path}.{name}: expected {hint.__name__}, got {type(value).__name__}"
+            )
+        kwargs[name] = value
     try:
-        return cls(**kwargs)
+        obj = cls(**kwargs)
+        if hasattr(obj, "validate"):
+            obj.validate()
     except (TypeError, ValueError) as e:
         raise ConfigParseError(f"{path}: {e}") from e
+    return obj
 
 
 def load_json(path) -> dict:

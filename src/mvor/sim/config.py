@@ -55,6 +55,7 @@ class SimConfig:
             raise ValueError(f"unknown rotation regime {self.rotation_regime!r}")
         if self.ring_count < 1 or self.library_size < 1:
             raise ValueError("ring_count and library_size must be positive")
+        self.intrinsics()  # raises ValueError on a bad focal length or image size
 
     def yaw_range(self) -> tuple[float, float]:
         if self.rotation_regime == "minor":

@@ -5,8 +5,8 @@ model-library reference (seed + size), initial and goal placements, the
 per-object true planar offsets, the viewpoint poses as 4x4 row-major
 matrices, and a full config echo. Floats round-trip bit-exactly through
 JSON because Python serializes them via repr. Loading checks the presence
-and type of every member and raises ConfigParseError on a malformed
-document.
+and type of every member, the config's values and that every model id lies
+in the library, and raises ConfigParseError on a malformed document.
 """
 
 from __future__ import annotations
@@ -110,6 +110,13 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
     if not len(data["initial"]) == len(data["goal"]) == len(data["true_offsets"]):
         raise ConfigParseError("instance placements and true offsets differ in length")
     config = from_dict(SimConfig, data["config"], "config")
+    for name in ("initial", "goal"):
+        ids = [p["model_id"] for p in data[name]]
+        if not all(0 <= i < config.library_size for i in ids):
+            raise ConfigParseError(
+                f"instance member {name!r}: model ids {ids} outside the library's "
+                f"[0, {config.library_size})"
+            )
     bounds = Rect(*data["table_bounds"])
     return RearrangementInstance(
         initial=_placements_from_list(data["initial"], bounds),

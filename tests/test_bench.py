@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from mvor.bench import (
     write_report,
 )
 from mvor.cli import main as cli_main
+from mvor.errors import ConfigParseError
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
@@ -27,7 +29,8 @@ from mvor.sim import (
     ground_truth_segmenter,
     render,
 )
-from mvor.sim.io import instance_to_dict
+from mvor.serialize import from_dict, to_dict
+from mvor.sim.io import instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
 
@@ -290,7 +293,12 @@ class TestCliDeterminism:
             ["localize", "--db", str(tmp_path / "none.npz"), "--instance", str(tmp_path / "none.json")]
         )
         assert missing == 2
-        for stale in ({"setting": "both"}, {"planner": {"actuation_sigma": 0.003}}):
+        for stale in (
+            {"setting": "both"},
+            {"planner": {"actuation_sigma": 0.003}},
+            {"localization": {"planar_filter": False}},
+            {"localization": {"planar_max_tilt_deg": 10.0, "planar_max_dz": 0.02}},
+        ):
             cfg = tmp_path / "stale.json"
             cfg.write_text(json.dumps(stale))
             assert cli_main(["bench-pose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -353,3 +361,66 @@ class TestCliInstanceFiles:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCliMalformedValues:
+    """Out-of-range or ill-typed values raise ConfigParseError when the
+    instance or config is loaded, and the CLI exits 2 with a diagnostic."""
+
+    @pytest.fixture(scope="class")
+    def instance_doc(self):
+        cfg = SimConfig(object_count_min=2, object_count_max=2)
+        return instance_to_dict(generate_instance(cfg, generate_model_library(cfg), seed=0))
+
+    def _exits_2(self, argv, capsys):
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "member, key, value",
+        [
+            ("initial", "model_id", 999),
+            ("initial", "model_id", -1),
+            ("goal", "model_id", 12),  # library_size 12: ids 0..11
+            ("config", "image_width", "abc"),
+            ("config", "focal_px", -5.0),
+        ],
+    )
+    def test_instance_value(self, instance_doc, member, key, value, tmp_path, capsys):
+        doc = copy.deepcopy(instance_doc)
+        (doc[member][1] if member != "config" else doc[member])[key] = value
+        with pytest.raises(ConfigParseError, match=member):
+            instance_from_dict(doc)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "db.npz")
+        self._exits_2(["build-db", "--instance", str(path), "--out", out], capsys)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"sim": {"image_width": "abc"}},
+            {"sim": {"focal_px": -5.0}},
+            {"sim": {"object_count_min": 5, "object_count_max": 2}},
+            {"sim": 3},
+            {"regimes": ["full", "sideways"]},
+            {"localization": {"matcher": "sift"}},
+            {"scenes": 2.5},
+            {"include_single_view": 1},
+            {"localization": {"sigma_px": True}},
+        ],
+    )
+    def test_config_value(self, config, tmp_path, capsys):
+        with pytest.raises(ConfigParseError):
+            from_dict(BenchConfig, config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = str(tmp_path / "db.npz")
+        self._exits_2(["build-db", "--config", str(path), "--out", out], capsys)
+
+    def test_int_for_float_is_kept_as_written(self):
+        cfg = from_dict(BenchConfig, {"sim": {"focal_px": 460, "actuation_sigma": 0}})
+        assert cfg.sim.focal_px == 460 and type(cfg.sim.focal_px) is int
+        echo = to_dict(SimConfig(focal_px=460, actuation_sigma=0))
+        assert json.dumps(to_dict(cfg.sim)) == json.dumps(echo)

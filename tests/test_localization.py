@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 from mvor import geometry as geo
 from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from mvor.geometry import PlanarTransform, Pose3
+from mvor.localization import pnp
 from mvor.localization import (
     Correspondences2D,
     FeatureIdMatcher,
     LocalizationConfig,
+    epnp,
     estimate_all,
     estimate_object,
     lift_to_3d,
     prune_after_rejection,
+    ransac_planar,
     ransac_pnp,
+    refine_pose,
     reprojection_sq_errors,
     retrieve_candidates,
     solve_pose,
@@ -41,6 +45,7 @@ CFG = SimConfig()
 PCFG = PerceptionConfig()
 LCFG = LocalizationConfig()
 INTR = CFG.intrinsics()
+VIEWS = [CFG.home_viewpoint(), *CFG.ring_viewpoints()]
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +494,193 @@ class TestPnPOracleEquivalence:
             assert np.radians(dtheta) < 1e-6
             assert dt / 100.0 < 1e-6
             assert mask.all()
+
+
+def planar_pairs(view, truth, n, seed):
+    """``n`` points of a 10 x 10 x 8 cm object at a random table pose, and
+    their exact pixels in the camera at ``view`` after the planar motion
+    ``truth``."""
+    rng = np.random.default_rng(seed)
+    local = np.column_stack(
+        [rng.uniform(-0.05, 0.05, n), rng.uniform(-0.05, 0.05, n), rng.uniform(0, 0.08, n)]
+    )
+    current = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.3, 0.3, 2))
+    world = geo.lift(current).apply(local)
+    uv, z = geo.project_points(INTR, geo.invert(view), geo.lift(truth).apply(world))
+    assert (z > 0).all()
+    return world, uv
+
+
+planar_motions = st.builds(
+    PlanarTransform,
+    st.floats(-np.pi, np.pi),
+    st.floats(-0.25, 0.25),
+    st.floats(-0.25, 0.25),
+)
+
+
+class TestPlanarSolver:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        view=st.sampled_from(VIEWS),
+        truth=planar_motions,
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_pairs_recover_motion(self, view, truth, n, seed):
+        world, uv = planar_pairs(view, truth, n, seed)
+        p, mask = ransac_planar(world, uv, INTR, view, seed=seed)
+        assert abs(geo.wrap_angle(p.yaw - truth.yaw)) < 1e-9
+        assert abs(p.tx - truth.tx) < 1e-9 and abs(p.ty - truth.ty) < 1e-9
+        assert mask.all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        view=st.sampled_from(VIEWS),
+        truth=planar_motions,
+        n=st.integers(10, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reported_inliers_verify(self, view, truth, n, seed):
+        world, uv = planar_pairs(view, truth, n, seed)
+        rng = np.random.default_rng(seed)
+        uv = uv + rng.normal(0.0, 1.0, uv.shape)
+        outliers = rng.random(n) < 0.3
+        uv[outliers] = rng.uniform([0, 0], [INTR.width, INTR.height], (int(outliers.sum()), 2))
+        p, mask = ransac_planar(world, uv, INTR, view, seed=seed)
+        w2c = geo.compose(geo.invert(view), geo.lift(p))
+        err = reprojection_sq_errors(world, uv, INTR, w2c.rotation, w2c.translation)
+        assert mask.any()
+        assert np.all(err[mask] <= LCFG.reproj_threshold_px**2 + 1e-9)
+
+    def test_shared_xy_is_degenerate(self, monkeypatch):
+        view = VIEWS[0]
+        world = np.column_stack([np.full(12, 0.1), np.full(12, -0.05), np.linspace(0, 0.1, 12)])
+        uv, _ = geo.project_points(INTR, geo.invert(view), world)
+        scored = []
+        score = pnp.reprojection_sq_errors
+        monkeypatch.setattr(pnp, "reprojection_sq_errors", lambda *a: scored.append(a) or score(*a))
+        with pytest.raises(DegenerateGeometry):
+            ransac_planar(world, uv, INTR, view, seed=0)
+        assert scored == []  # every sample was skipped as singular, none was scored
+
+    def test_too_few_pairs(self):
+        with pytest.raises(TooFewCorrespondences):
+            ransac_planar(np.zeros((1, 3)), np.zeros((1, 2)), INTR, VIEWS[0])
+
+    def test_estimate_object_rejects_degenerate_candidates(self, library, backend):
+        scene = make_scene([Placement(2, PlanarTransform(0.4, 0.05, -0.1))])
+        db = ring_db(scene, library, backend)
+        db.crop_world[:, :2] = [0.05, -0.1]  # every stored point on one vertical line
+        _, goals = goal_regions_of(scene, library, backend)
+        est = estimate_object(goals[0], db, FeatureIdMatcher(), INTR, LCFG)
+        assert not est.accepted
+        assert est.inlier_count == 0
+        assert "non-degenerate" in est.note
+        assert est.candidates_visited >= 1
+
+    def test_solve_pose_is_planar_by_construction(self, library, backend):
+        inst = generate_instance(
+            SimConfig(object_count_min=1, object_count_max=1), library, seed=3
+        )
+        db = ring_db(inst.initial, library, backend)
+        _, goals = goal_regions_of(inst.goal, library, backend)
+        matcher = FeatureIdMatcher(sigma_px=1.0, outlier_rate=0.3, rng=np.random.default_rng(5))
+        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
+        m3d = lift_to_3d(matcher.match(goals[0].crop, cand.crop, 256), goals[0], cand, 256)
+        est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
+        assert est.accepted
+        assert est.T.rotation[2].tolist() == [0.0, 0.0, 1.0]
+        assert est.T.rotation[:, 2].tolist() == [0.0, 0.0, 1.0]
+        assert est.T.translation[2] == 0.0
+        dtheta, dt = geo.planar_error(est.T, inst.true_offsets[0])
+        assert dtheta < 0.5 and dt < 0.5
+
+
+def reference_ransac_pnp(world, pixels, intr, iterations=1000, threshold_px=2.0,
+                         confidence=0.999, refine_iters=20, seed=0):
+    """Reference: the EPnP RANSAC loop as it was before the loop was shared
+    with the planar model."""
+    world = np.asarray(world, dtype=float)
+    pixels = np.asarray(pixels, dtype=float)
+    n = len(world)
+    if n < 4:
+        raise TooFewCorrespondences(f"{n} correspondences, need >= 4")
+    rng = np.random.default_rng(seed)
+    thr2 = threshold_px**2
+    best_mask, best_count, best_rt = None, 0, None
+    needed = iterations
+    it = 0
+    while it < min(iterations, needed):
+        it += 1
+        sample = rng.choice(n, size=4, replace=False)
+        sol = epnp(world[sample], pixels[sample], intr)
+        if sol is None:
+            continue
+        mask = reprojection_sq_errors(world, pixels, intr, *sol) <= thr2
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask, best_rt = count, mask, sol
+            w = count / n
+            if w >= 1.0:
+                needed = it
+            else:
+                needed = int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - w**4)))
+    if best_rt is None:
+        raise DegenerateGeometry("no non-degenerate 4-point sample found")
+    r, t = best_rt
+    mask = best_mask
+    slack = max(2, int(0.02 * n))
+    for _ in range(3):
+        if mask.sum() < 4:
+            break
+        refit = epnp(world[mask], pixels[mask], intr, polish_iters=0)
+        rr, tt = refit if refit is not None else (r, t)
+        rr, tt = refine_pose(world[mask], pixels[mask], intr, rr, tt, iters=refine_iters)
+        new_mask = reprojection_sq_errors(world, pixels, intr, rr, tt) <= thr2
+        if new_mask.sum() + slack < mask.sum():
+            break
+        changed = not np.array_equal(new_mask, mask)
+        r, t, mask = rr, tt, new_mask
+        if not changed:
+            break
+    return r, t, mask
+
+
+class TestRansacPnP:
+    def test_shared_loop_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for k in range(40):
+            n = int(rng.integers(4, 60))
+            truth = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.25, 0.25, 2))
+            world, uv = planar_pairs(VIEWS[k % len(VIEWS)], truth, n, k)
+            uv = uv + rng.normal(0.0, 1.0, uv.shape)
+            outliers = rng.random(n) < 0.3
+            uv[outliers] = rng.uniform(0, 480, (int(outliers.sum()), 2))
+            r, t, mask = ransac_pnp(world, uv, INTR, seed=k)
+            r0, t0, mask0 = reference_ransac_pnp(world, uv, INTR, seed=k)
+            assert r.tobytes() == r0.tobytes()
+            assert t.tobytes() == t0.tobytes()
+            assert np.array_equal(mask, mask0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))
+    def test_exact_6dof_pairs_recover_pose(self, n, seed):
+        """Random rotation, points spread through a box in front of the
+        camera (no near-line or near-plane sets)."""
+        rng = np.random.default_rng(seed)
+        cam = np.column_stack(
+            [rng.uniform(-0.4, 0.4, n), rng.uniform(-0.3, 0.3, n), rng.uniform(0.8, 2.0, n)]
+        )
+        r_true = geo.axis_angle_to_matrix(rng.uniform(-np.pi, np.pi) * unit(rng.normal(size=3)))
+        t_true = rng.uniform(-1.0, 1.0, 3)
+        world = (cam - t_true) @ r_true  # cam = r_true @ world + t_true
+        uv = np.column_stack(
+            [INTR.fx * cam[:, 0] / cam[:, 2] + INTR.cx, INTR.fy * cam[:, 1] / cam[:, 2] + INTR.cy]
+        )
+        for r, t in (epnp(world, uv, INTR), ransac_pnp(world, uv, INTR, seed=seed)[:2]):
+            assert geo.rotation_angle(r @ r_true.T) < 1e-6
+            assert np.linalg.norm(t - t_true) < 1e-6
 
 
 class _RecordingMatcher:
