@@ -1,0 +1,105 @@
+"""SHA-256 of every machine-readable output of a fixed set of CLI runs.
+
+Usage: ``python3 scripts/output_digests.py`` (no flags). Runs, through
+``mvor.cli.main`` in a temporary directory and with the sources of the
+checkout that holds this script:
+
+- ``bench-pose``: 3 scenes, minor and full, multi- and single-view, with a
+  noisy matcher (1 px, 20 % outliers);
+- ``bench-completion``: 3 scenes, minor and full, 3 mm actuation;
+- ``gen`` of 2 instances (3 mm actuation in their config), then for each
+  instance ``build-db`` on the ring and on the home view, ``localize``
+  against both databases, and ``rearrange``.
+
+It prints ``sha256  path`` for every file written, except the
+human-readable ``report.txt`` (it carries the wall clock). Two checkouts
+produce the same outputs when this script prints the same lines in both;
+compare them with ``diff``. The run fails unless some home-view
+``poses.json`` holds an estimate that was never solved, so the identity
+fallback is always covered.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from mvor import cli  # noqa: E402
+
+CONFIGS = {
+    "pose.json": {
+        "scenes": 3,
+        "localization": {"sigma_px": 1.0, "outlier_rate": 0.2},
+    },
+    "completion.json": {"scenes": 3, "sim": {"actuation_sigma": 0.003}},
+    "scene.json": {"sim": {"actuation_sigma": 0.003}},
+}
+INSTANCES = 2
+
+
+def commands() -> list[list[str]]:
+    cmds = [
+        ["bench-pose", "--config", "pose.json", "--out", "bench_pose"],
+        ["bench-completion", "--config", "completion.json", "--out", "bench_completion"],
+        ["gen", "--config", "scene.json", "--count", str(INSTANCES), "--out", "dataset"],
+    ]
+    for seed in range(INSTANCES):
+        inst = f"dataset/instance_{seed:08d}.json"
+        for view in ("ring", "home"):
+            db = f"db_{seed}_{view}.npz"
+            cmds.append(["build-db", "--config", "scene.json", "--instance", inst,
+                         "--view", view, "--out", db])
+            cmds.append(["localize", "--config", "scene.json", "--db", db,
+                         "--instance", inst, "--out", f"poses_{seed}_{view}.json"])
+        cmds.append(["rearrange", "--config", "scene.json", "--instance", inst,
+                     "--out", f"rearrange_{seed}"])
+    return cmds
+
+
+def never_solved(path: str) -> bool:
+    with open(path, encoding="utf-8") as f:
+        objects = json.load(f)["objects"]
+    return any(o["inliers"] == 0 and o["correspondences"] == 0 for o in objects)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in CONFIGS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
+                json.dump(cfg, f)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in commands():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = cli.main(argv)
+                if rc != 0:
+                    print(f"mvor {' '.join(argv)} exited with {rc}", file=sys.stderr)
+                    return 1
+        finally:
+            os.chdir(cwd)
+        paths = sorted(
+            os.path.relpath(os.path.join(root, name), tmp)
+            for root, _, names in os.walk(tmp)
+            for name in names
+            if name != "report.txt" and name not in CONFIGS
+        )
+        for rel in paths:
+            with open(os.path.join(tmp, rel), "rb") as f:
+                print(f"{hashlib.sha256(f.read()).hexdigest()}  {rel}")
+        home = [os.path.join(tmp, p) for p in paths if p.endswith("_home.json")]
+        if not any(never_solved(p) for p in home):
+            print("no home-view estimate was left unsolved", file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

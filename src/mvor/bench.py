@@ -37,15 +37,8 @@ import numpy as np
 
 import zlib
 
-from .errors import NonPlanarEstimate, PlacementFailure, ReobservationFailed
-from .geometry import (
-    PlanarTransform,
-    Pose3,
-    planar_compose,
-    planar_distance,
-    planar_error,
-    planar_projection,
-)
+from .errors import PlacementFailure, ReobservationFailed
+from .geometry import PlanarTransform, planar_compose, planar_distance
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
 from .perception import (
     PerceptionConfig,
@@ -93,6 +86,8 @@ class BenchConfig:
         unknown = [r for r in self.regimes if r not in ROTATION_REGIMES]
         if unknown:
             raise ValueError(f"unknown rotation regimes {unknown}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed={self.base_seed} is negative")
 
 
 @dataclass
@@ -125,13 +120,9 @@ def match_instances_to_objects(db, scene) -> dict:
 
 
 def best_effort_error(est: PoseEstimate | None, truth: PlanarTransform) -> tuple[float, float]:
-    """Planar error of an estimate; falls back to the assume-unmoved error
-    when there is no estimate or the pose is not even approximately planar."""
+    """Planar error of an estimate; without one, the assume-unmoved error."""
     if est is not None:
-        try:
-            return planar_error(est.T, truth)
-        except NonPlanarEstimate:
-            pass
+        return planar_distance(est.offset, truth)
     return planar_distance(truth, PlanarTransform.identity())
 
 
@@ -187,7 +178,7 @@ def rearrange_scene(
     re-observes each object from the home viewpoint before moving it.
     """
     estimates = {
-        i: found.by_object.get(i, PoseEstimate(T=Pose3.identity(), accepted=False))
+        i: found.by_object.get(i, PoseEstimate(offset=PlanarTransform.identity(), accepted=False))
         for i in range(inst.initial.num_objects)
     }
     reobserve = None
@@ -296,7 +287,7 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
         est = estimate_object(region, db, matcher, intr, loc_cfg, excluded)
         if not est.accepted:
             raise ReobservationFailed(est.note or "re-estimation rejected")
-        return planar_compose(planar_projection(est.T), inst.initial.placements[i].pose)
+        return planar_compose(est.offset, inst.initial.placements[i].pose)
 
     return reobserve
 

@@ -29,8 +29,8 @@ from .bench import (
     scene_goal_regions,
     write_report,
 )
-from .errors import MvorError
-from .geometry import planar_distance, pose_yaw
+from .errors import ConfigParseError, MvorError
+from .geometry import lift, planar_distance, pose_yaw
 from .perception import load_database, save_database
 from .serialize import dump_json, from_dict, load_json
 from .sim import (
@@ -46,6 +46,10 @@ def load_config(path: str | None, seed: int | None) -> BenchConfig:
     cfg = from_dict(BenchConfig, load_json(path)) if path else BenchConfig()
     if seed is not None:
         cfg = replace(cfg, base_seed=seed)
+        try:
+            cfg.validate()
+        except ValueError as e:
+            raise ConfigParseError(f"--seed: {e}") from e
     return cfg
 
 
@@ -103,13 +107,16 @@ def _pose_report_rows(inst, found):
     rows = []
     for u in sorted(found.by_instance):
         est = found.by_instance[u]
+        # yaw_deg is read back off the matrix: degrees(offset.yaw) differs
+        # from it in the last bit for some yaws
+        T = lift(est.offset)
         row = {
             "instance": u,
             "accepted": bool(est.accepted),
-            "yaw_deg": float(np.degrees(pose_yaw(est.T))),
-            "tx_cm": float(est.T.translation[0] * 100),
-            "ty_cm": float(est.T.translation[1] * 100),
-            "T": [[float(v) for v in r] for r in est.T.matrix],
+            "yaw_deg": float(np.degrees(pose_yaw(T))),
+            "tx_cm": float(est.offset.tx * 100),
+            "ty_cm": float(est.offset.ty * 100),
+            "T": [[float(v) for v in r] for r in T.matrix],
             "inliers": est.inlier_count,
             "inlier_ratio": est.inlier_ratio,
             "correspondences": est.num_correspondences,

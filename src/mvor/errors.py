@@ -15,10 +15,6 @@ class BehindCamera(MvorError):
     """Point has non-positive depth in the camera frame."""
 
 
-class NonPlanarEstimate(MvorError):
-    """Pose has out-of-plane rotation or vertical translation beyond tolerance."""
-
-
 # simulation
 class PlacementFailure(MvorError):
     """Rejection sampling could not place all objects on the table."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateObservation, NonPlanarEstimate
+from .errors import BehindCamera, DegenerateObservation
 
 __all__ = [
     "Pose3",
@@ -30,10 +30,7 @@ __all__ = [
     "planar_compose",
     "planar_invert",
     "pose_yaw",
-    "planar_projection",
-    "planar_of_pose",
     "planar_distance",
-    "planar_error",
     "observation_vector",
     "angular_distance",
     "project",
@@ -138,7 +135,9 @@ class CameraIntrinsics:
 
 def rot_z(yaw: float) -> np.ndarray:
     c, s = np.cos(yaw), np.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    # 0.0 - s, not -s: rot_z(0.0) is then exactly np.eye(3), with no -0.0
+    # (for any other s the two are equal bit for bit)
+    return np.array([[c, 0.0 - s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def axis_angle_to_matrix(w: np.ndarray) -> np.ndarray:
@@ -200,45 +199,11 @@ def pose_yaw(pose: Pose3) -> float:
     return float(np.arctan2(pose.rotation[1, 0], pose.rotation[0, 0]))
 
 
-def planar_projection(pose: Pose3) -> PlanarTransform:
-    """Project an SE(3) pose down to a planar transform, unchecked: any
-    out-of-plane rotation or vertical translation is dropped."""
-    return PlanarTransform(pose_yaw(pose), pose.translation[0], pose.translation[1])
-
-
-def planar_of_pose(
-    pose: Pose3, max_tilt_deg: float = 10.0, max_dz: float = 0.02
-) -> PlanarTransform:
-    """:func:`planar_projection`, checked.
-
-    Raises NonPlanarEstimate when the out-of-plane rotation exceeds
-    ``max_tilt_deg`` or the vertical translation exceeds ``max_dz`` meters
-    (the signature of a grossly wrong pose solution given planar motion).
-    """
-    tilt = rotation_angle(rot_z(-pose_yaw(pose)) @ pose.rotation)
-    if np.degrees(tilt) > max_tilt_deg or abs(pose.translation[2]) > max_dz:
-        raise NonPlanarEstimate(
-            f"tilt={np.degrees(tilt):.2f} deg, dz={pose.translation[2]:.4f} m"
-        )
-    return planar_projection(pose)
-
-
 def planar_distance(a: PlanarTransform, b: PlanarTransform) -> tuple[float, float]:
     """(|yaw difference| in degrees, wrapped so that adding 2*pi to either
     yaw changes nothing; translation distance in cm)."""
     dtheta = abs(float(np.degrees(wrap_angle(a.yaw - b.yaw))))
     return dtheta, float(np.hypot(a.tx - b.tx, a.ty - b.ty) * 100.0)
-
-
-def planar_error(
-    estimate: Pose3,
-    truth: PlanarTransform,
-    max_tilt_deg: float = 10.0,
-    max_dz: float = 0.02,
-) -> tuple[float, float]:
-    """:func:`planar_distance` of a checked SE(3) estimate from the truth."""
-    est = planar_of_pose(estimate, max_tilt_deg=max_tilt_deg, max_dz=max_dz)
-    return planar_distance(est, truth)
 
 
 def observation_vector(viewpoint: Pose3, cloud: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ directions are skipped).
 
 The goal camera's pose is known and objects move flat on the table, so
 the unknown is the planar motion (yaw, tx, ty) that carries the
-current-scene world points to where the goal camera sees them; the
-object's relative pose is T = lift(yaw, tx, ty), planar by construction.
+current-scene world points to where the goal camera sees them. The
+estimate is that motion itself, a ``PlanarTransform`` with the meaning of
+the generator's true offsets (goal = offset o initial).
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
-from ..geometry import Pose3, angular_distance, lift
+from ..geometry import PlanarTransform, Pose3, angular_distance
 from ..perception.database import Database
 from ..perception.regions import ObjectRegion
+from ..serialize import check_bounds
 from .coords import matching_to_image_coords, matching_to_source_pixels
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pnp import ransac_planar
@@ -57,6 +59,28 @@ class LocalizationConfig:
     def validate(self) -> None:
         if self.matcher not in ("feature_id", "descriptor_nn"):
             raise ValueError(f"unknown matcher {self.matcher!r}")
+        check_bounds(self, {
+            "top_n": (1, None),
+            "theta_prune": (0, None),
+            "match_resolution": (1, None),
+            "min_correspondences": (0, None),
+            "drop_rate": (0, 1),
+            "sigma_px": (0, None),
+            "outlier_rate": (0, 1),
+            "max_view_angle_deg": (0, 180),
+            "ratio_test": (0, 1),
+            "max_matches": (1, None),
+            "matcher_seed": (0, None),
+            "ransac_iterations": (1, None),
+            "reproj_threshold_px": (0, None),
+            "ransac_seed": (0, None),
+            "refine_iters": (0, None),
+            "min_inliers": (0, None),
+            "min_inlier_ratio": (0, 1),
+        })
+        if not 0 < self.ransac_confidence < 1:
+            # the early exit takes log(1 - confidence)
+            raise ValueError(f"ransac_confidence={self.ransac_confidence!r} outside (0, 1)")
 
     def make_matcher(self, library=None, rng=None):
         if self.matcher == "feature_id":
@@ -107,7 +131,7 @@ class Correspondences3D:
 
 @dataclass
 class PoseEstimate:
-    T: Pose3
+    offset: PlanarTransform  # the object's planar motion, initial -> goal
     inlier_count: int = 0
     inlier_ratio: float = 0.0
     num_correspondences: int = 0
@@ -196,11 +220,10 @@ def solve_pose(
     goal_viewpoint: Pose3,
     config: LocalizationConfig,
 ) -> PoseEstimate:
-    """The object's relative pose T = lift(yaw, tx, ty): planar RANSAC
+    """The object's planar motion (yaw, tx, ty): planar RANSAC
     (:func:`~mvor.localization.pnp.ransac_planar`) of the lifted
     correspondences against the known goal camera ``goal_viewpoint``.
-    Acceptance needs enough inliers and enough inlier ratio; T is planar
-    by construction (third rotation row [0, 0, 1], zero height).
+    Acceptance needs enough inliers and enough inlier ratio.
 
     Raises TooFewCorrespondences (< 2 pairs) or DegenerateGeometry (no
     non-singular pair of pairs)."""
@@ -218,7 +241,7 @@ def solve_pose(
     count = int(mask.sum())
     ratio = count / len(m3d)
     return PoseEstimate(
-        T=lift(p),
+        offset=p,
         inlier_count=count,
         inlier_ratio=ratio,
         num_correspondences=len(m3d),
@@ -240,7 +263,7 @@ def estimate_object(
     accepted pose wins. On rejection the candidate's angular
     neighborhood is pruned. If the instance exhausts, optionally falls back
     to the next most frequent instance in the retrieval vote. With nothing
-    accepted, returns the highest-inlier attempt (or an identity pose)
+    accepted, returns the highest-inlier attempt (or the identity offset)
     flagged not accepted.
     """
     if db.num_regions == 0:
@@ -269,7 +292,7 @@ def estimate_object(
                 )
                 est = solve_pose(m3d, intr, goal_region.viewpoint, config)
             except (TooFewCorrespondences, DegenerateGeometry) as e:
-                est = PoseEstimate(T=Pose3.identity(), note=str(e))
+                est = PoseEstimate(offset=PlanarTransform.identity(), note=str(e))
             est.candidate_region = region_idx
             est.instance_id = cands.instance_id
             if best is None or est.inlier_count > best.inlier_count:
@@ -283,7 +306,7 @@ def estimate_object(
         if not config.instance_fallback:
             break
     if best is None:
-        best = PoseEstimate(T=Pose3.identity(), note="no candidates evaluated")
+        best = PoseEstimate(offset=PlanarTransform.identity(), note="no candidates evaluated")
     best.candidates_visited = visited
     best.matcher_invocations = match_calls
     return best

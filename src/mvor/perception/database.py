@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import ClusterCountInfeasible, IOFailure, NoRegions
 from ..geometry import Pose3, observation_vector
+from ..serialize import check_bounds
 from .cluster import kmeans
 from .regions import ObjectRegion, RegionCrop, extract_regions
 
@@ -39,6 +40,29 @@ class PerceptionConfig:
     kmeans_restarts: int = 10
     kmeans_iters: int = 100
     kmeans_seed: int = 5
+
+    def validate(self) -> None:
+        check_bounds(self, {
+            "min_region_points": (1, None),
+            "cloud_cap": (0, None),
+            "descriptor_dim": (1, None),
+            "pool_grid": (1, None),
+            "norm_resolution": (1, None),
+            "grid_weight": (0, None),
+            "obs_bins": (0, None),
+            "obs_weight": (0, None),
+            "projection_seed": (0, None),
+            "kmeans_restarts": (1, None),
+            "kmeans_iters": (1, None),
+            "kmeans_seed": (0, None),
+        })
+        if self.norm_resolution % self.pool_grid:
+            # a remainder row or column would index a cell past the grid,
+            # and a resolution below pool_grid would give cells no samples
+            raise ValueError(
+                f"norm_resolution={self.norm_resolution} is not a multiple of "
+                f"pool_grid={self.pool_grid}"
+            )
 
     def make_backend(self, library):
         from .descriptor import GridPooledDescriptor

@@ -10,11 +10,11 @@ when nothing remains or the outer-iteration budget (2x object count by
 default) is exhausted.
 
 The planner operates on estimated offsets only. Each accepted estimate
-fixes the object's believed goal once, as the estimated offset applied to
-its initial pose, and every goal move targets that belief. The tracked
-pose, initialized from the initial scene, stands in for the robot's
-perception of the current scene: it decides whether an object is already
-within the success thresholds. Every attempted move is logged, including
+fixes the object's believed goal once, as its planar ``offset`` applied
+to the object's initial pose, and every goal move targets that belief.
+The tracked pose, initialized from the initial scene, stands in for the
+robot's perception of the current scene: it decides whether an object is
+already within the success thresholds. Every attempted move is logged, including
 blocked goal moves and buffer searches that give up.
 """
 
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoBufferSpace, ReobservationFailed, UnknownObject
-from .geometry import PlanarTransform, planar_compose, planar_distance, planar_projection
+from .geometry import PlanarTransform, planar_compose, planar_distance
 from .sim.models import ModelLibrary
-from .sim.scene import RearrangementInstance, SceneState, apply_move
+from .sim.scene import RearrangementInstance, SceneState, apply_move, placement_conflict
 
 
 @dataclass
@@ -100,16 +100,7 @@ def check_collision(
     ``margin``) would intersect another object or leave the table."""
     if not 0 <= object_index < scene.num_objects:
         raise UnknownObject(f"object index {object_index}")
-    radius = library.model(scene.placements[object_index].model_id).footprint_radius
-    grown = radius + margin
-    if not scene.table_bounds.contains_disc(target.tx, target.ty, grown):
-        return True
-    for j, (x, y, r) in enumerate(scene.footprints(library)):
-        if j == object_index:
-            continue
-        if np.hypot(target.tx - x, target.ty - y) < grown + r:
-            return True
-    return False
+    return placement_conflict(scene, library, object_index, target, margin) is not None
 
 
 def find_buffer_pose(
@@ -147,11 +138,12 @@ def plan_and_execute(
 ) -> ExecutionResult:
     """Run the full rearrangement loop against the simulator.
 
-    ``estimates`` maps object index -> PoseEstimate (planar relative pose);
-    objects with a not-accepted estimate are never moved toward a goal and
-    accrue failures instead. ``reobserve(scene, object_index, tracked_guess)``
-    may return a fresh tracked pose (or raise ReobservationFailed); without
-    it the planner dead-reckons. Actuation noise is the instance's
+    ``estimates`` maps object index -> PoseEstimate, whose ``offset`` is
+    the object's estimated planar motion; objects with a not-accepted
+    estimate are never moved toward a goal and accrue failures instead.
+    ``reobserve(scene, object_index, tracked_guess)`` may return a fresh
+    tracked pose (or raise ReobservationFailed); without it the planner
+    dead-reckons. Actuation noise is the instance's
     ``config.actuation_sigma``; buffer poses and noise draw from an RNG
     seeded with the instance seed, so a run is deterministic per instance.
     """
@@ -175,7 +167,7 @@ def plan_and_execute(
         est = estimates[i]
         usable[i] = est.accepted
         if est.accepted:
-            goal_beliefs[i] = planar_compose(planar_projection(est.T), state.tracked_poses[i])
+            goal_beliefs[i] = planar_compose(est.offset, state.tracked_poses[i])
 
     moves: list[MoveRecord] = []
     goal_moves: dict[int, int] = {i: 0 for i in order}

@@ -61,6 +61,16 @@ def from_dict(cls, data, path: str = "config"):
     return obj
 
 
+def check_bounds(obj, bounds: dict) -> None:
+    """Raise ValueError for the first field of ``obj`` outside its closed
+    range in ``bounds`` (name -> (low, high), high None for no upper
+    bound); NaN lies outside every range."""
+    for name, (lo, hi) in bounds.items():
+        value = getattr(obj, name)
+        if not (value >= lo and (hi is None or value <= hi)):
+            raise ValueError(f"{name}={value!r} outside [{lo}, {'inf' if hi is None else hi}]")
+
+
 def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:

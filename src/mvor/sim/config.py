@@ -55,6 +55,8 @@ class SimConfig:
             raise ValueError(f"unknown rotation regime {self.rotation_regime!r}")
         if self.ring_count < 1 or self.library_size < 1:
             raise ValueError("ring_count and library_size must be positive")
+        if self.seed < 0 or self.library_seed < 0:
+            raise ValueError("seed and library_seed must be non-negative")
         self.intrinsics()  # raises ValueError on a bad focal length or image size
 
     def yaw_range(self) -> tuple[float, float]:

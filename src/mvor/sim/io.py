@@ -107,6 +107,8 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
     for name, schema in _MEMBERS.items():
         if not _conforms(data.get(name), schema):
             raise ConfigParseError(f"instance member {name!r} is missing or malformed")
+    if data["seed"] < 0:
+        raise ConfigParseError(f"instance member 'seed' is negative ({data['seed']})")
     if not len(data["initial"]) == len(data["goal"]) == len(data["true_offsets"]):
         raise ConfigParseError("instance placements and true offsets differ in length")
     config = from_dict(SimConfig, data["config"], "config")

@@ -62,14 +62,10 @@ class SceneState:
         ]
 
     def has_collisions(self, library: ModelLibrary) -> bool:
-        fps = self.footprints(library)
-        for i, (x, y, r) in enumerate(fps):
-            if not self.table_bounds.contains_disc(x, y, r):
-                return True
-            for x2, y2, r2 in fps[i + 1 :]:
-                if np.hypot(x - x2, y - y2) < r + r2:
-                    return True
-        return False
+        return any(
+            placement_conflict(self, library, i, p.pose) is not None
+            for i, p in enumerate(self.placements)
+        )
 
 
 @dataclass
@@ -177,6 +173,25 @@ def generate_instance(
     )
 
 
+def placement_conflict(
+    scene: SceneState,
+    library: ModelLibrary,
+    object_index: int,
+    target: PlanarTransform,
+    margin: float = 0.0,
+) -> str | None:
+    """What placing the object at ``object_index`` on ``target``, its
+    footprint grown by ``margin``, runs into (the table edge or another
+    object's footprint), or None when the placement is free."""
+    grown = library.model(scene.placements[object_index].model_id).footprint_radius + margin
+    if not scene.table_bounds.contains_disc(target.tx, target.ty, grown):
+        return "target footprint leaves the table"
+    for j, (x, y, r) in enumerate(scene.footprints(library)):
+        if j != object_index and np.hypot(target.tx - x, target.ty - y) < grown + r:
+            return f"target overlaps object {j}"
+    return None
+
+
 def apply_move(
     scene: SceneState,
     library: ModelLibrary,
@@ -197,14 +212,9 @@ def apply_move(
         raise ValueError("apply_move: sigma > 0 needs an rng")
     if not 0 <= object_index < scene.num_objects:
         raise CollisionAtTarget(f"object index {object_index} not in scene")
-    radius = library.model(scene.placements[object_index].model_id).footprint_radius
-    if not scene.table_bounds.contains_disc(target.tx, target.ty, radius):
-        raise CollisionAtTarget("target footprint leaves the table")
-    for j, (x, y, r) in enumerate(scene.footprints(library)):
-        if j == object_index:
-            continue
-        if np.hypot(target.tx - x, target.ty - y) < radius + r:
-            raise CollisionAtTarget(f"target overlaps object {j}")
+    conflict = placement_conflict(scene, library, object_index, target)
+    if conflict is not None:
+        raise CollisionAtTarget(conflict)
     final = target
     if sigma > 0.0:
         noise = rng.normal(0.0, sigma, size=3)

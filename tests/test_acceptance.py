@@ -189,7 +189,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
     )
     inst = _manual_instance(swap_initial, swap_goal, cfg)
     estimates = {
-        i: PoseEstimate(T=geo.lift(off), accepted=True, inlier_count=100, inlier_ratio=1.0)
+        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
         for i, off in enumerate(inst.true_offsets)
     }
     result = plan_and_execute(inst, estimates, library)
@@ -209,7 +209,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
     )
     inst2 = _manual_instance(free_initial, free_goal, cfg)
     estimates2 = {
-        i: PoseEstimate(T=geo.lift(off), accepted=True, inlier_count=100, inlier_ratio=1.0)
+        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
         for i, off in enumerate(inst2.true_offsets)
     }
     result2 = plan_and_execute(inst2, estimates2, library)

@@ -16,9 +16,9 @@ from mvor.bench import (
     run_pose_bench,
     write_report,
 )
-from mvor.cli import main as cli_main
+from mvor.cli import load_config, main as cli_main
 from mvor.errors import ConfigParseError
-from mvor.geometry import PlanarTransform, Pose3
+from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
 from mvor.sim import (
@@ -75,8 +75,8 @@ class TestMetrics:
         dtheta, dt = best_effort_error(None, truth)
         assert dtheta == pytest.approx(120.0)
         assert dt == pytest.approx(50.0)
-        tilted = PoseEstimate(T=Pose3(geo.axis_angle_to_matrix([1.0, 0, 0]), [0, 0, 0]))
-        assert best_effort_error(tilted, truth) == (dtheta, dt)
+        est = PoseEstimate(offset=PlanarTransform(np.radians(123), 0.3, -0.4))
+        assert best_effort_error(est, truth) == pytest.approx((3.0, 0.0))
 
 
 class TestPoseBench:
@@ -264,7 +264,7 @@ class TestReobserver:
         excluded = frozenset(set(range(db.num_instances)) - {object_instance[0]})
         est = estimate_object(region, db, lcfg.make_matcher(library), intr, lcfg, excluded)
         assert est.accepted
-        expected = geo.planar_compose(geo.planar_projection(est.T), inst.initial.placements[0].pose)
+        expected = geo.planar_compose(est.offset, inst.initial.placements[0].pose)
         assert tracked == expected
 
 
@@ -409,6 +409,16 @@ class TestCliMalformedValues:
             {"scenes": 2.5},
             {"include_single_view": 1},
             {"localization": {"sigma_px": True}},
+            {"perception": {"pool_grid": 0}},  # was a ZeroDivisionError
+            {"perception": {"kmeans_restarts": 0}},  # was a TypeError
+            {"perception": {"norm_resolution": 2}},  # was a misleading EmptyRegion
+            {"perception": {"norm_resolution": 10}},  # was accepted: cell row 4 of 4
+            {"localization": {"top_n": 0}},  # was a ValueError from bincount
+            {"localization": {"ransac_confidence": 1.0}},
+            {"localization": {"outlier_rate": 1.5}},
+            {"base_seed": -1},
+            {"sim": {"seed": -1}},
+            {"sim": {"library_seed": -1}},
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):
@@ -418,6 +428,20 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(config))
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--config", str(path), "--out", out], capsys)
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        with pytest.raises(ConfigParseError, match="--seed"):
+            load_config(None, -1)
+        self._exits_2(["gen", "--seed", "-1", "--out", str(tmp_path / "ds")], capsys)
+
+    def test_negative_instance_seed(self, instance_doc, tmp_path, capsys):
+        doc = dict(instance_doc, seed=-1)
+        with pytest.raises(ConfigParseError, match="seed"):
+            instance_from_dict(doc)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "run")
+        self._exits_2(["rearrange", "--instance", str(path), "--out", out], capsys)
 
     def test_int_for_float_is_kept_as_written(self):
         cfg = from_dict(BenchConfig, {"sim": {"focal_px": 460, "actuation_sigma": 0}})

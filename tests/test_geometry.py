@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor.errors import BehindCamera, DegenerateObservation, NonPlanarEstimate
+from mvor.errors import BehindCamera, DegenerateObservation
 from mvor.geometry import CameraIntrinsics, PlanarTransform, Pose3
 
 
@@ -170,22 +170,22 @@ class TestPlanar:
         assert PlanarTransform(-np.pi, 0, 0).yaw == pytest.approx(np.pi)
 
 
-class TestPlanarError:
+class TestPlanarDistance:
     def test_exact_recovery(self):
         t = PlanarTransform(0.5, 0.1, -0.2)
-        assert geo.planar_error(geo.lift(t), t) == (0.0, 0.0)
+        assert geo.planar_distance(t, t) == (0.0, 0.0)
 
     def test_yaw_offset(self):
         truth = PlanarTransform(np.radians(30), 0.0, 0.0)
-        est = geo.lift(PlanarTransform(np.radians(33), 0.0, 0.0))
-        dtheta, dt = geo.planar_error(est, truth)
+        est = PlanarTransform(np.radians(33), 0.0, 0.0)
+        dtheta, dt = geo.planar_distance(est, truth)
         assert dtheta == pytest.approx(3.0, abs=1e-9)
         assert dt == pytest.approx(0.0, abs=1e-12)
 
     def test_wraparound(self):
         truth = PlanarTransform(np.radians(-179), 0.0, 0.0)
-        est = geo.lift(PlanarTransform(np.radians(179), 0.0, 0.0))
-        dtheta, _ = geo.planar_error(est, truth)
+        est = PlanarTransform(np.radians(179), 0.0, 0.0)
+        dtheta, _ = geo.planar_distance(est, truth)
         assert dtheta == pytest.approx(2.0, abs=1e-9)
 
     def test_invariant_to_full_turns(self):
@@ -193,24 +193,59 @@ class TestPlanarError:
         for _ in range(100):
             yaw = rng.uniform(-np.pi, np.pi)
             truth = PlanarTransform(yaw, 0.05, 0.05)
-            est = geo.lift(PlanarTransform(yaw + 2 * np.pi, 0.05, 0.05))
-            dtheta, dt = geo.planar_error(est, truth)
+            est = PlanarTransform(yaw + 2 * np.pi, 0.05, 0.05)
+            dtheta, dt = geo.planar_distance(est, truth)
             assert dtheta == pytest.approx(0.0, abs=1e-9)
             assert dt == pytest.approx(0.0, abs=1e-9)
 
-    def test_nonplanar_rejected(self):
-        tilted = Pose3(geo.axis_angle_to_matrix([np.radians(25), 0, 0]), [0, 0, 0])
-        with pytest.raises(NonPlanarEstimate):
-            geo.planar_error(tilted, PlanarTransform.identity())
-        lifted = Pose3(np.eye(3), [0, 0, 0.05])
-        with pytest.raises(NonPlanarEstimate):
-            geo.planar_error(lifted, PlanarTransform.identity())
-
     def test_translation_in_cm(self):
         truth = PlanarTransform(0.0, 0.0, 0.0)
-        est = geo.lift(PlanarTransform(0.0, 0.03, 0.04))
-        _, dt = geo.planar_error(est, truth)
+        est = PlanarTransform(0.0, 0.03, 0.04)
+        _, dt = geo.planar_distance(est, truth)
         assert dt == pytest.approx(5.0, abs=1e-9)
+
+
+_planar = st.builds(
+    PlanarTransform,
+    st.floats(-10.0, 10.0),
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+)
+
+
+def _assert_same_motion(a, b):
+    dtheta, dt = geo.planar_distance(a, b)
+    assert dtheta < 1e-9 and dt < 1e-9
+
+
+class TestPlanarProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(a=_planar, b=_planar)
+    def test_compose_invert_round_trips(self, a, b):
+        ident = PlanarTransform.identity()
+        _assert_same_motion(geo.planar_compose(a, geo.planar_invert(a)), ident)
+        _assert_same_motion(geo.planar_compose(geo.planar_invert(a), a), ident)
+        _assert_same_motion(geo.planar_invert(geo.planar_invert(a)), a)
+        _assert_same_motion(geo.planar_compose(geo.planar_compose(a, b), geo.planar_invert(b)), a)
+        _assert_same_motion(
+            geo.planar_invert(geo.planar_compose(a, b)),
+            geo.planar_compose(geo.planar_invert(b), geo.planar_invert(a)),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(yaw=st.floats(-10.0, 10.0))
+    def test_rot_z_negates_sine_exactly(self, yaw):
+        r = geo.rot_z(yaw)
+        s = np.sin(yaw)
+        assert r[1, 0] == s
+        if s != 0.0:
+            assert r[0, 1].tobytes() == (-s).tobytes()
+
+    def test_rot_z_of_zero_is_identity_bit_for_bit(self):
+        assert geo.rot_z(0.0).tobytes() == np.eye(3).tobytes()
+
+    def test_lifted_identity_has_no_negative_zero(self):
+        assert not np.signbit(geo.lift(PlanarTransform.identity()).matrix).any()
 
 
 class TestLookAt:

@@ -411,8 +411,7 @@ class TestSolvePose:
         m3d = lift_to_3d(m2d, goals[0], cand, 256)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
-        np.testing.assert_allclose(est.T.rotation, np.eye(3), atol=1e-6)
-        np.testing.assert_allclose(est.T.translation, 0.0, atol=1e-6)
+        np.testing.assert_allclose([est.offset.yaw, est.offset.tx, est.offset.ty], 0.0, atol=1e-6)
 
     def test_known_planar_motion(self, library, backend):
         offset = PlanarTransform(np.radians(40.0), 0.1, 0.0)
@@ -422,7 +421,7 @@ class TestSolvePose:
         _, goals = goal_regions_of(goal_scene, library, backend)
         est = estimate_object(goals[0], db, FeatureIdMatcher(), INTR, LCFG)
         assert est.accepted
-        dtheta, dt = geo.planar_error(est.T, offset)
+        dtheta, dt = geo.planar_distance(est.offset, offset)
         assert np.radians(dtheta) < 1e-6
         assert dt / 100.0 < 1e-6
 
@@ -444,7 +443,7 @@ class TestSolvePose:
                 est = estimate_object(goals[0], db, matcher, INTR, LCFG)
                 if not est.accepted:
                     continue
-                dtheta, dt = geo.planar_error(est.T, inst.true_offsets[0])
+                dtheta, dt = geo.planar_distance(est.offset, inst.true_offsets[0])
                 if dtheta < 1.0 and dt < 0.5:
                     passed += 1
         assert trials == 100
@@ -490,9 +489,9 @@ class TestPnPOracleEquivalence:
             assert (z > 0).all()
             r, t, mask = ransac_pnp(world, uv, INTR, seed=11)
             T = geo.compose(xi_q, Pose3(r, t))
-            dtheta, dt = geo.planar_error(T, truth)
-            assert np.radians(dtheta) < 1e-6
-            assert dt / 100.0 < 1e-6
+            T_true = geo.lift(truth)
+            assert geo.rotation_angle(T.rotation @ T_true.rotation.T) < 1e-6
+            assert np.linalg.norm(T.translation - T_true.translation) < 1e-6
             assert mask.all()
 
 
@@ -590,10 +589,12 @@ class TestPlanarSolver:
         m3d = lift_to_3d(matcher.match(goals[0].crop, cand.crop, 256), goals[0], cand, 256)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
-        assert est.T.rotation[2].tolist() == [0.0, 0.0, 1.0]
-        assert est.T.rotation[:, 2].tolist() == [0.0, 0.0, 1.0]
-        assert est.T.translation[2] == 0.0
-        dtheta, dt = geo.planar_error(est.T, inst.true_offsets[0])
+        assert isinstance(est.offset, PlanarTransform)
+        T = geo.lift(est.offset)  # the 4 x 4 matrix pose reports print
+        assert T.rotation[2].tolist() == [0.0, 0.0, 1.0]
+        assert T.rotation[:, 2].tolist() == [0.0, 0.0, 1.0]
+        assert T.translation[2] == 0.0
+        dtheta, dt = geo.planar_distance(est.offset, inst.true_offsets[0])
         assert dtheta < 0.5 and dt < 0.5
 
 
@@ -757,7 +758,7 @@ class TestDescriptorNNMatcher:
         matcher = DescriptorNNMatcher(library)
         est = estimate_object(goals[0], db, matcher, INTR, LCFG)
         assert est.accepted
-        dtheta, dt = geo.planar_error(est.T, offset)
+        dtheta, dt = geo.planar_distance(est.offset, offset)
         assert dtheta < 0.5 and dt < 0.5
 
     def test_matches_are_id_consistent(self, library, backend):
@@ -790,7 +791,7 @@ class TestEstimateAll:
         i2s = source_of_instance(db)
         for u, est in out.items():
             assert est.accepted
-            dtheta, dt = geo.planar_error(est.T, inst.true_offsets[i2s[u]])
+            dtheta, dt = geo.planar_distance(est.offset, inst.true_offsets[i2s[u]])
             assert dtheta < 1e-4 and dt < 1e-4
 
     def test_twin_models_resolved_to_distinct_instances(self, library, backend):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor.errors import NoBufferSpace, UnknownObject
-from mvor.geometry import PlanarTransform, Pose3
+from mvor.errors import CollisionAtTarget, NoBufferSpace, UnknownObject
+from mvor.geometry import PlanarTransform
 from mvor.localization import PoseEstimate
 from mvor.planner import (
     PlannerConfig,
@@ -18,10 +20,11 @@ from mvor.sim import (
     Rect,
     SceneState,
     SimConfig,
+    apply_move,
     generate_instance,
     generate_model_library,
 )
-from mvor.sim.scene import RearrangementInstance
+from mvor.sim.scene import RearrangementInstance, placement_conflict
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +72,7 @@ def instance_of(initial, goal, config=None):
 
 def exact_estimates(inst):
     return {
-        i: PoseEstimate(T=geo.lift(off), accepted=True, inlier_count=100, inlier_ratio=1.0)
+        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
         for i, off in enumerate(inst.true_offsets)
     }
 
@@ -100,6 +103,28 @@ class TestCheckCollision:
         scene = scene_of([PlanarTransform(0, 0, 0)])
         with pytest.raises(UnknownObject):
             check_collision(scene, library, 3, PlanarTransform(0, 0, 0), 0.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        centers=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), min_size=1, max_size=4),
+        target=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+        index=st.integers(0, 3),
+        margin=st.floats(0.0, 0.05),
+    )
+    def test_agrees_with_apply_move(self, library, centers, target, index, margin):
+        """A move the planner checks at zero margin is exactly a move
+        ``apply_move`` executes, and a margin only adds collisions."""
+        scene = scene_of([PlanarTransform(0.0, x, y) for x, y in centers])
+        index %= scene.num_objects
+        pose = PlanarTransform(0.3, *target)
+        blocked = check_collision(scene, library, index, pose, 0.0)
+        if blocked:
+            conflict = placement_conflict(scene, library, index, pose)
+            with pytest.raises(CollisionAtTarget, match=conflict):
+                apply_move(scene, library, index, pose)
+        else:
+            assert apply_move(scene, library, index, pose).placements[index].pose == pose
+        assert check_collision(scene, library, index, pose, margin) >= blocked
 
 
 def assert_planar_close(a, b, tol=1e-12):
@@ -210,7 +235,7 @@ class TestPlanAndExecute:
         initial = scene_of([PlanarTransform(0.0, -0.2, 0.0)])
         goal = scene_of([PlanarTransform(1.0, 0.2, 0.2)])
         inst = instance_of(initial, goal)
-        estimates = {0: PoseEstimate(T=Pose3.identity(), accepted=False)}
+        estimates = {0: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)}
         result = plan_and_execute(inst, estimates, library)
         assert not result.completed
         assert result.goal_moves[0] == 0

@@ -381,6 +381,15 @@ class TestApplyMove:
         with pytest.raises(CollisionAtTarget):
             apply_move(scene, library, 0, PlanarTransform(0.0, 0.2, 0.0))
 
+    def test_has_collisions(self, library):
+        def scene(*xs):
+            poses = (PlanarTransform(0.0, x, 0.0) for x in xs)
+            return SceneState(Rect(-0.5, -0.5, 0.5, 0.5), tuple(map(Placement, range(len(xs)), poses)))
+
+        assert not scene(-0.2, 0.2).has_collisions(library)
+        assert scene(-0.02, 0.02).has_collisions(library)
+        assert scene(-0.2, 0.49).has_collisions(library)
+
     def test_off_table_rejected(self, library):
         scene = single_object_scene(library)
         with pytest.raises(CollisionAtTarget):
