@@ -15,10 +15,13 @@ config = SimConfig(object_count_min=4, object_count_max=6, seed=42)
 library = generate_model_library(config)
 
 print(f"model library: {len(library)} models (seed {library.seed})")
-for m in library.models[:4]:
+# the library is one set of columns: per-model family and footprint
+# radius, and every model's points concatenated, cut by point_offsets
+for m in range(4):
     print(
-        f"  model {m.model_id} [{m.family:8s}] {m.num_points} surface points, "
-        f"footprint radius {m.footprint_radius * 100:.1f} cm"
+        f"  model {m} [{library.family[m]:8s}] "
+        f"{library.point_offsets[m + 1] - library.point_offsets[m]} surface points, "
+        f"footprint radius {library.footprint_radius[m] * 100:.1f} cm"
     )
 
 instance = generate_instance(config, library, seed=42)

@@ -9,7 +9,9 @@ checkout that holds this script:
 - ``bench-completion``: 3 scenes, minor and full, 3 mm actuation;
 - ``gen`` of 2 instances (3 mm actuation in their config), then for each
   instance ``build-db`` on the ring and on the home view, ``localize``
-  against both databases, and ``rearrange``.
+  against both databases, and ``rearrange``;
+- ``localize`` of the first instance against its ring database with the
+  ``descriptor_nn`` matcher, which reads the library's point descriptors.
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
@@ -40,6 +42,7 @@ CONFIGS = {
     },
     "completion.json": {"scenes": 3, "sim": {"actuation_sigma": 0.003}},
     "scene.json": {"sim": {"actuation_sigma": 0.003}},
+    "nn.json": {"localization": {"matcher": "descriptor_nn"}},
 }
 INSTANCES = 2
 
@@ -60,6 +63,8 @@ def commands() -> list[list[str]]:
                          "--instance", inst, "--out", f"poses_{seed}_{view}.json"])
         cmds.append(["rearrange", "--config", "scene.json", "--instance", inst,
                      "--out", f"rearrange_{seed}"])
+    cmds.append(["localize", "--config", "nn.json", "--db", "db_0_ring.npz",
+                 "--instance", "dataset/instance_00000000.json", "--out", "poses_0_ring_nn.json"])
     return cmds
 
 

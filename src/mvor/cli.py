@@ -71,7 +71,10 @@ def _load_or_generate_instance(cfg: BenchConfig, args):
 
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.seed)
-    count = args.count or cfg.scenes
+    count = cfg.scenes if args.count is None else args.count
+    if count < 1:
+        source = "config scenes" if args.count is None else "--count"
+        raise ConfigParseError(f"{source}: gen needs at least 1 instance, got {count}")
     library = generate_model_library(cfg.sim)
     instances = [
         generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
@@ -138,11 +141,12 @@ def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
     inst = load_instance(args.instance)
-    if header.get("library_seed") != inst.config.library_seed:
-        raise MvorError(
-            f"database built against library seed {header.get('library_seed')}, "
-            f"instance uses {inst.config.library_seed}"
-        )
+    for key in ("library_seed", "library_size"):
+        if header.get(key) != getattr(inst.config, key):
+            raise MvorError(
+                f"database built against {key} {header.get(key)}, "
+                f"instance uses {getattr(inst.config, key)}"
+            )
     library = generate_model_library(inst.config)
     backend = cfg.perception.make_backend(library)
     matcher = cfg.localization.make_matcher(library)

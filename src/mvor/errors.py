@@ -28,6 +28,10 @@ class EmptyFrame(MvorError):
     """Rendering produced no visible points."""
 
 
+class UnknownFeature(MvorError):
+    """A feature id names no point of the model library."""
+
+
 # perception / database
 class EmptyRegion(MvorError):
     """Region mask contains zero pixels."""

@@ -291,27 +291,32 @@ class _Model(NamedTuple):
     refit: Callable
 
 
-def _ransac(model: _Model, n, iterations, threshold_px, confidence, seed):
-    """The seeded RANSAC loop shared by every model: minimal samples drawn
-    with ``rng.choice``, inlier scoring by reprojection, confidence-based
-    early exit (ties broken by earliest iteration), then up to three refits
-    on the consensus set. Returns (hypothesis, inlier mask)."""
+def _sample_consensus(model: _Model, n, iterations, thr2, confidence, seed, polish):
+    """The seeded sampling loop: minimal samples drawn with ``rng.choice``,
+    inlier scoring by reprojection, confidence-based early exit (ties
+    broken by earliest iteration). With ``polish`` each minimal hypothesis
+    is first refit on its own sample. Returns (hypothesis, inlier mask,
+    solved), the hypothesis None when no sample had an inlier, ``solved``
+    whether any sample was non-degenerate."""
     s = model.sample_size
-    if n < s:
-        raise TooFewCorrespondences(f"{n} correspondences, need >= {s}")
     rng = np.random.default_rng(seed)
-    thr2 = threshold_px**2
-
     best_mask = None
     best_count = 0
     best_hyp = None
+    solved = False
     needed = iterations
     it = 0
     while it < min(iterations, needed):
         it += 1
-        hyp = model.solve(rng.choice(n, size=s, replace=False))
+        sample = rng.choice(n, size=s, replace=False)
+        hyp = model.solve(sample)
         if hyp is None:
             continue
+        solved = True
+        if polish:
+            sample_mask = np.zeros(n, dtype=bool)
+            sample_mask[sample] = True
+            hyp = model.refit(hyp, sample_mask)
         mask = model.sq_errors(hyp) <= thr2
         count = int(mask.sum())
         if count > best_count:
@@ -321,9 +326,36 @@ def _ransac(model: _Model, n, iterations, threshold_px, confidence, seed):
                 needed = it
             else:
                 needed = int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - w**s)))
+    return best_hyp, best_mask, solved
 
-    if best_hyp is None:
+
+def _ransac(model: _Model, n, iterations, threshold_px, confidence, seed):
+    """The seeded RANSAC loop shared by every model: :func:`_sample_consensus`,
+    then up to three refits on the consensus set. Returns (hypothesis,
+    inlier mask).
+
+    A minimal solve fits its sample's noise exactly, so on close-set pairs
+    it can miss every pair, its own included, by more than the threshold.
+    When no sample has a single inlier, the loop runs again with each
+    minimal hypothesis refit on its sample; a search that already found
+    consensus is not repeated, so its result does not change."""
+    s = model.sample_size
+    if n < s:
+        raise TooFewCorrespondences(f"{n} correspondences, need >= {s}")
+    thr2 = threshold_px**2
+    best_hyp, best_mask, solved = _sample_consensus(
+        model, n, iterations, thr2, confidence, seed, polish=False
+    )
+    if not solved:
         raise DegenerateGeometry(f"no non-degenerate {s}-point sample found")
+    if best_hyp is None:
+        best_hyp, best_mask, _ = _sample_consensus(
+            model, n, iterations, thr2, confidence, seed, polish=True
+        )
+    if best_hyp is None:
+        raise DegenerateGeometry(
+            f"no {s}-point sample reprojects any pair within {threshold_px} px"
+        )
 
     # refit on the consensus set, re-scoring until the inlier set stabilizes;
     # a small slack lets the least-squares fit shed lucky borderline inliers
@@ -362,7 +394,8 @@ def ransac_pnp(
 
     Returns (R, t, inlier_mask) with R, t mapping world -> camera frame.
     Raises TooFewCorrespondences (< 4 pairs) or DegenerateGeometry (every
-    sampled set too close to collinear across all iterations).
+    sampled set too close to collinear across all iterations, or no sample
+    reprojecting any pair within the threshold).
     """
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
@@ -476,7 +509,8 @@ def ransac_planar(
 
     Returns (PlanarTransform, inlier_mask). Raises TooFewCorrespondences
     (< 2 pairs) or DegenerateGeometry (every sampled pair singular, as when
-    all pairs share one (x, y)).
+    all pairs share one (x, y), or no sample reprojecting any pair within
+    the threshold).
     """
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)

@@ -20,6 +20,7 @@ from ..errors import ClusterCountInfeasible, IOFailure, NoRegions
 from ..geometry import Pose3, observation_vector
 from ..serialize import check_bounds
 from .cluster import kmeans
+from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, RegionCrop, extract_regions
 
 DB_FORMAT = "mvor-db"
@@ -64,19 +65,8 @@ class PerceptionConfig:
                 f"pool_grid={self.pool_grid}"
             )
 
-    def make_backend(self, library):
-        from .descriptor import GridPooledDescriptor
-
-        return GridPooledDescriptor(
-            library,
-            dim=self.descriptor_dim,
-            norm_resolution=self.norm_resolution,
-            pool_grid=self.pool_grid,
-            grid_weight=self.grid_weight,
-            obs_bins=self.obs_bins,
-            obs_weight=self.obs_weight,
-            projection_seed=self.projection_seed,
-        )
+    def make_backend(self, library) -> GridPooledDescriptor:
+        return GridPooledDescriptor(library, self)
 
 
 def _column(rows: str, tail: tuple = (), kind: str = "f"):

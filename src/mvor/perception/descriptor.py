@@ -11,14 +11,18 @@ identities, robust to viewpoint change) is concatenated with per-cell
 pooled blocks over a coarse spatial grid of the normalized crop (sensitive
 to arrangement, sharpening the ranking among views of one object) and a
 soft binned encoding of the observation direction. The concatenation goes
-through a fixed seeded random projection and is normalized. Swappable:
-anything with an ``extract(region) -> (d,) unit vector`` method stands in.
+through a fixed seeded random projection and is normalized. Every
+setting (dimension, normalized resolution, pooling grid and weight,
+observation bins and weight, projection seed) is read from the
+PerceptionConfig the backend is built from. Swappable: anything with an
+``extract(region) -> (d,) unit vector`` method stands in.
 
 Pooling is count-weighted over distinct (feature, cell) pairs: the filled
 samples of the normalized grid repeat each visible feature many times, so
-each distinct feature's point descriptor is looked up once and the cell
-sums are one (cells x features) count matrix times those descriptors; the
-whole-crop block is the sum of the cell blocks.
+each distinct feature's point descriptor is looked up once, in one gather
+from the library's descriptor column, and the cell sums are one
+(cells x features) count matrix times those descriptors; the whole-crop
+block is the sum of the cell blocks.
 """
 
 from __future__ import annotations
@@ -30,32 +34,21 @@ from .regions import ObjectRegion
 
 
 class GridPooledDescriptor:
-    def __init__(
-        self,
-        library,
-        dim: int = 512,
-        norm_resolution: int = 64,
-        pool_grid: int = 4,
-        grid_weight: float = 0.4,
-        obs_bins: int = 8,
-        obs_weight: float = 0.1,
-        projection_seed: int = 20240,
-    ):
+    """The descriptor backend of ``library``, with the dimension, pooling,
+    observation encoding and projection seed of ``config``, a
+    PerceptionConfig."""
+
+    def __init__(self, library, config):
         self.library = library
-        self.dim = dim
-        self.norm_resolution = norm_resolution
-        self.pool_grid = pool_grid
-        self.grid_weight = grid_weight
-        self.obs_bins = obs_bins
-        self.obs_weight = obs_weight
-        d_pt = library.models[0].point_descriptors.shape[1]
-        in_dim = d_pt + pool_grid * pool_grid * d_pt + obs_bins
-        rng = np.random.default_rng(projection_seed)
-        self.projection = rng.normal(size=(in_dim, dim)) / np.sqrt(in_dim)
-        self._bin_centers = 2.0 * np.pi * np.arange(obs_bins) / obs_bins
+        self.config = config
+        d_pt = library.point_descriptors.shape[1]
+        in_dim = d_pt + config.pool_grid * config.pool_grid * d_pt + config.obs_bins
+        rng = np.random.default_rng(config.projection_seed)
+        self.projection = rng.normal(size=(in_dim, config.descriptor_dim)) / np.sqrt(in_dim)
+        self._bin_centers = 2.0 * np.pi * np.arange(config.obs_bins) / config.obs_bins
 
     def _pooled_appearance(self, region: ObjectRegion) -> np.ndarray:
-        res, g = self.norm_resolution, self.pool_grid
+        res, g = self.config.norm_resolution, self.config.pool_grid
         rr, cc, valid = region.crop.pad_map(res).source_index_grid()
         h, w = region.crop.shape
         fids = np.where(
@@ -77,14 +70,14 @@ class GridPooledDescriptor:
         whole /= np.linalg.norm(whole)
 
         cells = cells.ravel()
-        cells *= self.grid_weight / np.linalg.norm(cells)
+        cells *= self.config.grid_weight / np.linalg.norm(cells)
         return np.concatenate([whole, cells])
 
     def _obs_encoding(self, obs_dir: np.ndarray) -> np.ndarray:
         az = np.arctan2(obs_dir[1], obs_dir[0])
         enc = np.maximum(0.0, np.cos(az - self._bin_centers)) ** 2
         n = np.linalg.norm(enc)
-        return (enc / n if n > 0 else enc) * self.obs_weight
+        return (enc / n if n > 0 else enc) * self.config.obs_weight
 
     def extract(self, region: ObjectRegion) -> np.ndarray:
         if region.obs_dir is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 
 from .errors import ConfigParseError, IOFailure
@@ -28,7 +29,8 @@ def from_dict(cls, data, path: str = "config"):
 
     Unknown keys are an error: configs are echoed into results files, so a
     silently ignored typo would corrupt reproducibility. Each scalar value
-    must have its field's type (a bool is not a number), and a class with a
+    must have its field's type (a bool is not a number, and a float must be
+    finite: Python's json reads NaN and Infinity), and a class with a
     ``validate()`` method is validated; every failure raises
     ConfigParseError.
     """
@@ -51,14 +53,25 @@ def from_dict(cls, data, path: str = "config"):
             raise ConfigParseError(
                 f"{path}.{name}: expected {hint.__name__}, got {type(value).__name__}"
             )
+        if hint is float and not is_finite(value):
+            raise ConfigParseError(f"{path}.{name}: {value!r} is not a finite number")
         kwargs[name] = value
     try:
         obj = cls(**kwargs)
         if hasattr(obj, "validate"):
             obj.validate()
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigParseError(f"{path}: {e}") from e
     return obj
+
+
+def is_finite(value) -> bool:
+    """Whether a JSON number is a finite float; NaN, the infinities and an
+    int too large for a float are not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_bounds(obj, bounds: dict) -> None:

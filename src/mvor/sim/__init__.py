@@ -1,5 +1,5 @@
 from .config import SimConfig
-from .models import FEATURE_ID_STRIDE, ModelLibrary, ObjectModel, generate_model_library
+from .models import FEATURE_ID_STRIDE, ModelLibrary, generate_model_library
 from .render import Frame, empty_frame, ground_truth_segmenter, render, segment
 from .scene import (
     Placement,
@@ -20,7 +20,6 @@ __all__ = [
     "SimConfig",
     "FEATURE_ID_STRIDE",
     "ModelLibrary",
-    "ObjectModel",
     "generate_model_library",
     "Frame",
     "empty_frame",

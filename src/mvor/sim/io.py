@@ -5,8 +5,9 @@ model-library reference (seed + size), initial and goal placements, the
 per-object true planar offsets, the viewpoint poses as 4x4 row-major
 matrices, and a full config echo. Floats round-trip bit-exactly through
 JSON because Python serializes them via repr. Loading checks the presence
-and type of every member, the config's values and that every model id lies
-in the library, and raises ConfigParseError on a malformed document.
+and type of every member, that every number is finite, that the table
+bounds are ordered, the config's values and that every model id lies in
+the library, and raises ConfigParseError on a malformed document.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigParseError
 from ..geometry import PlanarTransform, Pose3
-from ..serialize import dump_json, from_dict, load_json, to_dict
+from ..serialize import dump_json, from_dict, is_finite, load_json, to_dict
 from .config import SimConfig
 from .scene import Placement, RearrangementInstance, Rect, SceneState
 
@@ -69,7 +70,8 @@ def instance_to_dict(inst: RearrangementInstance) -> dict:
 
 def _conforms(value, schema) -> bool:
     """``schema``: a type, a dict of member schemas, a tuple (fixed-length
-    list) or a one-item list (list of any length)."""
+    list) or a one-item list (list of any length). A float must be finite:
+    Python's json reads NaN and Infinity."""
     if isinstance(schema, dict):
         return isinstance(value, dict) and all(_conforms(value.get(k), schema[k]) for k in schema)
     if isinstance(schema, (tuple, list)):
@@ -78,7 +80,11 @@ def _conforms(value, schema) -> bool:
         items = schema if isinstance(schema, tuple) else schema * len(value)
         return len(value) == len(items) and all(map(_conforms, value, items))
     kind = {int: numbers.Integral, float: numbers.Real}.get(schema, schema)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (schema is not float or is_finite(value))
+    )
 
 
 _PLANAR = {"yaw": float, "tx": float, "ty": float}
@@ -106,7 +112,13 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
         raise ConfigParseError(f"unsupported instance version {data.get('version')!r}")
     for name, schema in _MEMBERS.items():
         if not _conforms(data.get(name), schema):
-            raise ConfigParseError(f"instance member {name!r} is missing or malformed")
+            raise ConfigParseError(f"instance member {name!r} is missing, malformed or not finite")
+    xmin, ymin, xmax, ymax = data["table_bounds"]
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigParseError(
+            f"instance member 'table_bounds' {data['table_bounds']} is not "
+            "[xmin, ymin, xmax, ymax] with xmin < xmax and ymin < ymax"
+        )
     if data["seed"] < 0:
         raise ConfigParseError(f"instance member 'seed' is negative ({data['seed']})")
     if not len(data["initial"]) == len(data["goal"]) == len(data["true_offsets"]):

@@ -1,9 +1,15 @@
-"""Procedural tabletop object models.
+"""Procedural tabletop object models, held as one set of columns.
 
 Each model is a point-sampled surface: local-frame points with outward
-normals, a globally unique feature id per point, and a fixed random unit
-descriptor per point. The feature ids and descriptors are what the
-perception stack can observe and match on; geometry is what it must infer.
+normals and a fixed random unit descriptor per point. A point's feature id
+is ``model * FEATURE_ID_STRIDE + row`` (its row within its model); the
+feature ids and descriptors are what the perception stack can observe and
+match on, geometry is what it must infer.
+
+``ModelLibrary`` stores the models as columns: ``family`` and
+``footprint_radius`` hold one row per model, and ``points``, ``normals``
+and ``point_descriptors`` concatenate every model's points, model ``m``
+holding rows ``point_offsets[m]:point_offsets[m + 1]``.
 
 Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
@@ -15,55 +21,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import UnknownFeature
+
 # Feature ids are model_id * FEATURE_ID_STRIDE + point index, so they are
 # unique across the library and the owning model is recoverable by division.
 FEATURE_ID_STRIDE = 1_000_000
 
-
-@dataclass
-class ObjectModel:
-    model_id: int
-    family: str
-    points: np.ndarray  # (M,3)
-    normals: np.ndarray  # (M,3), unit rows
-    point_feature_ids: np.ndarray  # (M,) int64
-    point_descriptors: np.ndarray  # (M,d_pt), unit rows
-    footprint_radius: float
-
-    @property
-    def num_points(self) -> int:
-        return self.points.shape[0]
+FAMILIES = ("box", "cylinder", "l_prism")
 
 
 @dataclass
 class ModelLibrary:
-    models: list[ObjectModel]
+    family: np.ndarray  # (L,) str
+    footprint_radius: np.ndarray  # (L,) float64
+    point_offsets: np.ndarray  # (L+1,) int64; model m: rows o[m]:o[m+1]
+    points: np.ndarray  # (P,3) local frame
+    normals: np.ndarray  # (P,3) unit rows
+    point_descriptors: np.ndarray  # (P,d_pt) unit rows
     seed: int
 
     def __len__(self) -> int:
-        return len(self.models)
-
-    def model(self, model_id: int) -> ObjectModel:
-        return self.models[model_id]
+        return len(self.family)
 
     def descriptors_for(self, feature_ids: np.ndarray) -> np.ndarray:
-        """Look up the fixed per-point descriptors for an array of feature ids."""
+        """The fixed per-point descriptors of an array of feature ids, as one
+        gather; an id that names no library point raises UnknownFeature."""
         feature_ids = np.asarray(feature_ids)
-        model_ids = feature_ids // FEATURE_ID_STRIDE
-        local = feature_ids % FEATURE_ID_STRIDE
-        d = self.models[0].point_descriptors.shape[1]
-        out = np.empty((feature_ids.shape[0], d))
-        for mid in np.unique(model_ids):
-            sel = model_ids == mid
-            out[sel] = self.models[int(mid)].point_descriptors[local[sel]]
-        return out
-
-    def max_footprint_radius(self) -> float:
-        return max(m.footprint_radius for m in self.models)
-
-
-def _unit_rows(a):
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+        model, local = np.divmod(feature_ids, FEATURE_ID_STRIDE)
+        known = (model >= 0) & (model < len(self))
+        model = np.where(known, model, 0)
+        rows = self.point_offsets[model] + local
+        known &= rows < self.point_offsets[model + 1]
+        if not known.all():
+            bad = feature_ids[~known][:5].tolist()
+            raise UnknownFeature(
+                f"feature ids {bad} name no point of the {len(self)}-model library"
+            )
+        return self.point_descriptors[rows]
 
 
 def _allocate(total: int, areas: np.ndarray) -> np.ndarray:
@@ -169,36 +163,48 @@ def generate_model_library(config) -> ModelLibrary:
     Deterministic in config.library_seed. Families cycle box / cylinder /
     L-prism so the set contains both rotationally symmetric geometry
     (cylinders, identifiable only through surface features) and asymmetric
-    geometry.
+    geometry. The descriptor column, the bulk of the library, is drawn in
+    place; it is reallocated only when the models sample more than
+    ``model_points`` points each.
     """
     rng = np.random.default_rng(config.library_seed)
-    models = []
-    for mid in range(config.library_size):
-        family = ("box", "cylinder", "l_prism")[mid % 3]
-        if family == "box":
+    n = config.library_size
+    family = np.array([FAMILIES[mid % 3] for mid in range(n)])
+    radius = np.empty(n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    points, normals = [], []
+    descriptors = np.empty((n * config.model_points, config.point_descriptor_dim))
+    for mid in range(n):
+        if family[mid] == "box":
             w, d = rng.uniform(0.05, 0.09, 2)
             h = rng.uniform(0.04, 0.08)
-            pts, nrms, radius = _sample_box(rng, w, d, h, config.model_points)
-        elif family == "cylinder":
+            pts, nrms, radius[mid] = _sample_box(rng, w, d, h, config.model_points)
+        elif family[mid] == "cylinder":
             r = rng.uniform(0.025, 0.045)
             h = rng.uniform(0.04, 0.08)
-            pts, nrms, radius = _sample_cylinder(rng, r, h, config.model_points)
+            pts, nrms, radius[mid] = _sample_cylinder(rng, r, h, config.model_points)
         else:
             a, b = rng.uniform(0.06, 0.09, 2)
             ta, tb = rng.uniform(0.025, 0.04, 2)
             h = rng.uniform(0.035, 0.07)
-            pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
-        m = pts.shape[0]
-        descriptors = _unit_rows(rng.normal(size=(m, config.point_descriptor_dim)))
-        models.append(
-            ObjectModel(
-                model_id=mid,
-                family=family,
-                points=pts,
-                normals=nrms,
-                point_feature_ids=np.arange(m, dtype=np.int64) + mid * FEATURE_ID_STRIDE,
-                point_descriptors=descriptors,
-                footprint_radius=radius,
-            )
-        )
-    return ModelLibrary(models=models, seed=config.library_seed)
+            pts, nrms, radius[mid] = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
+        points.append(pts)
+        normals.append(nrms)
+        o0 = offsets[mid]
+        o1 = offsets[mid + 1] = o0 + len(pts)
+        if o1 > len(descriptors):
+            grown = np.empty((max(o1, 2 * len(descriptors)), descriptors.shape[1]))
+            grown[:o0] = descriptors[:o0]
+            descriptors = grown
+        block = descriptors[o0:o1]
+        rng.standard_normal(out=block)
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    return ModelLibrary(
+        family=family,
+        footprint_radius=radius,
+        point_offsets=offsets,
+        points=np.vstack(points),
+        normals=np.vstack(normals),
+        point_descriptors=descriptors[: offsets[-1]],
+        seed=config.library_seed,
+    )

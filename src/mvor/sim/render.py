@@ -21,7 +21,7 @@ from scipy import ndimage
 
 from ..errors import EmptyFrame
 from ..geometry import CameraIntrinsics, Pose3, invert, project_points, rot_z
-from .models import ModelLibrary
+from .models import FEATURE_ID_STRIDE, ModelLibrary
 from .scene import SceneState
 
 
@@ -80,11 +80,12 @@ def render(
 
     uv_all, z_all, fid_all, inst_all, view_all = [], [], [], [], []
     for idx, placement in enumerate(scene.placements):
-        model = library.model(placement.model_id)
+        m = placement.model_id
+        rows = slice(library.point_offsets[m], library.point_offsets[m + 1])
         rz = rot_z(placement.pose.yaw)
         shift = np.array([placement.pose.tx, placement.pose.ty, 0.0])
-        pw = model.points @ rz.T + shift
-        nw = model.normals @ rz.T
+        pw = library.points[rows] @ rz.T + shift
+        nw = library.normals[rows] @ rz.T
         facing = np.einsum("ij,ij->i", cam_center - pw, nw) > 0.0
         if not facing.any():
             continue
@@ -103,7 +104,7 @@ def render(
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
         uv_all.append(uv[ok])
         z_all.append(z[ok])
-        fid_all.append(model.point_feature_ids[facing][ok])
+        fid_all.append(m * FEATURE_ID_STRIDE + np.flatnonzero(facing)[ok])
         inst_all.append(np.full(int(ok.sum()), idx, dtype=np.int32))
         view_all.append(rays @ rz)  # world->object-local rotation
 

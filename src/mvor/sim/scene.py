@@ -56,10 +56,8 @@ class SceneState:
 
     def footprints(self, library: ModelLibrary) -> list[tuple[float, float, float]]:
         """(x, y, radius) per object."""
-        return [
-            (p.pose.tx, p.pose.ty, library.model(p.model_id).footprint_radius)
-            for p in self.placements
-        ]
+        radii = library.footprint_radius[[p.model_id for p in self.placements]]
+        return [(p.pose.tx, p.pose.ty, r) for p, r in zip(self.placements, radii.tolist())]
 
     def has_collisions(self, library: ModelLibrary) -> bool:
         return any(
@@ -138,7 +136,7 @@ def generate_instance(
     if n > len(library):
         raise PlacementFailure(f"scene needs {n} distinct models, library has {len(library)}")
     model_ids = [int(m) for m in rng.choice(len(library), size=n, replace=False)]
-    radii = [library.model(m).footprint_radius for m in model_ids]
+    radii = library.footprint_radius[model_ids].tolist()
 
     goal_placed: list[tuple[float, float, float]] = []
     goal_poses: list[PlanarTransform] = []
@@ -183,7 +181,7 @@ def placement_conflict(
     """What placing the object at ``object_index`` on ``target``, its
     footprint grown by ``margin``, runs into (the table edge or another
     object's footprint), or None when the placement is free."""
-    grown = library.model(scene.placements[object_index].model_id).footprint_radius + margin
+    grown = float(library.footprint_radius[scene.placements[object_index].model_id]) + margin
     if not scene.table_bounds.contains_disc(target.tx, target.ty, grown):
         return "target footprint leaves the table"
     for j, (x, y, r) in enumerate(scene.footprints(library)):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvor import geometry as geo
 from mvor import bench
@@ -363,6 +365,30 @@ class TestCliInstanceFiles:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_localize_rejects_other_library_size(self, files, tmp_path, capsys):
+        """The database comes from the 12-model library of seed 7; an
+        instance on a 4-model library of the same seed once reached
+        descriptors_for with the database's feature ids."""
+        cfg = SimConfig(library_size=4, object_count_min=1, object_count_max=1)
+        inst = generate_instance(cfg, generate_model_library(cfg), seed=0)
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        nn = tmp_path / "nn.json"
+        nn.write_text(json.dumps({"localization": {"matcher": "descriptor_nn"}}))
+        argv = ["localize", "--config", str(nn), "--db", str(files / "db.npz"),
+                "--instance", str(path), "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "library_size" in capsys.readouterr().err
+
+
+# values that replace one member of a valid instance document when fuzzing
+FUZZ_VALUES = st.sampled_from(
+    [None, True, -1, 0, 7, 10**400, 2.5, -0.5, float("nan"), float("inf"), -float("inf"),
+     "x", [], {}, [0.5, 0.5, -0.5, -0.5]]
+)
+
+
 class TestCliMalformedValues:
     """Out-of-range or ill-typed values raise ConfigParseError when the
     instance or config is loaded, and the CLI exits 2 with a diagnostic."""
@@ -385,6 +411,13 @@ class TestCliMalformedValues:
             ("goal", "model_id", 12),  # library_size 12: ids 0..11
             ("config", "image_width", "abc"),
             ("config", "focal_px", -5.0),
+            ("config", "table_width", float("nan")),
+            ("config", "image_width", 10**400),  # was an OverflowError
+            ("initial", "yaw", float("nan")),  # was accepted, exit 0
+            ("goal", "tx", float("inf")),
+            ("true_offsets", "ty", -float("inf")),
+            ("home_viewpoint", 2, float("nan")),  # was accepted, exit 0
+            ("ring_viewpoints", 1, [0.0, 0.0, float("nan"), 0.0]),
         ],
     )
     def test_instance_value(self, instance_doc, member, key, value, tmp_path, capsys):
@@ -396,6 +429,47 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(doc))
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--instance", str(path), "--out", out], capsys)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [0.5, 0.5, -0.5, -0.5],  # was a ValueError from find_buffer_pose
+            [-0.5, -0.5, -0.5, 0.5],
+            [-0.5, 0.2, 0.5, 0.2],
+        ],
+    )
+    def test_unordered_table_bounds(self, instance_doc, bounds, tmp_path, capsys):
+        doc = dict(instance_doc, table_bounds=bounds)
+        with pytest.raises(ConfigParseError, match="table_bounds"):
+            instance_from_dict(doc)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "run")
+        self._exits_2(["rearrange", "--instance", str(path), "--out", out], capsys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_instance_raises_only_config_parse_error(self, instance_doc, data):
+        """Replace or delete one entry anywhere in a valid document: loading
+        either succeeds or raises ConfigParseError, never anything else."""
+        doc = copy.deepcopy(instance_doc)
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                node = child
+            elif isinstance(node, dict) and data.draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = data.draw(FUZZ_VALUES)
+                break
+        try:
+            instance_from_dict(doc)
+        except ConfigParseError:
+            pass
 
     @pytest.mark.parametrize(
         "config",
@@ -419,6 +493,8 @@ class TestCliMalformedValues:
             {"base_seed": -1},
             {"sim": {"seed": -1}},
             {"sim": {"library_seed": -1}},
+            {"sim": {"table_width": float("nan")}},  # was an OverflowError from the sampler
+            {"localization": {"sigma_px": float("inf")}},  # was accepted
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):
@@ -428,6 +504,13 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(config))
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--config", str(path), "--out", out], capsys)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_gen_count_below_one(self, count, tmp_path, capsys):
+        # --count 0 once wrote the config's 50 instances, -2 an empty dataset
+        out = tmp_path / "ds"
+        self._exits_2(["gen", "--count", count, "--out", str(out)], capsys)
+        assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         with pytest.raises(ConfigParseError, match="--seed"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
@@ -395,8 +395,8 @@ class TestLiftTo3D:
         scene = make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         goal, cand, m2d = self._matched_pair(library, backend, scene)
         m3d = lift_to_3d(m2d, goal, cand, 256)
-        model = library.model(2)
-        surface = geo.lift(scene.placements[0].pose).apply(model.points)
+        o = library.point_offsets
+        surface = geo.lift(scene.placements[0].pose).apply(library.points[o[2] : o[3]])
         for w in m3d.world[:: max(1, len(m3d) // 50)]:
             assert np.min(np.linalg.norm(surface - w, axis=1)) < 1e-6
 
@@ -540,6 +540,8 @@ class TestPlanarSolver:
         n=st.integers(10, 80),
         seed=st.integers(0, 2**32 - 1),
     )
+    # no unpolished 2-pair solve reprojects a single pair within 2 px here
+    @example(view=VIEWS[0], truth=PlanarTransform(1.125, 0.0, 0.0), n=10, seed=2460)
     def test_reported_inliers_verify(self, view, truth, n, seed):
         world, uv = planar_pairs(view, truth, n, seed)
         rng = np.random.default_rng(seed)

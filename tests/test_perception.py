@@ -99,11 +99,11 @@ class TestExtractRegions:
         regions = extract_regions(frame, segment(frame))
         assert len(regions) == 1
         reg = regions[0]
-        model = library.model(1)
-        world_pts = geo.lift(scene.placements[0].pose).apply(model.points)
+        o = library.point_offsets
+        world_pts = geo.lift(scene.placements[0].pose).apply(library.points[o[1] : o[2]])
         seen_ids = frame.feature_ids
-        id_to_row = {int(f): i for i, f in enumerate(model.point_feature_ids)}
-        expect = np.stack([world_pts[id_to_row[int(f)]] for f in seen_ids])
+        assert np.all(seen_ids // FEATURE_ID_STRIDE == 1)
+        expect = world_pts[seen_ids - FEATURE_ID_STRIDE]
         got = reg.cloud
         assert got.shape == expect.shape
         d = np.linalg.norm(np.sort(got, axis=0) - np.sort(expect, axis=0), axis=1)
@@ -256,6 +256,18 @@ class TestDescriptor:
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
 
+    def test_settings_come_from_the_config(self, library):
+        cfg = PerceptionConfig(
+            descriptor_dim=32, norm_resolution=32, pool_grid=2, obs_bins=4, projection_seed=3
+        )
+        small = cfg.make_backend(library)
+        d_pt = library.point_descriptors.shape[1]
+        assert small.projection.shape == (d_pt + 2 * 2 * d_pt + 4, 32)
+        reg = self._region(library, make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))]))
+        y = small.extract(reg)
+        assert y.shape == (32,)
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+
     def test_scale_invariance(self, library, backend):
         scene = make_scene([Placement(4, PlanarTransform(-0.2, 0.0, 0.0))])
         reg = self._region(library, scene)
@@ -304,7 +316,7 @@ def reference_pooled(backend, region):
     """Pooling as first written: one point descriptor per filled grid sample,
     scattered into the grid cells with np.add.at. None when no grid sample
     is filled."""
-    res, g = backend.norm_resolution, backend.pool_grid
+    res, g = backend.config.norm_resolution, backend.config.pool_grid
     rr, cc, valid = region.crop.pad_map(res).source_index_grid()
     h, w = region.crop.shape
     fids = np.where(valid, region.crop.feature_ids[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
@@ -318,7 +330,7 @@ def reference_pooled(backend, region):
     cells = np.zeros((g * g, desc.shape[1]))
     np.add.at(cells, (rows // (res // g)) * g + cols // (res // g), desc)
     cells = cells.ravel()
-    cells *= backend.grid_weight / np.linalg.norm(cells)
+    cells *= backend.config.grid_weight / np.linalg.norm(cells)
     return np.concatenate([whole, cells])
 
 
@@ -354,7 +366,7 @@ class TestPooling:
 
     @pytest.mark.parametrize("resample", ["up", "down"])
     def test_rendered_crops(self, backend, rendered, resample):
-        res = backend.norm_resolution
+        res = backend.config.norm_resolution
         picked = [
             r for r in rendered
             if (max(r.crop.shape) < res if resample == "up" else max(r.crop.shape) > res)
@@ -387,9 +399,9 @@ class TestPooling:
     def test_random_feature_grids(self, backend, h, w, hole_rate, seed):
         rng = np.random.default_rng(seed)
         lib = backend.library
-        models = rng.integers(len(lib.models), size=2)
+        models = rng.integers(len(lib), size=2)
         which = models[rng.integers(2, size=(h, w))]
-        sizes = np.array([len(m.point_descriptors) for m in lib.models])
+        sizes = np.diff(lib.point_offsets)
         local = (rng.random((h, w)) * sizes[which]).astype(np.int64)
         fids = np.where(rng.random((h, w)) < hole_rate, -1, which * FEATURE_ID_STRIDE + local)
         region = fid_region(fids)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from mvor.planner import (
     replay_moves,
 )
 from mvor.sim import (
-    ModelLibrary,
     Placement,
     Rect,
     SceneState,
@@ -33,19 +34,7 @@ def library():
 
 
 def fixed_radius_library(library, radius):
-    models = [
-        type(m)(
-            model_id=m.model_id,
-            family=m.family,
-            points=m.points,
-            normals=m.normals,
-            point_feature_ids=m.point_feature_ids,
-            point_descriptors=m.point_descriptors,
-            footprint_radius=radius,
-        )
-        for m in library.models
-    ]
-    return ModelLibrary(models=models, seed=library.seed)
+    return dataclasses.replace(library, footprint_radius=np.full(len(library), radius))
 
 
 def scene_of(poses, bounds=Rect(-0.5, -0.5, 0.5, 0.5), model_ids=None):

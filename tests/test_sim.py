@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,12 +8,17 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from mvor import geometry as geo
-from mvor.errors import CollisionAtTarget, ConfigParseError, EmptyFrame, PlacementFailure
+from mvor.errors import (
+    CollisionAtTarget,
+    ConfigParseError,
+    EmptyFrame,
+    PlacementFailure,
+    UnknownFeature,
+)
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.sim import (
     FEATURE_ID_STRIDE,
     Frame,
-    ModelLibrary,
     Placement,
     Rect,
     SceneState,
@@ -52,49 +58,117 @@ def single_object_scene(library, model_id=0, pose=None):
     )
 
 
+def model_rows(library, m):
+    """The slice of model ``m``'s rows in the library's point columns."""
+    return slice(library.point_offsets[m], library.point_offsets[m + 1])
+
+
+def reference_descriptors_for(library, feature_ids):
+    """The lookup as first written: one masked gather per model, from that
+    model's block of the descriptor column."""
+    model_ids = feature_ids // FEATURE_ID_STRIDE
+    local = feature_ids % FEATURE_ID_STRIDE
+    out = np.empty((feature_ids.shape[0], library.point_descriptors.shape[1]))
+    for mid in np.unique(model_ids):
+        sel = model_ids == mid
+        out[sel] = library.point_descriptors[model_rows(library, mid)][local[sel]]
+    return out
+
+
 class TestModelLibrary:
+    COLUMNS = (
+        "family", "footprint_radius", "point_offsets", "points", "normals", "point_descriptors"
+    )
+
     def test_deterministic(self, config):
         a = generate_model_library(config)
         b = generate_model_library(config)
-        for ma, mb in zip(a.models, b.models):
-            np.testing.assert_array_equal(ma.points, mb.points)
-            np.testing.assert_array_equal(ma.normals, mb.normals)
-            np.testing.assert_array_equal(ma.point_feature_ids, mb.point_feature_ids)
-            np.testing.assert_array_equal(ma.point_descriptors, mb.point_descriptors)
-            assert ma.footprint_radius == mb.footprint_radius
+        for name in self.COLUMNS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_columns_cover_every_model(self, library):
+        o = library.point_offsets
+        assert o[0] == 0 and np.all(np.diff(o) > 0)
+        assert len(library.family) == len(library.footprint_radius) == len(o) - 1
+        for column in (library.points, library.normals, library.point_descriptors):
+            assert len(column) == o[-1]
 
     def test_box_normals_axis_aligned(self, library):
-        boxes = [m for m in library.models if m.family == "box"]
-        assert boxes
+        boxes = np.flatnonzero(library.family == "box")
+        assert len(boxes)
         for m in boxes:
-            np.testing.assert_allclose(np.linalg.norm(m.normals, axis=1), 1.0, atol=1e-12)
+            normals = library.normals[model_rows(library, m)]
+            np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
             # each normal equals +/- a basis vector
-            assert np.all(np.sum(np.abs(m.normals) > 1e-12, axis=1) == 1)
+            assert np.all(np.sum(np.abs(normals) > 1e-12, axis=1) == 1)
 
     def test_all_normals_unit(self, library):
-        for m in library.models:
-            np.testing.assert_allclose(np.linalg.norm(m.normals, axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(library.normals, axis=1), 1.0, atol=1e-9)
 
     def test_feature_ids_globally_unique(self, library):
-        all_ids = np.concatenate([m.point_feature_ids for m in library.models])
+        counts = np.diff(library.point_offsets)
+        all_ids = np.concatenate(
+            [m * FEATURE_ID_STRIDE + np.arange(n) for m, n in enumerate(counts)]
+        )
         assert len(np.unique(all_ids)) == len(all_ids)
-        for m in library.models:
-            assert np.all(m.point_feature_ids // FEATURE_ID_STRIDE == m.model_id)
+        np.testing.assert_array_equal(
+            all_ids // FEATURE_ID_STRIDE, np.repeat(np.arange(len(library)), counts)
+        )
+        # every point's id looks up that point's own descriptor row
+        np.testing.assert_array_equal(library.descriptors_for(all_ids), library.point_descriptors)
 
     def test_footprint_covers_points(self, library):
-        for m in library.models:
-            extent = np.linalg.norm(m.points[:, :2], axis=1).max()
-            assert m.footprint_radius >= extent - 1e-12
+        for m in range(len(library)):
+            extent = np.linalg.norm(library.points[model_rows(library, m), :2], axis=1).max()
+            assert library.footprint_radius[m] >= extent - 1e-12
 
     def test_three_families_present(self, library):
-        assert {m.family for m in library.models} == {"box", "cylinder", "l_prism"}
+        assert set(library.family) == {"box", "cylinder", "l_prism"}
 
     def test_descriptor_lookup(self, library):
-        m = library.models[2]
-        ids = m.point_feature_ids[[5, 17, 3]]
+        local = np.array([5, 17, 3])
         np.testing.assert_array_equal(
-            library.descriptors_for(ids), m.point_descriptors[[5, 17, 3]]
+            library.descriptors_for(2 * FEATURE_ID_STRIDE + local),
+            library.point_descriptors[model_rows(library, 2)][local],
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=300))
+    def test_lookup_matches_per_model_loop(self, library, picks):
+        counts = np.diff(library.point_offsets)
+        models = np.array([m % len(library) for m, _ in picks], dtype=np.int64)
+        local = np.array([r % counts[m] for m, (_, r) in zip(models, picks)], dtype=np.int64)
+        ids = models * FEATURE_ID_STRIDE + local
+        np.testing.assert_array_equal(
+            library.descriptors_for(ids), reference_descriptors_for(library, ids)
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["unknown model", "negative id", "negative model", "past model 0", "past last model"],
+    )
+    def test_id_naming_no_point_raises(self, library, case):
+        counts = np.diff(library.point_offsets)
+        last = len(library) - 1
+        fid = {
+            "unknown model": len(library) * FEATURE_ID_STRIDE,
+            "negative id": -1,
+            "negative model": -3 * FEATURE_ID_STRIDE + 5,
+            # a bare gather at o[0] + counts[0] would read model 1's first row
+            "past model 0": counts[0],
+            "past last model": last * FEATURE_ID_STRIDE + counts[last],
+        }[case]
+        with pytest.raises(UnknownFeature):
+            library.descriptors_for(np.array([FEATURE_ID_STRIDE + 2, fid]))
+
+    def test_points_past_model_points_grow_the_columns(self):
+        # 3 points cannot cover a box's 5 faces or an L-prism's 7 at one
+        # sample each, so the descriptor column outgrows its first size
+        small = generate_model_library(SimConfig(model_points=3, library_size=5))
+        counts = np.diff(small.point_offsets)
+        assert counts.sum() > 5 * 3
+        assert len(small.point_descriptors) == len(small.points) == counts.sum()
+        np.testing.assert_allclose(np.linalg.norm(small.point_descriptors, axis=1), 1.0, atol=1e-12)
 
 
 class TestGenerateInstance:
@@ -105,26 +179,12 @@ class TestGenerateInstance:
 
     def test_nine_small_objects_fit(self, library):
         cfg = SimConfig(object_count_min=9, object_count_max=9)
-        assert library.max_footprint_radius() <= 0.08
+        assert library.footprint_radius.max() <= 0.08
         inst = generate_instance(cfg, library, seed=3)
         assert inst.initial.num_objects == 9
 
     def test_oversized_footprint_fails(self, config, library):
-        big = ModelLibrary(
-            models=[
-                type(m)(
-                    model_id=m.model_id,
-                    family=m.family,
-                    points=m.points,
-                    normals=m.normals,
-                    point_feature_ids=m.point_feature_ids,
-                    point_descriptors=m.point_descriptors,
-                    footprint_radius=0.5,
-                )
-                for m in library.models
-            ],
-            seed=library.seed,
-        )
+        big = dataclasses.replace(library, footprint_radius=np.full(len(library), 0.5))
         cfg = SimConfig(object_count_min=9, object_count_max=9)
         with pytest.raises(PlacementFailure):
             generate_instance(cfg, big, seed=0)
@@ -192,14 +252,14 @@ def frame_from_labels(labels, intr=None):
 
 class TestRender:
     def test_top_down_sees_only_top_faces(self, library):
-        model = next(m for m in library.models if m.family == "box")
-        scene = single_object_scene(library, model.model_id)
+        m = int(np.flatnonzero(library.family == "box")[0])
+        scene = single_object_scene(library, m)
         cam = geo.look_at([0.0, 0.0, 0.9], [0.0, 0.0, 0.0])
         frame = render(scene, cam, SimConfig().intrinsics(), library)
         seen = frame.feature_ids
         # oracle: points whose normal faces a straight-down camera
-        up = model.normals[:, 2] > 1e-9
-        top_ids = set(model.point_feature_ids[up].tolist())
+        up = library.normals[model_rows(library, m), 2] > 1e-9
+        top_ids = set((m * FEATURE_ID_STRIDE + np.flatnonzero(up)).tolist())
         assert len(seen) > 50
         assert set(seen.tolist()) <= top_ids
 
@@ -263,9 +323,9 @@ class TestRender:
         n = len(frame.feature_ids)
         for k in range(0, n, max(1, n // 200)):
             placement = inst.initial.placements[frame.instance_ids[k]]
-            model = library.model(placement.model_id)
-            local = model.point_feature_ids == frame.feature_ids[k]
-            pt = geo.lift(placement.pose).apply(model.points[local][0])
+            m, row = divmod(int(frame.feature_ids[k]), FEATURE_ID_STRIDE)
+            assert m == placement.model_id
+            pt = geo.lift(placement.pose).apply(library.points[model_rows(library, m)][row])
             np.testing.assert_allclose(world[k], pt, atol=1e-9)
 
     def test_render_deterministic(self, config, library):
