@@ -48,7 +48,7 @@ from .perception import (
     prepare_goal_regions,
 )
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
-from .serialize import dump_json
+from .serialize import check_bounds, dump_json
 from .sim import (
     SimConfig,
     generate_instance,
@@ -86,8 +86,11 @@ class BenchConfig:
         unknown = [r for r in self.regimes if r not in ROTATION_REGIMES]
         if unknown:
             raise ValueError(f"unknown rotation regimes {unknown}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed={self.base_seed} is negative")
+        if not self.regimes:
+            raise ValueError("regimes is empty")
+        if len(set(self.regimes)) != len(self.regimes):
+            raise ValueError(f"repeated rotation regimes in {self.regimes}")
+        check_bounds(self, {"scenes": (1, None), "base_seed": (0, None)})
 
 
 @dataclass
@@ -188,6 +191,24 @@ def rearrange_scene(
             {i: u for u, i in found.object_of.items()},
         )
     return estimates, plan_and_execute(inst, estimates, library, cfg.planner, reobserve)
+
+
+def object_outcomes(inst, result: ExecutionResult) -> list[dict]:
+    """Per object, in index order: the final planar error against the goal
+    placement and the executed goal and buffer moves, keyed (and ordered)
+    as the completion records and the CLI's ``result.json`` write them."""
+    goal_moves, buffer_moves = result.goal_moves, result.buffer_moves
+    outcomes = []
+    for i, (p, g) in enumerate(zip(result.final_scene.placements, inst.goal.placements)):
+        dtheta, dt = planar_distance(p.pose, g.pose)
+        outcomes.append({
+            "object": i,
+            "final_dtheta_deg": dtheta,
+            "final_dt_cm": dt,
+            "goal_moves": goal_moves[i],
+            "buffer_moves": buffer_moves[i],
+        })
+    return outcomes
 
 
 def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
@@ -314,29 +335,23 @@ def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
             goal_regions = scene_goal_regions(inst, library, backend, cfg)
             found = localize_scene(inst, db, goal_regions, matcher, cfg)
             estimates, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
-            object_rows = []
-            all_ok = True
-            one_step_ok = True
-            for i, p in enumerate(result.final_scene.placements):
-                dtheta, dt = planar_distance(p.pose, inst.goal.placements[i].pose)
-                ok = dtheta < cfg.planner.success_yaw_deg and dt < cfg.planner.success_t_cm
-                all_ok &= ok
-                one_step_ok &= result.goal_moves.get(i, 0) <= 1
-                object_rows.append({
+            outcomes = object_outcomes(inst, result)
+            completed = all(
+                cfg.planner.within_success(o["final_dtheta_deg"], o["final_dt_cm"])
+                for o in outcomes
+            )
+            one_step = completed and all(o["goal_moves"] <= 1 for o in outcomes)
+            for i, (o, p) in enumerate(zip(outcomes, inst.initial.placements)):
+                rows.append({
                     "regime": regime,
                     "scene_seed": seed,
                     "object": i,
                     "model_id": p.model_id,
                     "accepted": int(estimates[i].accepted),
-                    "final_dtheta_deg": dtheta,
-                    "final_dt_cm": dt,
-                    "goal_moves": result.goal_moves.get(i, 0),
-                    "buffer_moves": result.buffer_moves.get(i, 0),
+                    **o,
+                    "scene_completed": int(completed),
+                    "scene_one_step": int(one_step),
                 })
-            for r in object_rows:
-                r["scene_completed"] = int(all_ok)
-                r["scene_one_step"] = int(all_ok and one_step_ok)
-            rows.extend(object_rows)
     return MetricsReport(
         kind="completion",
         rows=rows,

@@ -23,6 +23,7 @@ from .bench import (
     build_scene_database,
     format_report,
     localize_scene,
+    object_outcomes,
     rearrange_scene,
     run_completion_bench,
     run_pose_bench,
@@ -30,7 +31,7 @@ from .bench import (
     write_report,
 )
 from .errors import ConfigParseError, MvorError
-from .geometry import lift, planar_distance, pose_yaw
+from .geometry import lift, pose_yaw
 from .perception import load_database, save_database
 from .serialize import dump_json, from_dict, load_json
 from .sim import (
@@ -73,8 +74,7 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.seed)
     count = cfg.scenes if args.count is None else args.count
     if count < 1:
-        source = "config scenes" if args.count is None else "--count"
-        raise ConfigParseError(f"{source}: gen needs at least 1 instance, got {count}")
+        raise ConfigParseError(f"--count: gen needs at least 1 instance, got {count}")
     library = generate_model_library(cfg.sim)
     instances = [
         generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
@@ -147,6 +147,11 @@ def cmd_localize(args) -> int:
                 f"database built against {key} {header.get(key)}, "
                 f"instance uses {getattr(inst.config, key)}"
             )
+    if db.descriptors.shape[1] != cfg.perception.descriptor_dim:
+        raise MvorError(
+            f"database descriptors have width {db.descriptors.shape[1]}, "
+            f"config descriptor_dim is {cfg.perception.descriptor_dim}"
+        )
     library = generate_model_library(inst.config)
     backend = cfg.perception.make_backend(library)
     matcher = cfg.localization.make_matcher(library)
@@ -172,24 +177,12 @@ def cmd_rearrange(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     save_instance(inst, os.path.join(out_dir, "instance.json"))
     dump_json([m.as_dict() for m in result.moves], os.path.join(out_dir, "moves.json"))
-    finals = []
-    for i, p in enumerate(result.final_scene.placements):
-        dtheta, dt = planar_distance(p.pose, inst.goal.placements[i].pose)
-        finals.append(
-            {
-                "object": i,
-                "final_dtheta_deg": dtheta,
-                "final_dt_cm": dt,
-                "goal_moves": result.goal_moves.get(i, 0),
-                "buffer_moves": result.buffer_moves.get(i, 0),
-            }
-        )
     dump_json(
         {
             "completed": result.completed,
             "outer_iterations": result.outer_iterations,
             "total_manipulations": result.total_manipulations,
-            "objects": finals,
+            "objects": object_outcomes(inst, result),
         },
         os.path.join(out_dir, "result.json"),
     )

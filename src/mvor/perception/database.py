@@ -12,6 +12,7 @@ region as an ``ObjectRegion`` without copying its crop.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -263,14 +264,16 @@ def load_database(path) -> tuple[Database, dict]:
     raises IOFailure."""
     try:
         npz = np.load(path)
-    except (OSError, ValueError) as e:
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise IOFailure(f"{path}: not a database dump")
+        # an NpzFile re-reads a member from the archive on every access, so
+        # read each one once
+        with npz:
+            data = {name: npz[name] for name in npz.files}
+    # EOFError: an empty file; BadZipFile: a truncated archive; ValueError:
+    # a file of another format, or a pickled (object) member
+    except (OSError, EOFError, zipfile.BadZipFile, ValueError) as e:
         raise IOFailure(f"cannot read database {path}: {e}") from e
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise IOFailure(f"{path}: not a database dump")
-    # an NpzFile re-reads a member from the archive on every access, so read
-    # each one once
-    with npz:
-        data = {name: npz[name] for name in npz.files}
     # NpzFile hands back a member that is not an .npy array as raw bytes
     missing = [name for name in DB_ARRAYS if not isinstance(data.get(name), np.ndarray)]
     if missing:

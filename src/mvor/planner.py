@@ -15,17 +15,21 @@ to the object's initial pose, and every goal move targets that belief.
 The tracked pose, initialized from the initial scene, stands in for the
 robot's perception of the current scene: it decides whether an object is
 already within the success thresholds. Every attempted move is logged, including
-blocked goal moves and buffer searches that give up.
+blocked goal moves and buffer searches that give up, and the log is the
+loop's only record: a move's step is its place in the log, and every move
+count is read off the log's executed moves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoBufferSpace, ReobservationFailed, UnknownObject
 from .geometry import PlanarTransform, planar_compose, planar_distance
+from .serialize import check_bounds
 from .sim.models import ModelLibrary
 from .sim.scene import RearrangementInstance, SceneState, apply_move, placement_conflict
 
@@ -39,13 +43,21 @@ class PlannerConfig:
     success_t_cm: float = 2.0
     buffer_attempts: int = 1000
 
+    def validate(self) -> None:
+        check_bounds(self, {
+            "thres_fail": (0, None),
+            "outer_factor": (1, None),
+            "collision_margin": (0, None),
+            "buffer_attempts": (1, None),
+        })
+        for name in ("success_yaw_deg", "success_t_cm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}={getattr(self, name)!r} is not positive")
 
-@dataclass
-class PlanState:
-    remaining: list[int]
-    failure_counts: dict[int, int]
-    outer_iterations: int
-    tracked_poses: dict[int, PlanarTransform]
+    def within_success(self, dtheta_deg: float, dt_cm: float) -> bool:
+        """The success test: a planar error (degrees, cm) inside both
+        thresholds."""
+        return dtheta_deg < self.success_yaw_deg and dt_cm < self.success_t_cm
 
 
 @dataclass
@@ -74,19 +86,35 @@ class MoveRecord:
 
 @dataclass
 class ExecutionResult:
+    """The move log and the loop's outcome; every move count is read off
+    the log's executed moves."""
+
     moves: list[MoveRecord]
     completed: bool
     outer_iterations: int
     final_scene: SceneState
-    goal_moves: dict[int, int] = field(default_factory=dict)
-    buffer_moves: dict[int, int] = field(default_factory=dict)
+
+    def executed_moves(self, kind: str | None = None) -> Counter:
+        """Executed moves per object index, of one kind or of every kind;
+        an object with none counts 0."""
+        return Counter(
+            m.object_index for m in self.moves if m.executed and kind in (None, m.kind)
+        )
+
+    @property
+    def goal_moves(self) -> Counter:
+        return self.executed_moves("goal-move")
+
+    @property
+    def buffer_moves(self) -> Counter:
+        return self.executed_moves("buffer-move")
 
     def manipulations(self, object_index: int) -> int:
-        return self.goal_moves.get(object_index, 0) + self.buffer_moves.get(object_index, 0)
+        return self.executed_moves()[object_index]
 
     @property
     def total_manipulations(self) -> int:
-        return sum(self.goal_moves.values()) + sum(self.buffer_moves.values())
+        return sum(m.executed for m in self.moves)
 
 
 def check_collision(
@@ -124,11 +152,6 @@ def find_buffer_pose(
     raise NoBufferSpace(f"no buffer pose within {attempts} attempts")
 
 
-def _within_success(current: PlanarTransform, goal: PlanarTransform, config: PlannerConfig) -> bool:
-    dyaw, dt = planar_distance(current, goal)
-    return dyaw < config.success_yaw_deg and dt < config.success_t_cm
-
-
 def plan_and_execute(
     instance: RearrangementInstance,
     estimates: dict,
@@ -142,111 +165,82 @@ def plan_and_execute(
     the object's estimated planar motion; objects with a not-accepted
     estimate are never moved toward a goal and accrue failures instead.
     ``reobserve(scene, object_index, tracked_guess)`` may return a fresh
-    tracked pose (or raise ReobservationFailed); without it the planner
-    dead-reckons. Actuation noise is the instance's
-    ``config.actuation_sigma``; buffer poses and noise draw from an RNG
-    seeded with the instance seed, so a run is deterministic per instance.
+    tracked pose (or raise ReobservationFailed, which counts a failure but
+    never relocates); without it the planner dead-reckons. Actuation noise
+    is the instance's ``config.actuation_sigma``; buffer poses and noise
+    draw from an RNG seeded with the instance seed, so a run is
+    deterministic per instance.
     """
     config = config or PlannerConfig()
     sigma = instance.config.actuation_sigma
     rng = np.random.default_rng(instance.seed)
     scene = instance.initial
-    k = scene.num_objects
-    order = sorted(estimates.keys())
-
-    state = PlanState(
-        remaining=[i for i in order],
-        failure_counts={i: 0 for i in order},
-        outer_iterations=0,
-        tracked_poses={i: instance.initial.placements[i].pose for i in order},
-    )
+    order = sorted(estimates)
+    remaining = list(order)
+    failures = dict.fromkeys(order, 0)
+    tracked = {i: scene.placements[i].pose for i in order}
     # believed goal placement, fixed once from the initial estimate
-    goal_beliefs = {}
-    usable = {}
-    for i in order:
-        est = estimates[i]
-        usable[i] = est.accepted
-        if est.accepted:
-            goal_beliefs[i] = planar_compose(est.offset, state.tracked_poses[i])
-
+    goal_beliefs = {
+        i: planar_compose(estimates[i].offset, tracked[i])
+        for i in order if estimates[i].accepted
+    }
     moves: list[MoveRecord] = []
-    goal_moves: dict[int, int] = {i: 0 for i in order}
-    buffer_moves: dict[int, int] = {i: 0 for i in order}
-    step = 0
-    thres_outer = config.outer_factor * max(1, k)
+    thres_outer = config.outer_factor * max(1, scene.num_objects)
+    outer_iterations = 0
 
     while True:
-        state.outer_iterations += 1
-        for i in list(state.remaining):
-            if not usable[i]:
-                state.failure_counts[i] += 1
-                if state.failure_counts[i] > config.thres_fail:
-                    scene, step = _buffer_relocate(
-                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
-                    )
-                continue
-            if reobserve is not None:
-                try:
-                    state.tracked_poses[i] = reobserve(scene, i, state.tracked_poses[i])
-                except ReobservationFailed:
-                    state.failure_counts[i] += 1
+        outer_iterations += 1
+        for i in list(remaining):
+            if i in goal_beliefs:
+                if reobserve is not None:
+                    try:
+                        tracked[i] = reobserve(scene, i, tracked[i])
+                    except ReobservationFailed:
+                        failures[i] += 1
+                        continue
+                # the goal belief is absolute, so buffer moves and actuation
+                # error absorbed into the tracked pose need no correction
+                target = goal_beliefs[i]
+                if config.within_success(*planar_distance(tracked[i], target)):
+                    remaining.remove(i)
                     continue
-            # the goal belief is absolute, so buffer moves and actuation error
-            # absorbed into the tracked pose need no correction of the target
-            target = goal_beliefs[i]
-            if _within_success(state.tracked_poses[i], target, config):
-                state.remaining.remove(i)
+                collision = check_collision(scene, library, i, target, config.collision_margin)
+                moves.append(MoveRecord(
+                    len(moves) + 1, i, "goal-move", target, collision, not collision, failures[i]
+                ))
+                if not collision:
+                    scene = apply_move(scene, library, i, target, sigma, rng)
+                    tracked[i] = target
+                    remaining.remove(i)
+                    continue
+            # a rejected estimate or a blocked goal move: count a failure,
+            # and past thres_fail move the object to a random buffer pose. A
+            # search that gives up is logged as a blocked buffer move at the
+            # tracked pose; the next outer pass tries again.
+            failures[i] += 1
+            if failures[i] <= config.thres_fail:
                 continue
-            collision = check_collision(scene, library, i, target, config.collision_margin)
-            step += 1
-            moves.append(
-                MoveRecord(step, i, "goal-move", target, collision, not collision,
-                           state.failure_counts[i])
-            )
+            try:
+                pose, collision = find_buffer_pose(
+                    scene, library, i, rng, config.collision_margin, config.buffer_attempts
+                ), False
+            except NoBufferSpace:
+                pose, collision = tracked[i], True
+            moves.append(MoveRecord(
+                len(moves) + 1, i, "buffer-move", pose, collision, not collision, failures[i]
+            ))
             if not collision:
-                scene = apply_move(scene, library, i, target, sigma, rng)
-                state.tracked_poses[i] = target
-                goal_moves[i] += 1
-                state.remaining.remove(i)
-            else:
-                state.failure_counts[i] += 1
-                if state.failure_counts[i] > config.thres_fail:
-                    scene, step = _buffer_relocate(
-                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
-                    )
-        if not state.remaining or state.outer_iterations > thres_outer:
+                scene = apply_move(scene, library, i, pose, sigma, rng)
+                tracked[i] = pose
+        if not remaining or outer_iterations > thres_outer:
             break
 
     return ExecutionResult(
         moves=moves,
-        completed=not state.remaining,
-        outer_iterations=state.outer_iterations,
+        completed=not remaining,
+        outer_iterations=outer_iterations,
         final_scene=scene,
-        goal_moves=goal_moves,
-        buffer_moves=buffer_moves,
     )
-
-
-def _buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves, step):
-    """Move object ``i`` to a random collision-free buffer pose. A search
-    that gives up is logged as a blocked buffer move at the tracked pose;
-    the next outer pass tries again."""
-    step += 1
-    try:
-        pose = find_buffer_pose(
-            scene, library, i, rng, config.collision_margin, config.buffer_attempts
-        )
-    except NoBufferSpace:
-        tracked = state.tracked_poses[i]
-        moves.append(
-            MoveRecord(step, i, "buffer-move", tracked, True, False, state.failure_counts[i])
-        )
-        return scene, step
-    moves.append(MoveRecord(step, i, "buffer-move", pose, False, True, state.failure_counts[i]))
-    scene = apply_move(scene, library, i, pose, sigma, rng)
-    state.tracked_poses[i] = pose
-    buffer_moves[i] += 1
-    return scene, step
 
 
 def replay_moves(

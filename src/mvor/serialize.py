@@ -88,10 +88,11 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except OSError as e:
-        raise IOFailure(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigParseError(f"{path}: invalid JSON ({e})") from e
+    # ValueError: a path with a NUL byte
+    except (OSError, ValueError) as e:
+        raise IOFailure(f"cannot read {path}: {e}") from e
 
 
 def dump_json(data, path) -> None:

@@ -381,6 +381,31 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert "library_size" in capsys.readouterr().err
 
+    def test_localize_rejects_other_descriptor_dim(self, files, tmp_path, capsys):
+        """A database of 256-wide descriptors once reached retrieval under
+        the default 512 and failed there with a ValueError; a zero-width
+        descriptors column loads and is rejected the same way."""
+        cfg = SimConfig(object_count_min=1, object_count_max=1)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance_to_dict(
+            generate_instance(cfg, generate_model_library(cfg), seed=0)
+        )))
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"perception": {"descriptor_dim": 256}}))
+        db256 = tmp_path / "db256.npz"
+        argv = ["build-db", "--config", str(narrow), "--instance", str(inst), "--out", str(db256)]
+        assert cli_main(argv) == 0
+        with np.load(files / "db.npz") as npz:
+            members = {name: npz[name] for name in npz.files}
+        empty = tmp_path / "empty.npz"
+        np.savez(empty, **dict(members, descriptors=members["descriptors"][:, :0]))
+        for db in (db256, empty):
+            argv = ["localize", "--db", str(db), "--instance", str(inst),
+                    "--out", str(tmp_path / "poses.json")]
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            assert "descriptor_dim" in capsys.readouterr().err
+
 
 # values that replace one member of a valid instance document when fuzzing
 FUZZ_VALUES = st.sampled_from(
@@ -495,6 +520,16 @@ class TestCliMalformedValues:
             {"sim": {"library_seed": -1}},
             {"sim": {"table_width": float("nan")}},  # was an OverflowError from the sampler
             {"localization": {"sigma_px": float("inf")}},  # was accepted
+            {"scenes": 0},  # was an empty report
+            {"scenes": -3},
+            {"regimes": []},
+            {"regimes": ["minor", "minor"]},  # was one group, each object twice
+            {"planner": {"thres_fail": -1}},
+            {"planner": {"outer_factor": 0}},  # -1 ended INCOMPLETE after 1 pass
+            {"planner": {"buffer_attempts": 0}},
+            {"planner": {"collision_margin": -0.3}},  # apply_move refused the planned move
+            {"planner": {"success_yaw_deg": -1}},
+            {"planner": {"success_t_cm": 0}},
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):

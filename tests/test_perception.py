@@ -691,3 +691,70 @@ class TestDatabaseIO:
         assert len(regions) == 2
         for r in regions:
             assert r.descriptor is not None and r.obs_dir is not None
+
+
+# replacement dtypes and shapes for one member of a dump when fuzzing
+FUZZ_DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_, np.complex128,
+               "U3", object]
+FUZZ_SHAPES = [
+    lambda a: a.reshape(-1),
+    lambda a: a[..., None],
+    lambda a: a[None],
+    lambda a: a.reshape(-1)[:1].reshape(()),
+    lambda a: a.T,
+    lambda a: a[:0],
+]
+FUZZ_HEADER_VALUES = st.sampled_from(
+    [None, True, -1, 0, 1, 10**400, 2.5, float("nan"), "x", "mvor-db", [], {}]
+)
+
+
+class TestDatabaseLoadFuzz:
+    @pytest.fixture(scope="class")
+    def dump(self, library, backend, tmp_path_factory):
+        """(members, file bytes, scratch path) of a two-object dump."""
+        path = tmp_path_factory.mktemp("db_fuzz") / "db.npz"
+        scene = make_scene([
+            Placement(2, PlanarTransform(0, -0.15, 0)), Placement(5, PlanarTransform(1, 0.15, 0))
+        ])
+        save_database(db_for(scene, library, backend), path, extra_meta={"library_seed": 7})
+        with np.load(path) as npz:
+            members = {name: npz[name] for name in npz.files}
+        return members, path.read_bytes(), path
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dump_loads_or_raises_io_failure(self, dump, data):
+        """Drop one member, change its dtype or shape, truncate it, edit or
+        delete a header key, or truncate the file: loading either succeeds
+        or raises IOFailure, never anything else."""
+        members, raw, path = dump
+        m = dict(members)
+        name = data.draw(st.sampled_from(sorted(m)))
+        how = data.draw(st.sampled_from(["drop", "dtype", "shape", "truncate", "header", "file"]))
+        if how == "drop":
+            del m[name]
+        elif how == "dtype":
+            with np.errstate(invalid="ignore"):  # NaN cast to an integer type
+                m[name] = m[name].astype(data.draw(st.sampled_from(FUZZ_DTYPES)))
+        elif how == "shape":
+            m[name] = data.draw(st.sampled_from(FUZZ_SHAPES))(m[name])
+        elif how == "truncate":
+            m[name] = m[name][: data.draw(st.integers(0, len(m[name]) - 1))]
+        elif how == "header":
+            header = json.loads(bytes(m["header"]).decode("utf-8"))
+            key = data.draw(st.sampled_from(sorted(header)))
+            if data.draw(st.booleans()):
+                del header[key]
+            else:
+                header[key] = data.draw(FUZZ_HEADER_VALUES)
+            m["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        if how == "file":
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        else:
+            np.savez(path, **m)
+        try:
+            load_database(path)
+        except IOFailure:
+            pass
+

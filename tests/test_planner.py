@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor.errors import CollisionAtTarget, NoBufferSpace, UnknownObject
+from mvor.errors import CollisionAtTarget, NoBufferSpace, ReobservationFailed, UnknownObject
 from mvor.geometry import PlanarTransform
 from mvor.localization import PoseEstimate
 from mvor.planner import (
+    MoveRecord,
     PlannerConfig,
     check_collision,
     find_buffer_pose,
@@ -295,3 +297,181 @@ class TestPlanAndExecute:
         assert [m.step for m in result.moves] == list(range(1, len(result.moves) + 1))
         final = replay_moves(inst, result.moves, lib_big)
         assert final.placements == result.final_scene.placements
+
+
+# The planner as it was when it kept a PlanState, a step counter and
+# per-kind counters beside the move log: the reference the move-log
+# planner must reproduce move for move.
+@dataclass
+class ReferencePlanState:
+    remaining: list
+    failure_counts: dict
+    outer_iterations: int
+    tracked_poses: dict
+
+
+@dataclass
+class ReferenceResult:
+    moves: list
+    completed: bool
+    outer_iterations: int
+    final_scene: SceneState
+    goal_moves: dict
+    buffer_moves: dict
+
+
+def reference_within_success(current, goal, config):
+    dyaw, dt = geo.planar_distance(current, goal)
+    return dyaw < config.success_yaw_deg and dt < config.success_t_cm
+
+
+def reference_plan_and_execute(instance, estimates, library, config=None, reobserve=None):
+    config = config or PlannerConfig()
+    sigma = instance.config.actuation_sigma
+    rng = np.random.default_rng(instance.seed)
+    scene = instance.initial
+    k = scene.num_objects
+    order = sorted(estimates.keys())
+    state = ReferencePlanState(
+        remaining=[i for i in order],
+        failure_counts={i: 0 for i in order},
+        outer_iterations=0,
+        tracked_poses={i: instance.initial.placements[i].pose for i in order},
+    )
+    goal_beliefs = {}
+    usable = {}
+    for i in order:
+        est = estimates[i]
+        usable[i] = est.accepted
+        if est.accepted:
+            goal_beliefs[i] = geo.planar_compose(est.offset, state.tracked_poses[i])
+    moves = []
+    goal_moves = {i: 0 for i in order}
+    buffer_moves = {i: 0 for i in order}
+    step = 0
+    thres_outer = config.outer_factor * max(1, k)
+    while True:
+        state.outer_iterations += 1
+        for i in list(state.remaining):
+            if not usable[i]:
+                state.failure_counts[i] += 1
+                if state.failure_counts[i] > config.thres_fail:
+                    scene, step = reference_buffer_relocate(
+                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
+                    )
+                continue
+            if reobserve is not None:
+                try:
+                    state.tracked_poses[i] = reobserve(scene, i, state.tracked_poses[i])
+                except ReobservationFailed:
+                    state.failure_counts[i] += 1
+                    continue
+            target = goal_beliefs[i]
+            if reference_within_success(state.tracked_poses[i], target, config):
+                state.remaining.remove(i)
+                continue
+            collision = check_collision(scene, library, i, target, config.collision_margin)
+            step += 1
+            moves.append(
+                MoveRecord(step, i, "goal-move", target, collision, not collision,
+                           state.failure_counts[i])
+            )
+            if not collision:
+                scene = apply_move(scene, library, i, target, sigma, rng)
+                state.tracked_poses[i] = target
+                goal_moves[i] += 1
+                state.remaining.remove(i)
+            else:
+                state.failure_counts[i] += 1
+                if state.failure_counts[i] > config.thres_fail:
+                    scene, step = reference_buffer_relocate(
+                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
+                    )
+        if not state.remaining or state.outer_iterations > thres_outer:
+            break
+    return ReferenceResult(
+        moves, not state.remaining, state.outer_iterations, scene, goal_moves, buffer_moves
+    )
+
+
+def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves, step):
+    step += 1
+    try:
+        pose = find_buffer_pose(
+            scene, library, i, rng, config.collision_margin, config.buffer_attempts
+        )
+    except NoBufferSpace:
+        tracked = state.tracked_poses[i]
+        moves.append(
+            MoveRecord(step, i, "buffer-move", tracked, True, False, state.failure_counts[i])
+        )
+        return scene, step
+    moves.append(MoveRecord(step, i, "buffer-move", pose, False, True, state.failure_counts[i]))
+    scene = apply_move(scene, library, i, pose, sigma, rng)
+    state.tracked_poses[i] = pose
+    buffer_moves[i] += 1
+    return scene, step
+
+
+def seeded_reobserver(seed, fail_rate):
+    """Re-observation that returns the object's true pose, and fails on a
+    schedule drawn from ``seed``; each call of this factory replays it."""
+    rng = np.random.default_rng(seed)
+
+    def reobserve(scene, i, guess):
+        if rng.random() < fail_rate:
+            raise ReobservationFailed(f"scheduled failure of object {i}")
+        return scene.placements[i].pose
+
+    return reobserve
+
+
+class TestMoveLogPlannerMatchesReference:
+    """The move-log planner gives the reference planner's log, outcome,
+    final placements and per-object counts, on generated scenes with a
+    seeded mix of accepted and rejected estimates."""
+
+    def _assert_same(self, inst, estimates, library, config, fail_rate=None):
+        def reobserver():
+            return None if fail_rate is None else seeded_reobserver(inst.seed, fail_rate)
+
+        ref = reference_plan_and_execute(inst, estimates, library, config, reobserver())
+        got = plan_and_execute(inst, estimates, library, config, reobserver())
+        assert [m.as_dict() for m in got.moves] == [m.as_dict() for m in ref.moves]
+        assert [m.step for m in got.moves] == list(range(1, len(got.moves) + 1))
+        assert (got.completed, got.outer_iterations) == (ref.completed, ref.outer_iterations)
+        assert got.final_scene.placements == ref.final_scene.placements
+        for i in estimates:
+            assert got.goal_moves[i] == ref.goal_moves[i]
+            assert got.buffer_moves[i] == ref.buffer_moves[i]
+            assert got.manipulations(i) == ref.goal_moves[i] + ref.buffer_moves[i]
+        assert got.total_manipulations == sum(ref.goal_moves.values()) + sum(
+            ref.buffer_moves.values()
+        )
+        return ref
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.003])
+    @pytest.mark.parametrize("buffer_attempts", [1000, 3])
+    @pytest.mark.parametrize("fail_rate", [None, 0.3])
+    def test_generated_scenes(self, library, sigma, buffer_attempts, fail_rate):
+        cfg = SimConfig(object_count_min=3, object_count_max=8, actuation_sigma=sigma)
+        config = PlannerConfig(buffer_attempts=buffer_attempts)
+        kinds = set()
+        for seed in range(8):
+            inst = generate_instance(cfg, library, seed=seed)
+            rng = np.random.default_rng(1000 + seed)
+            estimates = {
+                i: PoseEstimate(offset=off, accepted=bool(rng.random() < 0.7))
+                for i, off in enumerate(inst.true_offsets)
+            }
+            ref = self._assert_same(inst, estimates, library, config, fail_rate)
+            kinds |= {(m.kind, m.executed) for m in ref.moves}
+        # every move kind was both executed and blocked somewhere in the sweep,
+        # except a buffer search only gives up when its attempts are few
+        assert ("goal-move", True) in kinds and ("buffer-move", True) in kinds
+        assert (("buffer-move", False) in kinds) == (buffer_attempts == 3)
+
+    def test_empty_plan_makes_one_pass(self, library):
+        inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=4)
+        ref = self._assert_same(inst, {}, library, PlannerConfig())
+        assert ref.outer_iterations == 1 and not ref.moves

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -12,6 +13,7 @@ from mvor.errors import (
     CollisionAtTarget,
     ConfigParseError,
     EmptyFrame,
+    IOFailure,
     PlacementFailure,
     UnknownFeature,
 )
@@ -49,6 +51,13 @@ def config():
 @pytest.fixture(scope="module")
 def library(config):
     return generate_model_library(config)
+
+
+# values that replace one entry of a dataset manifest when fuzzing
+MANIFEST_FUZZ_VALUES = st.sampled_from(
+    [None, True, -1, 0, 2, 10**400, 2.5, float("nan"), "", ".", "a\x00b", "manifest.json",
+     "latin1.json", "instance_00000001.json", [], {}, ["instance_00000002.json"]]
+)
 
 
 def single_object_scene(library, model_id=0, pose=None):
@@ -577,3 +586,52 @@ class TestDatasetIO:
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigParseError, match="not a dataset"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, error", [("a\x00b", IOFailure), ("latin1.json", ConfigParseError)]
+    )
+    def test_unreadable_listed_file(self, dataset, name, error):
+        # a file name with a NUL byte was a ValueError, a file that is not
+        # UTF-8 a UnicodeDecodeError
+        manifest, root = dataset
+        (root / "manifest.json").write_text(json.dumps(dict(manifest, files=[name])))
+        with pytest.raises(error):
+            load_dataset(root)
+
+    @pytest.fixture(scope="class")
+    def dataset(self, config, library, tmp_path_factory):
+        """(manifest, directory) of a saved two-instance dataset, beside a
+        file that is not UTF-8."""
+        root = tmp_path_factory.mktemp("dataset_fuzz")
+        save_dataset([generate_instance(config, library, seed=s) for s in (1, 2)], root, config)
+        (root / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
+        return json.loads((root / "manifest.json").read_text()), root
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_raises_only_config_parse_error(self, dataset, data):
+        """Replace or delete one entry anywhere in a valid manifest: loading
+        either succeeds or raises ConfigParseError, except that a listed file
+        that cannot be read raises IOFailure."""
+        manifest, root = dataset
+        doc = copy.deepcopy(manifest)
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                node = child
+            elif isinstance(node, dict) and data.draw(st.booleans()):
+                del node[key]
+                break
+            else:
+                node[key] = data.draw(st.one_of(MANIFEST_FUZZ_VALUES, st.text(max_size=6)))
+                break
+        (root / "manifest.json").write_text(json.dumps(doc))
+        try:
+            load_dataset(root)
+        except ConfigParseError:
+            pass
+        except IOFailure:
+            assert not all((root / name).is_file() for name in doc["files"])
