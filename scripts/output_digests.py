@@ -11,7 +11,18 @@ checkout that holds this script:
   instance ``build-db`` on the ring and on the home view, ``localize``
   against both databases, and ``rearrange``;
 - ``localize`` of the first instance against its ring database with the
-  ``descriptor_nn`` matcher, which reads the library's point descriptors.
+  ``descriptor_nn`` matcher, which reads the library's point descriptors;
+- with ``tuned.json``, which sets a non-default value for every retrieval,
+  matching, RANSAC, region, k-means and planner setting the pipeline
+  functions read from their config section: ``build-db``, ``localize``
+  (``feature_id``, then ``descriptor_nn`` with its own ratio test and match
+  cap) and ``rearrange`` of the first instance, and a 2-scene
+  ``bench-pose``. A setting lost on its way to the function that reads it
+  changes these outputs, where the default runs would still match. Each
+  tuned value was checked to move some output when put back to its
+  default, except the three ``kmeans_*`` settings: the region centroids
+  of these scenes cluster into one partition whatever the seed, restarts
+  and iteration cap.
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
@@ -35,6 +46,20 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from mvor import cli  # noqa: E402
 
+TUNED = {
+    "scenes": 2,
+    "perception": {
+        "min_region_points": 400, "cloud_cap": 700,
+        "kmeans_restarts": 3, "kmeans_iters": 7, "kmeans_seed": 11,
+    },
+    "localization": {
+        "top_n": 60, "min_correspondences": 300, "max_view_angle_deg": 50.0,
+        "drop_rate": 0.1, "sigma_px": 0.7, "outlier_rate": 0.25,
+        "ransac_iterations": 3, "reproj_threshold_px": 2.5, "ransac_confidence": 0.8,
+        "ransac_seed": 13, "refine_iters": 1,
+    },
+    "planner": {"collision_margin": 0.03, "buffer_attempts": 3},
+}
 CONFIGS = {
     "pose.json": {
         "scenes": 3,
@@ -43,6 +68,14 @@ CONFIGS = {
     "completion.json": {"scenes": 3, "sim": {"actuation_sigma": 0.003}},
     "scene.json": {"sim": {"actuation_sigma": 0.003}},
     "nn.json": {"localization": {"matcher": "descriptor_nn"}},
+    "tuned.json": TUNED,
+    "tuned_nn.json": {
+        **TUNED,
+        "localization": {
+            **TUNED["localization"],
+            "matcher": "descriptor_nn", "ratio_test": 0.99, "max_matches": 700,
+        },
+    },
 }
 INSTANCES = 2
 
@@ -63,8 +96,18 @@ def commands() -> list[list[str]]:
                          "--instance", inst, "--out", f"poses_{seed}_{view}.json"])
         cmds.append(["rearrange", "--config", "scene.json", "--instance", inst,
                      "--out", f"rearrange_{seed}"])
+    inst = "dataset/instance_00000000.json"
     cmds.append(["localize", "--config", "nn.json", "--db", "db_0_ring.npz",
-                 "--instance", "dataset/instance_00000000.json", "--out", "poses_0_ring_nn.json"])
+                 "--instance", inst, "--out", "poses_0_ring_nn.json"])
+    cmds += [
+        ["build-db", "--config", "tuned.json", "--instance", inst, "--out", "tuned_db.npz"],
+        ["localize", "--config", "tuned.json", "--db", "tuned_db.npz", "--instance", inst,
+         "--out", "tuned_poses.json"],
+        ["localize", "--config", "tuned_nn.json", "--db", "tuned_db.npz", "--instance", inst,
+         "--out", "tuned_poses_nn.json"],
+        ["rearrange", "--config", "tuned.json", "--instance", inst, "--out", "tuned_rearrange"],
+        ["bench-pose", "--config", "tuned.json", "--out", "tuned_bench_pose"],
+    ]
     return cmds
 
 

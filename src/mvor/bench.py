@@ -293,9 +293,7 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
         frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
-        regions = extract_regions(
-            frame, segmenter(frame), min_points=pcfg.min_region_points, cloud_cap=pcfg.cloud_cap
-        )
+        regions = extract_regions(frame, segmenter(frame), pcfg)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [

@@ -45,20 +45,16 @@ def _empty_matches() -> Correspondences2D:
 
 
 class FeatureIdMatcher:
-    def __init__(
-        self,
-        drop_rate: float = 0.0,
-        sigma_px: float = 0.0,
-        outlier_rate: float = 0.0,
-        max_view_angle_deg: float = 35.0,
-        rng=None,
-    ):
-        if rng is None and max(drop_rate, sigma_px, outlier_rate) > 0.0:
+    """Reads ``drop_rate``, ``sigma_px``, ``outlier_rate`` and
+    ``max_view_angle_deg`` from a ``LocalizationConfig``."""
+
+    def __init__(self, config, rng=None):
+        self.drop_rate = config.drop_rate
+        self.sigma_px = config.sigma_px
+        self.outlier_rate = config.outlier_rate
+        if rng is None and max(self.drop_rate, self.sigma_px, self.outlier_rate) > 0.0:
             raise ValueError("FeatureIdMatcher: drop, noise or outliers need an rng")
-        self.drop_rate = drop_rate
-        self.sigma_px = sigma_px
-        self.outlier_rate = outlier_rate
-        self.cos_max = np.cos(np.radians(max_view_angle_deg))
+        self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
         self.rng = rng
 
     def match(self, goal_crop, cand_crop, resolution: int) -> Correspondences2D:
@@ -85,17 +81,14 @@ class FeatureIdMatcher:
 
 
 class DescriptorNNMatcher:
-    def __init__(
-        self,
-        library,
-        ratio: float = 0.8,
-        max_points: int = 2000,
-        max_view_angle_deg: float = 35.0,
-    ):
+    """Reads ``ratio_test``, ``max_matches`` and ``max_view_angle_deg``
+    from a ``LocalizationConfig``."""
+
+    def __init__(self, library, config):
         self.library = library
-        self.ratio = ratio
-        self.max_points = max_points
-        self.cos_max = np.cos(np.radians(max_view_angle_deg))
+        self.ratio = config.ratio_test
+        self.max_points = config.max_matches
+        self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
 
     def _features(self, crop, resolution):
         ids, xy, view = crop_matching_coords(crop, resolution)

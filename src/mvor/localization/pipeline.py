@@ -35,7 +35,6 @@ class LocalizationConfig:
     # retrieval and traversal
     top_n: int = 10
     theta_prune: float = np.pi / 6
-    instance_fallback: bool = True
     # matching
     matcher: str = "feature_id"  # or "descriptor_nn"
     match_resolution: int = 256
@@ -85,21 +84,12 @@ class LocalizationConfig:
     def make_matcher(self, library=None, rng=None):
         if self.matcher == "feature_id":
             return FeatureIdMatcher(
-                drop_rate=self.drop_rate,
-                sigma_px=self.sigma_px,
-                outlier_rate=self.outlier_rate,
-                max_view_angle_deg=self.max_view_angle_deg,
-                rng=rng if rng is not None else np.random.default_rng(self.matcher_seed),
+                self, rng if rng is not None else np.random.default_rng(self.matcher_seed)
             )
         if self.matcher == "descriptor_nn":
             if library is None:
                 raise ValueError("descriptor_nn matcher needs the model library")
-            return DescriptorNNMatcher(
-                library,
-                ratio=self.ratio_test,
-                max_points=self.max_matches,
-                max_view_angle_deg=self.max_view_angle_deg,
-            )
+            return DescriptorNNMatcher(library, self)
         raise ValueError(f"unknown matcher {self.matcher!r}")
 
 
@@ -146,7 +136,7 @@ class PoseEstimate:
 def retrieve_candidates(
     goal_region: ObjectRegion,
     db: Database,
-    top_n: int = 10,
+    top_n: int,
     exclude: frozenset = frozenset(),
 ) -> CandidateList:
     """Vote an instance from the top-ranked regions, then return all of that
@@ -187,7 +177,7 @@ def lift_to_3d(
     goal_region: ObjectRegion,
     cand_region: ObjectRegion,
     resolution: int,
-    min_correspondences: int = 4,
+    min_correspondences: int,
 ) -> Correspondences3D:
     """2D-2D matches -> (goal pixel, candidate world point) pairs.
 
@@ -227,17 +217,7 @@ def solve_pose(
 
     Raises TooFewCorrespondences (< 2 pairs) or DegenerateGeometry (no
     non-singular pair of pairs)."""
-    p, mask = ransac_planar(
-        m3d.world,
-        m3d.goal_px,
-        intr,
-        goal_viewpoint,
-        iterations=config.ransac_iterations,
-        threshold_px=config.reproj_threshold_px,
-        confidence=config.ransac_confidence,
-        refine_iters=config.refine_iters,
-        seed=config.ransac_seed,
-    )
+    p, mask = ransac_planar(m3d.world, m3d.goal_px, intr, goal_viewpoint, config)
     count = int(mask.sum())
     ratio = count / len(m3d)
     return PoseEstimate(
@@ -261,8 +241,8 @@ def estimate_object(
 
     Walks the retrieved instance's regions in similarity order; the first
     accepted pose wins. On rejection the candidate's angular
-    neighborhood is pruned. If the instance exhausts, optionally falls back
-    to the next most frequent instance in the retrieval vote. With nothing
+    neighborhood is pruned. If the instance exhausts, falls back to the
+    next most frequent instance in the retrieval vote. With nothing
     accepted, returns the highest-inlier attempt (or the identity offset)
     flagged not accepted.
     """
@@ -303,8 +283,6 @@ def estimate_object(
                 return est
             prune_after_rejection(cands, pos, db, config.theta_prune)
         excluded.add(cands.instance_id)
-        if not config.instance_fallback:
-            break
     if best is None:
         best = PoseEstimate(offset=PlanarTransform.identity(), note="no candidates evaluated")
     best.candidates_visited = visited

@@ -487,17 +487,7 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
     return p
 
 
-def ransac_planar(
-    world,
-    pixels,
-    intr: CameraIntrinsics,
-    viewpoint: Pose3,
-    iterations: int = 1000,
-    threshold_px: float = 2.0,
-    confidence: float = 0.999,
-    refine_iters: int = 20,
-    seed: int = 0,
-):
+def ransac_planar(world, pixels, intr: CameraIntrinsics, viewpoint: Pose3, config):
     """Robust planar motion of the world points, seen from a known camera.
 
     ``pixels`` are the projections, through the camera at ``viewpoint``
@@ -505,7 +495,9 @@ def ransac_planar(
     world z axis and an in-plane translation. Minimal 2-pair solves of the
     linear system in (cos, sin, tx, ty) run inside the same seeded loop as
     :func:`ransac_pnp`; the refit is Gauss-Newton on (yaw, tx, ty) over the
-    consensus set.
+    consensus set. The loop's settings are the ``LocalizationConfig``
+    fields ``ransac_iterations``, ``reproj_threshold_px``,
+    ``ransac_confidence``, ``ransac_seed`` and ``refine_iters``.
 
     Returns (PlanarTransform, inlier_mask). Raises TooFewCorrespondences
     (< 2 pairs) or DegenerateGeometry (every sampled pair singular, as when
@@ -520,7 +512,12 @@ def ransac_planar(
         2,
         lambda sample: _planar_minimal(coeff[sample].reshape(4, 4), rhs[sample].reshape(4)),
         lambda p: reprojection_sq_errors(world, pixels, intr, *_planar_extrinsics(p, w2c)),
-        lambda p, mask: _refine_planar(world[mask], pixels[mask], intr, w2c, p, refine_iters),
+        lambda p, mask: _refine_planar(
+            world[mask], pixels[mask], intr, w2c, p, config.refine_iters
+        ),
     )
-    p, mask = _ransac(model, len(world), iterations, threshold_px, confidence, seed)
+    p, mask = _ransac(
+        model, len(world), config.ransac_iterations, config.reproj_threshold_px,
+        config.ransac_confidence, config.ransac_seed,
+    )
     return PlanarTransform(*p), mask

@@ -44,11 +44,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
 
 
 def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int = 0,
-    restarts: int = 10,
-    max_iters: int = 100,
+    points: np.ndarray, k: int, seed: int, restarts: int, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Cluster (N,D) points into k groups; returns (labels, centers, inertia).
 

@@ -147,22 +147,17 @@ def infer_k(regions_by_frame: list[list[ObjectRegion]]) -> int:
     return max(counts)
 
 
-def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig | None = None) -> Database:
+def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig) -> Database:
     """Group regions into k object instances by clustering cloud centroids.
 
     Instance lists are ordered by centroid (x, then y, then z) so the
     numbering is stable across runs.
     """
-    config = config or PerceptionConfig()
     if k < 1 or k > len(regions):
         raise ClusterCountInfeasible(f"k={k} with {len(regions)} regions")
     centroids = np.stack([r.cloud_centroid for r in regions])
     labels, _, _ = kmeans(
-        centroids,
-        k,
-        seed=config.kmeans_seed,
-        restarts=config.kmeans_restarts,
-        max_iters=config.kmeans_iters,
+        centroids, k, config.kmeans_seed, config.kmeans_restarts, config.kmeans_iters
     )
     means = np.stack([centroids[labels == j].mean(axis=0) for j in range(k)])
     order = np.lexsort((means[:, 2], means[:, 1], means[:, 0]))
@@ -202,19 +197,11 @@ def describe_region(region: ObjectRegion, backend) -> None:
     region.descriptor = backend.extract(region)
 
 
-def build_database(frames, segmenter, backend, config: PerceptionConfig | None = None) -> Database:
+def build_database(frames, segmenter, backend, config: PerceptionConfig) -> Database:
     """Full database construction: segment each frame, extract regions,
     fill observation directions and descriptors, infer the instance count,
     and associate."""
-    config = config or PerceptionConfig()
-    regions_by_frame = []
-    for frame in frames:
-        masks = segmenter(frame)
-        regions_by_frame.append(
-            extract_regions(
-                frame, masks, min_points=config.min_region_points, cloud_cap=config.cloud_cap
-            )
-        )
+    regions_by_frame = [extract_regions(f, segmenter(f), config) for f in frames]
     regions = [r for frame_regions in regions_by_frame for r in frame_regions]
     if not regions:
         raise NoRegions("no regions extracted from any frame")
@@ -224,12 +211,9 @@ def build_database(frames, segmenter, backend, config: PerceptionConfig | None =
     return associate(regions, k, config)
 
 
-def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig | None = None):
+def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig):
     """Segment and featurize a goal frame the same way database frames are."""
-    config = config or PerceptionConfig()
-    regions = extract_regions(
-        frame, segmenter(frame), min_points=config.min_region_points, cloud_cap=config.cloud_cap
-    )
+    regions = extract_regions(frame, segmenter(frame), config)
     for r in regions:
         describe_region(r, backend)
     return regions

@@ -99,21 +99,24 @@ class ObjectRegion:
         return self.cloud.mean(axis=0)
 
 
-def extract_regions(frame, masks, min_points: int = 10, cloud_cap: int = 0) -> list[ObjectRegion]:
+def extract_regions(frame, masks, config) -> list[ObjectRegion]:
     """Cut one ObjectRegion per mask out of a frame.
 
     Masks are boolean masks over the frame's hits. The crop spans the masked
     hits' bounding box; the cloud is the back-projection of every masked hit
-    through the frame's viewpoint, in the hits' row-major order. Masks with
-    fewer than ``min_points`` hits are dropped. Descriptor and observation
-    direction are left unset.
+    through the frame's viewpoint, in the hits' row-major order, strided
+    down to at most ``config.cloud_cap`` points when that is set. Masks
+    with fewer than ``config.min_region_points`` hits are dropped.
+    Descriptor and observation direction are left unset.
     """
     w2c = invert(frame.viewpoint)
     regions = []
     for label, mask in masks:
         count = int(np.count_nonzero(mask))
-        if count < min_points:
-            log.debug("dropping region (label %s): %d px < %d", label, count, min_points)
+        if count < config.min_region_points:
+            log.debug(
+                "dropping region (label %s): %d px < %d", label, count, config.min_region_points
+            )
             continue
         rr, cc = frame.rows[mask], frame.cols[mask]
         r0, c0 = rr.min(), cc.min()
@@ -130,8 +133,8 @@ def extract_regions(frame, masks, min_points: int = 10, cloud_cap: int = 0) -> l
             _scatter(shape, at, cloud, np.nan),
             _scatter(shape, at, frame.view_local[mask], np.nan),
         )
-        if cloud_cap and len(cloud) > cloud_cap:
-            stride = int(np.ceil(len(cloud) / cloud_cap))
+        if config.cloud_cap and len(cloud) > config.cloud_cap:
+            stride = int(np.ceil(len(cloud) / config.cloud_cap))
             cloud = cloud[::stride]
         regions.append(
             ObjectRegion(

@@ -122,7 +122,7 @@ def check_collision(
     library: ModelLibrary,
     object_index: int,
     target: PlanarTransform,
-    margin: float = 0.01,
+    margin: float,
 ) -> bool:
     """True iff placing the object at ``target`` (footprint inflated by
     ``margin``) would intersect another object or leave the table."""
@@ -136,27 +136,27 @@ def find_buffer_pose(
     library: ModelLibrary,
     object_index: int,
     rng,
-    margin: float = 0.01,
-    attempts: int = 1000,
+    config: PlannerConfig,
 ) -> PlanarTransform:
-    """Random collision-free placement for a blocking object."""
+    """Random collision-free placement for a blocking object: up to
+    ``config.buffer_attempts`` draws, checked with ``config.collision_margin``."""
     b = scene.table_bounds
-    for _ in range(attempts):
+    for _ in range(config.buffer_attempts):
         pose = PlanarTransform(
             rng.uniform(-np.pi, np.pi),
             rng.uniform(b.xmin, b.xmax),
             rng.uniform(b.ymin, b.ymax),
         )
-        if not check_collision(scene, library, object_index, pose, margin):
+        if not check_collision(scene, library, object_index, pose, config.collision_margin):
             return pose
-    raise NoBufferSpace(f"no buffer pose within {attempts} attempts")
+    raise NoBufferSpace(f"no buffer pose within {config.buffer_attempts} attempts")
 
 
 def plan_and_execute(
     instance: RearrangementInstance,
     estimates: dict,
     library: ModelLibrary,
-    config: PlannerConfig | None = None,
+    config: PlannerConfig,
     reobserve=None,
 ) -> ExecutionResult:
     """Run the full rearrangement loop against the simulator.
@@ -171,7 +171,6 @@ def plan_and_execute(
     draw from an RNG seeded with the instance seed, so a run is
     deterministic per instance.
     """
-    config = config or PlannerConfig()
     sigma = instance.config.actuation_sigma
     rng = np.random.default_rng(instance.seed)
     scene = instance.initial
@@ -221,9 +220,7 @@ def plan_and_execute(
             if failures[i] <= config.thres_fail:
                 continue
             try:
-                pose, collision = find_buffer_pose(
-                    scene, library, i, rng, config.collision_margin, config.buffer_attempts
-                ), False
+                pose, collision = find_buffer_pose(scene, library, i, rng, config), False
             except NoBufferSpace:
                 pose, collision = tracked[i], True
             moves.append(MoveRecord(

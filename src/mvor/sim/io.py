@@ -6,7 +6,8 @@ per-object true planar offsets, the viewpoint poses as 4x4 row-major
 matrices, and a full config echo. Floats round-trip bit-exactly through
 JSON because Python serializes them via repr. Loading checks the presence
 and type of every member, that every number is finite, that the table
-bounds are ordered, the config's values and that every model id lies in
+bounds are ordered, the config's values, that the library reference is the
+config's ``library_seed``/``library_size`` and that every model id lies in
 the library, and raises ConfigParseError on a malformed document.
 """
 
@@ -91,6 +92,7 @@ _PLANAR = {"yaw": float, "tx": float, "ty": float}
 _MATRIX = ((float,) * 4,) * 4
 _MEMBERS = {
     "config": dict,
+    "library": {"seed": int, "size": int},
     "table_bounds": (float,) * 4,
     "initial": [{"model_id": int, **_PLANAR}],
     "goal": [{"model_id": int, **_PLANAR}],
@@ -124,6 +126,11 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
     if not len(data["initial"]) == len(data["goal"]) == len(data["true_offsets"]):
         raise ConfigParseError("instance placements and true offsets differ in length")
     config = from_dict(SimConfig, data["config"], "config")
+    library = {"seed": config.library_seed, "size": config.library_size}
+    if data["library"] != library:
+        raise ConfigParseError(
+            f"instance member 'library' {data['library']} disagrees with its config's {library}"
+        )
     for name in ("initial", "goal"):
         ids = [p["model_id"] for p in data[name]]
         if not all(0 <= i < config.library_size for i in ids):
@@ -175,12 +182,34 @@ def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimCon
 
 
 def load_dataset(out_dir) -> list[RearrangementInstance]:
-    """Load every instance a dataset manifest lists; a manifest that is not
-    a dataset manifest or lacks a list of file names raises
-    ConfigParseError."""
+    """Load every instance a dataset manifest lists. A manifest that is not
+    a dataset manifest of this version, lacks a list of file names, or
+    whose ``count`` or ``seeds`` disagree with that list or with the seeds
+    of the instances loaded raises ConfigParseError."""
     manifest = load_json(os.path.join(out_dir, "manifest.json"))
     if not isinstance(manifest, dict) or manifest.get("format") != DATASET_FORMAT:
         raise ConfigParseError(f"{out_dir}: not a dataset directory")
-    if not _conforms(manifest.get("files"), [str]):
+    if manifest.get("version") != FORMAT_VERSION:
+        raise ConfigParseError(
+            f"{out_dir}: unsupported dataset version {manifest.get('version')!r}"
+        )
+    files = manifest.get("files")
+    if not _conforms(files, [str]):
         raise ConfigParseError(f"{out_dir}: manifest member 'files' is missing or malformed")
-    return [load_instance(os.path.join(out_dir, name)) for name in manifest["files"]]
+    if not _conforms(manifest.get("count"), int) or manifest["count"] != len(files):
+        raise ConfigParseError(
+            f"{out_dir}: manifest member 'count' is {manifest.get('count')!r}, "
+            f"but {len(files)} files are listed"
+        )
+    seeds = manifest.get("seeds")
+    if not _conforms(seeds, (int,) * len(files)):
+        raise ConfigParseError(
+            f"{out_dir}: manifest member 'seeds' is not a list of {len(files)} seeds"
+        )
+    instances = [load_instance(os.path.join(out_dir, name)) for name in files]
+    for name, seed, inst in zip(files, seeds, instances):
+        if inst.seed != seed:
+            raise ConfigParseError(
+                f"{out_dir}: {name} holds seed {inst.seed}, manifest 'seeds' lists {seed}"
+            )
+    return instances

@@ -117,7 +117,7 @@ class _PlacementSampler:
 
 
 def generate_instance(
-    config: SimConfig, library: ModelLibrary, seed: int | None = None
+    config: SimConfig, library: ModelLibrary, seed: int
 ) -> RearrangementInstance:
     """Sample one rearrangement task.
 
@@ -126,7 +126,6 @@ def generate_instance(
     configured rotation regime. Deterministic in (config, seed).
     """
     config.validate()
-    seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     bounds = _table_rect(config)
     area = bounds.shrunk(config.placement_margin)

@@ -18,7 +18,7 @@ from mvor.cli import main as cli_main
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.localization import LocalizationConfig, PoseEstimate, ransac_pnp, retrieve_candidates
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
-from mvor.planner import plan_and_execute
+from mvor.planner import PlannerConfig, plan_and_execute
 from mvor.sim import (
     Placement,
     Rect,
@@ -192,7 +192,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
         i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
         for i, off in enumerate(inst.true_offsets)
     }
-    result = plan_and_execute(inst, estimates, library)
+    result = plan_and_execute(inst, estimates, library, PlannerConfig())
     swap_ok = (
         result.completed
         and result.total_manipulations == 3
@@ -212,7 +212,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
         i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
         for i, off in enumerate(inst2.true_offsets)
     }
-    result2 = plan_and_execute(inst2, estimates2, library)
+    result2 = plan_and_execute(inst2, estimates2, library, PlannerConfig())
     free_ok = (
         result2.completed
         and result2.total_manipulations == k

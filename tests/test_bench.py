@@ -300,6 +300,7 @@ class TestCliDeterminism:
             {"planner": {"actuation_sigma": 0.003}},
             {"localization": {"planar_filter": False}},
             {"localization": {"planar_max_tilt_deg": 10.0, "planar_max_dz": 0.02}},
+            {"localization": {"instance_fallback": True}},
         ):
             cfg = tmp_path / "stale.json"
             cfg.write_text(json.dumps(stale))

@@ -365,10 +365,10 @@ class TestFeatureIdMatcher:
     )
     def test_noise_without_rng_raises(self, noise):
         with pytest.raises(ValueError, match="rng"):
-            FeatureIdMatcher(**noise)
+            FeatureIdMatcher(LocalizationConfig(**noise))
 
     def test_noiseless_needs_no_rng(self):
-        assert FeatureIdMatcher().rng is None
+        assert FeatureIdMatcher(LCFG).rng is None
 
 
 class TestLiftTo3D:
@@ -376,25 +376,25 @@ class TestLiftTo3D:
         scene = scene or make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
-        m2d = FeatureIdMatcher().match(goals[0].crop, cand.crop, 256)
+        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand.crop, 256)
         return goals[0], cand, m2d
 
     def test_all_depth_pixels_lift(self, library, backend):
         goal, cand, m2d = self._matched_pair(library, backend)
-        m3d = lift_to_3d(m2d, goal, cand, 256)
+        m3d = lift_to_3d(m2d, goal, cand, 256, LCFG.min_correspondences)
         assert len(m3d) == len(m2d)
 
     def test_too_few_pairs(self, library, backend):
         goal, cand, m2d = self._matched_pair(library, backend)
         small = Correspondences2D(m2d.goal_px[:3], m2d.cand_px[:3])
         with pytest.raises(TooFewCorrespondences):
-            lift_to_3d(small, goal, cand, 256)
+            lift_to_3d(small, goal, cand, 256, LCFG.min_correspondences)
 
     def test_lifted_points_on_true_surface(self, library, backend):
         scene = make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         goal, cand, m2d = self._matched_pair(library, backend, scene)
-        m3d = lift_to_3d(m2d, goal, cand, 256)
+        m3d = lift_to_3d(m2d, goal, cand, 256, LCFG.min_correspondences)
         o = library.point_offsets
         surface = geo.lift(scene.placements[0].pose).apply(library.points[o[2] : o[3]])
         for w in m3d.world[:: max(1, len(m3d) // 50)]:
@@ -406,9 +406,9 @@ class TestSolvePose:
         scene = make_scene([Placement(3, PlanarTransform(-0.3, 0.1, 0.05))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
-        m2d = FeatureIdMatcher().match(goals[0].crop, cand.crop, 256)
-        m3d = lift_to_3d(m2d, goals[0], cand, 256)
+        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand.crop, 256)
+        m3d = lift_to_3d(m2d, goals[0], cand, 256, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
         np.testing.assert_allclose([est.offset.yaw, est.offset.tx, est.offset.ty], 0.0, atol=1e-6)
@@ -419,7 +419,7 @@ class TestSolvePose:
         goal_scene = apply_offsets(initial, [offset])
         db = ring_db(initial, library, backend)
         _, goals = goal_regions_of(goal_scene, library, backend)
-        est = estimate_object(goals[0], db, FeatureIdMatcher(), INTR, LCFG)
+        est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert est.accepted
         dtheta, dt = geo.planar_distance(est.offset, offset)
         assert np.radians(dtheta) < 1e-6
@@ -438,7 +438,8 @@ class TestSolvePose:
             for noise_seed in range(10):
                 trials += 1
                 matcher = FeatureIdMatcher(
-                    sigma_px=1.0, outlier_rate=0.4, rng=np.random.default_rng(1000 + noise_seed)
+                    LocalizationConfig(sigma_px=1.0, outlier_rate=0.4),
+                    np.random.default_rng(1000 + noise_seed),
                 )
                 est = estimate_object(goals[0], db, matcher, INTR, LCFG)
                 if not est.accepted:
@@ -463,10 +464,12 @@ class TestSolvePose:
         )
         db = ring_db(inst.initial, library, backend)
         _, goals = goal_regions_of(inst.goal, library, backend)
-        matcher = FeatureIdMatcher(sigma_px=1.0, outlier_rate=0.3, rng=np.random.default_rng(5))
-        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
+        matcher = FeatureIdMatcher(
+            LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
+        )
+        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = matcher.match(goals[0].crop, cand.crop, 256)
-        m3d = lift_to_3d(m2d, goals[0], cand, 256)
+        m3d = lift_to_3d(m2d, goals[0], cand, 256, LCFG.min_correspondences)
         r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
         err = reprojection_sq_errors(m3d.world, m3d.goal_px, INTR, r, t)
         assert np.all(err[mask] <= LCFG.reproj_threshold_px**2 + 1e-9)
@@ -528,7 +531,7 @@ class TestPlanarSolver:
     )
     def test_exact_pairs_recover_motion(self, view, truth, n, seed):
         world, uv = planar_pairs(view, truth, n, seed)
-        p, mask = ransac_planar(world, uv, INTR, view, seed=seed)
+        p, mask = ransac_planar(world, uv, INTR, view, LocalizationConfig(ransac_seed=seed))
         assert abs(geo.wrap_angle(p.yaw - truth.yaw)) < 1e-9
         assert abs(p.tx - truth.tx) < 1e-9 and abs(p.ty - truth.ty) < 1e-9
         assert mask.all()
@@ -548,7 +551,7 @@ class TestPlanarSolver:
         uv = uv + rng.normal(0.0, 1.0, uv.shape)
         outliers = rng.random(n) < 0.3
         uv[outliers] = rng.uniform([0, 0], [INTR.width, INTR.height], (int(outliers.sum()), 2))
-        p, mask = ransac_planar(world, uv, INTR, view, seed=seed)
+        p, mask = ransac_planar(world, uv, INTR, view, LocalizationConfig(ransac_seed=seed))
         w2c = geo.compose(geo.invert(view), geo.lift(p))
         err = reprojection_sq_errors(world, uv, INTR, w2c.rotation, w2c.translation)
         assert mask.any()
@@ -562,19 +565,19 @@ class TestPlanarSolver:
         score = pnp.reprojection_sq_errors
         monkeypatch.setattr(pnp, "reprojection_sq_errors", lambda *a: scored.append(a) or score(*a))
         with pytest.raises(DegenerateGeometry):
-            ransac_planar(world, uv, INTR, view, seed=0)
+            ransac_planar(world, uv, INTR, view, LCFG)
         assert scored == []  # every sample was skipped as singular, none was scored
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewCorrespondences):
-            ransac_planar(np.zeros((1, 3)), np.zeros((1, 2)), INTR, VIEWS[0])
+            ransac_planar(np.zeros((1, 3)), np.zeros((1, 2)), INTR, VIEWS[0], LCFG)
 
     def test_estimate_object_rejects_degenerate_candidates(self, library, backend):
         scene = make_scene([Placement(2, PlanarTransform(0.4, 0.05, -0.1))])
         db = ring_db(scene, library, backend)
         db.crop_world[:, :2] = [0.05, -0.1]  # every stored point on one vertical line
         _, goals = goal_regions_of(scene, library, backend)
-        est = estimate_object(goals[0], db, FeatureIdMatcher(), INTR, LCFG)
+        est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert not est.accepted
         assert est.inlier_count == 0
         assert "non-degenerate" in est.note
@@ -586,9 +589,12 @@ class TestPlanarSolver:
         )
         db = ring_db(inst.initial, library, backend)
         _, goals = goal_regions_of(inst.goal, library, backend)
-        matcher = FeatureIdMatcher(sigma_px=1.0, outlier_rate=0.3, rng=np.random.default_rng(5))
-        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
-        m3d = lift_to_3d(matcher.match(goals[0].crop, cand.crop, 256), goals[0], cand, 256)
+        matcher = FeatureIdMatcher(
+            LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
+        )
+        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = matcher.match(goals[0].crop, cand.crop, 256)
+        m3d = lift_to_3d(m2d, goals[0], cand, 256, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
         assert isinstance(est.offset, PlanarTransform)
@@ -704,7 +710,7 @@ class TestEstimateObject:
         db = ring_db(inst.initial, library, backend)
         _, goals = goal_regions_of(inst.goal, library, backend)
         for g in goals:
-            est = estimate_object(g, db, FeatureIdMatcher(), INTR, LCFG)
+            est = estimate_object(g, db, FeatureIdMatcher(LCFG), INTR, LCFG)
             assert est.accepted
             assert est.matcher_invocations == 1
             assert est.candidates_visited == 1
@@ -716,7 +722,7 @@ class TestEstimateObject:
         home = render(initial, CFG.home_viewpoint(), INTR, library, frame_id=0)
         db = build_database([home], ground_truth_segmenter(), backend, PCFG)
         _, goals = goal_regions_of(goal_scene, library, backend)
-        est = estimate_object(goals[0], db, FeatureIdMatcher(), INTR, LCFG)
+        est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert not est.accepted
 
     def test_full_prune_single_invocation(self, library, backend):
@@ -725,7 +731,7 @@ class TestEstimateObject:
         _, goals = goal_regions_of(scene, library, backend)
         cfg = LocalizationConfig(theta_prune=np.pi * np.sqrt(2))
         # drop every match so the first candidate is rejected
-        matcher = FeatureIdMatcher(drop_rate=1.0, rng=np.random.default_rng(0))
+        matcher = FeatureIdMatcher(LocalizationConfig(drop_rate=1.0), np.random.default_rng(0))
         est = estimate_object(goals[0], db, matcher, INTR, cfg)
         assert not est.accepted
         assert est.matcher_invocations == 1
@@ -735,7 +741,9 @@ class TestEstimateObject:
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
         cfg = LocalizationConfig(theta_prune=0.0)  # visit everything, in order
-        rec = _RecordingMatcher(FeatureIdMatcher(drop_rate=1.0, rng=np.random.default_rng(0)))
+        rec = _RecordingMatcher(
+            FeatureIdMatcher(LocalizationConfig(drop_rate=1.0), np.random.default_rng(0))
+        )
         est = estimate_object(goals[0], db, rec, INTR, cfg)
         assert not est.accepted
         assert len(rec.cand_crops) == db.num_regions
@@ -757,7 +765,7 @@ class TestDescriptorNNMatcher:
         goal_scene = apply_offsets(initial, [offset])
         db = ring_db(initial, library, backend)
         _, goals = goal_regions_of(goal_scene, library, backend)
-        matcher = DescriptorNNMatcher(library)
+        matcher = DescriptorNNMatcher(library, LCFG)
         est = estimate_object(goals[0], db, matcher, INTR, LCFG)
         assert est.accepted
         dtheta, dt = geo.planar_distance(est.offset, offset)
@@ -770,8 +778,8 @@ class TestDescriptorNNMatcher:
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.region(retrieve_candidates(goals[0], db).region_indices[0])
-        m2d = DescriptorNNMatcher(library).match(goals[0].crop, cand.crop, 256)
+        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = DescriptorNNMatcher(library, LCFG).match(goals[0].crop, cand.crop, 256)
         assert len(m2d) >= 12
         gr, gc, gok = matching_to_source_pixels(goals[0].crop, m2d.goal_px, 256)
         cr, cc, cok = matching_to_source_pixels(cand.crop, m2d.cand_px, 256)
@@ -788,7 +796,7 @@ class TestEstimateAll:
         db = ring_db(inst.initial, library, backend)
         goal_frame = render(inst.goal, inst.home_viewpoint, INTR, library, frame_id=99)
         goals = prepare_goal_regions(goal_frame, ground_truth_segmenter(), backend, PCFG)
-        out = estimate_all(goals, db, FeatureIdMatcher(), INTR, LCFG)
+        out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3
         i2s = source_of_instance(db)
         for u, est in out.items():
@@ -809,7 +817,7 @@ class TestEstimateAll:
         )
         db = ring_db(initial, library, backend)
         _, goals = goal_regions_of(goal_scene, library, backend)
-        out = estimate_all(goals, db, FeatureIdMatcher(), INTR, LCFG)
+        out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 2
         assert set(out.keys()) == {0, 1}
 
@@ -819,7 +827,7 @@ class TestEstimateAll:
         frame = empty_frame(CFG.home_viewpoint(), INTR, frame_id=99)
         goals = prepare_goal_regions(frame, ground_truth_segmenter(), backend, PCFG)
         assert goals == []
-        out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(), INTR, LCFG)
+        out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(LCFG), INTR, LCFG)
         assert out == {}
 
 

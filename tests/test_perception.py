@@ -96,7 +96,7 @@ class TestExtractRegions:
     def test_cloud_matches_visible_world_points(self, library):
         scene = make_scene([Placement(1, PlanarTransform(0.4, 0.05, -0.08))])
         frame = ring_frames(scene, library)[2]
-        regions = extract_regions(frame, segment(frame))
+        regions = extract_regions(frame, segment(frame), PCFG)
         assert len(regions) == 1
         reg = regions[0]
         o = library.point_offsets
@@ -115,12 +115,12 @@ class TestExtractRegions:
         full = segment(frame)[0][1]
         small = np.zeros_like(full)
         small[np.flatnonzero(full)[:5]] = True
-        assert extract_regions(frame, [(0, small)], min_points=10) == []
+        assert extract_regions(frame, [(0, small)], PerceptionConfig(min_region_points=10)) == []
 
     def test_empty_mask_list(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
         frame = ring_frames(scene, library)[0]
-        assert extract_regions(frame, []) == []
+        assert extract_regions(frame, [], PCFG) == []
 
     def test_crop_excludes_other_instances(self, library):
         scene = make_scene(
@@ -130,7 +130,7 @@ class TestExtractRegions:
             ]
         )
         frame = ring_frames(scene, library)[0]
-        regions = extract_regions(frame, segment(frame))
+        regions = extract_regions(frame, segment(frame), PCFG)
         for reg in regions:
             fids = reg.crop.feature_ids[reg.crop.mask]
             models = np.unique(fids // 1_000_000)
@@ -139,7 +139,7 @@ class TestExtractRegions:
     def test_cloud_cap(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
         frame = ring_frames(scene, library)[0]
-        regions = extract_regions(frame, segment(frame), cloud_cap=20)
+        regions = extract_regions(frame, segment(frame), PerceptionConfig(cloud_cap=20))
         assert len(regions[0].cloud) <= 20
 
 
@@ -223,7 +223,9 @@ class TestHitFrameRegions:
             for k, (scene, vp) in enumerate(views):
                 frame = render(scene, vp, intr, library, frame_id=k)
                 got = extract_regions(
-                    frame, segment(frame, erode_radius=erode_radius), cloud_cap=cloud_cap
+                    frame,
+                    segment(frame, erode_radius=erode_radius),
+                    PerceptionConfig(cloud_cap=cloud_cap),
                 )
                 planes = dense_planes(frame)
                 expect = dense_extract_regions(
@@ -243,7 +245,7 @@ class TestHitFrameRegions:
 class TestDescriptor:
     def _region(self, library, scene, view_idx=1, which=0):
         frame = ring_frames(scene, library)[view_idx]
-        regions = extract_regions(frame, segment(frame))
+        regions = extract_regions(frame, segment(frame), PCFG)
         reg = regions[which]
         reg.obs_dir = geo.observation_vector(reg.viewpoint, reg.cloud)
         return reg
@@ -301,7 +303,7 @@ class TestDescriptor:
         same, cross = [], []
         descs = []
         for f in frames:
-            regs = extract_regions(f, segment(f))
+            regs = extract_regions(f, segment(f), PCFG)
             for r in regs:
                 r.obs_dir = geo.observation_vector(r.viewpoint, r.cloud)
                 descs.append((r.source_instance, backend.extract(r)))
@@ -362,7 +364,7 @@ class TestPooling:
         frames = ring_frames(scene, library) + ring_frames(
             scene, library, SimConfig(focal_px=1100.0)
         )
-        return [r for f in frames for r in extract_regions(f, segment(f))]
+        return [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
 
     @pytest.mark.parametrize("resample", ["up", "down"])
     def test_rendered_crops(self, backend, rendered, resample):
@@ -421,7 +423,7 @@ class TestKMeans:
         pts = np.vstack(
             [rng.normal(c, 0.01, size=(20, 3)) for c in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]]
         )
-        labels, centers, inertia = kmeans(pts, 3, seed=1)
+        labels, centers, inertia = kmeans(pts, 3, seed=1, restarts=10, max_iters=100)
         gt = np.repeat([0, 1, 2], 20)
         # same partition up to relabeling
         assert len({(a, b) for a, b in zip(gt, labels)}) == 3
@@ -429,14 +431,14 @@ class TestKMeans:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(50, 3))
-        a = kmeans(pts, 4, seed=9)
-        b = kmeans(pts, 4, seed=9)
+        a = kmeans(pts, 4, seed=9, restarts=10, max_iters=100)
+        b = kmeans(pts, 4, seed=9, restarts=10, max_iters=100)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[2] == b[2]
 
     def test_infeasible(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), 4, seed=0)
+            kmeans(np.zeros((3, 2)), 4, seed=0, restarts=10, max_iters=100)
 
 
 class TestAssociate:
@@ -458,24 +460,24 @@ class TestAssociate:
         frames = ring_frames(scene, library)
         regions = []
         for f in frames:
-            regs = extract_regions(f, segment(f))
+            regs = extract_regions(f, segment(f), PCFG)
             for r in regs:
                 r.obs_dir = geo.observation_vector(r.viewpoint, r.cloud)
                 r.descriptor = backend.extract(r)
             regions.extend(regs)
-        db = associate(regions, 1)
+        db = associate(regions, 1, PCFG)
         assert db.num_instances == 1
         assert len(np.flatnonzero(db.region_instance == 0)) == len(regions)
 
     def test_k_too_large(self, library, backend):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
         frame = ring_frames(scene, library)[0]
-        regs = extract_regions(frame, segment(frame))
+        regs = extract_regions(frame, segment(frame), PCFG)
         for r in regs:
             r.obs_dir = geo.observation_vector(r.viewpoint, r.cloud)
             r.descriptor = backend.extract(r)
         with pytest.raises(ClusterCountInfeasible):
-            associate(regs, len(regs) + 1)
+            associate(regs, len(regs) + 1, PCFG)
 
 
 class TestInferK:
@@ -496,7 +498,7 @@ class TestInferK:
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=4)
         frames = ring_frames(inst.initial, library, cfg)
-        regions_by_frame = [extract_regions(f, segment(f)) for f in frames]
+        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         assert infer_k(regions_by_frame) == 5
 
     def test_undercount_when_every_ring_frame_misses_an_object(self, library, backend):
@@ -521,7 +523,7 @@ class TestInferK:
         )
         frames = ring_frames(scene, library, cfg)
         seg = ground_truth_segmenter()
-        regions_by_frame = [extract_regions(f, seg(f)) for f in frames]
+        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
         assert [sorted(r.source_instance for r in rs) for rs in regions_by_frame] == [[0, 2]] * 2
         assert infer_k(regions_by_frame) == 2 < scene.num_objects
         db = build_database(frames, seg, backend, PCFG)

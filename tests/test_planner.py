@@ -131,7 +131,7 @@ class TestGoalTarget:
         initial = scene_of([PlanarTransform(0.4, x, -0.3) for x in (-0.3, 0.0, 0.3)])
         goal = scene_of([PlanarTransform(-0.7, x, 0.3) for x in (-0.3, 0.0, 0.3)])
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library)
+        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert [m.kind for m in result.moves] == ["goal-move"] * 3
         for m in result.moves:
             i = m.object_index
@@ -142,7 +142,7 @@ class TestGoalTarget:
         initial = scene_of([PlanarTransform(0.1, -0.15, 0.0), PlanarTransform(0.5, 0.15, 0.0)])
         goal = scene_of([PlanarTransform(0.9, 0.15, 0.0), PlanarTransform(-0.4, -0.15, 0.0)])
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library)
+        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert result.completed
         buffer = next(m for m in result.moves if m.kind == "buffer-move")
         i = buffer.object_index
@@ -159,7 +159,7 @@ class TestFindBufferPose:
     def test_near_empty_table(self, library):
         scene = scene_of([PlanarTransform(0, 0, 0), PlanarTransform(0, 0.25, 0.25)])
         rng = np.random.default_rng(0)
-        pose = find_buffer_pose(scene, library, 0, rng)
+        pose = find_buffer_pose(scene, library, 0, rng, PlannerConfig())
         assert not check_collision(scene, library, 0, pose, 0.01)
 
     def test_packed_table(self, library):
@@ -168,7 +168,9 @@ class TestFindBufferPose:
             [PlanarTransform(0, 0, 0), PlanarTransform(0, 0, 0)], model_ids=[0, 1]
         )
         with pytest.raises(NoBufferSpace):
-            find_buffer_pose(scene, lib_big, 1, np.random.default_rng(0), attempts=200)
+            find_buffer_pose(
+                scene, lib_big, 1, np.random.default_rng(0), PlannerConfig(buffer_attempts=200)
+            )
 
     def test_returned_pose_rechecks_clean(self, library):
         rng = np.random.default_rng(3)
@@ -176,7 +178,7 @@ class TestFindBufferPose:
             [PlanarTransform(0, -0.25, -0.25), PlanarTransform(0, 0.25, 0.25)]
         )
         for _ in range(50):
-            pose = find_buffer_pose(scene, library, 0, rng)
+            pose = find_buffer_pose(scene, library, 0, rng, PlannerConfig())
             assert not check_collision(scene, library, 0, pose, 0.01)
 
 
@@ -189,7 +191,7 @@ class TestPlanAndExecute:
             [PlanarTransform(1.0, x, 0.3) for x in (-0.3, 0.0, 0.3)]
         )
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library)
+        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert result.completed
         assert result.total_manipulations == 3
         assert all(result.goal_moves[i] == 1 for i in range(3))
@@ -205,7 +207,7 @@ class TestPlanAndExecute:
             [PlanarTransform(0.0, 0.15, 0.0), PlanarTransform(0.0, -0.15, 0.0)]
         )
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library)
+        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert result.completed
         assert result.total_manipulations == 3
         assert sum(result.buffer_moves.values()) == 1
@@ -218,7 +220,7 @@ class TestPlanAndExecute:
     def test_already_at_goal_no_moves(self, library):
         initial = scene_of([PlanarTransform(0.3, 0.1, 0.1), PlanarTransform(0, -0.2, -0.2)])
         inst = instance_of(initial, initial)
-        result = plan_and_execute(inst, exact_estimates(inst), library)
+        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert result.completed
         assert result.total_manipulations == 0
 
@@ -227,7 +229,7 @@ class TestPlanAndExecute:
         goal = scene_of([PlanarTransform(1.0, 0.2, 0.2)])
         inst = instance_of(initial, goal)
         estimates = {0: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)}
-        result = plan_and_execute(inst, estimates, library)
+        result = plan_and_execute(inst, estimates, library, PlannerConfig())
         assert not result.completed
         assert result.goal_moves[0] == 0
         # failures accrued each outer pass until the buffer threshold fired
@@ -238,7 +240,7 @@ class TestPlanAndExecute:
         for seed in range(8):
             cfg = SimConfig(object_count_min=4, object_count_max=7)
             inst = generate_instance(cfg, library, seed=seed)
-            result = plan_and_execute(inst, exact_estimates(inst), library)
+            result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
             assert result.completed
             final = replay_moves(inst, result.moves, library)  # must not raise
             for p, q in zip(final.placements, result.final_scene.placements):
@@ -249,7 +251,7 @@ class TestPlanAndExecute:
         for seed in range(25):
             inst = generate_instance(cfg, library, seed=seed)
             k = inst.initial.num_objects
-            result = plan_and_execute(inst, exact_estimates(inst), library)
+            result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
             assert result.completed, f"seed {seed} did not complete"
             assert result.outer_iterations <= 2 * k + 1
             for i in range(k):
@@ -266,15 +268,15 @@ class TestPlanAndExecute:
             [PlanarTransform(0.0, 0.15, 0.0), PlanarTransform(0.0, -0.15, 0.0)]
         )
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library)
+        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         for m in result.moves:
             assert m.executed == (not m.collision)
 
     def test_deterministic(self, library):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=17)
-        a = plan_and_execute(inst, exact_estimates(inst), library)
-        b = plan_and_execute(inst, exact_estimates(inst), library)
+        a = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        b = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert [m.as_dict() for m in a.moves] == [m.as_dict() for m in b.moves]
 
     def test_failed_buffer_search_is_logged(self, library):
@@ -397,9 +399,7 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
 def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves, step):
     step += 1
     try:
-        pose = find_buffer_pose(
-            scene, library, i, rng, config.collision_margin, config.buffer_attempts
-        )
+        pose = find_buffer_pose(scene, library, i, rng, config)
     except NoBufferSpace:
         tracked = state.tracked_poses[i]
         moves.append(

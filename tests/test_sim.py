@@ -507,7 +507,7 @@ class TestInstanceIO:
 
     MEMBERS = [
         "config", "table_bounds", "initial", "goal", "true_offsets",
-        "home_viewpoint", "ring_viewpoints", "seed",
+        "home_viewpoint", "ring_viewpoints", "seed", "library",
     ]
 
     @pytest.mark.parametrize("doc", [[], "instance", 3, None])
@@ -537,6 +537,8 @@ class TestInstanceIO:
             ("ring_viewpoints", [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, True, 1]]]),
             ("seed", 1.5),
             ("seed", True),
+            ("library", {"seed": 99, "size": 3}),  # was accepted: the config says 7 and 12
+            ("library", {"seed": 7}),
         ],
     )
     def test_ill_typed_member_rejected(self, config, library, member, value):
@@ -581,6 +583,31 @@ class TestDatasetIO:
         with pytest.raises(ConfigParseError, match="files"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("version", 99),
+            ("version", None),
+            ("count", 5),
+            ("count", "1"),
+            ("seeds", [3, 4]),
+            ("seeds", ["1"]),
+            ("seeds", None),
+            ("seeds", [2]),  # the listed instance's seed is 1
+        ],
+    )
+    def test_inconsistent_manifest_rejected(self, config, library, tmp_path, member, value):
+        # each was loaded without complaint
+        save_dataset([generate_instance(config, library, seed=1)], tmp_path, config)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        if value is None:
+            del manifest[member]
+        else:
+            manifest[member] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigParseError, match=member):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("doc", [[], "mvor-dataset", {"format": "mvor-instance"}])
     def test_not_a_manifest_rejected(self, tmp_path, doc):
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
@@ -594,7 +621,8 @@ class TestDatasetIO:
         # a file name with a NUL byte was a ValueError, a file that is not
         # UTF-8 a UnicodeDecodeError
         manifest, root = dataset
-        (root / "manifest.json").write_text(json.dumps(dict(manifest, files=[name])))
+        doc = dict(manifest, files=[name], count=1, seeds=[1])
+        (root / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(error):
             load_dataset(root)
 
