@@ -1,9 +1,11 @@
 """Build the hierarchical region database and poke at retrieval.
 
 Every segmented object region from every ring frame becomes one row of the
-database's columns (crop, descriptor, point cloud, observation direction).
-Regions are grouped into object instances by clustering cloud centroids,
-and a goal region retrieves candidates by descriptor dot product.
+database's columns (crop box, descriptor, observation direction) and its
+hits (pixel, feature id, projection, world point, view direction) to the
+hit columns. Regions are grouped into object instances by clustering
+region centroids, the mean world points of their hits, and a goal region
+retrieves candidates by descriptor dot product.
 """
 
 import numpy as np

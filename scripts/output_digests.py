@@ -49,8 +49,7 @@ from mvor import cli  # noqa: E402
 TUNED = {
     "scenes": 2,
     "perception": {
-        "min_region_points": 400, "cloud_cap": 700,
-        "kmeans_restarts": 3, "kmeans_iters": 7, "kmeans_seed": 11,
+        "min_region_points": 400, "kmeans_restarts": 3, "kmeans_iters": 7, "kmeans_seed": 11,
     },
     "localization": {
         "top_n": 60, "min_correspondences": 300, "max_view_angle_deg": 50.0,

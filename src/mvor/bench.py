@@ -296,10 +296,7 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
         regions = extract_regions(frame, segmenter(frame), pcfg)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
-        dists = [
-            np.hypot(r.cloud_centroid[0] - guess.tx, r.cloud_centroid[1] - guess.ty)
-            for r in regions
-        ]
+        dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
         describe_region(region, backend)
         excluded = frozenset(set(range(db.num_instances)) - {u})

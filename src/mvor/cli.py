@@ -98,6 +98,8 @@ def cmd_build_db(args) -> int:
         extra_meta={
             "library_seed": inst.config.library_seed,
             "library_size": inst.config.library_size,
+            "model_points": inst.config.model_points,
+            "point_descriptor_dim": inst.config.point_descriptor_dim,
             "view": args.view,
             "instance_seed": inst.seed,
         },
@@ -141,7 +143,7 @@ def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
     inst = load_instance(args.instance)
-    for key in ("library_seed", "library_size"):
+    for key in ("library_seed", "library_size", "model_points", "point_descriptor_dim"):
         if header.get(key) != getattr(inst.config, key):
             raise MvorError(
                 f"database built against {key} {header.get(key)}, "

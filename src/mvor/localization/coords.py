@@ -6,20 +6,13 @@ import numpy as np
 
 
 def crop_matching_coords(crop, resolution: int):
-    """All mask pixels of a crop as (feature_ids, matching coords, view dirs).
+    """All hits of a crop as (feature_ids, matching coords, view dirs).
 
     Coordinates come from the stored exact sub-pixel projections, so a
     noiseless match round-trips to the source geometry exactly.
     """
-    rr, cc = np.nonzero(crop.mask)
-    local = np.stack(
-        [crop.px[rr, cc, 0] - crop.col0, crop.px[rr, cc, 1] - crop.row0], axis=1
-    )
-    return (
-        crop.feature_ids[rr, cc],
-        crop.pad_map(resolution).to_norm(local),
-        crop.view_local[rr, cc],
-    )
+    local = crop.px - np.array([crop.col0, crop.row0])
+    return crop.feature_ids, crop.pad_map(resolution).to_norm(local), crop.view_local
 
 
 def matching_to_image_coords(crop, xy: np.ndarray, resolution: int) -> np.ndarray:
@@ -29,10 +22,9 @@ def matching_to_image_coords(crop, xy: np.ndarray, resolution: int) -> np.ndarra
 
 
 def matching_to_source_pixels(crop, xy: np.ndarray, resolution: int):
-    """Matching-res coords -> nearest integer crop pixel (rows, cols, valid)."""
+    """Matching-res coords -> nearest integer crop pixel (rows, cols), which
+    may lie outside the crop."""
     local = crop.pad_map(resolution).from_norm(xy)
     cols = np.floor(local[:, 0] + 0.5).astype(int)
     rows = np.floor(local[:, 1] + 0.5).astype(int)
-    h, w = crop.shape
-    valid = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return rows, cols, valid
+    return rows, cols

@@ -81,14 +81,12 @@ class LocalizationConfig:
             # the early exit takes log(1 - confidence)
             raise ValueError(f"ransac_confidence={self.ransac_confidence!r} outside (0, 1)")
 
-    def make_matcher(self, library=None, rng=None):
+    def make_matcher(self, library, rng=None):
         if self.matcher == "feature_id":
             return FeatureIdMatcher(
                 self, rng if rng is not None else np.random.default_rng(self.matcher_seed)
             )
         if self.matcher == "descriptor_nn":
-            if library is None:
-                raise ValueError("descriptor_nn matcher needs the model library")
             return DescriptorNNMatcher(library, self)
         raise ValueError(f"unknown matcher {self.matcher!r}")
 
@@ -181,20 +179,18 @@ def lift_to_3d(
 ) -> Correspondences3D:
     """2D-2D matches -> (goal pixel, candidate world point) pairs.
 
-    Candidate-side coordinates select the nearest source pixel and take its
-    stored world point (pixels without depth drop out); goal-side
+    Candidate-side coordinates select the nearest source pixel and take
+    the world point of its hit (pixels without a hit drop out); goal-side
     coordinates are rescaled back to goal-image pixels. Duplicate goal
     pixels keep their first occurrence.
     """
     if len(m2d) == 0:
         raise TooFewCorrespondences("no 2D matches")
-    rows, cols, valid = matching_to_source_pixels(cand_region.crop, m2d.cand_px, resolution)
-    world = np.full((len(m2d), 3), np.nan)
-    world[valid] = cand_region.crop.world[rows[valid], cols[valid]]
-    valid &= np.isfinite(world).all(axis=1)
-    goal_px = matching_to_image_coords(goal_region.crop, m2d.goal_px, resolution)
-
-    goal_px, world = goal_px[valid], world[valid]
+    crop = cand_region.crop
+    hits = crop.hits_at(*matching_to_source_pixels(crop, m2d.cand_px, resolution))
+    valid = hits >= 0
+    world = crop.world[hits[valid]]
+    goal_px = matching_to_image_coords(goal_region.crop, m2d.goal_px, resolution)[valid]
     if len(goal_px):
         _, first = np.unique(goal_px, axis=0, return_index=True)
         keep = np.sort(first)

@@ -1,12 +1,13 @@
 """The hierarchical region database: every object region from every frame,
-grouped into object instances by clustering cloud centroids.
+grouped into object instances by clustering region centroids.
 
 A ``Database`` is the column arrays its dump holds, under the dump's
 names: one row per region for the labels, descriptors, observation
-directions and viewpoints, one row per instance for the centroids, and the
-regions' clouds and crops concatenated into flat arrays cut by offsets.
-Retrieval and pruning index these columns directly; ``region(i)`` views one
-region as an ``ObjectRegion`` without copying its crop.
+directions, viewpoints and crop origins and shapes, one row per instance
+for the centroids, and the regions' hits concatenated into flat arrays cut
+by offsets. Retrieval and pruning index these columns directly;
+``region(i)`` views one region as an ``ObjectRegion`` without copying its
+hits.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, RegionCrop, extract_regions
 
 DB_FORMAT = "mvor-db"
-DB_VERSION = 1
+DB_VERSION = 2
 
 
 @dataclass
 class PerceptionConfig:
     min_region_points: int = 10
-    cloud_cap: int = 0  # 0 = keep full region clouds
     descriptor_dim: int = 512
     norm_resolution: int = 64
     pool_grid: int = 4
@@ -46,7 +46,6 @@ class PerceptionConfig:
     def validate(self) -> None:
         check_bounds(self, {
             "min_region_points": (1, None),
-            "cloud_cap": (0, None),
             "descriptor_dim": (1, None),
             "pool_grid": (1, None),
             "norm_resolution": (1, None),
@@ -72,7 +71,7 @@ class PerceptionConfig:
 
 def _column(rows: str, tail: tuple = (), kind: str = "f"):
     """A Database field: ``rows`` names its length (``R`` regions, ``K``
-    instances, ``R+1`` offsets, or the ``crop``/``cloud`` flat length),
+    instances, ``R+1`` offsets, or ``hits``, the regions' total hits),
     ``tail`` its trailing shape (-1 for any) and ``kind`` its dtype kind."""
     return field(metadata={"rows": rows, "tail": tail, "kind": kind})
 
@@ -85,17 +84,15 @@ class Database:
     descriptors: np.ndarray = _column("R", (-1,))
     obs_dirs: np.ndarray = _column("R", (3,))
     viewpoints: np.ndarray = _column("R", (4, 4))  # camera-to-world matrices
-    instance_centroids: np.ndarray = _column("K", (3,))  # mean of member cloud centroids
-    cloud_offsets: np.ndarray = _column("R+1", kind="i")  # region i: cloud_points[o[i]:o[i+1]]
-    cloud_points: np.ndarray = _column("cloud", (3,))
+    instance_centroids: np.ndarray = _column("K", (3,))  # mean of member region centroids
     crop_origin: np.ndarray = _column("R", (2,), kind="i")  # (row0, col0)
     crop_shape: np.ndarray = _column("R", (2,), kind="i")  # (h, w)
-    crop_offsets: np.ndarray = _column("R+1", kind="i")  # region i: crop_*[o[i]:o[i+1]], row-major
-    crop_feature_ids: np.ndarray = _column("crop", kind="i")
-    crop_px: np.ndarray = _column("crop", (2,))
-    crop_depth: np.ndarray = _column("crop")
-    crop_world: np.ndarray = _column("crop", (3,))
-    crop_view: np.ndarray = _column("crop", (3,))
+    crop_offsets: np.ndarray = _column("R+1", kind="i")  # region i: crop_*[o[i]:o[i+1]]
+    crop_pixels: np.ndarray = _column("hits", kind="i")  # RegionCrop.pixels
+    crop_feature_ids: np.ndarray = _column("hits", kind="i")
+    crop_px: np.ndarray = _column("hits", (2,))
+    crop_world: np.ndarray = _column("hits", (3,))
+    crop_view: np.ndarray = _column("hits", (3,))
 
     @property
     def num_instances(self) -> int:
@@ -106,23 +103,21 @@ class Database:
         return len(self.region_instance)
 
     def region(self, i: int) -> ObjectRegion:
-        """Region ``i`` as an ObjectRegion whose crop and cloud are views of
-        the flat columns (no copy)."""
-        h, w = self.crop_shape[i]
-        o0, o1 = self.crop_offsets[i], self.crop_offsets[i + 1]
-        c0, c1 = self.cloud_offsets[i], self.cloud_offsets[i + 1]
+        """Region ``i`` as an ObjectRegion whose hits are views of the flat
+        columns (no copy)."""
+        hits = slice(self.crop_offsets[i], self.crop_offsets[i + 1])
         crop = RegionCrop(
             row0=int(self.crop_origin[i, 0]),
             col0=int(self.crop_origin[i, 1]),
-            feature_ids=self.crop_feature_ids[o0:o1].reshape(h, w),
-            px=self.crop_px[o0:o1].reshape(h, w, 2),
-            depth=self.crop_depth[o0:o1].reshape(h, w),
-            world=self.crop_world[o0:o1].reshape(h, w, 3),
-            view_local=self.crop_view[o0:o1].reshape(h, w, 3),
+            shape=(int(self.crop_shape[i, 0]), int(self.crop_shape[i, 1])),
+            pixels=self.crop_pixels[hits],
+            feature_ids=self.crop_feature_ids[hits],
+            px=self.crop_px[hits],
+            world=self.crop_world[hits],
+            view_local=self.crop_view[hits],
         )
         return ObjectRegion(
             crop=crop,
-            cloud=self.cloud_points[c0:c1],
             viewpoint=Pose3.from_matrix(self.viewpoints[i]),
             frame_id=int(self.region_frame[i]),
             source_instance=int(self.source_instance[i]),
@@ -148,14 +143,14 @@ def infer_k(regions_by_frame: list[list[ObjectRegion]]) -> int:
 
 
 def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig) -> Database:
-    """Group regions into k object instances by clustering cloud centroids.
+    """Group regions into k object instances by clustering region centroids.
 
     Instance lists are ordered by centroid (x, then y, then z) so the
     numbering is stable across runs.
     """
     if k < 1 or k > len(regions):
         raise ClusterCountInfeasible(f"k={k} with {len(regions)} regions")
-    centroids = np.stack([r.cloud_centroid for r in regions])
+    centroids = np.stack([r.centroid for r in regions])
     labels, _, _ = kmeans(
         centroids, k, config.kmeans_seed, config.kmeans_restarts, config.kmeans_iters
     )
@@ -173,27 +168,21 @@ def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig) -> 
         obs_dirs=np.stack([r.obs_dir for r in regions]),
         viewpoints=np.stack([r.viewpoint.matrix for r in regions]),
         instance_centroids=means[order],
-        cloud_offsets=_offsets([len(r.cloud) for r in regions]),
-        cloud_points=np.concatenate([r.cloud for r in regions]),
         crop_origin=np.array([[c.row0, c.col0] for c in crops], dtype=np.int64),
         crop_shape=np.array([c.shape for c in crops], dtype=np.int64),
-        crop_offsets=_offsets([c.feature_ids.size for c in crops]),
-        crop_feature_ids=np.concatenate([c.feature_ids.ravel() for c in crops]),
-        crop_px=np.concatenate([c.px.reshape(-1, 2) for c in crops]),
-        crop_depth=np.concatenate([c.depth.ravel() for c in crops]),
-        crop_world=np.concatenate([c.world.reshape(-1, 3) for c in crops]),
-        crop_view=np.concatenate([c.view_local.reshape(-1, 3) for c in crops]),
+        crop_offsets=np.concatenate([[0], np.cumsum([len(c.pixels) for c in crops])]),
+        crop_pixels=np.concatenate([c.pixels for c in crops]),
+        crop_feature_ids=np.concatenate([c.feature_ids for c in crops]),
+        crop_px=np.concatenate([c.px for c in crops]),
+        crop_world=np.concatenate([c.world for c in crops]),
+        crop_view=np.concatenate([c.view_local for c in crops]),
     )
-
-
-def _offsets(sizes) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(np.array(sizes, dtype=np.int64))])
 
 
 def describe_region(region: ObjectRegion, backend) -> None:
     """Set a region's observation direction, then its descriptor (which
     encodes that direction)."""
-    region.obs_dir = observation_vector(region.viewpoint, region.cloud)
+    region.obs_dir = observation_vector(region.viewpoint, region.crop.world)
     region.descriptor = backend.extract(region)
 
 
@@ -280,19 +269,18 @@ def load_database(path) -> tuple[Database, dict]:
 
 def _check_columns(columns: dict, header: dict, path) -> None:
     """Raise IOFailure unless the columns form the database the header
-    describes: every member has its field's dtype kind and shape, both
-    offset arrays cut their flat member into one nondecreasing run per
-    region, each crop's h*w is its offset difference, and every region's
-    instance exists."""
+    describes: every member has its field's dtype kind and shape,
+    ``crop_offsets`` cuts the hit columns into one nonempty run per region,
+    each region's ``crop_pixels`` increase strictly inside its crop and
+    span it (the crop is their bounding box), and every region's instance
+    exists."""
     r, k = header["num_regions"], header["num_instances"]
     if not all(type(n) is int and n >= 0 for n in (r, k)):
         raise IOFailure(f"{path}: header region/instance counts are not counts")
-    lengths = {"R": r, "K": k, "R+1": r + 1}
-    for name, flat in (("crop_offsets", "crop"), ("cloud_offsets", "cloud")):
-        o = columns[name]
-        if o.shape != (r + 1,) or o.dtype.kind != "i" or o[0] != 0 or np.any(np.diff(o) < 0):
-            raise IOFailure(f"{path}: {name} does not cut {r} regions")
-        lengths[flat] = int(o[-1])
+    o = columns["crop_offsets"]
+    if o.shape != (r + 1,) or o.dtype.kind != "i" or o[0] != 0 or np.any(np.diff(o) < 1):
+        raise IOFailure(f"{path}: crop_offsets does not cut {r} nonempty regions")
+    lengths = {"R": r, "K": k, "R+1": r + 1, "hits": int(o[-1])}
     for f in fields(Database):
         a, meta = columns[f.name], f.metadata
         tail = meta["tail"]
@@ -306,9 +294,20 @@ def _check_columns(columns: dict, header: dict, path) -> None:
                 f"{path}: {f.name} has shape {a.shape} ({a.dtype}), "
                 f"expected {meta['rows']}={lengths[meta['rows']]} rows"
             )
-    shapes = columns["crop_shape"]
-    if np.any(shapes < 1) or np.any(shapes.prod(axis=1) != np.diff(columns["crop_offsets"])):
-        raise IOFailure(f"{path}: crop_shape disagrees with crop_offsets")
+    shapes, pixels = columns["crop_shape"], columns["crop_pixels"]
+    if np.any(shapes < 1):
+        raise IOFailure(f"{path}: crop_shape holds an empty crop")
+    h, w = np.repeat(shapes, np.diff(o), axis=0).T
+    later = np.ones(len(pixels), dtype=bool)
+    later[o[:-1]] = False  # each region's first hit
+    if np.any((pixels < 0) | (pixels >= h * w)) or np.any(np.diff(pixels)[later[1:]] <= 0):
+        raise IOFailure(f"{path}: crop_pixels do not increase strictly inside their crop")
+    rows, cols = np.divmod(pixels, w)
+    for a, extent in ((rows, shapes[:, 0]), (cols, shapes[:, 1])):
+        if np.any(np.minimum.reduceat(a, o[:-1]) != 0) or np.any(
+            np.maximum.reduceat(a, o[:-1]) != extent - 1
+        ):
+            raise IOFailure(f"{path}: crop_shape is not the bounding box of its hits")
     labels = columns["region_instance"]
     if np.any((labels < 0) | (labels >= k)):
         raise IOFailure(f"{path}: region_instance outside [0, {k})")

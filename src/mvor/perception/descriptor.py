@@ -49,17 +49,14 @@ class GridPooledDescriptor:
 
     def _pooled_appearance(self, region: ObjectRegion) -> np.ndarray:
         res, g = self.config.norm_resolution, self.config.pool_grid
-        rr, cc, valid = region.crop.pad_map(res).source_index_grid()
-        h, w = region.crop.shape
-        fids = np.where(
-            valid, region.crop.feature_ids[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1
-        )
-        hit = fids >= 0
+        rr, cc, _ = region.crop.pad_map(res).source_index_grid()
+        hits = region.crop.hits_at(rr, cc)
+        hit = hits >= 0
         if not hit.any():
             raise EmptyRegion("region mask has no filled pixels")
         rows, cols = np.nonzero(hit)
         step = res // g
-        key = fids[hit] * (g * g) + (rows // step) * g + cols // step
+        key = region.crop.feature_ids[hits[hit]] * (g * g) + (rows // step) * g + cols // step
         pairs, counts = np.unique(key, return_counts=True)
         features, column = np.unique(pairs // (g * g), return_inverse=True)
         weights = np.zeros((g * g, len(features)))

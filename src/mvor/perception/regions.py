@@ -1,9 +1,11 @@
 """Object regions: one segmented observation of one object in one frame.
 
-A region keeps the tight crop of the feature image under its mask (the
-segmentation), the world-frame point cloud back-projected from the frame's
-masked hits, the observing viewpoint, and later gains a global descriptor
-and an observation direction.
+A region keeps the frame's hits under its mask (the segmentation), in the
+frame's row-major order: each hit's pixel inside the region's tight crop,
+its feature id, exact projection, world point back-projected through the
+frame's viewpoint and object-local viewing direction. It also keeps the
+observing viewpoint, and later gains a global descriptor and an
+observation direction.
 """
 
 from __future__ import annotations
@@ -60,24 +62,28 @@ class SquarePadMap:
 
 @dataclass
 class RegionCrop:
-    """Tight crop of a frame under one mask. Out-of-mask pixels carry
-    feature id -1 and NaN geometry."""
+    """The hits of one region, in the frame's row-major order, and the
+    tight crop of the frame around them: origin ``(row0, col0)`` and
+    ``shape`` ``(h, w)``."""
 
     row0: int
     col0: int
-    feature_ids: np.ndarray  # (h,w) int64
-    px: np.ndarray  # (h,w,2) exact (u,v) in the source image
-    depth: np.ndarray  # (h,w)
-    world: np.ndarray  # (h,w,3)
-    view_local: np.ndarray  # (h,w,3) object-local viewing direction
+    shape: tuple[int, int]
+    pixels: np.ndarray  # (n,) int64 crop-local r*w + c, strictly increasing
+    feature_ids: np.ndarray  # (n,) int64
+    px: np.ndarray  # (n,2) exact (u,v) in the source image
+    world: np.ndarray  # (n,3) back-projected world point
+    view_local: np.ndarray  # (n,3) object-local viewing direction
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.feature_ids.shape
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.feature_ids >= 0
+    def hits_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Index of the hit at each crop pixel (rows, cols); -1 for a pixel
+        outside the crop or with no hit."""
+        h, w = self.shape
+        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        flat = np.where(inside, rows * w + cols, -1)
+        i = np.searchsorted(self.pixels, flat)
+        # the appended entry answers a search that runs past the last hit
+        return np.where(inside & (np.append(self.pixels, -1)[i] == flat), i, -1)
 
     def pad_map(self, resolution: int) -> SquarePadMap:
         h, w = self.shape
@@ -87,7 +93,6 @@ class RegionCrop:
 @dataclass
 class ObjectRegion:
     crop: RegionCrop
-    cloud: np.ndarray  # (N,3) world frame
     viewpoint: Pose3
     frame_id: int
     source_instance: int  # segmenter label; diagnostics and tests only
@@ -95,19 +100,19 @@ class ObjectRegion:
     obs_dir: np.ndarray | None = None
 
     @property
-    def cloud_centroid(self) -> np.ndarray:
-        return self.cloud.mean(axis=0)
+    def centroid(self) -> np.ndarray:
+        """Mean world point of the region's hits."""
+        return self.crop.world.mean(axis=0)
 
 
 def extract_regions(frame, masks, config) -> list[ObjectRegion]:
     """Cut one ObjectRegion per mask out of a frame.
 
-    Masks are boolean masks over the frame's hits. The crop spans the masked
-    hits' bounding box; the cloud is the back-projection of every masked hit
-    through the frame's viewpoint, in the hits' row-major order, strided
-    down to at most ``config.cloud_cap`` points when that is set. Masks
-    with fewer than ``config.min_region_points`` hits are dropped.
-    Descriptor and observation direction are left unset.
+    Masks are boolean masks over the frame's hits. The region keeps the
+    masked hits, each with its world point back-projected through the
+    frame's viewpoint; its crop spans their bounding box. Masks with fewer
+    than ``config.min_region_points`` hits are dropped. Descriptor and
+    observation direction are left unset.
     """
     w2c = invert(frame.viewpoint)
     regions = []
@@ -120,37 +125,24 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
             continue
         rr, cc = frame.rows[mask], frame.cols[mask]
         r0, c0 = rr.min(), cc.min()
-        shape = (int(rr.max() - r0 + 1), int(cc.max() - c0 + 1))
-        at = (rr - r0, cc - c0)
-        uv, depth = frame.px[mask], frame.depth[mask]
-        cloud = back_project_pixels(frame.intrinsics, w2c, uv, depth)
+        w = int(cc.max() - c0 + 1)
+        uv = frame.px[mask]
         crop = RegionCrop(
-            int(r0),
-            int(c0),
-            _scatter(shape, at, frame.feature_ids[mask], -1),
-            _scatter(shape, at, uv, np.nan),
-            _scatter(shape, at, depth, np.nan),
-            _scatter(shape, at, cloud, np.nan),
-            _scatter(shape, at, frame.view_local[mask], np.nan),
+            row0=int(r0),
+            col0=int(c0),
+            shape=(int(rr.max() - r0 + 1), w),
+            pixels=(rr - r0) * w + (cc - c0),
+            feature_ids=frame.feature_ids[mask],
+            px=uv,
+            world=back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[mask]),
+            view_local=frame.view_local[mask],
         )
-        if config.cloud_cap and len(cloud) > config.cloud_cap:
-            stride = int(np.ceil(len(cloud) / config.cloud_cap))
-            cloud = cloud[::stride]
         regions.append(
             ObjectRegion(
                 crop=crop,
-                cloud=cloud,
                 viewpoint=frame.viewpoint,
                 frame_id=frame.frame_id,
                 source_instance=int(label),
             )
         )
     return regions
-
-
-def _scatter(shape, at, values: np.ndarray, fill) -> np.ndarray:
-    """A crop-sized array holding ``values`` at the pixels ``at`` and
-    ``fill`` elsewhere."""
-    out = np.full(shape + values.shape[1:], fill, dtype=values.dtype)
-    out[at] = values
-    return out

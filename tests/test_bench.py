@@ -261,7 +261,7 @@ class TestReobserver:
         assert len(regions) > 1
         region = min(
             regions,
-            key=lambda r: np.hypot(r.cloud_centroid[0] - guess.tx, r.cloud_centroid[1] - guess.ty),
+            key=lambda r: np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty),
         )
         excluded = frozenset(set(range(db.num_instances)) - {object_instance[0]})
         est = estimate_object(region, db, lcfg.make_matcher(library), intr, lcfg, excluded)
@@ -301,6 +301,7 @@ class TestCliDeterminism:
             {"localization": {"planar_filter": False}},
             {"localization": {"planar_max_tilt_deg": 10.0, "planar_max_dz": 0.02}},
             {"localization": {"instance_fallback": True}},
+            {"perception": {"cloud_cap": 700}},
         ):
             cfg = tmp_path / "stale.json"
             cfg.write_text(json.dumps(stale))
@@ -381,6 +382,22 @@ class TestCliInstanceFiles:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert "library_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("model_points", 800), ("point_descriptor_dim", 128)])
+    def test_localize_rejects_other_model_sampling(self, files, key, value, tmp_path, capsys):
+        """The database comes from 1600-point models with 256-wide point
+        descriptors. Against an instance whose library of the same seed
+        samples 800 points, or 128-wide descriptors, localize once exited 0
+        with an estimate 63 deg and 31 cm off (128 deg and 56 cm)."""
+        cfg = SimConfig(**{key: value}, object_count_min=1, object_count_max=1)
+        inst = generate_instance(cfg, generate_model_library(cfg), seed=0)
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(instance_to_dict(inst)))
+        argv = ["localize", "--db", str(files / "db.npz"), "--instance", str(path),
+                "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert key in capsys.readouterr().err
 
     def test_localize_rejects_other_descriptor_dim(self, files, tmp_path, capsys):
         """A database of 256-wide descriptors once reached retrieval under

@@ -85,7 +85,7 @@ def apply_offsets(scene, offsets):
 
 def fake_database(descriptors, instances_of, obs_dirs=None):
     """Database with fabricated descriptors; geometry is a stub: region i
-    has a 4 x 4 crop of feature id i and one cloud point at (i, i, i)."""
+    has a 4 x 4 crop whose 16 hits carry feature id i."""
     r = len(descriptors)
     k = max(instances_of) + 1
     n = 16 * r
@@ -99,14 +99,12 @@ def fake_database(descriptors, instances_of, obs_dirs=None):
         obs_dirs=np.array(obs_dirs, dtype=float),
         viewpoints=np.tile(np.eye(4), (r, 1, 1)),
         instance_centroids=np.zeros((k, 3)),
-        cloud_offsets=np.arange(r + 1),
-        cloud_points=np.repeat(np.arange(r, dtype=float)[:, None], 3, axis=1),
         crop_origin=np.zeros((r, 2), dtype=np.int64),
         crop_shape=np.full((r, 2), 4),
         crop_offsets=16 * np.arange(r + 1),
+        crop_pixels=np.tile(np.arange(16), r),
         crop_feature_ids=np.repeat(np.arange(r), 16),
         crop_px=np.zeros((n, 2)),
-        crop_depth=np.ones(n),
         crop_world=np.zeros((n, 3)),
         crop_view=np.zeros((n, 3)),
     )
@@ -178,16 +176,15 @@ class TestRetrieveCandidates:
 
 def _fake_goal(descriptor):
     crop = RegionCrop(
-        0, 0,
-        np.zeros((2, 2), dtype=np.int64),
-        np.zeros((2, 2, 2)),
-        np.ones((2, 2)),
-        np.zeros((2, 2, 3)),
-        np.zeros((2, 2, 3)),
+        0, 0, (2, 2),
+        np.arange(4),
+        np.zeros(4, dtype=np.int64),
+        np.zeros((4, 2)),
+        np.zeros((4, 3)),
+        np.zeros((4, 3)),
     )
     return ObjectRegion(
         crop=crop,
-        cloud=np.zeros((1, 3)),
         viewpoint=Pose3.identity(),
         frame_id=0,
         source_instance=0,
@@ -781,10 +778,11 @@ class TestDescriptorNNMatcher:
         cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = DescriptorNNMatcher(library, LCFG).match(goals[0].crop, cand.crop, 256)
         assert len(m2d) >= 12
-        gr, gc, gok = matching_to_source_pixels(goals[0].crop, m2d.goal_px, 256)
-        cr, cc, cok = matching_to_source_pixels(cand.crop, m2d.cand_px, 256)
-        gids = goals[0].crop.feature_ids[gr[gok & cok], gc[gok & cok]]
-        cids = cand.crop.feature_ids[cr[gok & cok], cc[gok & cok]]
+        g = goals[0].crop.hits_at(*matching_to_source_pixels(goals[0].crop, m2d.goal_px, 256))
+        c = cand.crop.hits_at(*matching_to_source_pixels(cand.crop, m2d.cand_px, 256))
+        both = (g >= 0) & (c >= 0)
+        gids = goals[0].crop.feature_ids[g[both]]
+        cids = cand.crop.feature_ids[c[both]]
         # unique per-point descriptors make mutual NN equivalent to id pairing
         assert (gids == cids).mean() > 0.99
 

@@ -104,7 +104,7 @@ class TestExtractRegions:
         seen_ids = frame.feature_ids
         assert np.all(seen_ids // FEATURE_ID_STRIDE == 1)
         expect = world_pts[seen_ids - FEATURE_ID_STRIDE]
-        got = reg.cloud
+        got = reg.crop.world
         assert got.shape == expect.shape
         d = np.linalg.norm(np.sort(got, axis=0) - np.sort(expect, axis=0), axis=1)
         assert d.max() < 1e-6
@@ -132,15 +132,9 @@ class TestExtractRegions:
         frame = ring_frames(scene, library)[0]
         regions = extract_regions(frame, segment(frame), PCFG)
         for reg in regions:
-            fids = reg.crop.feature_ids[reg.crop.mask]
+            fids = reg.crop.feature_ids
             models = np.unique(fids // 1_000_000)
             assert len(models) == 1
-
-    def test_cloud_cap(self, library):
-        scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
-        frame = ring_frames(scene, library)[0]
-        regions = extract_regions(frame, segment(frame), PerceptionConfig(cloud_cap=20))
-        assert len(regions[0].cloud) <= 20
 
 
 def dense_planes(frame):
@@ -174,8 +168,10 @@ def dense_segment(planes, erode_radius):
     return out
 
 
-def dense_extract_regions(frame, planes, masks, min_points, cloud_cap):
-    """Region extraction over full-resolution planes (the reference)."""
+def dense_extract_regions(frame, planes, masks, min_points):
+    """Region extraction over full-resolution planes (the reference): each
+    region's dense crop grids, feature id -1 and NaN geometry off its
+    mask."""
     w2c = geo.invert(frame.viewpoint)
     filled = planes["feature_ids"] >= 0
     out = []
@@ -190,25 +186,49 @@ def dense_extract_regions(frame, planes, masks, min_points, cloud_cap):
         keep = mask[sub]
         fids = np.where(keep, planes["feature_ids"][sub], -1)
         px = np.where(keep[..., None], planes["px"][sub], np.nan)
-        depth = np.where(keep, planes["depth"][sub], np.nan)
         view = np.where(keep[..., None], planes["view_local"][sub], np.nan)
-        cloud = geo.back_project_pixels(
+        world = np.full((*keep.shape, 3), np.nan)
+        world[rr - r0, cc - c0] = geo.back_project_pixels(
             frame.intrinsics, w2c, planes["px"][rr, cc], planes["depth"][rr, cc]
         )
-        world = np.full((*keep.shape, 3), np.nan)
-        world[rr - r0, cc - c0] = cloud
-        if cloud_cap and len(cloud) > cloud_cap:
-            cloud = cloud[:: int(np.ceil(len(cloud) / cloud_cap))]
-        out.append((int(r0), int(c0), label, (fids, px, depth, world, view, cloud)))
+        out.append((int(r0), int(c0), label, (fids, px, world, view)))
     return out
 
 
-class TestHitFrameRegions:
-    """Regions cut from a frame's hits are byte-identical to regions cut
-    from full-resolution planes holding the same hits."""
+def densify(crop):
+    """A hit crop scattered back to its dense (h, w) grids of feature ids,
+    projections, world points and view directions: feature id -1 and NaN
+    geometry off the hits."""
+    h, w = crop.shape
+    at = np.divmod(crop.pixels, w)
+    grids = []
+    for values, fill in (
+        (crop.feature_ids, -1), (crop.px, np.nan), (crop.world, np.nan), (crop.view_local, np.nan)
+    ):
+        grid = np.full((h, w) + values.shape[1:], fill, dtype=values.dtype)
+        grid[at] = values
+        grids.append(grid)
+    return grids
 
-    @pytest.mark.parametrize("erode_radius,cloud_cap", [(0, 0), (0, 20), (1, 0), (1, 20)])
-    def test_matches_dense_reference(self, library, erode_radius, cloud_cap):
+
+def sparsify(feature_ids, px, world, view_local, row0=0, col0=0):
+    """The hit crop of dense grids: one hit per pixel whose feature id is
+    set, in row-major order."""
+    rr, cc = np.nonzero(feature_ids >= 0)
+    h, w = feature_ids.shape
+    return RegionCrop(
+        row0, col0, (h, w), rr * w + cc,
+        feature_ids[rr, cc], px[rr, cc], world[rr, cc], view_local[rr, cc],
+    )
+
+
+class TestHitFrameRegions:
+    """Regions cut from a frame's hits, scattered back to dense crop grids,
+    are byte-identical to regions cut from full-resolution planes holding
+    the same hits."""
+
+    @pytest.mark.parametrize("erode_radius", [0, 1])
+    def test_matches_dense_reference(self, library, erode_radius):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         intr = cfg.intrinsics()
         checked = 0
@@ -222,20 +242,17 @@ class TestHitFrameRegions:
             ]
             for k, (scene, vp) in enumerate(views):
                 frame = render(scene, vp, intr, library, frame_id=k)
-                got = extract_regions(
-                    frame,
-                    segment(frame, erode_radius=erode_radius),
-                    PerceptionConfig(cloud_cap=cloud_cap),
-                )
+                got = extract_regions(frame, segment(frame, erode_radius=erode_radius), PCFG)
                 planes = dense_planes(frame)
                 expect = dense_extract_regions(
-                    frame, planes, dense_segment(planes, erode_radius), 10, cloud_cap
+                    frame, planes, dense_segment(planes, erode_radius), PCFG.min_region_points
                 )
                 assert len(got) == len(expect) > 0
                 for reg, (r0, c0, label, arrays) in zip(got, expect):
                     c = reg.crop
                     assert (c.row0, c.col0, reg.source_instance) == (r0, c0, label)
-                    for a, b in zip((c.feature_ids, c.px, c.depth, c.world, c.view_local, reg.cloud), arrays):
+                    assert np.all(np.diff(c.pixels) > 0)
+                    for a, b in zip(densify(c), arrays):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
                         assert a.tobytes() == b.tobytes()
                     checked += 1
@@ -247,7 +264,7 @@ class TestDescriptor:
         frame = ring_frames(scene, library)[view_idx]
         regions = extract_regions(frame, segment(frame), PCFG)
         reg = regions[which]
-        reg.obs_dir = geo.observation_vector(reg.viewpoint, reg.cloud)
+        reg.obs_dir = geo.observation_vector(reg.viewpoint, reg.crop.world)
         return reg
 
     def test_deterministic(self, library, backend):
@@ -274,16 +291,7 @@ class TestDescriptor:
         scene = make_scene([Placement(4, PlanarTransform(-0.2, 0.0, 0.0))])
         reg = self._region(library, scene)
         up = ObjectRegion(
-            crop=RegionCrop(
-                row0=0,
-                col0=0,
-                feature_ids=np.repeat(np.repeat(reg.crop.feature_ids, 2, 0), 2, 1),
-                px=np.repeat(np.repeat(reg.crop.px, 2, 0), 2, 1),
-                depth=np.repeat(np.repeat(reg.crop.depth, 2, 0), 2, 1),
-                world=np.repeat(np.repeat(reg.crop.world, 2, 0), 2, 1),
-                view_local=np.repeat(np.repeat(reg.crop.view_local, 2, 0), 2, 1),
-            ),
-            cloud=reg.cloud,
+            crop=sparsify(*(np.repeat(np.repeat(g, 2, 0), 2, 1) for g in densify(reg.crop))),
             viewpoint=reg.viewpoint,
             frame_id=reg.frame_id,
             source_instance=reg.source_instance,
@@ -305,7 +313,7 @@ class TestDescriptor:
         for f in frames:
             regs = extract_regions(f, segment(f), PCFG)
             for r in regs:
-                r.obs_dir = geo.observation_vector(r.viewpoint, r.cloud)
+                r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
                 descs.append((r.source_instance, backend.extract(r)))
         for i in range(len(descs)):
             for j in range(i + 1, len(descs)):
@@ -321,7 +329,8 @@ def reference_pooled(backend, region):
     res, g = backend.config.norm_resolution, backend.config.pool_grid
     rr, cc, valid = region.crop.pad_map(res).source_index_grid()
     h, w = region.crop.shape
-    fids = np.where(valid, region.crop.feature_ids[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
+    dense = densify(region.crop)[0]
+    fids = np.where(valid, dense[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
     hit = fids >= 0
     if not hit.any():
         return None
@@ -337,13 +346,11 @@ def reference_pooled(backend, region):
 
 
 def fid_region(feature_ids):
-    """A region carrying only a feature-id crop (all pooling reads)."""
+    """A region carrying only the hits of a dense feature-id grid (all
+    pooling reads)."""
     h, w = feature_ids.shape
-    crop = RegionCrop(
-        0, 0, feature_ids, np.zeros((h, w, 2)), np.zeros((h, w)),
-        np.zeros((h, w, 3)), np.zeros((h, w, 3)),
-    )
-    return ObjectRegion(crop, np.zeros((1, 3)), geo.Pose3.identity(), 0, 0)
+    crop = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
+    return ObjectRegion(crop, geo.Pose3.identity(), 0, 0)
 
 
 class TestPooling:
@@ -380,8 +387,7 @@ class TestPooling:
             )
 
     def test_one_pixel_region(self, backend, rendered):
-        fid = rendered[0].crop.feature_ids
-        region = fid_region(fid[fid >= 0][:1].reshape(1, 1))
+        region = fid_region(rendered[0].crop.feature_ids[:1].reshape(1, 1))
         np.testing.assert_allclose(
             backend._pooled_appearance(region), reference_pooled(backend, region),
             rtol=0, atol=1e-12,
@@ -462,7 +468,7 @@ class TestAssociate:
         for f in frames:
             regs = extract_regions(f, segment(f), PCFG)
             for r in regs:
-                r.obs_dir = geo.observation_vector(r.viewpoint, r.cloud)
+                r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
                 r.descriptor = backend.extract(r)
             regions.extend(regs)
         db = associate(regions, 1, PCFG)
@@ -474,7 +480,7 @@ class TestAssociate:
         frame = ring_frames(scene, library)[0]
         regs = extract_regions(frame, segment(frame), PCFG)
         for r in regs:
-            r.obs_dir = geo.observation_vector(r.viewpoint, r.cloud)
+            r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
             r.descriptor = backend.extract(r)
         with pytest.raises(ClusterCountInfeasible):
             associate(regs, len(regs) + 1, PCFG)
@@ -560,17 +566,17 @@ class TestBuildDatabase:
         db = db_for(inst.initial, library, backend)
         for r in map(db.region, range(db.num_regions)):
             np.testing.assert_allclose(
-                r.obs_dir, geo.observation_vector(r.viewpoint, r.cloud), atol=1e-9
+                r.obs_dir, geo.observation_vector(r.viewpoint, r.crop.world), atol=1e-9
             )
             assert np.linalg.norm(r.descriptor) == pytest.approx(1.0, abs=1e-6)
         # association purity with well-separated objects
         for j in range(db.num_instances):
             members = np.flatnonzero(db.region_instance == j)
             assert len(set(db.source_instance[members].tolist())) == 1
-        # centroid = mean of member cloud centroids
+        # centroid = mean of member region centroids
         for j in range(db.num_instances):
             members = np.flatnonzero(db.region_instance == j)
-            mean = np.mean([db.region(i).cloud_centroid for i in members], axis=0)
+            mean = np.mean([db.region(i).centroid for i in members], axis=0)
             np.testing.assert_allclose(db.instance_centroids[j], mean, atol=1e-12)
 
     def test_deterministic(self, library, backend):
@@ -598,6 +604,19 @@ def _decreasing(offsets):
     return out
 
 
+def _swap_first_two(pixels):
+    out = pixels.copy()
+    out[[0, 1]] = out[[1, 0]]
+    return out
+
+
+def _past_last_crop(m):
+    """crop_pixels with the last hit moved one pixel past its crop's end."""
+    out = m["crop_pixels"].copy()
+    out[-1] = m["crop_shape"][-1].prod()
+    return out
+
+
 # dumps whose members disagree with each other or with the header
 BAD_DUMPS = {
     "header_claims_one_more_region": lambda m: _header(
@@ -610,7 +629,11 @@ BAD_DUMPS = {
     "truncated_crop_offsets": lambda m: _with(m, "crop_offsets", m["crop_offsets"][:-1]),
     "crop_offsets_not_from_zero": lambda m: _with(m, "crop_offsets", m["crop_offsets"] + 1),
     "crop_offsets_decrease": lambda m: _with(m, "crop_offsets", _decreasing(m["crop_offsets"])),
-    "cloud_offsets_end_short": lambda m: _with(m, "cloud_points", m["cloud_points"][:-1]),
+    "crop_pixels_short": lambda m: _with(m, "crop_pixels", m["crop_pixels"][:-1]),
+    "crop_pixels_not_increasing": lambda m: _with(
+        m, "crop_pixels", _swap_first_two(m["crop_pixels"])
+    ),
+    "crop_pixel_outside_crop": lambda m: _with(m, "crop_pixels", _past_last_crop(m)),
     "crop_shape_disagrees_with_offsets": lambda m: _with(m, "crop_shape", m["crop_shape"] + [1, 0]),
     "region_instance_out_of_range": lambda m: _with(
         m, "region_instance", m["region_instance"] + len(m["instance_centroids"])
@@ -638,11 +661,12 @@ class TestDatabaseIO:
         np.testing.assert_array_equal(loaded.instance_centroids, db.instance_centroids)
         for i in range(db.num_regions):
             a, b = loaded.region(i), db.region(i)
-            np.testing.assert_array_equal(a.cloud, b.cloud)
-            np.testing.assert_array_equal(a.crop.feature_ids, b.crop.feature_ids)
-            np.testing.assert_array_equal(a.crop.px, b.crop.px)
+            assert a.centroid.tobytes() == b.centroid.tobytes()
+            for name in ("pixels", "feature_ids", "px", "world", "view_local"):
+                np.testing.assert_array_equal(getattr(a.crop, name), getattr(b.crop, name))
             np.testing.assert_array_equal(a.viewpoint.matrix, b.viewpoint.matrix)
-            assert (a.crop.row0, a.crop.col0) == (b.crop.row0, b.crop.col0)
+            for name in ("row0", "col0", "shape"):
+                assert getattr(a.crop, name) == getattr(b.crop, name)
 
     @pytest.fixture
     def members(self, library, backend, tmp_path):
@@ -678,6 +702,15 @@ class TestDatabaseIO:
         rc = cli_main(["localize", "--db", str(path), "--instance", str(tmp_path / "inst.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_version_1_dump_unsupported(self, members, tmp_path, capsys):
+        path = tmp_path / "v1.npz"
+        np.savez(path, **_header(members, version=1))
+        with pytest.raises(IOFailure, match="unsupported version"):
+            load_database(path)
+        rc = cli_main(["localize", "--db", str(path), "--instance", str(tmp_path / "inst.json")])
+        assert rc == 2
+        assert "unsupported version" in capsys.readouterr().err
 
     def test_not_an_archive(self, tmp_path):
         path = tmp_path / "array.npy"
