@@ -3,9 +3,10 @@
 Every segmented object region from every ring frame becomes one row of the
 database's columns (crop box, descriptor, observation direction) and its
 hits (pixel, feature id, projection, world point, view direction) to the
-hit columns. Regions are grouped into object instances by clustering
-region centroids, the mean world points of their hits, and a goal region
-retrieves candidates by descriptor dot product.
+hit columns. The frame with the most regions names the object instances,
+and every region joins the instance whose named region has the nearest
+centroid (the mean world point of its hits). A goal region retrieves
+candidates by descriptor dot product.
 """
 
 import numpy as np

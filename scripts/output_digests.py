@@ -13,16 +13,13 @@ checkout that holds this script:
 - ``localize`` of the first instance against its ring database with the
   ``descriptor_nn`` matcher, which reads the library's point descriptors;
 - with ``tuned.json``, which sets a non-default value for every retrieval,
-  matching, RANSAC, region, k-means and planner setting the pipeline
-  functions read from their config section: ``build-db``, ``localize``
-  (``feature_id``, then ``descriptor_nn`` with its own ratio test and match
-  cap) and ``rearrange`` of the first instance, and a 2-scene
-  ``bench-pose``. A setting lost on its way to the function that reads it
-  changes these outputs, where the default runs would still match. Each
-  tuned value was checked to move some output when put back to its
-  default, except the three ``kmeans_*`` settings: the region centroids
-  of these scenes cluster into one partition whatever the seed, restarts
-  and iteration cap.
+  matching, RANSAC, region and planner setting the pipeline functions read
+  from their config section: ``build-db``, ``localize`` (``feature_id``,
+  then ``descriptor_nn`` with its own ratio test and match cap) and
+  ``rearrange`` of the first instance, and a 2-scene ``bench-pose``. A
+  setting lost on its way to the function that reads it changes these
+  outputs, where the default runs would still match. Each tuned value was
+  checked to move some output when put back to its default.
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
@@ -48,9 +45,7 @@ from mvor import cli  # noqa: E402
 
 TUNED = {
     "scenes": 2,
-    "perception": {
-        "min_region_points": 400, "kmeans_restarts": 3, "kmeans_iters": 7, "kmeans_seed": 11,
-    },
+    "perception": {"min_region_points": 400},
     "localization": {
         "top_n": 60, "min_correspondences": 300, "max_view_angle_deg": 50.0,
         "drop_rate": 0.1, "sigma_px": 0.7, "outlier_rate": 0.25,

@@ -384,11 +384,11 @@ def compute_completion_summary(rows, skipped_scenes=0) -> dict:
     return summary
 
 
-def write_report(report: MetricsReport, out_dir, columns=None) -> None:
+def write_report(report: MetricsReport, out_dir) -> None:
     """records.tsv + summary.json are machine-readable and deterministic;
     report.txt is the human summary and carries the wall clock."""
     os.makedirs(out_dir, exist_ok=True)
-    columns = columns or (POSE_COLUMNS if report.kind == "pose" else COMPLETION_COLUMNS)
+    columns = POSE_COLUMNS if report.kind == "pose" else COMPLETION_COLUMNS
     lines = ["\t".join(columns)]
     for r in report.rows:
         lines.append("\t".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns))

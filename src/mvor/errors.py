@@ -41,10 +41,6 @@ class NoRegions(MvorError):
     """No object regions found in any input frame."""
 
 
-class ClusterCountInfeasible(MvorError):
-    """Requested more clusters than there are regions."""
-
-
 # localization
 class TooFewCorrespondences(MvorError):
     """Fewer 2D-3D pairs than the pose solver minimum."""

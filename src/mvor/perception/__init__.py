@@ -1,11 +1,9 @@
-from .cluster import kmeans
 from .database import (
     Database,
     PerceptionConfig,
     associate,
     build_database,
     describe_region,
-    infer_k,
     load_database,
     prepare_goal_regions,
     save_database,
@@ -14,13 +12,11 @@ from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, RegionCrop, SquarePadMap, extract_regions
 
 __all__ = [
-    "kmeans",
     "Database",
     "PerceptionConfig",
     "associate",
     "build_database",
     "describe_region",
-    "infer_k",
     "load_database",
     "prepare_goal_regions",
     "save_database",

@@ -1,5 +1,6 @@
 """The hierarchical region database: every object region from every frame,
-grouped into object instances by clustering region centroids.
+grouped into object instances. The frame with the most regions names the
+instances, and every region joins the one whose named region is nearest.
 
 A ``Database`` is the column arrays its dump holds, under the dump's
 names: one row per region for the labels, descriptors, observation
@@ -18,10 +19,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ClusterCountInfeasible, IOFailure, NoRegions
+from ..errors import IOFailure, NoRegions
 from ..geometry import Pose3, observation_vector
 from ..serialize import check_bounds
-from .cluster import kmeans
 from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, RegionCrop, extract_regions
 
@@ -39,9 +39,6 @@ class PerceptionConfig:
     obs_bins: int = 8
     obs_weight: float = 0.1
     projection_seed: int = 20240
-    kmeans_restarts: int = 10
-    kmeans_iters: int = 100
-    kmeans_seed: int = 5
 
     def validate(self) -> None:
         check_bounds(self, {
@@ -53,9 +50,6 @@ class PerceptionConfig:
             "obs_bins": (0, None),
             "obs_weight": (0, None),
             "projection_seed": (0, None),
-            "kmeans_restarts": (1, None),
-            "kmeans_iters": (1, None),
-            "kmeans_seed": (0, None),
         })
         if self.norm_resolution % self.pool_grid:
             # a remainder row or column would index a cell past the grid,
@@ -130,30 +124,24 @@ class Database:
 DB_ARRAYS = ("header", *(f.name for f in fields(Database)))
 
 
-def infer_k(regions_by_frame: list[list[ObjectRegion]]) -> int:
-    """Instance count estimate: the most regions any single frame produced.
+def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
+    """Group every region into the object instances the fullest frame names.
 
-    A frame sees each object at most once, so this lower-bounds the true
-    count and equals it whenever some frame sees every object.
+    A frame sees each object at most once, so the first frame with the most
+    regions names the instances, one per region, and every region joins the
+    instance whose named region has the nearest centroid. An object that
+    frame misses gets no instance: its regions join the nearest named one.
+    Instances are ordered by the mean of their member centroids (x, then y,
+    then z) so the numbering is stable across runs.
     """
-    counts = [len(rs) for rs in regions_by_frame]
-    if not counts or max(counts) == 0:
+    fullest = max(regions_by_frame, key=len, default=[])
+    if not fullest:
         raise NoRegions("no regions in any frame")
-    return max(counts)
-
-
-def associate(regions: list[ObjectRegion], k: int, config: PerceptionConfig) -> Database:
-    """Group regions into k object instances by clustering region centroids.
-
-    Instance lists are ordered by centroid (x, then y, then z) so the
-    numbering is stable across runs.
-    """
-    if k < 1 or k > len(regions):
-        raise ClusterCountInfeasible(f"k={k} with {len(regions)} regions")
+    regions = [r for frame_regions in regions_by_frame for r in frame_regions]
     centroids = np.stack([r.centroid for r in regions])
-    labels, _, _ = kmeans(
-        centroids, k, config.kmeans_seed, config.kmeans_restarts, config.kmeans_iters
-    )
+    named = np.stack([r.centroid for r in fullest])
+    labels = np.argmin(np.sum((centroids[:, None, :] - named[None, :, :]) ** 2, axis=2), axis=1)
+    k = len(fullest)
     means = np.stack([centroids[labels == j].mean(axis=0) for j in range(k)])
     order = np.lexsort((means[:, 2], means[:, 1], means[:, 0]))
     relabel = np.empty(k, dtype=int)
@@ -188,16 +176,12 @@ def describe_region(region: ObjectRegion, backend) -> None:
 
 def build_database(frames, segmenter, backend, config: PerceptionConfig) -> Database:
     """Full database construction: segment each frame, extract regions,
-    fill observation directions and descriptors, infer the instance count,
-    and associate."""
+    fill observation directions and descriptors, and associate."""
     regions_by_frame = [extract_regions(f, segmenter(f), config) for f in frames]
-    regions = [r for frame_regions in regions_by_frame for r in frame_regions]
-    if not regions:
-        raise NoRegions("no regions extracted from any frame")
-    for r in regions:
-        describe_region(r, backend)
-    k = infer_k(regions_by_frame)
-    return associate(regions, k, config)
+    for frame_regions in regions_by_frame:
+        for r in frame_regions:
+            describe_region(r, backend)
+    return associate(regions_by_frame)
 
 
 def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig):

@@ -49,7 +49,7 @@ class GridPooledDescriptor:
 
     def _pooled_appearance(self, region: ObjectRegion) -> np.ndarray:
         res, g = self.config.norm_resolution, self.config.pool_grid
-        rr, cc, _ = region.crop.pad_map(res).source_index_grid()
+        rr, cc = region.crop.pad_map(res).source_index_grid()
         hits = region.crop.hits_at(rr, cc)
         hit = hits >= 0
         if not hit.any():

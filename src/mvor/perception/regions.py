@@ -49,15 +49,15 @@ class SquarePadMap:
         out[..., 1] = (xy[..., 1] + 0.5) / self.scale - 0.5 - self.pad_top
         return out
 
-    def source_index_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest source pixel per normalized-grid cell: (rows, cols, valid)."""
+    def source_index_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest source pixel per normalized-grid cell: (rows, cols). A
+        cell in the padding maps to a row or column outside the crop."""
         g = np.arange(self.resolution)
         src_c = np.floor((g + 0.5) / self.scale - self.pad_left).astype(int)
         src_r = np.floor((g + 0.5) / self.scale - self.pad_top).astype(int)
         rr = np.repeat(src_r, self.resolution).reshape(self.resolution, self.resolution)
         cc = np.tile(src_c, self.resolution).reshape(self.resolution, self.resolution)
-        valid = (rr >= 0) & (rr < self.h) & (cc >= 0) & (cc < self.w)
-        return rr, cc, valid
+        return rr, cc
 
 
 @dataclass

@@ -527,7 +527,7 @@ class TestCliMalformedValues:
             {"include_single_view": 1},
             {"localization": {"sigma_px": True}},
             {"perception": {"pool_grid": 0}},  # was a ZeroDivisionError
-            {"perception": {"kmeans_restarts": 0}},  # was a TypeError
+            {"perception": {"kmeans_restarts": 0}},  # a removed setting: an unknown field
             {"perception": {"norm_resolution": 2}},  # was a misleading EmptyRegion
             {"perception": {"norm_resolution": 10}},  # was accepted: cell row 4 of 4
             {"localization": {"top_n": 0}},  # was a ValueError from bincount

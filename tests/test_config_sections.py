@@ -2,8 +2,8 @@
 
 The pipeline functions take their config section, or the value itself as a
 required argument, so no signature keeps a second copy of a config default
-that could drift from the dataclass (as ``kmeans(seed=0)`` once did beside
-``PerceptionConfig.kmeans_seed = 5``).
+that could drift from the dataclass (as a k-means ``seed=0`` default once
+did beside a ``PerceptionConfig`` seed of 5).
 """
 
 import dataclasses
@@ -21,10 +21,9 @@ from mvor.localization import (
     retrieve_candidates,
 )
 from mvor.perception import (
-    associate,
+    PerceptionConfig,
     build_database,
     extract_regions,
-    kmeans,
     prepare_goal_regions,
 )
 from mvor.planner import check_collision, find_buffer_pose, plan_and_execute
@@ -39,8 +38,6 @@ CONFIG_VALUED = {
     retrieve_candidates: ["top_n"],
     lift_to_3d: ["resolution", "min_correspondences"],
     extract_regions: ["config"],
-    kmeans: ["seed", "restarts", "max_iters"],
-    associate: ["config"],
     build_database: ["config"],
     prepare_goal_regions: ["config"],
     check_collision: ["margin"],
@@ -65,6 +62,14 @@ def test_instance_fallback_is_gone():
     assert "instance_fallback" not in {f.name for f in dataclasses.fields(LocalizationConfig)}
     with pytest.raises(ConfigParseError, match="instance_fallback"):
         from_dict(LocalizationConfig, {"instance_fallback": False})
+
+
+def test_kmeans_settings_are_gone():
+    names = {f.name for f in dataclasses.fields(PerceptionConfig)}
+    for name in ("kmeans_restarts", "kmeans_iters", "kmeans_seed"):
+        assert name not in names
+        with pytest.raises(ConfigParseError, match=name):
+            from_dict(PerceptionConfig, {name: 1})
 
 
 def test_generate_instance_seed_is_required():

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 from mvor import geometry as geo
 from mvor.cli import main as cli_main
-from mvor.errors import ClusterCountInfeasible, EmptyRegion, IOFailure, NoRegions
+from mvor.errors import EmptyRegion, IOFailure, NoRegions
 from mvor.geometry import PlanarTransform
 from mvor.perception import (
     PerceptionConfig,
@@ -17,8 +17,6 @@ from mvor.perception import (
     associate,
     build_database,
     extract_regions,
-    infer_k,
-    kmeans,
     load_database,
     prepare_goal_regions,
     save_database,
@@ -77,14 +75,16 @@ class TestSquarePadMap:
 
     def test_source_grid_covers_crop(self):
         m = SquarePadMap(20, 40, 64)
-        rr, cc, valid = m.source_index_grid()
+        rr, cc = m.source_index_grid()
+        valid = (rr >= 0) & (rr < 20) & (cc >= 0) & (cc < 40)
         assert rr.shape == (64, 64)
         assert rr[valid].min() == 0 and rr[valid].max() == 19
         assert cc[valid].min() == 0 and cc[valid].max() == 39
 
     def test_grid_consistent_with_to_norm(self):
         m = SquarePadMap(10, 10, 40)
-        rr, cc, valid = m.source_index_grid()
+        rr, cc = m.source_index_grid()
+        valid = (rr >= 0) & (rr < 10) & (cc >= 0) & (cc < 10)
         # forward-mapping a source pixel center must land in cells that map back to it
         norm = m.to_norm(np.array([[3.0, 7.0]]))[0]
         mc, mr = int(round(norm[0])), int(round(norm[1]))
@@ -327,8 +327,9 @@ def reference_pooled(backend, region):
     scattered into the grid cells with np.add.at. None when no grid sample
     is filled."""
     res, g = backend.config.norm_resolution, backend.config.pool_grid
-    rr, cc, valid = region.crop.pad_map(res).source_index_grid()
+    rr, cc = region.crop.pad_map(res).source_index_grid()
     h, w = region.crop.shape
+    valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
     dense = densify(region.crop)[0]
     fids = np.where(valid, dense[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
     hit = fids >= 0
@@ -423,30 +424,6 @@ class TestPooling:
         )
 
 
-class TestKMeans:
-    def test_recovers_separated_blobs(self):
-        rng = np.random.default_rng(0)
-        pts = np.vstack(
-            [rng.normal(c, 0.01, size=(20, 3)) for c in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]]
-        )
-        labels, centers, inertia = kmeans(pts, 3, seed=1, restarts=10, max_iters=100)
-        gt = np.repeat([0, 1, 2], 20)
-        # same partition up to relabeling
-        assert len({(a, b) for a, b in zip(gt, labels)}) == 3
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(50, 3))
-        a = kmeans(pts, 4, seed=9, restarts=10, max_iters=100)
-        b = kmeans(pts, 4, seed=9, restarts=10, max_iters=100)
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[2] == b[2]
-
-    def test_infeasible(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), 4, seed=0, restarts=10, max_iters=100)
-
-
 class TestAssociate:
     def test_two_objects_recover_ground_truth(self, library, backend):
         scene = make_scene(
@@ -461,56 +438,16 @@ class TestAssociate:
             members = np.flatnonzero(db.region_instance == j)
             assert len(set(db.source_instance[members].tolist())) == 1
 
-    def test_k_one_merges_everything(self, library, backend):
-        scene = make_scene([Placement(0, PlanarTransform(0, -0.2, 0)), Placement(2, PlanarTransform(0, 0.2, 0))])
-        frames = ring_frames(scene, library)
-        regions = []
-        for f in frames:
-            regs = extract_regions(f, segment(f), PCFG)
-            for r in regs:
-                r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
-                r.descriptor = backend.extract(r)
-            regions.extend(regs)
-        db = associate(regions, 1, PCFG)
-        assert db.num_instances == 1
-        assert len(np.flatnonzero(db.region_instance == 0)) == len(regions)
-
-    def test_k_too_large(self, library, backend):
-        scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
-        frame = ring_frames(scene, library)[0]
-        regs = extract_regions(frame, segment(frame), PCFG)
-        for r in regs:
-            r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
-            r.descriptor = backend.extract(r)
-        with pytest.raises(ClusterCountInfeasible):
-            associate(regs, len(regs) + 1, PCFG)
-
-
-class TestInferK:
-    def _dummy(self, n):
-        return [None] * n
-
-    def test_max_rule(self):
-        assert infer_k([self._dummy(3), self._dummy(4), self._dummy(4), self._dummy(2)]) == 4
-
-    def test_single(self):
-        assert infer_k([self._dummy(1)]) == 1
-
-    def test_empty(self):
-        with pytest.raises(NoRegions):
-            infer_k([[], []])
-
     def test_ring_recovers_object_count(self, library, backend):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=4)
-        frames = ring_frames(inst.initial, library, cfg)
-        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
-        assert infer_k(regions_by_frame) == 5
+        db = db_for(inst.initial, library, backend, ring_frames(inst.initial, library, cfg))
+        assert db.num_instances == 5
 
     def test_undercount_when_every_ring_frame_misses_an_object(self, library, backend):
         """Known failure mode: instance undercounting under occlusion.
 
-        infer_k takes the most regions any one frame produced, so an object
+        The frame with the most regions names the instances, so an object
         that no frame sees whole enough to segment is never counted. Three
         objects stand in a row along x, viewed only from the two ring
         cameras on that axis (azimuths 0 and 180 deg, 6 deg elevation, far
@@ -531,10 +468,45 @@ class TestInferK:
         seg = ground_truth_segmenter()
         regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
         assert [sorted(r.source_instance for r in rs) for rs in regions_by_frame] == [[0, 2]] * 2
-        assert infer_k(regions_by_frame) == 2 < scene.num_objects
         db = build_database(frames, seg, backend, PCFG)
         assert db.num_instances == 2 < scene.num_objects
         assert 1 not in db.source_instance
+
+    @pytest.mark.parametrize(
+        "regions_by_frame", [[], [[]], [[], [], []]],
+        ids=["no-frames", "one-empty-frame", "all-empty-frames"],
+    )
+    def test_no_regions(self, regions_by_frame):
+        with pytest.raises(NoRegions):
+            associate(regions_by_frame)
+
+    def test_tie_first_fullest_frame_names_instances(self):
+        """Frames 0 and 2 both hold the most regions; frame 0 names the
+        instances, and frame 2's regions join its nearer one."""
+
+        def frame(frame_id, xs):
+            return [point_region(frame_id, label, x) for label, x in enumerate(xs)]
+
+        frames = [frame(0, [0.0, 1.0]), frame(1, [0.3]), frame(2, [0.4, 0.45])]
+        db = associate(frames)
+        assert db.region_instance.tolist() == [0, 1, 0, 0, 0]
+        np.testing.assert_allclose(db.instance_centroids[:, 0], [0.2875, 1.0])
+        # with frame 2 first, its two regions name the instances instead
+        db = associate(frames[::-1])
+        assert db.region_instance.tolist() == [0, 1, 0, 0, 1]
+        np.testing.assert_allclose(db.instance_centroids[:, 0], [0.7 / 3, 0.725])
+
+
+def point_region(frame_id, label, x):
+    """A described one-hit region whose centroid is (x, 0, 0)."""
+    crop = RegionCrop(
+        0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        np.zeros((1, 2)), np.array([[x, 0.0, 0.0]]), np.zeros((1, 3)),
+    )
+    return ObjectRegion(
+        crop, geo.Pose3.identity(), frame_id, label,
+        descriptor=np.ones(4) / 2.0, obs_dir=np.array([1.0, 0.0, 0.0]),
+    )
 
 
 class TestBuildDatabase:
@@ -560,6 +532,48 @@ class TestBuildDatabase:
         seg = ground_truth_segmenter(p_drop=1.0, rng=np.random.default_rng(0))
         with pytest.raises(NoRegions):
             build_database(frames, seg, backend, PCFG)
+
+    def test_no_frames(self, backend):
+        with pytest.raises(NoRegions):
+            build_database([], ground_truth_segmenter(), backend, PCFG)
+
+    @pytest.mark.parametrize(
+        "sim, view, seed",
+        [
+            *(
+                pytest.param(
+                    {"object_count_min": n, "object_count_max": n, "rotation_regime": regime},
+                    "ring", n, id=f"{regime}-{n}-objects",
+                )
+                for regime in ("minor", "full")
+                for n in range(1, 10)
+            ),
+            *(
+                pytest.param({"object_count_min": 7}, "ring", seed, id=f"7-9-objects-{seed}")
+                for seed in (20, 21, 22)
+            ),
+            *(
+                pytest.param({"ring_count": rings}, "ring", seed, id=f"{rings}-view-ring-{seed}")
+                for rings in (2, 3)
+                for seed in (30, 31, 32)
+            ),
+            *(pytest.param({}, "home", seed, id=f"home-{seed}") for seed in (40, 41, 42)),
+        ],
+    )
+    def test_instances_are_segmenter_labels(self, library, backend, sim, view, seed):
+        """The fullest frame's regions name the instances: every instance
+        holds the regions of one segmenter label, and each label falls in
+        one instance."""
+        cfg = SimConfig(**sim)
+        inst = generate_instance(cfg, library, seed=seed)
+        if view == "home":
+            frames = [render(inst.initial, inst.home_viewpoint, cfg.intrinsics(), library)]
+        else:
+            frames = ring_frames(inst.initial, library, cfg)
+        db = db_for(inst.initial, library, backend, frames)
+        pairs = set(zip(db.source_instance.tolist(), db.region_instance.tolist()))
+        assert len({label for label, _ in pairs}) == len(pairs) == db.num_instances
+        assert len({j for _, j in pairs}) == db.num_instances
 
     def test_invariants(self, library, backend):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
