@@ -47,7 +47,8 @@ TUNED = {
     "scenes": 2,
     "perception": {"min_region_points": 400},
     "localization": {
-        "top_n": 60, "min_correspondences": 300, "max_view_angle_deg": 50.0,
+        "top_n": 60, "match_resolution": 200, "min_correspondences": 300,
+        "max_view_angle_deg": 50.0,
         "drop_rate": 0.1, "sigma_px": 0.7, "outlier_rate": 0.25,
         "ransac_iterations": 3, "reproj_threshold_px": 2.5, "ransac_confidence": 0.8,
         "ransac_seed": 13, "refine_iters": 1,

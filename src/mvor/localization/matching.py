@@ -1,5 +1,5 @@
 """Local 2D-2D matching between a goal region crop and a candidate region
-crop, both expressed at a common matching resolution (pad to square, resize).
+crop.
 
 A surface point is matchable across two observations only when the two
 viewing directions, expressed in the object's local frame, agree within a
@@ -8,18 +8,24 @@ degrade under viewpoint change: a feature seen from the object's far side
 cannot be matched, no matter that it is nominally the same surface point.
 
 Backends:
-    FeatureIdMatcher   pairs view-compatible pixels that observe the same
+    FeatureIdMatcher   pairs view-compatible hits that observe the same
                        model surface point, then corrupts the pairs: a drop
                        rate, Gaussian noise on the goal-side coordinates,
-                       and uniform outlier replacement. Noise parameters
-                       are in matching-resolution pixels, where a learned
-                       matcher would err.
-    DescriptorNNMatcher mutual nearest neighbor over the per-pixel point
+                       and uniform outlier replacement. The goal side is
+                       corrupted at the common matching resolution (pad to
+                       square, resize), where a learned matcher would err,
+                       so noise parameters are in matching-resolution
+                       pixels.
+    DescriptorNNMatcher mutual nearest neighbor over the per-hit point
                        descriptors with a ratio test; no ground-truth ids,
-                       same view-compatibility physics.
+                       same view-compatibility physics. It adds no noise,
+                       so it never leaves the image: its goal side is the
+                       goal hits' exact projections, and it ignores the
+                       matching resolution.
 
-Both return coordinates in the matching-resolution frame; lift_to_3d maps
-them back to source-image coordinates.
+Both name, per match, the goal-image coordinates and the index of the
+candidate crop's hit; lift_to_3d gathers that hit's stored world point.
+Every match has its own candidate hit and its own goal coordinates.
 """
 
 from __future__ import annotations
@@ -28,20 +34,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import crop_matching_coords
-
 
 @dataclass
 class Correspondences2D:
-    goal_px: np.ndarray  # (N,2) matching-resolution coords
-    cand_px: np.ndarray  # (N,2)
+    goal_px: np.ndarray  # (N,2) goal-image coords
+    cand_hits: np.ndarray  # (N,) index of the candidate crop's hit
 
     def __len__(self) -> int:
         return len(self.goal_px)
 
 
 def _empty_matches() -> Correspondences2D:
-    return Correspondences2D(np.empty((0, 2)), np.empty((0, 2)))
+    return Correspondences2D(np.empty((0, 2)), np.empty(0, dtype=np.intp))
+
+
+def _to_matching(crop, hits: np.ndarray, resolution: int) -> np.ndarray:
+    """Exact projections of a crop's hits -> matching-resolution coords."""
+    local = crop.px[hits] - np.array([crop.col0, crop.row0])
+    return crop.pad_map(resolution).to_norm(local)
+
+
+def _to_image(crop, xy: np.ndarray, resolution: int) -> np.ndarray:
+    """Matching-resolution coords -> continuous (u, v) in the crop's source
+    image."""
+    local = crop.pad_map(resolution).from_norm(xy)
+    return local + np.array([crop.col0, crop.row0], dtype=float)
 
 
 class FeatureIdMatcher:
@@ -58,26 +75,26 @@ class FeatureIdMatcher:
         self.rng = rng
 
     def match(self, goal_crop, cand_crop, resolution: int) -> Correspondences2D:
-        g_ids, g_xy, g_view = crop_matching_coords(goal_crop, resolution)
-        c_ids, c_xy, c_view = crop_matching_coords(cand_crop, resolution)
-        _, gi, ci = np.intersect1d(g_ids, c_ids, return_indices=True)
-        if len(gi) == 0:
-            return _empty_matches()
-        compatible = np.einsum("ij,ij->i", g_view[gi], c_view[ci]) >= self.cos_max
-        goal = g_xy[gi][compatible]
-        cand = c_xy[ci][compatible]
-        n = len(goal)
+        _, gi, ci = np.intersect1d(
+            goal_crop.feature_ids, cand_crop.feature_ids, return_indices=True
+        )
+        compatible = (
+            np.einsum("ij,ij->i", goal_crop.view_local[gi], cand_crop.view_local[ci])
+            >= self.cos_max
+        )
+        gi, ci = gi[compatible], ci[compatible]
+        n = len(gi)
         if n and self.drop_rate > 0.0:
             keep = self.rng.uniform(size=n) >= self.drop_rate
-            goal, cand = goal[keep], cand[keep]
-            n = len(goal)
+            gi, ci = gi[keep], ci[keep]
+            n = len(gi)
+        goal = _to_matching(goal_crop, gi, resolution)
         if n and self.sigma_px > 0.0:
             goal = goal + self.rng.normal(0.0, self.sigma_px, goal.shape)
         if n and self.outlier_rate > 0.0:
             bad = self.rng.uniform(size=n) < self.outlier_rate
-            goal = goal.copy()
             goal[bad] = self.rng.uniform(-0.5, resolution - 0.5, (int(bad.sum()), 2))
-        return Correspondences2D(goal, cand)
+        return Correspondences2D(_to_image(goal_crop, goal, resolution), ci)
 
 
 class DescriptorNNMatcher:
@@ -90,16 +107,17 @@ class DescriptorNNMatcher:
         self.max_points = config.max_matches
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
 
-    def _features(self, crop, resolution):
-        ids, xy, view = crop_matching_coords(crop, resolution)
-        if len(ids) > self.max_points:
-            stride = int(np.ceil(len(ids) / self.max_points))
-            ids, xy, view = ids[::stride], xy[::stride], view[::stride]
-        return self.library.descriptors_for(ids), xy, view
+    def _features(self, crop):
+        """The crop's hits, every ``stride``-th past ``max_matches``, with
+        their point descriptors and view directions."""
+        hits = np.arange(len(crop.feature_ids))
+        if len(hits) > self.max_points:
+            hits = hits[:: int(np.ceil(len(hits) / self.max_points))]
+        return hits, self.library.descriptors_for(crop.feature_ids[hits]), crop.view_local[hits]
 
     def match(self, goal_crop, cand_crop, resolution: int) -> Correspondences2D:
-        gd, g_xy, g_view = self._features(goal_crop, resolution)
-        cd, c_xy, c_view = self._features(cand_crop, resolution)
+        g_hits, gd, g_view = self._features(goal_crop)
+        c_hits, cd, c_view = self._features(cand_crop)
         if len(gd) == 0 or len(cd) == 0:
             return _empty_matches()
         sims = gd @ cd.T
@@ -120,4 +138,4 @@ class DescriptorNNMatcher:
         d2 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(second, -1.0, 1.0)))
         no_second = ~np.isfinite(second)
         ok = feasible & mutual & (no_second | (d1 <= self.ratio * np.maximum(d2, 1e-12)))
-        return Correspondences2D(g_xy[ok], c_xy[nn[ok]])
+        return Correspondences2D(goal_crop.px[g_hits[ok]], c_hits[nn[ok]])

@@ -25,7 +25,6 @@ from ..geometry import PlanarTransform, Pose3, angular_distance
 from ..perception.database import Database
 from ..perception.regions import ObjectRegion
 from ..serialize import check_bounds
-from .coords import matching_to_image_coords, matching_to_source_pixels
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pnp import ransac_planar
 
@@ -123,7 +122,6 @@ class PoseEstimate:
     inlier_count: int = 0
     inlier_ratio: float = 0.0
     num_correspondences: int = 0
-    candidate_region: int | None = None
     instance_id: int | None = None
     accepted: bool = False
     candidates_visited: int = 0
@@ -171,33 +169,19 @@ def prune_after_rejection(
 
 
 def lift_to_3d(
-    m2d: Correspondences2D,
-    goal_region: ObjectRegion,
-    cand_region: ObjectRegion,
-    resolution: int,
-    min_correspondences: int,
+    m2d: Correspondences2D, cand_region: ObjectRegion, min_correspondences: int
 ) -> Correspondences3D:
     """2D-2D matches -> (goal pixel, candidate world point) pairs.
 
-    Candidate-side coordinates select the nearest source pixel and take
-    the world point of its hit (pixels without a hit drop out); goal-side
-    coordinates are rescaled back to goal-image pixels. Duplicate goal
-    pixels keep their first occurrence.
+    Each match names the candidate crop's hit, so its 3D point is that
+    hit's stored world point: a gather. The matchers pair each candidate
+    hit and each goal coordinate at most once, so every pair is distinct.
     """
     if len(m2d) == 0:
         raise TooFewCorrespondences("no 2D matches")
-    crop = cand_region.crop
-    hits = crop.hits_at(*matching_to_source_pixels(crop, m2d.cand_px, resolution))
-    valid = hits >= 0
-    world = crop.world[hits[valid]]
-    goal_px = matching_to_image_coords(goal_region.crop, m2d.goal_px, resolution)[valid]
-    if len(goal_px):
-        _, first = np.unique(goal_px, axis=0, return_index=True)
-        keep = np.sort(first)
-        goal_px, world = goal_px[keep], world[keep]
-    if len(goal_px) < min_correspondences:
-        raise TooFewCorrespondences(f"{len(goal_px)} 2D-3D pairs")
-    return Correspondences3D(goal_px, world)
+    if len(m2d) < min_correspondences:
+        raise TooFewCorrespondences(f"{len(m2d)} 2D-3D pairs")
+    return Correspondences3D(m2d.goal_px, cand_region.crop.world[m2d.cand_hits])
 
 
 def solve_pose(
@@ -256,20 +240,14 @@ def estimate_object(
         while (pos := cands.next_unvisited()) is not None:
             cands.visited[pos] = True
             visited += 1
-            region_idx = int(cands.region_indices[pos])
-            cand_region = db.region(region_idx)
+            cand_region = db.region(int(cands.region_indices[pos]))
             match_calls += 1
             m2d = matcher.match(goal_region.crop, cand_region.crop, config.match_resolution)
-            est = None
             try:
-                m3d = lift_to_3d(
-                    m2d, goal_region, cand_region, config.match_resolution,
-                    config.min_correspondences,
-                )
+                m3d = lift_to_3d(m2d, cand_region, config.min_correspondences)
                 est = solve_pose(m3d, intr, goal_region.viewpoint, config)
             except (TooFewCorrespondences, DegenerateGeometry) as e:
                 est = PoseEstimate(offset=PlanarTransform.identity(), note=str(e))
-            est.candidate_region = region_idx
             est.instance_id = cands.instance_id
             if best is None or est.inlier_count > best.inlier_count:
                 best = est

@@ -36,7 +36,7 @@ CONFIG_VALUED = {
     DescriptorNNMatcher: ["config"],
     ransac_planar: ["config"],
     retrieve_candidates: ["top_n"],
-    lift_to_3d: ["resolution", "min_correspondences"],
+    lift_to_3d: ["min_correspondences"],
     extract_regions: ["config"],
     build_database: ["config"],
     prepare_goal_regions: ["config"],

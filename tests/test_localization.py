@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from mvor import geometry as geo
 from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
@@ -375,23 +376,23 @@ class TestLiftTo3D:
         _, goals = goal_regions_of(scene, library, backend)
         cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand.crop, 256)
-        return goals[0], cand, m2d
+        return cand, m2d
 
     def test_all_depth_pixels_lift(self, library, backend):
-        goal, cand, m2d = self._matched_pair(library, backend)
-        m3d = lift_to_3d(m2d, goal, cand, 256, LCFG.min_correspondences)
+        cand, m2d = self._matched_pair(library, backend)
+        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         assert len(m3d) == len(m2d)
 
     def test_too_few_pairs(self, library, backend):
-        goal, cand, m2d = self._matched_pair(library, backend)
-        small = Correspondences2D(m2d.goal_px[:3], m2d.cand_px[:3])
+        cand, m2d = self._matched_pair(library, backend)
+        small = Correspondences2D(m2d.goal_px[:3], m2d.cand_hits[:3])
         with pytest.raises(TooFewCorrespondences):
-            lift_to_3d(small, goal, cand, 256, LCFG.min_correspondences)
+            lift_to_3d(small, cand, LCFG.min_correspondences)
 
     def test_lifted_points_on_true_surface(self, library, backend):
         scene = make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
-        goal, cand, m2d = self._matched_pair(library, backend, scene)
-        m3d = lift_to_3d(m2d, goal, cand, 256, LCFG.min_correspondences)
+        cand, m2d = self._matched_pair(library, backend, scene)
+        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         o = library.point_offsets
         surface = geo.lift(scene.placements[0].pose).apply(library.points[o[2] : o[3]])
         for w in m3d.world[:: max(1, len(m3d) // 50)]:
@@ -405,7 +406,7 @@ class TestSolvePose:
         _, goals = goal_regions_of(scene, library, backend)
         cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand.crop, 256)
-        m3d = lift_to_3d(m2d, goals[0], cand, 256, LCFG.min_correspondences)
+        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
         np.testing.assert_allclose([est.offset.yaw, est.offset.tx, est.offset.ty], 0.0, atol=1e-6)
@@ -466,7 +467,7 @@ class TestSolvePose:
         )
         cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = matcher.match(goals[0].crop, cand.crop, 256)
-        m3d = lift_to_3d(m2d, goals[0], cand, 256, LCFG.min_correspondences)
+        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
         err = reprojection_sq_errors(m3d.world, m3d.goal_px, INTR, r, t)
         assert np.all(err[mask] <= LCFG.reproj_threshold_px**2 + 1e-9)
@@ -591,7 +592,7 @@ class TestPlanarSolver:
         )
         cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = matcher.match(goals[0].crop, cand.crop, 256)
-        m3d = lift_to_3d(m2d, goals[0], cand, 256, LCFG.min_correspondences)
+        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
         assert isinstance(est.offset, PlanarTransform)
@@ -768,23 +769,52 @@ class TestDescriptorNNMatcher:
         dtheta, dt = geo.planar_distance(est.offset, offset)
         assert dtheta < 0.5 and dt < 0.5
 
-    def test_matches_are_id_consistent(self, library, backend):
-        from mvor.localization import DescriptorNNMatcher
-        from mvor.localization.coords import matching_to_source_pixels
 
+class TestMatchesNameHits:
+    """Both matchers name, per match, the goal-image coordinates and the
+    candidate crop's hit; nothing maps a match back through pixels."""
+
+    CASES = {
+        "feature_id-noiseless": ("feature_id", {}),
+        "feature_id-noisy": (
+            "feature_id", {"drop_rate": 0.1, "sigma_px": 1.0, "outlier_rate": 0.2}
+        ),
+        "descriptor_nn-noiseless": ("descriptor_nn", {}),
+        "descriptor_nn-subsampled": ("descriptor_nn", {"max_matches": 300}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_are_one_to_one_and_id_consistent(self, case, library, backend):
+        kind, overrides = self.CASES[case]
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = DescriptorNNMatcher(library, LCFG).match(goals[0].crop, cand.crop, 256)
+        goal = goals[0].crop
+        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0]).crop
+        cfg = LocalizationConfig(matcher=kind, **overrides)
+        m2d = cfg.make_matcher(library, np.random.default_rng(3)).match(goal, cand, 256)
         assert len(m2d) >= 12
-        g = goals[0].crop.hits_at(*matching_to_source_pixels(goals[0].crop, m2d.goal_px, 256))
-        c = cand.crop.hits_at(*matching_to_source_pixels(cand.crop, m2d.cand_px, 256))
-        both = (g >= 0) & (c >= 0)
-        gids = goals[0].crop.feature_ids[g[both]]
-        cids = cand.crop.feature_ids[c[both]]
-        # unique per-point descriptors make mutual NN equivalent to id pairing
-        assert (gids == cids).mean() > 0.99
+        # one-to-one, so lift_to_3d needs no dedupe
+        assert len(np.unique(m2d.cand_hits)) == len(m2d)
+        assert len(np.unique(m2d.goal_px, axis=0)) == len(m2d)
+        if "sigma_px" in overrides:
+            # a subset of the clean matches, moved on the goal side only
+            clean = LocalizationConfig(matcher=kind).make_matcher(library).match(goal, cand, 256)
+            clean_at = dict(zip(clean.cand_hits.tolist(), clean.goal_px))
+            assert set(m2d.cand_hits.tolist()) <= set(clean_at)
+            moved = [np.linalg.norm(p - clean_at[h]) for p, h in zip(m2d.goal_px, m2d.cand_hits)]
+            assert np.median(moved) < 1.0
+            return
+        dist, goal_hits = cKDTree(goal.px).query(m2d.goal_px)
+        assert dist.max() < 1e-9  # the goal hits' own projections
+        # descriptor_nn too: each library point has its own descriptor
+        np.testing.assert_array_equal(
+            goal.feature_ids[goal_hits], cand.feature_ids[m2d.cand_hits]
+        )
+        if "max_matches" in overrides:
+            stride = int(np.ceil(len(cand.feature_ids) / overrides["max_matches"]))
+            assert stride > 1
+            assert np.all(m2d.cand_hits % stride == 0)
 
 
 class TestEstimateAll:

@@ -472,6 +472,40 @@ class TestAssociate:
         assert db.num_instances == 2 < scene.num_objects
         assert 1 not in db.source_instance
 
+    def test_undercount_when_no_frame_sees_every_object(self, library, backend):
+        """Known failure mode, and a fixable one: every object is seen, yet
+        the database holds fewer instances than the scene has objects.
+
+        Three objects stand in a row along x, viewed from the two ring
+        cameras on that axis. Each camera sees the middle object and the
+        one nearest it; the far one hides behind them. Frame 0 names two
+        instances, so frame 1's regions join those two, and the object
+        only frame 1 sees joins the nearer named instance. Chaining each
+        frame's regions to the next frame's would count all three objects,
+        since the regions of one frame cannot be one object. A fix to
+        association has to change this test.
+        """
+        cfg = SimConfig(ring_count=2, ring_elevation_deg=6.0, ring_radius=3.0)
+        scene = make_scene(
+            [
+                Placement(1, PlanarTransform(0.0, 0.3, 0.0)),
+                Placement(0, PlanarTransform(0.0, 0.0, 0.0)),
+                Placement(4, PlanarTransform(0.0, -0.3, 0.0)),
+            ]
+        )
+        frames = ring_frames(scene, library, cfg)
+        seg = ground_truth_segmenter()
+        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
+        assert [sorted(r.source_instance for r in rs) for rs in regions_by_frame] == [
+            [0, 1],
+            [1, 2],
+        ]
+        db = build_database(frames, seg, backend, PCFG)
+        assert db.num_instances == 2 < scene.num_objects
+        assert set(db.source_instance.tolist()) == {0, 1, 2}
+        # objects 1 and 2 share the instance named by object 1's region
+        assert len(set(db.region_instance[db.source_instance > 0].tolist())) == 1
+
     @pytest.mark.parametrize(
         "regions_by_frame", [[], [[]], [[], [], []]],
         ids=["no-frames", "one-empty-frame", "all-empty-frames"],
