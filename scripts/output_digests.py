@@ -13,13 +13,15 @@ checkout that holds this script:
 - ``localize`` of the first instance against its ring database with the
   ``descriptor_nn`` matcher, which reads the library's point descriptors;
 - with ``tuned.json``, which sets a non-default value for every retrieval,
-  matching, RANSAC, region and planner setting the pipeline functions read
-  from their config section: ``build-db``, ``localize`` (``feature_id``,
-  then ``descriptor_nn`` with its own ratio test and match cap) and
-  ``rearrange`` of the first instance, and a 2-scene ``bench-pose``. A
-  setting lost on its way to the function that reads it changes these
-  outputs, where the default runs would still match. Each tuned value was
-  checked to move some output when put back to its default.
+  matching, RANSAC, region, descriptor and planner setting the pipeline
+  functions read from their config section: ``build-db``, ``localize``
+  (``feature_id``, then ``descriptor_nn`` with its own ratio test and
+  match cap) and ``rearrange`` of the first instance, and a 2-scene
+  ``bench-pose``. A setting lost on its way to the function that reads it
+  changes these outputs, where the default runs would still match. Each
+  tuned value was checked to move some output when put back to its
+  default (``norm_resolution`` to 63, as the default 64 is not a multiple
+  of the tuned ``pool_grid`` 3).
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
@@ -45,7 +47,11 @@ from mvor import cli  # noqa: E402
 
 TUNED = {
     "scenes": 2,
-    "perception": {"min_region_points": 400},
+    "perception": {
+        "min_region_points": 400, "descriptor_dim": 256, "norm_resolution": 48,
+        "pool_grid": 3, "grid_weight": 0.6, "obs_bins": 6, "obs_weight": 0.2,
+        "projection_seed": 11,
+    },
     "localization": {
         "top_n": 60, "match_resolution": 200, "min_correspondences": 300,
         "max_view_angle_deg": 50.0,

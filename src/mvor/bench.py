@@ -43,7 +43,7 @@ from .localization import LocalizationConfig, PoseEstimate, estimate_all, estima
 from .perception import (
     PerceptionConfig,
     build_database,
-    describe_region,
+    describe_regions,
     extract_regions,
     prepare_goal_regions,
 )
@@ -298,7 +298,7 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
-        describe_region(region, backend)
+        describe_regions([region], backend)
         excluded = frozenset(set(range(db.num_instances)) - {u})
         est = estimate_object(region, db, matcher, intr, loc_cfg, excluded)
         if not est.accepted:

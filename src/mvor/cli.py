@@ -43,6 +43,16 @@ from .sim import (
 )
 
 
+# The settings a database depends on, recorded in its header by build-db and
+# checked by localize: those the model library is generated from (SimConfig),
+# and those the descriptor backend reads (PerceptionConfig).
+LIBRARY_KEYS = ("library_seed", "library_size", "model_points", "point_descriptor_dim")
+DESCRIPTOR_KEYS = (
+    "descriptor_dim", "norm_resolution", "pool_grid", "grid_weight",
+    "obs_bins", "obs_weight", "projection_seed",
+)
+
+
 def load_config(path: str | None, seed: int | None) -> BenchConfig:
     cfg = from_dict(BenchConfig, load_json(path)) if path else BenchConfig()
     if seed is not None:
@@ -96,10 +106,8 @@ def cmd_build_db(args) -> int:
         db,
         out,
         extra_meta={
-            "library_seed": inst.config.library_seed,
-            "library_size": inst.config.library_size,
-            "model_points": inst.config.model_points,
-            "point_descriptor_dim": inst.config.point_descriptor_dim,
+            **{key: getattr(inst.config, key) for key in LIBRARY_KEYS},
+            **{key: getattr(cfg.perception, key) for key in DESCRIPTOR_KEYS},
             "view": args.view,
             "instance_seed": inst.seed,
         },
@@ -143,12 +151,16 @@ def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
     inst = load_instance(args.instance)
-    for key in ("library_seed", "library_size", "model_points", "point_descriptor_dim"):
-        if header.get(key) != getattr(inst.config, key):
-            raise MvorError(
-                f"database built against {key} {header.get(key)}, "
-                f"instance uses {getattr(inst.config, key)}"
-            )
+    for keys, source, settings in (
+        (LIBRARY_KEYS, "instance", inst.config),
+        (DESCRIPTOR_KEYS, "config", cfg.perception),
+    ):
+        for key in keys:
+            if header.get(key) != getattr(settings, key):
+                raise MvorError(
+                    f"database built against {key} {header.get(key)}, "
+                    f"{source} uses {getattr(settings, key)}"
+                )
     if db.descriptors.shape[1] != cfg.perception.descriptor_dim:
         raise MvorError(
             f"database descriptors have width {db.descriptors.shape[1]}, "

@@ -3,7 +3,7 @@ from .database import (
     PerceptionConfig,
     associate,
     build_database,
-    describe_region,
+    describe_regions,
     load_database,
     prepare_goal_regions,
     save_database,
@@ -16,7 +16,7 @@ __all__ = [
     "PerceptionConfig",
     "associate",
     "build_database",
-    "describe_region",
+    "describe_regions",
     "load_database",
     "prepare_goal_regions",
     "save_database",

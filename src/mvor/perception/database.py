@@ -167,28 +167,27 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     )
 
 
-def describe_region(region: ObjectRegion, backend) -> None:
-    """Set a region's observation direction, then its descriptor (which
-    encodes that direction)."""
-    region.obs_dir = observation_vector(region.viewpoint, region.crop.world)
-    region.descriptor = backend.extract(region)
+def describe_regions(regions: list[ObjectRegion], backend) -> None:
+    """Set each region's observation direction, then the descriptors of all
+    of them (which encode those directions) in one backend call."""
+    for r in regions:
+        r.obs_dir = observation_vector(r.viewpoint, r.crop.world)
+    for r, descriptor in zip(regions, backend.extract(regions)):
+        r.descriptor = descriptor
 
 
 def build_database(frames, segmenter, backend, config: PerceptionConfig) -> Database:
     """Full database construction: segment each frame, extract regions,
-    fill observation directions and descriptors, and associate."""
+    describe every region of every frame in one batch, and associate."""
     regions_by_frame = [extract_regions(f, segmenter(f), config) for f in frames]
-    for frame_regions in regions_by_frame:
-        for r in frame_regions:
-            describe_region(r, backend)
+    describe_regions([r for frame_regions in regions_by_frame for r in frame_regions], backend)
     return associate(regions_by_frame)
 
 
 def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig):
     """Segment and featurize a goal frame the same way database frames are."""
     regions = extract_regions(frame, segmenter(frame), config)
-    for r in regions:
-        describe_region(r, backend)
+    describe_regions(regions, backend)
     return regions
 
 

@@ -15,7 +15,12 @@ through a fixed seeded random projection and is normalized. Every
 setting (dimension, normalized resolution, pooling grid and weight,
 observation bins and weight, projection seed) is read from the
 PerceptionConfig the backend is built from. Swappable: anything with an
-``extract(region) -> (d,) unit vector`` method stands in.
+``extract(regions) -> (n, d)`` method, one unit row per region, stands in.
+
+A batch is pooled region by region and projected at once: its inputs are
+the rows of one matrix, so the projection matrix is streamed once per
+batch (one GEMM) rather than once per region. A one-region batch is the
+same vector-matrix product as projecting that region alone.
 
 Pooling is count-weighted over distinct (feature, cell) pairs: the filled
 samples of the normalized grid repeat each visible feature many times, so
@@ -76,9 +81,18 @@ class GridPooledDescriptor:
         n = np.linalg.norm(enc)
         return (enc / n if n > 0 else enc) * self.config.obs_weight
 
-    def extract(self, region: ObjectRegion) -> np.ndarray:
-        if region.obs_dir is None:
-            raise ValueError("observation direction must be set before the descriptor")
-        x = np.concatenate([self._pooled_appearance(region), self._obs_encoding(region.obs_dir)])
+    def extract(self, regions: list[ObjectRegion]) -> np.ndarray:
+        """The unit descriptors of ``regions``, one row per region."""
+        in_dim = self.projection.shape[0]
+        n_app = in_dim - self.config.obs_bins
+        x = np.empty((len(regions), in_dim))
+        for row, region in zip(x, regions):
+            if region.obs_dir is None:
+                raise ValueError("observation direction must be set before the descriptor")
+            row[:n_app] = self._pooled_appearance(region)
+            row[n_app:] = self._obs_encoding(region.obs_dir)
         y = x @ self.projection
-        return y / np.linalg.norm(y)
+        for row in y:
+            # a row's own norm keeps a one-region batch's bits
+            row /= np.linalg.norm(row)
+        return y

@@ -223,11 +223,11 @@ class TestNoiseModeCorrection:
 class CountingBackend:
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.batch_sizes = []
 
-    def extract(self, region):
-        self.calls += 1
-        return self.inner.extract(region)
+    def extract(self, regions):
+        self.batch_sizes.append(len(regions))
+        return self.inner.extract(regions)
 
 
 class TestReobserver:
@@ -254,7 +254,7 @@ class TestReobserver:
             inst, library, db, counting, lcfg.make_matcher(library), lcfg, pcfg, object_instance
         )
         tracked = reobserve(scene, 0, guess)
-        assert counting.calls == 1
+        assert counting.batch_sizes == [1]
 
         frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
         regions = prepare_goal_regions(frame, segmenter, backend, pcfg)
@@ -351,6 +351,7 @@ class TestCliInstanceFiles:
         del no_config["config"]
         (tmp / "list.json").write_text("[]")
         (tmp / "no_config.json").write_text(json.dumps(no_config))
+        (tmp / "instance.json").write_text(json.dumps(instance_to_dict(inst)))
         (tmp / "cfg.json").write_text(json.dumps({"sim": {"object_count_max": 1}}))
         db = tmp / "db.npz"
         assert cli_main(["build-db", "--config", str(tmp / "cfg.json"), "--out", str(db)]) == 0
@@ -398,6 +399,32 @@ class TestCliInstanceFiles:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("descriptor_dim", 256), ("norm_resolution", 48), ("pool_grid", 2),
+         ("grid_weight", 0.6), ("obs_bins", 6), ("obs_weight", 0.2), ("projection_seed", 1)],
+    )
+    def test_localize_rejects_other_descriptor_settings(self, files, key, value, tmp_path,
+                                                        capsys):
+        """The database holds descriptors of the default settings. Under
+        another projection seed or pooling grid, localize once exited 0
+        while retrieval ranked the candidates at random (1 candidate
+        visited per object became 9-61)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"perception": {key: value}}))
+        argv = ["localize", "--config", str(cfg), "--db", str(files / "db.npz"),
+                "--instance", str(files / "instance.json"), "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert key in capsys.readouterr().err
+
+    def test_localize_accepts_its_own_descriptor_settings(self, files, tmp_path):
+        argv = ["localize", "--db", str(files / "db.npz"),
+                "--instance", str(files / "instance.json"), "--out", str(tmp_path / "poses.json")]
+        assert cli_main(argv) == 0
+        objects = json.loads((tmp_path / "poses.json").read_text())["objects"]
+        assert objects and all(o["accepted"] for o in objects)
 
     def test_localize_rejects_other_descriptor_dim(self, files, tmp_path, capsys):
         """A database of 256-wide descriptors once reached retrieval under

@@ -1,5 +1,6 @@
 import json
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from mvor.perception import (
     SquarePadMap,
     associate,
     build_database,
+    describe_regions,
     extract_regions,
     load_database,
     prepare_goal_regions,
     save_database,
 )
-from mvor.perception.database import DB_ARRAYS
+from mvor.perception.database import DB_ARRAYS, Database
 from mvor.perception.regions import ObjectRegion, RegionCrop
 from mvor.sim import (
     FEATURE_ID_STRIDE,
@@ -52,6 +54,16 @@ def backend(library):
 
 def make_scene(placements):
     return SceneState(Rect(-0.5, -0.5, 0.5, 0.5), tuple(placements))
+
+
+def three_object_scene():
+    return make_scene(
+        [
+            Placement(1, PlanarTransform(0.0, -0.3, -0.2)),
+            Placement(3, PlanarTransform(0.7, 0.25, 0.2)),
+            Placement(6, PlanarTransform(-1.2, 0.0, 0.0)),
+        ]
+    )
 
 
 def ring_frames(scene, library, config=CFG):
@@ -270,8 +282,8 @@ class TestDescriptor:
     def test_deterministic(self, library, backend):
         scene = make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))])
         reg = self._region(library, scene)
-        a = backend.extract(reg)
-        b = backend.extract(reg)
+        a = backend.extract([reg])[0]
+        b = backend.extract([reg])[0]
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
 
@@ -283,8 +295,8 @@ class TestDescriptor:
         d_pt = library.point_descriptors.shape[1]
         assert small.projection.shape == (d_pt + 2 * 2 * d_pt + 4, 32)
         reg = self._region(library, make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))]))
-        y = small.extract(reg)
-        assert y.shape == (32,)
+        y = small.extract([reg])
+        assert y.shape == (1, 32)
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self, library, backend):
@@ -297,7 +309,8 @@ class TestDescriptor:
             source_instance=reg.source_instance,
             obs_dir=reg.obs_dir,
         )
-        sim = float(backend.extract(reg) @ backend.extract(up))
+        a, b = backend.extract([reg, up])
+        sim = float(a @ b)
         assert sim > 0.995
 
     def test_same_instance_beats_cross_instance(self, library, backend):
@@ -314,12 +327,63 @@ class TestDescriptor:
             regs = extract_regions(f, segment(f), PCFG)
             for r in regs:
                 r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
-                descs.append((r.source_instance, backend.extract(r)))
+            descs += zip((r.source_instance for r in regs), backend.extract(regs))
         for i in range(len(descs)):
             for j in range(i + 1, len(descs)):
                 sim = float(descs[i][1] @ descs[j][1])
                 (same if descs[i][0] == descs[j][0] else cross).append(sim)
         assert np.mean(same) > np.mean(cross) + 0.1
+
+
+class TestDescriptorBatch:
+    """A batch is projected in one matrix product; each row is the
+    descriptor of its region alone, up to the product's summation order."""
+
+    @pytest.fixture(scope="class")
+    def regions(self, library):
+        scene = three_object_scene()
+        regions = [
+            r for f in ring_frames(scene, library) for r in extract_regions(f, segment(f), PCFG)
+        ]
+        for r in regions:
+            r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
+        assert len(regions) >= 20
+        return regions
+
+    def test_rows_are_single_region_descriptors(self, backend, regions):
+        batch = backend.extract(regions)
+        assert batch.shape == (len(regions), PCFG.descriptor_dim)
+        for r, row in zip(regions, batch):
+            np.testing.assert_allclose(row, backend.extract([r])[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_permuted_batch_permutes_rows(self, backend, regions):
+        order = np.random.default_rng(0).permutation(len(regions))
+        permuted = backend.extract([regions[i] for i in order])
+        np.testing.assert_allclose(permuted, backend.extract(regions)[order], rtol=0, atol=1e-12)
+
+    def test_one_region_batch_is_the_vector_product(self, backend, regions):
+        """A one-row batch keeps the bits of projecting the region's input
+        vector alone and dividing by its norm."""
+        for r in regions[:5]:
+            x = np.concatenate([backend._pooled_appearance(r), backend._obs_encoding(r.obs_dir)])
+            y = x @ backend.projection
+            assert backend.extract([r])[0].tobytes() == (y / np.linalg.norm(y)).tobytes()
+
+    def test_empty_batch(self, backend):
+        assert backend.extract([]).shape == (0, PCFG.descriptor_dim)
+        describe_regions([], backend)
+
+    def test_empty_region_in_batch_raises(self, backend, regions):
+        empty = fid_region(np.full((7, 5), -1, dtype=np.int64))
+        empty.obs_dir = regions[0].obs_dir
+        with pytest.raises(EmptyRegion):
+            backend.extract([regions[0], empty, regions[1]])
+
+    def test_region_without_obs_dir_raises(self, backend, regions):
+        bare = ObjectRegion(regions[0].crop, regions[0].viewpoint, 0, 0)
+        with pytest.raises(ValueError, match="observation direction"):
+            backend.extract([regions[1], bare])
 
 
 def reference_pooled(backend, region):
@@ -360,13 +424,7 @@ class TestPooling:
 
     @pytest.fixture(scope="class")
     def rendered(self, library):
-        scene = make_scene(
-            [
-                Placement(1, PlanarTransform(0.0, -0.3, -0.2)),
-                Placement(3, PlanarTransform(0.7, 0.25, 0.2)),
-                Placement(6, PlanarTransform(-1.2, 0.0, 0.0)),
-            ]
-        )
+        scene = three_object_scene()
         # the default camera gives crops under the normalized resolution, a
         # long focal length crops over it
         frames = ring_frames(scene, library) + ring_frames(
@@ -626,6 +684,26 @@ class TestBuildDatabase:
             members = np.flatnonzero(db.region_instance == j)
             mean = np.mean([db.region(i).centroid for i in members], axis=0)
             np.testing.assert_allclose(db.instance_centroids[j], mean, atol=1e-12)
+
+    def test_batch_equals_region_by_region(self, library, backend):
+        """One projection over every region of the build gives the database
+        that describing each region alone gives: every column but the
+        descriptors bit for bit, the descriptors to 1e-12."""
+        inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
+        frames = ring_frames(inst.initial, library)
+        seg = ground_truth_segmenter()
+        db = build_database(frames, seg, backend, PCFG)
+        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
+        for r in (r for frame_regions in regions_by_frame for r in frame_regions):
+            describe_regions([r], backend)
+        one_by_one = associate(regions_by_frame)
+        for f in fields(Database):
+            a, b = getattr(db, f.name), getattr(one_by_one, f.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            if f.name == "descriptors":
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            else:
+                assert a.tobytes() == b.tobytes(), f.name
 
     def test_deterministic(self, library, backend):
         inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=14)
