@@ -1,11 +1,11 @@
 """Build the hierarchical region database and poke at retrieval.
 
 Every segmented object region from every ring frame becomes one row of the
-database's columns (crop box, descriptor, observation direction) and its
-hits (pixel, feature id, projection, world point, view direction) to the
-hit columns. The frame with the most regions names the object instances,
-and every region joins the instance whose named region has the nearest
-centroid (the mean world point of its hits). A goal region retrieves
+database's columns (descriptor, observation direction) and adds its hits
+(feature id, world point, view direction) to the hit columns. The frame
+with the most regions names the object instances, and every region joins
+the instance whose named region has the nearest centroid (the mean world
+point of its hits). A goal region retrieves
 candidates by descriptor dot product.
 """
 

@@ -106,10 +106,6 @@ class PlanarTransform:
     def identity() -> "PlanarTransform":
         return PlanarTransform(0.0, 0.0, 0.0)
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.tx, self.ty])
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:

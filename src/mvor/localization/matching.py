@@ -1,5 +1,5 @@
-"""Local 2D-2D matching between a goal region crop and a candidate region
-crop.
+"""Local 2D-2D matching between a goal region crop and a candidate
+region's hits.
 
 A surface point is matchable across two observations only when the two
 viewing directions, expressed in the object's local frame, agree within a
@@ -23,8 +23,10 @@ Backends:
                        goal hits' exact projections, and it ignores the
                        matching resolution.
 
-Both name, per match, the goal-image coordinates and the index of the
-candidate crop's hit; lift_to_3d gathers that hit's stored world point.
+Both read only the candidate's ``feature_ids`` and ``view_local`` (a
+database's ``RegionHits`` or any crop), and name, per match, the
+goal-image coordinates and the index of the candidate region's hit;
+lift_to_3d gathers that hit's stored world point.
 Every match has its own candidate hit and its own goal coordinates.
 """
 
@@ -38,7 +40,7 @@ import numpy as np
 @dataclass
 class Correspondences2D:
     goal_px: np.ndarray  # (N,2) goal-image coords
-    cand_hits: np.ndarray  # (N,) index of the candidate crop's hit
+    cand_hits: np.ndarray  # (N,) index of the candidate region's hit
 
     def __len__(self) -> int:
         return len(self.goal_px)
@@ -74,12 +76,10 @@ class FeatureIdMatcher:
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
         self.rng = rng
 
-    def match(self, goal_crop, cand_crop, resolution: int) -> Correspondences2D:
-        _, gi, ci = np.intersect1d(
-            goal_crop.feature_ids, cand_crop.feature_ids, return_indices=True
-        )
+    def match(self, goal_crop, cand, resolution: int) -> Correspondences2D:
+        _, gi, ci = np.intersect1d(goal_crop.feature_ids, cand.feature_ids, return_indices=True)
         compatible = (
-            np.einsum("ij,ij->i", goal_crop.view_local[gi], cand_crop.view_local[ci])
+            np.einsum("ij,ij->i", goal_crop.view_local[gi], cand.view_local[ci])
             >= self.cos_max
         )
         gi, ci = gi[compatible], ci[compatible]
@@ -108,16 +108,17 @@ class DescriptorNNMatcher:
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
 
     def _features(self, crop):
-        """The crop's hits, every ``stride``-th past ``max_matches``, with
-        their point descriptors and view directions."""
+        """The hits of a goal crop or a candidate's ``RegionHits``, every
+        ``stride``-th past ``max_matches``, with their point descriptors
+        and view directions."""
         hits = np.arange(len(crop.feature_ids))
         if len(hits) > self.max_points:
             hits = hits[:: int(np.ceil(len(hits) / self.max_points))]
         return hits, self.library.descriptors_for(crop.feature_ids[hits]), crop.view_local[hits]
 
-    def match(self, goal_crop, cand_crop, resolution: int) -> Correspondences2D:
+    def match(self, goal_crop, cand, resolution: int) -> Correspondences2D:
         g_hits, gd, g_view = self._features(goal_crop)
-        c_hits, cd, c_view = self._features(cand_crop)
+        c_hits, cd, c_view = self._features(cand)
         if len(gd) == 0 or len(cd) == 0:
             return _empty_matches()
         sims = gd @ cd.T

@@ -2,7 +2,7 @@
 
 For each goal region: retrieve a candidate instance by descriptor vote,
 walk its regions in similarity order, locally match, lift matches to 2D-3D
-pairs through the candidate's stored geometry, and solve the object's
+pairs through the candidate's stored world points, and solve the object's
 pose. Rejected candidates prune their angular neighborhood (a rejection
 usually means the wrong orientation was retrieved, so nearby viewing
 directions are skipped).
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from ..geometry import PlanarTransform, Pose3, angular_distance
-from ..perception.database import Database
+from ..perception.database import Database, RegionHits
 from ..perception.regions import ObjectRegion
 from ..serialize import check_bounds
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
@@ -169,11 +169,11 @@ def prune_after_rejection(
 
 
 def lift_to_3d(
-    m2d: Correspondences2D, cand_region: ObjectRegion, min_correspondences: int
+    m2d: Correspondences2D, cand: RegionHits, min_correspondences: int
 ) -> Correspondences3D:
     """2D-2D matches -> (goal pixel, candidate world point) pairs.
 
-    Each match names the candidate crop's hit, so its 3D point is that
+    Each match names the candidate region's hit, so its 3D point is that
     hit's stored world point: a gather. The matchers pair each candidate
     hit and each goal coordinate at most once, so every pair is distinct.
     """
@@ -181,7 +181,7 @@ def lift_to_3d(
         raise TooFewCorrespondences("no 2D matches")
     if len(m2d) < min_correspondences:
         raise TooFewCorrespondences(f"{len(m2d)} 2D-3D pairs")
-    return Correspondences3D(m2d.goal_px, cand_region.crop.world[m2d.cand_hits])
+    return Correspondences3D(m2d.goal_px, cand.world[m2d.cand_hits])
 
 
 def solve_pose(
@@ -240,11 +240,11 @@ def estimate_object(
         while (pos := cands.next_unvisited()) is not None:
             cands.visited[pos] = True
             visited += 1
-            cand_region = db.region(int(cands.region_indices[pos]))
+            cand = db.hits(int(cands.region_indices[pos]))
             match_calls += 1
-            m2d = matcher.match(goal_region.crop, cand_region.crop, config.match_resolution)
+            m2d = matcher.match(goal_region.crop, cand, config.match_resolution)
             try:
-                m3d = lift_to_3d(m2d, cand_region, config.min_correspondences)
+                m3d = lift_to_3d(m2d, cand, config.min_correspondences)
                 est = solve_pose(m3d, intr, goal_region.viewpoint, config)
             except (TooFewCorrespondences, DegenerateGeometry) as e:
                 est = PoseEstimate(offset=PlanarTransform.identity(), note=str(e))

@@ -3,12 +3,12 @@ grouped into object instances. The frame with the most regions names the
 instances, and every region joins the one whose named region is nearest.
 
 A ``Database`` is the column arrays its dump holds, under the dump's
-names: one row per region for the labels, descriptors, observation
-directions, viewpoints and crop origins and shapes, one row per instance
-for the centroids, and the regions' hits concatenated into flat arrays cut
-by offsets. Retrieval and pruning index these columns directly;
-``region(i)`` views one region as an ``ObjectRegion`` without copying its
-hits.
+names: one row per region for the labels, descriptors and observation
+directions, one row per instance for the centroids, and the regions' hits
+(feature id, world point, view direction) concatenated into flat arrays
+cut by offsets. Retrieval and pruning index these columns directly;
+``hits(i)`` views one region's hits, all a candidate is matched and
+lifted by, without copying them.
 """
 
 from __future__ import annotations
@@ -16,17 +16,18 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import IOFailure, NoRegions
-from ..geometry import Pose3, observation_vector
+from ..geometry import observation_vector
 from ..serialize import check_bounds
 from .descriptor import GridPooledDescriptor
-from .regions import ObjectRegion, RegionCrop, extract_regions
+from .regions import ObjectRegion, extract_regions
 
 DB_FORMAT = "mvor-db"
-DB_VERSION = 2
+DB_VERSION = 3
 
 
 @dataclass
@@ -70,6 +71,14 @@ def _column(rows: str, tail: tuple = (), kind: str = "f"):
     return field(metadata={"rows": rows, "tail": tail, "kind": kind})
 
 
+class RegionHits(NamedTuple):
+    """One database region's hits, views of the flat hit columns."""
+
+    feature_ids: np.ndarray  # (n,) int64
+    world: np.ndarray  # (n,3) world point
+    view_local: np.ndarray  # (n,3) object-local viewing direction
+
+
 @dataclass
 class Database:
     region_instance: np.ndarray = _column("R", kind="i")  # instance index per region
@@ -77,14 +86,9 @@ class Database:
     source_instance: np.ndarray = _column("R", kind="i")  # segmenter label; diagnostics, tests
     descriptors: np.ndarray = _column("R", (-1,))
     obs_dirs: np.ndarray = _column("R", (3,))
-    viewpoints: np.ndarray = _column("R", (4, 4))  # camera-to-world matrices
     instance_centroids: np.ndarray = _column("K", (3,))  # mean of member region centroids
-    crop_origin: np.ndarray = _column("R", (2,), kind="i")  # (row0, col0)
-    crop_shape: np.ndarray = _column("R", (2,), kind="i")  # (h, w)
     crop_offsets: np.ndarray = _column("R+1", kind="i")  # region i: crop_*[o[i]:o[i+1]]
-    crop_pixels: np.ndarray = _column("hits", kind="i")  # RegionCrop.pixels
     crop_feature_ids: np.ndarray = _column("hits", kind="i")
-    crop_px: np.ndarray = _column("hits", (2,))
     crop_world: np.ndarray = _column("hits", (3,))
     crop_view: np.ndarray = _column("hits", (3,))
 
@@ -96,28 +100,10 @@ class Database:
     def num_regions(self) -> int:
         return len(self.region_instance)
 
-    def region(self, i: int) -> ObjectRegion:
-        """Region ``i`` as an ObjectRegion whose hits are views of the flat
-        columns (no copy)."""
+    def hits(self, i: int) -> RegionHits:
+        """Region ``i``'s hits (no copy)."""
         hits = slice(self.crop_offsets[i], self.crop_offsets[i + 1])
-        crop = RegionCrop(
-            row0=int(self.crop_origin[i, 0]),
-            col0=int(self.crop_origin[i, 1]),
-            shape=(int(self.crop_shape[i, 0]), int(self.crop_shape[i, 1])),
-            pixels=self.crop_pixels[hits],
-            feature_ids=self.crop_feature_ids[hits],
-            px=self.crop_px[hits],
-            world=self.crop_world[hits],
-            view_local=self.crop_view[hits],
-        )
-        return ObjectRegion(
-            crop=crop,
-            viewpoint=Pose3.from_matrix(self.viewpoints[i]),
-            frame_id=int(self.region_frame[i]),
-            source_instance=int(self.source_instance[i]),
-            descriptor=self.descriptors[i],
-            obs_dir=self.obs_dirs[i],
-        )
+        return RegionHits(self.crop_feature_ids[hits], self.crop_world[hits], self.crop_view[hits])
 
 
 # members of a dump, as save_database writes them
@@ -154,14 +140,9 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
         source_instance=np.array([r.source_instance for r in regions], dtype=np.int64),
         descriptors=np.stack([r.descriptor for r in regions]),
         obs_dirs=np.stack([r.obs_dir for r in regions]),
-        viewpoints=np.stack([r.viewpoint.matrix for r in regions]),
         instance_centroids=means[order],
-        crop_origin=np.array([[c.row0, c.col0] for c in crops], dtype=np.int64),
-        crop_shape=np.array([c.shape for c in crops], dtype=np.int64),
-        crop_offsets=np.concatenate([[0], np.cumsum([len(c.pixels) for c in crops])]),
-        crop_pixels=np.concatenate([c.pixels for c in crops]),
+        crop_offsets=np.concatenate([[0], np.cumsum([len(c.feature_ids) for c in crops])]),
         crop_feature_ids=np.concatenate([c.feature_ids for c in crops]),
-        crop_px=np.concatenate([c.px for c in crops]),
         crop_world=np.concatenate([c.world for c in crops]),
         crop_view=np.concatenate([c.view_local for c in crops]),
     )
@@ -254,9 +235,7 @@ def _check_columns(columns: dict, header: dict, path) -> None:
     """Raise IOFailure unless the columns form the database the header
     describes: every member has its field's dtype kind and shape,
     ``crop_offsets`` cuts the hit columns into one nonempty run per region,
-    each region's ``crop_pixels`` increase strictly inside its crop and
-    span it (the crop is their bounding box), and every region's instance
-    exists."""
+    and every region's instance exists."""
     r, k = header["num_regions"], header["num_instances"]
     if not all(type(n) is int and n >= 0 for n in (r, k)):
         raise IOFailure(f"{path}: header region/instance counts are not counts")
@@ -277,20 +256,6 @@ def _check_columns(columns: dict, header: dict, path) -> None:
                 f"{path}: {f.name} has shape {a.shape} ({a.dtype}), "
                 f"expected {meta['rows']}={lengths[meta['rows']]} rows"
             )
-    shapes, pixels = columns["crop_shape"], columns["crop_pixels"]
-    if np.any(shapes < 1):
-        raise IOFailure(f"{path}: crop_shape holds an empty crop")
-    h, w = np.repeat(shapes, np.diff(o), axis=0).T
-    later = np.ones(len(pixels), dtype=bool)
-    later[o[:-1]] = False  # each region's first hit
-    if np.any((pixels < 0) | (pixels >= h * w)) or np.any(np.diff(pixels)[later[1:]] <= 0):
-        raise IOFailure(f"{path}: crop_pixels do not increase strictly inside their crop")
-    rows, cols = np.divmod(pixels, w)
-    for a, extent in ((rows, shapes[:, 0]), (cols, shapes[:, 1])):
-        if np.any(np.minimum.reduceat(a, o[:-1]) != 0) or np.any(
-            np.maximum.reduceat(a, o[:-1]) != extent - 1
-        ):
-            raise IOFailure(f"{path}: crop_shape is not the bounding box of its hits")
     labels = columns["region_instance"]
     if np.any((labels < 0) | (labels >= k)):
         raise IOFailure(f"{path}: region_instance outside [0, {k})")

@@ -86,7 +86,7 @@ def apply_offsets(scene, offsets):
 
 def fake_database(descriptors, instances_of, obs_dirs=None):
     """Database with fabricated descriptors; geometry is a stub: region i
-    has a 4 x 4 crop whose 16 hits carry feature id i."""
+    has 16 hits that carry feature id i."""
     r = len(descriptors)
     k = max(instances_of) + 1
     n = 16 * r
@@ -98,14 +98,9 @@ def fake_database(descriptors, instances_of, obs_dirs=None):
         source_instance=np.array(instances_of, dtype=np.int64),
         descriptors=np.array(descriptors, dtype=float),
         obs_dirs=np.array(obs_dirs, dtype=float),
-        viewpoints=np.tile(np.eye(4), (r, 1, 1)),
         instance_centroids=np.zeros((k, 3)),
-        crop_origin=np.zeros((r, 2), dtype=np.int64),
-        crop_shape=np.full((r, 2), 4),
         crop_offsets=16 * np.arange(r + 1),
-        crop_pixels=np.tile(np.arange(16), r),
         crop_feature_ids=np.repeat(np.arange(r), 16),
-        crop_px=np.zeros((n, 2)),
         crop_world=np.zeros((n, 3)),
         crop_view=np.zeros((n, 3)),
     )
@@ -374,8 +369,8 @@ class TestLiftTo3D:
         scene = scene or make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand.crop, 256)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand, 256)
         return cand, m2d
 
     def test_all_depth_pixels_lift(self, library, backend):
@@ -404,8 +399,8 @@ class TestSolvePose:
         scene = make_scene([Placement(3, PlanarTransform(-0.3, 0.1, 0.05))])
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
-        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand.crop, 256)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand, 256)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
@@ -465,8 +460,8 @@ class TestSolvePose:
         matcher = FeatureIdMatcher(
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
-        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = matcher.match(goals[0].crop, cand.crop, 256)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = matcher.match(goals[0].crop, cand, 256)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
         err = reprojection_sq_errors(m3d.world, m3d.goal_px, INTR, r, t)
@@ -590,8 +585,8 @@ class TestPlanarSolver:
         matcher = FeatureIdMatcher(
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
-        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = matcher.match(goals[0].crop, cand.crop, 256)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        m2d = matcher.match(goals[0].crop, cand, 256)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
@@ -693,11 +688,11 @@ class TestRansacPnP:
 class _RecordingMatcher:
     def __init__(self, inner):
         self.inner = inner
-        self.cand_crops = []
+        self.cands = []
 
-    def match(self, goal_crop, cand_crop, resolution):
-        self.cand_crops.append(cand_crop)
-        return self.inner.match(goal_crop, cand_crop, resolution)
+    def match(self, goal_crop, cand, resolution):
+        self.cands.append(cand)
+        return self.inner.match(goal_crop, cand, resolution)
 
 
 class TestEstimateObject:
@@ -744,13 +739,14 @@ class TestEstimateObject:
         )
         est = estimate_object(goals[0], db, rec, INTR, cfg)
         assert not est.accepted
-        assert len(rec.cand_crops) == db.num_regions
+        assert len(rec.cands) == db.num_regions
         cands = retrieve_candidates(goals[0], db, cfg.top_n)
-        expected = [db.region(i).crop for i in cands.region_indices]
-        # each visit hands the matcher a view of that candidate's stored crop
+        expected = [db.hits(i) for i in cands.region_indices]
+        # each visit hands the matcher a view of that candidate's stored hits
         assert all(
-            a.shape == b.shape and np.shares_memory(a.feature_ids, b.feature_ids)
-            for a, b in zip(rec.cand_crops, expected)
+            len(a.feature_ids) == len(b.feature_ids)
+            and np.shares_memory(a.feature_ids, b.feature_ids)
+            for a, b in zip(rec.cands, expected)
         )
 
 
@@ -772,7 +768,7 @@ class TestDescriptorNNMatcher:
 
 class TestMatchesNameHits:
     """Both matchers name, per match, the goal-image coordinates and the
-    candidate crop's hit; nothing maps a match back through pixels."""
+    candidate region's hit; nothing maps a match back through pixels."""
 
     CASES = {
         "feature_id-noiseless": ("feature_id", {}),
@@ -790,7 +786,7 @@ class TestMatchesNameHits:
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
         goal = goals[0].crop
-        cand = db.region(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0]).crop
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         cfg = LocalizationConfig(matcher=kind, **overrides)
         m2d = cfg.make_matcher(library, np.random.default_rng(3)).match(goal, cand, 256)
         assert len(m2d) >= 12
