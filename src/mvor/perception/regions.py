@@ -49,16 +49,6 @@ class SquarePadMap:
         out[..., 1] = (xy[..., 1] + 0.5) / self.scale - 0.5 - self.pad_top
         return out
 
-    def source_index_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest source pixel per normalized-grid cell: (rows, cols). A
-        cell in the padding maps to a row or column outside the crop."""
-        g = np.arange(self.resolution)
-        src_c = np.floor((g + 0.5) / self.scale - self.pad_left).astype(int)
-        src_r = np.floor((g + 0.5) / self.scale - self.pad_top).astype(int)
-        rr = np.repeat(src_r, self.resolution).reshape(self.resolution, self.resolution)
-        cc = np.tile(src_c, self.resolution).reshape(self.resolution, self.resolution)
-        return rr, cc
-
 
 @dataclass
 class RegionCrop:
@@ -74,16 +64,6 @@ class RegionCrop:
     px: np.ndarray  # (n,2) exact (u,v) in the source image
     world: np.ndarray  # (n,3) back-projected world point
     view_local: np.ndarray  # (n,3) object-local viewing direction
-
-    def hits_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Index of the hit at each crop pixel (rows, cols); -1 for a pixel
-        outside the crop or with no hit."""
-        h, w = self.shape
-        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-        flat = np.where(inside, rows * w + cols, -1)
-        i = np.searchsorted(self.pixels, flat)
-        # the appended entry answers a search that runs past the last hit
-        return np.where(inside & (np.append(self.pixels, -1)[i] == flat), i, -1)
 
     def pad_map(self, resolution: int) -> SquarePadMap:
         h, w = self.shape

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import CameraIntrinsics, Pose3, look_at
+from ..serialize import check_bounds
 
 ROTATION_REGIMES = ("minor", "full")
 
@@ -57,6 +58,12 @@ class SimConfig:
             raise ValueError("ring_count and library_size must be positive")
         if self.seed < 0 or self.library_seed < 0:
             raise ValueError("seed and library_seed must be non-negative")
+        check_bounds(self, {
+            "min_clearance": (0, None),
+            "model_points": (1, None),
+            "point_descriptor_dim": (1, None),
+            "actuation_sigma": (0, None),
+        })
         self.intrinsics()  # raises ValueError on a bad focal length or image size
 
     def yaw_range(self) -> tuple[float, float]:

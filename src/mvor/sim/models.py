@@ -46,6 +46,11 @@ class ModelLibrary:
     def descriptors_for(self, feature_ids: np.ndarray) -> np.ndarray:
         """The fixed per-point descriptors of an array of feature ids, as one
         gather; an id that names no library point raises UnknownFeature."""
+        return self.point_descriptors[self.rows_for(feature_ids)]
+
+    def rows_for(self, feature_ids: np.ndarray) -> np.ndarray:
+        """The rows of the point columns that an array of feature ids name;
+        an id that names no library point raises UnknownFeature."""
         feature_ids = np.asarray(feature_ids)
         model, local = np.divmod(feature_ids, FEATURE_ID_STRIDE)
         known = (model >= 0) & (model < len(self))
@@ -57,7 +62,7 @@ class ModelLibrary:
             raise UnknownFeature(
                 f"feature ids {bad} name no point of the {len(self)}-model library"
             )
-        return self.point_descriptors[rows]
+        return rows
 
 
 def _allocate(total: int, areas: np.ndarray) -> np.ndarray:

@@ -306,6 +306,16 @@ class TestCliDeterminism:
             cfg = tmp_path / "stale.json"
             cfg.write_text(json.dumps(stale))
             assert cli_main(["bench-pose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        for out_of_range in (
+            {"actuation_sigma": -1},
+            {"min_clearance": -5},
+            {"point_descriptor_dim": 0},
+            {"model_points": 0},
+        ):
+            cfg = tmp_path / "range.json"
+            cfg.write_text(json.dumps({"sim": out_of_range}))
+            args = ["rearrange", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "r")]
+            assert cli_main(args) == 2
 
 
 class TestCliRearrange:

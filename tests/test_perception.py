@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -24,6 +24,7 @@ from mvor.perception import (
     save_database,
 )
 from mvor.perception.database import DB_ARRAYS, Database
+from mvor.perception.descriptor import _line_counts
 from mvor.perception.regions import ObjectRegion, RegionCrop
 from mvor.sim import (
     FEATURE_ID_STRIDE,
@@ -86,22 +87,22 @@ class TestSquarePadMap:
         np.testing.assert_allclose(m.from_norm(m.to_norm(xy)), xy, atol=1e-10)
 
     def test_source_grid_covers_crop(self):
-        m = SquarePadMap(20, 40, 64)
-        rr, cc = m.source_index_grid()
-        valid = (rr >= 0) & (rr < 20) & (cc >= 0) & (cc < 40)
-        assert rr.shape == (64, 64)
-        assert rr[valid].min() == 0 and rr[valid].max() == 19
-        assert cc[valid].min() == 0 and cc[valid].max() == 39
+        """The descriptor's grid lines over a 20 x 40 crop at resolution 64
+        read every crop row and column; the padded rows take 32 grid lines."""
+        for length, lines in ((20, 32), (40, 64)):
+            starts, _, count = _line_counts(np.array([length]), np.array([40]), 64, 4)
+            assert len(starts) == length + 1
+            assert (np.diff(starts) > 0).all()
+            assert count.sum() == lines
 
     def test_grid_consistent_with_to_norm(self):
         m = SquarePadMap(10, 10, 40)
-        rr, cc = m.source_index_grid()
-        valid = (rr >= 0) & (rr < 10) & (cc >= 0) & (cc < 10)
-        # forward-mapping a source pixel center must land in cells that map back to it
-        norm = m.to_norm(np.array([[3.0, 7.0]]))[0]
-        mc, mr = int(round(norm[0])), int(round(norm[1]))
-        assert valid[mr, mc]
-        assert (rr[mr, mc], cc[mr, mc]) == (7, 3)
+        # forward-mapping a source pixel center must land on grid lines that
+        # read it back; with one cell per grid line, the cells are the lines
+        x, y = m.to_norm(np.array([[3.0, 7.0]]))[0]
+        starts, lines, _ = _line_counts(np.array([10]), np.array([10]), 40, 40)
+        for crop_line, grid_line in ((3, x), (7, y)):
+            assert int(round(grid_line)) in lines[starts[crop_line] : starts[crop_line + 1]]
 
 
 class TestExtractRegions:
@@ -366,9 +367,17 @@ class TestDescriptorBatch:
         """A one-row batch keeps the bits of projecting the region's input
         vector alone and dividing by its norm."""
         for r in regions[:5]:
-            x = np.concatenate([backend._pooled_appearance(r), backend._obs_encoding(r.obs_dir)])
-            y = x @ backend.projection
+            y = backend._inputs([r])[0] @ backend.projection
             assert backend.extract([r])[0].tobytes() == (y / np.linalg.norm(y)).tobytes()
+
+    def test_inputs_keep_their_bytes_in_any_batch(self, backend, regions):
+        """A region's pooled blocks sum over library rows in one order
+        whatever else is in the batch."""
+        alone = [backend._inputs([r])[0].tobytes() for r in regions]
+        assert [x.tobytes() for x in backend._inputs(regions)] == alone
+        order = np.random.default_rng(1).permutation(len(regions))
+        permuted = backend._inputs([regions[i] for i in order])
+        assert [x.tobytes() for x in permuted] == [alone[i] for i in order]
 
     def test_empty_batch(self, backend):
         assert backend.extract([]).shape == (0, PCFG.descriptor_dim)
@@ -387,11 +396,15 @@ class TestDescriptorBatch:
 
 
 def reference_pooled(backend, region):
-    """Pooling as first written: one point descriptor per filled grid sample,
-    scattered into the grid cells with np.add.at. None when no grid sample
-    is filled."""
+    """Pooling as first written: each cell of the normalized grid reads the
+    nearest pixel of the padded, resized crop, and each filled grid sample
+    adds its point descriptor to its cell with np.add.at. None when no grid
+    sample is filled."""
     res, g = backend.config.norm_resolution, backend.config.pool_grid
-    rr, cc = region.crop.pad_map(res).source_index_grid()
+    m = region.crop.pad_map(res)
+    lines = np.arange(res) + 0.5
+    rr = np.floor(lines / m.scale - m.pad_top).astype(int)[:, None].repeat(res, axis=1)
+    cc = np.floor(lines / m.scale - m.pad_left).astype(int)[None, :].repeat(res, axis=0)
     h, w = region.crop.shape
     valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
     dense = densify(region.crop)[0]
@@ -412,15 +425,30 @@ def reference_pooled(backend, region):
 
 def fid_region(feature_ids):
     """A region carrying only the hits of a dense feature-id grid (all
-    pooling reads)."""
+    pooling reads) and an observation direction."""
     h, w = feature_ids.shape
     crop = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
-    return ObjectRegion(crop, geo.Pose3.identity(), 0, 0)
+    return ObjectRegion(crop, geo.Pose3.identity(), 0, 0, obs_dir=np.array([1.0, 0.0, 0.0]))
+
+
+def random_fids(library, rng, h, w, hole_rate):
+    """An (h, w) feature-id grid drawn from the points of two random models,
+    with holes (-1) at ``hole_rate``; ids may repeat."""
+    models = rng.integers(len(library), size=2)
+    which = models[rng.integers(2, size=(h, w))]
+    sizes = np.diff(library.point_offsets)
+    local = (rng.random((h, w)) * sizes[which]).astype(np.int64)
+    return np.where(rng.random((h, w)) < hole_rate, -1, which * FEATURE_ID_STRIDE + local)
+
+
+def pooled(backend, regions):
+    """The pooled blocks of ``regions``' projection inputs, one row each."""
+    return backend._inputs(regions)[:, : backend.projection.shape[0] - backend.config.obs_bins]
 
 
 class TestPooling:
-    """Count-weighted pooling over distinct (feature, cell) pairs equals
-    per-sample pooling up to summation order."""
+    """Pooling a batch by row and column sample counts in one sparse product
+    equals per-sample pooling up to summation order."""
 
     @pytest.fixture(scope="class")
     def rendered(self, library):
@@ -430,7 +458,10 @@ class TestPooling:
         frames = ring_frames(scene, library) + ring_frames(
             scene, library, SimConfig(focal_px=1100.0)
         )
-        return [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
+        regions = [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
+        for r in regions:
+            r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
+        return regions
 
     @pytest.mark.parametrize("resample", ["up", "down"])
     def test_rendered_crops(self, backend, rendered, resample):
@@ -440,21 +471,28 @@ class TestPooling:
             if (max(r.crop.shape) < res if resample == "up" else max(r.crop.shape) > res)
         ]
         assert picked
-        for r in picked:
-            np.testing.assert_allclose(
-                backend._pooled_appearance(r), reference_pooled(backend, r), rtol=0, atol=1e-12
-            )
+        expected = [reference_pooled(backend, r) for r in picked]
+        np.testing.assert_allclose(pooled(backend, picked), expected, rtol=0, atol=1e-12)
 
     def test_one_pixel_region(self, backend, rendered):
         region = fid_region(rendered[0].crop.feature_ids[:1].reshape(1, 1))
         np.testing.assert_allclose(
-            backend._pooled_appearance(region), reference_pooled(backend, region),
-            rtol=0, atol=1e-12,
+            pooled(backend, [region])[0], reference_pooled(backend, region), rtol=0, atol=1e-12
         )
 
     def test_empty_crop_raises(self, backend):
         with pytest.raises(EmptyRegion):
-            backend._pooled_appearance(fid_region(np.full((7, 5), -1, dtype=np.int64)))
+            backend._inputs([fid_region(np.full((7, 5), -1, dtype=np.int64))])
+
+    def test_unsampled_hits_raise(self, backend, rendered):
+        """A crop larger than the grid whose only hit sits on a row and a
+        column that no grid line reads."""
+        fids = np.full((200, 200), -1, dtype=np.int64)
+        fids[0, 0] = rendered[0].crop.feature_ids[0]
+        region = fid_region(fids)
+        assert reference_pooled(backend, region) is None
+        with pytest.raises(EmptyRegion):
+            backend._inputs([region])
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -464,22 +502,38 @@ class TestPooling:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_feature_grids(self, backend, h, w, hole_rate, seed):
-        rng = np.random.default_rng(seed)
-        lib = backend.library
-        models = rng.integers(len(lib), size=2)
-        which = models[rng.integers(2, size=(h, w))]
-        sizes = np.diff(lib.point_offsets)
-        local = (rng.random((h, w)) * sizes[which]).astype(np.int64)
-        fids = np.where(rng.random((h, w)) < hole_rate, -1, which * FEATURE_ID_STRIDE + local)
-        region = fid_region(fids)
+        region = fid_region(random_fids(backend.library, np.random.default_rng(seed), h, w, hole_rate))
         expected = reference_pooled(backend, region)
         if expected is None:
             with pytest.raises(EmptyRegion):
-                backend._pooled_appearance(region)
+                backend._inputs([region])
             return
-        np.testing.assert_allclose(
-            backend._pooled_appearance(region), expected, rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(pooled(backend, [region])[0], expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 150), st.integers(1, 150)), min_size=1, max_size=6
+        ),
+        hole_rate=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one-pixel, padded rows, padded columns, exact and downsampled crops
+    @example(shapes=[(1, 1), (150, 20), (20, 150), (64, 64), (100, 130)], hole_rate=0.3, seed=0)
+    def test_random_batches(self, backend, shapes, hole_rate, seed):
+        """Each row of a batch of mixed crops is that crop's per-sample
+        pooling; a crop with no filled sample raises EmptyRegion, alone."""
+        rng = np.random.default_rng(seed)
+        batch = [fid_region(random_fids(backend.library, rng, h, w, hole_rate)) for h, w in shapes]
+        expected = [reference_pooled(backend, r) for r in batch]
+        for r, e in zip(batch, expected):
+            if e is None:
+                with pytest.raises(EmptyRegion):
+                    backend._inputs([r])
+        filled = [(r, e) for r, e in zip(batch, expected) if e is not None]
+        if filled:
+            regions, rows = zip(*filled)
+            np.testing.assert_allclose(pooled(backend, list(regions)), rows, rtol=0, atol=1e-12)
 
 
 class TestAssociate:
