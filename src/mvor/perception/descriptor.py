@@ -114,9 +114,10 @@ class GridPooledDescriptor:
         row, col = np.divmod(np.concatenate([r.crop.pixels for r in regions]), shapes[region, 1])
         row += _firsts(shapes[:, 0])[region]
         col += _firsts(shapes[:, 1])[region]
-        points = np.concatenate([self.library.rows_for(r.crop.feature_ids) for r in regions])
+        points = self.library.rows_for(np.concatenate([r.crop.feature_ids for r in regions]))
         # hits in library-row order, ties in batch order: the entries come
-        # out column by column
+        # out column by column. Each hit array is dropped once read, as these
+        # arrays set the peak memory of a batch.
         order = np.argsort(points, kind="stable")
         region, row, col, points = region[order], row[order], col[order], points[order]
         del order

@@ -28,11 +28,10 @@ class SquarePadMap:
     """
 
     def __init__(self, h: int, w: int, resolution: int):
-        self.h, self.w, self.resolution = h, w, resolution
-        self.side = max(h, w)
-        self.pad_top = (self.side - h) // 2
-        self.pad_left = (self.side - w) // 2
-        self.scale = resolution / self.side
+        side = max(h, w)
+        self.pad_top = (side - h) // 2
+        self.pad_left = (side - w) // 2
+        self.scale = resolution / side
 
     def to_norm(self, xy: np.ndarray) -> np.ndarray:
         """Crop-local (x, y) -> normalized-grid (x, y); shape (...,2)."""
