@@ -11,7 +11,7 @@ import numpy as np
 from mvor import geometry as geo
 from mvor.sim import SimConfig, generate_instance, generate_model_library, render
 
-config = SimConfig(object_count_min=4, object_count_max=6, seed=42)
+config = SimConfig(object_count_min=4, object_count_max=6)
 library = generate_model_library(config)
 
 print(f"model library: {len(library)} models (seed {library.seed})")

@@ -21,7 +21,7 @@ from mvor.sim import (
     render,
 )
 
-config = SimConfig(object_count_min=4, object_count_max=4, seed=7)
+config = SimConfig(object_count_min=4, object_count_max=4)
 perception = PerceptionConfig()
 library = generate_model_library(config)
 backend = perception.make_backend(library)

@@ -18,7 +18,7 @@ from mvor.localization import LocalizationConfig
 from mvor.sim import SimConfig, generate_instance, generate_model_library
 
 cfg = BenchConfig(
-    sim=SimConfig(object_count_min=5, object_count_max=5, seed=3, rotation_regime="full"),
+    sim=SimConfig(object_count_min=5, object_count_max=5, rotation_regime="full"),
     # a slightly adversarial matcher: pixel noise plus 20% injected outliers
     localization=LocalizationConfig(sigma_px=1.0, outlier_rate=0.2),
 )

@@ -1,5 +1,7 @@
 """Close the loop: perceive the scene, then move objects until it matches
-the goal image.
+the goal image (``complete_scene``). The scene counts as completed when
+every object ends within the planner's success thresholds
+(``scene_outcome``), as in the completion benchmark and ``mvor rearrange``.
 
 Uses a deliberately entangled two-object swap on top of a generated scene,
 so the planner has to relocate a blocker to a buffer pose before the
@@ -9,18 +11,12 @@ direct moves succeed.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import (
-    BenchConfig,
-    build_scene_database,
-    localize_scene,
-    rearrange_scene,
-    scene_goal_regions,
-)
+from mvor.bench import BenchConfig, complete_scene, scene_outcome
 from mvor.geometry import PlanarTransform
 from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
 from mvor.sim.scene import RearrangementInstance
 
-config = SimConfig(seed=12)
+config = SimConfig()
 cfg = BenchConfig(sim=config)
 library = generate_model_library(config)
 backend = cfg.perception.make_backend(library)
@@ -58,12 +54,10 @@ instance = RearrangementInstance(
     seed=12,
     config=config,
 )
-db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
 matcher = cfg.localization.make_matcher(library)
-goal_regions = scene_goal_regions(instance, library, backend, cfg)
-found = localize_scene(instance, db, goal_regions, matcher, cfg)
-_, result = rearrange_scene(instance, db, found, library, backend, matcher, cfg)
-print(f"completed: {result.completed} in {result.outer_iterations} outer iterations")
+_, result = complete_scene(instance, library, backend, matcher, cfg)
+outcome = scene_outcome(instance, result, cfg.planner)
+print(f"completed: {outcome.completed} in {result.outer_iterations} outer iterations")
 print(f"manipulations: {result.total_manipulations} "
       f"({sum(result.goal_moves.values())} goal, {sum(result.buffer_moves.values())} buffer)\n")
 print("move log:")
@@ -76,6 +70,5 @@ for m in result.moves:
     )
 
 print("\nfinal placement error per object:")
-for i, p in enumerate(result.final_scene.placements):
-    dyaw, dt = geo.planar_distance(p.pose, instance.goal.placements[i].pose)
-    print(f"  object {i}: {dyaw:.4f} deg, {dt:.4f} cm")
+for o in outcome.objects:
+    print(f"  object {o['object']}: {o['final_dtheta_deg']:.4f} deg, {o['final_dt_cm']:.4f} cm")

@@ -1,12 +1,13 @@
 """Per-scene pipeline and the dataset-scale benchmark drivers.
 
-A scene runs in three stages, shared by the drivers, the CLI and the demos:
+The stages of a scene are shared by the drivers, the CLI and the demos:
 ``build_scene_database`` (the initial scene rendered from the ring or the
-home viewpoint, then the region database), ``localize_scene``
-(``estimate_all`` on the goal regions, and the instance-to-object pairing)
-and ``rearrange_scene`` (the planner, with a home-view re-observer when the
-instance's actuation is noisy). ``scene_goal_regions`` renders, segments
-and describes the goal frame once per scene for every database.
+home viewpoint, then the region database), ``scene_goal_regions`` (the
+goal frame, described once per scene for every database) and
+``localize_scene`` (``estimate_all`` on the goal regions, and the
+instance-to-object pairing). ``complete_scene`` runs them and then the
+planner; ``scene_outcome`` judges its result. Both drivers run one loop
+over regimes and seeds and differ only in the records they make.
 
 Pose benchmark: per seeded scene, build the multi-view database of the
 initial scene, estimate every object's relative pose from the goal frame,
@@ -17,10 +18,8 @@ paired. Rejected estimates contribute their best-effort error (an object
 with no usable estimate counts as "assumed unmoved"), never get dropped
 from the medians.
 
-Completion benchmark: runs all three stages per scene; a scene succeeds
-when every object ends within the success thresholds, and the one-step
-setting additionally requires at most one goal move per object (buffer
-moves excluded).
+Completion benchmark: ``complete_scene`` per scene, recorded through its
+``scene_outcome``.
 
 All machine-readable outputs are pure functions of (config, seed): loops
 are ordered, every stochastic component is seeded per (regime, mode, scene),
@@ -58,10 +57,23 @@ from .sim import (
 )
 from .sim.config import ROTATION_REGIMES
 
+
+def estimate_counters(est: PoseEstimate | None) -> dict:
+    """An estimate's search and solve counters, keyed (and ordered) as
+    records.tsv and poses.json write them; all zero without an estimate."""
+    est = est if est is not None else PoseEstimate(offset=PlanarTransform.identity())
+    return {
+        "inliers": est.inlier_count,
+        "inlier_ratio": est.inlier_ratio,
+        "correspondences": est.num_correspondences,
+        "candidates_visited": est.candidates_visited,
+        "matcher_invocations": est.matcher_invocations,
+    }
+
+
 POSE_COLUMNS = [
     "regime", "view_mode", "scene_seed", "object", "model_id", "accepted",
-    "dtheta_deg", "dt_cm", "inliers", "inlier_ratio", "correspondences",
-    "candidates_visited", "matcher_invocations",
+    "dtheta_deg", "dt_cm", *estimate_counters(None),
 ]
 
 COMPLETION_COLUMNS = [
@@ -171,15 +183,16 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
     return SceneEstimates(by_instance, object_of, by_object)
 
 
-def rearrange_scene(
-    inst, db, found: SceneEstimates, library, backend, matcher, cfg: BenchConfig
-) -> tuple[dict, ExecutionResult]:
-    """Rearrangement stage: (object -> estimate the planner used, result).
-
-    Objects without an estimate get a rejected identity estimate. With
-    actuation noise (the instance's ``config.actuation_sigma``) the planner
-    re-observes each object from the home viewpoint before moving it.
-    """
+def complete_scene(
+    inst, library, backend, matcher, cfg: BenchConfig
+) -> tuple[SceneEstimates, ExecutionResult]:
+    """The full-scene run: the ring database of the initial scene, every
+    object localized from the goal frame (a rejected identity estimate when
+    it has none), then the planner, which re-observes each object from the
+    home viewpoint before moving it when ``inst.config.actuation_sigma > 0``."""
+    db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
+    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    found = localize_scene(inst, db, goal_regions, matcher, cfg)
     estimates = {
         i: found.by_object.get(i, PoseEstimate(offset=PlanarTransform.identity(), accepted=False))
         for i in range(inst.initial.num_objects)
@@ -190,76 +203,94 @@ def rearrange_scene(
             inst, library, db, backend, matcher, cfg.localization, cfg.perception,
             {i: u for u, i in found.object_of.items()},
         )
-    return estimates, plan_and_execute(inst, estimates, library, cfg.planner, reobserve)
+    return found, plan_and_execute(inst, estimates, library, cfg.planner, reobserve)
 
 
-def object_outcomes(inst, result: ExecutionResult) -> list[dict]:
-    """Per object, in index order: the final planar error against the goal
-    placement and the executed goal and buffer moves, keyed (and ordered)
-    as the completion records and the CLI's ``result.json`` write them."""
+@dataclass
+class SceneOutcome:
+    objects: list  # per object: final error against the goal, executed moves
+    completed: bool  # every object ends within the success thresholds
+    one_step: bool  # completed, with at most one goal move per object
+
+
+def scene_outcome(inst, result: ExecutionResult, config: PlannerConfig) -> SceneOutcome:
+    """How a run of ``complete_scene`` ended, judged by ``config``'s
+    success thresholds. The per-object entries are keyed (and ordered) as
+    the completion records and the CLI's ``result.json`` write them."""
     goal_moves, buffer_moves = result.goal_moves, result.buffer_moves
-    outcomes = []
+    objects = []
     for i, (p, g) in enumerate(zip(result.final_scene.placements, inst.goal.placements)):
         dtheta, dt = planar_distance(p.pose, g.pose)
-        outcomes.append({
+        objects.append({
             "object": i,
             "final_dtheta_deg": dtheta,
             "final_dt_cm": dt,
             "goal_moves": goal_moves[i],
             "buffer_moves": buffer_moves[i],
         })
-    return outcomes
+    completed = all(
+        config.within_success(o["final_dtheta_deg"], o["final_dt_cm"]) for o in objects
+    )
+    one_step = completed and all(o["goal_moves"] <= 1 for o in objects)
+    return SceneOutcome(objects, completed, one_step)
 
 
-def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
+def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsReport:
+    """The drivers' loop over regimes and seeds: ``scene_rows(inst,
+    regime_index, library, backend, cfg)`` per scene that generates."""
     t0 = time.time()
     library = generate_model_library(cfg.sim)
     backend = cfg.perception.make_backend(library)
-    modes = ["multi"] + (["single"] if cfg.include_single_view else [])
     rows = []
     skipped = 0
-    for regime in cfg.regimes:
+    for ri, regime in enumerate(cfg.regimes):
         sim = replace(cfg.sim, rotation_regime=regime)
-        for s in range(cfg.scenes):
-            seed = cfg.base_seed + s
+        for seed in range(cfg.base_seed, cfg.base_seed + cfg.scenes):
             try:
                 inst = generate_instance(sim, library, seed=seed)
             except PlacementFailure:
                 skipped += 1
                 continue
-            goal_regions = scene_goal_regions(inst, library, backend, cfg)
-            for mi, mode in enumerate(modes):
-                views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
-                db = build_scene_database(inst, views, library, backend, cfg)
-                matcher = cfg.localization.make_matcher(
-                    library, rng=_scene_rng("matcher", cfg.regimes.index(regime), mi, seed)
-                )
-                found = localize_scene(inst, db, goal_regions, matcher, cfg)
-                for i, p in enumerate(inst.initial.placements):
-                    est = found.by_object.get(i)
-                    dtheta, dt = best_effort_error(est, inst.true_offsets[i])
-                    rows.append({
-                        "regime": regime,
-                        "view_mode": mode,
-                        "scene_seed": seed,
-                        "object": i,
-                        "model_id": p.model_id,
-                        "accepted": int(est.accepted) if est else 0,
-                        "dtheta_deg": dtheta,
-                        "dt_cm": dt,
-                        "inliers": est.inlier_count if est else 0,
-                        "inlier_ratio": est.inlier_ratio if est else 0.0,
-                        "correspondences": est.num_correspondences if est else 0,
-                        "candidates_visited": est.candidates_visited if est else 0,
-                        "matcher_invocations": est.matcher_invocations if est else 0,
-                    })
+            rows += scene_rows(inst, ri, library, backend, cfg)
     return MetricsReport(
-        kind="pose",
+        kind=kind,
         rows=rows,
-        summary=compute_pose_summary(rows, skipped),
+        summary=summarize(rows, skipped),
         wall_clock_s=time.time() - t0,
         skipped_scenes=skipped,
     )
+
+
+def _pose_rows(inst, ri, library, backend, cfg: BenchConfig) -> list[dict]:
+    modes = ["multi"] + (["single"] if cfg.include_single_view else [])
+    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    rows = []
+    for mi, mode in enumerate(modes):
+        views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
+        db = build_scene_database(inst, views, library, backend, cfg)
+        matcher = cfg.localization.make_matcher(
+            library, rng=_scene_rng("matcher", ri, mi, inst.seed)
+        )
+        found = localize_scene(inst, db, goal_regions, matcher, cfg)
+        for i, p in enumerate(inst.initial.placements):
+            est = found.by_object.get(i)
+            dtheta, dt = best_effort_error(est, inst.true_offsets[i])
+            rows.append({
+                "regime": inst.config.rotation_regime,
+                "view_mode": mode,
+                "scene_seed": inst.seed,
+                "object": i,
+                "model_id": p.model_id,
+                "accepted": int(est.accepted) if est else 0,
+                "dtheta_deg": dtheta,
+                "dt_cm": dt,
+                **estimate_counters(est),
+            })
+    return rows
+
+
+def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
+    return _run_scenes(cfg, "pose", _pose_rows, compute_pose_summary)
 
 
 def compute_pose_summary(rows, skipped_scenes=0) -> dict:
@@ -308,52 +339,27 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
     return reobserve
 
 
-def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
-    t0 = time.time()
-    library = generate_model_library(cfg.sim)
-    backend = cfg.perception.make_backend(library)
+def _completion_rows(inst, ri, library, backend, cfg: BenchConfig) -> list[dict]:
+    matcher = cfg.localization.make_matcher(library, rng=_scene_rng("matcher", ri, 0, inst.seed))
+    found, result = complete_scene(inst, library, backend, matcher, cfg)
+    outcome = scene_outcome(inst, result, cfg.planner)
     rows = []
-    skipped = 0
-    for regime in cfg.regimes:
-        sim = replace(cfg.sim, rotation_regime=regime)
-        for s in range(cfg.scenes):
-            seed = cfg.base_seed + s
-            try:
-                inst = generate_instance(sim, library, seed=seed)
-            except PlacementFailure:
-                skipped += 1
-                continue
-            db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
-            matcher = cfg.localization.make_matcher(
-                library, rng=_scene_rng("matcher", cfg.regimes.index(regime), 0, seed)
-            )
-            goal_regions = scene_goal_regions(inst, library, backend, cfg)
-            found = localize_scene(inst, db, goal_regions, matcher, cfg)
-            estimates, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
-            outcomes = object_outcomes(inst, result)
-            completed = all(
-                cfg.planner.within_success(o["final_dtheta_deg"], o["final_dt_cm"])
-                for o in outcomes
-            )
-            one_step = completed and all(o["goal_moves"] <= 1 for o in outcomes)
-            for i, (o, p) in enumerate(zip(outcomes, inst.initial.placements)):
-                rows.append({
-                    "regime": regime,
-                    "scene_seed": seed,
-                    "object": i,
-                    "model_id": p.model_id,
-                    "accepted": int(estimates[i].accepted),
-                    **o,
-                    "scene_completed": int(completed),
-                    "scene_one_step": int(one_step),
-                })
-    return MetricsReport(
-        kind="completion",
-        rows=rows,
-        summary=compute_completion_summary(rows, skipped),
-        wall_clock_s=time.time() - t0,
-        skipped_scenes=skipped,
-    )
+    for i, (o, p) in enumerate(zip(outcome.objects, inst.initial.placements)):
+        est = found.by_object.get(i)
+        rows.append({
+            "regime": inst.config.rotation_regime,
+            "scene_seed": inst.seed,
+            "model_id": p.model_id,
+            "accepted": int(est.accepted) if est else 0,
+            **o,
+            "scene_completed": int(outcome.completed),
+            "scene_one_step": int(outcome.one_step),
+        })
+    return rows
+
+
+def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
+    return _run_scenes(cfg, "completion", _completion_rows, compute_completion_summary)
 
 
 def compute_completion_summary(rows, skipped_scenes=0) -> dict:

@@ -21,13 +21,14 @@ from .bench import (
     BenchConfig,
     best_effort_error,
     build_scene_database,
+    complete_scene,
+    estimate_counters,
     format_report,
     localize_scene,
-    object_outcomes,
-    rearrange_scene,
     run_completion_bench,
     run_pose_bench,
     scene_goal_regions,
+    scene_outcome,
     write_report,
 )
 from .errors import ConfigParseError, MvorError
@@ -70,14 +71,16 @@ def _out_dir(args, default_name: str) -> str:
     return os.path.join(os.environ.get("MVOR_OUT", "."), default_name)
 
 
-def _load_or_generate_instance(cfg: BenchConfig, args):
-    """(instance, its model library): loaded from ``--instance`` or
-    generated from the config and seed."""
+def _scene_setup(cfg: BenchConfig, args):
+    """(instance, its model library, the config's descriptor backend), the
+    instance loaded from ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = load_instance(args.instance)
-        return inst, generate_model_library(inst.config)
-    library = generate_model_library(cfg.sim)
-    return generate_instance(cfg.sim, library, seed=cfg.base_seed), library
+        library = generate_model_library(inst.config)
+    else:
+        library = generate_model_library(cfg.sim)
+        inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
+    return inst, library, cfg.perception.make_backend(library)
 
 
 def cmd_gen(args) -> int:
@@ -97,9 +100,8 @@ def cmd_gen(args) -> int:
 
 def cmd_build_db(args) -> int:
     cfg = load_config(args.config, args.seed)
-    inst, library = _load_or_generate_instance(cfg, args)
+    inst, library, backend = _scene_setup(cfg, args)
     views = [inst.home_viewpoint] if args.view == "home" else inst.ring_viewpoints
-    backend = cfg.perception.make_backend(library)
     db = build_scene_database(inst, views, library, backend, cfg)
     out = _out_dir(args, "db.npz")
     save_database(
@@ -130,11 +132,7 @@ def _pose_report_rows(inst, found):
             "tx_cm": float(est.offset.tx * 100),
             "ty_cm": float(est.offset.ty * 100),
             "T": [[float(v) for v in r] for r in T.matrix],
-            "inliers": est.inlier_count,
-            "inlier_ratio": est.inlier_ratio,
-            "correspondences": est.num_correspondences,
-            "candidates_visited": est.candidates_visited,
-            "matcher_invocations": est.matcher_invocations,
+            **estimate_counters(est),
             "note": est.note,
         }
         if u in found.object_of:
@@ -150,7 +148,7 @@ def _pose_report_rows(inst, found):
 def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
-    inst = load_instance(args.instance)
+    inst, library, backend = _scene_setup(cfg, args)
     for keys, source, settings in (
         (LIBRARY_KEYS, "instance", inst.config),
         (DESCRIPTOR_KEYS, "config", cfg.perception),
@@ -166,8 +164,6 @@ def cmd_localize(args) -> int:
             f"database descriptors have width {db.descriptors.shape[1]}, "
             f"config descriptor_dim is {cfg.perception.descriptor_dim}"
         )
-    library = generate_model_library(inst.config)
-    backend = cfg.perception.make_backend(library)
     matcher = cfg.localization.make_matcher(library)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
@@ -180,28 +176,24 @@ def cmd_localize(args) -> int:
 
 def cmd_rearrange(args) -> int:
     cfg = load_config(args.config, args.seed)
-    inst, library = _load_or_generate_instance(cfg, args)
-    backend = cfg.perception.make_backend(library)
-    db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
-    matcher = cfg.localization.make_matcher(library)
-    goal_regions = scene_goal_regions(inst, library, backend, cfg)
-    found = localize_scene(inst, db, goal_regions, matcher, cfg)
-    _, result = rearrange_scene(inst, db, found, library, backend, matcher, cfg)
+    inst, library, backend = _scene_setup(cfg, args)
+    _, result = complete_scene(inst, library, backend, cfg.localization.make_matcher(library), cfg)
+    outcome = scene_outcome(inst, result, cfg.planner)
     out_dir = _out_dir(args, "rearrange")
     os.makedirs(out_dir, exist_ok=True)
     save_instance(inst, os.path.join(out_dir, "instance.json"))
     dump_json([m.as_dict() for m in result.moves], os.path.join(out_dir, "moves.json"))
     dump_json(
         {
-            "completed": result.completed,
+            "completed": outcome.completed,
             "outer_iterations": result.outer_iterations,
             "total_manipulations": result.total_manipulations,
-            "objects": object_outcomes(inst, result),
+            "objects": outcome.objects,
         },
         os.path.join(out_dir, "result.json"),
     )
     print(
-        f"rearrangement {'completed' if result.completed else 'INCOMPLETE'} in "
+        f"rearrangement {'completed' if outcome.completed else 'INCOMPLETE'} in "
         f"{result.total_manipulations} manipulations; outputs in {out_dir}"
     )
     return 0

@@ -20,7 +20,7 @@ Backends:
                        descriptors with a ratio test; no ground-truth ids,
                        same view-compatibility physics. It adds no noise,
                        so it never leaves the image: its goal side is the
-                       goal hits' exact projections, and it ignores the
+                       goal hits' exact projections, and it has no
                        matching resolution.
 
 Both read only the candidate's ``feature_ids`` and ``view_local`` (a
@@ -64,10 +64,11 @@ def _to_image(crop, xy: np.ndarray, resolution: int) -> np.ndarray:
 
 
 class FeatureIdMatcher:
-    """Reads ``drop_rate``, ``sigma_px``, ``outlier_rate`` and
-    ``max_view_angle_deg`` from a ``LocalizationConfig``."""
+    """Reads ``match_resolution``, ``drop_rate``, ``sigma_px``, ``outlier_rate``
+    and ``max_view_angle_deg`` from a ``LocalizationConfig``."""
 
     def __init__(self, config, rng=None):
+        self.resolution = config.match_resolution
         self.drop_rate = config.drop_rate
         self.sigma_px = config.sigma_px
         self.outlier_rate = config.outlier_rate
@@ -76,7 +77,7 @@ class FeatureIdMatcher:
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
         self.rng = rng
 
-    def match(self, goal_crop, cand, resolution: int) -> Correspondences2D:
+    def match(self, goal_crop, cand) -> Correspondences2D:
         _, gi, ci = np.intersect1d(goal_crop.feature_ids, cand.feature_ids, return_indices=True)
         compatible = (
             np.einsum("ij,ij->i", goal_crop.view_local[gi], cand.view_local[ci])
@@ -88,13 +89,13 @@ class FeatureIdMatcher:
             keep = self.rng.uniform(size=n) >= self.drop_rate
             gi, ci = gi[keep], ci[keep]
             n = len(gi)
-        goal = _to_matching(goal_crop, gi, resolution)
+        goal = _to_matching(goal_crop, gi, self.resolution)
         if n and self.sigma_px > 0.0:
             goal = goal + self.rng.normal(0.0, self.sigma_px, goal.shape)
         if n and self.outlier_rate > 0.0:
             bad = self.rng.uniform(size=n) < self.outlier_rate
-            goal[bad] = self.rng.uniform(-0.5, resolution - 0.5, (int(bad.sum()), 2))
-        return Correspondences2D(_to_image(goal_crop, goal, resolution), ci)
+            goal[bad] = self.rng.uniform(-0.5, self.resolution - 0.5, (int(bad.sum()), 2))
+        return Correspondences2D(_to_image(goal_crop, goal, self.resolution), ci)
 
 
 class DescriptorNNMatcher:
@@ -116,7 +117,7 @@ class DescriptorNNMatcher:
             hits = hits[:: int(np.ceil(len(hits) / self.max_points))]
         return hits, self.library.descriptors_for(crop.feature_ids[hits]), crop.view_local[hits]
 
-    def match(self, goal_crop, cand, resolution: int) -> Correspondences2D:
+    def match(self, goal_crop, cand) -> Correspondences2D:
         g_hits, gd, g_view = self._features(goal_crop)
         c_hits, cd, c_view = self._features(cand)
         if len(gd) == 0 or len(cd) == 0:

@@ -242,7 +242,7 @@ def estimate_object(
             visited += 1
             cand = db.hits(int(cands.region_indices[pos]))
             match_calls += 1
-            m2d = matcher.match(goal_region.crop, cand, config.match_resolution)
+            m2d = matcher.match(goal_region.crop, cand)
             try:
                 m3d = lift_to_3d(m2d, cand, config.min_correspondences)
                 est = solve_pose(m3d, intr, goal_region.viewpoint, config)

@@ -23,6 +23,7 @@ from mvor.errors import ConfigParseError
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
+from mvor.planner import PlannerConfig
 from mvor.sim import (
     SimConfig,
     apply_move,
@@ -349,6 +350,48 @@ class TestCliRearrange:
         for name in ("moves.json", "result.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert json.loads((a / "result.json").read_text())["completed"]
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_matches_completion_bench(self, seed, tmp_path):
+        """``rearrange`` and ``bench-completion`` run one full-scene pipeline
+        and judge completion alike: the same final errors, moves and
+        completed flag, bit for bit."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"scenes": 1, "regimes": ["full"], "sim": {"actuation_sigma": 0.003}}
+        ))
+        run, rec = tmp_path / "rearrange", tmp_path / "bench"
+        for command, out in (("rearrange", run), ("bench-completion", rec)):
+            argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+            assert cli_main(argv) == 0
+        result = json.loads((run / "result.json").read_text())
+        header, *lines = (rec / "records.tsv").read_text().splitlines()
+        records = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+        assert len(records) == len(result["objects"]) > 0
+        for o, r in zip(result["objects"], records):
+            assert int(r["object"]) == o["object"]
+            assert float(r["final_dtheta_deg"]) == o["final_dtheta_deg"]
+            assert float(r["final_dt_cm"]) == o["final_dt_cm"]
+            assert int(r["goal_moves"]) == o["goal_moves"]
+            assert int(r["buffer_moves"]) == o["buffer_moves"]
+            assert int(r["scene_completed"]) == result["completed"]
+
+    def test_poor_landing_is_incomplete(self, tmp_path, capsys):
+        """Completed means every object ends within the success thresholds,
+        not that the planner attempted every goal move: 5 cm actuation noise
+        leaves the objects centimetres off their goals."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": {"actuation_sigma": 0.05}}))
+        out = tmp_path / "r"
+        assert cli_main(["rearrange", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+        assert "rearrangement INCOMPLETE" in capsys.readouterr().out
+        result = json.loads((out / "result.json").read_text())
+        assert result["completed"] is False
+        success = PlannerConfig()
+        assert not all(
+            success.within_success(o["final_dtheta_deg"], o["final_dt_cm"])
+            for o in result["objects"]
+        )
 
 
 class TestCliInstanceFiles:

@@ -370,7 +370,7 @@ class TestLiftTo3D:
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand, 256)
+        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand)
         return cand, m2d
 
     def test_all_depth_pixels_lift(self, library, backend):
@@ -400,7 +400,7 @@ class TestSolvePose:
         db = ring_db(scene, library, backend)
         _, goals = goal_regions_of(scene, library, backend)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand, 256)
+        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
@@ -461,7 +461,7 @@ class TestSolvePose:
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = matcher.match(goals[0].crop, cand, 256)
+        m2d = matcher.match(goals[0].crop, cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
         err = reprojection_sq_errors(m3d.world, m3d.goal_px, INTR, r, t)
@@ -586,7 +586,7 @@ class TestPlanarSolver:
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = matcher.match(goals[0].crop, cand, 256)
+        m2d = matcher.match(goals[0].crop, cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
@@ -690,9 +690,9 @@ class _RecordingMatcher:
         self.inner = inner
         self.cands = []
 
-    def match(self, goal_crop, cand, resolution):
+    def match(self, goal_crop, cand):
         self.cands.append(cand)
-        return self.inner.match(goal_crop, cand, resolution)
+        return self.inner.match(goal_crop, cand)
 
 
 class TestEstimateObject:
@@ -788,14 +788,14 @@ class TestMatchesNameHits:
         goal = goals[0].crop
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         cfg = LocalizationConfig(matcher=kind, **overrides)
-        m2d = cfg.make_matcher(library, np.random.default_rng(3)).match(goal, cand, 256)
+        m2d = cfg.make_matcher(library, np.random.default_rng(3)).match(goal, cand)
         assert len(m2d) >= 12
         # one-to-one, so lift_to_3d needs no dedupe
         assert len(np.unique(m2d.cand_hits)) == len(m2d)
         assert len(np.unique(m2d.goal_px, axis=0)) == len(m2d)
         if "sigma_px" in overrides:
             # a subset of the clean matches, moved on the goal side only
-            clean = LocalizationConfig(matcher=kind).make_matcher(library).match(goal, cand, 256)
+            clean = LocalizationConfig(matcher=kind).make_matcher(library).match(goal, cand)
             clean_at = dict(zip(clean.cand_hits.tolist(), clean.goal_px))
             assert set(m2d.cand_hits.tolist()) <= set(clean_at)
             moved = [np.linalg.norm(p - clean_at[h]) for p, h in zip(m2d.goal_px, m2d.cand_hits)]
