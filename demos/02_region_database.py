@@ -13,19 +13,12 @@ import numpy as np
 
 from mvor.localization import retrieve_candidates
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
-from mvor.sim import (
-    SimConfig,
-    generate_instance,
-    generate_model_library,
-    ground_truth_segmenter,
-    render,
-)
+from mvor.sim import SimConfig, generate_instance, generate_model_library, render
 
 config = SimConfig(object_count_min=4, object_count_max=4)
 perception = PerceptionConfig()
 library = generate_model_library(config)
 backend = perception.make_backend(library)
-segmenter = ground_truth_segmenter()
 intr = config.intrinsics()
 
 instance = generate_instance(config, library, seed=7)
@@ -33,7 +26,7 @@ frames = [
     render(instance.initial, vp, intr, library, frame_id=i)
     for i, vp in enumerate(instance.ring_viewpoints)
 ]
-db = build_database(frames, segmenter, backend, perception)
+db = build_database(frames, backend, perception)
 
 print(f"database: {db.num_regions} regions grouped into {db.num_instances} instances")
 for j in range(db.num_instances):
@@ -52,7 +45,7 @@ print(f"\ndescriptor cosine: same-instance mean {np.mean(same):.3f}, cross-insta
 
 # retrieval from the goal image of the (rearranged) goal scene
 goal_frame = render(instance.goal, instance.home_viewpoint, intr, library, frame_id=99)
-goal_regions = prepare_goal_regions(goal_frame, segmenter, backend, perception)
+goal_regions = prepare_goal_regions(goal_frame, backend, perception)
 print(f"\ngoal frame has {len(goal_regions)} regions; retrieval votes:")
 for g in goal_regions:
     cands = retrieve_candidates(g, db, top_n=10)

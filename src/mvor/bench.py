@@ -52,8 +52,8 @@ from .sim import (
     SimConfig,
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     render,
+    segment,
 )
 from .sim.config import ROTATION_REGIMES
 
@@ -154,7 +154,7 @@ def build_scene_database(inst, viewpoints, library, backend, cfg: BenchConfig):
     frames = [
         render(inst.initial, vp, intr, library, frame_id=i) for i, vp in enumerate(viewpoints)
     ]
-    return build_database(frames, ground_truth_segmenter(), backend, cfg.perception)
+    return build_database(frames, backend, cfg.perception)
 
 
 @dataclass
@@ -169,7 +169,7 @@ def scene_goal_regions(inst, library, backend, cfg: BenchConfig) -> list:
     serves every database of the scene."""
     intr = inst.config.intrinsics()
     goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
-    return prepare_goal_regions(goal_frame, ground_truth_segmenter(), backend, cfg.perception)
+    return prepare_goal_regions(goal_frame, backend, cfg.perception)
 
 
 def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEstimates:
@@ -238,7 +238,7 @@ def scene_outcome(inst, result: ExecutionResult, config: PlannerConfig) -> Scene
 def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsReport:
     """The drivers' loop over regimes and seeds: ``scene_rows(inst,
     regime_index, library, backend, cfg)`` per scene that generates."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     library = generate_model_library(cfg.sim)
     backend = cfg.perception.make_backend(library)
     rows = []
@@ -256,7 +256,7 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
         kind=kind,
         rows=rows,
         summary=summarize(rows, skipped),
-        wall_clock_s=time.time() - t0,
+        wall_clock_s=time.perf_counter() - t0,
         skipped_scenes=skipped,
     )
 
@@ -317,14 +317,13 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
     scene), restricted to the object's own instance list.
     """
     intr = inst.config.intrinsics()
-    segmenter = ground_truth_segmenter()
 
     def reobserve(scene, i, guess):
         u = object_instance.get(i)
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
         frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
-        regions = extract_regions(frame, segmenter(frame), pcfg)
+        regions = extract_regions(frame, segment(frame), pcfg)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]

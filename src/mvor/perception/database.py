@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import IOFailure, NoRegions
 from ..geometry import observation_vector
 from ..serialize import check_bounds
+from ..sim.render import segment
 from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, extract_regions
 
@@ -83,7 +84,8 @@ class RegionHits(NamedTuple):
 class Database:
     region_instance: np.ndarray = _column("R", kind="i")  # instance index per region
     region_frame: np.ndarray = _column("R", kind="i")
-    source_instance: np.ndarray = _column("R", kind="i")  # segmenter label; diagnostics, tests
+    # ground-truth instance label per region; diagnostics, tests
+    source_instance: np.ndarray = _column("R", kind="i")
     descriptors: np.ndarray = _column("R", (-1,))
     obs_dirs: np.ndarray = _column("R", (3,))
     instance_centroids: np.ndarray = _column("K", (3,))  # mean of member region centroids
@@ -157,17 +159,17 @@ def describe_regions(regions: list[ObjectRegion], backend) -> None:
         r.descriptor = descriptor
 
 
-def build_database(frames, segmenter, backend, config: PerceptionConfig) -> Database:
+def build_database(frames, backend, config: PerceptionConfig) -> Database:
     """Full database construction: segment each frame, extract regions,
     describe every region of every frame in one batch, and associate."""
-    regions_by_frame = [extract_regions(f, segmenter(f), config) for f in frames]
+    regions_by_frame = [extract_regions(f, segment(f), config) for f in frames]
     describe_regions([r for frame_regions in regions_by_frame for r in frame_regions], backend)
     return associate(regions_by_frame)
 
 
-def prepare_goal_regions(frame, segmenter, backend, config: PerceptionConfig):
+def prepare_goal_regions(frame, backend, config: PerceptionConfig):
     """Segment and featurize a goal frame the same way database frames are."""
-    regions = extract_regions(frame, segmenter(frame), config)
+    regions = extract_regions(frame, segment(frame), config)
     describe_regions(regions, backend)
     return regions
 

@@ -74,7 +74,7 @@ class ObjectRegion:
     crop: RegionCrop
     viewpoint: Pose3
     frame_id: int
-    source_instance: int  # segmenter label; diagnostics and tests only
+    source_instance: int  # ground-truth instance label; diagnostics and tests only
     descriptor: np.ndarray | None = None
     obs_dir: np.ndarray | None = None
 

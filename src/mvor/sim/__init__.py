@@ -1,6 +1,6 @@
 from .config import SimConfig
 from .models import FEATURE_ID_STRIDE, ModelLibrary, generate_model_library
-from .render import Frame, empty_frame, ground_truth_segmenter, render, segment
+from .render import Frame, empty_frame, render, segment
 from .scene import (
     Placement,
     RearrangementInstance,
@@ -23,7 +23,6 @@ __all__ = [
     "generate_model_library",
     "Frame",
     "empty_frame",
-    "ground_truth_segmenter",
     "render",
     "segment",
     "Placement",

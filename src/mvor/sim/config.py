@@ -60,10 +60,26 @@ class SimConfig:
             raise ValueError("seed and library_seed must be non-negative")
         check_bounds(self, {
             "min_clearance": (0, None),
+            "placement_margin": (0, None),
+            "placement_attempts": (1, None),
             "model_points": (1, None),
             "point_descriptor_dim": (1, None),
             "actuation_sigma": (0, None),
         })
+        # open ranges: a zero-size table or zero camera radius makes no scene
+        # or view; an elevation of 0 or below puts the camera at or under the
+        # table, and 90 puts it at infinite height (tan of the elevation)
+        for name, hi in (
+            ("table_width", np.inf),
+            ("table_depth", np.inf),
+            ("ring_radius", np.inf),
+            ("home_radius", np.inf),
+            ("ring_elevation_deg", 90),
+            ("home_elevation_deg", 90),
+        ):
+            value = getattr(self, name)
+            if not 0 < value < hi:
+                raise ValueError(f"{name}={value!r} outside (0, {hi})")
         self.intrinsics()  # raises ValueError on a bad focal length or image size
 
     def yaw_range(self) -> tuple[float, float]:

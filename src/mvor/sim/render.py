@@ -1,5 +1,5 @@
 """Point-splat rendering with a per-pixel z-buffer, plus ground-truth
-instance segmentation with optional corruption.
+instance segmentation.
 
 A rendered Frame is the list of z-buffer winners, one hit per covered
 pixel, in row-major pixel order. Each hit keeps its pixel (row, col), the
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import EmptyFrame
 from ..geometry import CameraIntrinsics, Pose3, invert, project_points, rot_z
@@ -141,56 +140,11 @@ def render(
     )
 
 
-def segment(
-    frame: Frame,
-    p_drop: float = 0.0,
-    erode_radius: int = 0,
-    rng=None,
-) -> list[tuple[int, np.ndarray]]:
-    """Ground-truth instance masks, optionally corrupted.
+def segment(frame: Frame) -> list[tuple[int, np.ndarray]]:
+    """Ground-truth instance masks, one per instance the frame sees, in
+    ``frame.instance_list()`` order.
 
-    A mask is a boolean mask over the frame's hits. Each mask is
-    independently dropped with probability p_drop (which needs ``rng``) and
-    eroded by erode_radius pixels (3x3 square structuring element per step,
-    pixels outside the image count as background). Masks are disjoint by
+    A mask is a boolean mask over the frame's hits. Masks are disjoint by
     construction. Returns [] for an empty frame.
     """
-    if p_drop > 0.0 and rng is None:
-        raise ValueError("segment: p_drop > 0 needs an rng")
-    out = []
-    for inst in frame.instance_list():
-        if p_drop > 0.0 and rng.uniform() < p_drop:
-            continue
-        mask = frame.instance_ids == inst
-        if erode_radius > 0:
-            mask = _erode_hits(frame.rows, frame.cols, mask, erode_radius)
-        if mask.any():
-            out.append((int(inst), mask))
-    return out
-
-
-def _erode_hits(rows: np.ndarray, cols: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary erosion of the pixels ``mask`` selects among the hits at
-    (rows, cols), as a mask over the same hits.
-
-    The erosion runs on the selection's bounding box only. That is exact:
-    every pixel outside the box is background, and the erosion's zero border
-    treats the box edge as the full-frame erosion treats background there.
-    """
-    r, c = rows[mask], cols[mask]
-    r0, c0 = r.min(), c.min()
-    box = np.zeros((r.max() - r0 + 1, c.max() - c0 + 1), dtype=bool)
-    box[r - r0, c - c0] = True
-    box = ndimage.binary_erosion(box, structure=np.ones((3, 3), dtype=bool), iterations=radius)
-    out = np.zeros_like(mask)
-    out[mask] = box[r - r0, c - c0]
-    return out
-
-
-def ground_truth_segmenter(p_drop: float = 0.0, erode_radius: int = 0, rng=None):
-    """Segmenter factory matching the build_database callable contract."""
-
-    def run(frame: Frame):
-        return segment(frame, p_drop=p_drop, erode_radius=erode_radius, rng=rng)
-
-    return run
+    return [(int(inst), frame.instance_ids == inst) for inst in frame.instance_list()]

@@ -26,7 +26,6 @@ from mvor.sim import (
     SimConfig,
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     render,
 )
 from mvor.sim.scene import RearrangementInstance
@@ -237,7 +236,6 @@ def test_criterion_6_association_and_retrieval_exactness():
     lcfg = LocalizationConfig()
     library = generate_model_library(cfg)
     backend = pcfg.make_backend(library)
-    segmenter = ground_truth_segmenter()
     intr = cfg.intrinsics()
     regions_total = 0
     retrieval_hits = 0
@@ -248,7 +246,7 @@ def test_criterion_6_association_and_retrieval_exactness():
             render(inst.initial, vp, intr, library, frame_id=i)
             for i, vp in enumerate(inst.ring_viewpoints)
         ]
-        db = build_database(frames, segmenter, backend, pcfg)
+        db = build_database(frames, backend, pcfg)
         instance_label = {}
         for j in range(db.num_instances):
             labels = set(db.source_instance[np.flatnonzero(db.region_instance == j)].tolist())
@@ -259,7 +257,7 @@ def test_criterion_6_association_and_retrieval_exactness():
         if not pure:
             break
         goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
-        for g in prepare_goal_regions(goal_frame, segmenter, backend, pcfg):
+        for g in prepare_goal_regions(goal_frame, backend, pcfg):
             regions_total += 1
             cands = retrieve_candidates(g, db, lcfg.top_n)
             if instance_label[cands.instance_id] == g.source_instance:

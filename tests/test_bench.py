@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,13 +32,13 @@ from mvor.sim import (
     apply_move,
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     render,
 )
 from mvor.serialize import from_dict, to_dict
 from mvor.sim.io import instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +83,22 @@ class TestMetrics:
         assert dt == pytest.approx(50.0)
         est = PoseEstimate(offset=PlanarTransform(np.radians(123), 0.3, -0.4))
         assert best_effort_error(est, truth) == pytest.approx((3.0, 0.0))
+
+
+def test_import_leaves_out_scipy_ndimage_and_special():
+    """Importing the bench and the CLI loads neither scipy.ndimage nor
+    scipy.special, which together add about 0.2 s and 6 MB to start-up."""
+    code = (
+        "import sys, mvor.bench, mvor.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.ndimage', 'scipy.special'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestPoseBench:
@@ -165,7 +184,7 @@ class TestInstanceObjectMatching:
             render(inst.initial, vp, intr, library, frame_id=i)
             for i, vp in enumerate(inst.ring_viewpoints)
         ]
-        db = build_database(frames, ground_truth_segmenter(), backend, pcfg)
+        db = build_database(frames, backend, pcfg)
         mapping = match_instances_to_objects(db, inst.initial)
         assert len(mapping) == 6
         for u, i in mapping.items():
@@ -184,7 +203,6 @@ class TestNoiseModeCorrection:
         lcfg = LocalizationConfig()
         library = generate_model_library(cfg)
         backend = pcfg.make_backend(library)
-        segmenter = ground_truth_segmenter()
         intr = cfg.intrinsics()
         ok = 0
         trials = 0
@@ -194,7 +212,7 @@ class TestNoiseModeCorrection:
                 render(inst.initial, vp, intr, library, frame_id=i)
                 for i, vp in enumerate(inst.ring_viewpoints)
             ]
-            db = build_database(frames, segmenter, backend, pcfg)
+            db = build_database(frames, backend, pcfg)
             matcher = lcfg.make_matcher(library)
             reobserve = make_reobserver(
                 inst, library, db, backend, matcher, lcfg, pcfg, {0: 0}
@@ -238,14 +256,13 @@ class TestReobserver:
         lcfg = LocalizationConfig()
         library = generate_model_library(cfg)
         backend = pcfg.make_backend(library)
-        segmenter = ground_truth_segmenter()
         intr = cfg.intrinsics()
         inst = generate_instance(cfg, library, seed=7)
         frames = [
             render(inst.initial, vp, intr, library, frame_id=i)
             for i, vp in enumerate(inst.ring_viewpoints)
         ]
-        db = build_database(frames, segmenter, backend, pcfg)
+        db = build_database(frames, backend, pcfg)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         guess = inst.goal.placements[0].pose
         scene = apply_move(inst.initial, library, 0, guess, 0.003, np.random.default_rng(1))
@@ -258,7 +275,7 @@ class TestReobserver:
         assert counting.batch_sizes == [1]
 
         frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
-        regions = prepare_goal_regions(frame, segmenter, backend, pcfg)
+        regions = prepare_goal_regions(frame, backend, pcfg)
         assert len(regions) > 1
         region = min(
             regions,
@@ -312,6 +329,16 @@ class TestCliDeterminism:
             {"min_clearance": -5},
             {"point_descriptor_dim": 0},
             {"model_points": 0},
+            {"placement_margin": -0.3},
+            {"placement_attempts": 0},
+            {"table_width": 0},
+            {"table_depth": -1},
+            {"ring_radius": 0},
+            {"home_radius": -0.5},
+            {"ring_elevation_deg": 90},
+            {"ring_elevation_deg": 0},
+            {"home_elevation_deg": -50},
+            {"home_elevation_deg": 120},
         ):
             cfg = tmp_path / "range.json"
             cfg.write_text(json.dumps({"sim": out_of_range}))

@@ -38,7 +38,6 @@ from mvor.sim import (
     SimConfig,
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     render,
 )
 
@@ -68,12 +67,12 @@ def ring_db(scene, library, backend):
         render(scene, vp, INTR, library, frame_id=i)
         for i, vp in enumerate(CFG.ring_viewpoints())
     ]
-    return build_database(frames, ground_truth_segmenter(), backend, PCFG)
+    return build_database(frames, backend, PCFG)
 
 
 def goal_regions_of(scene, library, backend):
     frame = render(scene, CFG.home_viewpoint(), INTR, library, frame_id=99)
-    return frame, prepare_goal_regions(frame, ground_truth_segmenter(), backend, PCFG)
+    return frame, prepare_goal_regions(frame, backend, PCFG)
 
 
 def apply_offsets(scene, offsets):
@@ -107,7 +106,7 @@ def fake_database(descriptors, instances_of, obs_dirs=None):
 
 
 def source_of_instance(db):
-    """Instance -> segmenter label of its first region."""
+    """Instance -> ground-truth instance label of its first region."""
     return {
         j: int(db.source_instance[np.flatnonzero(db.region_instance == j)[0]])
         for j in range(db.num_instances)
@@ -713,7 +712,7 @@ class TestEstimateObject:
         initial = make_scene([Placement(model_id, PlanarTransform(0.0, 0.0, 0.0))])
         goal_scene = apply_offsets(initial, [PlanarTransform(np.pi, 0.0, 0.0)])
         home = render(initial, CFG.home_viewpoint(), INTR, library, frame_id=0)
-        db = build_database([home], ground_truth_segmenter(), backend, PCFG)
+        db = build_database([home], backend, PCFG)
         _, goals = goal_regions_of(goal_scene, library, backend)
         est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert not est.accepted
@@ -819,7 +818,7 @@ class TestEstimateAll:
         inst = generate_instance(cfg3, library, seed=9)
         db = ring_db(inst.initial, library, backend)
         goal_frame = render(inst.goal, inst.home_viewpoint, INTR, library, frame_id=99)
-        goals = prepare_goal_regions(goal_frame, ground_truth_segmenter(), backend, PCFG)
+        goals = prepare_goal_regions(goal_frame, backend, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3
         i2s = source_of_instance(db)
@@ -849,7 +848,7 @@ class TestEstimateAll:
         from mvor.sim import empty_frame
 
         frame = empty_frame(CFG.home_viewpoint(), INTR, frame_id=99)
-        goals = prepare_goal_regions(frame, ground_truth_segmenter(), backend, PCFG)
+        goals = prepare_goal_regions(frame, backend, PCFG)
         assert goals == []
         out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(LCFG), INTR, LCFG)
         assert out == {}

@@ -32,9 +32,9 @@ from mvor.sim import (
     Rect,
     SceneState,
     SimConfig,
+    empty_frame,
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     render,
     segment,
 )
@@ -77,7 +77,7 @@ def ring_frames(scene, library, config=CFG):
 
 def db_for(scene, library, backend, frames=None):
     frames = frames if frames is not None else ring_frames(scene, library)
-    return build_database(frames, ground_truth_segmenter(), backend, PCFG)
+    return build_database(frames, backend, PCFG)
 
 
 class TestSquarePadMap:
@@ -255,11 +255,15 @@ class TestHitFrameRegions:
             ]
             for k, (scene, vp) in enumerate(views):
                 frame = render(scene, vp, intr, library, frame_id=k)
-                got = extract_regions(frame, segment(frame, erode_radius=erode_radius), PCFG)
                 planes = dense_planes(frame)
-                expect = dense_extract_regions(
-                    frame, planes, dense_segment(planes, erode_radius), PCFG.min_region_points
-                )
+                dense_masks = dense_segment(planes, erode_radius)
+                # eroded masks, taken at the frame's hits, cut object edges
+                # the ground-truth segmentation never cuts
+                masks = segment(frame) if erode_radius == 0 else [
+                    (label, m[frame.rows, frame.cols]) for label, m in dense_masks
+                ]
+                got = extract_regions(frame, masks, PCFG)
+                expect = dense_extract_regions(frame, planes, dense_masks, PCFG.min_region_points)
                 assert len(got) == len(expect) > 0
                 for reg, (r0, c0, label, arrays) in zip(got, expect):
                     c = reg.crop
@@ -577,10 +581,9 @@ class TestAssociate:
             ]
         )
         frames = ring_frames(scene, library, cfg)
-        seg = ground_truth_segmenter()
-        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
+        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         assert [sorted(r.source_instance for r in rs) for rs in regions_by_frame] == [[0, 2]] * 2
-        db = build_database(frames, seg, backend, PCFG)
+        db = build_database(frames, backend, PCFG)
         assert db.num_instances == 2 < scene.num_objects
         assert 1 not in db.source_instance
 
@@ -606,13 +609,12 @@ class TestAssociate:
             ]
         )
         frames = ring_frames(scene, library, cfg)
-        seg = ground_truth_segmenter()
-        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
+        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         assert [sorted(r.source_instance for r in rs) for rs in regions_by_frame] == [
             [0, 1],
             [1, 2],
         ]
-        db = build_database(frames, seg, backend, PCFG)
+        db = build_database(frames, backend, PCFG)
         assert db.num_instances == 2 < scene.num_objects
         assert set(db.source_instance.tolist()) == {0, 1, 2}
         # objects 1 and 2 share the instance named by object 1's region
@@ -668,20 +670,21 @@ class TestBuildDatabase:
         cfg = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg, library, seed=6)
         frame = render(inst.initial, inst.home_viewpoint, cfg.intrinsics(), library, frame_id=0)
-        db = build_database([frame], ground_truth_segmenter(), backend, PCFG)
+        db = build_database([frame], backend, PCFG)
         assert db.num_instances == 3
         assert all(len(np.flatnonzero(db.region_instance == j)) == 1 for j in range(3))
 
-    def test_no_regions(self, library, backend):
-        scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
-        frames = ring_frames(scene, library)
-        seg = ground_truth_segmenter(p_drop=1.0, rng=np.random.default_rng(0))
+    def test_no_regions(self, backend):
+        frames = [
+            empty_frame(vp, CFG.intrinsics(), frame_id=i)
+            for i, vp in enumerate(CFG.ring_viewpoints())
+        ]
         with pytest.raises(NoRegions):
-            build_database(frames, seg, backend, PCFG)
+            build_database(frames, backend, PCFG)
 
     def test_no_frames(self, backend):
         with pytest.raises(NoRegions):
-            build_database([], ground_truth_segmenter(), backend, PCFG)
+            build_database([], backend, PCFG)
 
     @pytest.mark.parametrize(
         "sim, view, seed",
@@ -708,7 +711,7 @@ class TestBuildDatabase:
     )
     def test_instances_are_segmenter_labels(self, library, backend, sim, view, seed):
         """The fullest frame's regions name the instances: every instance
-        holds the regions of one segmenter label, and each label falls in
+        holds the regions of one ground-truth label, and each label falls in
         one instance."""
         cfg = SimConfig(**sim)
         inst = generate_instance(cfg, library, seed=seed)
@@ -723,9 +726,8 @@ class TestBuildDatabase:
 
     def test_invariants(self, library, backend):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
-        seg = ground_truth_segmenter()
         frames = ring_frames(inst.initial, library)
-        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
+        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         regions = [r for frame_regions in regions_by_frame for r in frame_regions]
         describe_regions(regions, backend)
         # the viewpoint is gone once associate keeps the observation direction
@@ -754,9 +756,8 @@ class TestBuildDatabase:
         descriptors bit for bit, the descriptors to 1e-12."""
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
-        seg = ground_truth_segmenter()
-        db = build_database(frames, seg, backend, PCFG)
-        regions_by_frame = [extract_regions(f, seg(f), PCFG) for f in frames]
+        db = build_database(frames, backend, PCFG)
+        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         for r in (r for frame_regions in regions_by_frame for r in frame_regions):
             describe_regions([r], backend)
         one_by_one = associate(regions_by_frame)
@@ -771,8 +772,8 @@ class TestBuildDatabase:
     def test_deterministic(self, library, backend):
         inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=14)
         frames = ring_frames(inst.initial, library)
-        a = build_database(frames, ground_truth_segmenter(), backend, PCFG)
-        b = build_database(frames, ground_truth_segmenter(), backend, PCFG)
+        a = build_database(frames, backend, PCFG)
+        b = build_database(frames, backend, PCFG)
         np.testing.assert_array_equal(a.region_instance, b.region_instance)
         np.testing.assert_array_equal(a.descriptors, b.descriptors)
 
@@ -897,7 +898,7 @@ class TestDatabaseIO:
         cfg = SimConfig(object_count_min=2, object_count_max=2)
         inst = generate_instance(cfg, library, seed=16)
         frame = render(inst.goal, inst.home_viewpoint, cfg.intrinsics(), library)
-        regions = prepare_goal_regions(frame, ground_truth_segmenter(), backend, PCFG)
+        regions = prepare_goal_regions(frame, backend, PCFG)
         assert len(regions) == 2
         for r in regions:
             assert r.descriptor is not None and r.obs_dir is not None

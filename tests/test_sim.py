@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from mvor import geometry as geo
 from mvor.errors import (
@@ -20,7 +19,6 @@ from mvor.errors import (
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.sim import (
     FEATURE_ID_STRIDE,
-    Frame,
     Placement,
     Rect,
     SceneState,
@@ -29,7 +27,6 @@ from mvor.sim import (
     empty_frame,
     generate_instance,
     generate_model_library,
-    ground_truth_segmenter,
     render,
     segment,
 )
@@ -239,26 +236,6 @@ def pixel_index(frame):
     return frame.rows * frame.intrinsics.width + frame.cols
 
 
-def frame_from_labels(labels, intr=None):
-    """A frame whose hits are the pixels of ``labels`` >= 0, in row-major
-    order, with those labels as instance ids."""
-    h, w = labels.shape
-    intr = intr or geo.CameraIntrinsics(100.0, 100.0, w / 2, h / 2, w, h)
-    rows, cols = np.nonzero(labels >= 0)
-    n = len(rows)
-    return Frame(
-        rows=rows,
-        cols=cols,
-        feature_ids=np.ones(n, dtype=np.int64),
-        instance_ids=labels[rows, cols].astype(np.int32),
-        px=np.stack([cols, rows], axis=1).astype(float),
-        depth=np.ones(n),
-        view_local=np.zeros((n, 3)),
-        viewpoint=Pose3.identity(),
-        intrinsics=intr,
-    )
-
-
 class TestRender:
     def test_top_down_sees_only_top_faces(self, library):
         m = int(np.flatnonzero(library.family == "box")[0])
@@ -355,69 +332,9 @@ class TestSegment:
         for inst_id, mask in masks:
             np.testing.assert_array_equal(mask, frame.instance_ids == inst_id)
 
-    def test_drop_all(self, config, library):
-        inst = generate_instance(config, library, seed=9)
-        frame = render(inst.initial, inst.ring_viewpoints[1], config.intrinsics(), library)
-        assert segment(frame, p_drop=1.0, rng=np.random.default_rng(0)) == []
-
-    def test_drop_without_rng_raises(self, config, library):
-        inst = generate_instance(config, library, seed=9)
-        frame = render(inst.initial, inst.ring_viewpoints[1], config.intrinsics(), library)
-        with pytest.raises(ValueError, match="rng"):
-            segment(frame, p_drop=0.5)
-        with pytest.raises(ValueError, match="rng"):
-            ground_truth_segmenter(p_drop=0.5)(frame)
-
     def test_empty_frame_has_no_masks(self, config):
         frame = empty_frame(Pose3.identity(), config.intrinsics())
-        assert segment(frame) == [] and segment(frame, erode_radius=2) == []
-
-    def test_erosion_matches_bruteforce(self, config):
-        intr = config.intrinsics()
-        labels = np.full((intr.height, intr.width), -1)
-        labels[100:110, 200:210] = 0
-        frame = frame_from_labels(labels, intr)
-        r = 2
-        masks = segment(frame, erode_radius=r)
-        assert len(masks) == 1
-        got = masks[0][1]
-        # brute force: pixel survives iff the full (2r+1)^2 neighborhood is set
-        full = labels == 0
-        expect = np.zeros_like(full)
-        h, w = full.shape
-        for i in range(h):
-            for j in range(w):
-                if full[max(0, i - r) : i + r + 1, max(0, j - r) : j + r + 1].sum() == (2 * r + 1) ** 2:
-                    expect[i, j] = True
-        np.testing.assert_array_equal(got, expect[frame.rows, frame.cols])
-        assert got.sum() == expect.sum() == 36
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
-        labels=st.integers(1, 3),
-        density=st.floats(0.3, 1.0),
-        radius=st.integers(1, 3),
-        seed=st.integers(0, 2**16),
-    )
-    def test_box_erosion_equals_full_frame_erosion(self, shape, labels, density, radius, seed):
-        # random blobs on a small image; dense ones cover the image border
-        rng = np.random.default_rng(seed)
-        image = np.where(
-            rng.uniform(size=shape) < density, rng.integers(0, labels, size=shape), -1
-        )
-        frame = frame_from_labels(image)
-        got = dict(segment(frame, erode_radius=radius))
-        for inst_id in np.unique(image[image >= 0]):
-            full = ndimage.binary_erosion(
-                image == inst_id, structure=np.ones((3, 3), dtype=bool), iterations=radius
-            )
-            expect = full[frame.rows, frame.cols]
-            assert full.sum() == expect.sum()
-            if expect.any():
-                np.testing.assert_array_equal(got[int(inst_id)], expect)
-            else:
-                assert int(inst_id) not in got
+        assert segment(frame) == []
 
     def test_masks_disjoint(self, config, library):
         inst = generate_instance(config, library, seed=12)
