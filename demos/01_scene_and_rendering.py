@@ -14,7 +14,7 @@ from mvor.sim import SimConfig, generate_instance, generate_model_library, rende
 config = SimConfig(object_count_min=4, object_count_max=6)
 library = generate_model_library(config)
 
-print(f"model library: {len(library)} models (seed {library.seed})")
+print(f"model library: {len(library)} models (seed {config.library_seed})")
 # the library is one set of columns: per-model family and footprint
 # radius, and every model's points concatenated, cut by point_offsets
 for m in range(4):

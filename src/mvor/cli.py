@@ -148,7 +148,8 @@ def _pose_report_rows(inst, found):
 def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
-    inst, library, backend = _scene_setup(cfg, args)
+    inst = load_instance(args.instance)
+    # a mismatched database fails before the library and backend are built
     for keys, source, settings in (
         (LIBRARY_KEYS, "instance", inst.config),
         (DESCRIPTOR_KEYS, "config", cfg.perception),
@@ -164,6 +165,8 @@ def cmd_localize(args) -> int:
             f"database descriptors have width {db.descriptors.shape[1]}, "
             f"config descriptor_dim is {cfg.perception.descriptor_dim}"
         )
+    library = generate_model_library(inst.config)
+    backend = cfg.perception.make_backend(library)
     matcher = cfg.localization.make_matcher(library)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)

@@ -11,22 +11,22 @@ Backends:
     FeatureIdMatcher   pairs view-compatible hits that observe the same
                        model surface point, then corrupts the pairs: a drop
                        rate, Gaussian noise on the goal-side coordinates,
-                       and uniform outlier replacement. The goal side is
-                       corrupted at the common matching resolution (pad to
-                       square, resize), where a learned matcher would err,
-                       so noise parameters are in matching-resolution
-                       pixels.
+                       and uniform outlier replacement. A learned matcher
+                       errs at a common matching resolution (the goal crop
+                       padded to a square of side ``max(h, w)`` and resized
+                       to ``match_resolution``), so ``sigma_px`` is in
+                       matching-resolution pixels: in the goal image the
+                       noise is scaled by ``side / match_resolution``, and
+                       an outlier lands uniformly in the padded square.
     DescriptorNNMatcher mutual nearest neighbor over the per-hit point
                        descriptors with a ratio test; no ground-truth ids,
-                       same view-compatibility physics. It adds no noise,
-                       so it never leaves the image: its goal side is the
-                       goal hits' exact projections, and it has no
-                       matching resolution.
+                       same view-compatibility physics. It adds no noise.
 
 Both read only the candidate's ``feature_ids`` and ``view_local`` (a
 database's ``RegionHits`` or any crop), and name, per match, the
-goal-image coordinates and the index of the candidate region's hit;
-lift_to_3d gathers that hit's stored world point.
+goal-image coordinates (uncorrupted, the goal hit's exact projection) and
+the index of the candidate region's hit; lift_to_3d gathers that hit's
+stored world point.
 Every match has its own candidate hit and its own goal coordinates.
 """
 
@@ -48,19 +48,6 @@ class Correspondences2D:
 
 def _empty_matches() -> Correspondences2D:
     return Correspondences2D(np.empty((0, 2)), np.empty(0, dtype=np.intp))
-
-
-def _to_matching(crop, hits: np.ndarray, resolution: int) -> np.ndarray:
-    """Exact projections of a crop's hits -> matching-resolution coords."""
-    local = crop.px[hits] - np.array([crop.col0, crop.row0])
-    return crop.pad_map(resolution).to_norm(local)
-
-
-def _to_image(crop, xy: np.ndarray, resolution: int) -> np.ndarray:
-    """Matching-resolution coords -> continuous (u, v) in the crop's source
-    image."""
-    local = crop.pad_map(resolution).from_norm(xy)
-    return local + np.array([crop.col0, crop.row0], dtype=float)
 
 
 class FeatureIdMatcher:
@@ -89,13 +76,18 @@ class FeatureIdMatcher:
             keep = self.rng.uniform(size=n) >= self.drop_rate
             gi, ci = gi[keep], ci[keep]
             n = len(gi)
-        goal = _to_matching(goal_crop, gi, self.resolution)
+        goal = goal_crop.px[gi]
+        h, w = goal_crop.shape
+        side = max(h, w)
         if n and self.sigma_px > 0.0:
-            goal = goal + self.rng.normal(0.0, self.sigma_px, goal.shape)
+            noise = self.rng.normal(0.0, self.sigma_px, goal.shape)
+            goal = goal + noise * (side / self.resolution)
         if n and self.outlier_rate > 0.0:
             bad = self.rng.uniform(size=n) < self.outlier_rate
-            goal[bad] = self.rng.uniform(-0.5, self.resolution - 0.5, (int(bad.sum()), 2))
-        return Correspondences2D(_to_image(goal_crop, goal, self.resolution), ci)
+            # the top-left pixel edge of the padded square
+            corner = np.array([goal_crop.col0 - (side - w) // 2, goal_crop.row0 - (side - h) // 2])
+            goal[bad] = corner - 0.5 + self.rng.uniform(0.0, side, (int(bad.sum()), 2))
+        return Correspondences2D(goal, ci)
 
 
 class DescriptorNNMatcher:

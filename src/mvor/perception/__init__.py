@@ -9,7 +9,7 @@ from .database import (
     save_database,
 )
 from .descriptor import GridPooledDescriptor
-from .regions import ObjectRegion, RegionCrop, SquarePadMap, extract_regions
+from .regions import ObjectRegion, RegionCrop, extract_regions
 
 __all__ = [
     "Database",
@@ -23,6 +23,5 @@ __all__ = [
     "GridPooledDescriptor",
     "ObjectRegion",
     "RegionCrop",
-    "SquarePadMap",
     "extract_regions",
 ]

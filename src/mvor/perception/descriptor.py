@@ -110,10 +110,9 @@ class GridPooledDescriptor:
         row_starts, row_cell, row_count = _line_counts(shapes[:, 0], sides, res, g)
         col_starts, col_cell, col_count = _line_counts(shapes[:, 1], sides, res, g)
 
-        region = np.repeat(np.arange(len(regions)), [len(r.crop.pixels) for r in regions])
-        row, col = np.divmod(np.concatenate([r.crop.pixels for r in regions]), shapes[region, 1])
-        row += _firsts(shapes[:, 0])[region]
-        col += _firsts(shapes[:, 1])[region]
+        region = np.repeat(np.arange(len(regions)), [len(r.crop.rows) for r in regions])
+        row = np.concatenate([r.crop.rows for r in regions]) + _firsts(shapes[:, 0])[region]
+        col = np.concatenate([r.crop.cols for r in regions]) + _firsts(shapes[:, 1])[region]
         points = self.library.rows_for(np.concatenate([r.crop.feature_ids for r in regions]))
         # hits in library-row order, ties in batch order: the entries come
         # out column by column. Each hit array is dropped once read, as these

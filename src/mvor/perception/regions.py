@@ -1,10 +1,10 @@
 """Object regions: one segmented observation of one object in one frame.
 
 A region keeps the frame's hits under its mask (the segmentation), in the
-frame's row-major order: each hit's pixel inside the region's tight crop,
-its feature id, exact projection, world point back-projected through the
-frame's viewpoint and object-local viewing direction. It also keeps the
-observing viewpoint, and later gains a global descriptor and an
+frame's row-major order: each hit's row and column inside the region's
+tight crop, its feature id, exact projection, world point back-projected
+through the frame's viewpoint and object-local viewing direction. It also
+keeps the observing viewpoint, and later gains a global descriptor and an
 observation direction.
 """
 
@@ -20,35 +20,6 @@ from ..geometry import Pose3, back_project_pixels, invert
 log = logging.getLogger(__name__)
 
 
-class SquarePadMap:
-    """Coordinate bookkeeping for pad-to-square + resize normalization.
-
-    Maps between crop-local continuous coordinates (x right, y down, pixel
-    centers at integers) and the normalized resolution x resolution grid.
-    """
-
-    def __init__(self, h: int, w: int, resolution: int):
-        side = max(h, w)
-        self.pad_top = (side - h) // 2
-        self.pad_left = (side - w) // 2
-        self.scale = resolution / side
-
-    def to_norm(self, xy: np.ndarray) -> np.ndarray:
-        """Crop-local (x, y) -> normalized-grid (x, y); shape (...,2)."""
-        xy = np.asarray(xy, dtype=float)
-        out = np.empty_like(xy)
-        out[..., 0] = (xy[..., 0] + self.pad_left + 0.5) * self.scale - 0.5
-        out[..., 1] = (xy[..., 1] + self.pad_top + 0.5) * self.scale - 0.5
-        return out
-
-    def from_norm(self, xy: np.ndarray) -> np.ndarray:
-        xy = np.asarray(xy, dtype=float)
-        out = np.empty_like(xy)
-        out[..., 0] = (xy[..., 0] + 0.5) / self.scale - 0.5 - self.pad_left
-        out[..., 1] = (xy[..., 1] + 0.5) / self.scale - 0.5 - self.pad_top
-        return out
-
-
 @dataclass
 class RegionCrop:
     """The hits of one region, in the frame's row-major order, and the
@@ -58,15 +29,12 @@ class RegionCrop:
     row0: int
     col0: int
     shape: tuple[int, int]
-    pixels: np.ndarray  # (n,) int64 crop-local r*w + c, strictly increasing
+    rows: np.ndarray  # (n,) int64 crop-local row of each hit
+    cols: np.ndarray  # (n,) int64 crop-local column of each hit
     feature_ids: np.ndarray  # (n,) int64
     px: np.ndarray  # (n,2) exact (u,v) in the source image
     world: np.ndarray  # (n,3) back-projected world point
     view_local: np.ndarray  # (n,3) object-local viewing direction
-
-    def pad_map(self, resolution: int) -> SquarePadMap:
-        h, w = self.shape
-        return SquarePadMap(h, w, resolution)
 
 
 @dataclass
@@ -104,13 +72,13 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
             continue
         rr, cc = frame.rows[mask], frame.cols[mask]
         r0, c0 = rr.min(), cc.min()
-        w = int(cc.max() - c0 + 1)
         uv = frame.px[mask]
         crop = RegionCrop(
             row0=int(r0),
             col0=int(c0),
-            shape=(int(rr.max() - r0 + 1), w),
-            pixels=(rr - r0) * w + (cc - c0),
+            shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
+            rows=rr - r0,
+            cols=cc - c0,
             feature_ids=frame.feature_ids[mask],
             px=uv,
             world=back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[mask]),

@@ -38,7 +38,6 @@ class ModelLibrary:
     points: np.ndarray  # (P,3) local frame
     normals: np.ndarray  # (P,3) unit rows
     point_descriptors: np.ndarray  # (P,d_pt) unit rows
-    seed: int
 
     def __len__(self) -> int:
         return len(self.family)
@@ -211,5 +210,4 @@ def generate_model_library(config) -> ModelLibrary:
         points=np.vstack(points),
         normals=np.vstack(normals),
         point_descriptors=descriptors[: offsets[-1]],
-        seed=config.library_seed,
     )

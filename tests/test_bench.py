@@ -499,6 +499,34 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sim,perception", [({"library_size": 4}, {}), ({}, {"pool_grid": 2})]
+    )
+    def test_localize_checks_database_before_the_library(self, files, sim, perception,
+                                                         tmp_path, capsys, monkeypatch):
+        """A database built against another library or descriptor exits 2,
+        with the same message, before the model library is generated."""
+        cfg = SimConfig(**sim, object_count_min=1, object_count_max=1)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance_to_dict(
+            generate_instance(cfg, generate_model_library(cfg), seed=0)
+        )))
+        settings = tmp_path / "cfg.json"
+        settings.write_text(json.dumps({"perception": perception}))
+        argv = ["localize", "--config", str(settings), "--db", str(files / "db.npz"),
+                "--instance", str(inst), "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("error: database built against ")
+
+        def no_library(config):
+            raise AssertionError("model library generated")
+
+        monkeypatch.setattr("mvor.cli.generate_model_library", no_library)
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == message
+
     def test_localize_accepts_its_own_descriptor_settings(self, files, tmp_path):
         argv = ["localize", "--db", str(files / "db.npz"),
                 "--instance", str(files / "instance.json"), "--out", str(tmp_path / "poses.json")]

@@ -172,7 +172,8 @@ class TestRetrieveCandidates:
 def _fake_goal(descriptor):
     crop = RegionCrop(
         0, 0, (2, 2),
-        np.arange(4),
+        np.array([0, 0, 1, 1]),
+        np.array([0, 1, 0, 1]),
         np.zeros(4, dtype=np.int64),
         np.zeros((4, 2)),
         np.zeros((4, 3)),
@@ -361,6 +362,45 @@ class TestFeatureIdMatcher:
 
     def test_noiseless_needs_no_rng(self):
         assert FeatureIdMatcher(LCFG).rng is None
+
+    def test_corruption_model(self, library, backend):
+        """Clean, a match's goal side is its goal hit's projection. Noise of
+        ``sigma_px`` matching-resolution pixels moves it by ``sigma_px * side
+        / match_resolution`` goal pixels, and an outlier lands anywhere in
+        the goal crop's padded square of side ``side``."""
+        scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
+        db = ring_db(scene, library, backend)
+        _, goals = goal_regions_of(scene, library, backend)
+        goal = goals[0].crop
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        clean = FeatureIdMatcher(LCFG).match(goal, cand)
+        assert len(clean) >= 200
+        hit_of = {f: i for i, f in enumerate(goal.feature_ids.tolist())}
+        goal_hits = [hit_of[f] for f in cand.feature_ids[clean.cand_hits].tolist()]
+        assert clean.goal_px.tobytes() == goal.px[goal_hits].tobytes()
+
+        h, w = goal.shape
+        side = max(h, w)
+        assert h != w  # the square pads one axis
+        sigma = 2.0
+        cfg = LocalizationConfig(sigma_px=sigma)
+        noisy = FeatureIdMatcher(cfg, np.random.default_rng(0)).match(goal, cand)
+        np.testing.assert_array_equal(noisy.cand_hits, clean.cand_hits)
+        std = np.std(noisy.goal_px - clean.goal_px)
+        assert abs(std / (sigma * side / cfg.match_resolution) - 1.0) < 0.1
+
+        cfg = LocalizationConfig(outlier_rate=0.5)
+        bad = FeatureIdMatcher(cfg, np.random.default_rng(0)).match(goal, cand)
+        np.testing.assert_array_equal(bad.cand_hits, clean.cand_hits)
+        moved = np.any(bad.goal_px != clean.goal_px, axis=1)
+        assert 0.4 < moved.mean() < 0.6
+        # the padded square's top-left pixel edge, (u, v)
+        corner = np.array([goal.col0 - (side - w) // 2, goal.row0 - (side - h) // 2]) - 0.5
+        local = bad.goal_px[moved] - corner
+        assert np.all((local >= 0.0) & (local <= side))
+        # spread over the whole square, padding included
+        assert np.all(local.min(axis=0) < 0.05 * side)
+        assert np.all(local.max(axis=0) > 0.95 * side)
 
 
 class TestLiftTo3D:

@@ -14,7 +14,6 @@ from mvor.errors import EmptyRegion, IOFailure, NoRegions
 from mvor.geometry import PlanarTransform
 from mvor.perception import (
     PerceptionConfig,
-    SquarePadMap,
     associate,
     build_database,
     describe_regions,
@@ -81,10 +80,8 @@ def db_for(scene, library, backend, frames=None):
 
 
 class TestSquarePadMap:
-    def test_roundtrip(self):
-        m = SquarePadMap(30, 50, 256)
-        xy = np.array([[0.0, 0.0], [49.0, 29.0], [12.3, 7.7]])
-        np.testing.assert_allclose(m.from_norm(m.to_norm(xy)), xy, atol=1e-10)
+    """The descriptor's pad-to-square + resize map, as ``_line_counts``
+    applies it."""
 
     def test_source_grid_covers_crop(self):
         """The descriptor's grid lines over a 20 x 40 crop at resolution 64
@@ -96,10 +93,11 @@ class TestSquarePadMap:
             assert count.sum() == lines
 
     def test_grid_consistent_with_to_norm(self):
-        m = SquarePadMap(10, 10, 40)
         # forward-mapping a source pixel center must land on grid lines that
-        # read it back; with one cell per grid line, the cells are the lines
-        x, y = m.to_norm(np.array([[3.0, 7.0]]))[0]
+        # read it back; with one cell per grid line, the cells are the lines.
+        # A 10 x 10 crop pads nothing; resolution 40 scales it by 4.
+        pad, scale = 0, 40 / 10
+        x, y = (np.array([3.0, 7.0]) + pad + 0.5) * scale - 0.5
         starts, lines, _ = _line_counts(np.array([10]), np.array([10]), 40, 40)
         for crop_line, grid_line in ((3, x), (7, y)):
             assert int(round(grid_line)) in lines[starts[crop_line] : starts[crop_line + 1]]
@@ -213,13 +211,12 @@ def densify(crop):
     projections, world points and view directions: feature id -1 and NaN
     geometry off the hits."""
     h, w = crop.shape
-    at = np.divmod(crop.pixels, w)
     grids = []
     for values, fill in (
         (crop.feature_ids, -1), (crop.px, np.nan), (crop.world, np.nan), (crop.view_local, np.nan)
     ):
         grid = np.full((h, w) + values.shape[1:], fill, dtype=values.dtype)
-        grid[at] = values
+        grid[crop.rows, crop.cols] = values
         grids.append(grid)
     return grids
 
@@ -230,7 +227,7 @@ def sparsify(feature_ids, px, world, view_local, row0=0, col0=0):
     rr, cc = np.nonzero(feature_ids >= 0)
     h, w = feature_ids.shape
     return RegionCrop(
-        row0, col0, (h, w), rr * w + cc,
+        row0, col0, (h, w), rr, cc,
         feature_ids[rr, cc], px[rr, cc], world[rr, cc], view_local[rr, cc],
     )
 
@@ -268,7 +265,7 @@ class TestHitFrameRegions:
                 for reg, (r0, c0, label, arrays) in zip(got, expect):
                     c = reg.crop
                     assert (c.row0, c.col0, reg.source_instance) == (r0, c0, label)
-                    assert np.all(np.diff(c.pixels) > 0)
+                    assert np.all(np.diff(c.rows * c.shape[1] + c.cols) > 0)  # row-major
                     for a, b in zip(densify(c), arrays):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
                         assert a.tobytes() == b.tobytes()
@@ -405,11 +402,12 @@ def reference_pooled(backend, region):
     adds its point descriptor to its cell with np.add.at. None when no grid
     sample is filled."""
     res, g = backend.config.norm_resolution, backend.config.pool_grid
-    m = region.crop.pad_map(res)
-    lines = np.arange(res) + 0.5
-    rr = np.floor(lines / m.scale - m.pad_top).astype(int)[:, None].repeat(res, axis=1)
-    cc = np.floor(lines / m.scale - m.pad_left).astype(int)[None, :].repeat(res, axis=0)
     h, w = region.crop.shape
+    side = max(h, w)
+    scale = res / side
+    lines = np.arange(res) + 0.5
+    rr = np.floor(lines / scale - (side - h) // 2).astype(int)[:, None].repeat(res, axis=1)
+    cc = np.floor(lines / scale - (side - w) // 2).astype(int)[None, :].repeat(res, axis=0)
     valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
     dense = densify(region.crop)[0]
     fids = np.where(valid, dense[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
@@ -649,7 +647,8 @@ def point_region(frame_id, label, x):
     """A described one-hit region whose centroid is (x, 0, 0)."""
     crop = RegionCrop(
         0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-        np.zeros((1, 2)), np.array([[x, 0.0, 0.0]]), np.zeros((1, 3)),
+        np.zeros(1, dtype=np.int64), np.zeros((1, 2)), np.array([[x, 0.0, 0.0]]),
+        np.zeros((1, 3)),
     )
     return ObjectRegion(
         crop, geo.Pose3.identity(), frame_id, label,
@@ -824,9 +823,9 @@ class TestDatabaseIO:
         inst = generate_instance(SimConfig(object_count_min=3, object_count_max=3), library, seed=15)
         db = db_for(inst.initial, library, backend)
         path = tmp_path / "db.npz"
-        save_database(db, path, extra_meta={"library_seed": library.seed})
+        save_database(db, path, extra_meta={"library_seed": CFG.library_seed})
         loaded, header = load_database(path)
-        assert header["library_seed"] == library.seed
+        assert header["library_seed"] == CFG.library_seed
         assert loaded.num_instances == db.num_instances
         for f in fields(Database):
             a, b = getattr(loaded, f.name), getattr(db, f.name)
