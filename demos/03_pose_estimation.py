@@ -13,7 +13,13 @@ within 0.1 degree and 0.05 cm of the truth.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, build_scene_database, localize_scene, scene_goal_regions
+from mvor.bench import (
+    BenchConfig,
+    build_scene_database,
+    localize_scene,
+    scene_goal_regions,
+    scene_matcher,
+)
 from mvor.localization import LocalizationConfig
 from mvor.sim import SimConfig, generate_instance, generate_model_library
 
@@ -28,7 +34,8 @@ backend = cfg.perception.make_backend(library)
 
 instance = generate_instance(cfg.sim, library, seed=3)
 db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
-matcher = cfg.localization.make_matcher(library, rng=np.random.default_rng(0))
+# the scene's own noise stream: the pose bench and `mvor localize` draw the same
+matcher = scene_matcher(instance, "multi", library, cfg)
 goal_regions = scene_goal_regions(instance, library, backend, cfg)
 by_object = localize_scene(instance, db, goal_regions, matcher, cfg).by_object
 

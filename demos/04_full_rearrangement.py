@@ -54,8 +54,7 @@ instance = RearrangementInstance(
     seed=12,
     config=config,
 )
-matcher = cfg.localization.make_matcher(library)
-_, result = complete_scene(instance, library, backend, matcher, cfg)
+_, result = complete_scene(instance, library, backend, cfg)
 outcome = scene_outcome(instance, result, cfg.planner)
 print(f"completed: {outcome.completed} in {result.outer_iterations} outer iterations")
 print(f"manipulations: {result.total_manipulations} "

@@ -23,7 +23,9 @@ Completion benchmark: ``complete_scene`` per scene, recorded through its
 
 All machine-readable outputs are pure functions of (config, seed): loops
 are ordered, every stochastic component is seeded per (regime, mode, scene),
-and wall-clock timing appears only in the human-readable report.
+and wall-clock timing appears only in the human-readable report. The
+matcher's noise comes from ``scene_matcher`` alone, so ``mvor localize``
+and ``mvor rearrange`` reproduce the bench rows of their scene.
 """
 
 from __future__ import annotations
@@ -147,6 +149,23 @@ def _scene_rng(tag: str, *parts) -> np.random.Generator:
     return np.random.default_rng([zlib.crc32(tag.encode()), *[int(p) for p in parts]])
 
 
+VIEW_MODES = ("multi", "single")  # the ring database, the home-view database
+
+
+def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
+    """The matcher for localizing ``inst`` against its ``mode`` database.
+    Its noise stream is keyed by the scene alone (rotation regime, view
+    mode, seed), so the benches and the CLI draw the same noise for the
+    same scene."""
+    rng = _scene_rng(
+        "matcher",
+        ROTATION_REGIMES.index(inst.config.rotation_regime),
+        VIEW_MODES.index(mode),
+        inst.seed,
+    )
+    return cfg.localization.make_matcher(library, rng)
+
+
 def build_scene_database(inst, viewpoints, library, backend, cfg: BenchConfig):
     """Database stage: the initial scene rendered from ``viewpoints``
     (frame ids in list order), segmented and described."""
@@ -184,14 +203,16 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
 
 
 def complete_scene(
-    inst, library, backend, matcher, cfg: BenchConfig
+    inst, library, backend, cfg: BenchConfig
 ) -> tuple[SceneEstimates, ExecutionResult]:
     """The full-scene run: the ring database of the initial scene, every
     object localized from the goal frame (a rejected identity estimate when
-    it has none), then the planner, which re-observes each object from the
-    home viewpoint before moving it when ``inst.config.actuation_sigma > 0``."""
+    it has none) with the scene's multi-view matcher, then the planner,
+    which re-observes each object from the home viewpoint, with the same
+    matcher, before moving it when ``inst.config.actuation_sigma > 0``."""
     db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     estimates = {
         i: found.by_object.get(i, PoseEstimate(offset=PlanarTransform.identity(), accepted=False))
@@ -237,13 +258,13 @@ def scene_outcome(inst, result: ExecutionResult, config: PlannerConfig) -> Scene
 
 def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsReport:
     """The drivers' loop over regimes and seeds: ``scene_rows(inst,
-    regime_index, library, backend, cfg)`` per scene that generates."""
+    library, backend, cfg)`` per scene that generates."""
     t0 = time.perf_counter()
     library = generate_model_library(cfg.sim)
     backend = cfg.perception.make_backend(library)
     rows = []
     skipped = 0
-    for ri, regime in enumerate(cfg.regimes):
+    for regime in cfg.regimes:
         sim = replace(cfg.sim, rotation_regime=regime)
         for seed in range(cfg.base_seed, cfg.base_seed + cfg.scenes):
             try:
@@ -251,7 +272,7 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
             except PlacementFailure:
                 skipped += 1
                 continue
-            rows += scene_rows(inst, ri, library, backend, cfg)
+            rows += scene_rows(inst, library, backend, cfg)
     return MetricsReport(
         kind=kind,
         rows=rows,
@@ -261,16 +282,14 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
     )
 
 
-def _pose_rows(inst, ri, library, backend, cfg: BenchConfig) -> list[dict]:
-    modes = ["multi"] + (["single"] if cfg.include_single_view else [])
+def _pose_rows(inst, library, backend, cfg: BenchConfig) -> list[dict]:
+    modes = VIEW_MODES if cfg.include_single_view else VIEW_MODES[:1]
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     rows = []
-    for mi, mode in enumerate(modes):
+    for mode in modes:
         views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
         db = build_scene_database(inst, views, library, backend, cfg)
-        matcher = cfg.localization.make_matcher(
-            library, rng=_scene_rng("matcher", ri, mi, inst.seed)
-        )
+        matcher = scene_matcher(inst, mode, library, cfg)
         found = localize_scene(inst, db, goal_regions, matcher, cfg)
         for i, p in enumerate(inst.initial.placements):
             est = found.by_object.get(i)
@@ -338,9 +357,8 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
     return reobserve
 
 
-def _completion_rows(inst, ri, library, backend, cfg: BenchConfig) -> list[dict]:
-    matcher = cfg.localization.make_matcher(library, rng=_scene_rng("matcher", ri, 0, inst.seed))
-    found, result = complete_scene(inst, library, backend, matcher, cfg)
+def _completion_rows(inst, library, backend, cfg: BenchConfig) -> list[dict]:
+    found, result = complete_scene(inst, library, backend, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
     rows = []
     for i, (o, p) in enumerate(zip(outcome.objects, inst.initial.placements)):

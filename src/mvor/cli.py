@@ -28,6 +28,7 @@ from .bench import (
     run_completion_bench,
     run_pose_bench,
     scene_goal_regions,
+    scene_matcher,
     scene_outcome,
     write_report,
 )
@@ -52,6 +53,9 @@ DESCRIPTOR_KEYS = (
     "descriptor_dim", "norm_resolution", "pool_grid", "grid_weight",
     "obs_bins", "obs_weight", "projection_seed",
 )
+# build-db's --view, recorded in the header, and the view mode localize
+# draws the scene's matcher noise for
+VIEW_MODE_OF = {"ring": "multi", "home": "single"}
 
 
 def load_config(path: str | None, seed: int | None) -> BenchConfig:
@@ -160,6 +164,14 @@ def cmd_localize(args) -> int:
                     f"database built against {key} {header.get(key)}, "
                     f"{source} uses {getattr(settings, key)}"
                 )
+    if header.get("instance_seed") != inst.seed:
+        raise MvorError(
+            f"database built against instance_seed {header.get('instance_seed')}, "
+            f"instance has seed {inst.seed}"
+        )
+    views = list(VIEW_MODE_OF)  # compared by ==: a header value need not be hashable
+    if header.get("view") not in views:
+        raise MvorError(f"database built against view {header.get('view')!r}, not one of {views}")
     if db.descriptors.shape[1] != cfg.perception.descriptor_dim:
         raise MvorError(
             f"database descriptors have width {db.descriptors.shape[1]}, "
@@ -167,7 +179,7 @@ def cmd_localize(args) -> int:
         )
     library = generate_model_library(inst.config)
     backend = cfg.perception.make_backend(library)
-    matcher = cfg.localization.make_matcher(library)
+    matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     path = _out_dir(args, "poses.json")
@@ -180,7 +192,7 @@ def cmd_localize(args) -> int:
 def cmd_rearrange(args) -> int:
     cfg = load_config(args.config, args.seed)
     inst, library, backend = _scene_setup(cfg, args)
-    _, result = complete_scene(inst, library, backend, cfg.localization.make_matcher(library), cfg)
+    _, result = complete_scene(inst, library, backend, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
     out_dir = _out_dir(args, "rearrange")
     os.makedirs(out_dir, exist_ok=True)
@@ -228,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build-db", help="build a region database for an instance")
     common(sp, "output .npz path")
     sp.add_argument("--instance", help="instance JSON (default: generate from config+seed)")
-    sp.add_argument("--view", choices=["ring", "home"], default="ring")
+    sp.add_argument("--view", choices=list(VIEW_MODE_OF), default="ring")
     sp.set_defaults(func=cmd_build_db)
 
     sp = sub.add_parser("localize", help="estimate object poses from a goal frame")

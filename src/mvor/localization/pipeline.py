@@ -44,7 +44,6 @@ class LocalizationConfig:
     max_view_angle_deg: float = 35.0
     ratio_test: float = 0.8
     max_matches: int = 2000
-    matcher_seed: int = 0
     # pose solving
     ransac_iterations: int = 1000
     reproj_threshold_px: float = 2.0
@@ -68,7 +67,6 @@ class LocalizationConfig:
             "max_view_angle_deg": (0, 180),
             "ratio_test": (0, 1),
             "max_matches": (1, None),
-            "matcher_seed": (0, None),
             "ransac_iterations": (1, None),
             "reproj_threshold_px": (0, None),
             "ransac_seed": (0, None),
@@ -82,9 +80,7 @@ class LocalizationConfig:
 
     def make_matcher(self, library, rng=None):
         if self.matcher == "feature_id":
-            return FeatureIdMatcher(
-                self, rng if rng is not None else np.random.default_rng(self.matcher_seed)
-            )
+            return FeatureIdMatcher(self, rng)
         if self.matcher == "descriptor_nn":
             return DescriptorNNMatcher(library, self)
         raise ValueError(f"unknown matcher {self.matcher!r}")
@@ -96,15 +92,9 @@ class CandidateList:
     region_indices: np.ndarray  # db region indices, similarity-descending
     scores: np.ndarray
     pruned: np.ndarray = field(init=False)
-    visited: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.pruned = np.zeros(len(self.region_indices), dtype=bool)
-        self.visited = np.zeros(len(self.region_indices), dtype=bool)
-
-    def next_unvisited(self) -> int | None:
-        free = np.flatnonzero(~(self.pruned | self.visited))
-        return int(free[0]) if len(free) else None
 
 
 @dataclass
@@ -159,12 +149,11 @@ def retrieve_candidates(
 def prune_after_rejection(
     cands: CandidateList, rejected_pos: int, db: Database, theta_prune: float
 ) -> CandidateList:
-    """Mark the rejected candidate and every unvisited candidate whose
-    observation direction lies within theta_prune of it."""
+    """Mark the rejected candidate and every candidate whose observation
+    direction lies within theta_prune of it."""
     e_rej = db.obs_dirs[cands.region_indices[rejected_pos]]
     cands.pruned[rejected_pos] = True
-    near = angular_distance(db.obs_dirs[cands.region_indices], e_rej) < theta_prune
-    cands.pruned |= near & ~cands.visited
+    cands.pruned |= angular_distance(db.obs_dirs[cands.region_indices], e_rej) < theta_prune
     return cands
 
 
@@ -237,8 +226,11 @@ def estimate_object(
             cands = retrieve_candidates(goal_region, db, config.top_n, frozenset(excluded))
         except NoCandidates:
             break
-        while (pos := cands.next_unvisited()) is not None:
-            cands.visited[pos] = True
+        # a visited candidate is either accepted (and returned) or pruned,
+        # so the walk goes forward over the positions still unpruned
+        for pos in range(len(cands.region_indices)):
+            if cands.pruned[pos]:
+                continue
             visited += 1
             cand = db.hits(int(cands.region_indices[pos]))
             match_calls += 1

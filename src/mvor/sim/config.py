@@ -1,5 +1,6 @@
-"""Simulator configuration. One SimConfig (plus its seed) fully determines
-the model library, every generated scene, and every rendered frame."""
+"""Simulator configuration. One SimConfig fully determines the model
+library; with a scene's seed it determines the scene and every frame
+rendered of it."""
 
 from __future__ import annotations
 
@@ -47,18 +48,15 @@ class SimConfig:
     # actuation
     actuation_sigma: float = 0.0
 
-    seed: int = 0
-
     def validate(self) -> None:
         if not (1 <= self.object_count_min <= self.object_count_max):
             raise ValueError("object count range is empty")
         if self.rotation_regime not in ROTATION_REGIMES:
             raise ValueError(f"unknown rotation regime {self.rotation_regime!r}")
-        if self.ring_count < 1 or self.library_size < 1:
-            raise ValueError("ring_count and library_size must be positive")
-        if self.seed < 0 or self.library_seed < 0:
-            raise ValueError("seed and library_seed must be non-negative")
         check_bounds(self, {
+            "ring_count": (1, None),
+            "library_size": (1, None),
+            "library_seed": (0, None),
             "min_clearance": (0, None),
             "placement_margin": (0, None),
             "placement_attempts": (1, None),

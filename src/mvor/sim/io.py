@@ -26,7 +26,7 @@ from .scene import Placement, RearrangementInstance, Rect, SceneState
 
 INSTANCE_FORMAT = "mvor-instance"
 DATASET_FORMAT = "mvor-dataset"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _pose_to_rows(p: Pose3):

@@ -25,7 +25,13 @@ from mvor.cli import load_config, main as cli_main
 from mvor.errors import ConfigParseError
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
-from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
+from mvor.perception import (
+    PerceptionConfig,
+    build_database,
+    load_database,
+    prepare_goal_regions,
+    save_database,
+)
 from mvor.planner import PlannerConfig
 from mvor.sim import (
     SimConfig,
@@ -320,12 +326,15 @@ class TestCliDeterminism:
             {"localization": {"planar_max_tilt_deg": 10.0, "planar_max_dz": 0.02}},
             {"localization": {"instance_fallback": True}},
             {"perception": {"cloud_cap": 700}},
+            {"sim": {"seed": 0}},
+            {"localization": {"matcher_seed": 0}},
         ):
             cfg = tmp_path / "stale.json"
             cfg.write_text(json.dumps(stale))
             assert cli_main(["bench-pose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         for out_of_range in (
             {"actuation_sigma": -1},
+            {"library_size": 0},
             {"min_clearance": -5},
             {"point_descriptor_dim": 0},
             {"model_points": 0},
@@ -381,27 +390,33 @@ class TestCliRearrange:
     @pytest.mark.parametrize("seed", [2, 5])
     def test_matches_completion_bench(self, seed, tmp_path):
         """``rearrange`` and ``bench-completion`` run one full-scene pipeline
-        and judge completion alike: the same final errors, moves and
-        completed flag, bit for bit."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"scenes": 1, "regimes": ["full"], "sim": {"actuation_sigma": 0.003}}
-        ))
-        run, rec = tmp_path / "rearrange", tmp_path / "bench"
-        for command, out in (("rearrange", run), ("bench-completion", rec)):
-            argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]
-            assert cli_main(argv) == 0
-        result = json.loads((run / "result.json").read_text())
-        header, *lines = (rec / "records.tsv").read_text().splitlines()
-        records = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
-        assert len(records) == len(result["objects"]) > 0
-        for o, r in zip(result["objects"], records):
-            assert int(r["object"]) == o["object"]
-            assert float(r["final_dtheta_deg"]) == o["final_dtheta_deg"]
-            assert float(r["final_dt_cm"]) == o["final_dt_cm"]
-            assert int(r["goal_moves"]) == o["goal_moves"]
-            assert int(r["buffer_moves"]) == o["buffer_moves"]
-            assert int(r["scene_completed"]) == result["completed"]
+        with the scene's own matcher noise and judge completion alike: the
+        same final errors, moves and completed flag, bit for bit, with a
+        clean and with a noisy matcher."""
+        for name, localization in (
+            ("clean", {}),
+            ("noisy", {"sigma_px": 1.0, "outlier_rate": 0.2}),
+        ):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({
+                "scenes": 1, "regimes": ["full"], "sim": {"actuation_sigma": 0.003},
+                "localization": localization,
+            }))
+            run, rec = tmp_path / f"{name}_rearrange", tmp_path / f"{name}_bench"
+            for command, out in (("rearrange", run), ("bench-completion", rec)):
+                argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+                assert cli_main(argv) == 0
+            result = json.loads((run / "result.json").read_text())
+            header, *lines = (rec / "records.tsv").read_text().splitlines()
+            records = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+            assert len(records) == len(result["objects"]) > 0
+            for o, r in zip(result["objects"], records):
+                assert int(r["object"]) == o["object"]
+                assert float(r["final_dtheta_deg"]) == o["final_dtheta_deg"]
+                assert float(r["final_dt_cm"]) == o["final_dt_cm"]
+                assert int(r["goal_moves"]) == o["goal_moves"]
+                assert int(r["buffer_moves"]) == o["buffer_moves"]
+                assert int(r["scene_completed"]) == result["completed"]
 
     def test_poor_landing_is_incomplete(self, tmp_path, capsys):
         """Completed means every object ends within the success thresholds,
@@ -419,6 +434,70 @@ class TestCliRearrange:
             success.within_success(o["final_dtheta_deg"], o["final_dt_cm"])
             for o in result["objects"]
         )
+
+
+class TestCliLocalize:
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_matches_pose_bench(self, seed, tmp_path):
+        """``gen`` + ``build-db --view ring|home`` + ``localize`` give every
+        matched object the pose bench's row of its scene and view mode, bit
+        for bit, under a noisy matcher: both draw the scene's matcher noise
+        (``bench.scene_matcher``)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenes": 1, "regimes": ["minor"], "sim": {"rotation_regime": "minor"},
+            "localization": {"sigma_px": 1.0, "outlier_rate": 0.2},
+        }))
+        common = ["--config", str(cfg), "--seed", str(seed)]
+        assert cli_main(["bench-pose", *common, "--out", str(tmp_path / "bench")]) == 0
+        assert cli_main(["gen", *common, "--count", "1", "--out", str(tmp_path / "ds")]) == 0
+        inst = str(tmp_path / "ds" / f"instance_{seed:08d}.json")
+        header, *lines = (tmp_path / "bench" / "records.tsv").read_text().splitlines()
+        records = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+        compared = 0
+        for view, mode in (("ring", "multi"), ("home", "single")):
+            db, poses = tmp_path / f"{view}.npz", tmp_path / f"{view}.json"
+            argv = ["build-db", *common, "--instance", inst, "--view", view, "--out", str(db)]
+            assert cli_main(argv) == 0
+            argv = ["localize", *common, "--db", str(db), "--instance", inst, "--out", str(poses)]
+            assert cli_main(argv) == 0
+            rows = {int(r["object"]): r for r in records if r["view_mode"] == mode}
+            for o in json.loads(poses.read_text())["objects"]:
+                if "matched_object" not in o:
+                    continue
+                r = rows[o["matched_object"]]
+                assert int(r["accepted"]) == o["accepted"]
+                for key in ("dtheta_deg", "dt_cm", *bench.estimate_counters(None)):
+                    assert float(r[key]) == o[key], key
+                compared += 1
+        assert compared >= 2
+
+    def test_rejects_database_of_another_instance(self, tmp_path, capsys):
+        """A database built from the seed-3 instance was once localized
+        against the seed-4 instance without an error."""
+        ds, db = tmp_path / "ds", tmp_path / "db.npz"
+        assert cli_main(["gen", "--seed", "3", "--count", "2", "--out", str(ds)]) == 0
+        argv = ["build-db", "--instance", str(ds / "instance_00000003.json"), "--out", str(db)]
+        assert cli_main(argv) == 0
+        argv = ["localize", "--db", str(db), "--instance", str(ds / "instance_00000004.json"),
+                "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "instance_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("view", ["side", None, ["ring"]])
+    def test_rejects_unknown_view(self, view, tmp_path, capsys):
+        ds, db = tmp_path / "ds", tmp_path / "db.npz"
+        assert cli_main(["gen", "--seed", "3", "--count", "1", "--out", str(ds)]) == 0
+        inst = str(ds / "instance_00000003.json")
+        assert cli_main(["build-db", "--instance", inst, "--out", str(db)]) == 0
+        database, header = load_database(db)
+        save_database(database, db, extra_meta=dict(header, view=view))
+        argv = ["localize", "--db", str(db), "--instance", inst,
+                "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "view" in capsys.readouterr().err
 
 
 class TestCliInstanceFiles:
@@ -447,6 +526,18 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["build-db", "rearrange"])
+    def test_version_1_instance_exits_2(self, files, command, tmp_path, capsys):
+        """A version-1 file echoes the deleted ``sim.seed``; it is refused by
+        its version, not as a config with an unknown field."""
+        doc = json.loads((files / "instance.json").read_text())
+        doc["version"] = 1
+        doc["config"]["seed"] = 0
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main([command, "--instance", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "unsupported instance version 1" in capsys.readouterr().err
 
     def test_localize_rejects_other_library_size(self, files, tmp_path, capsys):
         """The database comes from the 12-model library of seed 7; an
@@ -669,7 +760,7 @@ class TestCliMalformedValues:
             {"localization": {"ransac_confidence": 1.0}},
             {"localization": {"outlier_rate": 1.5}},
             {"base_seed": -1},
-            {"sim": {"seed": -1}},
+            {"sim": {"ring_count": 0}},
             {"sim": {"library_seed": -1}},
             {"sim": {"table_width": float("nan")}},  # was an OverflowError from the sampler
             {"localization": {"sigma_px": float("inf")}},  # was accepted

@@ -28,7 +28,7 @@ from mvor.perception import (
 )
 from mvor.planner import check_collision, find_buffer_pose, plan_and_execute
 from mvor.serialize import from_dict
-from mvor.sim import generate_instance
+from mvor.sim import SimConfig, generate_instance
 
 # function -> the parameters that carry a config value
 CONFIG_VALUED = {
@@ -75,3 +75,14 @@ def test_kmeans_settings_are_gone():
 def test_generate_instance_seed_is_required():
     seed = inspect.signature(generate_instance).parameters["seed"]
     assert seed.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(LocalizationConfig, "matcher_seed"), (SimConfig, "seed")]
+)
+def test_unread_seeds_are_gone(cls, name):
+    """The matcher's noise stream is its scene's (``bench.scene_matcher``),
+    and no code read ``sim.seed``: a config that sets either is refused."""
+    assert name not in {f.name for f in dataclasses.fields(cls)}
+    with pytest.raises(ConfigParseError, match=rf"unknown fields \['{name}'\]"):
+        from_dict(cls, {name: 0})

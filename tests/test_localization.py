@@ -218,24 +218,36 @@ def loop_retrieve(goal_region, db, top_n=10, exclude=frozenset()):
     return winner, members, sims[members]
 
 
-def loop_prune(region_indices, pruned, visited, rejected_pos, db, theta_prune):
+def loop_prune(region_indices, pruned, rejected_pos, db, theta_prune):
     """Reference: the per-candidate loop pruning, on a copy of ``pruned``."""
     pruned = pruned.copy()
     e_rej = db.obs_dirs[region_indices[rejected_pos]]
     pruned[rejected_pos] = True
     for pos, idx in enumerate(region_indices):
-        if visited[pos] or pruned[pos]:
-            continue
         if geo.angular_distance(db.obs_dirs[idx], e_rej) < theta_prune:
             pruned[pos] = True
     return pruned
 
 
-def loop_next_unvisited(pruned, visited):
+def loop_next_unpruned(pruned):
     for i in range(len(pruned)):
-        if not pruned[i] and not visited[i]:
+        if not pruned[i]:
             return i
     return None
+
+
+def reject_walk(cands, members, db, theta_prune):
+    """``estimate_object``'s forward walk with every candidate rejected,
+    checked step by step: each candidate it visits is the first unpruned
+    one, and each rejection prunes as the loop reference does."""
+    for pos in range(len(cands.region_indices)):
+        if cands.pruned[pos]:
+            continue
+        assert pos == loop_next_unpruned(cands.pruned)
+        expected = loop_prune(members, cands.pruned, pos, db, theta_prune)
+        prune_after_rejection(cands, pos, db, theta_prune)
+        np.testing.assert_array_equal(cands.pruned, expected)
+    assert loop_next_unpruned(cands.pruned) is None
 
 
 @st.composite
@@ -283,15 +295,13 @@ class TestColumnLocalizationEquivalence:
         np.testing.assert_array_equal(cands.scores, want[2])
 
         n = len(cands.region_indices)
-        flags = st.lists(st.booleans(), min_size=n, max_size=n)
-        cands.visited[:] = data.draw(flags)
-        cands.pruned[:] = data.draw(flags)
+        cands.pruned[:] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         rejected = data.draw(st.integers(0, n - 1))
         theta = data.draw(st.floats(0.0, 4.5))
-        expected = loop_prune(want[1], cands.pruned, cands.visited, rejected, db, theta)
+        expected = loop_prune(want[1], cands.pruned, rejected, db, theta)
         prune_after_rejection(cands, rejected, db, theta)
         np.testing.assert_array_equal(cands.pruned, expected)
-        assert cands.next_unvisited() == loop_next_unvisited(cands.pruned, cands.visited)
+        reject_walk(cands, want[1], db, theta)
 
     def test_real_database_walk_matches(self, library, backend):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=2)
@@ -304,13 +314,7 @@ class TestColumnLocalizationEquivalence:
                 assert (cands.instance_id, cands.region_indices.tolist()) == (winner, members)
                 np.testing.assert_array_equal(cands.scores, scores)
                 # reject candidates in order until none is left
-                while (pos := cands.next_unvisited()) is not None:
-                    cands.visited[pos] = True
-                    expected = loop_prune(
-                        members, cands.pruned, cands.visited, pos, db, LCFG.theta_prune
-                    )
-                    prune_after_rejection(cands, pos, db, LCFG.theta_prune)
-                    np.testing.assert_array_equal(cands.pruned, expected)
+                reject_walk(cands, members, db, LCFG.theta_prune)
 
 
 class TestPruning:
@@ -344,12 +348,6 @@ class TestPruning:
                 assert not cands.pruned[p]
             if fid == 0:
                 assert cands.pruned[p]
-
-    def test_visited_candidates_not_marked(self, library, backend):
-        db, cands = self._ring_candidates(library, backend)
-        cands.visited[1] = True
-        prune_after_rejection(cands, 0, db, theta_prune=np.pi * np.sqrt(2))
-        assert not cands.pruned[1]
 
 
 class TestFeatureIdMatcher:
