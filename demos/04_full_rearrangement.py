@@ -11,15 +11,14 @@ direct moves succeed.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, complete_scene, scene_outcome
+from mvor.bench import BenchConfig, complete_scene, library_and_backend, scene_outcome
 from mvor.geometry import PlanarTransform
-from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
+from mvor.sim import Placement, Rect, SceneState, SimConfig
 from mvor.sim.scene import RearrangementInstance
 
 config = SimConfig()
 cfg = BenchConfig(sim=config)
-library = generate_model_library(config)
-backend = cfg.perception.make_backend(library)
+library, backend = library_and_backend(config, cfg.perception)
 
 # objects 0 and 1 trade places (non-monotone: someone must yield first);
 # objects 2 and 3 have plain independent moves

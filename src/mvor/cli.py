@@ -24,6 +24,7 @@ from .bench import (
     complete_scene,
     estimate_counters,
     format_report,
+    library_and_backend,
     localize_scene,
     run_completion_bench,
     run_pose_bench,
@@ -80,11 +81,11 @@ def _scene_setup(cfg: BenchConfig, args):
     instance loaded from ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = load_instance(args.instance)
-        library = generate_model_library(inst.config)
+        library, backend = library_and_backend(inst.config, cfg.perception)
     else:
-        library = generate_model_library(cfg.sim)
+        library, backend = library_and_backend(cfg.sim, cfg.perception)
         inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
-    return inst, library, cfg.perception.make_backend(library)
+    return inst, library, backend
 
 
 def cmd_gen(args) -> int:
@@ -177,8 +178,7 @@ def cmd_localize(args) -> int:
             f"database descriptors have width {db.descriptors.shape[1]}, "
             f"config descriptor_dim is {cfg.perception.descriptor_dim}"
         )
-    library = generate_model_library(inst.config)
-    backend = cfg.perception.make_backend(library)
+    library, backend = library_and_backend(inst.config, cfg.perception)
     matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)

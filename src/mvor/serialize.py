@@ -7,6 +7,8 @@ import json
 import math
 import typing
 
+import numpy as np
+
 from .errors import ConfigParseError, IOFailure
 
 
@@ -72,6 +74,16 @@ def is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def config_sized_empty(shape: tuple, what: str) -> np.ndarray:
+    """``np.empty(shape)`` for an array whose shape config settings set;
+    ``what`` names the array and those settings. A shape the machine cannot
+    hold raises ConfigParseError, not numpy's ValueError or MemoryError."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError) as e:
+        raise ConfigParseError(f"{what} cannot be allocated: {e}") from e
 
 
 def check_bounds(obj, bounds: dict) -> None:

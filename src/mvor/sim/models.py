@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import UnknownFeature
+from ..serialize import config_sized_empty
 
 # Feature ids are model_id * FEATURE_ID_STRIDE + point index, so they are
 # unique across the library and the owning model is recoverable by division.
@@ -169,15 +170,21 @@ def generate_model_library(config) -> ModelLibrary:
     (cylinders, identifiable only through surface features) and asymmetric
     geometry. The descriptor column, the bulk of the library, is drawn in
     place; it is reallocated only when the models sample more than
-    ``model_points`` points each.
+    ``model_points`` points each. A column the machine cannot hold raises
+    ConfigParseError.
     """
     rng = np.random.default_rng(config.library_seed)
     n = config.library_size
+    descriptors = config_sized_empty(
+        (n * config.model_points, config.point_descriptor_dim),
+        f"the model library's descriptor column (sim.library_size {n} x sim.model_points "
+        f"{config.model_points} rows, sim.point_descriptor_dim "
+        f"{config.point_descriptor_dim} columns)",
+    )
     family = np.array([FAMILIES[mid % 3] for mid in range(n)])
     radius = np.empty(n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     points, normals = [], []
-    descriptors = np.empty((n * config.model_points, config.point_descriptor_dim))
     for mid in range(n):
         if family[mid] == "box":
             w, d = rng.uniform(0.05, 0.09, 2)

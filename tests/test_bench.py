@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mvor.bench import (
     BenchConfig,
     best_effort_error,
     compute_pose_summary,
+    library_and_backend,
     make_reobserver,
     match_instances_to_objects,
     run_completion_bench,
@@ -292,6 +295,63 @@ class TestReobserver:
         assert est.accepted
         expected = geo.planar_compose(est.offset, inst.initial.placements[0].pose)
         assert tracked == expected
+
+
+class TestLibraryAndBackend:
+    """The library and the projection drawn side by side are the ones drawn
+    one after the other, bit for bit, and both threads' errors surface."""
+
+    @pytest.mark.parametrize(
+        "sim,perception",
+        [
+            (SimConfig(), PerceptionConfig()),
+            (
+                SimConfig(library_size=4, model_points=300, point_descriptor_dim=24, library_seed=9),
+                PerceptionConfig(descriptor_dim=40, pool_grid=2, obs_bins=3, projection_seed=5),
+            ),
+        ],
+        ids=["default", "small"],
+    )
+    def test_same_bits_as_drawn_inline(self, sim, perception):
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            library, backend = library_and_backend(sim, perception)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        reference = generate_model_library(sim)
+        for f in dataclasses.fields(reference):
+            assert np.array_equal(getattr(library, f.name), getattr(reference, f.name)), f.name
+        in_dim = (1 + perception.pool_grid**2) * sim.point_descriptor_dim + perception.obs_bins
+        rng = np.random.default_rng(perception.projection_seed)
+        projection = rng.normal(size=(in_dim, perception.descriptor_dim)) / np.sqrt(in_dim)
+        assert backend.projection.shape == projection.shape
+        assert backend.projection.tobytes() == projection.tobytes()
+        assert backend.library is library and backend.config is perception
+        # the one-argument form draws the same projection inline
+        assert perception.make_backend(library).projection.tobytes() == projection.tobytes()
+
+    def test_worker_error_propagates(self, monkeypatch):
+        def broken(config, out):
+            raise RuntimeError("projection draw failed")
+
+        monkeypatch.setattr(bench, "draw_projection", broken)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="projection draw failed"):
+            library_and_backend(SimConfig(), PerceptionConfig())
+        assert threading.active_count() == threads
+
+    def test_library_error_propagates(self, monkeypatch):
+        def broken(config):
+            raise RuntimeError("library failed")
+
+        monkeypatch.setattr(bench, "generate_model_library", broken)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="library failed"):
+            library_and_backend(SimConfig(), PerceptionConfig())
+        assert threading.active_count() == threads
 
 
 class TestCliDeterminism:
@@ -611,10 +671,10 @@ class TestCliInstanceFiles:
         message = capsys.readouterr().err
         assert message.startswith("error: database built against ")
 
-        def no_library(config):
+        def no_library(sim, perception):
             raise AssertionError("model library generated")
 
-        monkeypatch.setattr("mvor.cli.generate_model_library", no_library)
+        monkeypatch.setattr("mvor.cli.library_and_backend", no_library)
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == message
 
@@ -804,6 +864,50 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(doc))
         out = str(tmp_path / "run")
         self._exits_2(["rearrange", "--instance", str(path), "--out", out], capsys)
+
+    @pytest.mark.parametrize(
+        "command, config, setting",
+        [
+            ("build-db", {"perception": {"descriptor_dim": 2**60}}, "perception.descriptor_dim"),
+            ("build-db", {"sim": {"point_descriptor_dim": 2**60}}, "sim.point_descriptor_dim"),
+            ("gen", {"sim": {"point_descriptor_dim": 2**60}}, "sim.point_descriptor_dim"),
+            # the library fails on the calling thread while the worker draws
+            ("build-db", {"sim": {"library_size": 2**60}}, "sim.library_size"),
+        ],
+    )
+    def test_width_too_big_to_address(self, command, config, setting, tmp_path, capsys):
+        """numpy's "array is too big" ValueError once ended in a traceback;
+        a shape past the address space allocates nothing."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{setting} {2**60}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, setting",
+        [
+            ("build-db", {"perception": {"descriptor_dim": 10**9}}, "perception.descriptor_dim"),
+            ("gen", {"sim": {"point_descriptor_dim": 10**9}}, "sim.point_descriptor_dim"),
+        ],
+    )
+    def test_width_out_of_memory(self, command, config, setting, tmp_path, capsys, monkeypatch):
+        """numpy's MemoryError once ended in a traceback; the allocation is
+        patched to fail as a real one of that width would."""
+        empty = np.empty
+
+        def no_memory(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and 10**9 in shape:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{setting} {10**9}" in err and "Unable to allocate" in err
 
     def test_int_for_float_is_kept_as_written(self):
         cfg = from_dict(BenchConfig, {"sim": {"focal_px": 460, "actuation_sigma": 0}})
