@@ -21,14 +21,18 @@ checkout that holds this script:
   changes these outputs, where the default runs would still match. Each
   tuned value was checked to move some output when put back to its
   default (``norm_resolution`` to 63, as the default 64 is not a multiple
-  of the tuned ``pool_grid`` 3).
+  of the tuned ``pool_grid`` 3);
+- ``build-db`` on the ring view and ``localize`` of the first instance
+  copied into ``outside/``, away from the dataset's ``library/``, so its
+  model library is generated rather than memory-mapped.
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
 produce the same outputs when this script prints the same lines in both;
 compare them with ``diff``. The run fails unless some home-view
 ``poses.json`` holds an estimate that was never solved, so the identity
-fallback is always covered.
+fallback is always covered, and unless the ``outside/`` database and
+poses are byte for byte those of the same commands run inside the dataset.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -79,6 +84,7 @@ CONFIGS = {
     },
 }
 INSTANCES = 2
+OUTSIDE = "outside"  # a copy of the first instance with no library beside it
 
 
 def commands() -> list[list[str]]:
@@ -112,6 +118,32 @@ def commands() -> list[list[str]]:
     return cmds
 
 
+def outside_commands() -> list[list[str]]:
+    inst = f"{OUTSIDE}/instance_00000000.json"
+    db = f"{OUTSIDE}/db_0_ring.npz"
+    return [
+        ["build-db", "--config", "scene.json", "--instance", inst, "--view", "ring",
+         "--out", db],
+        ["localize", "--config", "scene.json", "--db", db, "--instance", inst,
+         "--out", f"{OUTSIDE}/poses_0_ring.json"],
+    ]
+
+
+def run(cmds: list[list[str]]) -> bool:
+    for argv in cmds:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        if rc != 0:
+            print(f"mvor {' '.join(argv)} exited with {rc}", file=sys.stderr)
+            return False
+    return True
+
+
+def same_bytes(a: str, b: str) -> bool:
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        return fa.read() == fb.read()
+
+
 def never_solved(path: str) -> bool:
     with open(path, encoding="utf-8") as f:
         objects = json.load(f)["objects"]
@@ -126,11 +158,16 @@ def main() -> int:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in commands():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli.main(argv)
-                if rc != 0:
-                    print(f"mvor {' '.join(argv)} exited with {rc}", file=sys.stderr)
+            if not run(commands()):
+                return 1
+            os.mkdir(OUTSIDE)
+            shutil.copy("dataset/instance_00000000.json", OUTSIDE)
+            if not run(outside_commands()):
+                return 1
+            for name in ("db_0_ring.npz", "poses_0_ring.json"):
+                if not same_bytes(name, os.path.join(OUTSIDE, name)):
+                    print(f"{OUTSIDE}/{name} differs from {name}: the library saved "
+                          "in the dataset and the one generated disagree", file=sys.stderr)
                     return 1
         finally:
             os.chdir(cwd)

@@ -6,6 +6,18 @@ command takes ``--config`` (a JSON file mirroring BenchConfig), ``--seed``
 and ``--out``; the MVOR_OUT environment variable supplies the default
 output directory. Machine-readable outputs are byte-deterministic for a
 fixed (config, seed).
+
+``gen`` writes a dataset directory: ``manifest.json``, one
+``instance_<seed:08d>.json`` per scene and ``library/``, the model library
+the instances were generated with (one ``.npy`` per column and a
+``header.json`` naming its ``LIBRARY_KEYS`` settings; about 40 MB at the
+default config). A later ``gen`` into the same directory reuses a
+``library/`` whose header names its config and replaces any other.
+``build-db``, ``localize`` and ``rearrange`` given ``--instance`` memory-map
+the ``library/`` beside the instance file rather than generating the
+library; one whose header differs from the instance's config exits 2,
+naming the key and the header's path. An instance file outside a dataset
+has its library generated, with the same bits.
 """
 
 from __future__ import annotations
@@ -39,17 +51,19 @@ from .perception import load_database, save_database
 from .serialize import dump_json, from_dict, load_json
 from .sim import (
     generate_instance,
-    generate_model_library,
     load_instance,
+    load_model_library,
     save_dataset,
     save_instance,
 )
+from .sim.io import LIBRARY_DIR, dataset_library
+from .sim.models import LIBRARY_KEYS
 
 
 # The settings a database depends on, recorded in its header by build-db and
-# checked by localize: those the model library is generated from (SimConfig),
-# and those the descriptor backend reads (PerceptionConfig).
-LIBRARY_KEYS = ("library_seed", "library_size", "model_points", "point_descriptor_dim")
+# checked by localize: those the model library is generated from
+# (LIBRARY_KEYS of SimConfig), and those the descriptor backend reads
+# (PerceptionConfig).
 DESCRIPTOR_KEYS = (
     "descriptor_dim", "norm_resolution", "pool_grid", "grid_weight",
     "obs_bins", "obs_weight", "projection_seed",
@@ -76,12 +90,26 @@ def _out_dir(args, default_name: str) -> str:
     return os.path.join(os.environ.get("MVOR_OUT", "."), default_name)
 
 
+def _instance_library_and_backend(instance_path: str, sim, perception):
+    """The model library of the instance file at ``instance_path``, whose
+    config is ``sim``, and the descriptor backend of ``perception`` over
+    it. The library is the dataset's ``library/`` beside the instance,
+    memory-mapped, if there is one; else it is generated."""
+    saved = os.path.join(os.path.dirname(instance_path), LIBRARY_DIR)
+    if not os.path.lexists(saved):
+        return library_and_backend(sim, perception)
+    library = load_model_library(saved, sim)
+    return library, perception.make_backend(library)
+
+
 def _scene_setup(cfg: BenchConfig, args):
     """(instance, its model library, the config's descriptor backend), the
     instance loaded from ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = load_instance(args.instance)
-        library, backend = library_and_backend(inst.config, cfg.perception)
+        library, backend = _instance_library_and_backend(
+            args.instance, inst.config, cfg.perception
+        )
     else:
         library, backend = library_and_backend(cfg.sim, cfg.perception)
         inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
@@ -93,11 +121,11 @@ def cmd_gen(args) -> int:
     count = cfg.scenes if args.count is None else args.count
     if count < 1:
         raise ConfigParseError(f"--count: gen needs at least 1 instance, got {count}")
-    library = generate_model_library(cfg.sim)
+    out = _out_dir(args, "dataset")
+    library = dataset_library(out, cfg.sim)
     instances = [
         generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
     ]
-    out = _out_dir(args, "dataset")
     save_dataset(instances, out, cfg.sim)
     print(f"wrote {count} instances to {out}")
     return 0
@@ -178,7 +206,7 @@ def cmd_localize(args) -> int:
             f"database descriptors have width {db.descriptors.shape[1]}, "
             f"config descriptor_dim is {cfg.perception.descriptor_dim}"
         )
-    library, backend = library_and_backend(inst.config, cfg.perception)
+    library, backend = _instance_library_and_backend(args.instance, inst.config, cfg.perception)
     matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)

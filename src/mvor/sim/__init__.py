@@ -1,5 +1,11 @@
 from .config import SimConfig
-from .models import FEATURE_ID_STRIDE, ModelLibrary, generate_model_library
+from .models import (
+    FEATURE_ID_STRIDE,
+    ModelLibrary,
+    generate_model_library,
+    load_model_library,
+    save_model_library,
+)
 from .render import Frame, empty_frame, render, segment
 from .scene import (
     Placement,
@@ -21,6 +27,8 @@ __all__ = [
     "FEATURE_ID_STRIDE",
     "ModelLibrary",
     "generate_model_library",
+    "load_model_library",
+    "save_model_library",
     "Frame",
     "empty_frame",
     "render",

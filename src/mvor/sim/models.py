@@ -13,22 +13,35 @@ holding rows ``point_offsets[m]:point_offsets[m + 1]``.
 
 Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
+
+``save_model_library`` stores a library as a directory: one ``.npy`` file
+per column and a ``header.json`` holding the ``LIBRARY_KEYS`` settings it
+was generated from. ``load_model_library`` memory-maps the columns
+read-only, so a command that loads a saved library reads only the rows it
+uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import shutil
+import tempfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import UnknownFeature
-from ..serialize import config_sized_empty
+from ..errors import IOFailure, MvorError, UnknownFeature
+from ..serialize import config_sized_empty, dump_json, load_json
 
 # Feature ids are model_id * FEATURE_ID_STRIDE + point index, so they are
 # unique across the library and the owning model is recoverable by division.
 FEATURE_ID_STRIDE = 1_000_000
 
 FAMILIES = ("box", "cylinder", "l_prism")
+
+# The SimConfig settings a library is generated from: a saved library's
+# header records them, and a database's header records them too.
+LIBRARY_KEYS = ("library_seed", "library_size", "model_points", "point_descriptor_dim")
 
 
 @dataclass
@@ -217,4 +230,92 @@ def generate_model_library(config) -> ModelLibrary:
         points=np.vstack(points),
         normals=np.vstack(normals),
         point_descriptors=descriptors[: offsets[-1]],
+    )
+
+
+def save_model_library(library: ModelLibrary, path, config) -> None:
+    """Write ``library``, generated from ``config`` (a SimConfig), as the
+    directory ``path``: ``<column>.npy`` for each column and ``header.json``
+    with the ``LIBRARY_KEYS`` settings of ``config``. The files are written
+    into a temporary directory beside ``path`` and renamed into place, so a
+    reader never sees part of a library: it sees the old one, the new one
+    or, between two renames, none. An existing ``path`` is replaced. A
+    write that fails raises IOFailure."""
+    try:
+        staging = tempfile.mkdtemp(prefix=".library-", dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as e:
+        raise IOFailure(f"cannot write {path}: {e}") from e
+    try:
+        written = os.path.join(staging, "library")
+        os.mkdir(written)
+        for f in fields(ModelLibrary):
+            np.save(os.path.join(written, f"{f.name}.npy"), getattr(library, f.name),
+                    allow_pickle=False)
+        dump_json({key: getattr(config, key) for key in LIBRARY_KEYS},
+                  os.path.join(written, "header.json"))
+        if os.path.lexists(path):
+            os.rename(path, os.path.join(staging, "replaced"))
+        os.rename(written, path)
+    except OSError as e:
+        raise IOFailure(f"cannot write {path}: {e}") from e
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _load_column(path, name: str, dtype, shape: tuple) -> np.ndarray:
+    """Column ``name`` of the library saved at ``path``, memory-mapped
+    read-only; ``dtype`` "U" accepts a str array of any width."""
+    file = os.path.join(path, f"{name}.npy")
+    try:
+        # a plain ndarray view: the memmap subclass runs Python hooks on every slice
+        array = np.asarray(np.load(file, mmap_mode="r", allow_pickle=False))
+    except (OSError, ValueError, EOFError) as e:
+        raise IOFailure(f"cannot read {file}: {e}") from e
+    if dtype == "U":
+        dtype_ok, dtype = array.dtype.kind == "U", "str"
+    else:
+        dtype_ok, dtype = array.dtype == dtype, np.dtype(dtype)
+    if not dtype_ok or array.shape != shape:
+        raise IOFailure(
+            f"{file}: {array.dtype} array of shape {array.shape}, expected {dtype} of shape {shape}"
+        )
+    return array
+
+
+def load_model_library(path, config) -> ModelLibrary:
+    """The library that ``save_model_library`` wrote as directory ``path``,
+    its columns memory-mapped read-only; ``config``, a SimConfig, names the
+    library expected. A header whose ``LIBRARY_KEYS`` settings differ from
+    ``config``'s raises MvorError naming the key and the header's path; a
+    header that is not JSON raises ConfigParseError. A file that cannot be
+    read, a column whose dtype or shape is not that of the library of
+    ``config``, or ``point_offsets`` that do not split the point rows into
+    its models raise IOFailure naming the file. Of the column values only
+    the offsets are read; the rest are trusted to be what was saved."""
+    header_path = os.path.join(path, "header.json")
+    header = load_json(header_path)
+    if not isinstance(header, dict):
+        raise IOFailure(f"{header_path}: not a model library header")
+    for key in LIBRARY_KEYS:
+        if header.get(key) != getattr(config, key):
+            raise MvorError(
+                f"{header_path}: library generated with {key} {header.get(key)!r}, "
+                f"expected {getattr(config, key)!r}"
+            )
+    n = config.library_size
+    offsets = _load_column(path, "point_offsets", np.int64, (n + 1,))
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+        raise IOFailure(
+            f"{os.path.join(path, 'point_offsets.npy')}: offsets do not start at 0 and rise"
+        )
+    rows = int(offsets[-1])
+    return ModelLibrary(
+        family=_load_column(path, "family", "U", (n,)),
+        footprint_radius=_load_column(path, "footprint_radius", np.float64, (n,)),
+        point_offsets=offsets,
+        points=_load_column(path, "points", np.float64, (rows, 3)),
+        normals=_load_column(path, "normals", np.float64, (rows, 3)),
+        point_descriptors=_load_column(
+            path, "point_descriptors", np.float64, (rows, config.point_descriptor_dim)
+        ),
     )

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -44,6 +45,7 @@ from mvor.sim import (
     render,
 )
 from mvor.serialize import from_dict, to_dict
+from mvor.sim import io as sim_io
 from mvor.sim.io import instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
@@ -558,6 +560,133 @@ class TestCliLocalize:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert "view" in capsys.readouterr().err
+
+
+class TestCliDatasetLibrary:
+    """``gen`` saves the model library into the dataset once; ``build-db``,
+    ``localize`` and ``rearrange`` memory-map it for an instance inside the
+    dataset and give the bytes they give for a copy of the instance outside
+    it, where the library is generated."""
+
+    CONFIG = {
+        "sim": {"actuation_sigma": 0.003, "object_count_min": 3, "object_count_max": 3},
+        "localization": {"sigma_px": 1.0},
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """A one-instance dataset, a copy of its instance outside it, the
+        copy's ring database and the config of all three."""
+        tmp = tmp_path_factory.mktemp("dataset_library")
+        (tmp / "cfg.json").write_text(json.dumps(self.CONFIG))
+        argv = ["gen", "--config", str(tmp / "cfg.json"), "--count", "1",
+                "--out", str(tmp / "dataset")]
+        assert cli_main(argv) == 0
+        (tmp / "outside").mkdir()
+        shutil.copy(tmp / "dataset" / "instance_00000000.json", tmp / "outside")
+        assert cli_main(["build-db", "--instance", str(tmp / "outside" / "instance_00000000.json"),
+                         "--out", str(tmp / "outside" / "db.npz")]) == 0
+        return tmp
+
+    @staticmethod
+    def _forbid_generating(monkeypatch):
+        def no_library(config):
+            raise AssertionError("model library generated")
+
+        monkeypatch.setattr(bench, "generate_model_library", no_library)
+        monkeypatch.setattr(sim_io, "generate_model_library", no_library)
+
+    def _outputs(self, files, instance, out):
+        """The bytes of every file ``build-db``, ``localize`` and
+        ``rearrange`` of ``instance`` write into the new directory ``out``."""
+        cfg, db = str(files / "cfg.json"), str(out / "db.npz")
+        out.mkdir()
+        for argv in (
+            ["build-db", "--instance", str(instance), "--out", db],
+            ["localize", "--db", db, "--instance", str(instance), "--out", str(out / "poses.json")],
+            ["rearrange", "--instance", str(instance), "--out", str(out / "rearrange")],
+        ):
+            assert cli_main([*argv, "--config", cfg]) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_dataset_library_gives_the_generated_bytes(self, files, tmp_path, monkeypatch):
+        outside = self._outputs(files, files / "outside" / "instance_00000000.json",
+                                tmp_path / "outside")
+        self._forbid_generating(monkeypatch)
+        inside = self._outputs(files, files / "dataset" / "instance_00000000.json",
+                               tmp_path / "inside")
+        assert sorted(inside) == ["db.npz", "poses.json", "rearrange/instance.json",
+                                  "rearrange/moves.json", "rearrange/result.json"]
+        assert inside == outside
+
+    def test_gen_reuses_or_replaces_the_library(self, tmp_path, monkeypatch):
+        library = tmp_path / "dataset" / "library"
+        gen = ["gen", "--count", "1", "--out", str(tmp_path / "dataset")]
+        assert cli_main(gen) == 0
+        saved = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in library.iterdir()}
+        assert sorted(saved) == ["family.npy", "footprint_radius.npy", "header.json",
+                                 "normals.npy", "point_descriptors.npy", "point_offsets.npy",
+                                 "points.npy"]
+        with monkeypatch.context() as m:
+            self._forbid_generating(m)
+            assert cli_main([*gen, "--seed", "4"]) == 0
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in library.iterdir()} == saved
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"sim": {"library_seed": 8}}))
+        assert cli_main([*gen, "--config", str(other)]) == 0
+        assert json.loads((library / "header.json").read_text())["library_seed"] == 8
+        expected = generate_model_library(SimConfig(library_seed=8)).point_descriptors
+        assert (library / "point_descriptors.npy").read_bytes() != saved["point_descriptors.npy"][0]
+        assert np.array_equal(np.load(library / "point_descriptors.npy"), expected)
+        assert sorted(os.listdir(tmp_path / "dataset")) == [
+            "instance_00000000.json", "instance_00000004.json", "library", "manifest.json"
+        ]
+
+    @staticmethod
+    def _damage(library, how):
+        """Damage the saved library as ``how`` says; the name the error
+        must carry."""
+        if how == "other_seed":
+            header = json.loads((library / "header.json").read_text())
+            header["library_seed"] += 1
+            (library / "header.json").write_text(json.dumps(header))
+            return "library_seed"
+        if how == "header_not_json":
+            (library / "header.json").write_text("{not json")
+            return "header.json"
+        if how == "truncated":
+            data = (library / "point_descriptors.npy").read_bytes()
+            (library / "point_descriptors.npy").write_bytes(data[: len(data) // 2])
+            return "point_descriptors.npy"
+        if how == "shape":
+            points = np.load(library / "points.npy")
+            np.save(library / "points.npy", points[:, :2])
+            return "points.npy"
+        if how == "dtype":
+            radius = np.load(library / "footprint_radius.npy")
+            np.save(library / "footprint_radius.npy", radius.astype(np.float32))
+            return "footprint_radius.npy"
+        offsets = np.load(library / "point_offsets.npy")
+        np.save(library / "point_offsets.npy", offsets[::-1].copy())
+        return "point_offsets.npy"
+
+    @pytest.mark.parametrize(
+        "how", ["other_seed", "header_not_json", "truncated", "shape", "dtype", "offsets"]
+    )
+    @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
+    def test_damaged_library_exits_2(self, files, how, command, tmp_path, capsys):
+        dataset = tmp_path / "dataset"
+        shutil.copytree(files / "dataset", dataset)
+        named = self._damage(dataset / "library", how)
+        instance = str(dataset / "instance_00000000.json")
+        argv = [command, "--instance", instance, "--out", str(tmp_path / "out")]
+        if command == "localize":
+            argv += ["--db", str(files / "outside" / "db.npz")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert str(dataset / "library") in err
 
 
 class TestCliInstanceFiles:

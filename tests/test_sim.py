@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mvor.errors import (
     ConfigParseError,
     EmptyFrame,
     IOFailure,
+    MvorError,
     PlacementFailure,
     UnknownFeature,
 )
@@ -27,10 +29,14 @@ from mvor.sim import (
     empty_frame,
     generate_instance,
     generate_model_library,
+    load_model_library,
     render,
+    save_model_library,
     segment,
 )
+from mvor.sim import io as sim_io
 from mvor.sim.io import (
+    dataset_library,
     instance_from_dict,
     instance_to_dict,
     load_dataset,
@@ -175,6 +181,63 @@ class TestModelLibrary:
         assert counts.sum() > 5 * 3
         assert len(small.point_descriptors) == len(small.points) == counts.sum()
         np.testing.assert_allclose(np.linalg.norm(small.point_descriptors, axis=1), 1.0, atol=1e-12)
+
+
+class TestSavedLibrary:
+    """A saved library loads back column for column, memory-mapped
+    read-only; a dataset keeps the library of its config."""
+
+    @pytest.mark.parametrize(
+        "sim",
+        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)],
+        ids=["default", "small"],
+    )
+    def test_roundtrip(self, sim, tmp_path):
+        generated = generate_model_library(sim)
+        save_model_library(generated, tmp_path / "library", sim)
+        loaded = load_model_library(tmp_path / "library", sim)
+        for name in TestModelLibrary.COLUMNS:
+            a, b = getattr(loaded, name), getattr(generated, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+            assert not a.flags.writeable, name
+        assert sorted(os.listdir(tmp_path)) == ["library"]  # no staging directory left
+
+    def test_save_replaces_a_library(self, tmp_path):
+        small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
+        other = dataclasses.replace(small, library_seed=small.library_seed + 1)
+        save_model_library(generate_model_library(small), tmp_path / "library", small)
+        save_model_library(generate_model_library(other), tmp_path / "library", other)
+        loaded = load_model_library(tmp_path / "library", other)
+        assert np.array_equal(loaded.points, generate_model_library(other).points)
+        assert sorted(os.listdir(tmp_path)) == ["library"]
+        assert "replaced" not in os.listdir(tmp_path / "library")
+
+    @pytest.mark.parametrize(
+        "key, value", [("library_seed", 1), ("library_size", 3), ("model_points", 60),
+                       ("point_descriptor_dim", 4)]
+    )
+    def test_other_settings_rejected(self, key, value, tmp_path):
+        small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
+        save_model_library(generate_model_library(small), tmp_path / "library", small)
+        with pytest.raises(MvorError, match=f"header.json: library generated with {key}"):
+            load_model_library(tmp_path / "library", dataclasses.replace(small, **{key: value}))
+
+    def test_dataset_reuses_its_library(self, tmp_path, monkeypatch):
+        small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
+        generated = dataset_library(tmp_path, small)
+        files = {p: p.read_bytes() for p in (tmp_path / "library").iterdir()}
+
+        def no_library(config):
+            raise AssertionError("model library generated")
+
+        monkeypatch.setattr(sim_io, "generate_model_library", no_library)
+        reused = dataset_library(tmp_path, small)
+        assert np.array_equal(reused.point_descriptors, generated.point_descriptors)
+        assert {p: p.read_bytes() for p in (tmp_path / "library").iterdir()} == files
+        # a library of other settings is replaced, through the generator
+        with pytest.raises(AssertionError, match="model library generated"):
+            dataset_library(tmp_path, dataclasses.replace(small, library_seed=3))
 
 
 class TestGenerateInstance:
