@@ -10,14 +10,15 @@ fixed (config, seed).
 ``gen`` writes a dataset directory: ``manifest.json``, one
 ``instance_<seed:08d>.json`` per scene and ``library/``, the model library
 the instances were generated with (one ``.npy`` per column and a
-``header.json`` naming its ``LIBRARY_KEYS`` settings; about 40 MB at the
-default config). A later ``gen`` into the same directory reuses a
-``library/`` whose header names its config and replaces any other.
+``header.json`` naming its format version and ``LIBRARY_KEYS`` settings;
+about 40 MB at the default config). Each ``gen`` generates the library and
+writes it anew, replacing a ``library/`` already in the directory.
 ``build-db``, ``localize`` and ``rearrange`` given ``--instance`` memory-map
 the ``library/`` beside the instance file rather than generating the
-library; one whose header differs from the instance's config exits 2,
-naming the key and the header's path. An instance file outside a dataset
-has its library generated, with the same bits.
+library; one whose header carries another version or differs from the
+instance's config exits 2, naming the key and the header's path. An
+instance file outside a dataset has its library generated, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ from .perception import load_database, save_database
 from .serialize import dump_json, from_dict, load_json
 from .sim import (
     generate_instance,
+    generate_model_library,
     load_instance,
     load_model_library,
     save_dataset,
     save_instance,
+    save_model_library,
 )
-from .sim.io import LIBRARY_DIR, dataset_library
+from .sim.io import LIBRARY_DIR
 from .sim.models import LIBRARY_KEYS
 
 
@@ -121,12 +124,13 @@ def cmd_gen(args) -> int:
     count = cfg.scenes if args.count is None else args.count
     if count < 1:
         raise ConfigParseError(f"--count: gen needs at least 1 instance, got {count}")
-    out = _out_dir(args, "dataset")
-    library = dataset_library(out, cfg.sim)
+    library = generate_model_library(cfg.sim)
     instances = [
         generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
     ]
+    out = _out_dir(args, "dataset")
     save_dataset(instances, out, cfg.sim)
+    save_model_library(library, os.path.join(out, LIBRARY_DIR), cfg.sim)
     print(f"wrote {count} instances to {out}")
     return 0
 

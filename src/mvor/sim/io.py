@@ -4,11 +4,12 @@ A dataset, as ``mvor gen`` writes it, is a directory holding
 ``manifest.json`` (format, version, count, seeds, file names and the sim
 config echo), one ``instance_<seed:08d>.json`` per scene and ``library/``,
 the model library the instances were generated with, as written by
-``models.save_model_library`` (about 40 MB at the default config).
-``dataset_library`` reuses a ``library/`` whose header names the config and
-replaces any other. ``build-db``, ``localize`` and ``rearrange`` given an
-instance file memory-map the ``library/`` beside it instead of generating
-the library; its header must name the instance's config.
+``models.save_model_library`` (about 40 MB at the default config); each
+``gen`` writes it anew, replacing any ``library/`` already there.
+``build-db``, ``localize`` and ``rearrange`` given an instance file
+memory-map the ``library/`` beside it instead of generating the library;
+its header must carry ``models.LIBRARY_VERSION`` and name the instance's
+config.
 
 An instance file is a single JSON document carrying the table bounds, a
 model-library reference (seed + size), initial and goal placements, the
@@ -28,11 +29,10 @@ import os
 
 import numpy as np
 
-from ..errors import ConfigParseError, IOFailure, MvorError
+from ..errors import ConfigParseError
 from ..geometry import PlanarTransform, Pose3
 from ..serialize import dump_json, from_dict, is_finite, load_json, to_dict
 from .config import SimConfig
-from .models import ModelLibrary, generate_model_library, load_model_library, save_model_library
 from .scene import Placement, RearrangementInstance, Rect, SceneState
 
 INSTANCE_FORMAT = "mvor-instance"
@@ -170,25 +170,6 @@ def save_instance(inst: RearrangementInstance, path) -> None:
 
 def load_instance(path) -> RearrangementInstance:
     return instance_from_dict(load_json(path))
-
-
-def dataset_library(out_dir, config: SimConfig) -> ModelLibrary:
-    """The model library of ``config`` for dataset ``out_dir``: its saved
-    ``library/``, memory-mapped, when the header names ``config``; else
-    generated and saved there, replacing a ``library/`` generated from other
-    settings or unreadable."""
-    path = os.path.join(out_dir, LIBRARY_DIR)
-    try:
-        return load_model_library(path, config)
-    except MvorError:
-        pass
-    library = generate_model_library(config)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise IOFailure(f"cannot write {out_dir}: {e}") from e
-    save_model_library(library, path, config)
-    return library
 
 
 def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimConfig) -> None:

@@ -15,10 +15,10 @@ Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
 
 ``save_model_library`` stores a library as a directory: one ``.npy`` file
-per column and a ``header.json`` holding the ``LIBRARY_KEYS`` settings it
-was generated from. ``load_model_library`` memory-maps the columns
-read-only, so a command that loads a saved library reads only the rows it
-uses.
+per column and a ``header.json`` holding the format name, ``LIBRARY_VERSION``
+and the ``LIBRARY_KEYS`` settings it was generated from.
+``load_model_library`` memory-maps the columns read-only, so a command that
+loads a saved library reads only the rows it uses.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ FAMILIES = ("box", "cylinder", "l_prism")
 # The SimConfig settings a library is generated from: a saved library's
 # header records them, and a database's header records them too.
 LIBRARY_KEYS = ("library_seed", "library_size", "model_points", "point_descriptor_dim")
+
+LIBRARY_FORMAT = "mvor-model-library"
+# The version of the bits generate_model_library draws for given LIBRARY_KEYS
+# settings and of the saved layout: bump it whenever either changes, so a
+# library saved before is refused rather than read as the new one.
+LIBRARY_VERSION = 1
 
 
 @dataclass
@@ -236,7 +242,8 @@ def generate_model_library(config) -> ModelLibrary:
 def save_model_library(library: ModelLibrary, path, config) -> None:
     """Write ``library``, generated from ``config`` (a SimConfig), as the
     directory ``path``: ``<column>.npy`` for each column and ``header.json``
-    with the ``LIBRARY_KEYS`` settings of ``config``. The files are written
+    with the format name, ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS``
+    settings of ``config``. The files are written
     into a temporary directory beside ``path`` and renamed into place, so a
     reader never sees part of a library: it sees the old one, the new one
     or, between two renames, none. An existing ``path`` is replaced. A
@@ -251,7 +258,8 @@ def save_model_library(library: ModelLibrary, path, config) -> None:
         for f in fields(ModelLibrary):
             np.save(os.path.join(written, f"{f.name}.npy"), getattr(library, f.name),
                     allow_pickle=False)
-        dump_json({key: getattr(config, key) for key in LIBRARY_KEYS},
+        dump_json({"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION,
+                   **{key: getattr(config, key) for key in LIBRARY_KEYS}},
                   os.path.join(written, "header.json"))
         if os.path.lexists(path):
             os.rename(path, os.path.join(staging, "replaced"))
@@ -285,17 +293,23 @@ def _load_column(path, name: str, dtype, shape: tuple) -> np.ndarray:
 def load_model_library(path, config) -> ModelLibrary:
     """The library that ``save_model_library`` wrote as directory ``path``,
     its columns memory-mapped read-only; ``config``, a SimConfig, names the
-    library expected. A header whose ``LIBRARY_KEYS`` settings differ from
-    ``config``'s raises MvorError naming the key and the header's path; a
-    header that is not JSON raises ConfigParseError. A file that cannot be
+    library expected. A header whose ``version`` is not ``LIBRARY_VERSION``,
+    or whose ``LIBRARY_KEYS`` settings differ from ``config``'s, raises
+    MvorError naming the key and the header's path; a header that is not
+    JSON raises ConfigParseError, and one of another format IOFailure. A file that cannot be
     read, a column whose dtype or shape is not that of the library of
     ``config``, or ``point_offsets`` that do not split the point rows into
     its models raise IOFailure naming the file. Of the column values only
     the offsets are read; the rest are trusted to be what was saved."""
     header_path = os.path.join(path, "header.json")
     header = load_json(header_path)
-    if not isinstance(header, dict):
+    if not isinstance(header, dict) or header.get("format") != LIBRARY_FORMAT:
         raise IOFailure(f"{header_path}: not a model library header")
+    if header.get("version") != LIBRARY_VERSION:
+        raise MvorError(
+            f"{header_path}: library saved with version {header.get('version')!r}, "
+            f"expected {LIBRARY_VERSION}"
+        )
     for key in LIBRARY_KEYS:
         if header.get(key) != getattr(config, key):
             raise MvorError(

@@ -45,7 +45,6 @@ from mvor.sim import (
     render,
 )
 from mvor.serialize import from_dict, to_dict
-from mvor.sim import io as sim_io
 from mvor.sim.io import instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
@@ -563,7 +562,7 @@ class TestCliLocalize:
 
 
 class TestCliDatasetLibrary:
-    """``gen`` saves the model library into the dataset once; ``build-db``,
+    """``gen`` saves the model library into the dataset; ``build-db``,
     ``localize`` and ``rearrange`` memory-map it for an instance inside the
     dataset and give the bytes they give for a copy of the instance outside
     it, where the library is generated."""
@@ -594,7 +593,7 @@ class TestCliDatasetLibrary:
             raise AssertionError("model library generated")
 
         monkeypatch.setattr(bench, "generate_model_library", no_library)
-        monkeypatch.setattr(sim_io, "generate_model_library", no_library)
+        monkeypatch.setattr("mvor.cli.generate_model_library", no_library)
 
     def _outputs(self, files, instance, out):
         """The bytes of every file ``build-db``, ``localize`` and
@@ -619,24 +618,21 @@ class TestCliDatasetLibrary:
                                   "rearrange/moves.json", "rearrange/result.json"]
         assert inside == outside
 
-    def test_gen_reuses_or_replaces_the_library(self, tmp_path, monkeypatch):
+    def test_gen_writes_the_library(self, tmp_path):
         library = tmp_path / "dataset" / "library"
         gen = ["gen", "--count", "1", "--out", str(tmp_path / "dataset")]
         assert cli_main(gen) == 0
-        saved = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in library.iterdir()}
+        saved = {p.name: p.read_bytes() for p in library.iterdir()}
         assert sorted(saved) == ["family.npy", "footprint_radius.npy", "header.json",
                                  "normals.npy", "point_descriptors.npy", "point_offsets.npy",
                                  "points.npy"]
-        with monkeypatch.context() as m:
-            self._forbid_generating(m)
-            assert cli_main([*gen, "--seed", "4"]) == 0
-        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in library.iterdir()} == saved
+        assert cli_main([*gen, "--seed", "4"]) == 0
+        assert {p.name: p.read_bytes() for p in library.iterdir()} == saved
         other = tmp_path / "other.json"
         other.write_text(json.dumps({"sim": {"library_seed": 8}}))
         assert cli_main([*gen, "--config", str(other)]) == 0
         assert json.loads((library / "header.json").read_text())["library_seed"] == 8
         expected = generate_model_library(SimConfig(library_seed=8)).point_descriptors
-        assert (library / "point_descriptors.npy").read_bytes() != saved["point_descriptors.npy"][0]
         assert np.array_equal(np.load(library / "point_descriptors.npy"), expected)
         assert sorted(os.listdir(tmp_path / "dataset")) == [
             "instance_00000000.json", "instance_00000004.json", "library", "manifest.json"
@@ -646,6 +642,11 @@ class TestCliDatasetLibrary:
     def _damage(library, how):
         """Damage the saved library as ``how`` says; the name the error
         must carry."""
+        if how == "other_version":
+            header = json.loads((library / "header.json").read_text())
+            header["version"] += 1
+            (library / "header.json").write_text(json.dumps(header))
+            return "version"
         if how == "other_seed":
             header = json.loads((library / "header.json").read_text())
             header["library_seed"] += 1
@@ -671,7 +672,7 @@ class TestCliDatasetLibrary:
         return "point_offsets.npy"
 
     @pytest.mark.parametrize(
-        "how", ["other_seed", "header_not_json", "truncated", "shape", "dtype", "offsets"]
+        "how", ["other_version", "other_seed", "header_not_json", "truncated", "shape", "dtype", "offsets"]
     )
     @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
     def test_damaged_library_exits_2(self, files, how, command, tmp_path, capsys):

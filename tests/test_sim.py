@@ -34,9 +34,7 @@ from mvor.sim import (
     save_model_library,
     segment,
 )
-from mvor.sim import io as sim_io
 from mvor.sim.io import (
-    dataset_library,
     instance_from_dict,
     instance_to_dict,
     load_dataset,
@@ -44,6 +42,7 @@ from mvor.sim.io import (
     save_dataset,
     save_instance,
 )
+from mvor.sim.models import LIBRARY_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +184,7 @@ class TestModelLibrary:
 
 class TestSavedLibrary:
     """A saved library loads back column for column, memory-mapped
-    read-only; a dataset keeps the library of its config."""
+    read-only, and only for the version and settings it was saved with."""
 
     @pytest.mark.parametrize(
         "sim",
@@ -223,21 +222,22 @@ class TestSavedLibrary:
         with pytest.raises(MvorError, match=f"header.json: library generated with {key}"):
             load_model_library(tmp_path / "library", dataclasses.replace(small, **{key: value}))
 
-    def test_dataset_reuses_its_library(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "member, value, error, match",
+        [("version", LIBRARY_VERSION + 1, MvorError,
+          f"library saved with version {LIBRARY_VERSION + 1}, expected {LIBRARY_VERSION}"),
+         ("format", "mvor-db", IOFailure, "not a model library header")],
+    )
+    def test_other_header_rejected(self, member, value, error, match, tmp_path):
         small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
-        generated = dataset_library(tmp_path, small)
-        files = {p: p.read_bytes() for p in (tmp_path / "library").iterdir()}
-
-        def no_library(config):
-            raise AssertionError("model library generated")
-
-        monkeypatch.setattr(sim_io, "generate_model_library", no_library)
-        reused = dataset_library(tmp_path, small)
-        assert np.array_equal(reused.point_descriptors, generated.point_descriptors)
-        assert {p: p.read_bytes() for p in (tmp_path / "library").iterdir()} == files
-        # a library of other settings is replaced, through the generator
-        with pytest.raises(AssertionError, match="model library generated"):
-            dataset_library(tmp_path, dataclasses.replace(small, library_seed=3))
+        save_model_library(generate_model_library(small), tmp_path / "library", small)
+        header_path = tmp_path / "library" / "header.json"
+        header = json.loads(header_path.read_text())
+        assert header["format"] == "mvor-model-library" and header["version"] == LIBRARY_VERSION
+        header[member] = value
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(error, match=f"header.json: {match}"):
+            load_model_library(tmp_path / "library", small)
 
 
 class TestGenerateInstance:
