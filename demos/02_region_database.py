@@ -11,14 +11,14 @@ candidates by descriptor dot product.
 
 import numpy as np
 
-from mvor.bench import library_and_backend
 from mvor.localization import retrieve_candidates
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
-from mvor.sim import SimConfig, generate_instance, render
+from mvor.sim import SimConfig, generate_instance, generate_model_library, render
 
 config = SimConfig(object_count_min=4, object_count_max=4)
 perception = PerceptionConfig()
-library, backend = library_and_backend(config, perception)
+library = generate_model_library(config)
+backend = perception.make_backend(library)
 intr = config.intrinsics()
 
 instance = generate_instance(config, library, seed=7)

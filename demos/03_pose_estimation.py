@@ -16,13 +16,12 @@ from mvor import geometry as geo
 from mvor.bench import (
     BenchConfig,
     build_scene_database,
-    library_and_backend,
     localize_scene,
     scene_goal_regions,
     scene_matcher,
 )
 from mvor.localization import LocalizationConfig
-from mvor.sim import SimConfig, generate_instance
+from mvor.sim import SimConfig, generate_instance, generate_model_library
 
 cfg = BenchConfig(
     sim=SimConfig(object_count_min=5, object_count_max=5, rotation_regime="full"),
@@ -30,7 +29,8 @@ cfg = BenchConfig(
     localization=LocalizationConfig(sigma_px=1.0, outlier_rate=0.2),
 )
 
-library, backend = library_and_backend(cfg.sim, cfg.perception)
+library = generate_model_library(cfg.sim)
+backend = cfg.perception.make_backend(library)
 
 instance = generate_instance(cfg.sim, library, seed=3)
 db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)

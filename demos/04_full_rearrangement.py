@@ -3,22 +3,25 @@ the goal image (``complete_scene``). The scene counts as completed when
 every object ends within the planner's success thresholds
 (``scene_outcome``), as in the completion benchmark and ``mvor rearrange``.
 
-Uses a deliberately entangled two-object swap on top of a generated scene,
-so the planner has to relocate a blocker to a buffer pose before the
-direct moves succeed.
+Uses a deliberately entangled two-object swap on top of a generated scene.
+Each of the pair blocks the other's goal, so both goal moves fail. Past
+``thres_fail`` failures the planner moves the blocked object itself to a
+buffer pose, which frees the other's goal, and the direct moves then
+succeed. (ROADMAP item 4 plans to move the blocker instead.)
 """
 
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, complete_scene, library_and_backend, scene_outcome
+from mvor.bench import BenchConfig, complete_scene, scene_outcome
 from mvor.geometry import PlanarTransform
-from mvor.sim import Placement, Rect, SceneState, SimConfig
+from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
 from mvor.sim.scene import RearrangementInstance
 
 config = SimConfig()
 cfg = BenchConfig(sim=config)
-library, backend = library_and_backend(config, cfg.perception)
+library = generate_model_library(config)
+backend = cfg.perception.make_backend(library)
 
 # objects 0 and 1 trade places (non-monotone: someone must yield first);
 # objects 2 and 3 have plain independent moves

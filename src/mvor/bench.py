@@ -1,8 +1,8 @@
 """Per-scene pipeline and the dataset-scale benchmark drivers.
 
 The stages of a scene are shared by the drivers, the CLI and the demos,
-which all start from ``library_and_backend`` (the model library, and the
-descriptor backend over it, its projection drawn alongside on a worker):
+which all start from the model library (``generate_model_library``) and the
+descriptor backend over it (``PerceptionConfig.make_backend``):
 ``build_scene_database`` (the initial scene rendered from the ring or the
 home viewpoint, then the region database), ``scene_goal_regions`` (the
 goal frame, described once per scene for every database) and
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +50,6 @@ from .perception import (
     extract_regions,
     prepare_goal_regions,
 )
-from .perception.descriptor import draw_projection, empty_projection
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
 from .serialize import check_bounds, dump_json
 from .sim import (
@@ -151,21 +149,6 @@ def _scene_rng(tag: str, *parts) -> np.random.Generator:
     # crc32, not hash(): string hashing is salted per process and would
     # break run-to-run byte determinism
     return np.random.default_rng([zlib.crc32(tag.encode()), *[int(p) for p in parts]])
-
-
-def library_and_backend(sim: SimConfig, perception: PerceptionConfig):
-    """The model library of ``sim`` and the descriptor backend of
-    ``perception`` over it. The backend's projection is drawn on one worker
-    thread while the library is generated on this one: each comes from its
-    own seeded stream, so both keep every bit of a draw one after the other.
-    The projection is allocated on this thread and only filled on the
-    worker. An exception on either thread propagates."""
-    projection = empty_projection(perception, sim.point_descriptor_dim)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        drawn = pool.submit(draw_projection, perception, projection)
-        library = generate_model_library(sim)
-        drawn.result()
-    return library, perception.make_backend(library, projection)
 
 
 VIEW_MODES = ("multi", "single")  # the ring database, the home-view database
@@ -279,7 +262,8 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
     """The drivers' loop over regimes and seeds: ``scene_rows(inst,
     library, backend, cfg)`` per scene that generates."""
     t0 = time.perf_counter()
-    library, backend = library_and_backend(cfg.sim, cfg.perception)
+    library = generate_model_library(cfg.sim)
+    backend = cfg.perception.make_backend(library)
     rows = []
     skipped = 0
     for regime in cfg.regimes:

@@ -37,7 +37,6 @@ from .bench import (
     complete_scene,
     estimate_counters,
     format_report,
-    library_and_backend,
     localize_scene,
     run_completion_bench,
     run_pose_bench,
@@ -93,16 +92,14 @@ def _out_dir(args, default_name: str) -> str:
     return os.path.join(os.environ.get("MVOR_OUT", "."), default_name)
 
 
-def _instance_library_and_backend(instance_path: str, sim, perception):
+def _instance_library(instance_path: str, sim):
     """The model library of the instance file at ``instance_path``, whose
-    config is ``sim``, and the descriptor backend of ``perception`` over
-    it. The library is the dataset's ``library/`` beside the instance,
+    config is ``sim``: the dataset's ``library/`` beside the instance,
     memory-mapped, if there is one; else it is generated."""
     saved = os.path.join(os.path.dirname(instance_path), LIBRARY_DIR)
     if not os.path.lexists(saved):
-        return library_and_backend(sim, perception)
-    library = load_model_library(saved, sim)
-    return library, perception.make_backend(library)
+        return generate_model_library(sim)
+    return load_model_library(saved, sim)
 
 
 def _scene_setup(cfg: BenchConfig, args):
@@ -110,13 +107,11 @@ def _scene_setup(cfg: BenchConfig, args):
     instance loaded from ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = load_instance(args.instance)
-        library, backend = _instance_library_and_backend(
-            args.instance, inst.config, cfg.perception
-        )
+        library = _instance_library(args.instance, inst.config)
     else:
-        library, backend = library_and_backend(cfg.sim, cfg.perception)
+        library = generate_model_library(cfg.sim)
         inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
-    return inst, library, backend
+    return inst, library, cfg.perception.make_backend(library)
 
 
 def cmd_gen(args) -> int:
@@ -210,7 +205,8 @@ def cmd_localize(args) -> int:
             f"database descriptors have width {db.descriptors.shape[1]}, "
             f"config descriptor_dim is {cfg.perception.descriptor_dim}"
         )
-    library, backend = _instance_library_and_backend(args.instance, inst.config, cfg.perception)
+    library = _instance_library(args.instance, inst.config)
+    backend = cfg.perception.make_backend(library)
     matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)

@@ -61,10 +61,10 @@ class PerceptionConfig:
                 f"pool_grid={self.pool_grid}"
             )
 
-    def make_backend(self, library, projection=None) -> GridPooledDescriptor:
-        """The descriptor backend of ``library``; ``projection``, if given,
-        is this config's filled ``draw_projection``, else it is drawn."""
-        return GridPooledDescriptor(library, self, projection)
+    def make_backend(self, library) -> GridPooledDescriptor:
+        """The descriptor backend of ``library``, its projection drawn from
+        ``projection_seed``."""
+        return GridPooledDescriptor(library, self)
 
 
 def _column(rows: str, tail: tuple = (), kind: str = "f"):

@@ -11,12 +11,10 @@ identities, robust to viewpoint change) is concatenated with per-cell
 pooled blocks over a coarse spatial grid of the normalized crop (sensitive
 to arrangement, sharpening the ranking among views of one object) and a
 soft binned encoding of the observation direction. The concatenation goes
-through a fixed seeded random projection and is normalized. The projection
-is filled in place by ``draw_projection`` (bit for bit the
-``rng.normal(size=(in_dim, descriptor_dim)) / sqrt(in_dim)`` of its seed)
-into an ``empty_projection``; ``bench.library_and_backend`` runs the draw on
-a worker thread while the model library is generated, and a backend built
-without one draws it inline, with the same bits either way. Every
+through a fixed seeded random projection and is normalized. The backend
+draws its projection in place when it is built, bit for bit the
+``rng.normal(size=(in_dim, descriptor_dim)) / sqrt(in_dim)`` of its seed,
+with no temporary array. Every
 setting (dimension, normalized resolution, pooling grid and weight,
 observation bins and weight, projection seed) is read from the
 PerceptionConfig the backend is built from. Swappable: anything with an
@@ -90,45 +88,30 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return owner, index
 
 
-def empty_projection(config, d_pt: int) -> np.ndarray:
-    """The unfilled projection of the backend of ``config``, a
-    PerceptionConfig, over ``d_pt``-wide point descriptors: one row per
-    input (the whole-crop block, the cell blocks, the observation bins), one
-    column per descriptor dimension. A projection the machine cannot hold
-    raises ConfigParseError."""
-    in_dim = d_pt + config.pool_grid * config.pool_grid * d_pt + config.obs_bins
-    return config_sized_empty(
-        (in_dim, config.descriptor_dim),
-        f"the descriptor projection ({in_dim} rows from sim.point_descriptor_dim {d_pt} "
-        f"and perception.pool_grid {config.pool_grid}, perception.descriptor_dim "
-        f"{config.descriptor_dim} columns)",
-    )
-
-
-def draw_projection(config, out: np.ndarray) -> None:
-    """Fill ``out``, an ``empty_projection(config, ...)``, in place with the
-    seeded projection: bit for bit ``rng.normal(size=out.shape) /
-    np.sqrt(in_dim)``, with no temporary array."""
-    rng = np.random.default_rng(config.projection_seed)
-    rng.standard_normal(out=out)
-    # normal() adds its loc 0.0, which turns a -0.0 draw into 0.0
-    out += 0.0
-    out /= np.sqrt(out.shape[0])
-
-
 class GridPooledDescriptor:
     """The descriptor backend of ``library``, with the dimension, pooling,
     observation encoding and projection seed of ``config``, a
-    PerceptionConfig. ``projection``, if given, is the filled
-    ``draw_projection`` of ``config``; otherwise it is drawn here."""
+    PerceptionConfig. A projection the machine cannot hold raises
+    ConfigParseError."""
 
-    def __init__(self, library, config, projection: np.ndarray | None = None):
+    def __init__(self, library, config):
         self.library = library
         self.config = config
-        if projection is None:
-            projection = empty_projection(config, library.point_descriptors.shape[1])
-            draw_projection(config, projection)
-        self.projection = projection
+        d_pt = library.point_descriptors.shape[1]
+        # one row per input (the whole-crop block, the cell blocks, the
+        # observation bins), one column per descriptor dimension
+        in_dim = d_pt + config.pool_grid * config.pool_grid * d_pt + config.obs_bins
+        self.projection = config_sized_empty(
+            (in_dim, config.descriptor_dim),
+            f"the descriptor projection ({in_dim} rows from sim.point_descriptor_dim {d_pt} "
+            f"and perception.pool_grid {config.pool_grid}, perception.descriptor_dim "
+            f"{config.descriptor_dim} columns)",
+        )
+        rng = np.random.default_rng(config.projection_seed)
+        rng.standard_normal(out=self.projection)
+        # normal() adds its loc 0.0, which turns a -0.0 draw into 0.0
+        self.projection += 0.0
+        self.projection /= np.sqrt(in_dim)
         self._bin_centers = 2.0 * np.pi * np.arange(config.obs_bins) / config.obs_bins
 
     def _sample_counts(self, regions: list[ObjectRegion], slots: int) -> sparse.csc_matrix:

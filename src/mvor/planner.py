@@ -4,10 +4,13 @@ The loop processes objects in a fixed order (index ascending). Per object
 and outer pass: refresh the tracked pose (dead-reckoned, or re-observed
 from the home viewpoint when a reobserver is supplied), skip objects
 already within the success thresholds of their believed goal,
-collision-check the goal move, execute on success, and on repeated failure
-relocate the blocker to a random collision-free buffer pose. The loop ends
-when nothing remains or the outer-iteration budget (2x object count by
-default) is exhausted.
+collision-check the goal move, and execute it on success. An object whose
+estimate is rejected or whose goal move is blocked counts a failure, and
+past ``thres_fail`` failures that object itself (not the object in its
+way) moves to a random collision-free buffer pose, on this and every later
+pass that fails again. ROADMAP item 4 plans to move the blocker instead.
+The loop ends when nothing remains or the outer-iteration budget (2x object
+count by default) is exhausted.
 
 The planner operates on estimated offsets only. Each accepted estimate
 fixes the object's believed goal once, as its planar ``offset`` applied
@@ -138,8 +141,10 @@ def find_buffer_pose(
     rng,
     config: PlannerConfig,
 ) -> PlanarTransform:
-    """Random collision-free placement for a blocking object: up to
-    ``config.buffer_attempts`` draws, checked with ``config.collision_margin``."""
+    """Random collision-free placement for object ``object_index``, the
+    object that failed (a rejected estimate or a blocked goal move), not
+    the object in its way: up to ``config.buffer_attempts`` draws, checked
+    with ``config.collision_margin``."""
     b = scene.table_bounds
     for _ in range(config.buffer_attempts):
         pose = PlanarTransform(

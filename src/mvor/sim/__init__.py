@@ -16,7 +16,6 @@ from .scene import (
     generate_instance,
 )
 from .io import (
-    load_dataset,
     load_instance,
     save_dataset,
     save_instance,
@@ -39,7 +38,6 @@ __all__ = [
     "SceneState",
     "apply_move",
     "generate_instance",
-    "load_dataset",
     "load_instance",
     "save_dataset",
     "save_instance",

@@ -192,36 +192,3 @@ def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimCon
         os.path.join(out_dir, "manifest.json"),
     )
 
-
-def load_dataset(out_dir) -> list[RearrangementInstance]:
-    """Load every instance a dataset manifest lists. A manifest that is not
-    a dataset manifest of this version, lacks a list of file names, or
-    whose ``count`` or ``seeds`` disagree with that list or with the seeds
-    of the instances loaded raises ConfigParseError."""
-    manifest = load_json(os.path.join(out_dir, "manifest.json"))
-    if not isinstance(manifest, dict) or manifest.get("format") != DATASET_FORMAT:
-        raise ConfigParseError(f"{out_dir}: not a dataset directory")
-    if manifest.get("version") != FORMAT_VERSION:
-        raise ConfigParseError(
-            f"{out_dir}: unsupported dataset version {manifest.get('version')!r}"
-        )
-    files = manifest.get("files")
-    if not _conforms(files, [str]):
-        raise ConfigParseError(f"{out_dir}: manifest member 'files' is missing or malformed")
-    if not _conforms(manifest.get("count"), int) or manifest["count"] != len(files):
-        raise ConfigParseError(
-            f"{out_dir}: manifest member 'count' is {manifest.get('count')!r}, "
-            f"but {len(files)} files are listed"
-        )
-    seeds = manifest.get("seeds")
-    if not _conforms(seeds, (int,) * len(files)):
-        raise ConfigParseError(
-            f"{out_dir}: manifest member 'seeds' is not a list of {len(files)} seeds"
-        )
-    instances = [load_instance(os.path.join(out_dir, name)) for name in files]
-    for name, seed, inst in zip(files, seeds, instances):
-        if inst.seed != seed:
-            raise ConfigParseError(
-                f"{out_dir}: {name} holds seed {inst.seed}, manifest 'seeds' lists {seed}"
-            )
-    return instances

@@ -1,11 +1,9 @@
 import copy
-import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ from mvor.bench import (
     BenchConfig,
     best_effort_error,
     compute_pose_summary,
-    library_and_backend,
     make_reobserver,
     match_instances_to_objects,
     run_completion_bench,
@@ -296,63 +293,6 @@ class TestReobserver:
         assert est.accepted
         expected = geo.planar_compose(est.offset, inst.initial.placements[0].pose)
         assert tracked == expected
-
-
-class TestLibraryAndBackend:
-    """The library and the projection drawn side by side are the ones drawn
-    one after the other, bit for bit, and both threads' errors surface."""
-
-    @pytest.mark.parametrize(
-        "sim,perception",
-        [
-            (SimConfig(), PerceptionConfig()),
-            (
-                SimConfig(library_size=4, model_points=300, point_descriptor_dim=24, library_seed=9),
-                PerceptionConfig(descriptor_dim=40, pool_grid=2, obs_bins=3, projection_seed=5),
-            ),
-        ],
-        ids=["default", "small"],
-    )
-    def test_same_bits_as_drawn_inline(self, sim, perception):
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-        try:
-            library, backend = library_and_backend(sim, perception)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
-        reference = generate_model_library(sim)
-        for f in dataclasses.fields(reference):
-            assert np.array_equal(getattr(library, f.name), getattr(reference, f.name)), f.name
-        in_dim = (1 + perception.pool_grid**2) * sim.point_descriptor_dim + perception.obs_bins
-        rng = np.random.default_rng(perception.projection_seed)
-        projection = rng.normal(size=(in_dim, perception.descriptor_dim)) / np.sqrt(in_dim)
-        assert backend.projection.shape == projection.shape
-        assert backend.projection.tobytes() == projection.tobytes()
-        assert backend.library is library and backend.config is perception
-        # the one-argument form draws the same projection inline
-        assert perception.make_backend(library).projection.tobytes() == projection.tobytes()
-
-    def test_worker_error_propagates(self, monkeypatch):
-        def broken(config, out):
-            raise RuntimeError("projection draw failed")
-
-        monkeypatch.setattr(bench, "draw_projection", broken)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="projection draw failed"):
-            library_and_backend(SimConfig(), PerceptionConfig())
-        assert threading.active_count() == threads
-
-    def test_library_error_propagates(self, monkeypatch):
-        def broken(config):
-            raise RuntimeError("library failed")
-
-        monkeypatch.setattr(bench, "generate_model_library", broken)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="library failed"):
-            library_and_backend(SimConfig(), PerceptionConfig())
-        assert threading.active_count() == threads
 
 
 class TestCliDeterminism:
@@ -801,10 +741,10 @@ class TestCliInstanceFiles:
         message = capsys.readouterr().err
         assert message.startswith("error: database built against ")
 
-        def no_library(sim, perception):
+        def no_library(sim):
             raise AssertionError("model library generated")
 
-        monkeypatch.setattr("mvor.cli.library_and_backend", no_library)
+        monkeypatch.setattr("mvor.cli.generate_model_library", no_library)
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == message
 

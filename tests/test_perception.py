@@ -290,16 +290,25 @@ class TestDescriptor:
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
 
     def test_settings_come_from_the_config(self, library):
-        cfg = PerceptionConfig(
-            descriptor_dim=32, norm_resolution=32, pool_grid=2, obs_bins=4, projection_seed=3
-        )
-        small = cfg.make_backend(library)
-        d_pt = library.point_descriptors.shape[1]
-        assert small.projection.shape == (d_pt + 2 * 2 * d_pt + 4, 32)
+        """The default and a small config: the projection has the config's
+        shape and the reference bits of its seed's ``rng.normal`` draw."""
         reg = self._region(library, make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))]))
-        y = small.extract([reg])
-        assert y.shape == (1, 32)
-        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        d_pt = library.point_descriptors.shape[1]
+        for cfg in (
+            PCFG,
+            PerceptionConfig(
+                descriptor_dim=32, norm_resolution=32, pool_grid=2, obs_bins=4, projection_seed=3
+            ),
+        ):
+            backend = cfg.make_backend(library)
+            in_dim = d_pt + cfg.pool_grid * cfg.pool_grid * d_pt + cfg.obs_bins
+            rng = np.random.default_rng(cfg.projection_seed)
+            reference = rng.normal(size=(in_dim, cfg.descriptor_dim)) / np.sqrt(in_dim)
+            assert backend.projection.shape == reference.shape
+            assert backend.projection.tobytes() == reference.tobytes()
+            y = backend.extract([reg])
+            assert y.shape == (1, cfg.descriptor_dim)
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self, library, backend):
         scene = make_scene([Placement(4, PlanarTransform(-0.2, 0.0, 0.0))])
