@@ -51,7 +51,7 @@ from .perception import (
     prepare_goal_regions,
 )
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
-from .serialize import check_bounds, dump_json
+from .serialize import check_bounds, dump_json, make_dirs, write_text
 from .sim import (
     SimConfig,
     generate_instance,
@@ -412,16 +412,14 @@ def compute_completion_summary(rows, skipped_scenes=0) -> dict:
 def write_report(report: MetricsReport, out_dir) -> None:
     """records.tsv + summary.json are machine-readable and deterministic;
     report.txt is the human summary and carries the wall clock."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     columns = POSE_COLUMNS if report.kind == "pose" else COMPLETION_COLUMNS
     lines = ["\t".join(columns)]
     for r in report.rows:
         lines.append("\t".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns))
-    with open(os.path.join(out_dir, "records.tsv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text("\n".join(lines) + "\n", os.path.join(out_dir, "records.tsv"))
     dump_json(report.summary, os.path.join(out_dir, "summary.json"))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(format_report(report))
+    write_text(format_report(report), os.path.join(out_dir, "report.txt"))
 
 
 def format_report(report: MetricsReport) -> str:

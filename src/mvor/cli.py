@@ -48,7 +48,7 @@ from .bench import (
 from .errors import ConfigParseError, MvorError
 from .geometry import lift, pose_yaw
 from .perception import load_database, save_database
-from .serialize import dump_json, from_dict, load_json
+from .serialize import dump_json, from_dict, load_json, make_dirs
 from .sim import (
     generate_instance,
     generate_model_library,
@@ -223,7 +223,7 @@ def cmd_rearrange(args) -> int:
     _, result = complete_scene(inst, library, backend, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
     out_dir = _out_dir(args, "rearrange")
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     save_instance(inst, os.path.join(out_dir, "instance.json"))
     dump_json([m.as_dict() for m in result.moves], os.path.join(out_dir, "moves.json"))
     dump_json(

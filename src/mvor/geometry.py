@@ -122,12 +122,6 @@ class CameraIntrinsics:
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 def rot_z(yaw: float) -> np.ndarray:
     c, s = np.cos(yaw), np.sin(yaw)

@@ -101,9 +101,10 @@ class DescriptorNNMatcher:
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
 
     def _features(self, crop):
-        """The hits of a goal crop or a candidate's ``RegionHits``, every
-        ``stride``-th past ``max_matches``, with their point descriptors
-        and view directions."""
+        """The hits of a goal crop or a candidate's ``RegionHits``, evenly
+        thinned to at most ``max_matches``, with their point descriptors and
+        view directions. A feature id that names no library row, as one read
+        from a database file may, raises UnknownFeature."""
         hits = np.arange(len(crop.feature_ids))
         if len(hits) > self.max_points:
             hits = hits[:: int(np.ceil(len(hits) / self.max_points))]

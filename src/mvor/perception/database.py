@@ -6,9 +6,10 @@ A ``Database`` is the column arrays its dump holds, under the dump's
 names: one row per region for the labels, descriptors and observation
 directions, one row per instance for the centroids, and the regions' hits
 (feature id, world point, view direction) concatenated into flat arrays
-cut by offsets. Retrieval and pruning index these columns directly;
-``hits(i)`` views one region's hits, all a candidate is matched and
-lifted by, without copying them.
+cut by offsets; a hit's feature id is its point's row in the model
+library's point columns. Retrieval and pruning index these columns
+directly; ``hits(i)`` views one region's hits, all a candidate is matched
+and lifted by, without copying them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, extract_regions
 
 DB_FORMAT = "mvor-db"
-DB_VERSION = 3
+DB_VERSION = 4
 
 
 @dataclass

@@ -129,7 +129,7 @@ class GridPooledDescriptor:
         region = np.repeat(np.arange(len(regions)), [len(r.crop.rows) for r in regions])
         row = np.concatenate([r.crop.rows for r in regions]) + _firsts(shapes[:, 0])[region]
         col = np.concatenate([r.crop.cols for r in regions]) + _firsts(shapes[:, 1])[region]
-        points = self.library.rows_for(np.concatenate([r.crop.feature_ids for r in regions]))
+        points = np.concatenate([r.crop.feature_ids for r in regions])
         # hits in library-row order, ties in batch order: the entries come
         # out column by column. Each hit array is dropped once read, as these
         # arrays set the peak memory of a batch.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import typing
 
 import numpy as np
@@ -107,10 +108,22 @@ def load_json(path) -> dict:
         raise IOFailure(f"cannot read {path}: {e}") from e
 
 
-def dump_json(data, path) -> None:
+def write_text(text: str, path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(data, f, indent=1)
-            f.write("\n")
+            f.write(text)
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
+
+
+def dump_json(data, path) -> None:
+    write_text(json.dumps(data, indent=1) + "\n", path)
+
+
+def make_dirs(path) -> None:
+    """Create directory ``path`` and its parents unless it exists; a path
+    that cannot be a directory raises IOFailure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise IOFailure(f"cannot create directory {path}: {e}") from e

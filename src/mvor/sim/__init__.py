@@ -1,6 +1,5 @@
 from .config import SimConfig
 from .models import (
-    FEATURE_ID_STRIDE,
     ModelLibrary,
     generate_model_library,
     load_model_library,
@@ -23,7 +22,6 @@ from .io import (
 
 __all__ = [
     "SimConfig",
-    "FEATURE_ID_STRIDE",
     "ModelLibrary",
     "generate_model_library",
     "load_model_library",

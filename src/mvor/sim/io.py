@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import ConfigParseError
 from ..geometry import PlanarTransform, Pose3
-from ..serialize import dump_json, from_dict, is_finite, load_json, to_dict
+from ..serialize import dump_json, from_dict, is_finite, load_json, make_dirs, to_dict
 from .config import SimConfig
 from .scene import Placement, RearrangementInstance, Rect, SceneState
 
@@ -174,7 +174,7 @@ def load_instance(path) -> RearrangementInstance:
 
 def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimConfig) -> None:
     """Write one instance file per scene plus a manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     files = []
     for inst in instances:
         name = f"instance_{inst.seed:08d}.json"

@@ -1,15 +1,15 @@
 """Procedural tabletop object models, held as one set of columns.
 
 Each model is a point-sampled surface: local-frame points with outward
-normals and a fixed random unit descriptor per point. A point's feature id
-is ``model * FEATURE_ID_STRIDE + row`` (its row within its model); the
-feature ids and descriptors are what the perception stack can observe and
-match on, geometry is what it must infer.
+normals and a fixed random unit descriptor per point. The feature ids and
+descriptors are what the perception stack can observe and match on,
+geometry is what it must infer.
 
 ``ModelLibrary`` stores the models as columns: ``family`` and
 ``footprint_radius`` hold one row per model, and ``points``, ``normals``
 and ``point_descriptors`` concatenate every model's points, model ``m``
-holding rows ``point_offsets[m]:point_offsets[m + 1]``.
+holding rows ``point_offsets[m]:point_offsets[m + 1]``. A point's feature
+id is its row in these point columns.
 
 Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
@@ -32,10 +32,6 @@ import numpy as np
 
 from ..errors import IOFailure, MvorError, UnknownFeature
 from ..serialize import config_sized_empty, dump_json, load_json
-
-# Feature ids are model_id * FEATURE_ID_STRIDE + point index, so they are
-# unique across the library and the owning model is recoverable by division.
-FEATURE_ID_STRIDE = 1_000_000
 
 FAMILIES = ("box", "cylinder", "l_prism")
 
@@ -64,24 +60,15 @@ class ModelLibrary:
 
     def descriptors_for(self, feature_ids: np.ndarray) -> np.ndarray:
         """The fixed per-point descriptors of an array of feature ids, as one
-        gather; an id that names no library point raises UnknownFeature."""
-        return self.point_descriptors[self.rows_for(feature_ids)]
-
-    def rows_for(self, feature_ids: np.ndarray) -> np.ndarray:
-        """The rows of the point columns that an array of feature ids name;
-        an id that names no library point raises UnknownFeature."""
+        gather; an id that names no library row raises UnknownFeature."""
         feature_ids = np.asarray(feature_ids)
-        model, local = np.divmod(feature_ids, FEATURE_ID_STRIDE)
-        known = (model >= 0) & (model < len(self))
-        model = np.where(known, model, 0)
-        rows = self.point_offsets[model] + local
-        known &= rows < self.point_offsets[model + 1]
-        if not known.all():
-            bad = feature_ids[~known][:5].tolist()
+        unknown = (feature_ids < 0) | (feature_ids >= self.point_offsets[-1])
+        if unknown.any():
+            bad = feature_ids[unknown][:5].tolist()
             raise UnknownFeature(
                 f"feature ids {bad} name no point of the {len(self)}-model library"
             )
-        return rows
+        return self.point_descriptors[feature_ids]
 
 
 def _allocate(total: int, areas: np.ndarray) -> np.ndarray:

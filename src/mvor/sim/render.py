@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import EmptyFrame
 from ..geometry import CameraIntrinsics, Pose3, invert, project_points, rot_z
-from .models import FEATURE_ID_STRIDE, ModelLibrary
+from .models import ModelLibrary
 from .scene import SceneState
 
 
@@ -31,7 +31,7 @@ class Frame:
 
     rows: np.ndarray  # (n,) int64 pixel row of each hit
     cols: np.ndarray  # (n,) int64 pixel column of each hit
-    feature_ids: np.ndarray  # (n,) int64 feature id of the winning point
+    feature_ids: np.ndarray  # (n,) int64 library row of the winning point
     instance_ids: np.ndarray  # (n,) int32 index of its object in the scene
     px: np.ndarray  # (n,2) float64 exact (u,v) of the winning point
     depth: np.ndarray  # (n,) float64 camera-frame z
@@ -103,7 +103,7 @@ def render(
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
         uv_all.append(uv[ok])
         z_all.append(z[ok])
-        fid_all.append(m * FEATURE_ID_STRIDE + np.flatnonzero(facing)[ok])
+        fid_all.append(rows.start + np.flatnonzero(facing)[ok])
         inst_all.append(np.full(int(ok.sum()), idx, dtype=np.int32))
         view_all.append(rays @ rz)  # world->object-local rotation
 

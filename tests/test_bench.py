@@ -685,6 +685,23 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert "library_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shift", ["negative", "past the last row"])
+    def test_localize_rejects_ids_naming_no_row(self, files, shift, tmp_path, capsys):
+        """A current-version database whose feature ids name no row of the
+        instance's library exits 2 on the descriptor_nn path, rather than
+        gathering the descriptors of other points."""
+        db, header = load_database(files / "db.npz")
+        rows = generate_model_library(SimConfig()).point_offsets[-1]
+        db.crop_feature_ids = db.crop_feature_ids + (-rows if shift == "negative" else rows)
+        save_database(db, tmp_path / "db.npz", header)
+        nn = tmp_path / "nn.json"
+        nn.write_text(json.dumps({"localization": {"matcher": "descriptor_nn"}}))
+        argv = ["localize", "--config", str(nn), "--db", str(tmp_path / "db.npz"),
+                "--instance", str(files / "instance.json"), "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "name no point" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [("model_points", 800), ("point_descriptor_dim", 128)])
     def test_localize_rejects_other_model_sampling(self, files, key, value, tmp_path, capsys):
         """The database comes from 1600-point models with 256-wide point
@@ -984,3 +1001,25 @@ class TestCliMalformedValues:
         assert cfg.sim.focal_px == 460 and type(cfg.sim.focal_px) is int
         echo = to_dict(SimConfig(focal_px=460, actuation_sigma=0))
         assert json.dumps(to_dict(cfg.sim)) == json.dumps(echo)
+
+
+class TestCliOutNotADirectory:
+    """An ``--out`` that names a file, or a path under one, cannot be the
+    output directory: the command exits 2 with a diagnostic, not a
+    traceback."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under a file"])
+    @pytest.mark.parametrize("command", ["gen", "rearrange", "bench-pose", "bench-completion"])
+    def test_exits_2(self, command, under, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenes": 1, "regimes": ["full"], "include_single_view": False,
+            "sim": {"object_count_min": 2, "object_count_max": 2},
+        }))
+        out = tmp_path / "file"
+        out.write_text("")
+        argv = [command, "--config", str(cfg), "--out", str(out / "sub" if under else out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == ""

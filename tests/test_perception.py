@@ -26,7 +26,6 @@ from mvor.perception.database import DB_ARRAYS, Database
 from mvor.perception.descriptor import _line_counts
 from mvor.perception.regions import ObjectRegion, RegionCrop
 from mvor.sim import (
-    FEATURE_ID_STRIDE,
     Placement,
     Rect,
     SceneState,
@@ -113,8 +112,8 @@ class TestExtractRegions:
         o = library.point_offsets
         world_pts = geo.lift(scene.placements[0].pose).apply(library.points[o[1] : o[2]])
         seen_ids = frame.feature_ids
-        assert np.all(seen_ids // FEATURE_ID_STRIDE == 1)
-        expect = world_pts[seen_ids - FEATURE_ID_STRIDE]
+        assert np.all((seen_ids >= o[1]) & (seen_ids < o[2]))
+        expect = world_pts[seen_ids - o[1]]
         got = reg.crop.world
         assert got.shape == expect.shape
         d = np.linalg.norm(np.sort(got, axis=0) - np.sort(expect, axis=0), axis=1)
@@ -144,7 +143,7 @@ class TestExtractRegions:
         regions = extract_regions(frame, segment(frame), PCFG)
         for reg in regions:
             fids = reg.crop.feature_ids
-            models = np.unique(fids // 1_000_000)
+            models = np.unique(np.searchsorted(library.point_offsets, fids, side="right"))
             assert len(models) == 1
 
 
@@ -447,9 +446,9 @@ def random_fids(library, rng, h, w, hole_rate):
     with holes (-1) at ``hole_rate``; ids may repeat."""
     models = rng.integers(len(library), size=2)
     which = models[rng.integers(2, size=(h, w))]
-    sizes = np.diff(library.point_offsets)
-    local = (rng.random((h, w)) * sizes[which]).astype(np.int64)
-    return np.where(rng.random((h, w)) < hole_rate, -1, which * FEATURE_ID_STRIDE + local)
+    o = library.point_offsets
+    rows = o[which] + (rng.random((h, w)) * (o[which + 1] - o[which])).astype(np.int64)
+    return np.where(rng.random((h, w)) < hole_rate, -1, rows)
 
 
 def pooled(backend, regions):
@@ -875,7 +874,7 @@ class TestDatabaseIO:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_dump_unsupported(self, members, version, tmp_path, capsys):
         path = tmp_path / f"v{version}.npz"
         if version == 2:

@@ -19,7 +19,6 @@ from mvor.errors import (
 )
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.sim import (
-    FEATURE_ID_STRIDE,
     Placement,
     Rect,
     SceneState,
@@ -65,11 +64,16 @@ def model_rows(library, m):
     return slice(library.point_offsets[m], library.point_offsets[m + 1])
 
 
+def owning_model(library, feature_ids):
+    """The model whose row slice holds each feature id."""
+    return np.searchsorted(library.point_offsets, feature_ids, side="right") - 1
+
+
 def reference_descriptors_for(library, feature_ids):
-    """The lookup as first written: one masked gather per model, from that
-    model's block of the descriptor column."""
-    model_ids = feature_ids // FEATURE_ID_STRIDE
-    local = feature_ids % FEATURE_ID_STRIDE
+    """The lookup as a per-model loop: one masked gather per model, from
+    that model's block of the descriptor column."""
+    model_ids = owning_model(library, feature_ids)
+    local = feature_ids - library.point_offsets[model_ids]
     out = np.empty((feature_ids.shape[0], library.point_descriptors.shape[1]))
     for mid in np.unique(model_ids):
         sel = model_ids == mid
@@ -110,11 +114,11 @@ class TestModelLibrary:
     def test_feature_ids_globally_unique(self, library):
         counts = np.diff(library.point_offsets)
         all_ids = np.concatenate(
-            [m * FEATURE_ID_STRIDE + np.arange(n) for m, n in enumerate(counts)]
+            [np.arange(n) + library.point_offsets[m] for m, n in enumerate(counts)]
         )
-        assert len(np.unique(all_ids)) == len(all_ids)
+        np.testing.assert_array_equal(all_ids, np.arange(library.point_offsets[-1]))
         np.testing.assert_array_equal(
-            all_ids // FEATURE_ID_STRIDE, np.repeat(np.arange(len(library)), counts)
+            owning_model(library, all_ids), np.repeat(np.arange(len(library)), counts)
         )
         # every point's id looks up that point's own descriptor row
         np.testing.assert_array_equal(library.descriptors_for(all_ids), library.point_descriptors)
@@ -130,7 +134,7 @@ class TestModelLibrary:
     def test_descriptor_lookup(self, library):
         local = np.array([5, 17, 3])
         np.testing.assert_array_equal(
-            library.descriptors_for(2 * FEATURE_ID_STRIDE + local),
+            library.descriptors_for(library.point_offsets[2] + local),
             library.point_descriptors[model_rows(library, 2)][local],
         )
 
@@ -140,28 +144,20 @@ class TestModelLibrary:
         counts = np.diff(library.point_offsets)
         models = np.array([m % len(library) for m, _ in picks], dtype=np.int64)
         local = np.array([r % counts[m] for m, (_, r) in zip(models, picks)], dtype=np.int64)
-        ids = models * FEATURE_ID_STRIDE + local
+        ids = library.point_offsets[models] + local
         np.testing.assert_array_equal(
             library.descriptors_for(ids), reference_descriptors_for(library, ids)
         )
 
-    @pytest.mark.parametrize(
-        "case",
-        ["unknown model", "negative id", "negative model", "past model 0", "past last model"],
-    )
+    @pytest.mark.parametrize("case", ["negative id", "past the last row"])
     def test_id_naming_no_point_raises(self, library, case):
-        counts = np.diff(library.point_offsets)
-        last = len(library) - 1
         fid = {
-            "unknown model": len(library) * FEATURE_ID_STRIDE,
+            # a bare gather at -1 would read the last row
             "negative id": -1,
-            "negative model": -3 * FEATURE_ID_STRIDE + 5,
-            # a bare gather at o[0] + counts[0] would read model 1's first row
-            "past model 0": counts[0],
-            "past last model": last * FEATURE_ID_STRIDE + counts[last],
+            "past the last row": library.point_offsets[-1],
         }[case]
-        with pytest.raises(UnknownFeature):
-            library.descriptors_for(np.array([FEATURE_ID_STRIDE + 2, fid]))
+        with pytest.raises(UnknownFeature, match=rf"\[{fid}\]"):
+            library.descriptors_for(np.array([2, fid]))
 
     def test_points_past_model_points_grow_the_columns(self):
         # 3 points cannot cover a box's 5 faces or an L-prism's 7 at one
@@ -299,7 +295,7 @@ class TestRender:
         seen = frame.feature_ids
         # oracle: points whose normal faces a straight-down camera
         up = library.normals[model_rows(library, m), 2] > 1e-9
-        top_ids = set((m * FEATURE_ID_STRIDE + np.flatnonzero(up)).tolist())
+        top_ids = set((library.point_offsets[m] + np.flatnonzero(up)).tolist())
         assert len(seen) > 50
         assert set(seen.tolist()) <= top_ids
 
@@ -363,10 +359,34 @@ class TestRender:
         n = len(frame.feature_ids)
         for k in range(0, n, max(1, n // 200)):
             placement = inst.initial.placements[frame.instance_ids[k]]
-            m, row = divmod(int(frame.feature_ids[k]), FEATURE_ID_STRIDE)
-            assert m == placement.model_id
-            pt = geo.lift(placement.pose).apply(library.points[model_rows(library, m)][row])
+            fid = frame.feature_ids[k]
+            rows = model_rows(library, placement.model_id)
+            assert rows.start <= fid < rows.stop
+            pt = geo.lift(placement.pose).apply(library.points[fid])
             np.testing.assert_allclose(world[k], pt, atol=1e-9)
+
+    def test_ids_stay_distinct_past_a_million_points_per_model(self):
+        # two models of 1,000,001 points: ids that encoded (model, point)
+        # with a stride of 1,000,000 would give model 0's last point and
+        # model 1's first the same id, and name model 1's points off by one
+        config = SimConfig(
+            model_points=1_000_001, library_size=2, point_descriptor_dim=1,
+            object_count_min=2, object_count_max=2,
+        )
+        big = generate_model_library(config)
+        inst = generate_instance(config, big, seed=0)
+        intr = config.intrinsics()
+        frame = render(inst.initial, inst.ring_viewpoints[0], intr, big)
+        world = geo.back_project_pixels(intr, geo.invert(frame.viewpoint), frame.px, frame.depth)
+        seen = [frame.instance_ids == i for i in range(2)]
+        assert seen[0].any() and seen[1].any()
+        assert not np.intersect1d(frame.feature_ids[seen[0]], frame.feature_ids[seen[1]]).size
+        for hits, placement in zip(seen, inst.initial.placements):
+            ids = frame.feature_ids[hits]
+            rows = model_rows(big, placement.model_id)
+            assert np.all((ids >= rows.start) & (ids < rows.stop))
+            posed = geo.lift(placement.pose).apply(big.points[ids])
+            np.testing.assert_allclose(world[hits], posed, atol=1e-9)
 
     def test_render_deterministic(self, config, library):
         inst = generate_instance(config, library, seed=8)
