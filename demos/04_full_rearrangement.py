@@ -12,7 +12,6 @@ succeed. (ROADMAP item 4 plans to move the blocker instead.)
 
 import numpy as np
 
-from mvor import geometry as geo
 from mvor.bench import BenchConfig, complete_scene, scene_outcome
 from mvor.geometry import PlanarTransform
 from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
@@ -45,16 +44,7 @@ goal_scene = SceneState(
     ),
 )
 instance = RearrangementInstance(
-    initial=initial_scene,
-    goal=goal_scene,
-    true_offsets=[
-        geo.planar_compose(g.pose, geo.planar_invert(i.pose))
-        for i, g in zip(initial_scene.placements, goal_scene.placements)
-    ],
-    home_viewpoint=config.home_viewpoint(),
-    ring_viewpoints=config.ring_viewpoints(),
-    seed=12,
-    config=config,
+    initial=initial_scene, goal=goal_scene, seed=12, config=config
 )
 _, result = complete_scene(instance, library, backend, cfg)
 outcome = scene_outcome(instance, result, cfg.planner)

@@ -206,6 +206,9 @@ def cmd_localize(args) -> int:
             f"config descriptor_dim is {cfg.perception.descriptor_dim}"
         )
     library = _instance_library(args.instance, inst.config)
+    # checked once here: the feature_id matcher never reads the library, so
+    # ids naming no row would only ever fail to match
+    library.check_feature_ids(db.crop_feature_ids)
     backend = cfg.perception.make_backend(library)
     matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
     goal_regions = scene_goal_regions(inst, library, backend, cfg)

@@ -61,11 +61,6 @@ class Pose3:
     def identity() -> "Pose3":
         return Pose3(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m) -> "Pose3":
-        m = np.asarray(m, dtype=float)
-        return Pose3(m[:3, :3], m[:3, 3])
-
     @property
     def matrix(self) -> np.ndarray:
         m = np.eye(4)

@@ -53,8 +53,10 @@ class SimConfig:
             raise ValueError("object count range is empty")
         if self.rotation_regime not in ROTATION_REGIMES:
             raise ValueError(f"unknown rotation regime {self.rotation_regime!r}")
+        # a view is derived per ring step whenever an instance is built or
+        # loaded: one per degree of azimuth at most
         check_bounds(self, {
-            "ring_count": (1, None),
+            "ring_count": (1, 360),
             "library_size": (1, None),
             "library_seed": (0, None),
             "min_clearance": (0, None),

@@ -11,15 +11,16 @@ memory-map the ``library/`` beside it instead of generating the library;
 its header must carry ``models.LIBRARY_VERSION`` and name the instance's
 config.
 
-An instance file is a single JSON document carrying the table bounds, a
-model-library reference (seed + size), initial and goal placements, the
-per-object true planar offsets, the viewpoint poses as 4x4 row-major
-matrices, and a full config echo. Floats round-trip bit-exactly through
-JSON because Python serializes them via repr. Loading checks the presence
-and type of every member, that every number is finite, that the table
-bounds are ordered, the config's values, that the library reference is the
-config's ``library_seed``/``library_size`` and that every model id lies in
-the library, and raises ConfigParseError on a malformed document.
+An instance file is a single JSON document holding only what was drawn:
+``format``, ``version``, ``seed``, the ``initial`` and ``goal`` placements
+and the full ``config`` echo. The table bounds, the viewpoints and the
+true offsets are derived from the config and the placements when the file
+is loaded, so the config echo governs them. Floats round-trip bit-exactly
+through JSON because Python serializes them via repr. Loading checks the
+presence and type of every member, that every number is finite, the
+config's values, that both placement lists have the same length and that
+every model id lies in the library, and raises ConfigParseError on a
+malformed document.
 """
 
 from __future__ import annotations
@@ -27,22 +28,16 @@ from __future__ import annotations
 import numbers
 import os
 
-import numpy as np
-
 from ..errors import ConfigParseError
-from ..geometry import PlanarTransform, Pose3
+from ..geometry import PlanarTransform
 from ..serialize import dump_json, from_dict, is_finite, load_json, make_dirs, to_dict
 from .config import SimConfig
-from .scene import Placement, RearrangementInstance, Rect, SceneState
+from .scene import Placement, RearrangementInstance, Rect, SceneState, _table_rect
 
 INSTANCE_FORMAT = "mvor-instance"
 DATASET_FORMAT = "mvor-dataset"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 LIBRARY_DIR = "library"
-
-
-def _pose_to_rows(p: Pose3):
-    return [[float(v) for v in row] for row in p.matrix]
 
 
 def _placements_to_list(scene: SceneState):
@@ -63,20 +58,12 @@ def _placements_from_list(items, bounds: Rect) -> SceneState:
 
 
 def instance_to_dict(inst: RearrangementInstance) -> dict:
-    b = inst.initial.table_bounds
     return {
         "format": INSTANCE_FORMAT,
         "version": FORMAT_VERSION,
         "seed": inst.seed,
-        "library": {"seed": inst.config.library_seed, "size": inst.config.library_size},
-        "table_bounds": [b.xmin, b.ymin, b.xmax, b.ymax],
         "initial": _placements_to_list(inst.initial),
         "goal": _placements_to_list(inst.goal),
-        "true_offsets": [
-            {"yaw": o.yaw, "tx": o.tx, "ty": o.ty} for o in inst.true_offsets
-        ],
-        "home_viewpoint": _pose_to_rows(inst.home_viewpoint),
-        "ring_viewpoints": [_pose_to_rows(p) for p in inst.ring_viewpoints],
         "config": to_dict(inst.config),
     }
 
@@ -100,17 +87,11 @@ def _conforms(value, schema) -> bool:
     )
 
 
-_PLANAR = {"yaw": float, "tx": float, "ty": float}
-_MATRIX = ((float,) * 4,) * 4
+_PLACEMENT = {"model_id": int, "yaw": float, "tx": float, "ty": float}
 _MEMBERS = {
     "config": dict,
-    "library": {"seed": int, "size": int},
-    "table_bounds": (float,) * 4,
-    "initial": [{"model_id": int, **_PLANAR}],
-    "goal": [{"model_id": int, **_PLANAR}],
-    "true_offsets": [_PLANAR],
-    "home_viewpoint": _MATRIX,
-    "ring_viewpoints": [_MATRIX],
+    "initial": [_PLACEMENT],
+    "goal": [_PLACEMENT],
     "seed": int,
 }
 
@@ -127,22 +108,11 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
     for name, schema in _MEMBERS.items():
         if not _conforms(data.get(name), schema):
             raise ConfigParseError(f"instance member {name!r} is missing, malformed or not finite")
-    xmin, ymin, xmax, ymax = data["table_bounds"]
-    if not (xmin < xmax and ymin < ymax):
-        raise ConfigParseError(
-            f"instance member 'table_bounds' {data['table_bounds']} is not "
-            "[xmin, ymin, xmax, ymax] with xmin < xmax and ymin < ymax"
-        )
     if data["seed"] < 0:
         raise ConfigParseError(f"instance member 'seed' is negative ({data['seed']})")
-    if not len(data["initial"]) == len(data["goal"]) == len(data["true_offsets"]):
-        raise ConfigParseError("instance placements and true offsets differ in length")
+    if len(data["initial"]) != len(data["goal"]):
+        raise ConfigParseError("instance members 'initial' and 'goal' differ in length")
     config = from_dict(SimConfig, data["config"], "config")
-    library = {"seed": config.library_seed, "size": config.library_size}
-    if data["library"] != library:
-        raise ConfigParseError(
-            f"instance member 'library' {data['library']} disagrees with its config's {library}"
-        )
     for name in ("initial", "goal"):
         ids = [p["model_id"] for p in data[name]]
         if not all(0 <= i < config.library_size for i in ids):
@@ -150,15 +120,10 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
                 f"instance member {name!r}: model ids {ids} outside the library's "
                 f"[0, {config.library_size})"
             )
-    bounds = Rect(*data["table_bounds"])
+    bounds = _table_rect(config)
     return RearrangementInstance(
         initial=_placements_from_list(data["initial"], bounds),
         goal=_placements_from_list(data["goal"], bounds),
-        true_offsets=[
-            PlanarTransform(o["yaw"], o["tx"], o["ty"]) for o in data["true_offsets"]
-        ],
-        home_viewpoint=Pose3.from_matrix(np.array(data["home_viewpoint"])),
-        ring_viewpoints=[Pose3.from_matrix(np.array(m)) for m in data["ring_viewpoints"]],
         seed=int(data["seed"]),
         config=config,
     )

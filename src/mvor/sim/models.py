@@ -58,9 +58,8 @@ class ModelLibrary:
     def __len__(self) -> int:
         return len(self.family)
 
-    def descriptors_for(self, feature_ids: np.ndarray) -> np.ndarray:
-        """The fixed per-point descriptors of an array of feature ids, as one
-        gather; an id that names no library row raises UnknownFeature."""
+    def check_feature_ids(self, feature_ids: np.ndarray) -> None:
+        """Raise UnknownFeature if an id names no library row."""
         feature_ids = np.asarray(feature_ids)
         unknown = (feature_ids < 0) | (feature_ids >= self.point_offsets[-1])
         if unknown.any():
@@ -68,6 +67,11 @@ class ModelLibrary:
             raise UnknownFeature(
                 f"feature ids {bad} name no point of the {len(self)}-model library"
             )
+
+    def descriptors_for(self, feature_ids: np.ndarray) -> np.ndarray:
+        """The fixed per-point descriptors of an array of feature ids, as one
+        gather; an id that names no library row raises UnknownFeature."""
+        self.check_feature_ids(feature_ids)
         return self.point_descriptors[feature_ids]
 
 

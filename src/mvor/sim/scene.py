@@ -7,7 +7,7 @@ disc lies inside the table bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,13 +68,26 @@ class SceneState:
 
 @dataclass
 class RearrangementInstance:
+    """One task: the initial and goal placements drawn for ``seed`` under
+    ``config``. Derived, not stored: ``true_offsets`` (per object, goal =
+    offset o initial) from the two placement lists, and ``home_viewpoint``
+    and ``ring_viewpoints`` from the config."""
+
     initial: SceneState
     goal: SceneState
-    true_offsets: list[PlanarTransform]  # per object: goal = offset o initial
-    home_viewpoint: Pose3
-    ring_viewpoints: list[Pose3]
     seed: int
     config: SimConfig
+    true_offsets: list[PlanarTransform] = field(init=False)
+    home_viewpoint: Pose3 = field(init=False)
+    ring_viewpoints: list[Pose3] = field(init=False)
+
+    def __post_init__(self):
+        self.true_offsets = [
+            planar_compose(g.pose, planar_invert(i.pose))
+            for i, g in zip(self.initial.placements, self.goal.placements)
+        ]
+        self.home_viewpoint = self.config.home_viewpoint()
+        self.ring_viewpoints = self.config.ring_viewpoints()
 
 
 def _table_rect(config: SimConfig) -> Rect:
@@ -147,26 +160,18 @@ def generate_instance(
     yaw_lo, yaw_hi = config.yaw_range()
     init_placed: list[tuple[float, float, float]] = []
     init_poses: list[PlanarTransform] = []
-    offsets: list[PlanarTransform] = []
     for r, goal_pose in zip(radii, goal_poses):
         dyaw = rng.uniform(yaw_lo, yaw_hi)
         pose = sampler.sample(area, r, init_placed, yaw=goal_pose.yaw - dyaw)
         init_poses.append(pose)
         init_placed.append((pose.tx, pose.ty, r))
-        offsets.append(planar_compose(goal_pose, planar_invert(pose)))
 
     mk = lambda poses: SceneState(
         bounds,
         tuple(Placement(m, p) for m, p in zip(model_ids, poses)),
     )
     return RearrangementInstance(
-        initial=mk(init_poses),
-        goal=mk(goal_poses),
-        true_offsets=offsets,
-        home_viewpoint=config.home_viewpoint(),
-        ring_viewpoints=config.ring_viewpoints(),
-        seed=seed,
-        config=config,
+        initial=mk(init_poses), goal=mk(goal_poses), seed=seed, config=config
     )
 
 

@@ -151,19 +151,7 @@ def test_criterion_4_task_completion():
 
 
 def _manual_instance(initial, goal, config):
-    offsets = [
-        geo.planar_compose(gp.pose, geo.planar_invert(ip.pose))
-        for ip, gp in zip(initial.placements, goal.placements)
-    ]
-    return RearrangementInstance(
-        initial=initial,
-        goal=goal,
-        true_offsets=offsets,
-        home_viewpoint=config.home_viewpoint(),
-        ring_viewpoints=config.ring_viewpoints(),
-        seed=0,
-        config=config,
-    )
+    return RearrangementInstance(initial=initial, goal=goal, seed=0, config=config)
 
 
 def test_criterion_5_planner_swap_and_conflict_free():

@@ -656,18 +656,21 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("command", ["build-db", "rearrange"])
-    def test_version_1_instance_exits_2(self, files, command, tmp_path, capsys):
-        """A version-1 file echoes the deleted ``sim.seed``; it is refused by
-        its version, not as a config with an unknown field."""
+    def test_old_version_instance_exits_2(self, files, version, command, tmp_path, capsys):
+        """A version-1 file echoes the deleted ``sim.seed`` and a version-2
+        file stores the viewpoints, table and true offsets its config and
+        placements give; each is refused by its version, not by a member."""
         doc = json.loads((files / "instance.json").read_text())
-        doc["version"] = 1
-        doc["config"]["seed"] = 0
-        path = tmp_path / "v1.json"
+        doc["version"] = version
+        if version == 1:
+            doc["config"]["seed"] = 0
+        path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli_main([command, "--instance", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "unsupported instance version 1" in capsys.readouterr().err
+        assert f"unsupported instance version {version}" in capsys.readouterr().err
 
     def test_localize_rejects_other_library_size(self, files, tmp_path, capsys):
         """The database comes from the 12-model library of seed 7; an
@@ -686,17 +689,19 @@ class TestCliInstanceFiles:
         assert "library_size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shift", ["negative", "past the last row"])
-    def test_localize_rejects_ids_naming_no_row(self, files, shift, tmp_path, capsys):
+    @pytest.mark.parametrize("matcher", ["feature_id", "descriptor_nn"])
+    def test_localize_rejects_ids_naming_no_row(self, files, matcher, shift, tmp_path, capsys):
         """A current-version database whose feature ids name no row of the
-        instance's library exits 2 on the descriptor_nn path, rather than
-        gathering the descriptors of other points."""
+        instance's library exits 2, rather than gathering the descriptors of
+        other points (descriptor_nn) or rejecting every estimate with exit 0
+        (feature_id, which matches ids without reading the library)."""
         db, header = load_database(files / "db.npz")
         rows = generate_model_library(SimConfig()).point_offsets[-1]
         db.crop_feature_ids = db.crop_feature_ids + (-rows if shift == "negative" else rows)
         save_database(db, tmp_path / "db.npz", header)
-        nn = tmp_path / "nn.json"
-        nn.write_text(json.dumps({"localization": {"matcher": "descriptor_nn"}}))
-        argv = ["localize", "--config", str(nn), "--db", str(tmp_path / "db.npz"),
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"localization": {"matcher": matcher}}))
+        argv = ["localize", "--config", str(cfg), "--db", str(tmp_path / "db.npz"),
                 "--instance", str(files / "instance.json"), "--out", str(tmp_path / "poses.json")]
         capsys.readouterr()
         assert cli_main(argv) == 2
@@ -831,9 +836,7 @@ class TestCliMalformedValues:
             ("config", "image_width", 10**400),  # was an OverflowError
             ("initial", "yaw", float("nan")),  # was accepted, exit 0
             ("goal", "tx", float("inf")),
-            ("true_offsets", "ty", -float("inf")),
-            ("home_viewpoint", 2, float("nan")),  # was accepted, exit 0
-            ("ring_viewpoints", 1, [0.0, 0.0, float("nan"), 0.0]),
+            ("config", "ring_count", 10**400),  # was loaded: the stored views were used
         ],
     )
     def test_instance_value(self, instance_doc, member, key, value, tmp_path, capsys):
@@ -845,23 +848,6 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(doc))
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--instance", str(path), "--out", out], capsys)
-
-    @pytest.mark.parametrize(
-        "bounds",
-        [
-            [0.5, 0.5, -0.5, -0.5],  # was a ValueError from find_buffer_pose
-            [-0.5, -0.5, -0.5, 0.5],
-            [-0.5, 0.2, 0.5, 0.2],
-        ],
-    )
-    def test_unordered_table_bounds(self, instance_doc, bounds, tmp_path, capsys):
-        doc = dict(instance_doc, table_bounds=bounds)
-        with pytest.raises(ConfigParseError, match="table_bounds"):
-            instance_from_dict(doc)
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(doc))
-        out = str(tmp_path / "run")
-        self._exits_2(["rearrange", "--instance", str(path), "--out", out], capsys)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -921,6 +907,8 @@ class TestCliMalformedValues:
             {"planner": {"collision_margin": -0.3}},  # apply_move refused the planned move
             {"planner": {"success_yaw_deg": -1}},
             {"planner": {"success_t_cm": 0}},
+            {"sim": {"ring_count": 361}},  # at most one view per degree of azimuth
+            {"sim": {"ring_count": 10**400}},  # was an OverflowError drawing the views
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):

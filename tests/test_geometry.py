@@ -143,9 +143,11 @@ class TestPoseAlgebra:
 
     def test_matrix_roundtrip(self):
         p = random_pose(np.random.default_rng(5))
-        q = Pose3.from_matrix(p.matrix)
-        np.testing.assert_allclose(q.rotation, p.rotation)
-        np.testing.assert_allclose(q.translation, p.translation)
+        m = p.matrix
+        np.testing.assert_array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
+        q = Pose3(m[:3, :3], m[:3, 3])
+        np.testing.assert_array_equal(q.rotation, p.rotation)
+        np.testing.assert_array_equal(q.translation, p.translation)
 
 
 class TestPlanar:

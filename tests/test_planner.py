@@ -45,20 +45,7 @@ def scene_of(poses, bounds=Rect(-0.5, -0.5, 0.5, 0.5), model_ids=None):
 
 
 def instance_of(initial, goal, config=None):
-    config = config or SimConfig()
-    offsets = [
-        geo.planar_compose(g.pose, geo.planar_invert(i.pose))
-        for i, g in zip(initial.placements, goal.placements)
-    ]
-    return RearrangementInstance(
-        initial=initial,
-        goal=goal,
-        true_offsets=offsets,
-        home_viewpoint=config.home_viewpoint(),
-        ring_viewpoints=config.ring_viewpoints(),
-        seed=0,
-        config=config,
-    )
+    return RearrangementInstance(initial=initial, goal=goal, seed=0, config=config or SimConfig())
 
 
 def exact_estimates(inst):

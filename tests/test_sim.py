@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
+from mvor.cli import main as cli_main
 from mvor.errors import (
     CollisionAtTarget,
     ConfigParseError,
@@ -18,6 +19,7 @@ from mvor.errors import (
     UnknownFeature,
 )
 from mvor.geometry import PlanarTransform, Pose3
+from mvor.perception import load_database
 from mvor.sim import (
     Placement,
     Rect,
@@ -487,19 +489,52 @@ class TestInstanceIO:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_dict_fields(self, config, library):
+        """A version-3 document holds only what was drawn."""
         inst = generate_instance(config, library, seed=2)
         d = instance_to_dict(inst)
-        assert d["format"] == "mvor-instance"
-        assert len(d["ring_viewpoints"]) == config.ring_count
-        assert len(d["initial"]) == len(d["goal"]) == len(d["true_offsets"])
+        assert sorted(d) == ["config", "format", "goal", "initial", "seed", "version"]
+        assert d["format"] == "mvor-instance" and d["version"] == 3
+        assert len(d["initial"]) == len(d["goal"]) == inst.initial.num_objects
         json.dumps(d)  # JSON-able throughout
         back = instance_from_dict(d)
         assert back.seed == inst.seed
 
-    MEMBERS = [
-        "config", "table_bounds", "initial", "goal", "true_offsets",
-        "home_viewpoint", "ring_viewpoints", "seed", "library",
-    ]
+    MEMBERS = ["config", "initial", "goal", "seed"]
+
+    @pytest.mark.parametrize(
+        "key, value, views, half_width", [("ring_count", 4, 4, 0.5), ("table_width", 0.6, 8, 0.3)]
+    )
+    def test_config_echo_governs(self, config, library, key, value, views, half_width, tmp_path):
+        """The viewpoints and the table are the config echo's: a stored copy
+        once kept 8 views (``build-db`` wrote 64 regions) for ``ring_count``
+        4 and a +-0.5 m table for ``table_width`` 0.6."""
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        d["config"][key] = value
+        inst = instance_from_dict(d)
+        edited = dataclasses.replace(config, **{key: value})
+        assert inst.initial.table_bounds == inst.goal.table_bounds
+        assert inst.initial.table_bounds.xmax == half_width == -inst.initial.table_bounds.xmin
+        assert len(inst.ring_viewpoints) == views
+        for got, want in zip([inst.home_viewpoint, *inst.ring_viewpoints],
+                             [edited.home_viewpoint(), *edited.ring_viewpoints()]):
+            assert np.array_equal(got.matrix, want.matrix)
+        path, out = tmp_path / "inst.json", tmp_path / "db.npz"
+        path.write_text(json.dumps(d))
+        assert cli_main(["build-db", "--instance", str(path), "--out", str(out)]) == 0
+        db, _ = load_database(out)
+        assert set(db.region_frame.tolist()) == set(range(views))
+
+    def test_true_offsets_follow_edited_placements(self, config, library):
+        """The true offsets are the placements': editing a goal yaw by 1 rad
+        once left the stored offset, and a 57.3 deg error, in place."""
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        d["goal"][0]["yaw"] += 1.0
+        inst = instance_from_dict(d)
+        assert inst.true_offsets == [
+            geo.planar_compose(g.pose, geo.planar_invert(i.pose))
+            for i, g in zip(inst.initial.placements, inst.goal.placements)
+        ]
+        assert inst.goal.placements[0].pose.yaw == d["goal"][0]["yaw"]
 
     @pytest.mark.parametrize("doc", [[], "instance", 3, None])
     def test_non_mapping_rejected(self, doc):
@@ -517,19 +552,12 @@ class TestInstanceIO:
         "member, value",
         [
             ("config", [1, 2]),
-            ("table_bounds", [-0.5, -0.5, 0.5]),
-            ("table_bounds", "abcd"),
+            ("seed", 1.5),
+            ("seed", True),
             ("initial", [{"model_id": 0, "yaw": 0.0, "tx": 0.0}]),
             ("initial", [{"model_id": "0", "yaw": 0.0, "tx": 0.0, "ty": 0.0}]),
             ("goal", {"model_id": 0}),
             ("goal", 7),
-            ("true_offsets", [{"yaw": "0", "tx": 0.0, "ty": 0.0}]),
-            ("home_viewpoint", [[1.0, 0.0, 0.0, 0.0]] * 3),
-            ("ring_viewpoints", [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, True, 1]]]),
-            ("seed", 1.5),
-            ("seed", True),
-            ("library", {"seed": 99, "size": 3}),  # was accepted: the config says 7 and 12
-            ("library", {"seed": 7}),
         ],
     )
     def test_ill_typed_member_rejected(self, config, library, member, value):
