@@ -62,14 +62,6 @@ from .sim.io import LIBRARY_DIR
 from .sim.models import LIBRARY_KEYS
 
 
-# The settings a database depends on, recorded in its header by build-db and
-# checked by localize: those the model library is generated from
-# (LIBRARY_KEYS of SimConfig), and those the descriptor backend reads
-# (PerceptionConfig).
-DESCRIPTOR_KEYS = (
-    "descriptor_dim", "norm_resolution", "pool_grid", "grid_weight",
-    "obs_bins", "obs_weight", "projection_seed",
-)
 # build-db's --view, recorded in the header, and the view mode localize
 # draws the scene's matcher noise for
 VIEW_MODE_OF = {"ring": "multi", "home": "single"}
@@ -103,7 +95,7 @@ def _instance_library(instance_path: str, sim):
 
 
 def _scene_setup(cfg: BenchConfig, args):
-    """(instance, its model library, the config's descriptor backend), the
+    """(instance, its model library, the library's descriptor backend), the
     instance loaded from ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = load_instance(args.instance)
@@ -140,8 +132,9 @@ def cmd_build_db(args) -> int:
         db,
         out,
         extra_meta={
+            # the settings the database depends on: its descriptors pool the
+            # point descriptors of the library these generate
             **{key: getattr(inst.config, key) for key in LIBRARY_KEYS},
-            **{key: getattr(cfg.perception, key) for key in DESCRIPTOR_KEYS},
             "view": args.view,
             "instance_seed": inst.seed,
         },
@@ -181,17 +174,13 @@ def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
     inst = load_instance(args.instance)
-    # a mismatched database fails before the library and backend are built
-    for keys, source, settings in (
-        (LIBRARY_KEYS, "instance", inst.config),
-        (DESCRIPTOR_KEYS, "config", cfg.perception),
-    ):
-        for key in keys:
-            if header.get(key) != getattr(settings, key):
-                raise MvorError(
-                    f"database built against {key} {header.get(key)}, "
-                    f"{source} uses {getattr(settings, key)}"
-                )
+    # a mismatched database fails before the library is loaded
+    for key in LIBRARY_KEYS:
+        if header.get(key) != getattr(inst.config, key):
+            raise MvorError(
+                f"database built against {key} {header.get(key)}, "
+                f"instance uses {getattr(inst.config, key)}"
+            )
     if header.get("instance_seed") != inst.seed:
         raise MvorError(
             f"database built against instance_seed {header.get('instance_seed')}, "
@@ -200,10 +189,12 @@ def cmd_localize(args) -> int:
     views = list(VIEW_MODE_OF)  # compared by ==: a header value need not be hashable
     if header.get("view") not in views:
         raise MvorError(f"database built against view {header.get('view')!r}, not one of {views}")
-    if db.descriptors.shape[1] != cfg.perception.descriptor_dim:
+    # the header records the width, but the column itself may disagree
+    width = inst.config.point_descriptor_dim
+    if db.descriptors.shape[1] != width:
         raise MvorError(
             f"database descriptors have width {db.descriptors.shape[1]}, "
-            f"config descriptor_dim is {cfg.perception.descriptor_dim}"
+            f"instance's sim.point_descriptor_dim is {width}"
         )
     library = _instance_library(args.instance, inst.config)
     # checked once here: the feature_id matcher never reads the library, so

@@ -33,10 +33,6 @@ class UnknownFeature(MvorError):
 
 
 # perception / database
-class EmptyRegion(MvorError):
-    """Region mask contains zero pixels."""
-
-
 class NoRegions(MvorError):
     """No object regions found in any input frame."""
 

@@ -29,43 +29,19 @@ from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, extract_regions
 
 DB_FORMAT = "mvor-db"
-DB_VERSION = 4
+DB_VERSION = 5
 
 
 @dataclass
 class PerceptionConfig:
     min_region_points: int = 10
-    descriptor_dim: int = 512
-    norm_resolution: int = 64
-    pool_grid: int = 4
-    grid_weight: float = 0.4
-    obs_bins: int = 8
-    obs_weight: float = 0.1
-    projection_seed: int = 20240
 
     def validate(self) -> None:
-        check_bounds(self, {
-            "min_region_points": (1, None),
-            "descriptor_dim": (1, None),
-            "pool_grid": (1, None),
-            "norm_resolution": (1, None),
-            "grid_weight": (0, None),
-            "obs_bins": (0, None),
-            "obs_weight": (0, None),
-            "projection_seed": (0, None),
-        })
-        if self.norm_resolution % self.pool_grid:
-            # a remainder row or column would index a cell past the grid,
-            # and a resolution below pool_grid would give cells no samples
-            raise ValueError(
-                f"norm_resolution={self.norm_resolution} is not a multiple of "
-                f"pool_grid={self.pool_grid}"
-            )
+        check_bounds(self, {"min_region_points": (1, None)})
 
     def make_backend(self, library) -> GridPooledDescriptor:
-        """The descriptor backend of ``library``, its projection drawn from
-        ``projection_seed``."""
-        return GridPooledDescriptor(library, self)
+        """The descriptor backend of ``library``."""
+        return GridPooledDescriptor(library)
 
 
 def _column(rows: str, tail: tuple = (), kind: str = "f"):
@@ -155,7 +131,7 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
 
 def describe_regions(regions: list[ObjectRegion], backend) -> None:
     """Set each region's observation direction, then the descriptors of all
-    of them (which encode those directions) in one backend call."""
+    of them in one backend call."""
     for r in regions:
         r.obs_dir = observation_vector(r.viewpoint, r.crop.world)
     for r, descriptor in zip(regions, backend.extract(regions)):

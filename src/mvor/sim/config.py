@@ -12,6 +12,8 @@ from ..geometry import CameraIntrinsics, Pose3, look_at
 from ..serialize import check_bounds
 
 ROTATION_REGIMES = ("minor", "full")
+# the largest ring and home camera radius, in metres
+MAX_CAMERA_RADIUS = 100.0
 
 
 @dataclass
@@ -68,12 +70,15 @@ class SimConfig:
         })
         # open ranges: a zero-size table or zero camera radius makes no scene
         # or view; an elevation of 0 or below puts the camera at or under the
-        # table, and 90 puts it at infinite height (tan of the elevation)
+        # table, and 90 puts it at infinite height (tan of the elevation). A
+        # camera MAX_CAMERA_RADIUS out sees a 10 cm object at under a pixel
+        # at the default focal length, and a radius near the float maximum
+        # overflows in projection
         for name, hi in (
             ("table_width", np.inf),
             ("table_depth", np.inf),
-            ("ring_radius", np.inf),
-            ("home_radius", np.inf),
+            ("ring_radius", MAX_CAMERA_RADIUS),
+            ("home_radius", MAX_CAMERA_RADIUS),
             ("ring_elevation_deg", 90),
             ("home_elevation_deg", 90),
         ):

@@ -92,13 +92,12 @@ class TestMetrics:
         assert best_effort_error(est, truth) == pytest.approx((3.0, 0.0))
 
 
-def test_import_leaves_out_scipy_ndimage_and_special():
-    """Importing the bench and the CLI loads neither scipy.ndimage nor
-    scipy.special, which together add about 0.2 s and 6 MB to start-up."""
+def test_import_leaves_out_scipy():
+    """Importing the bench and the CLI loads no scipy module: the package
+    depends on numpy alone."""
     code = (
         "import sys, mvor.bench, mvor.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.ndimage', 'scipy.special'))))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -723,40 +722,18 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [("descriptor_dim", 256), ("norm_resolution", 48), ("pool_grid", 2),
-         ("grid_weight", 0.6), ("obs_bins", 6), ("obs_weight", 0.2), ("projection_seed", 1)],
-    )
-    def test_localize_rejects_other_descriptor_settings(self, files, key, value, tmp_path,
-                                                        capsys):
-        """The database holds descriptors of the default settings. Under
-        another projection seed or pooling grid, localize once exited 0
-        while retrieval ranked the candidates at random (1 candidate
-        visited per object became 9-61)."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"perception": {key: value}}))
-        argv = ["localize", "--config", str(cfg), "--db", str(files / "db.npz"),
-                "--instance", str(files / "instance.json"), "--out", str(tmp_path / "poses.json")]
-        capsys.readouterr()
-        assert cli_main(argv) == 2
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "sim,perception", [({"library_size": 4}, {}), ({}, {"pool_grid": 2})]
-    )
-    def test_localize_checks_database_before_the_library(self, files, sim, perception,
-                                                         tmp_path, capsys, monkeypatch):
-        """A database built against another library or descriptor exits 2,
-        with the same message, before the model library is generated."""
+    @pytest.mark.parametrize("sim", [{"library_size": 4}, {"point_descriptor_dim": 128}])
+    def test_localize_checks_database_before_the_library(self, files, sim, tmp_path, capsys,
+                                                         monkeypatch):
+        """A database built against another library, or another descriptor
+        width, exits 2, with the same message, before the model library is
+        generated."""
         cfg = SimConfig(**sim, object_count_min=1, object_count_max=1)
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(instance_to_dict(
             generate_instance(cfg, generate_model_library(cfg), seed=0)
         )))
-        settings = tmp_path / "cfg.json"
-        settings.write_text(json.dumps({"perception": perception}))
-        argv = ["localize", "--config", str(settings), "--db", str(files / "db.npz"),
+        argv = ["localize", "--db", str(files / "db.npz"),
                 "--instance", str(inst), "--out", str(tmp_path / "poses.json")]
         capsys.readouterr()
         assert cli_main(argv) == 2
@@ -778,29 +755,21 @@ class TestCliInstanceFiles:
         assert objects and all(o["accepted"] for o in objects)
 
     def test_localize_rejects_other_descriptor_dim(self, files, tmp_path, capsys):
-        """A database of 256-wide descriptors once reached retrieval under
-        the default 512 and failed there with a ValueError; a zero-width
-        descriptors column loads and is rejected the same way."""
-        cfg = SimConfig(object_count_min=1, object_count_max=1)
-        inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps(instance_to_dict(
-            generate_instance(cfg, generate_model_library(cfg), seed=0)
-        )))
-        narrow = tmp_path / "narrow.json"
-        narrow.write_text(json.dumps({"perception": {"descriptor_dim": 256}}))
-        db256 = tmp_path / "db256.npz"
-        argv = ["build-db", "--config", str(narrow), "--instance", str(inst), "--out", str(db256)]
-        assert cli_main(argv) == 0
+        """A dump whose descriptors column was cut to another width than the
+        header's sim.point_descriptor_dim (256) loads, and once reached
+        retrieval and failed there with a ValueError traceback."""
         with np.load(files / "db.npz") as npz:
             members = {name: npz[name] for name in npz.files}
-        empty = tmp_path / "empty.npz"
-        np.savez(empty, **dict(members, descriptors=members["descriptors"][:, :0]))
-        for db in (db256, empty):
-            argv = ["localize", "--db", str(db), "--instance", str(inst),
+        for width in (0, 128):
+            cut = tmp_path / f"cut{width}.npz"
+            np.savez(cut, **dict(members, descriptors=members["descriptors"][:, :width]))
+            argv = ["localize", "--db", str(cut), "--instance", str(files / "instance.json"),
                     "--out", str(tmp_path / "poses.json")]
             capsys.readouterr()
             assert cli_main(argv) == 2
-            assert "descriptor_dim" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"width {width}" in err and "sim.point_descriptor_dim is 256" in err
 
 
 # values that replace one member of a valid instance document when fuzzing
@@ -885,10 +854,10 @@ class TestCliMalformedValues:
             {"scenes": 2.5},
             {"include_single_view": 1},
             {"localization": {"sigma_px": True}},
-            {"perception": {"pool_grid": 0}},  # was a ZeroDivisionError
+            {"perception": {"min_region_points": 0}},
             {"perception": {"kmeans_restarts": 0}},  # a removed setting: an unknown field
-            {"perception": {"norm_resolution": 2}},  # was a misleading EmptyRegion
-            {"perception": {"norm_resolution": 10}},  # was accepted: cell row 4 of 4
+            {"sim": {"ring_radius": 1e308}},  # was numpy overflow warnings, then exit 2
+            {"sim": {"home_radius": 100.5}},  # at most MAX_CAMERA_RADIUS
             {"localization": {"top_n": 0}},  # was a ValueError from bincount
             {"localization": {"ransac_confidence": 1.0}},
             {"localization": {"outlier_rate": 1.5}},
@@ -919,6 +888,22 @@ class TestCliMalformedValues:
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--config", str(path), "--out", out], capsys)
 
+    @pytest.mark.parametrize("key", ["ring_radius", "home_radius"])
+    def test_camera_radius_past_the_bound(self, key, tmp_path):
+        """A radius near the float maximum once made build-db print numpy's
+        overflow warnings before it exited 2; now the config is refused
+        first, and stderr holds only the error line."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": {key: 1e308}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvor.cli", "build-db", "--config", str(path),
+             "--out", str(tmp_path / "db.npz")],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert key in proc.stderr
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_gen_count_below_one(self, count, tmp_path, capsys):
         # --count 0 once wrote the config's 50 instances, -2 an empty dataset
@@ -943,10 +928,9 @@ class TestCliMalformedValues:
     @pytest.mark.parametrize(
         "command, config, setting",
         [
-            ("build-db", {"perception": {"descriptor_dim": 2**60}}, "perception.descriptor_dim"),
+            ("build-db", {"sim": {"model_points": 2**60}}, "sim.model_points"),
             ("build-db", {"sim": {"point_descriptor_dim": 2**60}}, "sim.point_descriptor_dim"),
             ("gen", {"sim": {"point_descriptor_dim": 2**60}}, "sim.point_descriptor_dim"),
-            # the library fails on the calling thread while the worker draws
             ("build-db", {"sim": {"library_size": 2**60}}, "sim.library_size"),
         ],
     )
@@ -962,7 +946,7 @@ class TestCliMalformedValues:
     @pytest.mark.parametrize(
         "command, config, setting",
         [
-            ("build-db", {"perception": {"descriptor_dim": 10**9}}, "perception.descriptor_dim"),
+            ("build-db", {"sim": {"point_descriptor_dim": 10**9}}, "sim.point_descriptor_dim"),
             ("gen", {"sim": {"point_descriptor_dim": 10**9}}, "sim.point_descriptor_dim"),
         ],
     )

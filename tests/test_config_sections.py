@@ -72,6 +72,16 @@ def test_kmeans_settings_are_gone():
             from_dict(PerceptionConfig, {name: 1})
 
 
+def test_grid_pooling_settings_are_gone():
+    """The descriptor pools the library's point descriptors and has no
+    settings: region extraction's threshold is all perception holds."""
+    assert [f.name for f in dataclasses.fields(PerceptionConfig)] == ["min_region_points"]
+    for name in ("descriptor_dim", "norm_resolution", "pool_grid", "grid_weight",
+                 "obs_bins", "obs_weight", "projection_seed"):
+        with pytest.raises(ConfigParseError, match=name):
+            from_dict(PerceptionConfig, {name: 1})
+
+
 def test_generate_instance_seed_is_required():
     seed = inspect.signature(generate_instance).parameters["seed"]
     assert seed.default is inspect.Parameter.empty

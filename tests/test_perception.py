@@ -10,7 +10,7 @@ from scipy import ndimage
 
 from mvor import geometry as geo
 from mvor.cli import main as cli_main
-from mvor.errors import EmptyRegion, IOFailure, NoRegions
+from mvor.errors import IOFailure, NoRegions
 from mvor.geometry import PlanarTransform
 from mvor.perception import (
     PerceptionConfig,
@@ -23,7 +23,6 @@ from mvor.perception import (
     save_database,
 )
 from mvor.perception.database import DB_ARRAYS, Database
-from mvor.perception.descriptor import _line_counts
 from mvor.perception.regions import ObjectRegion, RegionCrop
 from mvor.sim import (
     Placement,
@@ -76,30 +75,6 @@ def ring_frames(scene, library, config=CFG):
 def db_for(scene, library, backend, frames=None):
     frames = frames if frames is not None else ring_frames(scene, library)
     return build_database(frames, backend, PCFG)
-
-
-class TestSquarePadMap:
-    """The descriptor's pad-to-square + resize map, as ``_line_counts``
-    applies it."""
-
-    def test_source_grid_covers_crop(self):
-        """The descriptor's grid lines over a 20 x 40 crop at resolution 64
-        read every crop row and column; the padded rows take 32 grid lines."""
-        for length, lines in ((20, 32), (40, 64)):
-            starts, _, count = _line_counts(np.array([length]), np.array([40]), 64, 4)
-            assert len(starts) == length + 1
-            assert (np.diff(starts) > 0).all()
-            assert count.sum() == lines
-
-    def test_grid_consistent_with_to_norm(self):
-        # forward-mapping a source pixel center must land on grid lines that
-        # read it back; with one cell per grid line, the cells are the lines.
-        # A 10 x 10 crop pads nothing; resolution 40 scales it by 4.
-        pad, scale = 0, 40 / 10
-        x, y = (np.array([3.0, 7.0]) + pad + 0.5) * scale - 0.5
-        starts, lines, _ = _line_counts(np.array([10]), np.array([10]), 40, 40)
-        for crop_line, grid_line in ((3, x), (7, y)):
-            assert int(round(grid_line)) in lines[starts[crop_line] : starts[crop_line + 1]]
 
 
 class TestExtractRegions:
@@ -272,13 +247,52 @@ class TestHitFrameRegions:
         assert checked >= 30
 
 
+def reference_descriptor(library, region):
+    """A region's pooled point codes as the descriptor is defined: the
+    normalized sum of the point descriptors at its sorted feature ids."""
+    pooled = library.point_descriptors[np.sort(region.crop.feature_ids)].sum(0)
+    return pooled / np.linalg.norm(pooled)
+
+
+def fid_region(feature_ids):
+    """A region carrying only the hits of a dense feature-id grid, all
+    the descriptor reads."""
+    h, w = feature_ids.shape
+    crop = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
+    return ObjectRegion(crop, geo.Pose3.identity(), 0, 0)
+
+
+def random_fids(library, rng, h, w, hole_rate):
+    """An (h, w) feature-id grid drawn from the points of two random models,
+    with holes (-1) at ``hole_rate`` and at least one hit; ids may repeat."""
+    models = rng.integers(len(library), size=2)
+    which = models[rng.integers(2, size=(h, w))]
+    o = library.point_offsets
+    rows = o[which] + (rng.random((h, w)) * (o[which + 1] - o[which])).astype(np.int64)
+    holes = rng.random((h, w)) < hole_rate
+    holes.flat[rng.integers(h * w)] = False
+    return np.where(holes, -1, rows)
+
+
+def shuffled_hits(region, rng):
+    """``region`` with its hits in a random order."""
+    order = rng.permutation(len(region.crop.feature_ids))
+    c = region.crop
+    crop = RegionCrop(
+        c.row0, c.col0, c.shape, c.rows[order], c.cols[order], c.feature_ids[order],
+        c.px[order], c.world[order], c.view_local[order],
+    )
+    return ObjectRegion(crop, region.viewpoint, region.frame_id, region.source_instance)
+
+
+def described_bytes(backend, regions):
+    return [row.tobytes() for row in backend.extract(regions)]
+
+
 class TestDescriptor:
     def _region(self, library, scene, view_idx=1, which=0):
         frame = ring_frames(scene, library)[view_idx]
-        regions = extract_regions(frame, segment(frame), PCFG)
-        reg = regions[which]
-        reg.obs_dir = geo.observation_vector(reg.viewpoint, reg.crop.world)
-        return reg
+        return extract_regions(frame, segment(frame), PCFG)[which]
 
     def test_deterministic(self, library, backend):
         scene = make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))])
@@ -288,25 +302,14 @@ class TestDescriptor:
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
 
-    def test_settings_come_from_the_config(self, library):
-        """The default and a small config: the projection has the config's
-        shape and the reference bits of its seed's ``rng.normal`` draw."""
-        reg = self._region(library, make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))]))
-        d_pt = library.point_descriptors.shape[1]
-        for cfg in (
-            PCFG,
-            PerceptionConfig(
-                descriptor_dim=32, norm_resolution=32, pool_grid=2, obs_bins=4, projection_seed=3
-            ),
-        ):
-            backend = cfg.make_backend(library)
-            in_dim = d_pt + cfg.pool_grid * cfg.pool_grid * d_pt + cfg.obs_bins
-            rng = np.random.default_rng(cfg.projection_seed)
-            reference = rng.normal(size=(in_dim, cfg.descriptor_dim)) / np.sqrt(in_dim)
-            assert backend.projection.shape == reference.shape
-            assert backend.projection.tobytes() == reference.tobytes()
-            y = backend.extract([reg])
-            assert y.shape == (1, cfg.descriptor_dim)
+    def test_rows_are_unit_and_library_wide(self, library):
+        """A descriptor is ``sim.point_descriptor_dim`` wide and of unit
+        norm: the default library's and a narrow one's."""
+        scene = make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))])
+        narrow = generate_model_library(SimConfig(point_descriptor_dim=8))
+        for width, lib in ((CFG.point_descriptor_dim, library), (8, narrow)):
+            y = PCFG.make_backend(lib).extract([self._region(lib, scene)])
+            assert y.shape == (1, width)
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self, library, backend):
@@ -317,7 +320,6 @@ class TestDescriptor:
             viewpoint=reg.viewpoint,
             frame_id=reg.frame_id,
             source_instance=reg.source_instance,
-            obs_dir=reg.obs_dir,
         )
         a, b = backend.extract([reg, up])
         sim = float(a @ b)
@@ -335,8 +337,6 @@ class TestDescriptor:
         descs = []
         for f in frames:
             regs = extract_regions(f, segment(f), PCFG)
-            for r in regs:
-                r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
             descs += zip((r.source_instance for r in regs), backend.extract(regs))
         for i in range(len(descs)):
             for j in range(i + 1, len(descs)):
@@ -346,8 +346,7 @@ class TestDescriptor:
 
 
 class TestDescriptorBatch:
-    """A batch is projected in one matrix product; each row is the
-    descriptor of its region alone, up to the product's summation order."""
+    """Each row of a batch has the bits of its region described alone."""
 
     @pytest.fixture(scope="class")
     def regions(self, library):
@@ -355,154 +354,57 @@ class TestDescriptorBatch:
         regions = [
             r for f in ring_frames(scene, library) for r in extract_regions(f, segment(f), PCFG)
         ]
-        for r in regions:
-            r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
         assert len(regions) >= 20
         return regions
 
     def test_rows_are_single_region_descriptors(self, backend, regions):
         batch = backend.extract(regions)
-        assert batch.shape == (len(regions), PCFG.descriptor_dim)
-        for r, row in zip(regions, batch):
-            np.testing.assert_allclose(row, backend.extract([r])[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert batch.shape == (len(regions), CFG.point_descriptor_dim)
+        assert described_bytes(backend, regions) == [
+            backend.extract([r])[0].tobytes() for r in regions
+        ]
 
     def test_permuted_batch_permutes_rows(self, backend, regions):
         order = np.random.default_rng(0).permutation(len(regions))
-        permuted = backend.extract([regions[i] for i in order])
-        np.testing.assert_allclose(permuted, backend.extract(regions)[order], rtol=0, atol=1e-12)
+        alone = described_bytes(backend, regions)
+        permuted = described_bytes(backend, [regions[i] for i in order])
+        assert permuted == [alone[i] for i in order]
 
-    def test_one_region_batch_is_the_vector_product(self, backend, regions):
-        """A one-row batch keeps the bits of projecting the region's input
-        vector alone and dividing by its norm."""
-        for r in regions[:5]:
-            y = backend._inputs([r])[0] @ backend.projection
-            assert backend.extract([r])[0].tobytes() == (y / np.linalg.norm(y)).tobytes()
-
-    def test_inputs_keep_their_bytes_in_any_batch(self, backend, regions):
-        """A region's pooled blocks sum over library rows in one order
-        whatever else is in the batch."""
-        alone = [backend._inputs([r])[0].tobytes() for r in regions]
-        assert [x.tobytes() for x in backend._inputs(regions)] == alone
-        order = np.random.default_rng(1).permutation(len(regions))
-        permuted = backend._inputs([regions[i] for i in order])
-        assert [x.tobytes() for x in permuted] == [alone[i] for i in order]
+    def test_hit_order_keeps_the_bits(self, backend, regions):
+        rng = np.random.default_rng(1)
+        shuffled = [shuffled_hits(r, rng) for r in regions]
+        assert described_bytes(backend, shuffled) == described_bytes(backend, regions)
 
     def test_empty_batch(self, backend):
-        assert backend.extract([]).shape == (0, PCFG.descriptor_dim)
+        assert backend.extract([]).shape == (0, CFG.point_descriptor_dim)
         describe_regions([], backend)
-
-    def test_empty_region_in_batch_raises(self, backend, regions):
-        empty = fid_region(np.full((7, 5), -1, dtype=np.int64))
-        empty.obs_dir = regions[0].obs_dir
-        with pytest.raises(EmptyRegion):
-            backend.extract([regions[0], empty, regions[1]])
-
-    def test_region_without_obs_dir_raises(self, backend, regions):
-        bare = ObjectRegion(regions[0].crop, regions[0].viewpoint, 0, 0)
-        with pytest.raises(ValueError, match="observation direction"):
-            backend.extract([regions[1], bare])
-
-
-def reference_pooled(backend, region):
-    """Pooling as first written: each cell of the normalized grid reads the
-    nearest pixel of the padded, resized crop, and each filled grid sample
-    adds its point descriptor to its cell with np.add.at. None when no grid
-    sample is filled."""
-    res, g = backend.config.norm_resolution, backend.config.pool_grid
-    h, w = region.crop.shape
-    side = max(h, w)
-    scale = res / side
-    lines = np.arange(res) + 0.5
-    rr = np.floor(lines / scale - (side - h) // 2).astype(int)[:, None].repeat(res, axis=1)
-    cc = np.floor(lines / scale - (side - w) // 2).astype(int)[None, :].repeat(res, axis=0)
-    valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-    dense = densify(region.crop)[0]
-    fids = np.where(valid, dense[rr.clip(0, h - 1), cc.clip(0, w - 1)], -1)
-    hit = fids >= 0
-    if not hit.any():
-        return None
-    desc = backend.library.descriptors_for(fids[hit])
-    whole = desc.sum(axis=0)
-    whole /= np.linalg.norm(whole)
-    rows, cols = np.nonzero(hit)
-    cells = np.zeros((g * g, desc.shape[1]))
-    np.add.at(cells, (rows // (res // g)) * g + cols // (res // g), desc)
-    cells = cells.ravel()
-    cells *= backend.config.grid_weight / np.linalg.norm(cells)
-    return np.concatenate([whole, cells])
-
-
-def fid_region(feature_ids):
-    """A region carrying only the hits of a dense feature-id grid (all
-    pooling reads) and an observation direction."""
-    h, w = feature_ids.shape
-    crop = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
-    return ObjectRegion(crop, geo.Pose3.identity(), 0, 0, obs_dir=np.array([1.0, 0.0, 0.0]))
-
-
-def random_fids(library, rng, h, w, hole_rate):
-    """An (h, w) feature-id grid drawn from the points of two random models,
-    with holes (-1) at ``hole_rate``; ids may repeat."""
-    models = rng.integers(len(library), size=2)
-    which = models[rng.integers(2, size=(h, w))]
-    o = library.point_offsets
-    rows = o[which] + (rng.random((h, w)) * (o[which + 1] - o[which])).astype(np.int64)
-    return np.where(rng.random((h, w)) < hole_rate, -1, rows)
-
-
-def pooled(backend, regions):
-    """The pooled blocks of ``regions``' projection inputs, one row each."""
-    return backend._inputs(regions)[:, : backend.projection.shape[0] - backend.config.obs_bins]
 
 
 class TestPooling:
-    """Pooling a batch by row and column sample counts in one sparse product
-    equals per-sample pooling up to summation order."""
+    """A region's descriptor has the bits of ``reference_descriptor``."""
 
-    @pytest.fixture(scope="class")
-    def rendered(self, library):
+    def test_rendered_regions(self, backend):
+        """Regions of the default camera, and of a long focal length whose
+        crops are several times larger."""
         scene = three_object_scene()
-        # the default camera gives crops under the normalized resolution, a
-        # long focal length crops over it
+        library = backend.library
         frames = ring_frames(scene, library) + ring_frames(
             scene, library, SimConfig(focal_px=1100.0)
         )
         regions = [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
-        for r in regions:
-            r.obs_dir = geo.observation_vector(r.viewpoint, r.crop.world)
-        return regions
-
-    @pytest.mark.parametrize("resample", ["up", "down"])
-    def test_rendered_crops(self, backend, rendered, resample):
-        res = backend.config.norm_resolution
-        picked = [
-            r for r in rendered
-            if (max(r.crop.shape) < res if resample == "up" else max(r.crop.shape) > res)
+        assert described_bytes(backend, regions) == [
+            reference_descriptor(library, r).tobytes() for r in regions
         ]
-        assert picked
-        expected = [reference_pooled(backend, r) for r in picked]
-        np.testing.assert_allclose(pooled(backend, picked), expected, rtol=0, atol=1e-12)
 
-    def test_one_pixel_region(self, backend, rendered):
-        region = fid_region(rendered[0].crop.feature_ids[:1].reshape(1, 1))
+    def test_one_pixel_region(self, library, backend):
+        point = library.point_offsets[3] + 17
+        region = fid_region(np.array([[point]]))
         np.testing.assert_allclose(
-            pooled(backend, [region])[0], reference_pooled(backend, region), rtol=0, atol=1e-12
+            backend.extract([region])[0], library.point_descriptors[point], rtol=0, atol=1e-15
         )
-
-    def test_empty_crop_raises(self, backend):
-        with pytest.raises(EmptyRegion):
-            backend._inputs([fid_region(np.full((7, 5), -1, dtype=np.int64))])
-
-    def test_unsampled_hits_raise(self, backend, rendered):
-        """A crop larger than the grid whose only hit sits on a row and a
-        column that no grid line reads."""
-        fids = np.full((200, 200), -1, dtype=np.int64)
-        fids[0, 0] = rendered[0].crop.feature_ids[0]
-        region = fid_region(fids)
-        assert reference_pooled(backend, region) is None
-        with pytest.raises(EmptyRegion):
-            backend._inputs([region])
+        assert backend.extract([region])[0].tobytes() == (
+            reference_descriptor(library, region).tobytes()
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -513,12 +415,8 @@ class TestPooling:
     )
     def test_random_feature_grids(self, backend, h, w, hole_rate, seed):
         region = fid_region(random_fids(backend.library, np.random.default_rng(seed), h, w, hole_rate))
-        expected = reference_pooled(backend, region)
-        if expected is None:
-            with pytest.raises(EmptyRegion):
-                backend._inputs([region])
-            return
-        np.testing.assert_allclose(pooled(backend, [region])[0], expected, rtol=0, atol=1e-12)
+        expected = reference_descriptor(backend.library, region)
+        assert backend.extract([region])[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -528,22 +426,15 @@ class TestPooling:
         hole_rate=st.floats(0.0, 0.95),
         seed=st.integers(0, 2**32 - 1),
     )
-    # one-pixel, padded rows, padded columns, exact and downsampled crops
     @example(shapes=[(1, 1), (150, 20), (20, 150), (64, 64), (100, 130)], hole_rate=0.3, seed=0)
     def test_random_batches(self, backend, shapes, hole_rate, seed):
-        """Each row of a batch of mixed crops is that crop's per-sample
-        pooling; a crop with no filled sample raises EmptyRegion, alone."""
+        """A batch of mixed crops, and the same crops with their hits
+        shuffled, give each crop's reference bits."""
         rng = np.random.default_rng(seed)
         batch = [fid_region(random_fids(backend.library, rng, h, w, hole_rate)) for h, w in shapes]
-        expected = [reference_pooled(backend, r) for r in batch]
-        for r, e in zip(batch, expected):
-            if e is None:
-                with pytest.raises(EmptyRegion):
-                    backend._inputs([r])
-        filled = [(r, e) for r, e in zip(batch, expected) if e is not None]
-        if filled:
-            regions, rows = zip(*filled)
-            np.testing.assert_allclose(pooled(backend, list(regions)), rows, rtol=0, atol=1e-12)
+        expected = [reference_descriptor(backend.library, r).tobytes() for r in batch]
+        assert described_bytes(backend, batch) == expected
+        assert described_bytes(backend, [shuffled_hits(r, rng) for r in batch]) == expected
 
 
 class TestAssociate:
