@@ -41,10 +41,14 @@ class GridPooledDescriptor:
     def extract(self, regions: list[ObjectRegion]) -> np.ndarray:
         """The unit descriptors of ``regions``, one row per region: the
         normalized sum of the library's point descriptors at the region's
-        feature ids, taken in ascending id order."""
+        feature ids, taken in ascending id order. A region without hits
+        raises ValueError: its sum has no direction."""
         codes = self.library.point_descriptors
         out = np.empty((len(regions), codes.shape[1]))
         for row, region in zip(out, regions):
-            codes[np.sort(region.crop.feature_ids)].sum(axis=0, out=row)
+            ids = region.crop.feature_ids
+            if not len(ids):
+                raise ValueError("a region without hits has no descriptor")
+            codes[np.sort(ids)].sum(axis=0, out=row)
             row /= np.linalg.norm(row)
         return out

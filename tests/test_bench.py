@@ -92,9 +92,9 @@ class TestMetrics:
         assert best_effort_error(est, truth) == pytest.approx((3.0, 0.0))
 
 
-def test_import_leaves_out_scipy():
-    """Importing the bench and the CLI loads no scipy module: the package
-    depends on numpy alone."""
+def test_import_leaves_out_scipy_ndimage_and_special():
+    """Importing the bench and the CLI loads no scipy module, scipy.ndimage
+    and scipy.special included: the package depends on numpy alone."""
     code = (
         "import sys, mvor.bench, mvor.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -722,18 +722,24 @@ class TestCliInstanceFiles:
         assert cli_main(argv) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sim", [{"library_size": 4}, {"point_descriptor_dim": 128}])
-    def test_localize_checks_database_before_the_library(self, files, sim, tmp_path, capsys,
-                                                         monkeypatch):
+    @pytest.mark.parametrize(
+        "sim,perception",
+        [({"library_size": 4}, {}), ({"point_descriptor_dim": 128}, {"min_region_points": 1})],
+    )
+    def test_localize_checks_database_before_the_library(self, files, sim, perception,
+                                                         tmp_path, capsys, monkeypatch):
         """A database built against another library, or another descriptor
         width, exits 2, with the same message, before the model library is
-        generated."""
+        generated; the perception settings, which the database does not
+        record, change nothing."""
         cfg = SimConfig(**sim, object_count_min=1, object_count_max=1)
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(instance_to_dict(
             generate_instance(cfg, generate_model_library(cfg), seed=0)
         )))
-        argv = ["localize", "--db", str(files / "db.npz"),
+        settings = tmp_path / "cfg.json"
+        settings.write_text(json.dumps({"perception": perception}))
+        argv = ["localize", "--config", str(settings), "--db", str(files / "db.npz"),
                 "--instance", str(inst), "--out", str(tmp_path / "poses.json")]
         capsys.readouterr()
         assert cli_main(argv) == 2

@@ -302,9 +302,10 @@ class TestDescriptor:
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
 
-    def test_rows_are_unit_and_library_wide(self, library):
-        """A descriptor is ``sim.point_descriptor_dim`` wide and of unit
-        norm: the default library's and a narrow one's."""
+    def test_settings_come_from_the_config(self, library):
+        """The backend has no settings of its own: a descriptor is the
+        config's ``sim.point_descriptor_dim`` wide and of unit norm, for the
+        default library and a narrow one."""
         scene = make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))])
         narrow = generate_model_library(SimConfig(point_descriptor_dim=8))
         for width, lib in ((CFG.point_descriptor_dim, library), (8, narrow)):
@@ -375,25 +376,68 @@ class TestDescriptorBatch:
         shuffled = [shuffled_hits(r, rng) for r in regions]
         assert described_bytes(backend, shuffled) == described_bytes(backend, regions)
 
+    def test_inputs_keep_their_bytes_in_any_batch(self, backend, regions):
+        """Sorting a region's ids copies them: the crops, whose columns are
+        aligned hit by hit, and the library's codes keep their bytes."""
+        def snapshot():
+            return [
+                getattr(r.crop, name).tobytes()
+                for r in regions for name in ("rows", "cols", "feature_ids", "px", "world")
+            ] + [backend.library.point_descriptors.tobytes()]
+
+        before = snapshot()
+        backend.extract(regions)
+        backend.extract(regions[::-1])
+        for r in regions[:5]:
+            backend.extract([r])
+        assert snapshot() == before
+
+    def test_one_region_batch_is_the_vector_product(self, backend, regions):
+        """A one-row batch is the bag-of-words vector product: the region's
+        hit counts per library point times the point codes, normalized, up
+        to the product's summation order."""
+        codes = backend.library.point_descriptors
+        for r in regions[:5]:
+            counts = np.bincount(r.crop.feature_ids, minlength=len(codes)).astype(float)
+            y = counts @ codes
+            np.testing.assert_allclose(
+                backend.extract([r])[0], y / np.linalg.norm(y), rtol=0, atol=1e-12
+            )
+
     def test_empty_batch(self, backend):
         assert backend.extract([]).shape == (0, CFG.point_descriptor_dim)
         describe_regions([], backend)
+
+    def test_empty_region_in_batch_raises(self, backend, regions):
+        empty = fid_region(np.full((7, 5), -1, dtype=np.int64))
+        with pytest.raises(ValueError, match="without hits"):
+            backend.extract([regions[0], empty, regions[1]])
 
 
 class TestPooling:
     """A region's descriptor has the bits of ``reference_descriptor``."""
 
-    def test_rendered_regions(self, backend):
+    @pytest.fixture(scope="class")
+    def rendered(self, library):
         """Regions of the default camera, and of a long focal length whose
         crops are several times larger."""
         scene = three_object_scene()
-        library = backend.library
         frames = ring_frames(scene, library) + ring_frames(
             scene, library, SimConfig(focal_px=1100.0)
         )
-        regions = [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
-        assert described_bytes(backend, regions) == [
-            reference_descriptor(library, r).tobytes() for r in regions
+        return [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
+
+    # crops under and over 64 px, which a fixed 64 px grid would up- and
+    # downsample; the pooled sum reads each hit once at any size
+    @pytest.mark.parametrize("resample", ["up", "down"])
+    def test_rendered_crops(self, backend, rendered, resample):
+        picked = [
+            r for r in rendered
+            if (max(r.crop.shape) < 64 if resample == "up" else max(r.crop.shape) > 64)
+        ]
+        assert picked
+        assert described_bytes(backend, picked) == [
+            reference_descriptor(backend.library, r).tobytes() for r in picked
         ]
 
     def test_one_pixel_region(self, library, backend):
@@ -405,6 +449,10 @@ class TestPooling:
         assert backend.extract([region])[0].tobytes() == (
             reference_descriptor(library, region).tobytes()
         )
+
+    def test_empty_crop_raises(self, backend):
+        with pytest.raises(ValueError, match="without hits"):
+            backend.extract([fid_region(np.full((7, 5), -1, dtype=np.int64))])
 
     @settings(max_examples=15, deadline=None)
     @given(
