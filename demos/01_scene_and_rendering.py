@@ -32,12 +32,10 @@ for i, off in enumerate(instance.true_offsets):
         f"move ({off.tx * 100:+.1f}, {off.ty * 100:+.1f}) cm"
     )
 
-# render the ring of database viewpoints around the initial scene
+# render the ring of database viewpoints around the initial scene, in one
+# call: the models are posed once, and frame ids count up from 0
 intr = config.intrinsics()
-frames = [
-    render(instance.initial, vp, intr, library, frame_id=i)
-    for i, vp in enumerate(instance.ring_viewpoints)
-]
+frames = render(instance.initial, instance.ring_viewpoints, intr, library)
 print(f"\nrendered {len(frames)} ring frames at {intr.width}x{intr.height}")
 for f in frames[:3]:
     print(

@@ -22,10 +22,7 @@ backend = perception.make_backend(library)
 intr = config.intrinsics()
 
 instance = generate_instance(config, library, seed=7)
-frames = [
-    render(instance.initial, vp, intr, library, frame_id=i)
-    for i, vp in enumerate(instance.ring_viewpoints)
-]
+frames = render(instance.initial, instance.ring_viewpoints, intr, library)
 db = build_database(frames, backend, perception)
 
 print(f"database: {db.num_regions} regions grouped into {db.num_instances} instances")
@@ -44,7 +41,7 @@ cross = [sims[i, j] for i in range(db.num_regions) for j in range(i + 1, db.num_
 print(f"\ndescriptor cosine: same-instance mean {np.mean(same):.3f}, cross-instance mean {np.mean(cross):.3f}")
 
 # retrieval from the goal image of the (rearranged) goal scene
-goal_frame = render(instance.goal, instance.home_viewpoint, intr, library, frame_id=99)
+(goal_frame,) = render(instance.goal, [instance.home_viewpoint], intr, library, first_id=99)
 goal_regions = prepare_goal_regions(goal_frame, backend, perception)
 print(f"\ngoal frame has {len(goal_regions)} regions; retrieval votes:")
 for g in goal_regions:

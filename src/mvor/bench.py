@@ -40,7 +40,7 @@ import numpy as np
 
 import zlib
 
-from .errors import PlacementFailure, ReobservationFailed
+from .errors import EmptyFrame, PlacementFailure, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
 from .perception import (
@@ -172,9 +172,7 @@ def build_scene_database(inst, viewpoints, library, backend, cfg: BenchConfig):
     """Database stage: the initial scene rendered from ``viewpoints``
     (frame ids in list order), segmented and described."""
     intr = inst.config.intrinsics()
-    frames = [
-        render(inst.initial, vp, intr, library, frame_id=i) for i, vp in enumerate(viewpoints)
-    ]
+    frames = render(inst.initial, viewpoints, intr, library)
     return build_database(frames, backend, cfg.perception)
 
 
@@ -189,7 +187,7 @@ def scene_goal_regions(inst, library, backend, cfg: BenchConfig) -> list:
     """The goal frame (``frame_id=99``) segmented and described; one list
     serves every database of the scene."""
     intr = inst.config.intrinsics()
-    goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
+    (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library, first_id=99)
     return prepare_goal_regions(goal_frame, backend, cfg.perception)
 
 
@@ -343,7 +341,10 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
         u = object_instance.get(i)
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
-        frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
+        try:
+            (frame,) = render(scene, [inst.home_viewpoint], intr, library, first_id=1000)
+        except EmptyFrame as e:
+            raise ReobservationFailed("home frame sees nothing") from e
         regions = extract_regions(frame, segment(frame), pcfg)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")

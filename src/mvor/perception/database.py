@@ -99,7 +99,9 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     instance whose named region has the nearest centroid. An object that
     frame misses gets no instance: its regions join the nearest named one.
     Instances are ordered by the mean of their member centroids (x, then y,
-    then z) so the numbering is stable across runs.
+    then z) so the numbering is stable across runs. Each region's
+    observation direction, from its centroid toward its camera, is taken
+    here: only the database's pruning reads it.
     """
     fullest = max(regions_by_frame, key=len, default=[])
     if not fullest:
@@ -120,7 +122,7 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
         region_frame=np.array([r.frame_id for r in regions], dtype=np.int64),
         source_instance=np.array([r.source_instance for r in regions], dtype=np.int64),
         descriptors=np.stack([r.descriptor for r in regions]),
-        obs_dirs=np.stack([r.obs_dir for r in regions]),
+        obs_dirs=np.stack([observation_vector(r.viewpoint, r.crop.world) for r in regions]),
         instance_centroids=means[order],
         crop_offsets=np.concatenate([[0], np.cumsum([len(c.feature_ids) for c in crops])]),
         crop_feature_ids=np.concatenate([c.feature_ids for c in crops]),
@@ -130,10 +132,7 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
 
 
 def describe_regions(regions: list[ObjectRegion], backend) -> None:
-    """Set each region's observation direction, then the descriptors of all
-    of them in one backend call."""
-    for r in regions:
-        r.obs_dir = observation_vector(r.viewpoint, r.crop.world)
+    """Set the descriptors of all the regions in one backend call."""
     for r, descriptor in zip(regions, backend.extract(regions)):
         r.descriptor = descriptor
 

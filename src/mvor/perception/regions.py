@@ -4,8 +4,7 @@ A region keeps the frame's hits under its mask (the segmentation), in the
 frame's row-major order: each hit's row and column inside the region's
 tight crop, its feature id, exact projection, world point back-projected
 through the frame's viewpoint and object-local viewing direction. It also
-keeps the observing viewpoint, and later gains a global descriptor and an
-observation direction.
+keeps the observing viewpoint, and later gains a global descriptor.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class ObjectRegion:
     frame_id: int
     source_instance: int  # ground-truth instance label; diagnostics and tests only
     descriptor: np.ndarray | None = None
-    obs_dir: np.ndarray | None = None
 
     @property
     def centroid(self) -> np.ndarray:
@@ -58,8 +56,8 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
     Masks are boolean masks over the frame's hits. The region keeps the
     masked hits, each with its world point back-projected through the
     frame's viewpoint; its crop spans their bounding box. Masks with fewer
-    than ``config.min_region_points`` hits are dropped. Descriptor and
-    observation direction are left unset.
+    than ``config.min_region_points`` hits are dropped. The descriptor is
+    left unset.
     """
     w2c = invert(frame.viewpoint)
     regions = []

@@ -16,7 +16,13 @@ from mvor import geometry as geo
 from mvor.bench import BenchConfig, run_completion_bench, run_pose_bench
 from mvor.cli import main as cli_main
 from mvor.geometry import PlanarTransform, Pose3
-from mvor.localization import LocalizationConfig, PoseEstimate, ransac_pnp, retrieve_candidates
+from mvor.localization import (
+    LocalizationConfig,
+    PoseEstimate,
+    ransac_planar,
+    ransac_pnp,
+    retrieve_candidates,
+)
 from mvor.perception import PerceptionConfig, build_database, prepare_goal_regions
 from mvor.planner import PlannerConfig, plan_and_execute
 from mvor.sim import (
@@ -82,6 +88,51 @@ def test_criterion_1_pnp_oracle_equivalence():
     )
     assert worst_rot < 1e-6
     assert worst_t < 1e-6
+    assert cpu < 10.0
+
+
+def planar_oracle_cases(intr, xi_q):
+    """Criterion 1's 1000 cases, drawn in its order from its seed: (world
+    points, their exact pixels after the planar motion, the motion)."""
+    rng = np.random.default_rng(20240)
+    for _ in range(1000):
+        n = int(rng.integers(6, 60))
+        local = np.column_stack(
+            [rng.uniform(-0.05, 0.05, n), rng.uniform(-0.05, 0.05, n), rng.uniform(0, 0.08, n)]
+        )
+        current = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.3, 0.3, 2))
+        world = geo.lift(current).apply(local)
+        truth = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.25, 0.25, 2))
+        uv, z = geo.project_points(intr, geo.invert(xi_q), geo.lift(truth).apply(world))
+        assert (z > 0).all()
+        yield world, uv, truth
+
+
+def test_planar_solver_oracle_equivalence():
+    """The solver the pipeline runs, ``ransac_planar`` with the default
+    LocalizationConfig, on criterion 1's cases: every motion recovered to
+    1e-6 deg / 1e-6 cm, in under 10 seconds of this process's CPU time."""
+    cfg = SimConfig()
+    intr = cfg.intrinsics()
+    xi_q = cfg.home_viewpoint()
+    lcfg = LocalizationConfig()
+    worst_deg, worst_cm = 0.0, 0.0
+    cases = 0
+    cpu0 = time.process_time()
+    for world, uv, truth in planar_oracle_cases(intr, xi_q):
+        est, inliers = ransac_planar(world, uv, intr, xi_q, lcfg)
+        assert inliers.all()
+        dtheta, dt = geo.planar_distance(est, truth)
+        worst_deg, worst_cm = max(worst_deg, dtheta), max(worst_cm, dt)
+        cases += 1
+    cpu = time.process_time() - cpu0
+    print(
+        f"\nACCEPTANCE planar solver: PASS oracle equivalence on {cases} cases: worst "
+        f"{worst_deg:.2e} deg, {worst_cm:.2e} cm (tol 1e-6), {cpu:.1f}s CPU (limit 10s)"
+    )
+    assert cases == 1000
+    assert worst_deg < 1e-6
+    assert worst_cm < 1e-6
     assert cpu < 10.0
 
 
@@ -230,10 +281,7 @@ def test_criterion_6_association_and_retrieval_exactness():
     pure = True
     for seed in range(SUITE_SCENES):
         inst = generate_instance(cfg, library, seed=seed)
-        frames = [
-            render(inst.initial, vp, intr, library, frame_id=i)
-            for i, vp in enumerate(inst.ring_viewpoints)
-        ]
+        frames = render(inst.initial, inst.ring_viewpoints, intr, library)
         db = build_database(frames, backend, pcfg)
         instance_label = {}
         for j in range(db.num_instances):
@@ -244,7 +292,7 @@ def test_criterion_6_association_and_retrieval_exactness():
             instance_label[j] = labels.pop()
         if not pure:
             break
-        goal_frame = render(inst.goal, inst.home_viewpoint, intr, library, frame_id=99)
+        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library, first_id=99)
         for g in prepare_goal_regions(goal_frame, backend, pcfg):
             regions_total += 1
             cands = retrieve_candidates(g, db, lcfg.top_n)

@@ -23,7 +23,7 @@ from mvor.bench import (
     write_report,
 )
 from mvor.cli import load_config, main as cli_main
-from mvor.errors import ConfigParseError
+from mvor.errors import ConfigParseError, ReobservationFailed
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.perception import (
@@ -35,6 +35,8 @@ from mvor.perception import (
 )
 from mvor.planner import PlannerConfig
 from mvor.sim import (
+    Placement,
+    SceneState,
     SimConfig,
     apply_move,
     generate_instance,
@@ -186,10 +188,7 @@ class TestInstanceObjectMatching:
         backend = pcfg.make_backend(library)
         inst = generate_instance(cfg, library, seed=3)
         intr = cfg.intrinsics()
-        frames = [
-            render(inst.initial, vp, intr, library, frame_id=i)
-            for i, vp in enumerate(inst.ring_viewpoints)
-        ]
+        frames = render(inst.initial, inst.ring_viewpoints, intr, library)
         db = build_database(frames, backend, pcfg)
         mapping = match_instances_to_objects(db, inst.initial)
         assert len(mapping) == 6
@@ -214,10 +213,7 @@ class TestNoiseModeCorrection:
         trials = 0
         for scene_seed in range(20):
             inst = generate_instance(cfg, library, seed=scene_seed)
-            frames = [
-                render(inst.initial, vp, intr, library, frame_id=i)
-                for i, vp in enumerate(inst.ring_viewpoints)
-            ]
+            frames = render(inst.initial, inst.ring_viewpoints, intr, library)
             db = build_database(frames, backend, pcfg)
             matcher = lcfg.make_matcher(library)
             reobserve = make_reobserver(
@@ -264,10 +260,7 @@ class TestReobserver:
         backend = pcfg.make_backend(library)
         intr = cfg.intrinsics()
         inst = generate_instance(cfg, library, seed=7)
-        frames = [
-            render(inst.initial, vp, intr, library, frame_id=i)
-            for i, vp in enumerate(inst.ring_viewpoints)
-        ]
+        frames = render(inst.initial, inst.ring_viewpoints, intr, library)
         db = build_database(frames, backend, pcfg)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         guess = inst.goal.placements[0].pose
@@ -280,7 +273,7 @@ class TestReobserver:
         tracked = reobserve(scene, 0, guess)
         assert counting.batch_sizes == [1]
 
-        frame = render(scene, inst.home_viewpoint, intr, library, frame_id=1000)
+        (frame,) = render(scene, [inst.home_viewpoint], intr, library, first_id=1000)
         regions = prepare_goal_regions(frame, backend, pcfg)
         assert len(regions) > 1
         region = min(
@@ -292,6 +285,32 @@ class TestReobserver:
         assert est.accepted
         expected = geo.planar_compose(est.offset, inst.initial.placements[0].pose)
         assert tracked == expected
+
+    def test_home_frame_seeing_nothing_fails_as_a_reobservation(self):
+        """A scene the home view misses entirely raises ReobservationFailed,
+        which the planner counts as a failure, not the renderer's
+        EmptyFrame, which would escape it."""
+        cfg = SimConfig(actuation_sigma=0.003)
+        pcfg = PerceptionConfig()
+        lcfg = LocalizationConfig()
+        library = generate_model_library(cfg)
+        backend = pcfg.make_backend(library)
+        inst = generate_instance(cfg, library, seed=1)
+        frames = render(inst.initial, inst.ring_viewpoints, cfg.intrinsics(), library)
+        db = build_database(frames, backend, pcfg)
+        object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
+        reobserve = make_reobserver(
+            inst, library, db, backend, lcfg.make_matcher(library), lcfg, pcfg, object_instance
+        )
+        away = SceneState(
+            inst.initial.table_bounds,
+            tuple(
+                Placement(p.model_id, PlanarTransform(p.pose.yaw, p.pose.tx + 50.0, p.pose.ty))
+                for p in inst.initial.placements
+            ),
+        )
+        with pytest.raises(ReobservationFailed, match="home frame sees nothing"):
+            reobserve(away, 0, away.placements[0].pose)
 
 
 class TestCliDeterminism:

@@ -63,15 +63,12 @@ def make_scene(placements):
 
 
 def ring_db(scene, library, backend):
-    frames = [
-        render(scene, vp, INTR, library, frame_id=i)
-        for i, vp in enumerate(CFG.ring_viewpoints())
-    ]
+    frames = render(scene, CFG.ring_viewpoints(), INTR, library)
     return build_database(frames, backend, PCFG)
 
 
 def goal_regions_of(scene, library, backend):
-    frame = render(scene, CFG.home_viewpoint(), INTR, library, frame_id=99)
+    (frame,) = render(scene, [CFG.home_viewpoint()], INTR, library, first_id=99)
     return frame, prepare_goal_regions(frame, backend, PCFG)
 
 
@@ -185,7 +182,6 @@ def _fake_goal(descriptor):
         frame_id=0,
         source_instance=0,
         descriptor=np.asarray(descriptor, dtype=float),
-        obs_dir=np.array([0.0, 0.0, 1.0]),
     )
 
 
@@ -749,8 +745,8 @@ class TestEstimateObject:
         model_id = 0  # box: opposite sides share no visible points
         initial = make_scene([Placement(model_id, PlanarTransform(0.0, 0.0, 0.0))])
         goal_scene = apply_offsets(initial, [PlanarTransform(np.pi, 0.0, 0.0)])
-        home = render(initial, CFG.home_viewpoint(), INTR, library, frame_id=0)
-        db = build_database([home], backend, PCFG)
+        home = render(initial, [CFG.home_viewpoint()], INTR, library)
+        db = build_database(home, backend, PCFG)
         _, goals = goal_regions_of(goal_scene, library, backend)
         est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert not est.accepted
@@ -855,7 +851,7 @@ class TestEstimateAll:
         cfg3 = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg3, library, seed=9)
         db = ring_db(inst.initial, library, backend)
-        goal_frame = render(inst.goal, inst.home_viewpoint, INTR, library, frame_id=99)
+        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], INTR, library, first_id=99)
         goals = prepare_goal_regions(goal_frame, backend, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3

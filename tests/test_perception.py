@@ -66,10 +66,7 @@ def three_object_scene():
 
 def ring_frames(scene, library, config=CFG):
     intr = config.intrinsics()
-    return [
-        render(scene, vp, intr, library, frame_id=i)
-        for i, vp in enumerate(config.ring_viewpoints())
-    ]
+    return render(scene, config.ring_viewpoints(), intr, library)
 
 
 def db_for(scene, library, backend, frames=None):
@@ -225,7 +222,7 @@ class TestHitFrameRegions:
                 (inst.goal, inst.home_viewpoint),
             ]
             for k, (scene, vp) in enumerate(views):
-                frame = render(scene, vp, intr, library, frame_id=k)
+                (frame,) = render(scene, [vp], intr, library, first_id=k)
                 planes = dense_planes(frame)
                 dense_masks = dense_segment(planes, erode_radius)
                 # eroded masks, taken at the frame's hits, cut object edges
@@ -591,15 +588,16 @@ class TestAssociate:
 
 
 def point_region(frame_id, label, x):
-    """A described one-hit region whose centroid is (x, 0, 0)."""
+    """A described one-hit region whose centroid is (x, 0, 0), seen from
+    a camera 1 m above the origin."""
     crop = RegionCrop(
         0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
         np.zeros(1, dtype=np.int64), np.zeros((1, 2)), np.array([[x, 0.0, 0.0]]),
         np.zeros((1, 3)),
     )
     return ObjectRegion(
-        crop, geo.Pose3.identity(), frame_id, label,
-        descriptor=np.ones(4) / 2.0, obs_dir=np.array([1.0, 0.0, 0.0]),
+        crop, geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), frame_id, label,
+        descriptor=np.ones(4) / 2.0,
     )
 
 
@@ -615,8 +613,8 @@ class TestBuildDatabase:
     def test_single_frame_database(self, library, backend):
         cfg = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg, library, seed=6)
-        frame = render(inst.initial, inst.home_viewpoint, cfg.intrinsics(), library, frame_id=0)
-        db = build_database([frame], backend, PCFG)
+        frames = render(inst.initial, [inst.home_viewpoint], cfg.intrinsics(), library)
+        db = build_database(frames, backend, PCFG)
         assert db.num_instances == 3
         assert all(len(np.flatnonzero(db.region_instance == j)) == 1 for j in range(3))
 
@@ -662,7 +660,7 @@ class TestBuildDatabase:
         cfg = SimConfig(**sim)
         inst = generate_instance(cfg, library, seed=seed)
         if view == "home":
-            frames = [render(inst.initial, inst.home_viewpoint, cfg.intrinsics(), library)]
+            frames = render(inst.initial, [inst.home_viewpoint], cfg.intrinsics(), library)
         else:
             frames = ring_frames(inst.initial, library, cfg)
         db = db_for(inst.initial, library, backend, frames)
@@ -676,13 +674,12 @@ class TestBuildDatabase:
         regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         regions = [r for frame_regions in regions_by_frame for r in frame_regions]
         describe_regions(regions, backend)
-        # the viewpoint is gone once associate keeps the observation direction
-        for r in regions:
-            np.testing.assert_allclose(
-                r.obs_dir, geo.observation_vector(r.viewpoint, r.crop.world), atol=1e-9
-            )
         db = associate(regions_by_frame)
-        assert db.obs_dirs.tobytes() == np.stack([r.obs_dir for r in regions]).tobytes()
+        # the viewpoint is gone once associate keeps the observation direction
+        expected = [geo.observation_vector(r.viewpoint, r.crop.world) for r in regions]
+        for obs_dir, e in zip(db.obs_dirs, expected):
+            np.testing.assert_allclose(obs_dir, e, atol=1e-9)
+        assert db.obs_dirs.tobytes() == np.stack(expected).tobytes()
         np.testing.assert_allclose(np.linalg.norm(db.descriptors, axis=1), 1.0, atol=1e-6)
         # association purity with well-separated objects
         for j in range(db.num_instances):
@@ -843,11 +840,15 @@ class TestDatabaseIO:
     def test_goal_region_prep(self, library, backend):
         cfg = SimConfig(object_count_min=2, object_count_max=2)
         inst = generate_instance(cfg, library, seed=16)
-        frame = render(inst.goal, inst.home_viewpoint, cfg.intrinsics(), library)
+        (frame,) = render(inst.goal, [inst.home_viewpoint], cfg.intrinsics(), library)
         regions = prepare_goal_regions(frame, backend, PCFG)
         assert len(regions) == 2
         for r in regions:
-            assert r.descriptor is not None and r.obs_dir is not None
+            assert r.descriptor is not None
+        # the observation directions live in the database, one per region
+        db = build_database([frame], backend, PCFG)
+        assert db.obs_dirs.shape == (2, 3)
+        np.testing.assert_allclose(np.linalg.norm(db.obs_dirs, axis=1), 1.0, atol=1e-12)
 
 
 # replacement dtypes and shapes for one member of a dump when fuzzing

@@ -21,6 +21,8 @@ from mvor.errors import (
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.perception import load_database
 from mvor.sim import (
+    Frame,
+    ModelLibrary,
     Placement,
     Rect,
     SceneState,
@@ -42,6 +44,7 @@ from mvor.sim.io import (
     save_instance,
 )
 from mvor.sim.models import LIBRARY_VERSION
+from mvor.sim.render import _winners as pick_winners
 
 
 @pytest.fixture(scope="module")
@@ -288,12 +291,98 @@ def pixel_index(frame):
     return frame.rows * frame.intrinsics.width + frame.cols
 
 
+FRAME_ARRAYS = ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "view_local")
+
+
+def reference_render(scene, viewpoint, intr, library, frame_id=0):
+    """Reference: one view rendered object by object, as a loop that poses
+    each placement for this view alone, projects its facing points, and
+    picks each pixel's winner with the stable three-key sort (pixel,
+    depth, feature id; placement order last)."""
+    w2c = geo.invert(viewpoint)
+    cam_center = viewpoint.translation
+    uv_all, z_all, fid_all, inst_all, view_all = [], [], [], [], []
+    for idx, placement in enumerate(scene.placements):
+        rows = model_rows(library, placement.model_id)
+        rz = geo.rot_z(placement.pose.yaw)
+        shift = np.array([placement.pose.tx, placement.pose.ty, 0.0])
+        pw = library.points[rows] @ rz.T + shift
+        nw = library.normals[rows] @ rz.T
+        facing = np.einsum("ij,ij->i", cam_center - pw, nw) > 0.0
+        if not facing.any():
+            continue
+        pw = pw[facing]
+        uv, z = geo.project_points(intr, w2c, pw)
+        ok = (
+            (z > 1e-6)
+            & (uv[:, 0] >= -0.5)
+            & (uv[:, 0] < intr.width - 0.5)
+            & (uv[:, 1] >= -0.5)
+            & (uv[:, 1] < intr.height - 0.5)
+        )
+        if not ok.any():
+            continue
+        rays = cam_center - pw[ok]
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        uv_all.append(uv[ok])
+        z_all.append(z[ok])
+        fid_all.append(rows.start + np.flatnonzero(facing)[ok])
+        inst_all.append(np.full(int(ok.sum()), idx, dtype=np.int32))
+        view_all.append(rays @ rz)
+    if not uv_all:
+        raise EmptyFrame("no model points project into the image")
+    uv = np.vstack(uv_all)
+    z = np.concatenate(z_all)
+    fid = np.concatenate(fid_all)
+    cols = np.floor(uv[:, 0] + 0.5).astype(np.int64)
+    rows = np.floor(uv[:, 1] + 0.5).astype(np.int64)
+    flat = rows * intr.width + cols
+    order = np.lexsort((fid, z, flat))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat[order][1:] != flat[order][:-1]
+    win = order[first]
+    return Frame(
+        rows=rows[win],
+        cols=cols[win],
+        feature_ids=fid[win],
+        instance_ids=np.concatenate(inst_all)[win],
+        px=uv[win],
+        depth=z[win],
+        view_local=np.vstack(view_all)[win],
+        viewpoint=viewpoint,
+        intrinsics=intr,
+        frame_id=frame_id,
+    )
+
+
+def assert_same_frame(a, b):
+    assert a.frame_id == b.frame_id
+    assert a.viewpoint is b.viewpoint
+    for name in FRAME_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def one_point_library(points, normals):
+    """A hand-built library of one-point models: model m is point m."""
+    n = len(points)
+    return ModelLibrary(
+        family=np.array(["box"] * n),
+        footprint_radius=np.full(n, 0.05),
+        point_offsets=np.arange(n + 1, dtype=np.int64),
+        points=np.array(points, dtype=float),
+        normals=np.array(normals, dtype=float),
+        point_descriptors=np.eye(n),
+    )
+
+
 class TestRender:
     def test_top_down_sees_only_top_faces(self, library):
         m = int(np.flatnonzero(library.family == "box")[0])
         scene = single_object_scene(library, m)
         cam = geo.look_at([0.0, 0.0, 0.9], [0.0, 0.0, 0.0])
-        frame = render(scene, cam, SimConfig().intrinsics(), library)
+        (frame,) = render(scene, [cam], SimConfig().intrinsics(), library)
         seen = frame.feature_ids
         # oracle: points whose normal faces a straight-down camera
         up = library.normals[model_rows(library, m), 2] > 1e-9
@@ -304,7 +393,7 @@ class TestRender:
     def test_hits_are_distinct_pixels_in_row_major_order(self, config, library):
         inst = generate_instance(config, library, seed=5)
         intr = config.intrinsics()
-        frame = render(inst.initial, inst.ring_viewpoints[2], intr, library)
+        (frame,) = render(inst.initial, [inst.ring_viewpoints[2]], intr, library)
         assert np.all(np.diff(pixel_index(frame)) > 0)
         assert frame.rows.min() >= 0 and frame.rows.max() < intr.height
         assert frame.cols.min() >= 0 and frame.cols.max() < intr.width
@@ -317,7 +406,7 @@ class TestRender:
         assert (intr.width, intr.height) == (640, 480)
         inst = generate_instance(config, library, seed=5)
         for vp in (inst.ring_viewpoints[0], inst.home_viewpoint):
-            frame = render(inst.initial, vp, intr, library)
+            (frame,) = render(inst.initial, [vp], intr, library)
             arrays = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
             assert len(arrays) == 7
             assert max(a.size for a in arrays) < intr.width * intr.height
@@ -331,9 +420,9 @@ class TestRender:
         near = SceneState(bounds, (Placement(3, PlanarTransform(0.0, 0.12, 0.0)),))
         both = SceneState(bounds, far.placements + near.placements)
 
-        f_far = render(far, cam, intr, library)
-        f_near = render(near, cam, intr, library)
-        f_both = render(both, cam, intr, library)
+        (f_far,) = render(far, [cam], intr, library)
+        (f_near,) = render(near, [cam], intr, library)
+        (f_both,) = render(both, [cam], intr, library)
 
         contested, i_far, i_near = np.intersect1d(
             pixel_index(f_far), pixel_index(f_near), return_indices=True
@@ -349,12 +438,12 @@ class TestRender:
         scene = single_object_scene(library)
         cam = geo.look_at([1.0, 0.0, 0.5], [2.0, 0.0, 0.5])
         with pytest.raises(EmptyFrame):
-            render(scene, cam, config.intrinsics(), library)
+            render(scene, [cam], config.intrinsics(), library)
 
     def test_backprojection_recovers_world_points(self, config, library):
         inst = generate_instance(config, library, seed=5)
         intr = config.intrinsics()
-        frame = render(inst.initial, inst.ring_viewpoints[2], intr, library)
+        (frame,) = render(inst.initial, [inst.ring_viewpoints[2]], intr, library)
         w2c = geo.invert(frame.viewpoint)
         world = geo.back_project_pixels(intr, w2c, frame.px, frame.depth)
         # each recovered point must coincide with an actual surface point
@@ -378,7 +467,7 @@ class TestRender:
         big = generate_model_library(config)
         inst = generate_instance(config, big, seed=0)
         intr = config.intrinsics()
-        frame = render(inst.initial, inst.ring_viewpoints[0], intr, big)
+        (frame,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, big)
         world = geo.back_project_pixels(intr, geo.invert(frame.viewpoint), frame.px, frame.depth)
         seen = [frame.instance_ids == i for i in range(2)]
         assert seen[0].any() and seen[1].any()
@@ -390,11 +479,81 @@ class TestRender:
             posed = geo.lift(placement.pose).apply(big.points[ids])
             np.testing.assert_allclose(world[hits], posed, atol=1e-9)
 
+    @pytest.mark.parametrize("regime", ["full", "minor"])
+    def test_matches_reference_bit_for_bit(self, config, library, regime):
+        """Every ring and home view of initial and goal scenes, rendered in
+        one call, equals the per-view reference field by field."""
+        sim = dataclasses.replace(config, rotation_regime=regime)
+        intr = sim.intrinsics()
+        for seed in (3, 4):
+            inst = generate_instance(sim, library, seed=seed)
+            views = [*inst.ring_viewpoints, inst.home_viewpoint]
+            for scene in (inst.initial, inst.goal):
+                frames = render(scene, views, intr, library)
+                assert len(frames) == len(views)
+                for k, (frame, vp) in enumerate(zip(frames, views)):
+                    assert_same_frame(frame, reference_render(scene, vp, intr, library, k))
+
+    def test_batched_call_equals_one_call_per_view(self, config, library):
+        inst = generate_instance(config, library, seed=6)
+        intr = config.intrinsics()
+        views = [inst.home_viewpoint, *inst.ring_viewpoints[:3]]
+        batched = render(inst.initial, views, intr, library, first_id=40)
+        assert [f.frame_id for f in batched] == [40, 41, 42, 43]
+        for k, (frame, vp) in enumerate(zip(batched, views)):
+            (alone,) = render(inst.initial, [vp], intr, library, first_id=40 + k)
+            assert_same_frame(frame, alone)
+        assert render(inst.initial, [], intr, library) == []
+
+    def test_exact_depth_tie_goes_to_the_smaller_feature_id(self, config):
+        """Two one-point models at the same pose hit one pixel at exactly
+        the same depth: feature id 0 wins although its placement is the
+        later one."""
+        tiny = one_point_library([[0.0, 0.0, 0.05]] * 2, [[0.0, 0.0, 1.0]] * 2)
+        pose = PlanarTransform(0.3, 0.01, -0.02)
+        scene = SceneState(Rect(-0.5, -0.5, 0.5, 0.5), (Placement(1, pose), Placement(0, pose)))
+        cam = geo.look_at([0.05, 0.02, 0.9], [0.0, 0.0, 0.0])
+        intr = config.intrinsics()
+        (frame,) = render(scene, [cam], intr, tiny)
+        assert frame.feature_ids.tolist() == [0]
+        assert frame.instance_ids.tolist() == [1]
+        assert_same_frame(frame, reference_render(scene, cam, intr, tiny))
+
+    def test_coincident_placements_go_to_the_first(self, config, library):
+        """Two placements of one model at one pose tie at every candidate
+        (depth and feature id): every hit belongs to placement 0, and the
+        frame is the one placement's frame."""
+        pose = PlanarTransform(0.4, 0.02, 0.01)
+        alone = single_object_scene(library, 2, pose)
+        twice = SceneState(alone.table_bounds, alone.placements * 2)
+        intr = config.intrinsics()
+        views = config.ring_viewpoints()[:2]
+        singles, doubles = render(alone, views, intr, library), render(twice, views, intr, library)
+        for k, (single, double) in enumerate(zip(singles, doubles)):
+            assert len(double.feature_ids) > 50
+            assert np.all(double.instance_ids == 0)
+            assert_same_frame(double, single)
+            assert_same_frame(double, reference_render(twice, views[k], intr, library, k))
+
+    def test_pixel_index_too_large_to_pack(self):
+        """Pixel indices about 2**50, as a 2**25-wide image has at row
+        2**25, leave no room in an int64 beside a 13-bit depth rank: the
+        winners are still those of the stable three-key sort."""
+        rng = np.random.default_rng(0)
+        n = 5000
+        flat = 2**50 + rng.integers(-300, 300, n)
+        z = rng.permutation(n) + 1.0
+        fid = np.arange(n)
+        order = np.lexsort((fid, z, flat))
+        first = np.ones(n, dtype=bool)
+        first[1:] = flat[order][1:] != flat[order][:-1]
+        np.testing.assert_array_equal(pick_winners(flat, z, fid), order[first])
+
     def test_render_deterministic(self, config, library):
         inst = generate_instance(config, library, seed=8)
         intr = config.intrinsics()
-        a = render(inst.initial, inst.ring_viewpoints[0], intr, library)
-        b = render(inst.initial, inst.ring_viewpoints[0], intr, library)
+        (a,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, library)
+        (b,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, library)
         for name in ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "view_local"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -402,7 +561,7 @@ class TestRender:
 class TestSegment:
     def test_noiseless_masks_match_ground_truth(self, config, library):
         inst = generate_instance(config, library, seed=9)
-        frame = render(inst.initial, inst.ring_viewpoints[1], config.intrinsics(), library)
+        (frame,) = render(inst.initial, [inst.ring_viewpoints[1]], config.intrinsics(), library)
         masks = segment(frame)
         assert len(masks) == len(frame.instance_list())
         for inst_id, mask in masks:
@@ -414,7 +573,7 @@ class TestSegment:
 
     def test_masks_disjoint(self, config, library):
         inst = generate_instance(config, library, seed=12)
-        frame = render(inst.initial, inst.ring_viewpoints[3], config.intrinsics(), library)
+        (frame,) = render(inst.initial, [inst.ring_viewpoints[3]], config.intrinsics(), library)
         masks = segment(frame)
         acc = np.zeros(frame.instance_ids.shape, dtype=int)
         for _, m in masks:
