@@ -18,12 +18,11 @@ from mvor.sim import SimConfig, generate_instance, generate_model_library, rende
 config = SimConfig(object_count_min=4, object_count_max=4)
 perception = PerceptionConfig()
 library = generate_model_library(config)
-backend = perception.make_backend(library)
 intr = config.intrinsics()
 
 instance = generate_instance(config, library, seed=7)
 frames = render(instance.initial, instance.ring_viewpoints, intr, library)
-db = build_database(frames, backend, perception)
+db = build_database(frames, library, perception)
 
 print(f"database: {db.num_regions} regions grouped into {db.num_instances} instances")
 for j in range(db.num_instances):
@@ -42,7 +41,7 @@ print(f"\ndescriptor cosine: same-instance mean {np.mean(same):.3f}, cross-insta
 
 # retrieval from the goal image of the (rearranged) goal scene
 (goal_frame,) = render(instance.goal, [instance.home_viewpoint], intr, library, first_id=99)
-goal_regions = prepare_goal_regions(goal_frame, backend, perception)
+goal_regions = prepare_goal_regions(goal_frame, library, perception)
 print(f"\ngoal frame has {len(goal_regions)} regions; retrieval votes:")
 for g in goal_regions:
     cands = retrieve_candidates(g, db, top_n=10)

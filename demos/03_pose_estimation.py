@@ -30,13 +30,12 @@ cfg = BenchConfig(
 )
 
 library = generate_model_library(cfg.sim)
-backend = cfg.perception.make_backend(library)
 
 instance = generate_instance(cfg.sim, library, seed=3)
-db = build_scene_database(instance, instance.ring_viewpoints, library, backend, cfg)
+db = build_scene_database(instance, instance.ring_viewpoints, library, cfg)
 # the scene's own noise stream: the pose bench and `mvor localize` draw the same
 matcher = scene_matcher(instance, "multi", library, cfg)
-goal_regions = scene_goal_regions(instance, library, backend, cfg)
+goal_regions = scene_goal_regions(instance, library, cfg)
 by_object = localize_scene(instance, db, goal_regions, matcher, cfg).by_object
 
 print(f"{'object':>6s} {'true dyaw':>10s} {'est dyaw':>10s} {'err deg':>8s} {'err cm':>7s} "

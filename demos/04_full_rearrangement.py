@@ -20,7 +20,6 @@ from mvor.sim.scene import RearrangementInstance
 config = SimConfig()
 cfg = BenchConfig(sim=config)
 library = generate_model_library(config)
-backend = cfg.perception.make_backend(library)
 
 # objects 0 and 1 trade places (non-monotone: someone must yield first);
 # objects 2 and 3 have plain independent moves
@@ -46,7 +45,7 @@ goal_scene = SceneState(
 instance = RearrangementInstance(
     initial=initial_scene, goal=goal_scene, seed=12, config=config
 )
-_, result = complete_scene(instance, library, backend, cfg)
+_, result = complete_scene(instance, library, cfg)
 outcome = scene_outcome(instance, result, cfg.planner)
 print(f"completed: {outcome.completed} in {result.outer_iterations} outer iterations")
 print(f"manipulations: {result.total_manipulations} "

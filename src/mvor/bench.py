@@ -1,8 +1,8 @@
 """Per-scene pipeline and the dataset-scale benchmark drivers.
 
-The stages of a scene are shared by the drivers, the CLI and the demos,
-which all start from the model library (``generate_model_library``) and the
-descriptor backend over it (``PerceptionConfig.make_backend``):
+The stages of a scene are shared by the drivers, the CLI and the demos.
+Each takes the model library (``generate_model_library``), whose point
+descriptors a region's descriptor pools, and the BenchConfig:
 ``build_scene_database`` (the initial scene rendered from the ring or the
 home viewpoint, then the region database), ``scene_goal_regions`` (the
 goal frame, described once per scene for every database) and
@@ -168,12 +168,12 @@ def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
     return cfg.localization.make_matcher(library, rng)
 
 
-def build_scene_database(inst, viewpoints, library, backend, cfg: BenchConfig):
+def build_scene_database(inst, viewpoints, library, cfg: BenchConfig):
     """Database stage: the initial scene rendered from ``viewpoints``
     (frame ids in list order), segmented and described."""
     intr = inst.config.intrinsics()
     frames = render(inst.initial, viewpoints, intr, library)
-    return build_database(frames, backend, cfg.perception)
+    return build_database(frames, library, cfg.perception)
 
 
 @dataclass
@@ -183,12 +183,12 @@ class SceneEstimates:
     by_object: dict  # scene object -> PoseEstimate, for the paired instances
 
 
-def scene_goal_regions(inst, library, backend, cfg: BenchConfig) -> list:
+def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
     """The goal frame (``frame_id=99``) segmented and described; one list
     serves every database of the scene."""
     intr = inst.config.intrinsics()
     (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library, first_id=99)
-    return prepare_goal_regions(goal_frame, backend, cfg.perception)
+    return prepare_goal_regions(goal_frame, library, cfg.perception)
 
 
 def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEstimates:
@@ -202,16 +202,14 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
     return SceneEstimates(by_instance, object_of, by_object)
 
 
-def complete_scene(
-    inst, library, backend, cfg: BenchConfig
-) -> tuple[SceneEstimates, ExecutionResult]:
+def complete_scene(inst, library, cfg: BenchConfig) -> tuple[SceneEstimates, ExecutionResult]:
     """The full-scene run: the ring database of the initial scene, every
     object localized from the goal frame (a rejected identity estimate when
     it has none) with the scene's multi-view matcher, then the planner,
     which re-observes each object from the home viewpoint, with the same
     matcher, before moving it when ``inst.config.actuation_sigma > 0``."""
-    db = build_scene_database(inst, inst.ring_viewpoints, library, backend, cfg)
-    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    db = build_scene_database(inst, inst.ring_viewpoints, library, cfg)
+    goal_regions = scene_goal_regions(inst, library, cfg)
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     estimates = {
@@ -221,8 +219,7 @@ def complete_scene(
     reobserve = None
     if inst.config.actuation_sigma > 0:
         reobserve = make_reobserver(
-            inst, library, db, backend, matcher, cfg.localization, cfg.perception,
-            {i: u for u, i in found.object_of.items()},
+            inst, library, db, matcher, cfg, {i: u for u, i in found.object_of.items()}
         )
     return found, plan_and_execute(inst, estimates, library, cfg.planner, reobserve)
 
@@ -258,10 +255,9 @@ def scene_outcome(inst, result: ExecutionResult, config: PlannerConfig) -> Scene
 
 def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsReport:
     """The drivers' loop over regimes and seeds: ``scene_rows(inst,
-    library, backend, cfg)`` per scene that generates."""
+    library, cfg)`` per scene that generates."""
     t0 = time.perf_counter()
     library = generate_model_library(cfg.sim)
-    backend = cfg.perception.make_backend(library)
     rows = []
     skipped = 0
     for regime in cfg.regimes:
@@ -272,7 +268,7 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
             except PlacementFailure:
                 skipped += 1
                 continue
-            rows += scene_rows(inst, library, backend, cfg)
+            rows += scene_rows(inst, library, cfg)
     return MetricsReport(
         kind=kind,
         rows=rows,
@@ -282,13 +278,13 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
     )
 
 
-def _pose_rows(inst, library, backend, cfg: BenchConfig) -> list[dict]:
+def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
     modes = VIEW_MODES if cfg.include_single_view else VIEW_MODES[:1]
-    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    goal_regions = scene_goal_regions(inst, library, cfg)
     rows = []
     for mode in modes:
         views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
-        db = build_scene_database(inst, views, library, backend, cfg)
+        db = build_scene_database(inst, views, library, cfg)
         matcher = scene_matcher(inst, mode, library, cfg)
         found = localize_scene(inst, db, goal_regions, matcher, cfg)
         for i, p in enumerate(inst.initial.placements):
@@ -327,7 +323,7 @@ def compute_pose_summary(rows, skipped_scenes=0) -> dict:
     return summary
 
 
-def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_instance):
+def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instance):
     """Home-viewpoint re-estimation hook for the planner (noisy actuation).
 
     Renders the current scene from the home viewpoint, picks the region
@@ -345,14 +341,14 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
             (frame,) = render(scene, [inst.home_viewpoint], intr, library, first_id=1000)
         except EmptyFrame as e:
             raise ReobservationFailed("home frame sees nothing") from e
-        regions = extract_regions(frame, segment(frame), pcfg)
+        regions = extract_regions(frame, segment(frame), cfg.perception)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
-        describe_regions([region], backend)
+        describe_regions([region], library)
         excluded = frozenset(set(range(db.num_instances)) - {u})
-        est = estimate_object(region, db, matcher, intr, loc_cfg, excluded)
+        est = estimate_object(region, db, matcher, intr, cfg.localization, excluded)
         if not est.accepted:
             raise ReobservationFailed(est.note or "re-estimation rejected")
         return planar_compose(est.offset, inst.initial.placements[i].pose)
@@ -360,8 +356,8 @@ def make_reobserver(inst, library, db, backend, matcher, loc_cfg, pcfg, object_i
     return reobserve
 
 
-def _completion_rows(inst, library, backend, cfg: BenchConfig) -> list[dict]:
-    found, result = complete_scene(inst, library, backend, cfg)
+def _completion_rows(inst, library, cfg: BenchConfig) -> list[dict]:
+    found, result = complete_scene(inst, library, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
     rows = []
     for i, (o, p) in enumerate(zip(outcome.objects, inst.initial.placements)):

@@ -95,15 +95,15 @@ def _instance_library(instance_path: str, sim):
 
 
 def _scene_setup(cfg: BenchConfig, args):
-    """(instance, its model library, the library's descriptor backend), the
-    instance loaded from ``--instance`` or generated from config and seed."""
+    """(instance, its model library), the instance loaded from
+    ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = load_instance(args.instance)
         library = _instance_library(args.instance, inst.config)
     else:
         library = generate_model_library(cfg.sim)
         inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
-    return inst, library, cfg.perception.make_backend(library)
+    return inst, library
 
 
 def cmd_gen(args) -> int:
@@ -124,9 +124,9 @@ def cmd_gen(args) -> int:
 
 def cmd_build_db(args) -> int:
     cfg = load_config(args.config, args.seed)
-    inst, library, backend = _scene_setup(cfg, args)
+    inst, library = _scene_setup(cfg, args)
     views = [inst.home_viewpoint] if args.view == "home" else inst.ring_viewpoints
-    db = build_scene_database(inst, views, library, backend, cfg)
+    db = build_scene_database(inst, views, library, cfg)
     out = _out_dir(args, "db.npz")
     save_database(
         db,
@@ -200,9 +200,8 @@ def cmd_localize(args) -> int:
     # checked once here: the feature_id matcher never reads the library, so
     # ids naming no row would only ever fail to match
     library.check_feature_ids(db.crop_feature_ids)
-    backend = cfg.perception.make_backend(library)
     matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
-    goal_regions = scene_goal_regions(inst, library, backend, cfg)
+    goal_regions = scene_goal_regions(inst, library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     path = _out_dir(args, "poses.json")
     dump_json({"instance_seed": inst.seed, "objects": _pose_report_rows(inst, found)}, path)
@@ -213,8 +212,8 @@ def cmd_localize(args) -> int:
 
 def cmd_rearrange(args) -> int:
     cfg = load_config(args.config, args.seed)
-    inst, library, backend = _scene_setup(cfg, args)
-    _, result = complete_scene(inst, library, backend, cfg)
+    inst, library = _scene_setup(cfg, args)
+    _, result = complete_scene(inst, library, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
     out_dir = _out_dir(args, "rearrange")
     make_dirs(out_dir)

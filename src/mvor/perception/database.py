@@ -40,7 +40,7 @@ class PerceptionConfig:
         check_bounds(self, {"min_region_points": (1, None)})
 
     def make_backend(self, library) -> GridPooledDescriptor:
-        """The descriptor backend of ``library``."""
+        """``GridPooledDescriptor(library)``. No mvor code calls it (ROADMAP item 11)."""
         return GridPooledDescriptor(library)
 
 
@@ -131,24 +131,24 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     )
 
 
-def describe_regions(regions: list[ObjectRegion], backend) -> None:
-    """Set the descriptors of all the regions in one backend call."""
-    for r, descriptor in zip(regions, backend.extract(regions)):
+def describe_regions(regions: list[ObjectRegion], library) -> None:
+    """Set the regions' descriptors in one ``GridPooledDescriptor(library)`` call."""
+    for r, descriptor in zip(regions, GridPooledDescriptor(library).extract(regions)):
         r.descriptor = descriptor
 
 
-def build_database(frames, backend, config: PerceptionConfig) -> Database:
+def build_database(frames, library, config: PerceptionConfig) -> Database:
     """Full database construction: segment each frame, extract regions,
     describe every region of every frame in one batch, and associate."""
     regions_by_frame = [extract_regions(f, segment(f), config) for f in frames]
-    describe_regions([r for frame_regions in regions_by_frame for r in frame_regions], backend)
+    describe_regions([r for frame_regions in regions_by_frame for r in frame_regions], library)
     return associate(regions_by_frame)
 
 
-def prepare_goal_regions(frame, backend, config: PerceptionConfig):
+def prepare_goal_regions(frame, library, config: PerceptionConfig):
     """Segment and featurize a goal frame the same way database frames are."""
     regions = extract_regions(frame, segment(frame), config)
-    describe_regions(regions, backend)
+    describe_regions(regions, library)
     return regions
 
 

@@ -13,16 +13,14 @@ product of two regions' descriptors is then about the share of points
 both see: high for overlapping views of one object, near zero across
 objects. No crop is resized: the sum reads each hit once, whatever the
 crop's extent in pixels. The width is the library's,
-``sim.point_descriptor_dim``, and the backend has no settings of its own.
+``sim.point_descriptor_dim``, and the descriptor has no settings of its own.
 
 Each sum runs over a region's feature ids in ascending order, so a
 region's descriptor has the same bits alone, in any batch, and whatever
 the order of its hits.
 
-The class keeps the name of the grid-pooled backend it replaced, under
+The class keeps the name of the grid-pooled descriptor it replaced, under
 which ``perfbench/spans.py`` times ``GridPooledDescriptor.extract``.
-Swappable: anything with an ``extract(regions) -> (n, d)`` method, one unit
-row per region, stands in.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .regions import ObjectRegion
 
 
 class GridPooledDescriptor:
-    """The descriptor backend of ``library``, a ModelLibrary."""
+    """The region descriptor over ``library``, a ModelLibrary."""
 
     def __init__(self, library):
         self.library = library

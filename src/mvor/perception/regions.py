@@ -1,9 +1,9 @@
 """Object regions: one segmented observation of one object in one frame.
 
 A region keeps the frame's hits under its mask (the segmentation), in the
-frame's row-major order: each hit's row and column inside the region's
-tight crop, its feature id, exact projection, world point back-projected
-through the frame's viewpoint and object-local viewing direction. It also
+frame's row-major order: each hit's feature id, exact projection, world
+point back-projected through the frame's viewpoint and object-local
+viewing direction, and the tight crop of the frame around them. It also
 keeps the observing viewpoint, and later gains a global descriptor.
 """
 
@@ -28,8 +28,6 @@ class RegionCrop:
     row0: int
     col0: int
     shape: tuple[int, int]
-    rows: np.ndarray  # (n,) int64 crop-local row of each hit
-    cols: np.ndarray  # (n,) int64 crop-local column of each hit
     feature_ids: np.ndarray  # (n,) int64
     px: np.ndarray  # (n,2) exact (u,v) in the source image
     world: np.ndarray  # (n,3) back-projected world point
@@ -75,8 +73,6 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
             row0=int(r0),
             col0=int(c0),
             shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
-            rows=rr - r0,
-            cols=cc - c0,
             feature_ids=frame.feature_ids[mask],
             px=uv,
             world=back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[mask]),

@@ -19,8 +19,8 @@ is loaded, so the config echo governs them. Floats round-trip bit-exactly
 through JSON because Python serializes them via repr. Loading checks the
 presence and type of every member, that every number is finite, the
 config's values, that both placement lists have the same length and that
-every model id lies in the library, and raises ConfigParseError on a
-malformed document.
+every model id lies in the library and is placed once, by the same object
+in both lists, and raises ConfigParseError on a malformed document.
 """
 
 from __future__ import annotations
@@ -120,6 +120,15 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
                 f"instance member {name!r}: model ids {ids} outside the library's "
                 f"[0, {config.library_size})"
             )
+    initial = [p["model_id"] for p in data["initial"]]
+    for i, (model, goal) in enumerate(zip(initial, data["goal"])):
+        if goal["model_id"] != model:
+            raise ConfigParseError(
+                f"instance object {i}: initial model id {model}, goal model id {goal['model_id']}"
+            )
+        if model in initial[:i]:
+            j = initial.index(model)
+            raise ConfigParseError(f"instance objects {j} and {i} both place model id {model}")
     bounds = _table_rect(config)
     return RearrangementInstance(
         initial=_placements_from_list(data["initial"], bounds),

@@ -274,7 +274,6 @@ def test_criterion_6_association_and_retrieval_exactness():
     pcfg = PerceptionConfig()
     lcfg = LocalizationConfig()
     library = generate_model_library(cfg)
-    backend = pcfg.make_backend(library)
     intr = cfg.intrinsics()
     regions_total = 0
     retrieval_hits = 0
@@ -282,7 +281,7 @@ def test_criterion_6_association_and_retrieval_exactness():
     for seed in range(SUITE_SCENES):
         inst = generate_instance(cfg, library, seed=seed)
         frames = render(inst.initial, inst.ring_viewpoints, intr, library)
-        db = build_database(frames, backend, pcfg)
+        db = build_database(frames, library, pcfg)
         instance_label = {}
         for j in range(db.num_instances):
             labels = set(db.source_instance[np.flatnonzero(db.region_instance == j)].tolist())
@@ -293,7 +292,7 @@ def test_criterion_6_association_and_retrieval_exactness():
         if not pure:
             break
         (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library, first_id=99)
-        for g in prepare_goal_regions(goal_frame, backend, pcfg):
+        for g in prepare_goal_regions(goal_frame, library, pcfg):
             regions_total += 1
             cands = retrieve_candidates(g, db, lcfg.top_n)
             if instance_label[cands.instance_id] == g.source_instance:

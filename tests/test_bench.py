@@ -27,6 +27,7 @@ from mvor.errors import ConfigParseError, ReobservationFailed
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.perception import (
+    GridPooledDescriptor,
     PerceptionConfig,
     build_database,
     load_database,
@@ -185,11 +186,10 @@ class TestInstanceObjectMatching:
         cfg = SimConfig(object_count_min=6, object_count_max=6)
         library = generate_model_library(cfg)
         pcfg = PerceptionConfig()
-        backend = pcfg.make_backend(library)
         inst = generate_instance(cfg, library, seed=3)
         intr = cfg.intrinsics()
         frames = render(inst.initial, inst.ring_viewpoints, intr, library)
-        db = build_database(frames, backend, pcfg)
+        db = build_database(frames, library, pcfg)
         mapping = match_instances_to_objects(db, inst.initial)
         assert len(mapping) == 6
         for u, i in mapping.items():
@@ -204,21 +204,17 @@ class TestNoiseModeCorrection:
         trials."""
         sigma = 0.005
         cfg = SimConfig(object_count_min=1, object_count_max=1, actuation_sigma=sigma)
-        pcfg = PerceptionConfig()
-        lcfg = LocalizationConfig()
+        bcfg = BenchConfig(sim=cfg)
         library = generate_model_library(cfg)
-        backend = pcfg.make_backend(library)
         intr = cfg.intrinsics()
         ok = 0
         trials = 0
         for scene_seed in range(20):
             inst = generate_instance(cfg, library, seed=scene_seed)
             frames = render(inst.initial, inst.ring_viewpoints, intr, library)
-            db = build_database(frames, backend, pcfg)
-            matcher = lcfg.make_matcher(library)
-            reobserve = make_reobserver(
-                inst, library, db, backend, matcher, lcfg, pcfg, {0: 0}
-            )
+            db = build_database(frames, library, bcfg.perception)
+            matcher = bcfg.localization.make_matcher(library)
+            reobserve = make_reobserver(inst, library, db, matcher, bcfg, {0: 0})
             goal_pose = inst.goal.placements[0].pose
             for noise_seed in range(10):
                 trials += 1
@@ -241,40 +237,36 @@ class TestNoiseModeCorrection:
         assert ok >= 190
 
 
-class CountingBackend:
-    def __init__(self, inner):
-        self.inner = inner
-        self.batch_sizes = []
-
-    def extract(self, regions):
-        self.batch_sizes.append(len(regions))
-        return self.inner.extract(regions)
-
-
 class TestReobserver:
-    def test_describes_only_the_chosen_region(self):
+    def test_describes_only_the_chosen_region(self, monkeypatch):
         cfg = SimConfig(object_count_min=4, object_count_max=4)
-        pcfg = PerceptionConfig()
-        lcfg = LocalizationConfig()
+        bcfg = BenchConfig(sim=cfg)
+        pcfg, lcfg = bcfg.perception, bcfg.localization
         library = generate_model_library(cfg)
-        backend = pcfg.make_backend(library)
         intr = cfg.intrinsics()
         inst = generate_instance(cfg, library, seed=7)
         frames = render(inst.initial, inst.ring_viewpoints, intr, library)
-        db = build_database(frames, backend, pcfg)
+        db = build_database(frames, library, pcfg)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         guess = inst.goal.placements[0].pose
         scene = apply_move(inst.initial, library, 0, guess, 0.003, np.random.default_rng(1))
 
-        counting = CountingBackend(backend)
+        batch_sizes = []
+        extract = GridPooledDescriptor.extract
+
+        def counting(self, regions):
+            batch_sizes.append(len(regions))
+            return extract(self, regions)
+
+        monkeypatch.setattr(GridPooledDescriptor, "extract", counting)
         reobserve = make_reobserver(
-            inst, library, db, counting, lcfg.make_matcher(library), lcfg, pcfg, object_instance
+            inst, library, db, lcfg.make_matcher(library), bcfg, object_instance
         )
         tracked = reobserve(scene, 0, guess)
-        assert counting.batch_sizes == [1]
+        assert batch_sizes == [1]
 
         (frame,) = render(scene, [inst.home_viewpoint], intr, library, first_id=1000)
-        regions = prepare_goal_regions(frame, backend, pcfg)
+        regions = prepare_goal_regions(frame, library, pcfg)
         assert len(regions) > 1
         region = min(
             regions,
@@ -291,16 +283,14 @@ class TestReobserver:
         which the planner counts as a failure, not the renderer's
         EmptyFrame, which would escape it."""
         cfg = SimConfig(actuation_sigma=0.003)
-        pcfg = PerceptionConfig()
-        lcfg = LocalizationConfig()
+        bcfg = BenchConfig(sim=cfg)
         library = generate_model_library(cfg)
-        backend = pcfg.make_backend(library)
         inst = generate_instance(cfg, library, seed=1)
         frames = render(inst.initial, inst.ring_viewpoints, cfg.intrinsics(), library)
-        db = build_database(frames, backend, pcfg)
+        db = build_database(frames, library, bcfg.perception)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         reobserve = make_reobserver(
-            inst, library, db, backend, lcfg.make_matcher(library), lcfg, pcfg, object_instance
+            inst, library, db, bcfg.localization.make_matcher(library), bcfg, object_instance
         )
         away = SceneState(
             inst.initial.table_bounds,
@@ -842,6 +832,28 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(doc))
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--instance", str(path), "--out", out], capsys)
+
+    @pytest.mark.parametrize("case", ["swapped", "repeated"])
+    def test_inconsistent_model_ids(self, instance_doc, case, tmp_path, capsys):
+        """An instance whose goal object places another model than its
+        initial object, or that places one model twice, exits 2 from
+        ``rearrange`` and ``localize``; both once ran to exit 0."""
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(instance_doc))
+        db = str(tmp_path / "db.npz")
+        assert cli_main(["build-db", "--instance", str(good), "--out", db]) == 0
+        doc = copy.deepcopy(instance_doc)
+        first, second = doc["goal"]
+        if case == "swapped":
+            first["model_id"], second["model_id"] = second["model_id"], first["model_id"]
+        else:
+            doc["initial"][1]["model_id"] = second["model_id"] = first["model_id"]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        inst = str(path)
+        self._exits_2(["rearrange", "--instance", inst, "--out", str(tmp_path / "r")], capsys)
+        out = str(tmp_path / "poses.json")
+        self._exits_2(["localize", "--db", db, "--instance", inst, "--out", out], capsys)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -53,23 +53,18 @@ def library():
     return generate_model_library(CFG)
 
 
-@pytest.fixture(scope="module")
-def backend(library):
-    return PCFG.make_backend(library)
-
-
 def make_scene(placements):
     return SceneState(Rect(-0.5, -0.5, 0.5, 0.5), tuple(placements))
 
 
-def ring_db(scene, library, backend):
+def ring_db(scene, library):
     frames = render(scene, CFG.ring_viewpoints(), INTR, library)
-    return build_database(frames, backend, PCFG)
+    return build_database(frames, library, PCFG)
 
 
-def goal_regions_of(scene, library, backend):
+def goal_regions_of(scene, library):
     (frame,) = render(scene, [CFG.home_viewpoint()], INTR, library, first_id=99)
-    return frame, prepare_goal_regions(frame, backend, PCFG)
+    return frame, prepare_goal_regions(frame, library, PCFG)
 
 
 def apply_offsets(scene, offsets):
@@ -116,10 +111,10 @@ def unit(v):
 
 
 class TestRetrieveCandidates:
-    def test_single_instance_forced_choice(self, library, backend):
+    def test_single_instance_forced_choice(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0.2, 0.0, 0.0))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         cands = retrieve_candidates(goals[0], db, top_n=10)
         assert cands.instance_id == 0
         assert len(cands.region_indices) == db.num_regions
@@ -154,12 +149,12 @@ class TestRetrieveCandidates:
         cands = retrieve_candidates(_fake_goal(q), db, top_n=10)
         assert cands.instance_id == 1
 
-    def test_correct_instance_on_real_scenes(self, library, backend):
+    def test_correct_instance_on_real_scenes(self, library):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         for seed in range(5):
             inst = generate_instance(cfg, library, seed=seed)
-            db = ring_db(inst.initial, library, backend)
-            _, goals = goal_regions_of(inst.goal, library, backend)
+            db = ring_db(inst.initial, library)
+            _, goals = goal_regions_of(inst.goal, library)
             i2s = source_of_instance(db)
             for g in goals:
                 cands = retrieve_candidates(g, db, top_n=LCFG.top_n)
@@ -169,8 +164,6 @@ class TestRetrieveCandidates:
 def _fake_goal(descriptor):
     crop = RegionCrop(
         0, 0, (2, 2),
-        np.array([0, 0, 1, 1]),
-        np.array([0, 1, 0, 1]),
         np.zeros(4, dtype=np.int64),
         np.zeros((4, 2)),
         np.zeros((4, 3)),
@@ -299,10 +292,10 @@ class TestColumnLocalizationEquivalence:
         np.testing.assert_array_equal(cands.pruned, expected)
         reject_walk(cands, want[1], db, theta)
 
-    def test_real_database_walk_matches(self, library, backend):
+    def test_real_database_walk_matches(self, library):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=2)
-        db = ring_db(inst.initial, library, backend)
-        _, goals = goal_regions_of(inst.goal, library, backend)
+        db = ring_db(inst.initial, library)
+        _, goals = goal_regions_of(inst.goal, library)
         for g in goals:
             for excl in (frozenset(), frozenset({0}), frozenset({1, 2})):
                 winner, members, scores = loop_retrieve(g, db, LCFG.top_n, excl)
@@ -314,25 +307,25 @@ class TestColumnLocalizationEquivalence:
 
 
 class TestPruning:
-    def _ring_candidates(self, library, backend):
+    def _ring_candidates(self, library):
         scene = make_scene([Placement(1, PlanarTransform(0.0, 0.0, 0.0))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         return db, retrieve_candidates(goals[0], db, top_n=10)
 
-    def test_zero_radius_prunes_only_rejected(self, library, backend):
-        db, cands = self._ring_candidates(library, backend)
+    def test_zero_radius_prunes_only_rejected(self, library):
+        db, cands = self._ring_candidates(library)
         prune_after_rejection(cands, 0, db, theta_prune=0.0)
         assert cands.pruned[0]
         assert cands.pruned.sum() == 1
 
-    def test_max_radius_prunes_all(self, library, backend):
-        db, cands = self._ring_candidates(library, backend)
+    def test_max_radius_prunes_all(self, library):
+        db, cands = self._ring_candidates(library)
         prune_after_rejection(cands, 0, db, theta_prune=np.pi * np.sqrt(2))
         assert cands.pruned.all()
 
-    def test_default_radius_spares_ring_neighbors(self, library, backend):
-        db, cands = self._ring_candidates(library, backend)
+    def test_default_radius_spares_ring_neighbors(self, library):
+        db, cands = self._ring_candidates(library)
         # find the candidate observed from ring azimuth 0 (frame 0)
         pos0 = next(
             p for p, idx in enumerate(cands.region_indices) if db.region_frame[idx] == 0
@@ -357,14 +350,14 @@ class TestFeatureIdMatcher:
     def test_noiseless_needs_no_rng(self):
         assert FeatureIdMatcher(LCFG).rng is None
 
-    def test_corruption_model(self, library, backend):
+    def test_corruption_model(self, library):
         """Clean, a match's goal side is its goal hit's projection. Noise of
         ``sigma_px`` matching-resolution pixels moves it by ``sigma_px * side
         / match_resolution`` goal pixels, and an outlier lands anywhere in
         the goal crop's padded square of side ``side``."""
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         goal = goals[0].crop
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         clean = FeatureIdMatcher(LCFG).match(goal, cand)
@@ -398,28 +391,28 @@ class TestFeatureIdMatcher:
 
 
 class TestLiftTo3D:
-    def _matched_pair(self, library, backend, scene=None):
+    def _matched_pair(self, library, scene=None):
         scene = scene or make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand)
         return cand, m2d
 
-    def test_all_depth_pixels_lift(self, library, backend):
-        cand, m2d = self._matched_pair(library, backend)
+    def test_all_depth_pixels_lift(self, library):
+        cand, m2d = self._matched_pair(library)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         assert len(m3d) == len(m2d)
 
-    def test_too_few_pairs(self, library, backend):
-        cand, m2d = self._matched_pair(library, backend)
+    def test_too_few_pairs(self, library):
+        cand, m2d = self._matched_pair(library)
         small = Correspondences2D(m2d.goal_px[:3], m2d.cand_hits[:3])
         with pytest.raises(TooFewCorrespondences):
             lift_to_3d(small, cand, LCFG.min_correspondences)
 
-    def test_lifted_points_on_true_surface(self, library, backend):
+    def test_lifted_points_on_true_surface(self, library):
         scene = make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
-        cand, m2d = self._matched_pair(library, backend, scene)
+        cand, m2d = self._matched_pair(library, scene)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         o = library.point_offsets
         surface = geo.lift(scene.placements[0].pose).apply(library.points[o[2] : o[3]])
@@ -428,10 +421,10 @@ class TestLiftTo3D:
 
 
 class TestSolvePose:
-    def test_unmoved_object_identity(self, library, backend):
+    def test_unmoved_object_identity(self, library):
         scene = make_scene([Placement(3, PlanarTransform(-0.3, 0.1, 0.05))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
@@ -439,19 +432,19 @@ class TestSolvePose:
         assert est.accepted
         np.testing.assert_allclose([est.offset.yaw, est.offset.tx, est.offset.ty], 0.0, atol=1e-6)
 
-    def test_known_planar_motion(self, library, backend):
+    def test_known_planar_motion(self, library):
         offset = PlanarTransform(np.radians(40.0), 0.1, 0.0)
         initial = make_scene([Placement(4, PlanarTransform(0.2, -0.1, -0.05))])
         goal_scene = apply_offsets(initial, [offset])
-        db = ring_db(initial, library, backend)
-        _, goals = goal_regions_of(goal_scene, library, backend)
+        db = ring_db(initial, library)
+        _, goals = goal_regions_of(goal_scene, library)
         est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert est.accepted
         dtheta, dt = geo.planar_distance(est.offset, offset)
         assert np.radians(dtheta) < 1e-6
         assert dt / 100.0 < 1e-6
 
-    def test_outlier_noise_monte_carlo(self, library, backend):
+    def test_outlier_noise_monte_carlo(self, library):
         # corruption at the matcher: sigma_px=1 (matching-res), 40% outliers
         passed = 0
         trials = 0
@@ -459,8 +452,8 @@ class TestSolvePose:
             inst = generate_instance(
                 SimConfig(object_count_min=1, object_count_max=1), library, seed=scene_seed
             )
-            db = ring_db(inst.initial, library, backend)
-            _, goals = goal_regions_of(inst.goal, library, backend)
+            db = ring_db(inst.initial, library)
+            _, goals = goal_regions_of(inst.goal, library)
             for noise_seed in range(10):
                 trials += 1
                 matcher = FeatureIdMatcher(
@@ -484,12 +477,12 @@ class TestSolvePose:
         with pytest.raises(DegenerateGeometry):
             ransac_pnp(world, uv, INTR, seed=0)
 
-    def test_reported_inliers_verify(self, library, backend):
+    def test_reported_inliers_verify(self, library):
         inst = generate_instance(
             SimConfig(object_count_min=1, object_count_max=1), library, seed=3
         )
-        db = ring_db(inst.initial, library, backend)
-        _, goals = goal_regions_of(inst.goal, library, backend)
+        db = ring_db(inst.initial, library)
+        _, goals = goal_regions_of(inst.goal, library)
         matcher = FeatureIdMatcher(
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
@@ -598,23 +591,23 @@ class TestPlanarSolver:
         with pytest.raises(TooFewCorrespondences):
             ransac_planar(np.zeros((1, 3)), np.zeros((1, 2)), INTR, VIEWS[0], LCFG)
 
-    def test_estimate_object_rejects_degenerate_candidates(self, library, backend):
+    def test_estimate_object_rejects_degenerate_candidates(self, library):
         scene = make_scene([Placement(2, PlanarTransform(0.4, 0.05, -0.1))])
-        db = ring_db(scene, library, backend)
+        db = ring_db(scene, library)
         db.crop_world[:, :2] = [0.05, -0.1]  # every stored point on one vertical line
-        _, goals = goal_regions_of(scene, library, backend)
+        _, goals = goal_regions_of(scene, library)
         est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert not est.accepted
         assert est.inlier_count == 0
         assert "non-degenerate" in est.note
         assert est.candidates_visited >= 1
 
-    def test_solve_pose_is_planar_by_construction(self, library, backend):
+    def test_solve_pose_is_planar_by_construction(self, library):
         inst = generate_instance(
             SimConfig(object_count_min=1, object_count_max=1), library, seed=3
         )
-        db = ring_db(inst.initial, library, backend)
-        _, goals = goal_regions_of(inst.goal, library, backend)
+        db = ring_db(inst.initial, library)
+        _, goals = goal_regions_of(inst.goal, library)
         matcher = FeatureIdMatcher(
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
@@ -729,32 +722,32 @@ class _RecordingMatcher:
 
 
 class TestEstimateObject:
-    def test_noiseless_first_candidate_accepted(self, library, backend):
+    def test_noiseless_first_candidate_accepted(self, library):
         inst = generate_instance(
             SimConfig(object_count_min=2, object_count_max=2), library, seed=8
         )
-        db = ring_db(inst.initial, library, backend)
-        _, goals = goal_regions_of(inst.goal, library, backend)
+        db = ring_db(inst.initial, library)
+        _, goals = goal_regions_of(inst.goal, library)
         for g in goals:
             est = estimate_object(g, db, FeatureIdMatcher(LCFG), INTR, LCFG)
             assert est.accepted
             assert est.matcher_invocations == 1
             assert est.candidates_visited == 1
 
-    def test_hidden_side_single_view_not_accepted(self, library, backend):
+    def test_hidden_side_single_view_not_accepted(self, library):
         model_id = 0  # box: opposite sides share no visible points
         initial = make_scene([Placement(model_id, PlanarTransform(0.0, 0.0, 0.0))])
         goal_scene = apply_offsets(initial, [PlanarTransform(np.pi, 0.0, 0.0)])
         home = render(initial, [CFG.home_viewpoint()], INTR, library)
-        db = build_database(home, backend, PCFG)
-        _, goals = goal_regions_of(goal_scene, library, backend)
+        db = build_database(home, library, PCFG)
+        _, goals = goal_regions_of(goal_scene, library)
         est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert not est.accepted
 
-    def test_full_prune_single_invocation(self, library, backend):
+    def test_full_prune_single_invocation(self, library):
         scene = make_scene([Placement(1, PlanarTransform(0.0, 0.0, 0.0))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         cfg = LocalizationConfig(theta_prune=np.pi * np.sqrt(2))
         # drop every match so the first candidate is rejected
         matcher = FeatureIdMatcher(LocalizationConfig(drop_rate=1.0), np.random.default_rng(0))
@@ -762,10 +755,10 @@ class TestEstimateObject:
         assert not est.accepted
         assert est.matcher_invocations == 1
 
-    def test_traversal_monotone_and_unpruned(self, library, backend):
+    def test_traversal_monotone_and_unpruned(self, library):
         scene = make_scene([Placement(5, PlanarTransform(0.3, 0.0, 0.0))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         cfg = LocalizationConfig(theta_prune=0.0)  # visit everything, in order
         rec = _RecordingMatcher(
             FeatureIdMatcher(LocalizationConfig(drop_rate=1.0), np.random.default_rng(0))
@@ -784,14 +777,14 @@ class TestEstimateObject:
 
 
 class TestDescriptorNNMatcher:
-    def test_descriptor_matching_recovers_pose(self, library, backend):
+    def test_descriptor_matching_recovers_pose(self, library):
         from mvor.localization import DescriptorNNMatcher
 
         offset = PlanarTransform(np.radians(-75.0), -0.08, 0.12)
         initial = make_scene([Placement(2, PlanarTransform(0.4, 0.05, -0.1))])
         goal_scene = apply_offsets(initial, [offset])
-        db = ring_db(initial, library, backend)
-        _, goals = goal_regions_of(goal_scene, library, backend)
+        db = ring_db(initial, library)
+        _, goals = goal_regions_of(goal_scene, library)
         matcher = DescriptorNNMatcher(library, LCFG)
         est = estimate_object(goals[0], db, matcher, INTR, LCFG)
         assert est.accepted
@@ -813,11 +806,11 @@ class TestMatchesNameHits:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_are_one_to_one_and_id_consistent(self, case, library, backend):
+    def test_matches_are_one_to_one_and_id_consistent(self, case, library):
         kind, overrides = self.CASES[case]
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
-        db = ring_db(scene, library, backend)
-        _, goals = goal_regions_of(scene, library, backend)
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
         goal = goals[0].crop
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         cfg = LocalizationConfig(matcher=kind, **overrides)
@@ -847,12 +840,12 @@ class TestMatchesNameHits:
 
 
 class TestEstimateAll:
-    def test_three_objects_noiseless(self, library, backend):
+    def test_three_objects_noiseless(self, library):
         cfg3 = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg3, library, seed=9)
-        db = ring_db(inst.initial, library, backend)
+        db = ring_db(inst.initial, library)
         (goal_frame,) = render(inst.goal, [inst.home_viewpoint], INTR, library, first_id=99)
-        goals = prepare_goal_regions(goal_frame, backend, PCFG)
+        goals = prepare_goal_regions(goal_frame, library, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3
         i2s = source_of_instance(db)
@@ -861,7 +854,7 @@ class TestEstimateAll:
             dtheta, dt = geo.planar_distance(est.offset, inst.true_offsets[i2s[u]])
             assert dtheta < 1e-4 and dt < 1e-4
 
-    def test_twin_models_resolved_to_distinct_instances(self, library, backend):
+    def test_twin_models_resolved_to_distinct_instances(self, library):
         initial = make_scene(
             [
                 Placement(0, PlanarTransform(0.0, -0.2, 0.0)),
@@ -872,17 +865,17 @@ class TestEstimateAll:
             initial,
             [PlanarTransform(0.3, 0.05, 0.1), PlanarTransform(-0.2, -0.05, -0.1)],
         )
-        db = ring_db(initial, library, backend)
-        _, goals = goal_regions_of(goal_scene, library, backend)
+        db = ring_db(initial, library)
+        _, goals = goal_regions_of(goal_scene, library)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 2
         assert set(out.keys()) == {0, 1}
 
-    def test_empty_goal_frame(self, library, backend):
+    def test_empty_goal_frame(self, library):
         from mvor.sim import empty_frame
 
         frame = empty_frame(CFG.home_viewpoint(), INTR, frame_id=99)
-        goals = prepare_goal_regions(frame, backend, PCFG)
+        goals = prepare_goal_regions(frame, library, PCFG)
         assert goals == []
         out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(LCFG), INTR, LCFG)
         assert out == {}

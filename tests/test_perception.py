@@ -13,6 +13,7 @@ from mvor.cli import main as cli_main
 from mvor.errors import IOFailure, NoRegions
 from mvor.geometry import PlanarTransform
 from mvor.perception import (
+    GridPooledDescriptor,
     PerceptionConfig,
     associate,
     build_database,
@@ -46,8 +47,8 @@ def library():
 
 
 @pytest.fixture(scope="module")
-def backend(library):
-    return PCFG.make_backend(library)
+def descriptor(library):
+    return GridPooledDescriptor(library)
 
 
 def make_scene(placements):
@@ -69,9 +70,9 @@ def ring_frames(scene, library, config=CFG):
     return render(scene, config.ring_viewpoints(), intr, library)
 
 
-def db_for(scene, library, backend, frames=None):
+def db_for(scene, library, frames=None):
     frames = frames if frames is not None else ring_frames(scene, library)
-    return build_database(frames, backend, PCFG)
+    return build_database(frames, library, PCFG)
 
 
 class TestExtractRegions:
@@ -177,17 +178,25 @@ def dense_extract_regions(frame, planes, masks, min_points):
     return out
 
 
+def crop_pixels(crop):
+    """Each hit's crop-local row and column: its pixel, ``floor(px + 0.5)``,
+    less the crop's origin."""
+    cols, rows = np.floor(crop.px + 0.5).astype(np.int64).T
+    return rows - crop.row0, cols - crop.col0
+
+
 def densify(crop):
     """A hit crop scattered back to its dense (h, w) grids of feature ids,
     projections, world points and view directions: feature id -1 and NaN
     geometry off the hits."""
     h, w = crop.shape
+    rows, cols = crop_pixels(crop)
     grids = []
     for values, fill in (
         (crop.feature_ids, -1), (crop.px, np.nan), (crop.world, np.nan), (crop.view_local, np.nan)
     ):
         grid = np.full((h, w) + values.shape[1:], fill, dtype=values.dtype)
-        grid[crop.rows, crop.cols] = values
+        grid[rows, cols] = values
         grids.append(grid)
     return grids
 
@@ -198,7 +207,7 @@ def sparsify(feature_ids, px, world, view_local, row0=0, col0=0):
     rr, cc = np.nonzero(feature_ids >= 0)
     h, w = feature_ids.shape
     return RegionCrop(
-        row0, col0, (h, w), rr, cc,
+        row0, col0, (h, w),
         feature_ids[rr, cc], px[rr, cc], world[rr, cc], view_local[rr, cc],
     )
 
@@ -236,7 +245,8 @@ class TestHitFrameRegions:
                 for reg, (r0, c0, label, arrays) in zip(got, expect):
                     c = reg.crop
                     assert (c.row0, c.col0, reg.source_instance) == (r0, c0, label)
-                    assert np.all(np.diff(c.rows * c.shape[1] + c.cols) > 0)  # row-major
+                    rows, cols = crop_pixels(c)
+                    assert np.all(np.diff(rows * c.shape[1] + cols) > 0)  # row-major
                     for a, b in zip(densify(c), arrays):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
                         assert a.tobytes() == b.tobytes()
@@ -276,14 +286,14 @@ def shuffled_hits(region, rng):
     order = rng.permutation(len(region.crop.feature_ids))
     c = region.crop
     crop = RegionCrop(
-        c.row0, c.col0, c.shape, c.rows[order], c.cols[order], c.feature_ids[order],
-        c.px[order], c.world[order], c.view_local[order],
+        c.row0, c.col0, c.shape, c.feature_ids[order], c.px[order], c.world[order],
+        c.view_local[order],
     )
     return ObjectRegion(crop, region.viewpoint, region.frame_id, region.source_instance)
 
 
-def described_bytes(backend, regions):
-    return [row.tobytes() for row in backend.extract(regions)]
+def described_bytes(descriptor, regions):
+    return [row.tobytes() for row in descriptor.extract(regions)]
 
 
 class TestDescriptor:
@@ -291,26 +301,26 @@ class TestDescriptor:
         frame = ring_frames(scene, library)[view_idx]
         return extract_regions(frame, segment(frame), PCFG)[which]
 
-    def test_deterministic(self, library, backend):
+    def test_deterministic(self, library, descriptor):
         scene = make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))])
         reg = self._region(library, scene)
-        a = backend.extract([reg])[0]
-        b = backend.extract([reg])[0]
+        a = descriptor.extract([reg])[0]
+        b = descriptor.extract([reg])[0]
         np.testing.assert_array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-6)
 
     def test_settings_come_from_the_config(self, library):
-        """The backend has no settings of its own: a descriptor is the
+        """The descriptor has no settings of its own: it is the
         config's ``sim.point_descriptor_dim`` wide and of unit norm, for the
         default library and a narrow one."""
         scene = make_scene([Placement(2, PlanarTransform(0.3, 0.0, 0.1))])
         narrow = generate_model_library(SimConfig(point_descriptor_dim=8))
         for width, lib in ((CFG.point_descriptor_dim, library), (8, narrow)):
-            y = PCFG.make_backend(lib).extract([self._region(lib, scene)])
+            y = GridPooledDescriptor(lib).extract([self._region(lib, scene)])
             assert y.shape == (1, width)
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
-    def test_scale_invariance(self, library, backend):
+    def test_scale_invariance(self, library, descriptor):
         scene = make_scene([Placement(4, PlanarTransform(-0.2, 0.0, 0.0))])
         reg = self._region(library, scene)
         up = ObjectRegion(
@@ -319,11 +329,11 @@ class TestDescriptor:
             frame_id=reg.frame_id,
             source_instance=reg.source_instance,
         )
-        a, b = backend.extract([reg, up])
+        a, b = descriptor.extract([reg, up])
         sim = float(a @ b)
         assert sim > 0.995
 
-    def test_same_instance_beats_cross_instance(self, library, backend):
+    def test_same_instance_beats_cross_instance(self, library, descriptor):
         scene = make_scene(
             [
                 Placement(0, PlanarTransform(0.1, -0.15, 0.0)),
@@ -335,7 +345,7 @@ class TestDescriptor:
         descs = []
         for f in frames:
             regs = extract_regions(f, segment(f), PCFG)
-            descs += zip((r.source_instance for r in regs), backend.extract(regs))
+            descs += zip((r.source_instance for r in regs), descriptor.extract(regs))
         for i in range(len(descs)):
             for j in range(i + 1, len(descs)):
                 sim = float(descs[i][1] @ descs[j][1])
@@ -355,60 +365,60 @@ class TestDescriptorBatch:
         assert len(regions) >= 20
         return regions
 
-    def test_rows_are_single_region_descriptors(self, backend, regions):
-        batch = backend.extract(regions)
+    def test_rows_are_single_region_descriptors(self, descriptor, regions):
+        batch = descriptor.extract(regions)
         assert batch.shape == (len(regions), CFG.point_descriptor_dim)
-        assert described_bytes(backend, regions) == [
-            backend.extract([r])[0].tobytes() for r in regions
+        assert described_bytes(descriptor, regions) == [
+            descriptor.extract([r])[0].tobytes() for r in regions
         ]
 
-    def test_permuted_batch_permutes_rows(self, backend, regions):
+    def test_permuted_batch_permutes_rows(self, descriptor, regions):
         order = np.random.default_rng(0).permutation(len(regions))
-        alone = described_bytes(backend, regions)
-        permuted = described_bytes(backend, [regions[i] for i in order])
+        alone = described_bytes(descriptor, regions)
+        permuted = described_bytes(descriptor, [regions[i] for i in order])
         assert permuted == [alone[i] for i in order]
 
-    def test_hit_order_keeps_the_bits(self, backend, regions):
+    def test_hit_order_keeps_the_bits(self, descriptor, regions):
         rng = np.random.default_rng(1)
         shuffled = [shuffled_hits(r, rng) for r in regions]
-        assert described_bytes(backend, shuffled) == described_bytes(backend, regions)
+        assert described_bytes(descriptor, shuffled) == described_bytes(descriptor, regions)
 
-    def test_inputs_keep_their_bytes_in_any_batch(self, backend, regions):
+    def test_inputs_keep_their_bytes_in_any_batch(self, descriptor, regions):
         """Sorting a region's ids copies them: the crops, whose columns are
         aligned hit by hit, and the library's codes keep their bytes."""
         def snapshot():
             return [
                 getattr(r.crop, name).tobytes()
-                for r in regions for name in ("rows", "cols", "feature_ids", "px", "world")
-            ] + [backend.library.point_descriptors.tobytes()]
+                for r in regions for name in ("feature_ids", "px", "world", "view_local")
+            ] + [descriptor.library.point_descriptors.tobytes()]
 
         before = snapshot()
-        backend.extract(regions)
-        backend.extract(regions[::-1])
+        descriptor.extract(regions)
+        descriptor.extract(regions[::-1])
         for r in regions[:5]:
-            backend.extract([r])
+            descriptor.extract([r])
         assert snapshot() == before
 
-    def test_one_region_batch_is_the_vector_product(self, backend, regions):
+    def test_one_region_batch_is_the_vector_product(self, descriptor, regions):
         """A one-row batch is the bag-of-words vector product: the region's
         hit counts per library point times the point codes, normalized, up
         to the product's summation order."""
-        codes = backend.library.point_descriptors
+        codes = descriptor.library.point_descriptors
         for r in regions[:5]:
             counts = np.bincount(r.crop.feature_ids, minlength=len(codes)).astype(float)
             y = counts @ codes
             np.testing.assert_allclose(
-                backend.extract([r])[0], y / np.linalg.norm(y), rtol=0, atol=1e-12
+                descriptor.extract([r])[0], y / np.linalg.norm(y), rtol=0, atol=1e-12
             )
 
-    def test_empty_batch(self, backend):
-        assert backend.extract([]).shape == (0, CFG.point_descriptor_dim)
-        describe_regions([], backend)
+    def test_empty_batch(self, descriptor):
+        assert descriptor.extract([]).shape == (0, CFG.point_descriptor_dim)
+        describe_regions([], descriptor.library)
 
-    def test_empty_region_in_batch_raises(self, backend, regions):
+    def test_empty_region_in_batch_raises(self, descriptor, regions):
         empty = fid_region(np.full((7, 5), -1, dtype=np.int64))
         with pytest.raises(ValueError, match="without hits"):
-            backend.extract([regions[0], empty, regions[1]])
+            descriptor.extract([regions[0], empty, regions[1]])
 
 
 class TestPooling:
@@ -427,29 +437,29 @@ class TestPooling:
     # crops under and over 64 px, which a fixed 64 px grid would up- and
     # downsample; the pooled sum reads each hit once at any size
     @pytest.mark.parametrize("resample", ["up", "down"])
-    def test_rendered_crops(self, backend, rendered, resample):
+    def test_rendered_crops(self, descriptor, rendered, resample):
         picked = [
             r for r in rendered
             if (max(r.crop.shape) < 64 if resample == "up" else max(r.crop.shape) > 64)
         ]
         assert picked
-        assert described_bytes(backend, picked) == [
-            reference_descriptor(backend.library, r).tobytes() for r in picked
+        assert described_bytes(descriptor, picked) == [
+            reference_descriptor(descriptor.library, r).tobytes() for r in picked
         ]
 
-    def test_one_pixel_region(self, library, backend):
+    def test_one_pixel_region(self, library, descriptor):
         point = library.point_offsets[3] + 17
         region = fid_region(np.array([[point]]))
         np.testing.assert_allclose(
-            backend.extract([region])[0], library.point_descriptors[point], rtol=0, atol=1e-15
+            descriptor.extract([region])[0], library.point_descriptors[point], rtol=0, atol=1e-15
         )
-        assert backend.extract([region])[0].tobytes() == (
+        assert descriptor.extract([region])[0].tobytes() == (
             reference_descriptor(library, region).tobytes()
         )
 
-    def test_empty_crop_raises(self, backend):
+    def test_empty_crop_raises(self, descriptor):
         with pytest.raises(ValueError, match="without hits"):
-            backend.extract([fid_region(np.full((7, 5), -1, dtype=np.int64))])
+            descriptor.extract([fid_region(np.full((7, 5), -1, dtype=np.int64))])
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -458,10 +468,10 @@ class TestPooling:
         hole_rate=st.floats(0.0, 0.95),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_feature_grids(self, backend, h, w, hole_rate, seed):
-        region = fid_region(random_fids(backend.library, np.random.default_rng(seed), h, w, hole_rate))
-        expected = reference_descriptor(backend.library, region)
-        assert backend.extract([region])[0].tobytes() == expected.tobytes()
+    def test_random_feature_grids(self, descriptor, h, w, hole_rate, seed):
+        region = fid_region(random_fids(descriptor.library, np.random.default_rng(seed), h, w, hole_rate))
+        expected = reference_descriptor(descriptor.library, region)
+        assert descriptor.extract([region])[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -472,37 +482,37 @@ class TestPooling:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(shapes=[(1, 1), (150, 20), (20, 150), (64, 64), (100, 130)], hole_rate=0.3, seed=0)
-    def test_random_batches(self, backend, shapes, hole_rate, seed):
+    def test_random_batches(self, descriptor, shapes, hole_rate, seed):
         """A batch of mixed crops, and the same crops with their hits
         shuffled, give each crop's reference bits."""
         rng = np.random.default_rng(seed)
-        batch = [fid_region(random_fids(backend.library, rng, h, w, hole_rate)) for h, w in shapes]
-        expected = [reference_descriptor(backend.library, r).tobytes() for r in batch]
-        assert described_bytes(backend, batch) == expected
-        assert described_bytes(backend, [shuffled_hits(r, rng) for r in batch]) == expected
+        batch = [fid_region(random_fids(descriptor.library, rng, h, w, hole_rate)) for h, w in shapes]
+        expected = [reference_descriptor(descriptor.library, r).tobytes() for r in batch]
+        assert described_bytes(descriptor, batch) == expected
+        assert described_bytes(descriptor, [shuffled_hits(r, rng) for r in batch]) == expected
 
 
 class TestAssociate:
-    def test_two_objects_recover_ground_truth(self, library, backend):
+    def test_two_objects_recover_ground_truth(self, library):
         scene = make_scene(
             [
                 Placement(0, PlanarTransform(0.0, -0.15, 0.0)),
                 Placement(1, PlanarTransform(0.0, 0.15, 0.0)),
             ]
         )
-        db = db_for(scene, library, backend)
+        db = db_for(scene, library)
         assert db.num_instances == 2
         for j in range(db.num_instances):
             members = np.flatnonzero(db.region_instance == j)
             assert len(set(db.source_instance[members].tolist())) == 1
 
-    def test_ring_recovers_object_count(self, library, backend):
+    def test_ring_recovers_object_count(self, library):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=4)
-        db = db_for(inst.initial, library, backend, ring_frames(inst.initial, library, cfg))
+        db = db_for(inst.initial, library, ring_frames(inst.initial, library, cfg))
         assert db.num_instances == 5
 
-    def test_undercount_when_every_ring_frame_misses_an_object(self, library, backend):
+    def test_undercount_when_every_ring_frame_misses_an_object(self, library):
         """Known failure mode: instance undercounting under occlusion.
 
         The frame with the most regions names the instances, so an object
@@ -525,11 +535,11 @@ class TestAssociate:
         frames = ring_frames(scene, library, cfg)
         regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         assert [sorted(r.source_instance for r in rs) for rs in regions_by_frame] == [[0, 2]] * 2
-        db = build_database(frames, backend, PCFG)
+        db = build_database(frames, library, PCFG)
         assert db.num_instances == 2 < scene.num_objects
         assert 1 not in db.source_instance
 
-    def test_undercount_when_no_frame_sees_every_object(self, library, backend):
+    def test_undercount_when_no_frame_sees_every_object(self, library):
         """Known failure mode, and a fixable one: every object is seen, yet
         the database holds fewer instances than the scene has objects.
 
@@ -556,7 +566,7 @@ class TestAssociate:
             [0, 1],
             [1, 2],
         ]
-        db = build_database(frames, backend, PCFG)
+        db = build_database(frames, library, PCFG)
         assert db.num_instances == 2 < scene.num_objects
         assert set(db.source_instance.tolist()) == {0, 1, 2}
         # objects 1 and 2 share the instance named by object 1's region
@@ -591,9 +601,8 @@ def point_region(frame_id, label, x):
     """A described one-hit region whose centroid is (x, 0, 0), seen from
     a camera 1 m above the origin."""
     crop = RegionCrop(
-        0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64), np.zeros((1, 2)), np.array([[x, 0.0, 0.0]]),
-        np.zeros((1, 3)),
+        0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
+        np.array([[x, 0.0, 0.0]]), np.zeros((1, 3)),
     )
     return ObjectRegion(
         crop, geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), frame_id, label,
@@ -602,33 +611,33 @@ def point_region(frame_id, label, x):
 
 
 class TestBuildDatabase:
-    def test_three_object_ring(self, library, backend):
+    def test_three_object_ring(self, library):
         cfg = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg, library, seed=6)
-        db = db_for(inst.initial, library, backend, ring_frames(inst.initial, library, cfg))
+        db = db_for(inst.initial, library, ring_frames(inst.initial, library, cfg))
         assert db.num_instances == 3
         for j in range(db.num_instances):
             assert len(np.flatnonzero(db.region_instance == j)) >= 6
 
-    def test_single_frame_database(self, library, backend):
+    def test_single_frame_database(self, library):
         cfg = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg, library, seed=6)
         frames = render(inst.initial, [inst.home_viewpoint], cfg.intrinsics(), library)
-        db = build_database(frames, backend, PCFG)
+        db = build_database(frames, library, PCFG)
         assert db.num_instances == 3
         assert all(len(np.flatnonzero(db.region_instance == j)) == 1 for j in range(3))
 
-    def test_no_regions(self, backend):
+    def test_no_regions(self, library):
         frames = [
             empty_frame(vp, CFG.intrinsics(), frame_id=i)
             for i, vp in enumerate(CFG.ring_viewpoints())
         ]
         with pytest.raises(NoRegions):
-            build_database(frames, backend, PCFG)
+            build_database(frames, library, PCFG)
 
-    def test_no_frames(self, backend):
+    def test_no_frames(self, library):
         with pytest.raises(NoRegions):
-            build_database([], backend, PCFG)
+            build_database([], library, PCFG)
 
     @pytest.mark.parametrize(
         "sim, view, seed",
@@ -653,7 +662,7 @@ class TestBuildDatabase:
             *(pytest.param({}, "home", seed, id=f"home-{seed}") for seed in (40, 41, 42)),
         ],
     )
-    def test_instances_are_segmenter_labels(self, library, backend, sim, view, seed):
+    def test_instances_are_segmenter_labels(self, library, sim, view, seed):
         """The fullest frame's regions name the instances: every instance
         holds the regions of one ground-truth label, and each label falls in
         one instance."""
@@ -663,17 +672,17 @@ class TestBuildDatabase:
             frames = render(inst.initial, [inst.home_viewpoint], cfg.intrinsics(), library)
         else:
             frames = ring_frames(inst.initial, library, cfg)
-        db = db_for(inst.initial, library, backend, frames)
+        db = db_for(inst.initial, library, frames)
         pairs = set(zip(db.source_instance.tolist(), db.region_instance.tolist()))
         assert len({label for label, _ in pairs}) == len(pairs) == db.num_instances
         assert len({j for _, j in pairs}) == db.num_instances
 
-    def test_invariants(self, library, backend):
+    def test_invariants(self, library):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
         regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         regions = [r for frame_regions in regions_by_frame for r in frame_regions]
-        describe_regions(regions, backend)
+        describe_regions(regions, library)
         db = associate(regions_by_frame)
         # the viewpoint is gone once associate keeps the observation direction
         expected = [geo.observation_vector(r.viewpoint, r.crop.world) for r in regions]
@@ -693,16 +702,16 @@ class TestBuildDatabase:
             mean = np.mean([region_world[i].mean(axis=0) for i in members], axis=0)
             np.testing.assert_allclose(db.instance_centroids[j], mean, atol=1e-12)
 
-    def test_batch_equals_region_by_region(self, library, backend):
+    def test_batch_equals_region_by_region(self, library):
         """One projection over every region of the build gives the database
         that describing each region alone gives: every column but the
         descriptors bit for bit, the descriptors to 1e-12."""
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
-        db = build_database(frames, backend, PCFG)
+        db = build_database(frames, library, PCFG)
         regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
         for r in (r for frame_regions in regions_by_frame for r in frame_regions):
-            describe_regions([r], backend)
+            describe_regions([r], library)
         one_by_one = associate(regions_by_frame)
         for f in fields(Database):
             a, b = getattr(db, f.name), getattr(one_by_one, f.name)
@@ -712,11 +721,11 @@ class TestBuildDatabase:
             else:
                 assert a.tobytes() == b.tobytes(), f.name
 
-    def test_deterministic(self, library, backend):
+    def test_deterministic(self, library):
         inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=14)
         frames = ring_frames(inst.initial, library)
-        a = build_database(frames, backend, PCFG)
-        b = build_database(frames, backend, PCFG)
+        a = build_database(frames, library, PCFG)
+        b = build_database(frames, library, PCFG)
         np.testing.assert_array_equal(a.region_instance, b.region_instance)
         np.testing.assert_array_equal(a.descriptors, b.descriptors)
 
@@ -763,9 +772,9 @@ BAD_DUMPS = {
 
 
 class TestDatabaseIO:
-    def test_roundtrip_bit_exact(self, library, backend, tmp_path):
+    def test_roundtrip_bit_exact(self, library, tmp_path):
         inst = generate_instance(SimConfig(object_count_min=3, object_count_max=3), library, seed=15)
-        db = db_for(inst.initial, library, backend)
+        db = db_for(inst.initial, library)
         path = tmp_path / "db.npz"
         save_database(db, path, extra_meta={"library_seed": CFG.library_seed})
         loaded, header = load_database(path)
@@ -776,9 +785,9 @@ class TestDatabaseIO:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
     @pytest.fixture
-    def members(self, library, backend, tmp_path):
+    def members(self, library, tmp_path):
         path = tmp_path / "db.npz"
-        db = db_for(make_scene([Placement(2, PlanarTransform(0, 0, 0))]), library, backend)
+        db = db_for(make_scene([Placement(2, PlanarTransform(0, 0, 0))]), library)
         save_database(db, path)
         with np.load(path) as npz:
             return {name: npz[name] for name in npz.files}
@@ -837,16 +846,16 @@ class TestDatabaseIO:
         with pytest.raises(IOFailure):
             load_database(path)
 
-    def test_goal_region_prep(self, library, backend):
+    def test_goal_region_prep(self, library):
         cfg = SimConfig(object_count_min=2, object_count_max=2)
         inst = generate_instance(cfg, library, seed=16)
         (frame,) = render(inst.goal, [inst.home_viewpoint], cfg.intrinsics(), library)
-        regions = prepare_goal_regions(frame, backend, PCFG)
+        regions = prepare_goal_regions(frame, library, PCFG)
         assert len(regions) == 2
         for r in regions:
             assert r.descriptor is not None
         # the observation directions live in the database, one per region
-        db = build_database([frame], backend, PCFG)
+        db = build_database([frame], library, PCFG)
         assert db.obs_dirs.shape == (2, 3)
         np.testing.assert_allclose(np.linalg.norm(db.obs_dirs, axis=1), 1.0, atol=1e-12)
 
@@ -869,13 +878,13 @@ FUZZ_HEADER_VALUES = st.sampled_from(
 
 class TestDatabaseLoadFuzz:
     @pytest.fixture(scope="class")
-    def dump(self, library, backend, tmp_path_factory):
+    def dump(self, library, tmp_path_factory):
         """(members, file bytes, scratch path) of a two-object dump."""
         path = tmp_path_factory.mktemp("db_fuzz") / "db.npz"
         scene = make_scene([
             Placement(2, PlanarTransform(0, -0.15, 0)), Placement(5, PlanarTransform(1, 0.15, 0))
         ])
-        save_database(db_for(scene, library, backend), path, extra_meta={"library_seed": 7})
+        save_database(db_for(scene, library), path, extra_meta={"library_seed": 7})
         with np.load(path) as npz:
             members = {name: npz[name] for name in npz.files}
         return members, path.read_bytes(), path

@@ -731,6 +731,27 @@ class TestInstanceIO:
         with pytest.raises(ConfigParseError):
             instance_from_dict(d)
 
+    def test_goal_model_differs_from_initial_rejected(self, config, library):
+        """Goal object i places initial object i's model: with two goal ids
+        swapped, ``mvor rearrange`` once ran to INCOMPLETE with exit 0."""
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        first, second = d["goal"][:2]
+        m0, m1 = first["model_id"], second["model_id"]
+        first["model_id"], second["model_id"] = m1, m0
+        with pytest.raises(
+            ConfigParseError, match=f"object 0: initial model id {m0}, goal model id {m1}"
+        ):
+            instance_from_dict(d)
+
+    def test_repeated_model_rejected(self, config, library):
+        """No model is placed twice: a hit's feature id is its library row,
+        so the database could not tell the two placements apart."""
+        d = instance_to_dict(generate_instance(config, library, seed=2))
+        m = d["initial"][0]["model_id"]
+        d["initial"][1]["model_id"] = d["goal"][1]["model_id"] = m
+        with pytest.raises(ConfigParseError, match=f"objects 0 and 1 both place model id {m}"):
+            instance_from_dict(d)
+
 
 class TestDatasetIO:
     def test_roundtrip(self, config, library, tmp_path):
