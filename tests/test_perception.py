@@ -469,7 +469,8 @@ class TestPooling:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_feature_grids(self, descriptor, h, w, hole_rate, seed):
-        region = fid_region(random_fids(descriptor.library, np.random.default_rng(seed), h, w, hole_rate))
+        rng = np.random.default_rng(seed)
+        region = fid_region(random_fids(descriptor.library, rng, h, w, hole_rate))
         expected = reference_descriptor(descriptor.library, region)
         assert descriptor.extract([region])[0].tobytes() == expected.tobytes()
 
@@ -486,7 +487,8 @@ class TestPooling:
         """A batch of mixed crops, and the same crops with their hits
         shuffled, give each crop's reference bits."""
         rng = np.random.default_rng(seed)
-        batch = [fid_region(random_fids(descriptor.library, rng, h, w, hole_rate)) for h, w in shapes]
+        lib = descriptor.library
+        batch = [fid_region(random_fids(lib, rng, h, w, hole_rate)) for h, w in shapes]
         expected = [reference_descriptor(descriptor.library, r).tobytes() for r in batch]
         assert described_bytes(descriptor, batch) == expected
         assert described_bytes(descriptor, [shuffled_hits(r, rng) for r in batch]) == expected
