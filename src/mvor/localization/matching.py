@@ -1,5 +1,5 @@
-"""Local 2D-2D matching between a goal region crop and a candidate
-region's hits.
+"""Local 2D-2D matching between a goal region and a candidate region's
+hits.
 
 A surface point is matchable across two observations only when the two
 viewing directions, expressed in the object's local frame, agree within a
@@ -12,18 +12,19 @@ Backends:
                        model surface point, then corrupts the pairs: a drop
                        rate, Gaussian noise on the goal-side coordinates,
                        and uniform outlier replacement. A learned matcher
-                       errs at a common matching resolution (the goal crop
-                       padded to a square of side ``max(h, w)`` and resized
-                       to ``match_resolution``), so ``sigma_px`` is in
-                       matching-resolution pixels: in the goal image the
-                       noise is scaled by ``side / match_resolution``, and
-                       an outlier lands uniformly in the padded square.
+                       errs at a common matching resolution (the goal
+                       region's bounding box padded to a square of side
+                       ``max(h, w)`` and resized to ``match_resolution``),
+                       so ``sigma_px`` is in matching-resolution pixels:
+                       in the goal image the noise is scaled by
+                       ``side / match_resolution``, and an outlier lands
+                       uniformly in the padded square.
     DescriptorNNMatcher mutual nearest neighbor over the per-hit point
                        descriptors with a ratio test; no ground-truth ids,
                        same view-compatibility physics. It adds no noise.
 
 Both read only the candidate's ``feature_ids`` and ``view_local`` (a
-database's ``RegionHits`` or any crop), and name, per match, the
+database's ``RegionHits`` or any region), and name, per match, the
 goal-image coordinates (uncorrupted, the goal hit's exact projection) and
 the index of the candidate region's hit; lift_to_3d gathers that hit's
 stored world point.
@@ -64,11 +65,10 @@ class FeatureIdMatcher:
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
         self.rng = rng
 
-    def match(self, goal_crop, cand) -> Correspondences2D:
-        _, gi, ci = np.intersect1d(goal_crop.feature_ids, cand.feature_ids, return_indices=True)
+    def match(self, goal, cand) -> Correspondences2D:
+        _, gi, ci = np.intersect1d(goal.feature_ids, cand.feature_ids, return_indices=True)
         compatible = (
-            np.einsum("ij,ij->i", goal_crop.view_local[gi], cand.view_local[ci])
-            >= self.cos_max
+            np.einsum("ij,ij->i", goal.view_local[gi], cand.view_local[ci]) >= self.cos_max
         )
         gi, ci = gi[compatible], ci[compatible]
         n = len(gi)
@@ -76,18 +76,18 @@ class FeatureIdMatcher:
             keep = self.rng.uniform(size=n) >= self.drop_rate
             gi, ci = gi[keep], ci[keep]
             n = len(gi)
-        goal = goal_crop.px[gi]
-        h, w = goal_crop.shape
+        px = goal.px[gi]
+        h, w = goal.shape
         side = max(h, w)
         if n and self.sigma_px > 0.0:
-            noise = self.rng.normal(0.0, self.sigma_px, goal.shape)
-            goal = goal + noise * (side / self.resolution)
+            noise = self.rng.normal(0.0, self.sigma_px, px.shape)
+            px = px + noise * (side / self.resolution)
         if n and self.outlier_rate > 0.0:
             bad = self.rng.uniform(size=n) < self.outlier_rate
             # the top-left pixel edge of the padded square
-            corner = np.array([goal_crop.col0 - (side - w) // 2, goal_crop.row0 - (side - h) // 2])
-            goal[bad] = corner - 0.5 + self.rng.uniform(0.0, side, (int(bad.sum()), 2))
-        return Correspondences2D(goal, ci)
+            corner = np.array([goal.col0 - (side - w) // 2, goal.row0 - (side - h) // 2])
+            px[bad] = corner - 0.5 + self.rng.uniform(0.0, side, (int(bad.sum()), 2))
+        return Correspondences2D(px, ci)
 
 
 class DescriptorNNMatcher:
@@ -100,18 +100,18 @@ class DescriptorNNMatcher:
         self.max_points = config.max_matches
         self.cos_max = np.cos(np.radians(config.max_view_angle_deg))
 
-    def _features(self, crop):
-        """The hits of a goal crop or a candidate's ``RegionHits``, evenly
+    def _features(self, region):
+        """The hits of a goal region or a candidate's ``RegionHits``, evenly
         thinned to at most ``max_matches``, with their point descriptors and
         view directions. A feature id that names no library row, as one read
         from a database file may, raises UnknownFeature."""
-        hits = np.arange(len(crop.feature_ids))
+        hits = np.arange(len(region.feature_ids))
         if len(hits) > self.max_points:
             hits = hits[:: int(np.ceil(len(hits) / self.max_points))]
-        return hits, self.library.descriptors_for(crop.feature_ids[hits]), crop.view_local[hits]
+        return hits, self.library.descriptors_for(region.feature_ids[hits]), region.view_local[hits]
 
-    def match(self, goal_crop, cand) -> Correspondences2D:
-        g_hits, gd, g_view = self._features(goal_crop)
+    def match(self, goal, cand) -> Correspondences2D:
+        g_hits, gd, g_view = self._features(goal)
         c_hits, cd, c_view = self._features(cand)
         if len(gd) == 0 or len(cd) == 0:
             return _empty_matches()
@@ -133,4 +133,4 @@ class DescriptorNNMatcher:
         d2 = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.clip(second, -1.0, 1.0)))
         no_second = ~np.isfinite(second)
         ok = feasible & mutual & (no_second | (d1 <= self.ratio * np.maximum(d2, 1e-12)))
-        return Correspondences2D(goal_crop.px[g_hits[ok]], c_hits[nn[ok]])
+        return Correspondences2D(goal.px[g_hits[ok]], c_hits[nn[ok]])

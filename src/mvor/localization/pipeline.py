@@ -114,8 +114,7 @@ class PoseEstimate:
     num_correspondences: int = 0
     instance_id: int | None = None
     accepted: bool = False
-    candidates_visited: int = 0
-    matcher_invocations: int = 0
+    candidates_visited: int = 0  # matcher calls too: one per candidate visited
     note: str = ""
 
 
@@ -219,7 +218,6 @@ def estimate_object(
         raise NoCandidates("database is empty")
     excluded = set(excluded)
     visited = 0
-    match_calls = 0
     best: PoseEstimate | None = None
     for _ in range(db.num_instances):
         try:
@@ -233,8 +231,7 @@ def estimate_object(
                 continue
             visited += 1
             cand = db.hits(int(cands.region_indices[pos]))
-            match_calls += 1
-            m2d = matcher.match(goal_region.crop, cand)
+            m2d = matcher.match(goal_region, cand)
             try:
                 m3d = lift_to_3d(m2d, cand, config.min_correspondences)
                 est = solve_pose(m3d, intr, goal_region.viewpoint, config)
@@ -245,14 +242,12 @@ def estimate_object(
                 best = est
             if est.accepted:
                 est.candidates_visited = visited
-                est.matcher_invocations = match_calls
                 return est
             prune_after_rejection(cands, pos, db, config.theta_prune)
         excluded.add(cands.instance_id)
     if best is None:
         best = PoseEstimate(offset=PlanarTransform.identity(), note="no candidates evaluated")
     best.candidates_visited = visited
-    best.matcher_invocations = match_calls
     return best
 
 

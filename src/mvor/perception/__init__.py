@@ -9,7 +9,7 @@ from .database import (
     save_database,
 )
 from .descriptor import GridPooledDescriptor
-from .regions import ObjectRegion, RegionCrop, extract_regions
+from .regions import ObjectRegion, extract_regions
 
 __all__ = [
     "Database",
@@ -22,6 +22,5 @@ __all__ = [
     "save_database",
     "GridPooledDescriptor",
     "ObjectRegion",
-    "RegionCrop",
     "extract_regions",
 ]

@@ -116,18 +116,17 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     relabel = np.empty(k, dtype=int)
     relabel[order] = np.arange(k)
     labels = relabel[labels]
-    crops = [r.crop for r in regions]
     return Database(
         region_instance=labels.astype(np.int64),
         region_frame=np.array([r.frame_id for r in regions], dtype=np.int64),
         source_instance=np.array([r.source_instance for r in regions], dtype=np.int64),
         descriptors=np.stack([r.descriptor for r in regions]),
-        obs_dirs=np.stack([observation_vector(r.viewpoint, r.crop.world) for r in regions]),
+        obs_dirs=np.stack([observation_vector(r.viewpoint, r.world) for r in regions]),
         instance_centroids=means[order],
-        crop_offsets=np.concatenate([[0], np.cumsum([len(c.feature_ids) for c in crops])]),
-        crop_feature_ids=np.concatenate([c.feature_ids for c in crops]),
-        crop_world=np.concatenate([c.world for c in crops]),
-        crop_view=np.concatenate([c.view_local for c in crops]),
+        crop_offsets=np.concatenate([[0], np.cumsum([len(r.feature_ids) for r in regions])]),
+        crop_feature_ids=np.concatenate([r.feature_ids for r in regions]),
+        crop_world=np.concatenate([r.world for r in regions]),
+        crop_view=np.concatenate([r.view_local for r in regions]),
     )
 
 
@@ -213,9 +212,10 @@ def load_database(path) -> tuple[Database, dict]:
 
 def _check_columns(columns: dict, header: dict, path) -> None:
     """Raise IOFailure unless the columns form the database the header
-    describes: every member has its field's dtype kind and shape,
-    ``crop_offsets`` cuts the hit columns into one nonempty run per region,
-    and every region's instance exists."""
+    describes: every member has its field's dtype kind and shape, every
+    float column holds finite values only, ``crop_offsets`` cuts the hit
+    columns into one nonempty run per region, and every region's instance
+    exists."""
     r, k = header["num_regions"], header["num_instances"]
     if not all(type(n) is int and n >= 0 for n in (r, k)):
         raise IOFailure(f"{path}: header region/instance counts are not counts")
@@ -236,6 +236,8 @@ def _check_columns(columns: dict, header: dict, path) -> None:
                 f"{path}: {f.name} has shape {a.shape} ({a.dtype}), "
                 f"expected {meta['rows']}={lengths[meta['rows']]} rows"
             )
+        if meta["kind"] == "f" and not np.isfinite(a).all():
+            raise IOFailure(f"{path}: {f.name} holds a non-finite value")
     labels = columns["region_instance"]
     if np.any((labels < 0) | (labels >= k)):
         raise IOFailure(f"{path}: region_instance outside [0, {k})")

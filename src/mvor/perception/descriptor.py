@@ -11,8 +11,8 @@ points are nearly orthogonal and the sum is a bag-of-words vector over the
 library's points (Sivic & Zisserman, "Video Google", ICCV 2003). The dot
 product of two regions' descriptors is then about the share of points
 both see: high for overlapping views of one object, near zero across
-objects. No crop is resized: the sum reads each hit once, whatever the
-crop's extent in pixels. The width is the library's,
+objects. Nothing is resized: the sum reads each hit once, whatever the
+region's extent in pixels. The width is the library's,
 ``sim.point_descriptor_dim``, and the descriptor has no settings of its own.
 
 Each sum runs over a region's feature ids in ascending order, so a
@@ -44,7 +44,7 @@ class GridPooledDescriptor:
         codes = self.library.point_descriptors
         out = np.empty((len(regions), codes.shape[1]))
         for row, region in zip(out, regions):
-            ids = region.crop.feature_ids
+            ids = region.feature_ids
             if not len(ids):
                 raise ValueError("a region without hits has no descriptor")
             codes[np.sort(ids)].sum(axis=0, out=row)

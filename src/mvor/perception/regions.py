@@ -3,8 +3,8 @@
 A region keeps the frame's hits under its mask (the segmentation), in the
 frame's row-major order: each hit's feature id, exact projection, world
 point back-projected through the frame's viewpoint and object-local
-viewing direction, and the tight crop of the frame around them. It also
-keeps the observing viewpoint, and later gains a global descriptor.
+viewing direction, and the bounding box of their pixels. It also keeps
+the observing viewpoint, and later gains a global descriptor.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class RegionCrop:
-    """The hits of one region, in the frame's row-major order, and the
-    tight crop of the frame around them: origin ``(row0, col0)`` and
-    ``shape`` ``(h, w)``."""
+class ObjectRegion:
+    """The hits of one region, in the frame's row-major order, the
+    bounding box of their pixels (origin ``(row0, col0)``, ``shape``
+    ``(h, w)``), and the frame that saw them."""
 
     row0: int
     col0: int
@@ -32,11 +32,6 @@ class RegionCrop:
     px: np.ndarray  # (n,2) exact (u,v) in the source image
     world: np.ndarray  # (n,3) back-projected world point
     view_local: np.ndarray  # (n,3) object-local viewing direction
-
-
-@dataclass
-class ObjectRegion:
-    crop: RegionCrop
     viewpoint: Pose3
     frame_id: int
     source_instance: int  # ground-truth instance label; diagnostics and tests only
@@ -45,7 +40,7 @@ class ObjectRegion:
     @property
     def centroid(self) -> np.ndarray:
         """Mean world point of the region's hits."""
-        return self.crop.world.mean(axis=0)
+        return self.world.mean(axis=0)
 
 
 def extract_regions(frame, masks, config) -> list[ObjectRegion]:
@@ -53,7 +48,7 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
 
     Masks are boolean masks over the frame's hits. The region keeps the
     masked hits, each with its world point back-projected through the
-    frame's viewpoint; its crop spans their bounding box. Masks with fewer
+    frame's viewpoint, and the bounding box of their pixels. Masks with fewer
     than ``config.min_region_points`` hits are dropped. The descriptor is
     left unset.
     """
@@ -69,18 +64,15 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
         rr, cc = frame.rows[mask], frame.cols[mask]
         r0, c0 = rr.min(), cc.min()
         uv = frame.px[mask]
-        crop = RegionCrop(
-            row0=int(r0),
-            col0=int(c0),
-            shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
-            feature_ids=frame.feature_ids[mask],
-            px=uv,
-            world=back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[mask]),
-            view_local=frame.view_local[mask],
-        )
         regions.append(
             ObjectRegion(
-                crop=crop,
+                row0=int(r0),
+                col0=int(c0),
+                shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
+                feature_ids=frame.feature_ids[mask],
+                px=uv,
+                world=back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[mask]),
+                view_local=frame.view_local[mask],
                 viewpoint=frame.viewpoint,
                 frame_id=frame.frame_id,
                 source_instance=int(label),

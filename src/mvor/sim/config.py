@@ -14,6 +14,10 @@ from ..serialize import check_bounds
 ROTATION_REGIMES = ("minor", "full")
 # the largest ring and home camera radius, in metres
 MAX_CAMERA_RADIUS = 100.0
+# the largest image width and height, in pixels: a row-major pixel index
+# (rows * width + cols) then stays below 2**40, far inside the renderer's
+# int64, where a side near 2**32 overflows it
+MAX_IMAGE_SIDE = 1 << 20
 
 
 @dataclass
@@ -67,6 +71,8 @@ class SimConfig:
             "model_points": (1, None),
             "point_descriptor_dim": (1, None),
             "actuation_sigma": (0, None),
+            "image_width": (1, MAX_IMAGE_SIDE),
+            "image_height": (1, MAX_IMAGE_SIDE),
         })
         # open ranges: a zero-size table or zero camera radius makes no scene
         # or view; an elevation of 0 or below puts the camera at or under the

@@ -508,6 +508,26 @@ class TestCliLocalize:
         assert cli_main(argv) == 2
         assert "view" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["instance_centroids", "crop_world"])
+    def test_rejects_non_finite_database(self, column, tmp_path, capsys):
+        """A database whose instance centroids, or whose hits' world
+        points, were NaN was once localized to exit 0, pairing instances
+        through NaN distances."""
+        ds, db = tmp_path / "ds", tmp_path / "db.npz"
+        assert cli_main(["gen", "--seed", "3", "--count", "1", "--out", str(ds)]) == 0
+        inst = str(ds / "instance_00000003.json")
+        assert cli_main(["build-db", "--instance", inst, "--out", str(db)]) == 0
+        with np.load(db) as npz:
+            members = {name: npz[name] for name in npz.files}
+        members[column] = np.full_like(members[column], np.nan)
+        np.savez(db, **members)
+        argv = ["localize", "--db", str(db), "--instance", inst,
+                "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and column in err
+
 
 class TestCliDatasetLibrary:
     """``gen`` saves the model library into the dataset; ``build-db``,
@@ -821,6 +841,8 @@ class TestCliMalformedValues:
             ("initial", "yaw", float("nan")),  # was accepted, exit 0
             ("goal", "tx", float("inf")),
             ("config", "ring_count", 10**400),  # was loaded: the stored views were used
+            ("config", "image_width", 10**30),  # was an OverflowError in the renderer
+            ("config", "image_height", 10**20),  # was a database of overflowed pixel rows
         ],
     )
     def test_instance_value(self, instance_doc, member, key, value, tmp_path, capsys):
@@ -915,6 +937,8 @@ class TestCliMalformedValues:
             {"planner": {"success_t_cm": 0}},
             {"sim": {"ring_count": 361}},  # at most one view per degree of azimuth
             {"sim": {"ring_count": 10**400}},  # was an OverflowError drawing the views
+            {"sim": {"image_width": 10**30}},  # at most MAX_IMAGE_SIDE
+            {"sim": {"image_height": 10**20}},
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):

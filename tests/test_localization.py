@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from mvor.geometry import PlanarTransform, Pose3
 from mvor.localization import pnp
 from mvor.localization import (
     Correspondences2D,
+    DescriptorNNMatcher,
     FeatureIdMatcher,
     LocalizationConfig,
     epnp,
@@ -30,7 +33,7 @@ from mvor.perception import (
     build_database,
     prepare_goal_regions,
 )
-from mvor.perception.regions import ObjectRegion, RegionCrop
+from mvor.perception.regions import ObjectRegion
 from mvor.sim import (
     Placement,
     Rect,
@@ -162,15 +165,12 @@ class TestRetrieveCandidates:
 
 
 def _fake_goal(descriptor):
-    crop = RegionCrop(
+    return ObjectRegion(
         0, 0, (2, 2),
         np.zeros(4, dtype=np.int64),
         np.zeros((4, 2)),
         np.zeros((4, 3)),
         np.zeros((4, 3)),
-    )
-    return ObjectRegion(
-        crop=crop,
         viewpoint=Pose3.identity(),
         frame_id=0,
         source_instance=0,
@@ -354,11 +354,11 @@ class TestFeatureIdMatcher:
         """Clean, a match's goal side is its goal hit's projection. Noise of
         ``sigma_px`` matching-resolution pixels moves it by ``sigma_px * side
         / match_resolution`` goal pixels, and an outlier lands anywhere in
-        the goal crop's padded square of side ``side``."""
+        the goal region's padded square of side ``side``."""
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library)
         _, goals = goal_regions_of(scene, library)
-        goal = goals[0].crop
+        goal = goals[0]
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         clean = FeatureIdMatcher(LCFG).match(goal, cand)
         assert len(clean) >= 200
@@ -396,7 +396,7 @@ class TestLiftTo3D:
         db = ring_db(scene, library)
         _, goals = goal_regions_of(scene, library)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand)
+        m2d = FeatureIdMatcher(LCFG).match(goals[0], cand)
         return cand, m2d
 
     def test_all_depth_pixels_lift(self, library):
@@ -426,7 +426,7 @@ class TestSolvePose:
         db = ring_db(scene, library)
         _, goals = goal_regions_of(scene, library)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = FeatureIdMatcher(LCFG).match(goals[0].crop, cand)
+        m2d = FeatureIdMatcher(LCFG).match(goals[0], cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
@@ -487,7 +487,7 @@ class TestSolvePose:
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = matcher.match(goals[0].crop, cand)
+        m2d = matcher.match(goals[0], cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
         err = reprojection_sq_errors(m3d.world, m3d.goal_px, INTR, r, t)
@@ -612,7 +612,7 @@ class TestPlanarSolver:
             LocalizationConfig(sigma_px=1.0, outlier_rate=0.3), np.random.default_rng(5)
         )
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
-        m2d = matcher.match(goals[0].crop, cand)
+        m2d = matcher.match(goals[0], cand)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
@@ -716,9 +716,9 @@ class _RecordingMatcher:
         self.inner = inner
         self.cands = []
 
-    def match(self, goal_crop, cand):
+    def match(self, goal, cand):
         self.cands.append(cand)
-        return self.inner.match(goal_crop, cand)
+        return self.inner.match(goal, cand)
 
 
 class TestEstimateObject:
@@ -729,9 +729,10 @@ class TestEstimateObject:
         db = ring_db(inst.initial, library)
         _, goals = goal_regions_of(inst.goal, library)
         for g in goals:
-            est = estimate_object(g, db, FeatureIdMatcher(LCFG), INTR, LCFG)
+            matcher = _RecordingMatcher(FeatureIdMatcher(LCFG))
+            est = estimate_object(g, db, matcher, INTR, LCFG)
             assert est.accepted
-            assert est.matcher_invocations == 1
+            assert len(matcher.cands) == 1
             assert est.candidates_visited == 1
 
     def test_hidden_side_single_view_not_accepted(self, library):
@@ -750,10 +751,13 @@ class TestEstimateObject:
         _, goals = goal_regions_of(scene, library)
         cfg = LocalizationConfig(theta_prune=np.pi * np.sqrt(2))
         # drop every match so the first candidate is rejected
-        matcher = FeatureIdMatcher(LocalizationConfig(drop_rate=1.0), np.random.default_rng(0))
+        matcher = _RecordingMatcher(
+            FeatureIdMatcher(LocalizationConfig(drop_rate=1.0), np.random.default_rng(0))
+        )
         est = estimate_object(goals[0], db, matcher, INTR, cfg)
         assert not est.accepted
-        assert est.matcher_invocations == 1
+        assert len(matcher.cands) == 1
+        assert est.candidates_visited == 1
 
     def test_traversal_monotone_and_unpruned(self, library):
         scene = make_scene([Placement(5, PlanarTransform(0.3, 0.0, 0.0))])
@@ -792,6 +796,31 @@ class TestDescriptorNNMatcher:
         assert dtheta < 0.5 and dt < 0.5
 
 
+class TestRegionRecord:
+    def test_goal_region_holds_its_hits(self, library):
+        """A region is one record holding its hits, with no ``RegionCrop``
+        inside, and both matchers take the goal region itself."""
+        from mvor import perception
+        from mvor.perception import regions
+
+        assert not hasattr(perception, "RegionCrop") and not hasattr(regions, "RegionCrop")
+        assert [f.name for f in fields(ObjectRegion)] == [
+            "row0", "col0", "shape", "feature_ids", "px", "world", "view_local",
+            "viewpoint", "frame_id", "source_instance", "descriptor",
+        ]
+        scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
+        goal = goals[0]
+        cand = db.hits(retrieve_candidates(goal, db, LCFG.top_n).region_indices[0])
+        for matcher in (FeatureIdMatcher(LCFG), DescriptorNNMatcher(library, LCFG)):
+            m2d = matcher.match(goal, cand)
+            assert len(m2d) >= 12
+            hit_of = {f: i for i, f in enumerate(goal.feature_ids.tolist())}
+            goal_hits = [hit_of[f] for f in cand.feature_ids[m2d.cand_hits].tolist()]
+            assert m2d.goal_px.tobytes() == goal.px[goal_hits].tobytes()
+
+
 class TestMatchesNameHits:
     """Both matchers name, per match, the goal-image coordinates and the
     candidate region's hit; nothing maps a match back through pixels."""
@@ -811,7 +840,7 @@ class TestMatchesNameHits:
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library)
         _, goals = goal_regions_of(scene, library)
-        goal = goals[0].crop
+        goal = goals[0]
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         cfg = LocalizationConfig(matcher=kind, **overrides)
         m2d = cfg.make_matcher(library, np.random.default_rng(3)).match(goal, cand)

@@ -1,6 +1,6 @@
 import json
 import zipfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from mvor.perception import (
     save_database,
 )
 from mvor.perception.database import DB_ARRAYS, Database
-from mvor.perception.regions import ObjectRegion, RegionCrop
+from mvor.perception.regions import ObjectRegion
 from mvor.sim import (
     Placement,
     Rect,
@@ -87,7 +87,7 @@ class TestExtractRegions:
         seen_ids = frame.feature_ids
         assert np.all((seen_ids >= o[1]) & (seen_ids < o[2]))
         expect = world_pts[seen_ids - o[1]]
-        got = reg.crop.world
+        got = reg.world
         assert got.shape == expect.shape
         d = np.linalg.norm(np.sort(got, axis=0) - np.sort(expect, axis=0), axis=1)
         assert d.max() < 1e-6
@@ -115,7 +115,7 @@ class TestExtractRegions:
         frame = ring_frames(scene, library)[0]
         regions = extract_regions(frame, segment(frame), PCFG)
         for reg in regions:
-            fids = reg.crop.feature_ids
+            fids = reg.feature_ids
             models = np.unique(np.searchsorted(library.point_offsets, fids, side="right"))
             assert len(models) == 1
 
@@ -178,22 +178,23 @@ def dense_extract_regions(frame, planes, masks, min_points):
     return out
 
 
-def crop_pixels(crop):
+def crop_pixels(region):
     """Each hit's crop-local row and column: its pixel, ``floor(px + 0.5)``,
-    less the crop's origin."""
-    cols, rows = np.floor(crop.px + 0.5).astype(np.int64).T
-    return rows - crop.row0, cols - crop.col0
+    less the region's origin."""
+    cols, rows = np.floor(region.px + 0.5).astype(np.int64).T
+    return rows - region.row0, cols - region.col0
 
 
-def densify(crop):
-    """A hit crop scattered back to its dense (h, w) grids of feature ids,
-    projections, world points and view directions: feature id -1 and NaN
-    geometry off the hits."""
-    h, w = crop.shape
-    rows, cols = crop_pixels(crop)
+def densify(region):
+    """A region's hits scattered back to its dense (h, w) grids of feature
+    ids, projections, world points and view directions: feature id -1 and
+    NaN geometry off the hits."""
+    h, w = region.shape
+    rows, cols = crop_pixels(region)
     grids = []
     for values, fill in (
-        (crop.feature_ids, -1), (crop.px, np.nan), (crop.world, np.nan), (crop.view_local, np.nan)
+        (region.feature_ids, -1), (region.px, np.nan), (region.world, np.nan),
+        (region.view_local, np.nan),
     ):
         grid = np.full((h, w) + values.shape[1:], fill, dtype=values.dtype)
         grid[rows, cols] = values
@@ -201,14 +202,14 @@ def densify(crop):
     return grids
 
 
-def sparsify(feature_ids, px, world, view_local, row0=0, col0=0):
-    """The hit crop of dense grids: one hit per pixel whose feature id is
-    set, in row-major order."""
+def sparsify(feature_ids, px, world, view_local):
+    """The hit fields of a region over dense grids, origin (0, 0): one hit
+    per pixel whose feature id is set, in row-major order."""
     rr, cc = np.nonzero(feature_ids >= 0)
-    h, w = feature_ids.shape
-    return RegionCrop(
-        row0, col0, (h, w),
-        feature_ids[rr, cc], px[rr, cc], world[rr, cc], view_local[rr, cc],
+    return dict(
+        row0=0, col0=0, shape=feature_ids.shape,
+        feature_ids=feature_ids[rr, cc], px=px[rr, cc], world=world[rr, cc],
+        view_local=view_local[rr, cc],
     )
 
 
@@ -243,11 +244,10 @@ class TestHitFrameRegions:
                 expect = dense_extract_regions(frame, planes, dense_masks, PCFG.min_region_points)
                 assert len(got) == len(expect) > 0
                 for reg, (r0, c0, label, arrays) in zip(got, expect):
-                    c = reg.crop
-                    assert (c.row0, c.col0, reg.source_instance) == (r0, c0, label)
-                    rows, cols = crop_pixels(c)
-                    assert np.all(np.diff(rows * c.shape[1] + cols) > 0)  # row-major
-                    for a, b in zip(densify(c), arrays):
+                    assert (reg.row0, reg.col0, reg.source_instance) == (r0, c0, label)
+                    rows, cols = crop_pixels(reg)
+                    assert np.all(np.diff(rows * reg.shape[1] + cols) > 0)  # row-major
+                    for a, b in zip(densify(reg), arrays):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
                         assert a.tobytes() == b.tobytes()
                     checked += 1
@@ -257,7 +257,7 @@ class TestHitFrameRegions:
 def reference_descriptor(library, region):
     """A region's pooled point codes as the descriptor is defined: the
     normalized sum of the point descriptors at its sorted feature ids."""
-    pooled = library.point_descriptors[np.sort(region.crop.feature_ids)].sum(0)
+    pooled = library.point_descriptors[np.sort(region.feature_ids)].sum(0)
     return pooled / np.linalg.norm(pooled)
 
 
@@ -265,8 +265,8 @@ def fid_region(feature_ids):
     """A region carrying only the hits of a dense feature-id grid, all
     the descriptor reads."""
     h, w = feature_ids.shape
-    crop = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
-    return ObjectRegion(crop, geo.Pose3.identity(), 0, 0)
+    hits = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
+    return ObjectRegion(**hits, viewpoint=geo.Pose3.identity(), frame_id=0, source_instance=0)
 
 
 def random_fids(library, rng, h, w, hole_rate):
@@ -283,13 +283,11 @@ def random_fids(library, rng, h, w, hole_rate):
 
 def shuffled_hits(region, rng):
     """``region`` with its hits in a random order."""
-    order = rng.permutation(len(region.crop.feature_ids))
-    c = region.crop
-    crop = RegionCrop(
-        c.row0, c.col0, c.shape, c.feature_ids[order], c.px[order], c.world[order],
-        c.view_local[order],
+    order = rng.permutation(len(region.feature_ids))
+    return replace(
+        region, feature_ids=region.feature_ids[order], px=region.px[order],
+        world=region.world[order], view_local=region.view_local[order],
     )
-    return ObjectRegion(crop, region.viewpoint, region.frame_id, region.source_instance)
 
 
 def described_bytes(descriptor, regions):
@@ -323,12 +321,7 @@ class TestDescriptor:
     def test_scale_invariance(self, library, descriptor):
         scene = make_scene([Placement(4, PlanarTransform(-0.2, 0.0, 0.0))])
         reg = self._region(library, scene)
-        up = ObjectRegion(
-            crop=sparsify(*(np.repeat(np.repeat(g, 2, 0), 2, 1) for g in densify(reg.crop))),
-            viewpoint=reg.viewpoint,
-            frame_id=reg.frame_id,
-            source_instance=reg.source_instance,
-        )
+        up = replace(reg, **sparsify(*(np.repeat(np.repeat(g, 2, 0), 2, 1) for g in densify(reg))))
         a, b = descriptor.extract([reg, up])
         sim = float(a @ b)
         assert sim > 0.995
@@ -384,11 +377,11 @@ class TestDescriptorBatch:
         assert described_bytes(descriptor, shuffled) == described_bytes(descriptor, regions)
 
     def test_inputs_keep_their_bytes_in_any_batch(self, descriptor, regions):
-        """Sorting a region's ids copies them: the crops, whose columns are
+        """Sorting a region's ids copies them: the regions' hit columns,
         aligned hit by hit, and the library's codes keep their bytes."""
         def snapshot():
             return [
-                getattr(r.crop, name).tobytes()
+                getattr(r, name).tobytes()
                 for r in regions for name in ("feature_ids", "px", "world", "view_local")
             ] + [descriptor.library.point_descriptors.tobytes()]
 
@@ -405,7 +398,7 @@ class TestDescriptorBatch:
         to the product's summation order."""
         codes = descriptor.library.point_descriptors
         for r in regions[:5]:
-            counts = np.bincount(r.crop.feature_ids, minlength=len(codes)).astype(float)
+            counts = np.bincount(r.feature_ids, minlength=len(codes)).astype(float)
             y = counts @ codes
             np.testing.assert_allclose(
                 descriptor.extract([r])[0], y / np.linalg.norm(y), rtol=0, atol=1e-12
@@ -440,7 +433,7 @@ class TestPooling:
     def test_rendered_crops(self, descriptor, rendered, resample):
         picked = [
             r for r in rendered
-            if (max(r.crop.shape) < 64 if resample == "up" else max(r.crop.shape) > 64)
+            if (max(r.shape) < 64 if resample == "up" else max(r.shape) > 64)
         ]
         assert picked
         assert described_bytes(descriptor, picked) == [
@@ -602,12 +595,10 @@ class TestAssociate:
 def point_region(frame_id, label, x):
     """A described one-hit region whose centroid is (x, 0, 0), seen from
     a camera 1 m above the origin."""
-    crop = RegionCrop(
+    return ObjectRegion(
         0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
         np.array([[x, 0.0, 0.0]]), np.zeros((1, 3)),
-    )
-    return ObjectRegion(
-        crop, geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), frame_id, label,
+        geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), frame_id, label,
         descriptor=np.ones(4) / 2.0,
     )
 
@@ -687,7 +678,7 @@ class TestBuildDatabase:
         describe_regions(regions, library)
         db = associate(regions_by_frame)
         # the viewpoint is gone once associate keeps the observation direction
-        expected = [geo.observation_vector(r.viewpoint, r.crop.world) for r in regions]
+        expected = [geo.observation_vector(r.viewpoint, r.world) for r in regions]
         for obs_dir, e in zip(db.obs_dirs, expected):
             np.testing.assert_allclose(obs_dir, e, atol=1e-9)
         assert db.obs_dirs.tobytes() == np.stack(expected).tobytes()
@@ -748,7 +739,15 @@ def _decreasing(offsets):
     return out
 
 
-# dumps whose members disagree with each other or with the header
+def _first_set(column, value):
+    """A copy of ``column`` with its first entry set to ``value``."""
+    out = column.copy()
+    out.flat[0] = value
+    return out
+
+
+# dumps whose members disagree with each other or with the header, or
+# whose float columns hold a non-finite value
 BAD_DUMPS = {
     "header_claims_one_more_region": lambda m: _header(
         m, num_regions=len(m["region_instance"]) + 1
@@ -770,6 +769,12 @@ BAD_DUMPS = {
     "crop_feature_ids_float": lambda m: _with(
         m, "crop_feature_ids", m["crop_feature_ids"].astype(float)
     ),
+    "nan_instance_centroids": lambda m: _with(
+        m, "instance_centroids", np.full_like(m["instance_centroids"], np.nan)
+    ),
+    "nan_crop_world": lambda m: _with(m, "crop_world", _first_set(m["crop_world"], np.nan)),
+    "inf_descriptor": lambda m: _with(m, "descriptors", _first_set(m["descriptors"], np.inf)),
+    "inf_obs_dirs": lambda m: _with(m, "obs_dirs", _first_set(m["obs_dirs"], -np.inf)),
 }
 
 
