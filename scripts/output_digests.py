@@ -24,7 +24,12 @@ checkout that holds this script:
   library's point descriptors;
 - ``build-db`` on the ring view and ``localize`` of the first instance
   copied into ``outside/``, away from the dataset's ``library/``, so its
-  model library is generated rather than memory-mapped.
+  model library is generated rather than memory-mapped;
+- ``rearrange`` of ``swap.json``, criterion 5's two-object swap written as
+  an instance file with 3 mm actuation. The planner re-observes only
+  objects it has moved, and this is the one case whose re-observation
+  succeeds: the tuned ``rearrange`` re-observes a buffer-moved object, but
+  its 300-pair minimum rejects every attempt.
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
@@ -32,7 +37,8 @@ produce the same outputs when this script prints the same lines in both;
 compare them with ``diff``. The run fails unless some home-view
 ``poses.json`` holds an estimate that was never solved, so the identity
 fallback is always covered, and unless the ``outside/`` database and
-poses are byte for byte those of the same commands run inside the dataset.
+poses are byte for byte those of the same commands run inside the dataset,
+and unless the swap's move log holds an executed buffer move.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from mvor import cli  # noqa: E402
+from mvor.serialize import to_dict  # noqa: E402
+from mvor.sim import SimConfig  # noqa: E402
+from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT  # noqa: E402
 
 TUNED = {
     "scenes": 2,
@@ -81,6 +90,23 @@ CONFIGS = {
 }
 INSTANCES = 2
 OUTSIDE = "outside"  # a copy of the first instance with no library beside it
+SWAP = "swap.json"  # criterion 5's swap, whose re-observation succeeds
+
+
+def swap_instance() -> dict:
+    """Models 0 and 1 trade places along the x axis, with 3 mm actuation."""
+
+    def placed(xs):
+        return [{"model_id": m, "yaw": 0.0, "tx": x, "ty": 0.0} for m, x in enumerate(xs)]
+
+    return {
+        "format": INSTANCE_FORMAT,
+        "version": FORMAT_VERSION,
+        "seed": 0,
+        "initial": placed((-0.15, 0.15)),
+        "goal": placed((0.15, -0.15)),
+        "config": to_dict(SimConfig(actuation_sigma=0.003)),
+    }
 
 
 def commands() -> list[list[str]]:
@@ -110,6 +136,7 @@ def commands() -> list[list[str]]:
          "--out", "tuned_poses_nn.json"],
         ["rearrange", "--config", "tuned.json", "--instance", inst, "--out", "tuned_rearrange"],
         ["bench-pose", "--config", "tuned.json", "--out", "tuned_bench_pose"],
+        ["rearrange", "--instance", SWAP, "--out", "swap_rearrange"],
     ]
     return cmds
 
@@ -146,11 +173,17 @@ def never_solved(path: str) -> bool:
     return any(o["inliers"] == 0 and o["correspondences"] == 0 for o in objects)
 
 
+def buffer_moved(path: str) -> bool:
+    with open(path, encoding="utf-8") as f:
+        return any(m["kind"] == "buffer-move" and m["executed"] for m in json.load(f))
+
+
 def main() -> int:
+    inputs = {**CONFIGS, SWAP: swap_instance()}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cfg in CONFIGS.items():
+        for name, doc in inputs.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
-                json.dump(cfg, f)
+                json.dump(doc, f)
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
@@ -171,7 +204,7 @@ def main() -> int:
             os.path.relpath(os.path.join(root, name), tmp)
             for root, _, names in os.walk(tmp)
             for name in names
-            if name != "report.txt" and name not in CONFIGS
+            if name != "report.txt" and name not in inputs
         )
         for rel in paths:
             with open(os.path.join(tmp, rel), "rb") as f:
@@ -179,6 +212,9 @@ def main() -> int:
         home = [os.path.join(tmp, p) for p in paths if p.endswith("_home.json")]
         if not any(never_solved(p) for p in home):
             print("no home-view estimate was left unsolved", file=sys.stderr)
+            return 1
+        if not buffer_moved(os.path.join(tmp, "swap_rearrange", "moves.json")):
+            print("the swap made no buffer move, so nothing was re-observed", file=sys.stderr)
             return 1
     return 0
 

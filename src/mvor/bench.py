@@ -206,9 +206,11 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
 def complete_scene(inst, library, cfg: BenchConfig) -> tuple[SceneEstimates, ExecutionResult]:
     """The full-scene run: the ring database of the initial scene, every
     object localized from the goal frame (a rejected identity estimate when
-    it has none) with the scene's multi-view matcher, then the planner,
-    which re-observes each object from the home viewpoint, with the same
-    matcher, before moving it when ``inst.config.actuation_sigma > 0``."""
+    it has none) with the scene's multi-view matcher, then the planner.
+    When ``inst.config.actuation_sigma > 0`` the planner re-observes an
+    object from the home viewpoint, with the same matcher, before a goal
+    move, if the robot has moved that object since it last re-observed it
+    (a buffer move, in practice)."""
     db = build_scene_database(inst, inst.ring_viewpoints, library, cfg)
     goal_regions = scene_goal_regions(inst, library, cfg)
     matcher = scene_matcher(inst, "multi", library, cfg)
@@ -325,7 +327,9 @@ def compute_pose_summary(rows, skipped_scenes=0) -> dict:
 
 
 def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instance):
-    """Home-viewpoint re-estimation hook for the planner (noisy actuation).
+    """Home-viewpoint re-estimation hook for the planner (noisy actuation),
+    which calls it only for an object it has moved since the object's last
+    successful re-observation.
 
     Renders the current scene from the home viewpoint, picks the region
     nearest the dead-reckoned guess, describes that region alone, and

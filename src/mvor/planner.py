@@ -1,9 +1,10 @@
 """Iterative rearrangement execution.
 
 The loop processes objects in a fixed order (index ascending). Per object
-and outer pass: refresh the tracked pose (dead-reckoned, or re-observed
-from the home viewpoint when a reobserver is supplied), skip objects
-already within the success thresholds of their believed goal,
+and outer pass: refresh the tracked pose (dead-reckoned; or, when a
+reobserver is supplied and the robot has moved the object since its last
+successful re-observation, re-observed from the home viewpoint), skip
+objects already within the success thresholds of their believed goal,
 collision-check the goal move, and execute it on success. An object whose
 estimate is rejected or whose goal move is blocked counts a failure, and
 past ``thres_fail`` failures that object itself (not the object in its
@@ -17,10 +18,13 @@ fixes the object's believed goal once, as its planar ``offset`` applied
 to the object's initial pose, and every goal move targets that belief.
 The tracked pose, initialized from the initial scene, stands in for the
 robot's perception of the current scene: it decides whether an object is
-already within the success thresholds. Every attempted move is logged, including
-blocked goal moves and buffer searches that give up, and the log is the
-loop's only record: a move's step is its place in the log, and every move
-count is read off the log's executed moves.
+already within the success thresholds. Only the robot's own moves change
+a pose in the simulator, so an object it has not moved keeps its tracked
+pose and is never re-observed: re-observation costs one pass per move.
+Every attempted move is logged, including blocked goal moves and buffer
+searches that give up, and the log is the loop's only record: a move's
+step is its place in the log, and every move count is read off the log's
+executed moves.
 """
 
 from __future__ import annotations
@@ -169,12 +173,14 @@ def plan_and_execute(
     ``estimates`` maps object index -> PoseEstimate, whose ``offset`` is
     the object's estimated planar motion; objects with a not-accepted
     estimate are never moved toward a goal and accrue failures instead.
-    ``reobserve(scene, object_index, tracked_guess)`` may return a fresh
-    tracked pose (or raise ReobservationFailed, which counts a failure but
-    never relocates); without it the planner dead-reckons. Actuation noise
-    is the instance's ``config.actuation_sigma``; buffer poses and noise
-    draw from an RNG seeded with the instance seed, so a run is
-    deterministic per instance.
+    ``reobserve(scene, object_index, tracked_guess)`` returns a fresh
+    tracked pose (or raises ReobservationFailed, which counts a failure but
+    never relocates). It runs before a goal-move attempt, and only for an
+    object with an executed move (goal or buffer) since its last successful
+    re-observation; every other object keeps its tracked pose. Without it
+    the planner dead-reckons. Actuation noise is the instance's
+    ``config.actuation_sigma``; buffer poses and noise draw from an RNG
+    seeded with the instance seed, so a run is deterministic per instance.
     """
     sigma = instance.config.actuation_sigma
     rng = np.random.default_rng(instance.seed)
@@ -183,6 +189,9 @@ def plan_and_execute(
     remaining = list(order)
     failures = dict.fromkeys(order, 0)
     tracked = {i: scene.placements[i].pose for i in order}
+    # objects with an executed move since their last successful
+    # re-observation; only the robot's own moves change a pose
+    moved: set[int] = set()
     # believed goal placement, fixed once from the initial estimate
     goal_beliefs = {
         i: planar_compose(estimates[i].offset, tracked[i])
@@ -196,12 +205,13 @@ def plan_and_execute(
         outer_iterations += 1
         for i in list(remaining):
             if i in goal_beliefs:
-                if reobserve is not None:
+                if reobserve is not None and i in moved:
                     try:
                         tracked[i] = reobserve(scene, i, tracked[i])
                     except ReobservationFailed:
                         failures[i] += 1
                         continue
+                    moved.remove(i)
                 # the goal belief is absolute, so buffer moves and actuation
                 # error absorbed into the tracked pose need no correction
                 target = goal_beliefs[i]
@@ -215,6 +225,7 @@ def plan_and_execute(
                 if not collision:
                     scene = apply_move(scene, library, i, target, sigma, rng)
                     tracked[i] = target
+                    moved.add(i)
                     remaining.remove(i)
                     continue
             # a rejected estimate or a blocked goal move: count a failure,
@@ -234,6 +245,7 @@ def plan_and_execute(
             if not collision:
                 scene = apply_move(scene, library, i, pose, sigma, rng)
                 tracked[i] = pose
+                moved.add(i)
         if not remaining or outer_iterations > thres_outer:
             break
 

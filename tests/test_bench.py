@@ -45,7 +45,7 @@ from mvor.sim import (
     render,
 )
 from mvor.serialize import from_dict, to_dict
-from mvor.sim.io import instance_from_dict, instance_to_dict
+from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT, instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -364,11 +364,29 @@ class TestCliDeterminism:
             assert cli_main(args) == 2
 
 
+def swap_instance_doc() -> dict:
+    """Criterion 5's two-object swap as an instance file: models 0 and 1
+    trade places along the x axis, with 3 mm actuation."""
+
+    def placed(xs):
+        return [{"model_id": m, "yaw": 0.0, "tx": x, "ty": 0.0} for m, x in enumerate(xs)]
+
+    return {
+        "format": INSTANCE_FORMAT,
+        "version": FORMAT_VERSION,
+        "seed": 0,
+        "initial": placed((-0.15, 0.15)),
+        "goal": placed((0.15, -0.15)),
+        "config": to_dict(SimConfig(actuation_sigma=0.003)),
+    }
+
+
 class TestCliRearrange:
     def test_noisy_rearrange(self, tmp_path, monkeypatch):
-        """Noisy actuation re-observes, completes, and gives the same bytes
-        whether the instance is generated or loaded back from the run's own
-        instance file, whose sim config carries the noise."""
+        """Noisy actuation re-observes the buffer-moved object alone, once,
+        completes, and gives the same bytes whether the instance is the
+        hand-written swap or the run's own instance file, whose sim config
+        carries the noise."""
         calls = []
         make = bench.make_reobserver
 
@@ -382,16 +400,15 @@ class TestCliRearrange:
             return counted
 
         monkeypatch.setattr(bench, "make_reobserver", counting)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"sim": {"actuation_sigma": 0.003, "object_count_min": 3, "object_count_max": 3}}
-        ))
+        swap = tmp_path / "swap.json"
+        swap.write_text(json.dumps(swap_instance_doc()))
         a, b = tmp_path / "a", tmp_path / "b"
-        assert cli_main(["rearrange", "--config", str(cfg), "--seed", "5", "--out", str(a)]) == 0
-        reobserved = len(calls)
-        assert reobserved > 0
+        assert cli_main(["rearrange", "--instance", str(swap), "--out", str(a)]) == 0
+        moves = json.loads((a / "moves.json").read_text())
+        (buffered,) = {m["object"] for m in moves if m["kind"] == "buffer-move" and m["executed"]}
+        assert calls == [buffered]
         assert cli_main(["rearrange", "--instance", str(a / "instance.json"), "--out", str(b)]) == 0
-        assert len(calls) == 2 * reobserved
+        assert calls == [buffered, buffered]
         for name in ("moves.json", "result.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert json.loads((a / "result.json").read_text())["completed"]

@@ -814,7 +814,10 @@ class TestDatabaseIO:
             load_database(path)
         rc = cli_main(["localize", "--db", str(path), "--instance", str(tmp_path / "inst.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # the dump is refused before the (missing) instance is read: only
+        # the database error names the dump
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize("case", sorted(BAD_DUMPS))
     def test_inconsistent_dump(self, members, case, tmp_path, capsys):
@@ -824,7 +827,10 @@ class TestDatabaseIO:
             load_database(path)
         rc = cli_main(["localize", "--db", str(path), "--instance", str(tmp_path / "inst.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # the dump is refused before the (missing) instance is read: only
+        # the database error names the dump
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_dump_unsupported(self, members, version, tmp_path, capsys):

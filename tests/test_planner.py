@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
+from mvor import planner
 from mvor.errors import CollisionAtTarget, NoBufferSpace, ReobservationFailed, UnknownObject
 from mvor.geometry import PlanarTransform
 from mvor.localization import PoseEstimate
@@ -290,13 +292,16 @@ class TestPlanAndExecute:
 
 # The planner as it was when it kept a PlanState, a step counter and
 # per-kind counters beside the move log: the reference the move-log
-# planner must reproduce move for move.
+# planner must reproduce move for move. Like the planner, it re-observes
+# only objects with an executed move since their last successful
+# re-observation (``moved``).
 @dataclass
 class ReferencePlanState:
     remaining: list
     failure_counts: dict
     outer_iterations: int
     tracked_poses: dict
+    moved: set
 
 
 @dataclass
@@ -326,6 +331,7 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
         failure_counts={i: 0 for i in order},
         outer_iterations=0,
         tracked_poses={i: instance.initial.placements[i].pose for i in order},
+        moved=set(),
     )
     goal_beliefs = {}
     usable = {}
@@ -349,12 +355,13 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
                         scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
                     )
                 continue
-            if reobserve is not None:
+            if reobserve is not None and i in state.moved:
                 try:
                     state.tracked_poses[i] = reobserve(scene, i, state.tracked_poses[i])
                 except ReobservationFailed:
                     state.failure_counts[i] += 1
                     continue
+                state.moved.remove(i)
             target = goal_beliefs[i]
             if reference_within_success(state.tracked_poses[i], target, config):
                 state.remaining.remove(i)
@@ -368,6 +375,7 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
             if not collision:
                 scene = apply_move(scene, library, i, target, sigma, rng)
                 state.tracked_poses[i] = target
+                state.moved.add(i)
                 goal_moves[i] += 1
                 state.remaining.remove(i)
             else:
@@ -396,6 +404,7 @@ def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, move
     moves.append(MoveRecord(step, i, "buffer-move", pose, False, True, state.failure_counts[i]))
     scene = apply_move(scene, library, i, pose, sigma, rng)
     state.tracked_poses[i] = pose
+    state.moved.add(i)
     buffer_moves[i] += 1
     return scene, step
 
@@ -462,3 +471,98 @@ class TestMoveLogPlannerMatchesReference:
         inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=4)
         ref = self._assert_same(inst, {}, library, PlannerConfig())
         assert ref.outer_iterations == 1 and not ref.moves
+
+
+def planner_timeline(monkeypatch, inst, estimates, library, config, reobserve):
+    """Run the planner with ``reobserve`` and return its events in order:
+    ``("reobserve", i, ok)`` per re-observer call and ``("log", move)`` per
+    move-log entry, with the result."""
+    events = []
+
+    def logged(*args):
+        move = MoveRecord(*args)
+        events.append(("log", move))
+        return move
+
+    def counted(scene, i, guess):
+        try:
+            pose = reobserve(scene, i, guess)
+        except ReobservationFailed:
+            events.append(("reobserve", i, False))
+            raise
+        events.append(("reobserve", i, True))
+        return pose
+
+    monkeypatch.setattr(planner, "MoveRecord", logged)
+    result = plan_and_execute(inst, estimates, library, config, counted)
+    return events, result
+
+
+def event_object(event):
+    return event[1] if event[0] == "reobserve" else event[1].object_index
+
+
+class TestReobserveMovedOnly:
+    """The planner re-observes an object only when the robot has moved it
+    since its last successful re-observation, once per goal-move attempt of
+    such an object; an object it has not moved keeps its tracked pose."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.003])
+    @pytest.mark.parametrize("fail_rate", [0.0, 0.3])
+    def test_generated_scenes(self, library, monkeypatch, sigma, fail_rate):
+        cfg = SimConfig(object_count_min=3, object_count_max=8, actuation_sigma=sigma)
+        config = PlannerConfig(thres_fail=1)
+        calls = Counter()
+        for seed in range(8):
+            inst = generate_instance(cfg, library, seed=seed)
+            rng = np.random.default_rng(1000 + seed)
+            estimates = {
+                i: PoseEstimate(offset=off, accepted=bool(rng.random() < 0.7))
+                for i, off in enumerate(inst.true_offsets)
+            }
+            events, result = planner_timeline(
+                monkeypatch, inst, estimates, library, config, seeded_reobserver(seed, fail_rate)
+            )
+            moved = set()
+            for n, event in enumerate(events):
+                i = event_object(event)
+                if event[0] == "reobserve":
+                    assert i in moved, f"seed {seed}: object {i} re-observed unmoved"
+                    ok = event[2]
+                    calls[ok] += 1
+                    if ok:
+                        moved.remove(i)
+                        # the goal-move attempt it serves follows, unless
+                        # the object turned out to be placed already
+                        later = [e for e in events[n + 1:] if event_object(e) == i]
+                        assert not later or later[0][1].kind == "goal-move"
+                    continue
+                if event[1].kind == "goal-move":
+                    assert i not in moved, f"seed {seed}: goal move of {i} not re-observed"
+                if event[1].executed:
+                    moved.add(i)
+            assert [e[1] for e in events if e[0] == "log"] == result.moves
+        # the sweep re-observed objects, and failed some re-observations
+        # exactly when failures were scheduled
+        assert calls[True] > 0
+        assert (calls[False] > 0) == (fail_rate > 0)
+
+    def test_swap_reobserves_the_buffer_moved_object(self, library, monkeypatch):
+        """Criterion 5's swap with 3 mm actuation noise: one re-observation,
+        of the buffer-moved object, before its goal move."""
+        initial = scene_of([PlanarTransform(0.0, -0.15, 0.0), PlanarTransform(0.0, 0.15, 0.0)])
+        goal = scene_of([PlanarTransform(0.0, 0.15, 0.0), PlanarTransform(0.0, -0.15, 0.0)])
+        inst = instance_of(initial, goal, SimConfig(actuation_sigma=0.003))
+        events, result = planner_timeline(
+            monkeypatch, inst, exact_estimates(inst), library, PlannerConfig(),
+            seeded_reobserver(0, 0.0),
+        )
+        assert result.completed and result.total_manipulations == 3
+        (buffer,) = [m for m in result.moves if m.kind == "buffer-move"]
+        i = buffer.object_index
+        assert [e for e in events if e[0] == "reobserve"] == [("reobserve", i, True)]
+        after = [e for e in events if e[0] == "reobserve" or e[1].executed]
+        assert [(e[0], event_object(e)) for e in after] == [
+            ("log", i), ("log", 1 - i), ("reobserve", i), ("log", i),
+        ]
+        assert after[-1][1].kind == "goal-move"
