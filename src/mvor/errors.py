@@ -11,10 +11,6 @@ class DegenerateObservation(MvorError):
     """Viewpoint coincides with the point-cloud centroid; no viewing direction."""
 
 
-class BehindCamera(MvorError):
-    """Point has non-positive depth in the camera frame."""
-
-
 # simulation
 class PlacementFailure(MvorError):
     """Rejection sampling could not place all objects on the table."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateObservation
+from .errors import DegenerateObservation
 
 __all__ = [
     "Pose3",
@@ -33,9 +33,7 @@ __all__ = [
     "planar_distance",
     "observation_vector",
     "angular_distance",
-    "project",
     "project_points",
-    "back_project",
     "back_project_pixels",
     "look_at",
 ]
@@ -57,10 +55,6 @@ class Pose3:
         object.__setattr__(self, "rotation", np.array(self.rotation, dtype=float))
         object.__setattr__(self, "translation", np.array(self.translation, dtype=float).reshape(3))
 
-    @staticmethod
-    def identity() -> "Pose3":
-        return Pose3(np.eye(3), np.zeros(3))
-
     @property
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -70,18 +64,7 @@ class Pose3:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an (N,3) array (or a single 3-vector)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        r = self.rotation
-        return (
-            np.allclose(r.T @ r, np.eye(3), atol=tol)
-            and abs(np.linalg.det(r) - 1.0) < tol
-            and np.all(np.isfinite(self.translation))
-        )
+        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
 @dataclass
@@ -217,22 +200,10 @@ def angular_distance(e1: np.ndarray, e2: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def project(
-    intr: CameraIntrinsics, world_to_cam: Pose3, point: np.ndarray
-) -> tuple[float, float, float]:
-    """Pinhole projection of one world point -> (u, v, depth)."""
-    p = world_to_cam.apply(np.asarray(point, dtype=float))
-    if p[2] <= 1e-6:
-        raise BehindCamera(f"camera-frame z = {p[2]:.3g}")
-    u = intr.fx * p[0] / p[2] + intr.cx
-    v = intr.fy * p[1] / p[2] + intr.cy
-    return float(u), float(v), float(p[2])
-
-
 def project_points(
     intr: CameraIntrinsics, world_to_cam: Pose3, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection: returns (uv (N,2), depth (N,)).
+    """Pinhole projection of (N,3) world points: returns (uv (N,2), depth (N,)).
 
     Does not raise for points behind the camera; callers filter on depth.
     """
@@ -244,19 +215,11 @@ def project_points(
     return np.stack([u, v], axis=1), z
 
 
-def back_project(
-    intr: CameraIntrinsics, world_to_cam: Pose3, u: float, v: float, depth: float
-) -> np.ndarray:
-    """Inverse of :func:`project` at a known depth."""
-    x = (u - intr.cx) / intr.fx * depth
-    y = (v - intr.cy) / intr.fy * depth
-    return invert(world_to_cam).apply(np.array([x, y, depth]))
-
-
 def back_project_pixels(
     intr: CameraIntrinsics, world_to_cam: Pose3, uv: np.ndarray, depth: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`back_project` for (N,2) pixels and (N,) depths."""
+    """Inverse of :func:`project_points` at known depths: (N,2) pixels and
+    (N,) depths -> (N,3) world points."""
     uv = np.asarray(uv, dtype=float)
     depth = np.asarray(depth, dtype=float)
     cam = np.stack(

@@ -11,7 +11,10 @@ past ``thres_fail`` failures that object itself (not the object in its
 way) moves to a random collision-free buffer pose, on this and every later
 pass that fails again. ROADMAP item 4 plans to move the blocker instead.
 The loop ends when nothing remains or the outer-iteration budget (2x object
-count by default) is exhausted.
+count by default) is exhausted. An object leaves ``remaining`` once its goal
+move executes, placed or not, so the loop's end says nothing about success:
+``bench.scene_outcome`` judges completion, from the final scene against the
+true goal.
 
 The planner operates on estimated offsets only. Each accepted estimate
 fixes the object's believed goal once, as its planar ``offset`` applied
@@ -97,7 +100,6 @@ class ExecutionResult:
     the log's executed moves."""
 
     moves: list[MoveRecord]
-    completed: bool
     outer_iterations: int
     final_scene: SceneState
 
@@ -115,9 +117,6 @@ class ExecutionResult:
     @property
     def buffer_moves(self) -> Counter:
         return self.executed_moves("buffer-move")
-
-    def manipulations(self, object_index: int) -> int:
-        return self.executed_moves()[object_index]
 
     @property
     def total_manipulations(self) -> int:
@@ -249,21 +248,4 @@ def plan_and_execute(
         if not remaining or outer_iterations > thres_outer:
             break
 
-    return ExecutionResult(
-        moves=moves,
-        completed=not remaining,
-        outer_iterations=outer_iterations,
-        final_scene=scene,
-    )
-
-
-def replay_moves(
-    instance: RearrangementInstance, moves: list[MoveRecord], library: ModelLibrary
-) -> SceneState:
-    """Re-execute the logged moves noiselessly; raises CollisionAtTarget if
-    the log was ever unsafe."""
-    scene = instance.initial
-    for m in moves:
-        if m.executed:
-            scene = apply_move(scene, library, m.object_index, m.target, 0.0, None)
-    return scene
+    return ExecutionResult(moves=moves, outer_iterations=outer_iterations, final_scene=scene)

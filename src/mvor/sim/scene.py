@@ -59,12 +59,6 @@ class SceneState:
         radii = library.footprint_radius[[p.model_id for p in self.placements]]
         return [(p.pose.tx, p.pose.ty, r) for p, r in zip(self.placements, radii.tolist())]
 
-    def has_collisions(self, library: ModelLibrary) -> bool:
-        return any(
-            placement_conflict(self, library, i, p.pose) is not None
-            for i, p in enumerate(self.placements)
-        )
-
 
 @dataclass
 class RearrangementInstance:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor.errors import BehindCamera, DegenerateObservation
+from mvor.errors import DegenerateObservation
 from mvor.geometry import CameraIntrinsics, PlanarTransform, Pose3
 
 
@@ -88,41 +88,30 @@ class TestAngularDistance:
         assert d.tolist() == [geo.angular_distance(r, e) for r in rows]
 
 
+IDENTITY = Pose3(np.eye(3), np.zeros(3))
+
+
 class TestProjection:
     def test_principal_point(self):
-        u, v, d = geo.project(INTR, Pose3.identity(), [0.0, 0.0, 1.0])
-        assert (u, v, d) == (320.0, 240.0, 1.0)
+        uv, z = geo.project_points(INTR, IDENTITY, [[0.0, 0.0, 1.0]])
+        assert uv.tolist() == [[320.0, 240.0]] and z.tolist() == [1.0]
 
     def test_pinhole_formula(self):
-        u, v, d = geo.project(INTR, Pose3.identity(), [0.1, 0.0, 1.0])
-        assert u == pytest.approx(370.0, abs=1e-12)
-        assert v == pytest.approx(240.0, abs=1e-12)
-        assert d == 1.0
-
-    def test_behind_camera(self):
-        with pytest.raises(BehindCamera):
-            geo.project(INTR, Pose3.identity(), [0.0, 0.0, 0.0])
+        uv, z = geo.project_points(INTR, IDENTITY, [[0.1, 0.0, 1.0], [0.0, -0.2, 2.0]])
+        np.testing.assert_allclose(uv, [[370.0, 240.0], [320.0, 190.0]], atol=1e-12)
+        assert z.tolist() == [1.0, 2.0]
 
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             w2c = random_pose(rng)
-            cam_pt = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.2, 5)])
-            world = geo.invert(w2c).apply(cam_pt)
-            u, v, d = geo.project(INTR, w2c, world)
-            back = geo.back_project(INTR, w2c, u, v, d)
+            cam_pts = np.column_stack(
+                [rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5), rng.uniform(0.2, 5, 5)]
+            )
+            world = geo.invert(w2c).apply(cam_pts)
+            uv, z = geo.project_points(INTR, w2c, world)
+            back = geo.back_project_pixels(INTR, w2c, uv, z)
             np.testing.assert_allclose(back, world, atol=1e-9)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        w2c = random_pose(rng)
-        pts = geo.invert(w2c).apply(
-            np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), rng.uniform(0.3, 4, 50)])
-        )
-        uv, z = geo.project_points(INTR, w2c, pts)
-        for i in range(50):
-            u, v, d = geo.project(INTR, w2c, pts[i])
-            assert (u, v, d) == pytest.approx((uv[i, 0], uv[i, 1], z[i]), abs=1e-10)
 
 
 class TestPoseAlgebra:
@@ -130,7 +119,8 @@ class TestPoseAlgebra:
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = random_pose(rng)
-            assert p.is_valid(tol=1e-9)
+            np.testing.assert_allclose(p.rotation.T @ p.rotation, np.eye(3), atol=1e-9)
+            assert abs(np.linalg.det(p.rotation) - 1.0) < 1e-9
             ident = geo.compose(p, geo.invert(p))
             np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-9)
             np.testing.assert_allclose(ident.translation, 0.0, atol=1e-9)
@@ -253,13 +243,13 @@ class TestPlanarProperties:
 class TestLookAt:
     def test_forward_axis_points_at_target(self):
         pose = geo.look_at([0.8, 0.0, 0.8], [0.0, 0.0, 0.0])
-        assert pose.is_valid(tol=1e-9)
+        np.testing.assert_allclose(pose.rotation.T @ pose.rotation, np.eye(3), atol=1e-9)
+        assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
         fwd = pose.rotation[:, 2]
         expect = -np.array([0.8, 0.0, 0.8]) / np.linalg.norm([0.8, 0.0, 0.8])
         np.testing.assert_allclose(fwd, expect, atol=1e-12)
 
     def test_target_projects_to_principal_point(self):
         pose = geo.look_at([0.5, -0.7, 0.9], [0.1, 0.0, 0.0])
-        u, v, _ = geo.project(INTR, geo.invert(pose), [0.1, 0.0, 0.0])
-        assert u == pytest.approx(INTR.cx, abs=1e-9)
-        assert v == pytest.approx(INTR.cy, abs=1e-9)
+        uv, _ = geo.project_points(INTR, geo.invert(pose), [[0.1, 0.0, 0.0]])
+        np.testing.assert_allclose(uv, [[INTR.cx, INTR.cy]], atol=1e-9)

@@ -171,7 +171,7 @@ def _fake_goal(descriptor):
         np.zeros((4, 2)),
         np.zeros((4, 3)),
         np.zeros((4, 3)),
-        viewpoint=Pose3.identity(),
+        viewpoint=Pose3(np.eye(3), np.zeros(3)),
         frame_id=0,
         source_instance=0,
         descriptor=np.asarray(descriptor, dtype=float),

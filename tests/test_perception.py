@@ -266,7 +266,9 @@ def fid_region(feature_ids):
     the descriptor reads."""
     h, w = feature_ids.shape
     hits = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
-    return ObjectRegion(**hits, viewpoint=geo.Pose3.identity(), frame_id=0, source_instance=0)
+    return ObjectRegion(
+        **hits, viewpoint=geo.Pose3(np.eye(3), np.zeros(3)), frame_id=0, source_instance=0
+    )
 
 
 def random_fids(library, rng, h, w, hole_rate):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mvor import geometry as geo
 from mvor import planner
+from mvor.bench import scene_outcome
 from mvor.errors import CollisionAtTarget, NoBufferSpace, ReobservationFailed, UnknownObject
 from mvor.geometry import PlanarTransform
 from mvor.localization import PoseEstimate
@@ -18,7 +19,6 @@ from mvor.planner import (
     check_collision,
     find_buffer_pose,
     plan_and_execute,
-    replay_moves,
 )
 from mvor.sim import (
     Placement,
@@ -48,6 +48,22 @@ def scene_of(poses, bounds=Rect(-0.5, -0.5, 0.5, 0.5), model_ids=None):
 
 def instance_of(initial, goal, config=None):
     return RearrangementInstance(initial=initial, goal=goal, seed=0, config=config or SimConfig())
+
+
+def completed(inst, result, config=PlannerConfig()):
+    """Whether every object ended within ``config``'s success thresholds of
+    its true goal: the completion test of the benches and the CLI."""
+    return scene_outcome(inst, result, config).completed
+
+
+def replay(inst, result, library):
+    """The final scene of the log's executed moves re-applied without
+    noise; raises CollisionAtTarget if any of them was unsafe."""
+    scene = inst.initial
+    for m in result.moves:
+        if m.executed:
+            scene = apply_move(scene, library, m.object_index, m.target, 0.0, None)
+    return scene
 
 
 def exact_estimates(inst):
@@ -132,7 +148,7 @@ class TestGoalTarget:
         goal = scene_of([PlanarTransform(0.9, 0.15, 0.0), PlanarTransform(-0.4, -0.15, 0.0)])
         inst = instance_of(initial, goal)
         result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-        assert result.completed
+        assert completed(inst, result)
         buffer = next(m for m in result.moves if m.kind == "buffer-move")
         i = buffer.object_index
         goal_move = next(
@@ -181,12 +197,12 @@ class TestPlanAndExecute:
         )
         inst = instance_of(initial, goal)
         result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-        assert result.completed
+        assert completed(inst, result)
         assert result.total_manipulations == 3
         assert all(result.goal_moves[i] == 1 for i in range(3))
         assert all(result.buffer_moves[i] == 0 for i in range(3))
         # one-step accounting: exactly one manipulation per object
-        assert all(result.manipulations(i) == 1 for i in range(3))
+        assert all(result.executed_moves()[i] == 1 for i in range(3))
 
     def test_two_object_swap(self, library):
         initial = scene_of(
@@ -197,7 +213,7 @@ class TestPlanAndExecute:
         )
         inst = instance_of(initial, goal)
         result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-        assert result.completed
+        assert completed(inst, result)
         assert result.total_manipulations == 3
         assert sum(result.buffer_moves.values()) == 1
         assert sum(result.goal_moves.values()) == 2
@@ -210,7 +226,7 @@ class TestPlanAndExecute:
         initial = scene_of([PlanarTransform(0.3, 0.1, 0.1), PlanarTransform(0, -0.2, -0.2)])
         inst = instance_of(initial, initial)
         result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-        assert result.completed
+        assert completed(inst, result)
         assert result.total_manipulations == 0
 
     def test_rejected_estimates_fail_scene(self, library):
@@ -219,19 +235,19 @@ class TestPlanAndExecute:
         inst = instance_of(initial, goal)
         estimates = {0: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)}
         result = plan_and_execute(inst, estimates, library, PlannerConfig())
-        assert not result.completed
-        assert result.goal_moves[0] == 0
-        # failures accrued each outer pass until the buffer threshold fired
-        assert result.buffer_moves[0] >= 0
-        assert result.outer_iterations > 1
+        # one failure per pass: the 2-pass budget ends the loop on its third
+        # pass, before the failures pass thres_fail, so nothing moves
+        assert result.moves == []
+        assert result.outer_iterations == 3
+        assert not completed(inst, result)
 
     def test_move_log_replay_is_safe(self, library):
         for seed in range(8):
             cfg = SimConfig(object_count_min=4, object_count_max=7)
             inst = generate_instance(cfg, library, seed=seed)
             result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-            assert result.completed
-            final = replay_moves(inst, result.moves, library)  # must not raise
+            assert completed(inst, result)
+            final = replay(inst, result, library)  # must not raise
             for p, q in zip(final.placements, result.final_scene.placements):
                 assert p.pose == q.pose
 
@@ -241,7 +257,7 @@ class TestPlanAndExecute:
             inst = generate_instance(cfg, library, seed=seed)
             k = inst.initial.num_objects
             result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-            assert result.completed, f"seed {seed} did not complete"
+            assert completed(inst, result), f"seed {seed} did not complete"
             assert result.outer_iterations <= 2 * k + 1
             for i in range(k):
                 goal = inst.goal.placements[i].pose
@@ -277,7 +293,7 @@ class TestPlanAndExecute:
         inst = instance_of(initial, goal)
         config = PlannerConfig(buffer_attempts=50)
         result = plan_and_execute(inst, exact_estimates(inst), lib_big, config)
-        assert not result.completed
+        assert not completed(inst, result, config)
         assert sum(result.buffer_moves.values()) == 0
         failed = [m for m in result.moves if m.kind == "buffer-move"]
         assert failed
@@ -286,7 +302,7 @@ class TestPlanAndExecute:
             assert m.target == initial.placements[m.object_index].pose
             assert m.failure_count > config.thres_fail
         assert [m.step for m in result.moves] == list(range(1, len(result.moves) + 1))
-        final = replay_moves(inst, result.moves, lib_big)
+        final = replay(inst, result, lib_big)
         assert final.placements == result.final_scene.placements
 
 
@@ -307,7 +323,6 @@ class ReferencePlanState:
 @dataclass
 class ReferenceResult:
     moves: list
-    completed: bool
     outer_iterations: int
     final_scene: SceneState
     goal_moves: dict
@@ -386,9 +401,7 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
                     )
         if not state.remaining or state.outer_iterations > thres_outer:
             break
-    return ReferenceResult(
-        moves, not state.remaining, state.outer_iterations, scene, goal_moves, buffer_moves
-    )
+    return ReferenceResult(moves, state.outer_iterations, scene, goal_moves, buffer_moves)
 
 
 def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves, step):
@@ -435,12 +448,12 @@ class TestMoveLogPlannerMatchesReference:
         got = plan_and_execute(inst, estimates, library, config, reobserver())
         assert [m.as_dict() for m in got.moves] == [m.as_dict() for m in ref.moves]
         assert [m.step for m in got.moves] == list(range(1, len(got.moves) + 1))
-        assert (got.completed, got.outer_iterations) == (ref.completed, ref.outer_iterations)
+        assert got.outer_iterations == ref.outer_iterations
         assert got.final_scene.placements == ref.final_scene.placements
         for i in estimates:
             assert got.goal_moves[i] == ref.goal_moves[i]
             assert got.buffer_moves[i] == ref.buffer_moves[i]
-            assert got.manipulations(i) == ref.goal_moves[i] + ref.buffer_moves[i]
+            assert got.executed_moves()[i] == ref.goal_moves[i] + ref.buffer_moves[i]
         assert got.total_manipulations == sum(ref.goal_moves.values()) + sum(
             ref.buffer_moves.values()
         )
@@ -557,7 +570,7 @@ class TestReobserveMovedOnly:
             monkeypatch, inst, exact_estimates(inst), library, PlannerConfig(),
             seeded_reobserver(0, 0.0),
         )
-        assert result.completed and result.total_manipulations == 3
+        assert completed(inst, result) and result.total_manipulations == 3
         (buffer,) = [m for m in result.moves if m.kind == "buffer-move"]
         i = buffer.object_index
         assert [e for e in events if e[0] == "reobserve"] == [("reobserve", i, True)]

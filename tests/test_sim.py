@@ -45,6 +45,7 @@ from mvor.sim.io import (
 )
 from mvor.sim.models import LIBRARY_VERSION
 from mvor.sim.render import _winners as pick_winners
+from mvor.sim.scene import placement_conflict
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,15 @@ def single_object_scene(library, model_id=0, pose=None):
     return SceneState(
         Rect(-0.5, -0.5, 0.5, 0.5), (Placement(model_id, pose),)
     )
+
+
+def conflicts(scene, library):
+    """Whether each placed object's own placement conflicts with the rest
+    of ``scene``: its footprint leaves the table or overlaps another."""
+    return [
+        placement_conflict(scene, library, i, p.pose) is not None
+        for i, p in enumerate(scene.placements)
+    ]
 
 
 def model_rows(library, m):
@@ -253,8 +263,8 @@ class TestGenerateInstance:
     def test_collision_free_scenes(self, config, library):
         for seed in range(20):
             inst = generate_instance(config, library, seed=seed)
-            assert not inst.initial.has_collisions(library)
-            assert not inst.goal.has_collisions(library)
+            assert not any(conflicts(inst.initial, library))
+            assert not any(conflicts(inst.goal, library))
 
     def test_true_offsets_exact(self, config, library):
         for seed in range(10):
@@ -568,7 +578,7 @@ class TestSegment:
             np.testing.assert_array_equal(mask, frame.instance_ids == inst_id)
 
     def test_empty_frame_has_no_masks(self, config):
-        frame = empty_frame(Pose3.identity(), config.intrinsics())
+        frame = empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics())
         assert segment(frame) == []
 
     def test_masks_disjoint(self, config, library):
@@ -607,9 +617,9 @@ class TestApplyMove:
             poses = (PlanarTransform(0.0, x, 0.0) for x in xs)
             return SceneState(Rect(-0.5, -0.5, 0.5, 0.5), tuple(map(Placement, range(len(xs)), poses)))
 
-        assert not scene(-0.2, 0.2).has_collisions(library)
-        assert scene(-0.02, 0.02).has_collisions(library)
-        assert scene(-0.2, 0.49).has_collisions(library)
+        assert conflicts(scene(-0.2, 0.2), library) == [False, False]
+        assert conflicts(scene(-0.02, 0.02), library) == [True, True]
+        assert conflicts(scene(-0.2, 0.49), library) == [False, True]
 
     def test_off_table_rejected(self, library):
         scene = single_object_scene(library)
