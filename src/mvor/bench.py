@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-import zlib
 
 from .errors import EmptyFrame, PlacementFailure, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance

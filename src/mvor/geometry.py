@@ -174,10 +174,9 @@ def planar_distance(a: PlanarTransform, b: PlanarTransform) -> tuple[float, floa
     return dtheta, float(np.hypot(a.tx - b.tx, a.ty - b.ty) * 100.0)
 
 
-def observation_vector(viewpoint: Pose3, cloud: np.ndarray) -> np.ndarray:
-    """Unit vector from the cloud centroid toward the camera center."""
-    cloud = np.asarray(cloud, dtype=float)
-    v = viewpoint.translation - cloud.mean(axis=0)
+def observation_vector(viewpoint: Pose3, centroid: np.ndarray) -> np.ndarray:
+    """Unit vector from a cloud's centroid toward the camera center."""
+    v = viewpoint.translation - np.asarray(centroid, dtype=float)
     n = np.linalg.norm(v)
     if n < 1e-6:
         raise DegenerateObservation("viewpoint sits on the cloud centroid")

@@ -168,11 +168,20 @@ def _kabsch(world, cam):
 
 
 def reprojection_sq_errors(world, pixels, intr, r, t):
-    """Squared pixel errors; points at or behind the camera get +inf."""
+    """Squared pixel errors; points at or behind the camera get +inf.
+
+    When every point is in front of the camera (nearly every hypothesis)
+    the errors are taken in one pass over all pairs; otherwise the same
+    expressions run on the points in front. Each error is elementwise in
+    its own pair, so the two paths give the same bits for it."""
     cam = world @ r.T + t
     z = cam[:, 2]
-    err = np.full(len(world), np.inf)
     ok = z > 1e-9
+    if ok.all():
+        u = intr.fx * cam[:, 0] / z + intr.cx
+        v = intr.fy * cam[:, 1] / z + intr.cy
+        return (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
+    err = np.full(len(world), np.inf)
     u = intr.fx * cam[ok, 0] / z[ok] + intr.cx
     v = intr.fy * cam[ok, 1] / z[ok] + intr.cy
     err[ok] = (u - pixels[ok, 0]) ** 2 + (v - pixels[ok, 1]) ** 2
@@ -318,7 +327,7 @@ def _sample_consensus(model: _Model, n, iterations, thr2, confidence, seed, poli
             sample_mask[sample] = True
             hyp = model.refit(hyp, sample_mask)
         mask = model.sq_errors(hyp) <= thr2
-        count = int(mask.sum())
+        count = np.count_nonzero(mask)
         if count > best_count:
             best_count, best_mask, best_hyp = count, mask, hyp
             w = count / n
@@ -428,21 +437,23 @@ def _planar_equations(world, pixels, intr: CameraIntrinsics, w2c: Pose3):
     ``cam = Rc (cos [x, y, 0] + sin [-y, x, 0] + [tx, ty, z]) + tc``, and a
     pixel (u, v) constrains them by ``fx cam_x + (cx - u) cam_z = 0`` and
     ``fy cam_y + (cy - v) cam_z = 0``. Returns coefficients (n, 2, 4) and
-    right-hand sides (n, 2).
+    right-hand sides (n, 2). Both products by the camera pose take every
+    pair's two rows as one (2n, 3) matrix; each row is the same dot product
+    as in a per-pair 2 x 3 product.
     """
     n = len(world)
-    e = np.zeros((n, 2, 3))
-    e[:, 0, 0] = intr.fx
-    e[:, 0, 2] = intr.cx - pixels[:, 0]
-    e[:, 1, 1] = intr.fy
-    e[:, 1, 2] = intr.cy - pixels[:, 1]
-    g = e @ w2c.rotation
+    e = np.zeros((2 * n, 3))
+    e[0::2, 0] = intr.fx
+    e[0::2, 2] = intr.cx - pixels[:, 0]
+    e[1::2, 1] = intr.fy
+    e[1::2, 2] = intr.cy - pixels[:, 1]
+    g = (e @ w2c.rotation).reshape(n, 2, 3)
     x, y, z = world[:, 0, None], world[:, 1, None], world[:, 2, None]
     coeff = np.stack(
         [g[..., 0] * x + g[..., 1] * y, g[..., 1] * x - g[..., 0] * y, g[..., 0], g[..., 1]],
         axis=-1,
     )
-    return coeff, -(g[..., 2] * z + e @ w2c.translation)
+    return coeff, -(g[..., 2] * z + (e @ w2c.translation).reshape(n, 2))
 
 
 def _planar_minimal(a, b):
@@ -460,19 +471,36 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
     The yaw derivative of a camera point is ``R @ (e_z x world)`` and the
     translation derivatives are the first two columns of the camera
     rotation.
+
+    The residual and Jacobian buffers are allocated once per refit, and
+    each step fills them in place with the expressions of
+    :func:`_reprojection_terms`. Those are elementwise in each pair, and
+    the buffers have the layout that function returns, so every step's
+    products and solve see the same bits as with freshly built terms.
     """
     p = p.copy()
     n = len(world)
     d_yaw_world = np.column_stack([-world[:, 1], world[:, 0], np.zeros(n)])
     d_txy = w2c.rotation[:, :2]
+    pu, pv = pixels[:, 0].copy(), pixels[:, 1].copy()
+    resid = np.empty(2 * n)
+    ju = np.zeros((n, 3))
+    jv = np.zeros((n, 3))
+    jac = np.empty((2 * n, 3))
     for _ in range(iters):
         r, t = _planar_extrinsics(p, w2c)
         cam = world @ r.T + t
-        if np.any(cam[:, 2] <= 1e-9):
+        z = cam[:, 2]
+        if np.any(z <= 1e-9):
             break
-        resid, ju, jv = _reprojection_terms(cam, pixels, intr)
+        resid[0::2] = intr.fx * cam[:, 0] / z + intr.cx - pu
+        resid[1::2] = intr.fy * cam[:, 1] / z + intr.cy - pv
+        inv_z = 1.0 / z
+        ju[:, 0] = intr.fx * inv_z
+        ju[:, 2] = -intr.fx * cam[:, 0] * inv_z**2
+        jv[:, 1] = intr.fy * inv_z
+        jv[:, 2] = -intr.fy * cam[:, 1] * inv_z**2
         d_yaw = d_yaw_world @ r.T
-        jac = np.empty((2 * n, 3))
         jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
         jac[1::2, 0] = np.einsum("ij,ij->i", jv, d_yaw)
         jac[0::2, 1:] = ju @ d_txy

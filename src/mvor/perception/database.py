@@ -103,14 +103,15 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     observation direction, from its centroid toward its camera, is taken
     here: only the database's pruning reads it.
     """
-    fullest = max(regions_by_frame, key=len, default=[])
-    if not fullest:
+    sizes = [len(frame_regions) for frame_regions in regions_by_frame]
+    k = max(sizes, default=0)
+    if not k:
         raise NoRegions("no regions in any frame")
     regions = [r for frame_regions in regions_by_frame for r in frame_regions]
     centroids = np.stack([r.centroid for r in regions])
-    named = np.stack([r.centroid for r in fullest])
+    first = sum(sizes[: sizes.index(k)])  # the fullest frame's first region
+    named = centroids[first : first + k]
     labels = np.argmin(np.sum((centroids[:, None, :] - named[None, :, :]) ** 2, axis=2), axis=1)
-    k = len(fullest)
     means = np.stack([centroids[labels == j].mean(axis=0) for j in range(k)])
     order = np.lexsort((means[:, 2], means[:, 1], means[:, 0]))
     relabel = np.empty(k, dtype=int)
@@ -121,7 +122,9 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
         region_frame=np.array([r.frame_id for r in regions], dtype=np.int64),
         source_instance=np.array([r.source_instance for r in regions], dtype=np.int64),
         descriptors=np.stack([r.descriptor for r in regions]),
-        obs_dirs=np.stack([observation_vector(r.viewpoint, r.world) for r in regions]),
+        obs_dirs=np.stack(
+            [observation_vector(r.viewpoint, c) for r, c in zip(regions, centroids)]
+        ),
         instance_centroids=means[order],
         crop_offsets=np.concatenate([[0], np.cumsum([len(r.feature_ids) for r in regions])]),
         crop_feature_ids=np.concatenate([r.feature_ids for r in regions]),

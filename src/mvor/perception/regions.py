@@ -51,28 +51,39 @@ def extract_regions(frame, masks, config) -> list[ObjectRegion]:
     frame's viewpoint, and the bounding box of their pixels. Masks with fewer
     than ``config.min_region_points`` hits are dropped. The descriptor is
     left unset.
+
+    Every hit is back-projected once, in one product over the frame, and
+    each mask is cut by its hits' indices. A row of that product has the
+    same bits as in a product over the mask's hits alone, except for a
+    single hit, whose one-row product takes another BLAS path (a
+    matrix-vector product): a one-hit region is back-projected on its own.
     """
     w2c = invert(frame.viewpoint)
+    world = back_project_pixels(frame.intrinsics, w2c, frame.px, frame.depth)
     regions = []
     for label, mask in masks:
-        count = int(np.count_nonzero(mask))
-        if count < config.min_region_points:
+        idx = np.flatnonzero(mask)
+        if len(idx) < config.min_region_points:
             log.debug(
-                "dropping region (label %s): %d px < %d", label, count, config.min_region_points
+                "dropping region (label %s): %d px < %d", label, len(idx), config.min_region_points
             )
             continue
-        rr, cc = frame.rows[mask], frame.cols[mask]
+        rr, cc = frame.rows[idx], frame.cols[idx]
         r0, c0 = rr.min(), cc.min()
-        uv = frame.px[mask]
+        uv = frame.px[idx]
         regions.append(
             ObjectRegion(
                 row0=int(r0),
                 col0=int(c0),
                 shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
-                feature_ids=frame.feature_ids[mask],
+                feature_ids=frame.feature_ids[idx],
                 px=uv,
-                world=back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[mask]),
-                view_local=frame.view_local[mask],
+                world=(
+                    world[idx]
+                    if len(idx) > 1
+                    else back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[idx])
+                ),
+                view_local=frame.view_local[idx],
                 viewpoint=frame.viewpoint,
                 frame_id=frame.frame_id,
                 source_instance=int(label),

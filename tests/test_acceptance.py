@@ -351,9 +351,9 @@ def test_criterion_8_formula_unit_checks():
     evaluations to 1e-9 on the tabulated example sets."""
     checks = []
     # observation direction examples
-    e = geo.observation_vector(Pose3(np.eye(3), [0, 0, 1.0]), np.zeros((3, 3)))
+    e = geo.observation_vector(Pose3(np.eye(3), [0, 0, 1.0]), np.zeros((3, 3)).mean(axis=0))
     checks.append(np.linalg.norm(e - [0, 0, 1.0]) < 1e-9)
-    e = geo.observation_vector(Pose3(np.eye(3), [1.0, 1.0, 0.0]), np.zeros((5, 3)))
+    e = geo.observation_vector(Pose3(np.eye(3), [1.0, 1.0, 0.0]), np.zeros((5, 3)).mean(axis=0))
     checks.append(np.linalg.norm(e - [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0]) < 1e-9)
     # viewing-direction distance examples
     checks.append(abs(geo.angular_distance([1, 0, 0], [1, 0, 0])) < 1e-9)

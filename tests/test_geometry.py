@@ -20,27 +20,27 @@ class TestObservationVector:
     def test_axis_aligned(self):
         vp = Pose3(np.eye(3), [0.0, 0.0, 1.0])
         cloud = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])  # centroid at origin
-        e = geo.observation_vector(vp, cloud)
+        e = geo.observation_vector(vp, cloud.mean(axis=0))
         np.testing.assert_allclose(e, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_diagonal(self):
         vp = Pose3(np.eye(3), [1.0, 1.0, 0.0])
         cloud = np.zeros((5, 3))
-        e = geo.observation_vector(vp, cloud)
+        e = geo.observation_vector(vp, cloud.mean(axis=0))
         np.testing.assert_allclose(e, [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], atol=1e-12)
 
     def test_degenerate(self):
         vp = Pose3(np.eye(3), [0.2, 0.3, 0.4])
         cloud = np.array([[0.2, 0.3, 0.4]])
         with pytest.raises(DegenerateObservation):
-            geo.observation_vector(vp, cloud)
+            geo.observation_vector(vp, cloud.mean(axis=0))
 
     def test_unit_norm_random(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             vp = Pose3(np.eye(3), rng.normal(size=3) * 2)
             cloud = rng.normal(size=(7, 3))
-            e = geo.observation_vector(vp, cloud)
+            e = geo.observation_vector(vp, cloud.mean(axis=0))
             assert abs(np.linalg.norm(e) - 1.0) < 1e-9
 
 

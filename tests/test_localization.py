@@ -625,6 +625,140 @@ class TestPlanarSolver:
         assert dtheta < 0.5 and dt < 0.5
 
 
+def reference_sq_errors(world, pixels, intr, r, t):
+    """Reference: reprojection scoring through the depth mask for every
+    hypothesis, as it was before the one-pass path."""
+    cam = world @ r.T + t
+    z = cam[:, 2]
+    err = np.full(len(world), np.inf)
+    ok = z > 1e-9
+    u = intr.fx * cam[ok, 0] / z[ok] + intr.cx
+    v = intr.fy * cam[ok, 1] / z[ok] + intr.cy
+    err[ok] = (u - pixels[ok, 0]) ** 2 + (v - pixels[ok, 1]) ** 2
+    return err
+
+
+def reference_planar_equations(world, pixels, intr, w2c):
+    """Reference: the planar equations from n stacked 2 x 3 products."""
+    n = len(world)
+    e = np.zeros((n, 2, 3))
+    e[:, 0, 0] = intr.fx
+    e[:, 0, 2] = intr.cx - pixels[:, 0]
+    e[:, 1, 1] = intr.fy
+    e[:, 1, 2] = intr.cy - pixels[:, 1]
+    g = e @ w2c.rotation
+    x, y, z = world[:, 0, None], world[:, 1, None], world[:, 2, None]
+    coeff = np.stack(
+        [g[..., 0] * x + g[..., 1] * y, g[..., 1] * x - g[..., 0] * y, g[..., 0], g[..., 1]],
+        axis=-1,
+    )
+    return coeff, -(g[..., 2] * z + e @ w2c.translation)
+
+
+def reference_refine_planar(world, pixels, intr, w2c, p, iters):
+    """Reference: planar Gauss-Newton building fresh terms every step."""
+    p = p.copy()
+    n = len(world)
+    d_yaw_world = np.column_stack([-world[:, 1], world[:, 0], np.zeros(n)])
+    d_txy = w2c.rotation[:, :2]
+    for _ in range(iters):
+        r, t = pnp._planar_extrinsics(p, w2c)
+        cam = world @ r.T + t
+        if np.any(cam[:, 2] <= 1e-9):
+            break
+        resid, ju, jv = pnp._reprojection_terms(cam, pixels, intr)
+        d_yaw = d_yaw_world @ r.T
+        jac = np.empty((2 * n, 3))
+        jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
+        jac[1::2, 0] = np.einsum("ij,ij->i", jv, d_yaw)
+        jac[0::2, 1:] = ju @ d_txy
+        jac[1::2, 1:] = jv @ d_txy
+        try:
+            delta = np.linalg.solve(jac.T @ jac, -(jac.T @ resid))
+        except np.linalg.LinAlgError:
+            break
+        p += delta
+        if np.linalg.norm(delta) < 1e-14:
+            break
+    return p
+
+
+def reference_ransac_planar(world, pixels, intr, viewpoint, config):
+    """Reference: the planar solver built from the parts above, in the
+    shared RANSAC loop."""
+    w2c = geo.invert(viewpoint)
+    coeff, rhs = reference_planar_equations(world, pixels, intr, w2c)
+    model = pnp._Model(
+        2,
+        lambda sample: pnp._planar_minimal(coeff[sample].reshape(4, 4), rhs[sample].reshape(4)),
+        lambda p: reference_sq_errors(world, pixels, intr, *pnp._planar_extrinsics(p, w2c)),
+        lambda p, mask: reference_refine_planar(
+            world[mask], pixels[mask], intr, w2c, p, config.refine_iters
+        ),
+    )
+    p, mask = pnp._ransac(
+        model, len(world), config.ransac_iterations, config.reproj_threshold_px,
+        config.ransac_confidence, config.ransac_seed,
+    )
+    return PlanarTransform(*p), mask
+
+
+class TestPlanarSolverReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        view=st.sampled_from(VIEWS),
+        truth=planar_motions,
+        n=st.integers(2, 150),
+        seed=st.integers(0, 2**32 - 1),
+        sigma_px=st.floats(0.0, 3.0),
+        outlier_rate=st.floats(0.0, 0.6),
+        refine_iters=st.sampled_from([1, 5, 20]),
+    )
+    def test_matches_reference_bit_for_bit(
+        self, view, truth, n, seed, sigma_px, outlier_rate, refine_iters
+    ):
+        world, uv = planar_pairs(view, truth, n, seed)
+        rng = np.random.default_rng(seed)
+        uv = uv + rng.normal(0.0, sigma_px, uv.shape)
+        outliers = rng.random(n) < outlier_rate
+        uv[outliers] = rng.uniform([0, 0], [INTR.width, INTR.height], (int(outliers.sum()), 2))
+        config = LocalizationConfig(ransac_seed=seed, refine_iters=refine_iters)
+        try:
+            p0, mask0 = reference_ransac_planar(world, uv, INTR, view, config)
+        except DegenerateGeometry as e:
+            with pytest.raises(DegenerateGeometry, match=str(e)):
+                ransac_planar(world, uv, INTR, view, config)
+            return
+        p, mask = ransac_planar(world, uv, INTR, view, config)
+        assert np.array([p.yaw, p.tx, p.ty]).tobytes() == np.array([p0.yaw, p0.tx, p0.ty]).tobytes()
+        assert mask.tobytes() == mask0.tobytes()
+
+
+class TestReprojectionSqErrors:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+    def test_at_or_behind_camera_is_inf(self, n, seed):
+        """Pairs at depth <= 1e-9 score +inf; the others score what they
+        score with the pairs behind left out. Rotating about the camera's
+        z axis keeps every depth exact; the first two pairs are in front,
+        as a one-row product takes another BLAS path than a product of
+        several rows."""
+        rng = np.random.default_rng(seed)
+        r = geo.rot_z(rng.uniform(-np.pi, np.pi))
+        t = np.array([*rng.uniform(-0.5, 0.5, 2), 0.0])
+        depth = rng.choice([-1.0, -1e-12, 0.0, 1e-9, 2e-9, 0.5, 1.0, 2.0], n) * rng.uniform(1, 2, n)
+        depth[:2] = rng.uniform(0.5, 2.0, 2)
+        depth[2] = rng.choice([-1.0, 0.0, 1e-9])
+        world = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), depth])
+        pixels = rng.uniform([0, 0], [INTR.width, INTR.height], (n, 2))
+        err = reprojection_sq_errors(world, pixels, INTR, r, t)
+        front = depth > 1e-9
+        assert np.all(err[~front] == np.inf)
+        alone = reprojection_sq_errors(world[front], pixels[front], INTR, r, t)
+        assert np.all(np.isfinite(alone))
+        assert err[front].tobytes() == alone.tobytes()
+
+
 def reference_ransac_pnp(world, pixels, intr, iterations=1000, threshold_px=2.0,
                          confidence=0.999, refine_iters=20, seed=0):
     """Reference: the EPnP RANSAC loop as it was before the loop was shared

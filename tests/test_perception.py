@@ -100,6 +100,20 @@ class TestExtractRegions:
         small[np.flatnonzero(full)[:5]] = True
         assert extract_regions(frame, [(0, small)], PerceptionConfig(min_region_points=10)) == []
 
+    def test_one_hit_region_is_back_projected_alone(self, library):
+        """A one-hit region's world point is its own one-row back-projection,
+        which can differ in the last bit from that row of the frame's (with
+        OpenBLAS on AVX-512 it does for 12 of this frame's 739 hits)."""
+        scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
+        frame = ring_frames(scene, library)[1]
+        w2c = geo.invert(frame.viewpoint)
+        for i in range(len(frame.depth)):
+            mask = np.zeros(len(frame.depth), dtype=bool)
+            mask[i] = True
+            (reg,) = extract_regions(frame, [(0, mask)], PerceptionConfig(min_region_points=1))
+            alone = geo.back_project_pixels(frame.intrinsics, w2c, frame.px[[i]], frame.depth[[i]])
+            assert reg.world.tobytes() == alone.tobytes()
+
     def test_empty_mask_list(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
         frame = ring_frames(scene, library)[0]
@@ -680,7 +694,7 @@ class TestBuildDatabase:
         describe_regions(regions, library)
         db = associate(regions_by_frame)
         # the viewpoint is gone once associate keeps the observation direction
-        expected = [geo.observation_vector(r.viewpoint, r.world) for r in regions]
+        expected = [geo.observation_vector(r.viewpoint, r.world.mean(axis=0)) for r in regions]
         for obs_dir, e in zip(db.obs_dirs, expected):
             np.testing.assert_allclose(obs_dir, e, atol=1e-9)
         assert db.obs_dirs.tobytes() == np.stack(expected).tobytes()
@@ -698,9 +712,9 @@ class TestBuildDatabase:
             np.testing.assert_allclose(db.instance_centroids[j], mean, atol=1e-12)
 
     def test_batch_equals_region_by_region(self, library):
-        """One projection over every region of the build gives the database
-        that describing each region alone gives: every column but the
-        descriptors bit for bit, the descriptors to 1e-12."""
+        """Describing every region of the build in one batch gives the
+        database that describing each region alone gives, bit for bit in
+        every column: a region's descriptor pools its own hits only."""
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
         db = build_database(frames, library, PCFG)
@@ -711,10 +725,7 @@ class TestBuildDatabase:
         for f in fields(Database):
             a, b = getattr(db, f.name), getattr(one_by_one, f.name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-            if f.name == "descriptors":
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-            else:
-                assert a.tobytes() == b.tobytes(), f.name
+            assert a.tobytes() == b.tobytes(), f.name
 
     def test_deterministic(self, library):
         inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=14)
