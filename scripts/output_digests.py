@@ -10,6 +10,10 @@ checkout that holds this script:
 - ``gen`` of 2 instances (3 mm actuation in their config), then for each
   instance ``build-db`` on the ring and on the home view, ``localize``
   against both databases, and ``rearrange``;
+- ``gen`` of 1 crowded instance on non-default cameras (9 objects, a ring
+  of 5 views at 25 deg elevation, 320x240 images), then ``build-db`` on
+  the ring and on the home view and ``localize`` against both databases:
+  every other case renders the default ring's views;
 - ``localize`` of the first instance against its ring database with the
   ``descriptor_nn`` matcher, which reads the library's point descriptors;
 - with ``tuned.json``, which sets a non-default value for every retrieval,
@@ -79,6 +83,12 @@ CONFIGS = {
     "completion.json": {"scenes": 3, "sim": {"actuation_sigma": 0.003}},
     "scene.json": {"sim": {"actuation_sigma": 0.003}},
     "nn.json": {"localization": {"matcher": "descriptor_nn"}},
+    "crowded.json": {
+        "sim": {
+            "object_count_min": 9, "object_count_max": 9, "ring_count": 5,
+            "ring_elevation_deg": 25.0, "image_width": 320, "image_height": 240,
+        },
+    },
     "tuned.json": TUNED,
     "tuned_nn.json": {
         **TUNED,
@@ -125,6 +135,13 @@ def commands() -> list[list[str]]:
                          "--instance", inst, "--out", f"poses_{seed}_{view}.json"])
         cmds.append(["rearrange", "--config", "scene.json", "--instance", inst,
                      "--out", f"rearrange_{seed}"])
+    cmds.append(["gen", "--config", "crowded.json", "--count", "1", "--out", "crowded"])
+    for view in ("ring", "home"):
+        db = f"crowded_db_{view}.npz"
+        cmds.append(["build-db", "--config", "crowded.json", "--instance",
+                     "crowded/instance_00000000.json", "--view", view, "--out", db])
+        cmds.append(["localize", "--config", "crowded.json", "--db", db, "--instance",
+                     "crowded/instance_00000000.json", "--out", f"crowded_poses_{view}.json"])
     inst = "dataset/instance_00000000.json"
     cmds.append(["localize", "--config", "nn.json", "--db", "db_0_ring.npz",
                  "--instance", inst, "--out", "poses_0_ring_nn.json"])

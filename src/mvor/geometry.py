@@ -232,6 +232,14 @@ def back_project_pixels(
     return invert(world_to_cam).apply(cam)
 
 
+def _cross(a, b) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, bit for bit: the same products and
+    differences in float64, without its array set-up."""
+    a0, a1, a2 = (float(x) for x in a)
+    b0, b1, b2 = (float(x) for x in b)
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def look_at(eye: np.ndarray, target: np.ndarray) -> Pose3:
     """Camera-in-world pose looking from ``eye`` toward ``target``.
 
@@ -240,12 +248,12 @@ def look_at(eye: np.ndarray, target: np.ndarray) -> Pose3:
     eye = np.asarray(eye, dtype=float)
     forward = np.asarray(target, dtype=float) - eye
     forward = forward / np.linalg.norm(forward)
-    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+    right = _cross(forward, (0.0, 0.0, 1.0))
     n = np.linalg.norm(right)
     if n < 1e-9:
         right = np.array([1.0, 0.0, 0.0])
     else:
         right = right / n
-    down = np.cross(forward, right)
+    down = _cross(forward, right)
     r = np.stack([right, down, forward], axis=1)
     return Pose3(r, eye)

@@ -1,10 +1,11 @@
 """Object regions: one segmented observation of one object in one frame.
 
-A region keeps the frame's hits under its mask (the segmentation), in the
-frame's row-major order: each hit's feature id, exact projection, world
-point back-projected through the frame's viewpoint and object-local
-viewing direction, and the bounding box of their pixels. It also keeps
-the observing viewpoint, and later gains a global descriptor.
+A region keeps the frame's hits that its selector picks (the
+segmentation), in the frame's order, which is row-major within one
+instance's run: each hit's feature id, exact projection, world point
+back-projected through the frame's viewpoint and object-local viewing
+direction, and the bounding box of their pixels. It also keeps the
+observing viewpoint, and later gains a global descriptor.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ObjectRegion:
-    """The hits of one region, in the frame's row-major order, the
-    bounding box of their pixels (origin ``(row0, col0)``, ``shape``
-    ``(h, w)``), and the frame that saw them."""
+    """The hits of one region, in the frame's order, the bounding box of
+    their pixels (origin ``(row0, col0)``, ``shape`` ``(h, w)``), and the
+    frame that saw them."""
 
     row0: int
     col0: int
@@ -43,47 +44,49 @@ class ObjectRegion:
         return self.world.mean(axis=0)
 
 
-def extract_regions(frame, masks, config) -> list[ObjectRegion]:
-    """Cut one ObjectRegion per mask out of a frame.
+def extract_regions(frame, selections, config) -> list[ObjectRegion]:
+    """Cut one ObjectRegion per ``(label, selector)`` pair out of a frame.
 
-    Masks are boolean masks over the frame's hits. The region keeps the
-    masked hits, each with its world point back-projected through the
-    frame's viewpoint, and the bounding box of their pixels. Masks with fewer
-    than ``config.min_region_points`` hits are dropped. The descriptor is
-    left unset.
+    A selector picks the region's hits out of the frame's arrays by plain
+    numpy indexing: a slice, as ``segment`` gives for the run of one
+    instance's hits, or a boolean mask over the hits. Under a slice every
+    field of the region is a view, with no copy. The region keeps the
+    selected hits, each with its world point back-projected through the
+    frame's viewpoint, and the bounding box of their pixels. Selections with
+    fewer than ``config.min_region_points`` hits are dropped. The descriptor
+    is left unset.
 
-    Every hit is back-projected once, in one product over the frame, and
-    each mask is cut by its hits' indices. A row of that product has the
-    same bits as in a product over the mask's hits alone, except for a
-    single hit, whose one-row product takes another BLAS path (a
-    matrix-vector product): a one-hit region is back-projected on its own.
+    Every hit is back-projected once, in one product over the frame. A row
+    of that product has the same bits as in a product over the region's
+    hits alone, except for a single hit, whose one-row product takes
+    another BLAS path (a matrix-vector product): a one-hit region is
+    back-projected on its own.
     """
     w2c = invert(frame.viewpoint)
     world = back_project_pixels(frame.intrinsics, w2c, frame.px, frame.depth)
     regions = []
-    for label, mask in masks:
-        idx = np.flatnonzero(mask)
-        if len(idx) < config.min_region_points:
-            log.debug(
-                "dropping region (label %s): %d px < %d", label, len(idx), config.min_region_points
-            )
+    for label, sel in selections:
+        feature_ids = frame.feature_ids[sel]
+        n = len(feature_ids)
+        if n < config.min_region_points:
+            log.debug("dropping region (label %s): %d px < %d", label, n, config.min_region_points)
             continue
-        rr, cc = frame.rows[idx], frame.cols[idx]
+        rr, cc = frame.rows[sel], frame.cols[sel]
         r0, c0 = rr.min(), cc.min()
-        uv = frame.px[idx]
+        uv = frame.px[sel]
         regions.append(
             ObjectRegion(
                 row0=int(r0),
                 col0=int(c0),
                 shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
-                feature_ids=frame.feature_ids[idx],
+                feature_ids=feature_ids,
                 px=uv,
                 world=(
-                    world[idx]
-                    if len(idx) > 1
-                    else back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[idx])
+                    world[sel]
+                    if n > 1
+                    else back_project_pixels(frame.intrinsics, w2c, uv, frame.depth[sel])
                 ),
-                view_local=frame.view_local[idx],
+                view_local=frame.view_local[sel],
                 viewpoint=frame.viewpoint,
                 frame_id=frame.frame_id,
                 source_instance=int(label),

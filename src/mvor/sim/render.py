@@ -2,14 +2,16 @@
 instance segmentation.
 
 A rendered Frame is the list of z-buffer winners, one hit per covered
-pixel, in row-major pixel order. Each hit keeps its pixel (row, col), the
-winning point's feature id, instance id, exact sub-pixel projection and
-exact depth. Back-projecting a hit's stored (u, v, depth) therefore
-recovers the point's world position to floating-point precision, which is
-what makes the downstream matching and pose-recovery paths testable against
-exact ground truth. No full-resolution image is ever allocated: segmentation
-masks are boolean masks over a frame's hits, and regions are cut from the
-masked hits.
+pixel, grouped by instance: each instance's hits form one run, the runs
+in ascending instance order, and the hits of a run in row-major pixel
+order. Each hit keeps its pixel (row, col), the winning point's feature
+id, instance id, exact sub-pixel projection and exact depth.
+Back-projecting a hit's stored (u, v, depth) therefore recovers the
+point's world position to floating-point precision, which is what makes
+the downstream matching and pose-recovery paths testable against exact
+ground truth. No full-resolution image is ever allocated: the
+segmentation of an instance is the slice of its run, and its region is cut
+from the run's hits.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import EmptyFrame
-from ..geometry import CameraIntrinsics, Pose3, invert, project_points, rot_z
+from ..geometry import CameraIntrinsics, Pose3, invert, rot_z
 from .models import ModelLibrary
 from .scene import SceneState
 
 
 @dataclass
 class Frame:
-    """The z-buffer winners of one view, one entry per hit pixel, sorted by
-    row-major pixel index (``rows * width + cols``)."""
+    """The z-buffer winners of one view, one entry per hit pixel, grouped
+    by instance id in ascending order and, within one instance's run,
+    sorted by row-major pixel index (``rows * width + cols``)."""
 
     rows: np.ndarray  # (n,) int64 pixel row of each hit
     cols: np.ndarray  # (n,) int64 pixel column of each hit
@@ -68,6 +71,7 @@ class _PosedScene(NamedTuple):
     placement order."""
 
     points: np.ndarray  # (P,3) world point
+    columns: np.ndarray  # (3,P) the same points' x, y and z, each contiguous
     normals: np.ndarray  # (P,3) world normal
     feature_ids: np.ndarray  # (P,) int64 library row
     instance_ids: np.ndarray  # (P,) int32 placement index
@@ -90,6 +94,7 @@ def _pose(scene: SceneState, library: ModelLibrary) -> _PosedScene:
         rotations.append(rz)
     return _PosedScene(
         points=points,
+        columns=np.ascontiguousarray(points.T),
         normals=normals,
         feature_ids=feature_ids,
         instance_ids=np.repeat(np.arange(len(spans), dtype=np.int32), np.diff(ends)),
@@ -126,49 +131,66 @@ def _winners(flat: np.ndarray, z: np.ndarray, fid: np.ndarray) -> np.ndarray:
 def _render_view(
     posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics, frame_id: int
 ) -> Frame:
+    # point->camera vectors, written a column at a time: each element is
+    # the one subtraction a broadcast over the rows would make
     cam_center = viewpoint.translation
-    facing = np.einsum("ij,ij->i", cam_center - posed.points, posed.normals) > 0.0
-    facing = np.flatnonzero(facing)
-    uv, z = project_points(intr, invert(viewpoint), posed.points[facing])
+    to_cam = np.empty_like(posed.points)
+    for k in range(3):
+        np.subtract(cam_center[k], posed.columns[k], out=to_cam[:, k])
+    facing = np.flatnonzero(np.einsum("ij,ij->i", to_cam, posed.normals) > 0.0)
+
+    # project_points, with the translation added and the pixel found one
+    # contiguous column at a time; take gathers the rows several times
+    # faster than fancy indexing does
+    w2c = invert(viewpoint)
+    cam = posed.points.take(facing, axis=0) @ w2c.rotation.T
+    z = cam[:, 2] + w2c.translation[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intr.fx * (cam[:, 0] + w2c.translation[0]) / z + intr.cx
+        v = intr.fy * (cam[:, 1] + w2c.translation[1]) / z + intr.cy
     ok = (
         (z > 1e-6)
-        & (uv[:, 0] >= -0.5)
-        & (uv[:, 0] < intr.width - 0.5)
-        & (uv[:, 1] >= -0.5)
-        & (uv[:, 1] < intr.height - 0.5)
+        & (u >= -0.5)
+        & (u < intr.width - 0.5)
+        & (v >= -0.5)
+        & (v < intr.height - 0.5)
     )
     if not ok.any():
         raise EmptyFrame("no model points project into the image")
     cand = facing[ok]
-    uv, z = uv[ok], z[ok]
+    u, v, z = u[ok], v[ok], z[ok]
     fid = posed.feature_ids[cand]
-    cols = np.floor(uv[:, 0] + 0.5).astype(np.int64)
-    rows = np.floor(uv[:, 1] + 0.5).astype(np.int64)
+    cols = np.floor(u + 0.5).astype(np.int64)
+    rows = np.floor(v + 0.5).astype(np.int64)
     win = _winners(rows * intr.width + cols, z, fid)
 
-    # viewing directions for the winners alone, taken in candidate order,
-    # where each placement's hits are one run, then put in pixel order
-    is_win = np.zeros(len(cand), dtype=bool)
-    is_win[win] = True
-    hit = cand[is_win]
-    inst = posed.instance_ids[hit]
-    rays = cam_center - posed.points[hit]
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    # group the winners by instance, each run in row-major pixel order
+    inst = posed.instance_ids[cand[win]]
+    by_inst = np.argsort(inst, kind="stable")
+    win, inst = win[by_inst], inst[by_inst]
+
+    # unit point->camera rays, a column at a time: np.linalg.norm sums a
+    # row's three squares left to right, as the column sum below does
+    hit = cand[win]
+    dx, dy, dz = (cam_center[k] - posed.columns[k][hit] for k in range(3))
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    rays = np.stack([dx / norm, dy / norm, dz / norm], axis=1)
+    # viewing directions, one world->object-local product per instance run;
+    # a run keeps its size, so a one-hit run stays a one-row product
     view = np.empty_like(rays)
     runs = np.searchsorted(inst, np.arange(len(posed.rotations) + 1))
     for idx, (start, stop) in enumerate(zip(runs[:-1], runs[1:])):
-        if start < stop:  # world->object-local rotation
+        if start < stop:
             view[start:stop] = rays[start:stop] @ posed.rotations[idx]
-    to_pixel_order = (np.cumsum(is_win) - 1)[win]
 
     return Frame(
         rows=rows[win],
         cols=cols[win],
         feature_ids=fid[win],
-        instance_ids=inst[to_pixel_order],
-        px=uv[win],
+        instance_ids=inst,
+        px=np.stack([u[win], v[win]], axis=1),
         depth=z[win],
-        view_local=view[to_pixel_order],
+        view_local=view,
         viewpoint=viewpoint,
         intrinsics=intr,
         frame_id=frame_id,
@@ -195,11 +217,22 @@ def render(
     return [_render_view(posed, vp, intr, first_id + k) for k, vp in enumerate(viewpoints)]
 
 
-def segment(frame: Frame) -> list[tuple[int, np.ndarray]]:
-    """Ground-truth instance masks, one per instance the frame sees, in
-    ``frame.instance_list()`` order.
+def segment(frame: Frame) -> list[tuple[int, slice]]:
+    """Ground-truth instance segmentation: one ``(label, slice)`` per
+    instance the frame sees, in ``frame.instance_list()`` order.
 
-    A mask is a boolean mask over the frame's hits. Masks are disjoint by
-    construction. Returns [] for an empty frame.
+    A slice selects the run of the instance's hits in the frame's arrays,
+    so the runs are disjoint by construction. Returns [] for an empty
+    frame. Raises ValueError unless the hits are grouped by instance in
+    ascending order, as ``render`` leaves them: the runs of any other
+    order would not be the instances' hits.
     """
-    return [(int(inst), frame.instance_ids == inst) for inst in frame.instance_list()]
+    ids = frame.instance_ids
+    new = np.ones(len(ids), dtype=bool)
+    new[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new)
+    labels = ids[starts]
+    if np.any(labels[1:] <= labels[:-1]):
+        raise ValueError("frame hits are not grouped by instance in ascending order")
+    stops = np.append(starts[1:], len(ids))
+    return [(int(label), slice(int(a), int(b))) for label, a, b in zip(labels, starts, stops)]

@@ -240,6 +240,10 @@ class TestPlanarProperties:
         assert not np.signbit(geo.lift(PlanarTransform.identity()).matrix).any()
 
 
+# 3-vectors whose components include signed zeros and exact ones
+VEC3 = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0]), min_size=3, max_size=3)
+
+
 class TestLookAt:
     def test_forward_axis_points_at_target(self):
         pose = geo.look_at([0.8, 0.0, 0.8], [0.0, 0.0, 0.0])
@@ -253,3 +257,32 @@ class TestLookAt:
         pose = geo.look_at([0.5, -0.7, 0.9], [0.1, 0.0, 0.0])
         uv, _ = geo.project_points(INTR, geo.invert(pose), [[0.1, 0.0, 0.0]])
         np.testing.assert_allclose(uv, [[INTR.cx, INTR.cy]], atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=VEC3, b=VEC3)
+    def test_cross_is_np_cross_bit_for_bit(self, a, b):
+        a, b = np.array(a), np.array(b)
+        assert geo._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eye=st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)),
+        target=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+        above=st.booleans(),
+    )
+    def test_matches_np_cross_reference_bit_for_bit(self, eye, target, above):
+        """look_at equals its np.cross form; ``above`` puts the eye straight
+        over the target, where the fallback right axis is taken."""
+        eye, target = np.array(eye), np.array(target)
+        if above:
+            eye[:2] = target[:2]
+        if np.linalg.norm(eye - target) < 1e-6:
+            return
+        forward = (target - eye) / np.linalg.norm(target - eye)
+        right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
+        n = np.linalg.norm(right)
+        right = np.array([1.0, 0.0, 0.0]) if n < 1e-9 else right / n
+        expect = np.stack([right, np.cross(forward, right), forward], axis=1)
+        pose = geo.look_at(eye, target)
+        assert pose.rotation.tobytes() == expect.tobytes()
+        assert pose.translation.tobytes() == eye.tobytes()

@@ -95,10 +95,29 @@ class TestExtractRegions:
     def test_min_points_drop(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
         frame = ring_frames(scene, library)[0]
-        full = segment(frame)[0][1]
-        small = np.zeros_like(full)
-        small[np.flatnonzero(full)[:5]] = True
+        [(_, full)] = segment(frame)
+        assert full.stop - full.start > 10
+        small = slice(full.start, full.start + 5)
         assert extract_regions(frame, [(0, small)], PerceptionConfig(min_region_points=10)) == []
+
+    def test_multi_hit_region_shares_memory_with_its_frame(self, library):
+        """Under segment's slices a region's hit arrays are views of its
+        frame's arrays, not copies."""
+        scene = make_scene(
+            [
+                Placement(0, PlanarTransform(0, -0.09, 0.0)),
+                Placement(3, PlanarTransform(0, 0.09, 0.0)),
+            ]
+        )
+        frame = ring_frames(scene, library)[0]
+        regions = extract_regions(frame, segment(frame), PCFG)
+        assert len(regions) == 2
+        for reg in regions:
+            assert len(reg.feature_ids) > 1
+            for name in ("feature_ids", "px", "view_local"):
+                assert np.shares_memory(getattr(reg, name), getattr(frame, name)), name
+        # both world arrays are views of the frame's one back-projection
+        assert regions[0].world.base is regions[1].world.base is not None
 
     def test_one_hit_region_is_back_projected_alone(self, library):
         """A one-hit region's world point is its own one-row back-projection,
@@ -110,9 +129,10 @@ class TestExtractRegions:
         for i in range(len(frame.depth)):
             mask = np.zeros(len(frame.depth), dtype=bool)
             mask[i] = True
-            (reg,) = extract_regions(frame, [(0, mask)], PerceptionConfig(min_region_points=1))
             alone = geo.back_project_pixels(frame.intrinsics, w2c, frame.px[[i]], frame.depth[[i]])
-            assert reg.world.tobytes() == alone.tobytes()
+            for sel in (mask, slice(i, i + 1)):
+                (reg,) = extract_regions(frame, [(0, sel)], PerceptionConfig(min_region_points=1))
+                assert reg.world.tobytes() == alone.tobytes()
 
     def test_empty_mask_list(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
@@ -306,9 +306,10 @@ FRAME_ARRAYS = ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "v
 
 def reference_render(scene, viewpoint, intr, library, frame_id=0):
     """Reference: one view rendered object by object, as a loop that poses
-    each placement for this view alone, projects its facing points, and
-    picks each pixel's winner with the stable three-key sort (pixel,
-    depth, feature id; placement order last)."""
+    each placement for this view alone, projects its facing points, picks
+    each pixel's winner with the stable three-key sort (pixel, depth,
+    feature id; placement order last), and sorts the winners by (instance,
+    pixel)."""
     w2c = geo.invert(viewpoint)
     cam_center = viewpoint.translation
     uv_all, z_all, fid_all, inst_all, view_all = [], [], [], [], []
@@ -347,15 +348,17 @@ def reference_render(scene, viewpoint, intr, library, frame_id=0):
     cols = np.floor(uv[:, 0] + 0.5).astype(np.int64)
     rows = np.floor(uv[:, 1] + 0.5).astype(np.int64)
     flat = rows * intr.width + cols
+    inst = np.concatenate(inst_all)
     order = np.lexsort((fid, z, flat))
     first = np.ones(len(order), dtype=bool)
     first[1:] = flat[order][1:] != flat[order][:-1]
     win = order[first]
+    win = win[np.lexsort((flat[win], inst[win]))]
     return Frame(
         rows=rows[win],
         cols=cols[win],
         feature_ids=fid[win],
-        instance_ids=np.concatenate(inst_all)[win],
+        instance_ids=inst[win],
         px=uv[win],
         depth=z[win],
         view_local=np.vstack(view_all)[win],
@@ -401,10 +404,17 @@ class TestRender:
         assert set(seen.tolist()) <= top_ids
 
     def test_hits_are_distinct_pixels_in_row_major_order(self, config, library):
+        """Distinct pixels, grouped by instance in ascending order, each
+        instance's run in row-major pixel order."""
         inst = generate_instance(config, library, seed=5)
         intr = config.intrinsics()
         (frame,) = render(inst.initial, [inst.ring_viewpoints[2]], intr, library)
-        assert np.all(np.diff(pixel_index(frame)) > 0)
+        assert len(np.unique(pixel_index(frame))) == len(frame.rows)
+        runs = segment(frame)
+        assert len(runs) > 1
+        assert [label for label, _ in runs] == frame.instance_list().tolist()
+        for _, run in runs:
+            assert np.all(np.diff(pixel_index(frame)[run]) > 0)
         assert frame.rows.min() >= 0 and frame.rows.max() < intr.height
         assert frame.cols.min() >= 0 and frame.cols.max() < intr.width
         # each hit's pixel is the one its exact projection falls in
@@ -439,7 +449,7 @@ class TestRender:
         )
         assert len(contested) > 20
         expect_near = f_near.depth[i_near] < f_far.depth[i_far]
-        i_both = np.searchsorted(pixel_index(f_both), contested)
+        _, _, i_both = np.intersect1d(contested, pixel_index(f_both), return_indices=True)
         np.testing.assert_array_equal(pixel_index(f_both)[i_both], contested)
         got_near = f_both.instance_ids[i_both] == 1
         np.testing.assert_array_equal(got_near, expect_near)
@@ -503,6 +513,54 @@ class TestRender:
                 assert len(frames) == len(views)
                 for k, (frame, vp) in enumerate(zip(frames, views)):
                     assert_same_frame(frame, reference_render(scene, vp, intr, library, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        eye=st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8), st.floats(0.01, 1.2)),
+        target=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(-0.2, 0.3)),
+        size=st.tuples(st.integers(8, 640), st.integers(8, 480)),
+        focal=st.floats(40.0, 1200.0),
+    )
+    def test_random_cameras_match_reference(self, library, seed, eye, target, size, focal):
+        """Cameras anywhere over and among the objects, with any image size
+        and focal length, leave points behind the camera and off the image:
+        each view equals the reference field by field, or both raise
+        EmptyFrame."""
+        sim = SimConfig(image_width=size[0], image_height=size[1], focal_px=focal)
+        eye, target = np.array(eye), np.array(target)
+        assume(np.linalg.norm(eye - target) > 1e-3)
+        inst = generate_instance(sim, library, seed=seed)
+        cam, intr = geo.look_at(eye, target), sim.intrinsics()
+        try:
+            expect = reference_render(inst.initial, cam, intr, library, 3)
+        except EmptyFrame:
+            with pytest.raises(EmptyFrame):
+                render(inst.initial, [cam], intr, library, first_id=3)
+            return
+        (frame,) = render(inst.initial, [cam], intr, library, first_id=3)
+        assert_same_frame(frame, expect)
+
+    @pytest.mark.parametrize("eye", [(0.4, 0.1, None), (None, 0.5, 0.3)])
+    def test_camera_in_a_face_plane_matches_reference(self, config, library, eye):
+        """A camera in the plane of the box's top face (z) or of its +x
+        face (x): those points' facing value is exactly 0, so they are not
+        seen, as in the reference."""
+        m = int(np.flatnonzero(library.family == "box")[0])
+        rows = model_rows(library, m)
+        pts, nrm = library.points[rows], library.normals[rows]
+        plane = {0: pts[nrm[:, 0] > 0.5, 0], 2: pts[nrm[:, 2] > 0.5, 2]}
+        axis = eye.index(None)
+        assert len(np.unique(plane[axis])) == 1
+        eye = np.array([plane[axis][0] if e is None else e for e in eye])
+        scene = single_object_scene(library, m)
+        cam = geo.look_at(eye, [0.0, 0.0, 0.03])
+        facing = np.einsum("ij,ij->i", eye - pts, nrm)
+        assert np.count_nonzero(facing == 0.0) > 10
+        intr = config.intrinsics()
+        (frame,) = render(scene, [cam], intr, library)
+        assert len(frame.rows) > 50
+        assert_same_frame(frame, reference_render(scene, cam, intr, library))
 
     def test_batched_call_equals_one_call_per_view(self, config, library):
         inst = generate_instance(config, library, seed=6)
@@ -572,22 +630,36 @@ class TestSegment:
     def test_noiseless_masks_match_ground_truth(self, config, library):
         inst = generate_instance(config, library, seed=9)
         (frame,) = render(inst.initial, [inst.ring_viewpoints[1]], config.intrinsics(), library)
-        masks = segment(frame)
-        assert len(masks) == len(frame.instance_list())
-        for inst_id, mask in masks:
-            np.testing.assert_array_equal(mask, frame.instance_ids == inst_id)
+        runs = segment(frame)
+        assert len(runs) == len(frame.instance_list())
+        hits = np.arange(len(frame.instance_ids))
+        for inst_id, run in runs:
+            np.testing.assert_array_equal(hits[run], np.flatnonzero(frame.instance_ids == inst_id))
 
     def test_empty_frame_has_no_masks(self, config):
         frame = empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics())
         assert segment(frame) == []
 
+    @pytest.mark.parametrize("ids", [[1, 1, 0, 0], [0, 1, 0], [2, 2, 2, 1]])
+    def test_ungrouped_frame_rejected(self, config, ids):
+        """Hits not grouped by instance in ascending order have no runs
+        that are the instances' hits: segment refuses them."""
+        n = len(ids)
+        frame = dataclasses.replace(
+            empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics()),
+            rows=np.zeros(n, dtype=np.int64),
+            cols=np.arange(n, dtype=np.int64),
+            instance_ids=np.array(ids, dtype=np.int32),
+        )
+        with pytest.raises(ValueError, match="not grouped"):
+            segment(frame)
+
     def test_masks_disjoint(self, config, library):
         inst = generate_instance(config, library, seed=12)
         (frame,) = render(inst.initial, [inst.ring_viewpoints[3]], config.intrinsics(), library)
-        masks = segment(frame)
         acc = np.zeros(frame.instance_ids.shape, dtype=int)
-        for _, m in masks:
-            acc += m
+        for _, run in segment(frame):
+            acc[run] += 1
         assert acc.max() <= 1
 
 
