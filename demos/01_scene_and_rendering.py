@@ -33,13 +33,13 @@ for i, off in enumerate(instance.true_offsets):
     )
 
 # render the ring of database viewpoints around the initial scene, in one
-# call: the models are posed once, and frame ids count up from 0
+# call: the models are posed once, and the frames come back in view order
 intr = config.intrinsics()
 frames = render(instance.initial, instance.ring_viewpoints, intr, library)
 print(f"\nrendered {len(frames)} ring frames at {intr.width}x{intr.height}")
-for f in frames[:3]:
+for k, f in enumerate(frames[:3]):
     print(
-        f"  frame {f.frame_id}: {len(f.rows)} pixels hit, "
+        f"  frame {k}: {len(f.rows)} pixels hit, "
         f"{len(f.instance_list())} objects visible, "
         f"depth range {f.depth.min():.2f}..{f.depth.max():.2f} m"
     )

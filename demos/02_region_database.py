@@ -40,7 +40,7 @@ cross = [sims[i, j] for i in range(db.num_regions) for j in range(i + 1, db.num_
 print(f"\ndescriptor cosine: same-instance mean {np.mean(same):.3f}, cross-instance mean {np.mean(cross):.3f}")
 
 # retrieval from the goal image of the (rearranged) goal scene
-(goal_frame,) = render(instance.goal, [instance.home_viewpoint], intr, library, first_id=99)
+(goal_frame,) = render(instance.goal, [instance.home_viewpoint], intr, library)
 goal_regions = prepare_goal_regions(goal_frame, library, perception)
 print(f"\ngoal frame has {len(goal_regions)} regions; retrieval votes:")
 for g in goal_regions:

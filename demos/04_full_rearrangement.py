@@ -51,10 +51,10 @@ print(f"completed: {outcome.completed} in {result.outer_iterations} outer iterat
 print(f"manipulations: {result.total_manipulations} "
       f"({sum(result.goal_moves.values())} goal, {sum(result.buffer_moves.values())} buffer)\n")
 print("move log:")
-for m in result.moves:
+for step, m in enumerate(result.moves, 1):
     status = "ok" if m.executed else "BLOCKED"
     print(
-        f"  step {m.step:>2d}: object {m.object_index} {m.kind:<11s} -> "
+        f"  step {step:>2d}: object {m.object_index} {m.kind:<11s} -> "
         f"({m.target.tx * 100:+6.1f}, {m.target.ty * 100:+6.1f}) cm @ "
         f"{np.degrees(m.target.yaw):+7.1f} deg  [{status}]"
     )

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,11 +112,17 @@ class BenchConfig:
 
 @dataclass
 class MetricsReport:
-    kind: str  # 'pose' | 'completion'
     rows: list  # record dicts, one per object
     summary: dict  # machine-readable aggregate (no timing)
     wall_clock_s: float
-    skipped_scenes: int = 0
+
+    @property
+    def kind(self) -> str:  # 'pose' | 'completion'
+        return self.summary["kind"]
+
+    @property
+    def skipped_scenes(self) -> int:
+        return self.summary["skipped_scenes"]
 
 
 def match_instances_to_objects(db, scene) -> dict:
@@ -169,8 +176,8 @@ def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
 
 
 def build_scene_database(inst, viewpoints, library, cfg: BenchConfig):
-    """Database stage: the initial scene rendered from ``viewpoints``
-    (frame ids in list order), segmented and described."""
+    """Database stage: the initial scene rendered from ``viewpoints``,
+    segmented and described."""
     intr = inst.config.intrinsics()
     frames = render(inst.initial, viewpoints, intr, library)
     return build_database(frames, library, cfg.perception)
@@ -180,14 +187,18 @@ def build_scene_database(inst, viewpoints, library, cfg: BenchConfig):
 class SceneEstimates:
     by_instance: dict  # database instance -> PoseEstimate, as estimate_all returns it
     object_of: dict  # database instance -> scene object (match_instances_to_objects)
-    by_object: dict  # scene object -> PoseEstimate, for the paired instances
+
+    @property
+    def by_object(self) -> dict:
+        """Scene object -> PoseEstimate, for the paired instances."""
+        return {self.object_of[u]: e for u, e in self.by_instance.items() if u in self.object_of}
 
 
 def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
-    """The goal frame (``frame_id=99``) segmented and described; one list
-    serves every database of the scene."""
+    """The goal frame, rendered from the home viewpoint, segmented and
+    described; one list serves every database of the scene."""
     intr = inst.config.intrinsics()
-    (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library, first_id=99)
+    (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library)
     return prepare_goal_regions(goal_frame, library, cfg.perception)
 
 
@@ -197,9 +208,7 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
     by_instance = estimate_all(
         goal_regions, db, matcher, inst.config.intrinsics(), cfg.localization
     )
-    object_of = match_instances_to_objects(db, inst.initial)
-    by_object = {object_of[u]: est for u, est in by_instance.items() if u in object_of}
-    return SceneEstimates(by_instance, object_of, by_object)
+    return SceneEstimates(by_instance, match_instances_to_objects(db, inst.initial))
 
 
 def complete_scene(inst, library, cfg: BenchConfig) -> tuple[SceneEstimates, ExecutionResult]:
@@ -215,9 +224,9 @@ def complete_scene(inst, library, cfg: BenchConfig) -> tuple[SceneEstimates, Exe
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     estimates = {
-        i: found.by_object.get(i, PoseEstimate(offset=PlanarTransform.identity(), accepted=False))
+        i: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)
         for i in range(inst.initial.num_objects)
-    }
+    } | found.by_object
     reobserve = None
     if inst.config.actuation_sigma > 0:
         reobserve = make_reobserver(
@@ -255,7 +264,7 @@ def scene_outcome(inst, result: ExecutionResult, config: PlannerConfig) -> Scene
     return SceneOutcome(objects, completed, one_step)
 
 
-def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsReport:
+def _run_scenes(cfg: BenchConfig, scene_rows, summarize) -> MetricsReport:
     """The drivers' loop over regimes and seeds: ``scene_rows(inst,
     library, cfg)`` per scene that generates."""
     t0 = time.perf_counter()
@@ -271,13 +280,7 @@ def _run_scenes(cfg: BenchConfig, kind: str, scene_rows, summarize) -> MetricsRe
                 skipped += 1
                 continue
             rows += scene_rows(inst, library, cfg)
-    return MetricsReport(
-        kind=kind,
-        rows=rows,
-        summary=summarize(rows, skipped),
-        wall_clock_s=time.perf_counter() - t0,
-        skipped_scenes=skipped,
-    )
+    return MetricsReport(rows, summarize(rows, skipped), time.perf_counter() - t0)
 
 
 def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
@@ -288,9 +291,9 @@ def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
         views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
         db = build_scene_database(inst, views, library, cfg)
         matcher = scene_matcher(inst, mode, library, cfg)
-        found = localize_scene(inst, db, goal_regions, matcher, cfg)
+        by_object = localize_scene(inst, db, goal_regions, matcher, cfg).by_object
         for i, p in enumerate(inst.initial.placements):
-            est = found.by_object.get(i)
+            est = by_object.get(i)
             dtheta, dt = best_effort_error(est, inst.true_offsets[i])
             rows.append({
                 "regime": inst.config.rotation_regime,
@@ -307,7 +310,7 @@ def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
 
 
 def run_pose_bench(cfg: BenchConfig) -> MetricsReport:
-    return _run_scenes(cfg, "pose", _pose_rows, compute_pose_summary)
+    return _run_scenes(cfg, _pose_rows, compute_pose_summary)
 
 
 def compute_pose_summary(rows, skipped_scenes=0) -> dict:
@@ -342,7 +345,7 @@ def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instanc
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
         try:
-            (frame,) = render(scene, [inst.home_viewpoint], intr, library, first_id=1000)
+            (frame,) = render(scene, [inst.home_viewpoint], intr, library)
         except EmptyFrame as e:
             raise ReobservationFailed("home frame sees nothing") from e
         regions = extract_regions(frame, segment(frame), cfg.perception)
@@ -363,9 +366,10 @@ def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instanc
 def _completion_rows(inst, library, cfg: BenchConfig) -> list[dict]:
     found, result = complete_scene(inst, library, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
+    by_object = found.by_object
     rows = []
     for i, (o, p) in enumerate(zip(outcome.objects, inst.initial.placements)):
-        est = found.by_object.get(i)
+        est = by_object.get(i)
         rows.append({
             "regime": inst.config.rotation_regime,
             "scene_seed": inst.seed,
@@ -379,7 +383,7 @@ def _completion_rows(inst, library, cfg: BenchConfig) -> list[dict]:
 
 
 def run_completion_bench(cfg: BenchConfig) -> MetricsReport:
-    return _run_scenes(cfg, "completion", _completion_rows, compute_completion_summary)
+    return _run_scenes(cfg, _completion_rows, compute_completion_summary)
 
 
 def compute_completion_summary(rows, skipped_scenes=0) -> dict:
@@ -390,10 +394,7 @@ def compute_completion_summary(rows, skipped_scenes=0) -> dict:
         per_scene = {
             s: next(r for r in sel if r["scene_seed"] == s) for s in scenes
         }
-        manip = [r["goal_moves"] + r["buffer_moves"] for r in sel]
-        hist = {}
-        for m in manip:
-            hist[str(m)] = hist.get(str(m), 0) + 1
+        hist = dict(Counter(str(r["goal_moves"] + r["buffer_moves"]) for r in sel))
         summary["groups"][regime] = {
             "scenes": len(scenes),
             "objects": len(sel),

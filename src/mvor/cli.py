@@ -18,7 +18,8 @@ the ``library/`` beside the instance file rather than generating the
 library; one whose header carries another version or differs from the
 instance's config exits 2, naming the key and the header's path. An
 instance file outside a dataset has its library generated, with the same
-bits.
+bits. The instance fixes the seed and the sim config: a ``--seed`` or
+``--config`` sim value that differs from the instance's exits 2.
 """
 
 from __future__ import annotations
@@ -94,11 +95,25 @@ def _instance_library(instance_path: str, sim):
     return load_model_library(saved, sim)
 
 
+def _load_instance(args, cfg: BenchConfig):
+    """The ``--instance`` file; a ``--seed`` or ``--config`` sim value that
+    the user gave and that differs from the instance's is refused."""
+    inst = load_instance(args.instance)
+    if args.seed is not None and args.seed != inst.seed:
+        raise ConfigParseError(f"--seed {args.seed}: the instance has seed {inst.seed}")
+    sim = load_json(args.config).get("sim", {}) if args.config else {}
+    for key in sim:
+        ours, theirs = getattr(cfg.sim, key), getattr(inst.config, key)
+        if ours != theirs:
+            raise ConfigParseError(f"--config sim.{key} {ours!r}: the instance has {theirs!r}")
+    return inst
+
+
 def _scene_setup(cfg: BenchConfig, args):
     """(instance, its model library), the instance loaded from
     ``--instance`` or generated from config and seed."""
     if args.instance:
-        inst = load_instance(args.instance)
+        inst = _load_instance(args, cfg)
         library = _instance_library(args.instance, inst.config)
     else:
         library = generate_model_library(cfg.sim)
@@ -173,19 +188,13 @@ def _pose_report_rows(inst, found):
 def cmd_localize(args) -> int:
     cfg = load_config(args.config, args.seed)
     db, header = load_database(args.db)
-    inst = load_instance(args.instance)
+    inst = _load_instance(args, cfg)
     # a mismatched database fails before the library is loaded
-    for key in LIBRARY_KEYS:
-        if header.get(key) != getattr(inst.config, key):
-            raise MvorError(
-                f"database built against {key} {header.get(key)}, "
-                f"instance uses {getattr(inst.config, key)}"
-            )
-    if header.get("instance_seed") != inst.seed:
-        raise MvorError(
-            f"database built against instance_seed {header.get('instance_seed')}, "
-            f"instance has seed {inst.seed}"
-        )
+    expected = {key: getattr(inst.config, key) for key in LIBRARY_KEYS}
+    expected["instance_seed"] = inst.seed
+    for key, value in expected.items():
+        if header.get(key) != value:
+            raise MvorError(f"database built against {key} {header.get(key)}, instance has {value}")
     views = list(VIEW_MODE_OF)  # compared by ==: a header value need not be hashable
     if header.get("view") not in views:
         raise MvorError(f"database built against view {header.get('view')!r}, not one of {views}")
@@ -218,7 +227,8 @@ def cmd_rearrange(args) -> int:
     out_dir = _out_dir(args, "rearrange")
     make_dirs(out_dir)
     save_instance(inst, os.path.join(out_dir, "instance.json"))
-    dump_json([m.as_dict() for m in result.moves], os.path.join(out_dir, "moves.json"))
+    moves = [m.as_dict(step) for step, m in enumerate(result.moves, 1)]
+    dump_json(moves, os.path.join(out_dir, "moves.json"))
     dump_json(
         {
             "completed": outcome.completed,

@@ -110,12 +110,16 @@ class Correspondences3D:
 class PoseEstimate:
     offset: PlanarTransform  # the object's planar motion, initial -> goal
     inlier_count: int = 0
-    inlier_ratio: float = 0.0
     num_correspondences: int = 0
     instance_id: int | None = None
     accepted: bool = False
     candidates_visited: int = 0  # matcher calls too: one per candidate visited
     note: str = ""
+
+    @property
+    def inlier_ratio(self) -> float:
+        """Inliers per correspondence; 0.0 with none."""
+        return self.inlier_count / self.num_correspondences if self.num_correspondences else 0.0
 
 
 def retrieve_candidates(
@@ -187,14 +191,9 @@ def solve_pose(
     non-singular pair of pairs)."""
     p, mask = ransac_planar(m3d.world, m3d.goal_px, intr, goal_viewpoint, config)
     count = int(mask.sum())
-    ratio = count / len(m3d)
-    return PoseEstimate(
-        offset=p,
-        inlier_count=count,
-        inlier_ratio=ratio,
-        num_correspondences=len(m3d),
-        accepted=count >= config.min_inliers and ratio >= config.min_inlier_ratio,
-    )
+    est = PoseEstimate(offset=p, inlier_count=count, num_correspondences=len(m3d))
+    est.accepted = count >= config.min_inliers and est.inlier_ratio >= config.min_inlier_ratio
+    return est
 
 
 def estimate_object(
@@ -280,11 +279,7 @@ def estimate_all(
             results[u] = (ridx, est)
             continue
         held_ridx, held = results[u]
-        challenger_wins = (est.inlier_ratio, est.inlier_count) > (
-            held.inlier_ratio,
-            held.inlier_count,
-        )
-        if challenger_wins:
+        if (est.inlier_ratio, est.inlier_count) > (held.inlier_ratio, held.inlier_count):
             results[u] = (ridx, est)
             pending.append((held_ridx, excl | frozenset({u})))
         else:

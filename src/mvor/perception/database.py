@@ -62,7 +62,7 @@ class RegionHits(NamedTuple):
 @dataclass
 class Database:
     region_instance: np.ndarray = _column("R", kind="i")  # instance index per region
-    region_frame: np.ndarray = _column("R", kind="i")
+    region_frame: np.ndarray = _column("R", kind="i")  # position of its frame in the input
     # ground-truth instance label per region; diagnostics, tests
     source_instance: np.ndarray = _column("R", kind="i")
     descriptors: np.ndarray = _column("R", (-1,))
@@ -119,7 +119,7 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     labels = relabel[labels]
     return Database(
         region_instance=labels.astype(np.int64),
-        region_frame=np.array([r.frame_id for r in regions], dtype=np.int64),
+        region_frame=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         source_instance=np.array([r.source_instance for r in regions], dtype=np.int64),
         descriptors=np.stack([r.descriptor for r in regions]),
         obs_dirs=np.stack(

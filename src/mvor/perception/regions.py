@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 class ObjectRegion:
     """The hits of one region, in the frame's order, the bounding box of
     their pixels (origin ``(row0, col0)``, ``shape`` ``(h, w)``), and the
-    frame that saw them."""
+    viewpoint that saw them."""
 
     row0: int
     col0: int
@@ -34,7 +34,6 @@ class ObjectRegion:
     world: np.ndarray  # (n,3) back-projected world point
     view_local: np.ndarray  # (n,3) object-local viewing direction
     viewpoint: Pose3
-    frame_id: int
     source_instance: int  # ground-truth instance label; diagnostics and tests only
     descriptor: np.ndarray | None = None
 
@@ -88,7 +87,6 @@ def extract_regions(frame, selections, config) -> list[ObjectRegion]:
                 ),
                 view_local=frame.view_local[sel],
                 viewpoint=frame.viewpoint,
-                frame_id=frame.frame_id,
                 source_instance=int(label),
             )
         )

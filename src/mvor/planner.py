@@ -10,11 +10,11 @@ estimate is rejected or whose goal move is blocked counts a failure, and
 past ``thres_fail`` failures that object itself (not the object in its
 way) moves to a random collision-free buffer pose, on this and every later
 pass that fails again. ROADMAP item 4 plans to move the blocker instead.
-The loop ends when nothing remains or the outer-iteration budget (2x object
-count by default) is exhausted. An object leaves ``remaining`` once its goal
-move executes, placed or not, so the loop's end says nothing about success:
-``bench.scene_outcome`` judges completion, from the final scene against the
-true goal.
+The loop ends when nothing remains or after ``outer_factor`` x n + 1 passes
+for n objects (2n + 1 by default). An object leaves ``remaining`` once its
+goal move executes, placed or not, so the loop's end says nothing about
+success: ``bench.scene_outcome`` judges completion, from the final scene
+against the true goal.
 
 The planner operates on estimated offsets only. Each accepted estimate
 fixes the object's believed goal once, as its planar ``offset`` applied
@@ -47,7 +47,7 @@ from .sim.scene import RearrangementInstance, SceneState, apply_move, placement_
 @dataclass
 class PlannerConfig:
     thres_fail: int = 3  # failures tolerated before a buffer relocation
-    outer_factor: int = 2  # outer-iteration budget = factor * object count
+    outer_factor: int = 2  # at most factor * object count + 1 outer passes
     collision_margin: float = 0.01  # meters added around footprints
     success_yaw_deg: float = 5.0
     success_t_cm: float = 2.0
@@ -72,17 +72,21 @@ class PlannerConfig:
 
 @dataclass
 class MoveRecord:
-    step: int
     object_index: int
     kind: str  # 'goal-move' | 'buffer-move'
     target: PlanarTransform
     collision: bool  # pre-move check outcome (True means the move was blocked)
-    executed: bool
     failure_count: int
 
-    def as_dict(self) -> dict:
+    @property
+    def executed(self) -> bool:
+        """A move is made unless its check found a collision."""
+        return not self.collision
+
+    def as_dict(self, step: int) -> dict:
+        """The move log file's record; ``step`` is its 1-based place in the log."""
         return {
-            "step": self.step,
+            "step": step,
             "object": self.object_index,
             "kind": self.kind,
             "yaw_deg": float(np.degrees(self.target.yaw)),
@@ -200,6 +204,16 @@ def plan_and_execute(
     thres_outer = config.outer_factor * max(1, scene.num_objects)
     outer_iterations = 0
 
+    def attempt(i, kind, target, collision) -> bool:
+        """Log a move, then make it unless ``collision`` blocked it."""
+        nonlocal scene
+        moves.append(MoveRecord(i, kind, target, collision, failures[i]))
+        if not collision:
+            scene = apply_move(scene, library, i, target, sigma, rng)
+            tracked[i] = target
+            moved.add(i)
+        return not collision
+
     while True:
         outer_iterations += 1
         for i in list(remaining):
@@ -218,13 +232,7 @@ def plan_and_execute(
                     remaining.remove(i)
                     continue
                 collision = check_collision(scene, library, i, target, config.collision_margin)
-                moves.append(MoveRecord(
-                    len(moves) + 1, i, "goal-move", target, collision, not collision, failures[i]
-                ))
-                if not collision:
-                    scene = apply_move(scene, library, i, target, sigma, rng)
-                    tracked[i] = target
-                    moved.add(i)
+                if attempt(i, "goal-move", target, collision):
                     remaining.remove(i)
                     continue
             # a rejected estimate or a blocked goal move: count a failure,
@@ -238,13 +246,7 @@ def plan_and_execute(
                 pose, collision = find_buffer_pose(scene, library, i, rng, config), False
             except NoBufferSpace:
                 pose, collision = tracked[i], True
-            moves.append(MoveRecord(
-                len(moves) + 1, i, "buffer-move", pose, collision, not collision, failures[i]
-            ))
-            if not collision:
-                scene = apply_move(scene, library, i, pose, sigma, rng)
-                tracked[i] = pose
-                moved.add(i)
+            attempt(i, "buffer-move", pose, collision)
         if not remaining or outer_iterations > thres_outer:
             break
 

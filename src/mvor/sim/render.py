@@ -44,13 +44,12 @@ class Frame:
     # observed object's local frame; appearance similarity proxy for matchers
     viewpoint: Pose3  # camera-in-world
     intrinsics: CameraIntrinsics
-    frame_id: int = 0
 
     def instance_list(self) -> np.ndarray:
         return np.unique(self.instance_ids)
 
 
-def empty_frame(viewpoint: Pose3, intr: CameraIntrinsics, frame_id: int = 0) -> Frame:
+def empty_frame(viewpoint: Pose3, intr: CameraIntrinsics) -> Frame:
     """A frame with no hits."""
     return Frame(
         rows=np.empty(0, dtype=np.int64),
@@ -62,7 +61,6 @@ def empty_frame(viewpoint: Pose3, intr: CameraIntrinsics, frame_id: int = 0) -> 
         view_local=np.empty((0, 3)),
         viewpoint=viewpoint,
         intrinsics=intr,
-        frame_id=frame_id,
     )
 
 
@@ -128,9 +126,7 @@ def _winners(flat: np.ndarray, z: np.ndarray, fid: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _render_view(
-    posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics, frame_id: int
-) -> Frame:
+def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -> Frame:
     # point->camera vectors, written a column at a time: each element is
     # the one subtraction a broadcast over the rows would make
     cam_center = viewpoint.translation
@@ -193,7 +189,6 @@ def _render_view(
         view_local=view,
         viewpoint=viewpoint,
         intrinsics=intr,
-        frame_id=frame_id,
     )
 
 
@@ -202,11 +197,9 @@ def render(
     viewpoints: Sequence[Pose3],
     intr: CameraIntrinsics,
     library: ModelLibrary,
-    first_id: int = 0,
 ) -> list[Frame]:
     """Render all model points visible from each of ``viewpoints``: one
-    Frame per viewpoint, in order, with frame ids counting up from
-    ``first_id``.
+    Frame per viewpoint, in order; a frame's number is its list position.
 
     A point is visible iff its outward normal faces the camera and it wins
     the z-buffer at its pixel; occlusion between objects emerges from the
@@ -214,7 +207,7 @@ def render(
     Raises EmptyFrame when nothing projects into a view's image.
     """
     posed = _pose(scene, library)
-    return [_render_view(posed, vp, intr, first_id + k) for k, vp in enumerate(viewpoints)]
+    return [_render_view(posed, vp, intr) for vp in viewpoints]
 
 
 def segment(frame: Frame) -> list[tuple[int, slice]]:

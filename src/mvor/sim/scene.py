@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import CollisionAtTarget, PlacementFailure
+from ..errors import CollisionAtTarget, PlacementFailure, UnknownObject
 from ..geometry import PlanarTransform, Pose3, planar_compose, planar_invert
 from .config import SimConfig
 from .models import ModelLibrary
@@ -198,16 +198,17 @@ def apply_move(
 ) -> SceneState:
     """Pick-and-place the object at ``object_index`` to ``target``.
 
-    The target must be collision-free against all other objects and inside
-    the table bounds; callers are expected to collision-check first. With
-    sigma > 0 the final placement is the target perturbed by zero-mean
-    Gaussian noise in (yaw, tx, ty), which may land short of the ideal pose
-    (callers budget margins accordingly).
+    The index must name one of the scene's objects (else UnknownObject),
+    and the target must be collision-free against all other objects and
+    inside the table bounds (else CollisionAtTarget); callers are expected
+    to collision-check first. With sigma > 0 the final placement is the
+    target perturbed by zero-mean Gaussian noise in (yaw, tx, ty), which may
+    land short of the ideal pose (callers budget margins accordingly).
     """
     if sigma > 0.0 and rng is None:
         raise ValueError("apply_move: sigma > 0 needs an rng")
     if not 0 <= object_index < scene.num_objects:
-        raise CollisionAtTarget(f"object index {object_index} not in scene")
+        raise UnknownObject(f"object index {object_index}")
     conflict = placement_conflict(scene, library, object_index, target)
     if conflict is not None:
         raise CollisionAtTarget(conflict)

@@ -228,7 +228,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
     )
     inst = _manual_instance(swap_initial, swap_goal, cfg)
     estimates = {
-        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
+        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, num_correspondences=100)
         for i, off in enumerate(inst.true_offsets)
     }
     result = plan_and_execute(inst, estimates, library, PlannerConfig())
@@ -248,7 +248,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
     )
     inst2 = _manual_instance(free_initial, free_goal, cfg)
     estimates2 = {
-        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
+        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, num_correspondences=100)
         for i, off in enumerate(inst2.true_offsets)
     }
     result2 = plan_and_execute(inst2, estimates2, library, PlannerConfig())
@@ -291,7 +291,7 @@ def test_criterion_6_association_and_retrieval_exactness():
             instance_label[j] = labels.pop()
         if not pure:
             break
-        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library, first_id=99)
+        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library)
         for g in prepare_goal_regions(goal_frame, library, pcfg):
             regions_total += 1
             cands = retrieve_candidates(g, db, lcfg.top_n)

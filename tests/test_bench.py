@@ -135,13 +135,13 @@ class TestPoseBench:
         calls = []
 
         def counting(frame, *args, **kwargs):
-            calls.append(frame.frame_id)
+            calls.append(frame)
             return prepare_goal_regions(frame, *args, **kwargs)
 
         monkeypatch.setattr(bench, "prepare_goal_regions", counting)
         rep = run_pose_bench(BenchConfig(scenes=1, regimes=["minor"], include_single_view=True))
         assert {r["view_mode"] for r in rep.rows} == {"multi", "single"}
-        assert calls == [99]
+        assert len(calls) == 1
 
     def test_single_view_degrades_on_full_rotation(self, pose_report):
         g = pose_report.summary["groups"]
@@ -258,14 +258,23 @@ class TestReobserver:
             batch_sizes.append(len(regions))
             return extract(self, regions)
 
+        view_counts = []
+
+        def rendering(scene, viewpoints, *args):
+            view_counts.append(len(viewpoints))
+            return render(scene, viewpoints, *args)
+
         monkeypatch.setattr(GridPooledDescriptor, "extract", counting)
+        monkeypatch.setattr(bench, "render", rendering)
         reobserve = make_reobserver(
             inst, library, db, lcfg.make_matcher(library), bcfg, object_instance
         )
         tracked = reobserve(scene, 0, guess)
+        # one render of the home view, and one region described
+        assert view_counts == [1]
         assert batch_sizes == [1]
 
-        (frame,) = render(scene, [inst.home_viewpoint], intr, library, first_id=1000)
+        (frame,) = render(scene, [inst.home_viewpoint], intr, library)
         regions = prepare_goal_regions(frame, library, pcfg)
         assert len(regions) > 1
         region = min(
@@ -405,6 +414,9 @@ class TestCliRearrange:
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli_main(["rearrange", "--instance", str(swap), "--out", str(a)]) == 0
         moves = json.loads((a / "moves.json").read_text())
+        assert [m["step"] for m in moves] == list(range(1, len(moves) + 1))
+        assert all(m["executed"] == (not m["collision"]) for m in moves)
+        assert {m["executed"] for m in moves} == {True, False}
         (buffered,) = {m["object"] for m in moves if m["kind"] == "buffer-move" and m["executed"]}
         assert calls == [buffered]
         assert cli_main(["rearrange", "--instance", str(a / "instance.json"), "--out", str(b)]) == 0
@@ -716,6 +728,45 @@ class TestCliInstanceFiles:
         capsys.readouterr()
         assert cli_main([command, "--instance", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"unsupported instance version {version}" in capsys.readouterr().err
+
+    @staticmethod
+    def _given(files, command, seed, sim, tmp_path):
+        """``command`` on the fixture's instance, with ``--seed`` and a
+        ``--config`` holding the ``sim`` section when they are not None."""
+        argv = [command, "--instance", str(files / "instance.json"),
+                "--out", str(tmp_path / "out")]
+        if command == "localize":
+            argv += ["--db", str(files / "db.npz")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        if sim is not None:
+            (tmp_path / "given.json").write_text(json.dumps({"sim": sim}))
+            argv += ["--config", str(tmp_path / "given.json")]
+        return argv
+
+    @pytest.mark.parametrize(
+        "seed, sim, named",
+        [
+            (1, None, "--seed 1"),
+            (None, {"actuation_sigma": 0.003}, "sim.actuation_sigma"),
+            # the default, given explicitly, differs from the instance's 1
+            (0, {"object_count_min": 1, "object_count_max": 9}, "sim.object_count_max"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
+    def test_value_the_instance_overrides_exits_2(self, files, command, seed, sim, named,
+                                                   tmp_path, capsys):
+        """An instance fixes the scene's seed and sim config; a --seed or a
+        --config sim value that differs from it was once dropped silently."""
+        capsys.readouterr()
+        assert cli_main(self._given(files, command, seed, sim, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
+    def test_values_equal_to_the_instance_are_accepted(self, files, command, tmp_path):
+        sim = {"object_count_min": 1, "object_count_max": 1}
+        assert cli_main(self._given(files, command, 0, sim, tmp_path)) == 0
 
     def test_localize_rejects_other_library_size(self, files, tmp_path, capsys):
         """The database comes from the 12-model library of seed 7; an

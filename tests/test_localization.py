@@ -66,7 +66,7 @@ def ring_db(scene, library):
 
 
 def goal_regions_of(scene, library):
-    (frame,) = render(scene, [CFG.home_viewpoint()], INTR, library, first_id=99)
+    (frame,) = render(scene, [CFG.home_viewpoint()], INTR, library)
     return frame, prepare_goal_regions(frame, library, PCFG)
 
 
@@ -172,7 +172,6 @@ def _fake_goal(descriptor):
         np.zeros((4, 3)),
         np.zeros((4, 3)),
         viewpoint=Pose3(np.eye(3), np.zeros(3)),
-        frame_id=0,
         source_instance=0,
         descriptor=np.asarray(descriptor, dtype=float),
     )
@@ -940,7 +939,7 @@ class TestRegionRecord:
         assert not hasattr(perception, "RegionCrop") and not hasattr(regions, "RegionCrop")
         assert [f.name for f in fields(ObjectRegion)] == [
             "row0", "col0", "shape", "feature_ids", "px", "world", "view_local",
-            "viewpoint", "frame_id", "source_instance", "descriptor",
+            "viewpoint", "source_instance", "descriptor",
         ]
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library)
@@ -1007,7 +1006,7 @@ class TestEstimateAll:
         cfg3 = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg3, library, seed=9)
         db = ring_db(inst.initial, library)
-        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], INTR, library, first_id=99)
+        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], INTR, library)
         goals = prepare_goal_regions(goal_frame, library, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3
@@ -1037,7 +1036,7 @@ class TestEstimateAll:
     def test_empty_goal_frame(self, library):
         from mvor.sim import empty_frame
 
-        frame = empty_frame(CFG.home_viewpoint(), INTR, frame_id=99)
+        frame = empty_frame(CFG.home_viewpoint(), INTR)
         goals = prepare_goal_regions(frame, library, PCFG)
         assert goals == []
         out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(LCFG), INTR, LCFG)

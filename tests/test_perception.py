@@ -265,8 +265,8 @@ class TestHitFrameRegions:
                 (inst.initial, inst.home_viewpoint),
                 (inst.goal, inst.home_viewpoint),
             ]
-            for k, (scene, vp) in enumerate(views):
-                (frame,) = render(scene, [vp], intr, library, first_id=k)
+            for scene, vp in views:
+                (frame,) = render(scene, [vp], intr, library)
                 planes = dense_planes(frame)
                 dense_masks = dense_segment(planes, erode_radius)
                 # eroded masks, taken at the frame's hits, cut object edges
@@ -301,7 +301,7 @@ def fid_region(feature_ids):
     h, w = feature_ids.shape
     hits = sparsify(feature_ids, np.zeros((h, w, 2)), np.zeros((h, w, 3)), np.zeros((h, w, 3)))
     return ObjectRegion(
-        **hits, viewpoint=geo.Pose3(np.eye(3), np.zeros(3)), frame_id=0, source_instance=0
+        **hits, viewpoint=geo.Pose3(np.eye(3), np.zeros(3)), source_instance=0
     )
 
 
@@ -615,26 +615,28 @@ class TestAssociate:
         """Frames 0 and 2 both hold the most regions; frame 0 names the
         instances, and frame 2's regions join its nearer one."""
 
-        def frame(frame_id, xs):
-            return [point_region(frame_id, label, x) for label, x in enumerate(xs)]
+        def frame(xs):
+            return [point_region(label, x) for label, x in enumerate(xs)]
 
-        frames = [frame(0, [0.0, 1.0]), frame(1, [0.3]), frame(2, [0.4, 0.45])]
+        frames = [frame([0.0, 1.0]), frame([0.3]), frame([0.4, 0.45])]
         db = associate(frames)
         assert db.region_instance.tolist() == [0, 1, 0, 0, 0]
         np.testing.assert_allclose(db.instance_centroids[:, 0], [0.2875, 1.0])
         # with frame 2 first, its two regions name the instances instead
         db = associate(frames[::-1])
         assert db.region_instance.tolist() == [0, 1, 0, 0, 1]
+        # a region's frame is its frame's position in the list
+        assert db.region_frame.tolist() == [0, 0, 1, 2, 2]
         np.testing.assert_allclose(db.instance_centroids[:, 0], [0.7 / 3, 0.725])
 
 
-def point_region(frame_id, label, x):
+def point_region(label, x):
     """A described one-hit region whose centroid is (x, 0, 0), seen from
     a camera 1 m above the origin."""
     return ObjectRegion(
         0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
         np.array([[x, 0.0, 0.0]]), np.zeros((1, 3)),
-        geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), frame_id, label,
+        geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), label,
         descriptor=np.ones(4) / 2.0,
     )
 
@@ -657,10 +659,7 @@ class TestBuildDatabase:
         assert all(len(np.flatnonzero(db.region_instance == j)) == 1 for j in range(3))
 
     def test_no_regions(self, library):
-        frames = [
-            empty_frame(vp, CFG.intrinsics(), frame_id=i)
-            for i, vp in enumerate(CFG.ring_viewpoints())
-        ]
+        frames = [empty_frame(vp, CFG.intrinsics()) for vp in CFG.ring_viewpoints()]
         with pytest.raises(NoRegions):
             build_database(frames, library, PCFG)
 

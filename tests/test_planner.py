@@ -68,7 +68,7 @@ def replay(inst, result, library):
 
 def exact_estimates(inst):
     return {
-        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, inlier_ratio=1.0)
+        i: PoseEstimate(offset=off, accepted=True, inlier_count=100, num_correspondences=100)
         for i, off in enumerate(inst.true_offsets)
     }
 
@@ -99,6 +99,9 @@ class TestCheckCollision:
         scene = scene_of([PlanarTransform(0, 0, 0)])
         with pytest.raises(UnknownObject):
             check_collision(scene, library, 3, PlanarTransform(0, 0, 0), 0.01)
+        # apply_move once raised CollisionAtTarget for the same index
+        with pytest.raises(UnknownObject):
+            apply_move(scene, library, 3, PlanarTransform(0, 0, 0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -149,11 +152,10 @@ class TestGoalTarget:
         inst = instance_of(initial, goal)
         result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         assert completed(inst, result)
-        buffer = next(m for m in result.moves if m.kind == "buffer-move")
+        b, buffer = next((k, m) for k, m in enumerate(result.moves) if m.kind == "buffer-move")
         i = buffer.object_index
         goal_move = next(
-            m for m in result.moves
-            if m.step > buffer.step and m.object_index == i and m.kind == "goal-move"
+            m for m in result.moves[b + 1:] if m.object_index == i and m.kind == "goal-move"
         )
         assert goal_move.executed
         expect = geo.planar_compose(inst.true_offsets[i], initial.placements[i].pose)
@@ -229,17 +231,20 @@ class TestPlanAndExecute:
         assert completed(inst, result)
         assert result.total_manipulations == 0
 
-    def test_rejected_estimates_fail_scene(self, library):
+    @pytest.mark.parametrize("outer_factor", [1, 2])
+    def test_rejected_estimates_fail_scene(self, library, outer_factor):
         initial = scene_of([PlanarTransform(0.0, -0.2, 0.0)])
         goal = scene_of([PlanarTransform(1.0, 0.2, 0.2)])
         inst = instance_of(initial, goal)
         estimates = {0: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)}
-        result = plan_and_execute(inst, estimates, library, PlannerConfig())
-        # one failure per pass: the 2-pass budget ends the loop on its third
-        # pass, before the failures pass thres_fail, so nothing moves
+        config = PlannerConfig(outer_factor=outer_factor)
+        result = plan_and_execute(inst, estimates, library, config)
+        # one failure per pass: the budget of outer_factor passes for the
+        # one object ends the loop on the pass after it, before the failures
+        # pass thres_fail (3), so nothing moves
         assert result.moves == []
-        assert result.outer_iterations == 3
-        assert not completed(inst, result)
+        assert result.outer_iterations == outer_factor + 1
+        assert not completed(inst, result, config)
 
     def test_move_log_replay_is_safe(self, library):
         for seed in range(8):
@@ -273,16 +278,22 @@ class TestPlanAndExecute:
             [PlanarTransform(0.0, 0.15, 0.0), PlanarTransform(0.0, -0.15, 0.0)]
         )
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        config = PlannerConfig()
+        result = plan_and_execute(inst, exact_estimates(inst), library, config)
+        scene = inst.initial
         for m in result.moves:
-            assert m.executed == (not m.collision)
+            if m.executed:
+                assert not check_collision(
+                    scene, library, m.object_index, m.target, config.collision_margin
+                )
+                scene = apply_move(scene, library, m.object_index, m.target)
 
     def test_deterministic(self, library):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=17)
         a = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
         b = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-        assert [m.as_dict() for m in a.moves] == [m.as_dict() for m in b.moves]
+        assert a.moves == b.moves
 
     def test_failed_buffer_search_is_logged(self, library):
         # two discs of radius 0.45 on a 1 m table: every goal move collides
@@ -301,16 +312,14 @@ class TestPlanAndExecute:
             assert m.collision and not m.executed
             assert m.target == initial.placements[m.object_index].pose
             assert m.failure_count > config.thres_fail
-        assert [m.step for m in result.moves] == list(range(1, len(result.moves) + 1))
         final = replay(inst, result, lib_big)
         assert final.placements == result.final_scene.placements
 
 
-# The planner as it was when it kept a PlanState, a step counter and
-# per-kind counters beside the move log: the reference the move-log
-# planner must reproduce move for move. Like the planner, it re-observes
-# only objects with an executed move since their last successful
-# re-observation (``moved``).
+# The planner as it was when it kept a PlanState and per-kind counters
+# beside the move log: the reference the move-log planner must reproduce
+# move for move. Like the planner, it re-observes only objects with an
+# executed move since their last successful re-observation (``moved``).
 @dataclass
 class ReferencePlanState:
     remaining: list
@@ -358,7 +367,6 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
     moves = []
     goal_moves = {i: 0 for i in order}
     buffer_moves = {i: 0 for i in order}
-    step = 0
     thres_outer = config.outer_factor * max(1, k)
     while True:
         state.outer_iterations += 1
@@ -366,8 +374,8 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
             if not usable[i]:
                 state.failure_counts[i] += 1
                 if state.failure_counts[i] > config.thres_fail:
-                    scene, step = reference_buffer_relocate(
-                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
+                    scene = reference_buffer_relocate(
+                        scene, library, i, state, config, sigma, rng, moves, buffer_moves
                     )
                 continue
             if reobserve is not None and i in state.moved:
@@ -382,11 +390,7 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
                 state.remaining.remove(i)
                 continue
             collision = check_collision(scene, library, i, target, config.collision_margin)
-            step += 1
-            moves.append(
-                MoveRecord(step, i, "goal-move", target, collision, not collision,
-                           state.failure_counts[i])
-            )
+            moves.append(MoveRecord(i, "goal-move", target, collision, state.failure_counts[i]))
             if not collision:
                 scene = apply_move(scene, library, i, target, sigma, rng)
                 state.tracked_poses[i] = target
@@ -396,30 +400,27 @@ def reference_plan_and_execute(instance, estimates, library, config=None, reobse
             else:
                 state.failure_counts[i] += 1
                 if state.failure_counts[i] > config.thres_fail:
-                    scene, step = reference_buffer_relocate(
-                        scene, library, i, state, config, sigma, rng, moves, buffer_moves, step
+                    scene = reference_buffer_relocate(
+                        scene, library, i, state, config, sigma, rng, moves, buffer_moves
                     )
         if not state.remaining or state.outer_iterations > thres_outer:
             break
     return ReferenceResult(moves, state.outer_iterations, scene, goal_moves, buffer_moves)
 
 
-def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves, step):
-    step += 1
+def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, moves, buffer_moves):
     try:
         pose = find_buffer_pose(scene, library, i, rng, config)
     except NoBufferSpace:
         tracked = state.tracked_poses[i]
-        moves.append(
-            MoveRecord(step, i, "buffer-move", tracked, True, False, state.failure_counts[i])
-        )
-        return scene, step
-    moves.append(MoveRecord(step, i, "buffer-move", pose, False, True, state.failure_counts[i]))
+        moves.append(MoveRecord(i, "buffer-move", tracked, True, state.failure_counts[i]))
+        return scene
+    moves.append(MoveRecord(i, "buffer-move", pose, False, state.failure_counts[i]))
     scene = apply_move(scene, library, i, pose, sigma, rng)
     state.tracked_poses[i] = pose
     state.moved.add(i)
     buffer_moves[i] += 1
-    return scene, step
+    return scene
 
 
 def seeded_reobserver(seed, fail_rate):
@@ -446,8 +447,7 @@ class TestMoveLogPlannerMatchesReference:
 
         ref = reference_plan_and_execute(inst, estimates, library, config, reobserver())
         got = plan_and_execute(inst, estimates, library, config, reobserver())
-        assert [m.as_dict() for m in got.moves] == [m.as_dict() for m in ref.moves]
-        assert [m.step for m in got.moves] == list(range(1, len(got.moves) + 1))
+        assert got.moves == ref.moves
         assert got.outer_iterations == ref.outer_iterations
         assert got.final_scene.placements == ref.final_scene.placements
         for i in estimates:

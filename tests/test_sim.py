@@ -19,7 +19,7 @@ from mvor.errors import (
     UnknownFeature,
 )
 from mvor.geometry import PlanarTransform, Pose3
-from mvor.perception import load_database
+from mvor.perception import PerceptionConfig, build_database, extract_regions, load_database
 from mvor.sim import (
     Frame,
     ModelLibrary,
@@ -304,7 +304,7 @@ def pixel_index(frame):
 FRAME_ARRAYS = ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "view_local")
 
 
-def reference_render(scene, viewpoint, intr, library, frame_id=0):
+def reference_render(scene, viewpoint, intr, library):
     """Reference: one view rendered object by object, as a loop that poses
     each placement for this view alone, projects its facing points, picks
     each pixel's winner with the stable three-key sort (pixel, depth,
@@ -364,12 +364,10 @@ def reference_render(scene, viewpoint, intr, library, frame_id=0):
         view_local=np.vstack(view_all)[win],
         viewpoint=viewpoint,
         intrinsics=intr,
-        frame_id=frame_id,
     )
 
 
 def assert_same_frame(a, b):
-    assert a.frame_id == b.frame_id
     assert a.viewpoint is b.viewpoint
     for name in FRAME_ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
@@ -511,8 +509,8 @@ class TestRender:
             for scene in (inst.initial, inst.goal):
                 frames = render(scene, views, intr, library)
                 assert len(frames) == len(views)
-                for k, (frame, vp) in enumerate(zip(frames, views)):
-                    assert_same_frame(frame, reference_render(scene, vp, intr, library, k))
+                for frame, vp in zip(frames, views):
+                    assert_same_frame(frame, reference_render(scene, vp, intr, library))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -533,12 +531,12 @@ class TestRender:
         inst = generate_instance(sim, library, seed=seed)
         cam, intr = geo.look_at(eye, target), sim.intrinsics()
         try:
-            expect = reference_render(inst.initial, cam, intr, library, 3)
+            expect = reference_render(inst.initial, cam, intr, library)
         except EmptyFrame:
             with pytest.raises(EmptyFrame):
-                render(inst.initial, [cam], intr, library, first_id=3)
+                render(inst.initial, [cam], intr, library)
             return
-        (frame,) = render(inst.initial, [cam], intr, library, first_id=3)
+        (frame,) = render(inst.initial, [cam], intr, library)
         assert_same_frame(frame, expect)
 
     @pytest.mark.parametrize("eye", [(0.4, 0.1, None), (None, 0.5, 0.3)])
@@ -566,10 +564,9 @@ class TestRender:
         inst = generate_instance(config, library, seed=6)
         intr = config.intrinsics()
         views = [inst.home_viewpoint, *inst.ring_viewpoints[:3]]
-        batched = render(inst.initial, views, intr, library, first_id=40)
-        assert [f.frame_id for f in batched] == [40, 41, 42, 43]
-        for k, (frame, vp) in enumerate(zip(batched, views)):
-            (alone,) = render(inst.initial, [vp], intr, library, first_id=40 + k)
+        batched = render(inst.initial, views, intr, library)
+        for frame, vp in zip(batched, views):
+            (alone,) = render(inst.initial, [vp], intr, library)
             assert_same_frame(frame, alone)
         assert render(inst.initial, [], intr, library) == []
 
@@ -601,7 +598,7 @@ class TestRender:
             assert len(double.feature_ids) > 50
             assert np.all(double.instance_ids == 0)
             assert_same_frame(double, single)
-            assert_same_frame(double, reference_render(twice, views[k], intr, library, k))
+            assert_same_frame(double, reference_render(twice, views[k], intr, library))
 
     def test_pixel_index_too_large_to_pack(self):
         """Pixel indices about 2**50, as a 2**25-wide image has at row
@@ -763,7 +760,14 @@ class TestInstanceIO:
         path.write_text(json.dumps(d))
         assert cli_main(["build-db", "--instance", str(path), "--out", str(out)]) == 0
         db, _ = load_database(out)
-        assert set(db.region_frame.tolist()) == set(range(views))
+        # a region's frame is its view's position, for the views rendered in
+        # one call (build-db) and for frames rendered one call per view
+        intr, perception = inst.config.intrinsics(), PerceptionConfig()
+        frames = [render(inst.initial, [vp], intr, library)[0] for vp in inst.ring_viewpoints]
+        sizes = [len(extract_regions(f, segment(f), perception)) for f in frames]
+        positions = np.repeat(np.arange(views), sizes).tolist()
+        assert db.region_frame.tolist() == positions
+        assert build_database(frames, library, perception).region_frame.tolist() == positions
 
     def test_true_offsets_follow_edited_placements(self, config, library):
         """The true offsets are the placements': editing a goal yaw by 1 rad
