@@ -32,7 +32,7 @@ cfg = BenchConfig(
 library = generate_model_library(cfg.sim)
 
 instance = generate_instance(cfg.sim, library, seed=3)
-db = build_scene_database(instance, instance.ring_viewpoints, library, cfg)
+db = build_scene_database(instance, "multi", library, cfg)
 # the scene's own noise stream: the pose bench and `mvor localize` draw the same
 matcher = scene_matcher(instance, "multi", library, cfg)
 goal_regions = scene_goal_regions(instance, library, cfg)

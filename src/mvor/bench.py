@@ -51,7 +51,7 @@ from .perception import (
     prepare_goal_regions,
 )
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
-from .serialize import check_bounds, dump_json, make_dirs, write_text
+from .serialize import dump_json, make_dirs, setting, write_text
 from .sim import (
     SimConfig,
     generate_instance,
@@ -90,8 +90,8 @@ COMPLETION_COLUMNS = [
 
 @dataclass
 class BenchConfig:
-    scenes: int = 50
-    base_seed: int = 0
+    scenes: int = setting(50, 1)
+    base_seed: int = setting(0, 0)
     regimes: list = field(default_factory=lambda: ["minor", "full"])
     include_single_view: bool = True
     sim: SimConfig = field(default_factory=SimConfig)
@@ -107,7 +107,6 @@ class BenchConfig:
             raise ValueError("regimes is empty")
         if len(set(self.regimes)) != len(self.regimes):
             raise ValueError(f"repeated rotation regimes in {self.regimes}")
-        check_bounds(self, {"scenes": (1, None), "base_seed": (0, None)})
 
 
 @dataclass
@@ -175,11 +174,12 @@ def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
     return cfg.localization.make_matcher(library, rng)
 
 
-def build_scene_database(inst, viewpoints, library, cfg: BenchConfig):
-    """Database stage: the initial scene rendered from ``viewpoints``,
+def build_scene_database(inst, mode: str, library, cfg: BenchConfig):
+    """Database stage: the initial scene rendered from the views of
+    ``mode``, one of VIEW_MODES (the ring, or the home viewpoint alone),
     segmented and described."""
-    intr = inst.config.intrinsics()
-    frames = render(inst.initial, viewpoints, intr, library)
+    views = {"multi": inst.ring_viewpoints, "single": [inst.home_viewpoint]}[mode]
+    frames = render(inst.initial, views, inst.config.intrinsics(), library)
     return build_database(frames, library, cfg.perception)
 
 
@@ -219,7 +219,7 @@ def complete_scene(inst, library, cfg: BenchConfig) -> tuple[SceneEstimates, Exe
     object from the home viewpoint, with the same matcher, before a goal
     move, if the robot has moved that object since it last re-observed it
     (a buffer move, in practice)."""
-    db = build_scene_database(inst, inst.ring_viewpoints, library, cfg)
+    db = build_scene_database(inst, "multi", library, cfg)
     goal_regions = scene_goal_regions(inst, library, cfg)
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
@@ -288,8 +288,7 @@ def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
     goal_regions = scene_goal_regions(inst, library, cfg)
     rows = []
     for mode in modes:
-        views = inst.ring_viewpoints if mode == "multi" else [inst.home_viewpoint]
-        db = build_scene_database(inst, views, library, cfg)
+        db = build_scene_database(inst, mode, library, cfg)
         matcher = scene_matcher(inst, mode, library, cfg)
         by_object = localize_scene(inst, db, goal_regions, matcher, cfg).by_object
         for i, p in enumerate(inst.initial.placements):

@@ -49,7 +49,7 @@ from .bench import (
 from .errors import ConfigParseError, MvorError
 from .geometry import lift, pose_yaw
 from .perception import load_database, save_database
-from .serialize import dump_json, from_dict, load_json, make_dirs
+from .serialize import check_settings, dump_json, from_dict, load_json, make_dirs
 from .sim import (
     generate_instance,
     generate_model_library,
@@ -68,15 +68,18 @@ from .sim.models import LIBRARY_KEYS
 VIEW_MODE_OF = {"ring": "multi", "home": "single"}
 
 
-def load_config(path: str | None, seed: int | None) -> BenchConfig:
-    cfg = from_dict(BenchConfig, load_json(path)) if path else BenchConfig()
+def load_config(path: str | None, seed: int | None) -> tuple[BenchConfig, list]:
+    """The config ``--config`` and ``--seed`` give, and the ``sim`` keys
+    the ``--config`` file sets."""
+    data = load_json(path) if path else {}
+    cfg = from_dict(BenchConfig, data)
     if seed is not None:
         cfg = replace(cfg, base_seed=seed)
         try:
-            cfg.validate()
+            check_settings(cfg)
         except ValueError as e:
             raise ConfigParseError(f"--seed: {e}") from e
-    return cfg
+    return cfg, list(data.get("sim", {}))
 
 
 def _out_dir(args, default_name: str) -> str:
@@ -95,25 +98,25 @@ def _instance_library(instance_path: str, sim):
     return load_model_library(saved, sim)
 
 
-def _load_instance(args, cfg: BenchConfig):
-    """The ``--instance`` file; a ``--seed`` or ``--config`` sim value that
-    the user gave and that differs from the instance's is refused."""
+def _load_instance(args, cfg: BenchConfig, sim_keys: list):
+    """The ``--instance`` file; a ``--seed`` or a ``--config`` sim value
+    (``sim_keys`` names those the user gave) that differs from the
+    instance's is refused."""
     inst = load_instance(args.instance)
     if args.seed is not None and args.seed != inst.seed:
         raise ConfigParseError(f"--seed {args.seed}: the instance has seed {inst.seed}")
-    sim = load_json(args.config).get("sim", {}) if args.config else {}
-    for key in sim:
+    for key in sim_keys:
         ours, theirs = getattr(cfg.sim, key), getattr(inst.config, key)
         if ours != theirs:
             raise ConfigParseError(f"--config sim.{key} {ours!r}: the instance has {theirs!r}")
     return inst
 
 
-def _scene_setup(cfg: BenchConfig, args):
+def _scene_setup(cfg: BenchConfig, args, sim_keys: list):
     """(instance, its model library), the instance loaded from
     ``--instance`` or generated from config and seed."""
     if args.instance:
-        inst = _load_instance(args, cfg)
+        inst = _load_instance(args, cfg, sim_keys)
         library = _instance_library(args.instance, inst.config)
     else:
         library = generate_model_library(cfg.sim)
@@ -122,7 +125,7 @@ def _scene_setup(cfg: BenchConfig, args):
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg, _ = load_config(args.config, args.seed)
     count = cfg.scenes if args.count is None else args.count
     if count < 1:
         raise ConfigParseError(f"--count: gen needs at least 1 instance, got {count}")
@@ -138,10 +141,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build_db(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    inst, library = _scene_setup(cfg, args)
-    views = [inst.home_viewpoint] if args.view == "home" else inst.ring_viewpoints
-    db = build_scene_database(inst, views, library, cfg)
+    cfg, sim_keys = load_config(args.config, args.seed)
+    inst, library = _scene_setup(cfg, args, sim_keys)
+    db = build_scene_database(inst, VIEW_MODE_OF[args.view], library, cfg)
     out = _out_dir(args, "db.npz")
     save_database(
         db,
@@ -186,9 +188,9 @@ def _pose_report_rows(inst, found):
 
 
 def cmd_localize(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg, sim_keys = load_config(args.config, args.seed)
     db, header = load_database(args.db)
-    inst = _load_instance(args, cfg)
+    inst = _load_instance(args, cfg, sim_keys)
     # a mismatched database fails before the library is loaded
     expected = {key: getattr(inst.config, key) for key in LIBRARY_KEYS}
     expected["instance_seed"] = inst.seed
@@ -220,8 +222,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_rearrange(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    inst, library = _scene_setup(cfg, args)
+    cfg, sim_keys = load_config(args.config, args.seed)
+    inst, library = _scene_setup(cfg, args, sim_keys)
     _, result = complete_scene(inst, library, cfg)
     outcome = scene_outcome(inst, result, cfg.planner)
     out_dir = _out_dir(args, "rearrange")
@@ -246,7 +248,7 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = args.driver(load_config(args.config, args.seed))
+    report = args.driver(load_config(args.config, args.seed)[0])
     out = _out_dir(args, f"bench_{report.kind}")
     write_report(report, out)
     print(format_report(report), end="")

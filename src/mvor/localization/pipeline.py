@@ -24,7 +24,7 @@ from ..errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from ..geometry import PlanarTransform, Pose3, angular_distance
 from ..perception.database import Database, RegionHits
 from ..perception.regions import ObjectRegion
-from ..serialize import check_bounds
+from ..serialize import setting
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pnp import ransac_planar
 
@@ -32,51 +32,27 @@ from .pnp import ransac_planar
 @dataclass
 class LocalizationConfig:
     # retrieval and traversal
-    top_n: int = 10
-    theta_prune: float = np.pi / 6
+    top_n: int = setting(10, 1)
+    theta_prune: float = setting(np.pi / 6, 0)
     # matching
-    matcher: str = "feature_id"  # or "descriptor_nn"
-    match_resolution: int = 256
-    min_correspondences: int = 4
-    drop_rate: float = 0.0
-    sigma_px: float = 0.0  # matching-resolution pixels
-    outlier_rate: float = 0.0
-    max_view_angle_deg: float = 35.0
-    ratio_test: float = 0.8
-    max_matches: int = 2000
+    matcher: str = setting("feature_id", choices=("feature_id", "descriptor_nn"))
+    match_resolution: int = setting(256, 1)
+    min_correspondences: int = setting(4, 0)
+    drop_rate: float = setting(0.0, 0, 1)
+    sigma_px: float = setting(0.0, 0)  # matching-resolution pixels
+    outlier_rate: float = setting(0.0, 0, 1)
+    max_view_angle_deg: float = setting(35.0, 0, 180)
+    ratio_test: float = setting(0.8, 0, 1)
+    max_matches: int = setting(2000, 1)
     # pose solving
-    ransac_iterations: int = 1000
-    reproj_threshold_px: float = 2.0
-    ransac_confidence: float = 0.999
-    ransac_seed: int = 0
-    refine_iters: int = 20
-    min_inliers: int = 12
-    min_inlier_ratio: float = 0.3
-
-    def validate(self) -> None:
-        if self.matcher not in ("feature_id", "descriptor_nn"):
-            raise ValueError(f"unknown matcher {self.matcher!r}")
-        check_bounds(self, {
-            "top_n": (1, None),
-            "theta_prune": (0, None),
-            "match_resolution": (1, None),
-            "min_correspondences": (0, None),
-            "drop_rate": (0, 1),
-            "sigma_px": (0, None),
-            "outlier_rate": (0, 1),
-            "max_view_angle_deg": (0, 180),
-            "ratio_test": (0, 1),
-            "max_matches": (1, None),
-            "ransac_iterations": (1, None),
-            "reproj_threshold_px": (0, None),
-            "ransac_seed": (0, None),
-            "refine_iters": (0, None),
-            "min_inliers": (0, None),
-            "min_inlier_ratio": (0, 1),
-        })
-        if not 0 < self.ransac_confidence < 1:
-            # the early exit takes log(1 - confidence)
-            raise ValueError(f"ransac_confidence={self.ransac_confidence!r} outside (0, 1)")
+    ransac_iterations: int = setting(1000, 1)
+    reproj_threshold_px: float = setting(2.0, 0)
+    # an open range: the early exit takes log(1 - confidence)
+    ransac_confidence: float = setting(0.999, 0, 1, open_range=True)
+    ransac_seed: int = setting(0, 0)
+    refine_iters: int = setting(20, 0)
+    min_inliers: int = setting(12, 0)
+    min_inlier_ratio: float = setting(0.3, 0, 1)
 
     def make_matcher(self, library, rng=None):
         if self.matcher == "feature_id":

@@ -458,10 +458,14 @@ def _planar_equations(world, pixels, intr: CameraIntrinsics, w2c: Pose3):
 
 def _planar_minimal(a, b):
     """(yaw, tx, ty) from the 4 x 4 system of two pairs, or None when it is
-    singular (both pairs share their (x, y), or nearly so)."""
+    singular (both pairs share their (x, y), or nearly so) or not finite
+    (pixels overflowed by matcher noise pass the determinant test)."""
     if abs(np.linalg.det(a)) <= _SINGULAR_TOL * np.prod(np.linalg.norm(a, axis=1)):
         return None
-    c, s, tx, ty = np.linalg.solve(a, b)
+    try:
+        c, s, tx, ty = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
     return np.array([np.arctan2(s, c), tx, ty])
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import IOFailure, NoRegions
 from ..geometry import observation_vector
-from ..serialize import check_bounds
+from ..serialize import setting
 from ..sim.render import segment
 from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, extract_regions
@@ -34,10 +34,7 @@ DB_VERSION = 5
 
 @dataclass
 class PerceptionConfig:
-    min_region_points: int = 10
-
-    def validate(self) -> None:
-        check_bounds(self, {"min_region_points": (1, None)})
+    min_region_points: int = setting(10, 1)
 
     def make_backend(self, library) -> GridPooledDescriptor:
         """``GridPooledDescriptor(library)``. No mvor code calls it (ROADMAP item 11)."""

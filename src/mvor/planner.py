@@ -39,30 +39,19 @@ import numpy as np
 
 from .errors import NoBufferSpace, ReobservationFailed, UnknownObject
 from .geometry import PlanarTransform, planar_compose, planar_distance
-from .serialize import check_bounds
+from .serialize import setting
 from .sim.models import ModelLibrary
 from .sim.scene import RearrangementInstance, SceneState, apply_move, placement_conflict
 
 
 @dataclass
 class PlannerConfig:
-    thres_fail: int = 3  # failures tolerated before a buffer relocation
-    outer_factor: int = 2  # at most factor * object count + 1 outer passes
-    collision_margin: float = 0.01  # meters added around footprints
-    success_yaw_deg: float = 5.0
-    success_t_cm: float = 2.0
-    buffer_attempts: int = 1000
-
-    def validate(self) -> None:
-        check_bounds(self, {
-            "thres_fail": (0, None),
-            "outer_factor": (1, None),
-            "collision_margin": (0, None),
-            "buffer_attempts": (1, None),
-        })
-        for name in ("success_yaw_deg", "success_t_cm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}={getattr(self, name)!r} is not positive")
+    thres_fail: int = setting(3, 0)  # failures tolerated before a buffer relocation
+    outer_factor: int = setting(2, 1)  # at most factor * object count + 1 outer passes
+    collision_margin: float = setting(0.01, 0)  # meters added around footprints
+    success_yaw_deg: float = setting(5.0, 0, open_range=True)
+    success_t_cm: float = setting(2.0, 0, open_range=True)
+    buffer_attempts: int = setting(1000, 1)
 
     def within_success(self, dtheta_deg: float, dt_cm: float) -> bool:
         """The success test: a planar error (degrees, cm) inside both

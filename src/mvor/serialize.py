@@ -33,9 +33,8 @@ def from_dict(cls, data, path: str = "config"):
     Unknown keys are an error: configs are echoed into results files, so a
     silently ignored typo would corrupt reproducibility. Each scalar value
     must have its field's type (a bool is not a number, and a float must be
-    finite: Python's json reads NaN and Infinity), and a class with a
-    ``validate()`` method is validated; every failure raises
-    ConfigParseError.
+    finite: Python's json reads NaN and Infinity), and the object built
+    passes ``check_settings``; every failure raises ConfigParseError.
     """
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: expected a mapping, got {type(data).__name__}")
@@ -61,8 +60,7 @@ def from_dict(cls, data, path: str = "config"):
         kwargs[name] = value
     try:
         obj = cls(**kwargs)
-        if hasattr(obj, "validate"):
-            obj.validate()
+        check_settings(obj)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigParseError(f"{path}: {e}") from e
     return obj
@@ -87,14 +85,31 @@ def config_sized_empty(shape: tuple, what: str) -> np.ndarray:
         raise ConfigParseError(f"{what} cannot be allocated: {e}") from e
 
 
-def check_bounds(obj, bounds: dict) -> None:
-    """Raise ValueError for the first field of ``obj`` outside its closed
-    range in ``bounds`` (name -> (low, high), high None for no upper
-    bound); NaN lies outside every range."""
-    for name, (lo, hi) in bounds.items():
-        value = getattr(obj, name)
-        if not (value >= lo and (hi is None or value <= hi)):
-            raise ValueError(f"{name}={value!r} outside [{lo}, {'inf' if hi is None else hi}]")
+def setting(default, low=-math.inf, high=math.inf, *, open_range=False, choices=None):
+    """A config field's default and the values it allows: one of
+    ``choices``, or those in [low, high], or in (low, high) when
+    ``open_range``. ``check_settings`` checks them."""
+    if choices is not None:
+        allowed, text = (lambda v: v in choices), f"not one of {list(choices)}"
+    elif open_range:
+        allowed, text = (lambda v: low < v < high), f"outside ({low}, {high})"
+    else:
+        allowed, text = (lambda v: low <= v <= high), f"outside [{low}, {high}]"
+    return dataclasses.field(default=default, metadata={"allowed": (allowed, text)})
+
+
+def check_settings(obj) -> None:
+    """Raise ValueError for the first field of ``obj`` whose ``setting``
+    does not allow its value (NaN lies outside every range), then for a
+    rule across fields, in ``obj.validate()`` if it has one."""
+    for f in dataclasses.fields(obj):
+        if "allowed" in f.metadata:
+            allowed, text = f.metadata["allowed"]
+            value = getattr(obj, f.name)
+            if not allowed(value):
+                raise ValueError(f"{f.name}={value!r} {text}")
+    if hasattr(obj, "validate"):
+        obj.validate()
 
 
 def load_json(path) -> dict:

@@ -9,9 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import CameraIntrinsics, Pose3, look_at
-from ..serialize import check_bounds
+from ..serialize import setting
 
 ROTATION_REGIMES = ("minor", "full")
+# the largest object count: the renderer's instance ids are int32
+# placement indices
+MAX_OBJECT_COUNT = np.iinfo(np.int32).max
 # the largest ring and home camera radius, in metres
 MAX_CAMERA_RADIUS = 100.0
 # the largest image width and height, in pixels: a row-major pixel index
@@ -23,74 +26,49 @@ MAX_IMAGE_SIDE = 1 << 20
 @dataclass
 class SimConfig:
     # scene content
-    object_count_min: int = 1
-    object_count_max: int = 9
-    table_width: float = 1.0
-    table_depth: float = 1.0
-    min_clearance: float = 0.02  # extra gap between footprint discs
-    placement_margin: float = 0.10  # keep-out band along the table edge
-    placement_attempts: int = 10000
-    rotation_regime: str = "full"  # 'minor': +/-60 deg, 'full': +/-180 deg
+    object_count_min: int = setting(1, 1, MAX_OBJECT_COUNT)
+    object_count_max: int = setting(9, 1, MAX_OBJECT_COUNT)
+    # open ranges: a zero-size table makes no scene
+    table_width: float = setting(1.0, 0, open_range=True)
+    table_depth: float = setting(1.0, 0, open_range=True)
+    min_clearance: float = setting(0.02, 0)  # extra gap between footprint discs
+    placement_margin: float = setting(0.10, 0)  # keep-out band along the table edge
+    placement_attempts: int = setting(10000, 1)
+    # 'minor': +/-60 deg, 'full': +/-180 deg
+    rotation_regime: str = setting("full", choices=ROTATION_REGIMES)
 
     # viewpoints
-    ring_count: int = 8
-    ring_radius: float = 0.85
-    ring_elevation_deg: float = 45.0
+    # a view is derived per ring step whenever an instance is built or
+    # loaded: one per degree of azimuth at most
+    ring_count: int = setting(8, 1, 360)
+    # Open ranges: a zero camera radius makes no view. A camera
+    # MAX_CAMERA_RADIUS out sees a 10 cm object at under a pixel at the
+    # default focal length, and a radius near the float maximum overflows in
+    # projection. An elevation of 0 or below puts the camera at or under the
+    # table, and 90 puts it at infinite height (tan of the elevation).
+    ring_radius: float = setting(0.85, 0, MAX_CAMERA_RADIUS, open_range=True)
+    ring_elevation_deg: float = setting(45.0, 0, 90, open_range=True)
     home_azimuth_deg: float = -90.0
-    home_radius: float = 0.95
-    home_elevation_deg: float = 50.0
+    home_radius: float = setting(0.95, 0, MAX_CAMERA_RADIUS, open_range=True)
+    home_elevation_deg: float = setting(50.0, 0, 90, open_range=True)
 
     # camera
-    image_width: int = 640
-    image_height: int = 480
+    image_width: int = setting(640, 1, MAX_IMAGE_SIDE)
+    image_height: int = setting(480, 1, MAX_IMAGE_SIDE)
     focal_px: float = 460.0
 
     # model library
-    library_size: int = 12
-    library_seed: int = 7
-    model_points: int = 1600
-    point_descriptor_dim: int = 256
+    library_size: int = setting(12, 1)
+    library_seed: int = setting(7, 0)
+    model_points: int = setting(1600, 1)
+    point_descriptor_dim: int = setting(256, 1)
 
     # actuation
-    actuation_sigma: float = 0.0
+    actuation_sigma: float = setting(0.0, 0)
 
     def validate(self) -> None:
-        if not (1 <= self.object_count_min <= self.object_count_max):
+        if self.object_count_min > self.object_count_max:
             raise ValueError("object count range is empty")
-        if self.rotation_regime not in ROTATION_REGIMES:
-            raise ValueError(f"unknown rotation regime {self.rotation_regime!r}")
-        # a view is derived per ring step whenever an instance is built or
-        # loaded: one per degree of azimuth at most
-        check_bounds(self, {
-            "ring_count": (1, 360),
-            "library_size": (1, None),
-            "library_seed": (0, None),
-            "min_clearance": (0, None),
-            "placement_margin": (0, None),
-            "placement_attempts": (1, None),
-            "model_points": (1, None),
-            "point_descriptor_dim": (1, None),
-            "actuation_sigma": (0, None),
-            "image_width": (1, MAX_IMAGE_SIDE),
-            "image_height": (1, MAX_IMAGE_SIDE),
-        })
-        # open ranges: a zero-size table or zero camera radius makes no scene
-        # or view; an elevation of 0 or below puts the camera at or under the
-        # table, and 90 puts it at infinite height (tan of the elevation). A
-        # camera MAX_CAMERA_RADIUS out sees a 10 cm object at under a pixel
-        # at the default focal length, and a radius near the float maximum
-        # overflows in projection
-        for name, hi in (
-            ("table_width", np.inf),
-            ("table_depth", np.inf),
-            ("ring_radius", MAX_CAMERA_RADIUS),
-            ("home_radius", MAX_CAMERA_RADIUS),
-            ("ring_elevation_deg", 90),
-            ("home_elevation_deg", 90),
-        ):
-            value = getattr(self, name)
-            if not 0 < value < hi:
-                raise ValueError(f"{name}={value!r} outside (0, {hi})")
         self.intrinsics()  # raises ValueError on a bad focal length or image size
 
     def yaw_range(self) -> tuple[float, float]:

@@ -16,7 +16,8 @@ An instance file is a single JSON document holding only what was drawn:
 and the full ``config`` echo. The table bounds, the viewpoints and the
 true offsets are derived from the config and the placements when the file
 is loaded, so the config echo governs them. Floats round-trip bit-exactly
-through JSON because Python serializes them via repr. Loading checks the
+through JSON because Python serializes them via repr. A placement holds
+exactly ``model_id``, ``yaw``, ``tx`` and ``ty``. Loading checks the
 presence and type of every member, that every number is finite, the
 config's values, that both placement lists have the same length and that
 every model id lies in the library and is placed once, by the same object
@@ -25,12 +26,12 @@ in both lists, and raises ConfigParseError on a malformed document.
 
 from __future__ import annotations
 
-import numbers
 import os
+from dataclasses import dataclass
 
 from ..errors import ConfigParseError
 from ..geometry import PlanarTransform
-from ..serialize import dump_json, from_dict, is_finite, load_json, make_dirs, to_dict
+from ..serialize import dump_json, from_dict, load_json, make_dirs, to_dict
 from .config import SimConfig
 from .scene import Placement, RearrangementInstance, Rect, SceneState, _table_rect
 
@@ -40,6 +41,16 @@ FORMAT_VERSION = 3
 LIBRARY_DIR = "library"
 
 
+@dataclass
+class _PlacementEntry:
+    """One placement as an instance file writes it."""
+
+    model_id: int
+    yaw: float
+    tx: float
+    ty: float
+
+
 def _placements_to_list(scene: SceneState):
     return [
         {"model_id": p.model_id, "yaw": p.pose.yaw, "tx": p.pose.tx, "ty": p.pose.ty}
@@ -47,13 +58,18 @@ def _placements_to_list(scene: SceneState):
     ]
 
 
-def _placements_from_list(items, bounds: Rect) -> SceneState:
+def _placements_from_doc(data: dict, name: str) -> list[_PlacementEntry]:
+    """The entries of placement list ``name``."""
+    items = data.get(name)
+    if not isinstance(items, list):
+        raise ConfigParseError(f"instance member {name!r} is missing or not a list")
+    return [from_dict(_PlacementEntry, item, f"{name}[{i}]") for i, item in enumerate(items)]
+
+
+def _placements_from_list(entries: list[_PlacementEntry], bounds: Rect) -> SceneState:
     return SceneState(
         bounds,
-        tuple(
-            Placement(int(i["model_id"]), PlanarTransform(i["yaw"], i["tx"], i["ty"]))
-            for i in items
-        ),
+        tuple(Placement(e.model_id, PlanarTransform(e.yaw, e.tx, e.ty)) for e in entries),
     )
 
 
@@ -68,34 +84,6 @@ def instance_to_dict(inst: RearrangementInstance) -> dict:
     }
 
 
-def _conforms(value, schema) -> bool:
-    """``schema``: a type, a dict of member schemas, a tuple (fixed-length
-    list) or a one-item list (list of any length). A float must be finite:
-    Python's json reads NaN and Infinity."""
-    if isinstance(schema, dict):
-        return isinstance(value, dict) and all(_conforms(value.get(k), schema[k]) for k in schema)
-    if isinstance(schema, (tuple, list)):
-        if not isinstance(value, list):
-            return False
-        items = schema if isinstance(schema, tuple) else schema * len(value)
-        return len(value) == len(items) and all(map(_conforms, value, items))
-    kind = {int: numbers.Integral, float: numbers.Real}.get(schema, schema)
-    return (
-        isinstance(value, kind)
-        and not isinstance(value, bool)
-        and (schema is not float or is_finite(value))
-    )
-
-
-_PLACEMENT = {"model_id": int, "yaw": float, "tx": float, "ty": float}
-_MEMBERS = {
-    "config": dict,
-    "initial": [_PLACEMENT],
-    "goal": [_PLACEMENT],
-    "seed": int,
-}
-
-
 def instance_from_dict(data: dict) -> RearrangementInstance:
     """Rebuild an instance; a document that is not a well-formed instance
     raises ConfigParseError."""
@@ -105,35 +93,34 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
         raise ConfigParseError(f"not an instance file (format={data.get('format')!r})")
     if data.get("version") != FORMAT_VERSION:
         raise ConfigParseError(f"unsupported instance version {data.get('version')!r}")
-    for name, schema in _MEMBERS.items():
-        if not _conforms(data.get(name), schema):
-            raise ConfigParseError(f"instance member {name!r} is missing, malformed or not finite")
-    if data["seed"] < 0:
-        raise ConfigParseError(f"instance member 'seed' is negative ({data['seed']})")
-    if len(data["initial"]) != len(data["goal"]):
+    seed = data.get("seed")
+    if type(seed) is not int or seed < 0:
+        raise ConfigParseError(f"instance member 'seed' {seed!r} is not a non-negative integer")
+    config = from_dict(SimConfig, data.get("config"), "config")
+    initial, goal = _placements_from_doc(data, "initial"), _placements_from_doc(data, "goal")
+    if len(initial) != len(goal):
         raise ConfigParseError("instance members 'initial' and 'goal' differ in length")
-    config = from_dict(SimConfig, data["config"], "config")
-    for name in ("initial", "goal"):
-        ids = [p["model_id"] for p in data[name]]
+    for name, entries in (("initial", initial), ("goal", goal)):
+        ids = [e.model_id for e in entries]
         if not all(0 <= i < config.library_size for i in ids):
             raise ConfigParseError(
                 f"instance member {name!r}: model ids {ids} outside the library's "
                 f"[0, {config.library_size})"
             )
-    initial = [p["model_id"] for p in data["initial"]]
-    for i, (model, goal) in enumerate(zip(initial, data["goal"])):
-        if goal["model_id"] != model:
+    models = [e.model_id for e in initial]
+    for i, (model, entry) in enumerate(zip(models, goal)):
+        if entry.model_id != model:
             raise ConfigParseError(
-                f"instance object {i}: initial model id {model}, goal model id {goal['model_id']}"
+                f"instance object {i}: initial model id {model}, goal model id {entry.model_id}"
             )
-        if model in initial[:i]:
-            j = initial.index(model)
+        if model in models[:i]:
+            j = models.index(model)
             raise ConfigParseError(f"instance objects {j} and {i} both place model id {model}")
     bounds = _table_rect(config)
     return RearrangementInstance(
-        initial=_placements_from_list(data["initial"], bounds),
-        goal=_placements_from_list(data["goal"], bounds),
-        seed=int(data["seed"]),
+        initial=_placements_from_list(initial, bounds),
+        goal=_placements_from_list(goal, bounds),
+        seed=seed,
         config=config,
     )
 

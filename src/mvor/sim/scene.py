@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import CollisionAtTarget, PlacementFailure, UnknownObject
 from ..geometry import PlanarTransform, Pose3, planar_compose, planar_invert
+from ..serialize import check_settings
 from .config import SimConfig
 from .models import ModelLibrary
 
@@ -132,7 +133,7 @@ def generate_instance(
     at a fresh collision-free position with a yaw offset drawn from the
     configured rotation regime. Deterministic in (config, seed).
     """
-    config.validate()
+    check_settings(config)
     rng = np.random.default_rng(seed)
     bounds = _table_rect(config)
     area = bounds.shrunk(config.placement_margin)

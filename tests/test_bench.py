@@ -44,7 +44,7 @@ from mvor.sim import (
     generate_model_library,
     render,
 )
-from mvor.serialize import from_dict, to_dict
+from mvor.serialize import from_dict, load_json, to_dict
 from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT, instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
@@ -473,6 +473,16 @@ class TestCliRearrange:
             for o in result["objects"]
         )
 
+    def test_overflowing_matcher_noise(self, tmp_path):
+        """A sigma_px of 1e308 overflows the goal pixels to inf, and the
+        minimal planar system that passed the determinant test once made
+        rearrange exit 1 with numpy's LinAlgError: such a sample is now
+        degenerate."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"localization": {"sigma_px": 1e308}}))
+        with np.errstate(all="ignore"):
+            assert cli_main(["rearrange", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
 
 class TestCliLocalize:
     @pytest.mark.parametrize("seed", [2, 5])
@@ -768,6 +778,21 @@ class TestCliInstanceFiles:
         sim = {"object_count_min": 1, "object_count_max": 1}
         assert cli_main(self._given(files, command, 0, sim, tmp_path)) == 0
 
+    @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
+    def test_config_file_is_read_once(self, files, command, tmp_path, monkeypatch):
+        """The ``--config`` file was once read a second time, to learn which
+        sim values the user gave."""
+        read = []
+
+        def counted(path):
+            read.append(path)
+            return load_json(path)
+
+        monkeypatch.setattr("mvor.cli.load_json", counted)
+        sim = {"object_count_min": 1, "object_count_max": 1}
+        assert cli_main(self._given(files, command, None, sim, tmp_path)) == 0
+        assert read == [str(tmp_path / "given.json")]
+
     def test_localize_rejects_other_library_size(self, files, tmp_path, capsys):
         """The database comes from the 12-model library of seed 7; an
         instance on a 4-model library of the same seed once reached
@@ -911,6 +936,8 @@ class TestCliMalformedValues:
             ("config", "ring_count", 10**400),  # was loaded: the stored views were used
             ("config", "image_width", 10**30),  # was an OverflowError in the renderer
             ("config", "image_height", 10**20),  # was a database of overflowed pixel rows
+            ("initial", "model_id", True),  # a bool is not a number
+            ("initial", "color", "red"),  # a placement holds exactly its four members
         ],
     )
     def test_instance_value(self, instance_doc, member, key, value, tmp_path, capsys):
@@ -1007,6 +1034,34 @@ class TestCliMalformedValues:
             {"sim": {"ring_count": 10**400}},  # was an OverflowError drawing the views
             {"sim": {"image_width": 10**30}},  # at most MAX_IMAGE_SIDE
             {"sim": {"image_height": 10**20}},
+            # was a ValueError from the sampler: high is out of bounds for int64
+            {"sim": {"object_count_max": 10**23}},
+            {"sim": {"object_count_min": 0}},
+            {"sim": {"table_depth": 0}},
+            {"sim": {"min_clearance": -0.01}},
+            {"sim": {"placement_margin": -0.1}},
+            {"sim": {"placement_attempts": 0}},
+            {"sim": {"rotation_regime": "sideways"}},
+            {"sim": {"ring_elevation_deg": 90}},
+            {"sim": {"home_elevation_deg": 0}},
+            {"sim": {"library_size": 0}},
+            {"sim": {"model_points": 0}},
+            {"sim": {"point_descriptor_dim": 0}},
+            {"sim": {"actuation_sigma": -0.003}},
+            {"localization": {"theta_prune": -0.1}},
+            {"localization": {"match_resolution": 0}},
+            {"localization": {"min_correspondences": -1}},
+            {"localization": {"drop_rate": 1.5}},
+            {"localization": {"sigma_px": -1.0}},
+            {"localization": {"max_view_angle_deg": 181}},
+            {"localization": {"ratio_test": -0.5}},
+            {"localization": {"max_matches": 0}},
+            {"localization": {"ransac_iterations": 0}},
+            {"localization": {"reproj_threshold_px": -2.0}},
+            {"localization": {"ransac_seed": -1}},
+            {"localization": {"refine_iters": -1}},
+            {"localization": {"min_inliers": -1}},
+            {"localization": {"min_inlier_ratio": 1.5}},
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):
