@@ -9,7 +9,7 @@ object surfaces.
 import numpy as np
 
 from mvor import geometry as geo
-from mvor.sim import SimConfig, generate_instance, generate_model_library, render
+from mvor.sim import SimConfig, generate_instance, generate_model_library, render, segment
 
 config = SimConfig(object_count_min=4, object_count_max=6)
 library = generate_model_library(config)
@@ -39,15 +39,18 @@ frames = render(instance.initial, instance.ring_viewpoints, intr, library)
 print(f"\nrendered {len(frames)} ring frames at {intr.width}x{intr.height}")
 for k, f in enumerate(frames[:3]):
     print(
-        f"  frame {k}: {len(f.rows)} pixels hit, "
-        f"{len(f.instance_list())} objects visible, "
+        f"  frame {k}: {len(f.feature_ids)} pixels hit, "
+        f"{len(segment(f))} objects visible, "
         f"depth range {f.depth.min():.2f}..{f.depth.max():.2f} m"
     )
 
 # a frame is the list of z-buffer winners, one per hit pixel: every hit
-# carries its exact projection and depth, so back-projecting recovers the
-# world point that won the z-buffer
+# carries its exact projection, whose nearest pixel is the one it won, and
+# its depth, so back-projecting recovers the world point that won the
+# z-buffer
 f = frames[0]
+cols, rows = geo.nearest_pixel(f.px).T
+print(f"\nframe 0 hits rows {rows.min()}..{rows.max()}, columns {cols.min()}..{cols.max()}")
 world = geo.back_project_pixels(intr, geo.invert(f.viewpoint), f.px, f.depth)
-print(f"\nback-projected {len(world)} pixels from frame 0")
+print(f"back-projected {len(world)} pixels from frame 0")
 print(f"  world z range: {world[:, 2].min():.3f}..{world[:, 2].max():.3f} m (table is z=0)")

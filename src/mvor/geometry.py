@@ -34,6 +34,7 @@ __all__ = [
     "observation_vector",
     "angular_distance",
     "project_points",
+    "nearest_pixel",
     "back_project_pixels",
     "look_at",
 ]
@@ -212,6 +213,12 @@ def project_points(
         u = intr.fx * cam[:, 0] / z + intr.cx
         v = intr.fy * cam[:, 1] / z + intr.cy
     return np.stack([u, v], axis=1), z
+
+
+def nearest_pixel(x: np.ndarray) -> np.ndarray:
+    """The integer pixel whose centre is nearest each exact coordinate,
+    ``floor(x + 0.5)``: a half rounds up, so -0.5 maps to pixel 0."""
+    return np.floor(x + 0.5).astype(np.int64)
 
 
 def back_project_pixels(

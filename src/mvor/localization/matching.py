@@ -13,7 +13,7 @@ Backends:
                        rate, Gaussian noise on the goal-side coordinates,
                        and uniform outlier replacement. A learned matcher
                        errs at a common matching resolution (the goal
-                       region's bounding box padded to a square of side
+                       hits' pixel box, padded to a square of side
                        ``max(h, w)`` and resized to ``match_resolution``),
                        so ``sigma_px`` is in matching-resolution pixels:
                        in the goal image the noise is scaled by
@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..geometry import nearest_pixel
 
 
 @dataclass
@@ -77,16 +79,18 @@ class FeatureIdMatcher:
             gi, ci = gi[keep], ci[keep]
             n = len(gi)
         px = goal.px[gi]
-        h, w = goal.shape
-        side = max(h, w)
-        if n and self.sigma_px > 0.0:
-            noise = self.rng.normal(0.0, self.sigma_px, px.shape)
-            px = px + noise * (side / self.resolution)
-        if n and self.outlier_rate > 0.0:
-            bad = self.rng.uniform(size=n) < self.outlier_rate
-            # the top-left pixel edge of the padded square
-            corner = np.array([goal.col0 - (side - w) // 2, goal.row0 - (side - h) // 2])
-            px[bad] = corner - 0.5 + self.rng.uniform(0.0, side, (int(bad.sum()), 2))
+        if n and max(self.sigma_px, self.outlier_rate) > 0.0:
+            low = nearest_pixel(goal.px.min(axis=0))  # the goal hits' pixel box, (u, v)
+            size = nearest_pixel(goal.px.max(axis=0)) - low + 1
+            side = size.max()
+            if self.sigma_px > 0.0:
+                noise = self.rng.normal(0.0, self.sigma_px, px.shape)
+                px = px + noise * (side / self.resolution)
+            if self.outlier_rate > 0.0:
+                bad = self.rng.uniform(size=n) < self.outlier_rate
+                # the top-left pixel edge of the padded square
+                corner = low - (side - size) // 2
+                px[bad] = corner - 0.5 + self.rng.uniform(0.0, side, (int(bad.sum()), 2))
         return Correspondences2D(px, ci)
 
 

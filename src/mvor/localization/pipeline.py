@@ -24,9 +24,14 @@ from ..errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from ..geometry import PlanarTransform, Pose3, angular_distance
 from ..perception.database import Database, RegionHits
 from ..perception.regions import ObjectRegion
-from ..serialize import setting
+from ..serialize import check_settings, setting
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pnp import ransac_planar
+
+
+# the largest matcher noise, in matching-resolution pixels: it already moves
+# goal pixels far off any image; far larger noise overflows the pose solver
+MAX_SIGMA_PX = 1e6
 
 
 @dataclass
@@ -39,7 +44,7 @@ class LocalizationConfig:
     match_resolution: int = setting(256, 1)
     min_correspondences: int = setting(4, 0)
     drop_rate: float = setting(0.0, 0, 1)
-    sigma_px: float = setting(0.0, 0)  # matching-resolution pixels
+    sigma_px: float = setting(0.0, 0, MAX_SIGMA_PX)  # matching-resolution pixels
     outlier_rate: float = setting(0.0, 0, 1)
     max_view_angle_deg: float = setting(35.0, 0, 180)
     ratio_test: float = setting(0.8, 0, 1)
@@ -55,11 +60,10 @@ class LocalizationConfig:
     min_inlier_ratio: float = setting(0.3, 0, 1)
 
     def make_matcher(self, library, rng=None):
+        check_settings(self)  # a config built in Python skips from_dict's checks
         if self.matcher == "feature_id":
             return FeatureIdMatcher(self, rng)
-        if self.matcher == "descriptor_nn":
-            return DescriptorNNMatcher(library, self)
-        raise ValueError(f"unknown matcher {self.matcher!r}")
+        return DescriptorNNMatcher(library, self)
 
 
 @dataclass

@@ -4,8 +4,8 @@ A region keeps the frame's hits that its selector picks (the
 segmentation), in the frame's order, which is row-major within one
 instance's run: each hit's feature id, exact projection, world point
 back-projected through the frame's viewpoint and object-local viewing
-direction, and the bounding box of their pixels. It also keeps the
-observing viewpoint, and later gains a global descriptor.
+direction. It also keeps the observing viewpoint, and later gains a
+global descriptor.
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ObjectRegion:
-    """The hits of one region, in the frame's order, the bounding box of
-    their pixels (origin ``(row0, col0)``, ``shape`` ``(h, w)``), and the
-    viewpoint that saw them."""
+    """The hits of one region, in the frame's order, and the viewpoint
+    that saw them."""
 
-    row0: int
-    col0: int
-    shape: tuple[int, int]
     feature_ids: np.ndarray  # (n,) int64
     px: np.ndarray  # (n,2) exact (u,v) in the source image
     world: np.ndarray  # (n,3) back-projected world point
@@ -51,9 +47,8 @@ def extract_regions(frame, selections, config) -> list[ObjectRegion]:
     instance's hits, or a boolean mask over the hits. Under a slice every
     field of the region is a view, with no copy. The region keeps the
     selected hits, each with its world point back-projected through the
-    frame's viewpoint, and the bounding box of their pixels. Selections with
-    fewer than ``config.min_region_points`` hits are dropped. The descriptor
-    is left unset.
+    frame's viewpoint. Selections with fewer than ``config.min_region_points``
+    hits are dropped. The descriptor is left unset.
 
     Every hit is back-projected once, in one product over the frame. A row
     of that product has the same bits as in a product over the region's
@@ -70,14 +65,9 @@ def extract_regions(frame, selections, config) -> list[ObjectRegion]:
         if n < config.min_region_points:
             log.debug("dropping region (label %s): %d px < %d", label, n, config.min_region_points)
             continue
-        rr, cc = frame.rows[sel], frame.cols[sel]
-        r0, c0 = rr.min(), cc.min()
         uv = frame.px[sel]
         regions.append(
             ObjectRegion(
-                row0=int(r0),
-                col0=int(c0),
-                shape=(int(rr.max() - r0 + 1), int(cc.max() - c0 + 1)),
                 feature_ids=feature_ids,
                 px=uv,
                 world=(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBufferSpace, ReobservationFailed, UnknownObject
+from .errors import NoBufferSpace, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance
 from .serialize import setting
 from .sim.models import ModelLibrary
@@ -125,8 +125,6 @@ def check_collision(
 ) -> bool:
     """True iff placing the object at ``target`` (footprint inflated by
     ``margin``) would intersect another object or leave the table."""
-    if not 0 <= object_index < scene.num_objects:
-        raise UnknownObject(f"object index {object_index}")
     return placement_conflict(scene, library, object_index, target, margin) is not None
 
 

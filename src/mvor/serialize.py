@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ def from_dict(cls, data, path: str = "config"):
     """
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: expected a mapping, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
     if unknown:
@@ -64,6 +65,10 @@ def from_dict(cls, data, path: str = "config"):
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigParseError(f"{path}: {e}") from e
     return obj
+
+
+# cached per class: an instance file builds one dataclass per placement
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def is_finite(value) -> bool:

@@ -4,8 +4,8 @@ instance segmentation.
 A rendered Frame is the list of z-buffer winners, one hit per covered
 pixel, grouped by instance: each instance's hits form one run, the runs
 in ascending instance order, and the hits of a run in row-major pixel
-order. Each hit keeps its pixel (row, col), the winning point's feature
-id, instance id, exact sub-pixel projection and exact depth.
+order. Each hit keeps the winning point's feature id, instance id, exact
+sub-pixel projection and exact depth; its pixel is ``nearest_pixel(px)``.
 Back-projecting a hit's stored (u, v, depth) therefore recovers the
 point's world position to floating-point precision, which is what makes
 the downstream matching and pose-recovery paths testable against exact
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import EmptyFrame
-from ..geometry import CameraIntrinsics, Pose3, invert, rot_z
+from ..geometry import CameraIntrinsics, Pose3, invert, nearest_pixel, rot_z
 from .models import ModelLibrary
 from .scene import SceneState
 
@@ -32,10 +32,8 @@ from .scene import SceneState
 class Frame:
     """The z-buffer winners of one view, one entry per hit pixel, grouped
     by instance id in ascending order and, within one instance's run,
-    sorted by row-major pixel index (``rows * width + cols``)."""
+    sorted by the row-major index of the pixel ``nearest_pixel(px)``."""
 
-    rows: np.ndarray  # (n,) int64 pixel row of each hit
-    cols: np.ndarray  # (n,) int64 pixel column of each hit
     feature_ids: np.ndarray  # (n,) int64 library row of the winning point
     instance_ids: np.ndarray  # (n,) int32 index of its object in the scene
     px: np.ndarray  # (n,2) float64 exact (u,v) of the winning point
@@ -45,15 +43,10 @@ class Frame:
     viewpoint: Pose3  # camera-in-world
     intrinsics: CameraIntrinsics
 
-    def instance_list(self) -> np.ndarray:
-        return np.unique(self.instance_ids)
-
 
 def empty_frame(viewpoint: Pose3, intr: CameraIntrinsics) -> Frame:
     """A frame with no hits."""
     return Frame(
-        rows=np.empty(0, dtype=np.int64),
-        cols=np.empty(0, dtype=np.int64),
         feature_ids=np.empty(0, dtype=np.int64),
         instance_ids=np.empty(0, dtype=np.int32),
         px=np.empty((0, 2)),
@@ -156,9 +149,7 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
     cand = facing[ok]
     u, v, z = u[ok], v[ok], z[ok]
     fid = posed.feature_ids[cand]
-    cols = np.floor(u + 0.5).astype(np.int64)
-    rows = np.floor(v + 0.5).astype(np.int64)
-    win = _winners(rows * intr.width + cols, z, fid)
+    win = _winners(nearest_pixel(v) * intr.width + nearest_pixel(u), z, fid)
 
     # group the winners by instance, each run in row-major pixel order
     inst = posed.instance_ids[cand[win]]
@@ -180,8 +171,6 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
             view[start:stop] = rays[start:stop] @ posed.rotations[idx]
 
     return Frame(
-        rows=rows[win],
-        cols=cols[win],
         feature_ids=fid[win],
         instance_ids=inst,
         px=np.stack([u[win], v[win]], axis=1),
@@ -212,7 +201,8 @@ def render(
 
 def segment(frame: Frame) -> list[tuple[int, slice]]:
     """Ground-truth instance segmentation: one ``(label, slice)`` per
-    instance the frame sees, in ``frame.instance_list()`` order.
+    instance the frame sees; the labels are the frame's distinct instance
+    ids, in ascending order.
 
     A slice selects the run of the instance's hits in the frame's arrays,
     so the runs are disjoint by construction. Returns [] for an empty

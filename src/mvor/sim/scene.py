@@ -179,7 +179,10 @@ def placement_conflict(
 ) -> str | None:
     """What placing the object at ``object_index`` on ``target``, its
     footprint grown by ``margin``, runs into (the table edge or another
-    object's footprint), or None when the placement is free."""
+    object's footprint), or None when the placement is free. An index that
+    names none of the scene's objects raises UnknownObject."""
+    if not 0 <= object_index < scene.num_objects:
+        raise UnknownObject(f"object index {object_index}")
     grown = float(library.footprint_radius[scene.placements[object_index].model_id]) + margin
     if not scene.table_bounds.contains_disc(target.tx, target.ty, grown):
         return "target footprint leaves the table"
@@ -208,8 +211,6 @@ def apply_move(
     """
     if sigma > 0.0 and rng is None:
         raise ValueError("apply_move: sigma > 0 needs an rng")
-    if not 0 <= object_index < scene.num_objects:
-        raise UnknownObject(f"object index {object_index}")
     conflict = placement_conflict(scene, library, object_index, target)
     if conflict is not None:
         raise CollisionAtTarget(conflict)

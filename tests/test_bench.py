@@ -26,6 +26,7 @@ from mvor.cli import load_config, main as cli_main
 from mvor.errors import ConfigParseError, ReobservationFailed
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
+from mvor.localization.pipeline import MAX_SIGMA_PX
 from mvor.perception import (
     GridPooledDescriptor,
     PerceptionConfig,
@@ -474,14 +475,12 @@ class TestCliRearrange:
         )
 
     def test_overflowing_matcher_noise(self, tmp_path):
-        """A sigma_px of 1e308 overflows the goal pixels to inf, and the
-        minimal planar system that passed the determinant test once made
-        rearrange exit 1 with numpy's LinAlgError: such a sample is now
-        degenerate."""
+        """A sigma_px of 1e308 once overflowed the goal pixels to inf, and
+        rearrange printed numpy's RuntimeWarnings; such noise is now refused
+        (test_config_value), and the largest allowed noise runs clean."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"localization": {"sigma_px": 1e308}}))
-        with np.errstate(all="ignore"):
-            assert cli_main(["rearrange", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        cfg.write_text(json.dumps({"localization": {"sigma_px": MAX_SIGMA_PX}}))
+        assert cli_main(["rearrange", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
 
 
 class TestCliLocalize:
@@ -1062,6 +1061,7 @@ class TestCliMalformedValues:
             {"localization": {"refine_iters": -1}},
             {"localization": {"min_inliers": -1}},
             {"localization": {"min_inlier_ratio": 1.5}},
+            {"localization": {"sigma_px": 1e308}},  # at most MAX_SIGMA_PX
         ],
     )
     def test_config_value(self, config, tmp_path, capsys):

@@ -113,6 +113,14 @@ class TestProjection:
             back = geo.back_project_pixels(INTR, w2c, uv, z)
             np.testing.assert_allclose(back, world, atol=1e-9)
 
+    def test_nearest_pixel(self):
+        """A coordinate's pixel is the one whose centre is nearest; a half
+        rounds up, so the image's left edge, -0.5, is pixel 0."""
+        x = np.array([[-0.5, -0.2], [0.49, 0.5], [1.5, 2.5], [639.49, -0.51]])
+        got = geo.nearest_pixel(x)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[0, 0], [0, 1], [2, 3], [639, -1]]
+
 
 class TestPoseAlgebra:
     def test_compose_invert_identity(self):

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from mvor import geometry as geo
 from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
-from mvor.geometry import PlanarTransform, Pose3
+from mvor.geometry import PlanarTransform, Pose3, nearest_pixel
 from mvor.localization import pnp
 from mvor.localization import (
     Correspondences2D,
@@ -166,7 +166,6 @@ class TestRetrieveCandidates:
 
 def _fake_goal(descriptor):
     return ObjectRegion(
-        0, 0, (2, 2),
         np.zeros(4, dtype=np.int64),
         np.zeros((4, 2)),
         np.zeros((4, 3)),
@@ -349,6 +348,14 @@ class TestFeatureIdMatcher:
     def test_noiseless_needs_no_rng(self):
         assert FeatureIdMatcher(LCFG).rng is None
 
+    @pytest.mark.parametrize("bad", [{"matcher": "sift"}, {"top_n": 0}])
+    def test_make_matcher_checks_settings(self, bad, library):
+        """A config built in Python skips from_dict's checks; make_matcher
+        runs them, and the error names the setting."""
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            LocalizationConfig(**bad).make_matcher(library)
+
     def test_corruption_model(self, library):
         """Clean, a match's goal side is its goal hit's projection. Noise of
         ``sigma_px`` matching-resolution pixels moves it by ``sigma_px * side
@@ -365,7 +372,9 @@ class TestFeatureIdMatcher:
         goal_hits = [hit_of[f] for f in cand.feature_ids[clean.cand_hits].tolist()]
         assert clean.goal_px.tobytes() == goal.px[goal_hits].tobytes()
 
-        h, w = goal.shape
+        # the box of the goal hits' pixels
+        cols, rows = nearest_pixel(goal.px).T
+        h, w = rows.max() - rows.min() + 1, cols.max() - cols.min() + 1
         side = max(h, w)
         assert h != w  # the square pads one axis
         sigma = 2.0
@@ -381,7 +390,7 @@ class TestFeatureIdMatcher:
         moved = np.any(bad.goal_px != clean.goal_px, axis=1)
         assert 0.4 < moved.mean() < 0.6
         # the padded square's top-left pixel edge, (u, v)
-        corner = np.array([goal.col0 - (side - w) // 2, goal.row0 - (side - h) // 2]) - 0.5
+        corner = np.array([cols.min() - (side - w) // 2, rows.min() - (side - h) // 2]) - 0.5
         local = bad.goal_px[moved] - corner
         assert np.all((local >= 0.0) & (local <= side))
         # spread over the whole square, padding included
@@ -938,8 +947,8 @@ class TestRegionRecord:
 
         assert not hasattr(perception, "RegionCrop") and not hasattr(regions, "RegionCrop")
         assert [f.name for f in fields(ObjectRegion)] == [
-            "row0", "col0", "shape", "feature_ids", "px", "world", "view_local",
-            "viewpoint", "source_instance", "descriptor",
+            "feature_ids", "px", "world", "view_local", "viewpoint", "source_instance",
+            "descriptor",
         ]
         scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
         db = ring_db(scene, library)

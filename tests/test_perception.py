@@ -165,8 +165,9 @@ def dense_planes(frame):
         "depth": np.full((h, w), np.nan),
         "view_local": np.full((h, w, 3), np.nan),
     }
+    cols, rows = geo.nearest_pixel(frame.px).T
     for name, plane in planes.items():
-        plane[frame.rows, frame.cols] = getattr(frame, name)
+        plane[rows, cols] = getattr(frame, name)
     return planes
 
 
@@ -213,18 +214,20 @@ def dense_extract_regions(frame, planes, masks, min_points):
 
 
 def crop_pixels(region):
-    """Each hit's crop-local row and column: its pixel, ``floor(px + 0.5)``,
-    less the region's origin."""
-    cols, rows = np.floor(region.px + 0.5).astype(np.int64).T
-    return rows - region.row0, cols - region.col0
+    """The crop of a region's hit pixels, ``nearest_pixel(px)``: each hit's
+    crop-local row and column, the crop's origin (row0, col0) and its
+    shape (h, w)."""
+    cols, rows = geo.nearest_pixel(region.px).T
+    r0, c0 = rows.min(), cols.min()
+    shape = (int(rows.max() - r0 + 1), int(cols.max() - c0 + 1))
+    return rows - r0, cols - c0, (int(r0), int(c0)), shape
 
 
 def densify(region):
     """A region's hits scattered back to its dense (h, w) grids of feature
     ids, projections, world points and view directions: feature id -1 and
     NaN geometry off the hits."""
-    h, w = region.shape
-    rows, cols = crop_pixels(region)
+    rows, cols, _, (h, w) = crop_pixels(region)
     grids = []
     for values, fill in (
         (region.feature_ids, -1), (region.px, np.nan), (region.world, np.nan),
@@ -237,11 +240,10 @@ def densify(region):
 
 
 def sparsify(feature_ids, px, world, view_local):
-    """The hit fields of a region over dense grids, origin (0, 0): one hit
-    per pixel whose feature id is set, in row-major order."""
+    """The hit fields of a region over dense grids: one hit per pixel whose
+    feature id is set, in row-major order."""
     rr, cc = np.nonzero(feature_ids >= 0)
     return dict(
-        row0=0, col0=0, shape=feature_ids.shape,
         feature_ids=feature_ids[rr, cc], px=px[rr, cc], world=world[rr, cc],
         view_local=view_local[rr, cc],
     )
@@ -271,16 +273,17 @@ class TestHitFrameRegions:
                 dense_masks = dense_segment(planes, erode_radius)
                 # eroded masks, taken at the frame's hits, cut object edges
                 # the ground-truth segmentation never cuts
+                cols, rows = geo.nearest_pixel(frame.px).T
                 masks = segment(frame) if erode_radius == 0 else [
-                    (label, m[frame.rows, frame.cols]) for label, m in dense_masks
+                    (label, m[rows, cols]) for label, m in dense_masks
                 ]
                 got = extract_regions(frame, masks, PCFG)
                 expect = dense_extract_regions(frame, planes, dense_masks, PCFG.min_region_points)
                 assert len(got) == len(expect) > 0
                 for reg, (r0, c0, label, arrays) in zip(got, expect):
-                    assert (reg.row0, reg.col0, reg.source_instance) == (r0, c0, label)
-                    rows, cols = crop_pixels(reg)
-                    assert np.all(np.diff(rows * reg.shape[1] + cols) > 0)  # row-major
+                    rows, cols, origin, (_, w) = crop_pixels(reg)
+                    assert (*origin, reg.source_instance) == (r0, c0, label)
+                    assert np.all(np.diff(rows * w + cols) > 0)  # row-major
                     for a, b in zip(densify(reg), arrays):
                         assert (a.dtype, a.shape) == (b.dtype, b.shape)
                         assert a.tobytes() == b.tobytes()
@@ -467,9 +470,9 @@ class TestPooling:
     # downsample; the pooled sum reads each hit once at any size
     @pytest.mark.parametrize("resample", ["up", "down"])
     def test_rendered_crops(self, descriptor, rendered, resample):
+        sides = [max(crop_pixels(r)[3]) for r in rendered]
         picked = [
-            r for r in rendered
-            if (max(r.shape) < 64 if resample == "up" else max(r.shape) > 64)
+            r for r, side in zip(rendered, sides) if (side < 64 if resample == "up" else side > 64)
         ]
         assert picked
         assert described_bytes(descriptor, picked) == [
@@ -634,7 +637,7 @@ def point_region(label, x):
     """A described one-hit region whose centroid is (x, 0, 0), seen from
     a camera 1 m above the origin."""
     return ObjectRegion(
-        0, 0, (1, 1), np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
+        np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
         np.array([[x, 0.0, 0.0]]), np.zeros((1, 3)),
         geo.Pose3(np.eye(3), np.array([0.0, 0.0, 1.0])), label,
         descriptor=np.ones(4) / 2.0,

@@ -96,12 +96,19 @@ class TestCheckCollision:
         assert check_collision(scene, library, 0, PlanarTransform(0, 0.49, 0), 0.01)
 
     def test_unknown_object(self, library):
+        """placement_conflict refuses an index that names no object: -1 once
+        reported the object overlapping itself (Python's last element), and
+        the object count raised a bare IndexError."""
         scene = scene_of([PlanarTransform(0, 0, 0)])
-        with pytest.raises(UnknownObject):
-            check_collision(scene, library, 3, PlanarTransform(0, 0, 0), 0.01)
-        # apply_move once raised CollisionAtTarget for the same index
-        with pytest.raises(UnknownObject):
-            apply_move(scene, library, 3, PlanarTransform(0, 0, 0))
+        target = PlanarTransform(0, 0, 0)
+        for index in (-1, scene.num_objects, 3):
+            with pytest.raises(UnknownObject):
+                placement_conflict(scene, library, index, target)
+            with pytest.raises(UnknownObject):
+                check_collision(scene, library, index, target, 0.01)
+            # apply_move once raised CollisionAtTarget for index 3
+            with pytest.raises(UnknownObject):
+                apply_move(scene, library, index, target)
 
     @settings(max_examples=200, deadline=None)
     @given(

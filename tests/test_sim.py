@@ -298,10 +298,11 @@ class TestGenerateInstance:
 
 def pixel_index(frame):
     """Row-major pixel index of each hit."""
-    return frame.rows * frame.intrinsics.width + frame.cols
+    cols, rows = geo.nearest_pixel(frame.px).T
+    return rows * frame.intrinsics.width + cols
 
 
-FRAME_ARRAYS = ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "view_local")
+FRAME_ARRAYS = ("feature_ids", "instance_ids", "px", "depth", "view_local")
 
 
 def reference_render(scene, viewpoint, intr, library):
@@ -345,8 +346,7 @@ def reference_render(scene, viewpoint, intr, library):
     uv = np.vstack(uv_all)
     z = np.concatenate(z_all)
     fid = np.concatenate(fid_all)
-    cols = np.floor(uv[:, 0] + 0.5).astype(np.int64)
-    rows = np.floor(uv[:, 1] + 0.5).astype(np.int64)
+    cols, rows = geo.nearest_pixel(uv).T
     flat = rows * intr.width + cols
     inst = np.concatenate(inst_all)
     order = np.lexsort((fid, z, flat))
@@ -355,8 +355,6 @@ def reference_render(scene, viewpoint, intr, library):
     win = order[first]
     win = win[np.lexsort((flat[win], inst[win]))]
     return Frame(
-        rows=rows[win],
-        cols=cols[win],
         feature_ids=fid[win],
         instance_ids=inst[win],
         px=uv[win],
@@ -407,17 +405,17 @@ class TestRender:
         inst = generate_instance(config, library, seed=5)
         intr = config.intrinsics()
         (frame,) = render(inst.initial, [inst.ring_viewpoints[2]], intr, library)
-        assert len(np.unique(pixel_index(frame))) == len(frame.rows)
+        assert len(np.unique(pixel_index(frame))) == len(frame.feature_ids)
         runs = segment(frame)
         assert len(runs) > 1
-        assert [label for label, _ in runs] == frame.instance_list().tolist()
+        assert [label for label, _ in runs] == np.unique(frame.instance_ids).tolist()
         for _, run in runs:
             assert np.all(np.diff(pixel_index(frame)[run]) > 0)
-        assert frame.rows.min() >= 0 and frame.rows.max() < intr.height
-        assert frame.cols.min() >= 0 and frame.cols.max() < intr.width
-        # each hit's pixel is the one its exact projection falls in
-        np.testing.assert_array_equal(frame.cols, np.floor(frame.px[:, 0] + 0.5))
-        np.testing.assert_array_equal(frame.rows, np.floor(frame.px[:, 1] + 0.5))
+        # each hit's pixel, the one its exact projection falls in, is inside
+        # the image
+        cols, rows = geo.nearest_pixel(frame.px).T
+        assert rows.min() >= 0 and rows.max() < intr.height
+        assert cols.min() >= 0 and cols.max() < intr.width
 
     def test_frame_holds_no_full_resolution_array(self, config, library):
         intr = config.intrinsics()
@@ -425,8 +423,11 @@ class TestRender:
         inst = generate_instance(config, library, seed=5)
         for vp in (inst.ring_viewpoints[0], inst.home_viewpoint):
             (frame,) = render(inst.initial, [vp], intr, library)
+            assert [f.name for f in dataclasses.fields(frame)] == [
+                *FRAME_ARRAYS, "viewpoint", "intrinsics",
+            ]
             arrays = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
-            assert len(arrays) == 7
+            assert len(arrays) == 5
             assert max(a.size for a in arrays) < intr.width * intr.height
             assert sum(a.nbytes for a in arrays) < 1_000_000
 
@@ -557,7 +558,7 @@ class TestRender:
         assert np.count_nonzero(facing == 0.0) > 10
         intr = config.intrinsics()
         (frame,) = render(scene, [cam], intr, library)
-        assert len(frame.rows) > 50
+        assert len(frame.feature_ids) > 50
         assert_same_frame(frame, reference_render(scene, cam, intr, library))
 
     def test_batched_call_equals_one_call_per_view(self, config, library):
@@ -619,7 +620,7 @@ class TestRender:
         intr = config.intrinsics()
         (a,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, library)
         (b,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, library)
-        for name in ("rows", "cols", "feature_ids", "instance_ids", "px", "depth", "view_local"):
+        for name in FRAME_ARRAYS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -628,7 +629,7 @@ class TestSegment:
         inst = generate_instance(config, library, seed=9)
         (frame,) = render(inst.initial, [inst.ring_viewpoints[1]], config.intrinsics(), library)
         runs = segment(frame)
-        assert len(runs) == len(frame.instance_list())
+        assert len(runs) == len(np.unique(frame.instance_ids))
         hits = np.arange(len(frame.instance_ids))
         for inst_id, run in runs:
             np.testing.assert_array_equal(hits[run], np.flatnonzero(frame.instance_ids == inst_id))
@@ -644,8 +645,7 @@ class TestSegment:
         n = len(ids)
         frame = dataclasses.replace(
             empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics()),
-            rows=np.zeros(n, dtype=np.int64),
-            cols=np.arange(n, dtype=np.int64),
+            px=np.stack([np.arange(n), np.zeros(n)], axis=1),
             instance_ids=np.array(ids, dtype=np.int32),
         )
         with pytest.raises(ValueError, match="not grouped"):
