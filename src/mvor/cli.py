@@ -11,8 +11,11 @@ fixed (config, seed).
 ``instance_<seed:08d>.json`` per scene and ``library/``, the model library
 the instances were generated with (one ``.npy`` per column and a
 ``header.json`` naming its format version and ``LIBRARY_KEYS`` settings;
-about 40 MB at the default config). Each ``gen`` generates the library and
-writes it anew, replacing a ``library/`` already in the directory.
+about 40 MB at the default config). Each ``gen`` writes the library anew,
+replacing a ``library/`` already in the directory, and memory-maps it to
+place the instances. It writes each model's descriptor rows as soon as they
+are drawn, so its memory does not grow with the library. A ``gen`` that
+fails leaves no new directory and no new ``library/`` behind.
 ``build-db``, ``localize`` and ``rearrange`` given ``--instance`` memory-map
 the ``library/`` beside the instance file rather than generating the
 library; one whose header carries another version or differs from the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -129,13 +133,25 @@ def cmd_gen(args) -> int:
     count = cfg.scenes if args.count is None else args.count
     if count < 1:
         raise ConfigParseError(f"--count: gen needs at least 1 instance, got {count}")
-    library = generate_model_library(cfg.sim)
-    instances = [
-        generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
-    ]
     out = _out_dir(args, "dataset")
+    library_dir = os.path.join(out, LIBRARY_DIR)
+    # what a failure removes: a new --out directory, else the library once written
+    written = None if os.path.lexists(out) else out
+    make_dirs(out)
+    try:
+        save_model_library(library_dir, cfg.sim)
+        written = written or library_dir
+        # generate_instance reads only the footprint radii, so no descriptor
+        # page of the mapped library is read
+        library = load_model_library(library_dir, cfg.sim)
+        instances = [
+            generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
+        ]
+    except MvorError:
+        if written:
+            shutil.rmtree(written, ignore_errors=True)
+        raise
     save_dataset(instances, out, cfg.sim)
-    save_model_library(library, os.path.join(out, LIBRARY_DIR), cfg.sim)
     print(f"wrote {count} instances to {out}")
     return 0
 

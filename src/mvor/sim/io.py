@@ -3,9 +3,10 @@
 A dataset, as ``mvor gen`` writes it, is a directory holding
 ``manifest.json`` (format, version, count, seeds, file names and the sim
 config echo), one ``instance_<seed:08d>.json`` per scene and ``library/``,
-the model library the instances were generated with, as written by
-``models.save_model_library`` (about 40 MB at the default config); each
-``gen`` writes it anew, replacing any ``library/`` already there.
+the model library the instances were generated with, as
+``models.save_model_library`` generates and writes it, one model at a time
+(about 40 MB at the default config); each ``gen`` writes it anew, replacing
+any ``library/`` already there, and places the instances against it.
 ``build-db``, ``localize`` and ``rearrange`` given an instance file
 memory-map the ``library/`` beside it instead of generating the library;
 its header must carry ``models.LIBRARY_VERSION`` and name the instance's

@@ -14,19 +14,24 @@ id is its row in these point columns.
 Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
 
-``save_model_library`` stores a library as a directory: one ``.npy`` file
-per column and a ``header.json`` holding the format name, ``LIBRARY_VERSION``
-and the ``LIBRARY_KEYS`` settings it was generated from.
+``generate_model_library`` builds a library in memory.
+``save_model_library`` generates one and stores it as a directory: one
+``.npy`` file per column and a ``header.json`` holding the format name,
+``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings it was generated
+from. It writes each model's descriptor rows as soon as they are drawn, so
+its memory does not grow with the library. Both draw the models through
+one generator, so the saved columns are the generated ones, bit for bit.
 ``load_model_library`` memory-maps the columns read-only, so a command that
 loads a saved library reads only the rows it uses.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +45,7 @@ FAMILIES = ("box", "cylinder", "l_prism")
 LIBRARY_KEYS = ("library_seed", "library_size", "model_points", "point_descriptor_dim")
 
 LIBRARY_FORMAT = "mvor-model-library"
-# The version of the bits generate_model_library draws for given LIBRARY_KEYS
+# The version of the bits _draw_models draws for given LIBRARY_KEYS
 # settings and of the saved layout: bump it whenever either changes, so a
 # library saved before is refused rather than read as the new one.
 LIBRARY_VERSION = 1
@@ -172,6 +177,58 @@ def _sample_l_prism(rng, a, b, ta, tb, h, total):
     return np.vstack(pts), np.vstack(nrms), radius
 
 
+def _draw_models(config, block_for):
+    """Draw the models of ``config`` in library order, deterministic in
+    ``config.library_seed``. For each model, its geometry is drawn, then its
+    unit descriptor rows in place into ``block_for(rows)``, an empty
+    (rows, point_descriptor_dim) float64 array the caller supplies; yields
+    ``(family, points, normals, footprint radius)`` and that block. The
+    order of the draws fixes the library's bits."""
+    rng = np.random.default_rng(config.library_seed)
+    for mid in range(config.library_size):
+        family = FAMILIES[mid % 3]
+        if family == "box":
+            w, d = rng.uniform(0.05, 0.09, 2)
+            h = rng.uniform(0.04, 0.08)
+            pts, nrms, radius = _sample_box(rng, w, d, h, config.model_points)
+        elif family == "cylinder":
+            r = rng.uniform(0.025, 0.045)
+            h = rng.uniform(0.04, 0.08)
+            pts, nrms, radius = _sample_cylinder(rng, r, h, config.model_points)
+        else:
+            a, b = rng.uniform(0.06, 0.09, 2)
+            ta, tb = rng.uniform(0.025, 0.04, 2)
+            h = rng.uniform(0.035, 0.07)
+            pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
+        block = block_for(len(pts))
+        rng.standard_normal(out=block)
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        yield (family, pts, nrms, radius), block
+
+
+def _small_columns(models: list) -> dict:
+    """Every column but ``point_descriptors`` of the ``(family, points,
+    normals, footprint radius)`` of each model, in library order."""
+    family, points, normals, radius = zip(*models)
+    offsets = np.zeros(len(models) + 1, dtype=np.int64)
+    np.cumsum([len(pts) for pts in points], out=offsets[1:])
+    return {
+        "family": np.array(family),
+        "footprint_radius": np.array(radius),
+        "point_offsets": offsets,
+        "points": np.vstack(points),
+        "normals": np.vstack(normals),
+    }
+
+
+def _column_text(config) -> str:
+    return (
+        f"the model library's descriptor column (sim.library_size {config.library_size} x "
+        f"sim.model_points {config.model_points} rows, sim.point_descriptor_dim "
+        f"{config.point_descriptor_dim} columns)"
+    )
+
+
 def generate_model_library(config) -> ModelLibrary:
     """Build the fixed model set used by every scene of a run.
 
@@ -183,72 +240,93 @@ def generate_model_library(config) -> ModelLibrary:
     ``model_points`` points each. A column the machine cannot hold raises
     ConfigParseError.
     """
-    rng = np.random.default_rng(config.library_seed)
-    n = config.library_size
     descriptors = config_sized_empty(
-        (n * config.model_points, config.point_descriptor_dim),
-        f"the model library's descriptor column (sim.library_size {n} x sim.model_points "
-        f"{config.model_points} rows, sim.point_descriptor_dim "
-        f"{config.point_descriptor_dim} columns)",
+        (config.library_size * config.model_points, config.point_descriptor_dim),
+        _column_text(config),
     )
-    family = np.array([FAMILIES[mid % 3] for mid in range(n)])
-    radius = np.empty(n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    points, normals = [], []
-    for mid in range(n):
-        if family[mid] == "box":
-            w, d = rng.uniform(0.05, 0.09, 2)
-            h = rng.uniform(0.04, 0.08)
-            pts, nrms, radius[mid] = _sample_box(rng, w, d, h, config.model_points)
-        elif family[mid] == "cylinder":
-            r = rng.uniform(0.025, 0.045)
-            h = rng.uniform(0.04, 0.08)
-            pts, nrms, radius[mid] = _sample_cylinder(rng, r, h, config.model_points)
-        else:
-            a, b = rng.uniform(0.06, 0.09, 2)
-            ta, tb = rng.uniform(0.025, 0.04, 2)
-            h = rng.uniform(0.035, 0.07)
-            pts, nrms, radius[mid] = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
-        points.append(pts)
-        normals.append(nrms)
-        o0 = offsets[mid]
-        o1 = offsets[mid + 1] = o0 + len(pts)
-        if o1 > len(descriptors):
-            grown = np.empty((max(o1, 2 * len(descriptors)), descriptors.shape[1]))
+    filled = 0
+
+    def block_for(rows):
+        nonlocal descriptors, filled
+        o0, filled = filled, filled + rows
+        if filled > len(descriptors):
+            grown = np.empty((max(filled, 2 * len(descriptors)), descriptors.shape[1]))
             grown[:o0] = descriptors[:o0]
             descriptors = grown
-        block = descriptors[o0:o1]
-        rng.standard_normal(out=block)
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-    return ModelLibrary(
-        family=family,
-        footprint_radius=radius,
-        point_offsets=offsets,
-        points=np.vstack(points),
-        normals=np.vstack(normals),
-        point_descriptors=descriptors[: offsets[-1]],
+        return descriptors[o0:filled]
+
+    models = [model for model, _ in _draw_models(config, block_for)]
+    return ModelLibrary(**_small_columns(models), point_descriptors=descriptors[:filled])
+
+
+def _descriptor_header(rows: int, dim: int) -> bytes:
+    """The ``.npy`` header ``np.save`` writes for a (rows, dim) float64
+    array; numpy pads it so that its length does not depend on ``rows``."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False,
+        "shape": (rows, dim),
+    })
+    return header.getvalue()
+
+
+def save_model_library(path, config) -> None:
+    """Generate the library of ``config`` (a SimConfig) and write it as the
+    directory ``path``: ``<column>.npy`` for each column, the bytes
+    ``np.save`` writes, and ``header.json`` with the format name,
+    ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings of ``config``.
+
+    The models are drawn as ``generate_model_library`` draws them, and each
+    model's descriptor rows are written as soon as they are drawn, through
+    one model-sized block: the memory used does not grow with the library.
+    A block the machine cannot hold raises ConfigParseError; a descriptor
+    column larger than the free space where ``path`` lies raises IOFailure
+    before anything is written. The files are written into a temporary
+    directory beside ``path`` and renamed into place, so a reader never sees
+    part of a library: it sees the old one, the new one or, between two
+    renames, none. An existing ``path`` is replaced. A write that fails
+    raises IOFailure and leaves ``path`` as it was."""
+    dim = config.point_descriptor_dim
+    block = config_sized_empty(
+        (config.model_points, dim),
+        f"a model's descriptor block (sim.model_points {config.model_points} rows, "
+        f"sim.point_descriptor_dim {dim} columns)",
     )
-
-
-def save_model_library(library: ModelLibrary, path, config) -> None:
-    """Write ``library``, generated from ``config`` (a SimConfig), as the
-    directory ``path``: ``<column>.npy`` for each column and ``header.json``
-    with the format name, ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS``
-    settings of ``config``. The files are written
-    into a temporary directory beside ``path`` and renamed into place, so a
-    reader never sees part of a library: it sees the old one, the new one
-    or, between two renames, none. An existing ``path`` is replaced. A
-    write that fails raises IOFailure."""
+    parent = os.path.dirname(os.path.abspath(path))
+    planned_rows = config.library_size * config.model_points
     try:
-        staging = tempfile.mkdtemp(prefix=".library-", dir=os.path.dirname(os.path.abspath(path)))
+        stat = os.statvfs(parent)
+        needed, free = planned_rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
+        if needed > free:
+            raise IOFailure(
+                f"cannot write {path}: {_column_text(config)} needs {needed} bytes, "
+                f"{free} are free"
+            )
+        staging = tempfile.mkdtemp(prefix=".library-", dir=parent)
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
+
+    def block_for(rows):
+        nonlocal block
+        if rows > len(block):
+            block = np.empty((rows, dim))
+        return block[:rows]
+
     try:
         written = os.path.join(staging, "library")
         os.mkdir(written)
-        for f in fields(ModelLibrary):
-            np.save(os.path.join(written, f"{f.name}.npy"), getattr(library, f.name),
-                    allow_pickle=False)
+        models = []
+        with open(os.path.join(written, "point_descriptors.npy"), "wb") as f:
+            f.write(_descriptor_header(planned_rows, dim))
+            for model, drawn in _draw_models(config, block_for):
+                f.write(drawn)
+                models.append(model)
+            columns = _small_columns(models)
+            f.seek(0)
+            f.write(_descriptor_header(int(columns["point_offsets"][-1]), dim))
+        for name, column in columns.items():
+            np.save(os.path.join(written, f"{name}.npy"), column, allow_pickle=False)
         dump_json({"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION,
                    **{key: getattr(config, key) for key in LIBRARY_KEYS}},
                   os.path.join(written, "header.json"))

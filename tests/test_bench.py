@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -696,6 +697,47 @@ class TestCliDatasetLibrary:
         assert str(dataset / "library") in err
 
 
+class TestCliGenWrites:
+    """``gen`` streams the library to disk, and one that fails writes
+    nothing."""
+
+    def test_memory_does_not_hold_the_descriptor_column(self, tmp_path):
+        """The default library's descriptor column is 39.3 MB; a gen that
+        built it in memory peaked above that."""
+        sim = SimConfig()
+        column = sim.library_size * sim.model_points * sim.point_descriptor_dim * 8
+        tracemalloc.start()
+        try:
+            assert cli_main(["gen", "--count", "1", "--out", str(tmp_path / "ds")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < column / 2
+
+    def _fails(self, config, tmp_path, capsys):
+        """stderr of a gen of ``config`` into a new directory, which must
+        exit 2 and leave no directory behind."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(["gen", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_too_few_models(self, tmp_path, capsys):
+        config = {"sim": {"library_size": 2, "object_count_min": 3, "object_count_max": 3}}
+        assert "scene needs 3 distinct models" in self._fails(config, tmp_path, capsys)
+
+    def test_library_past_the_free_space(self, tmp_path, capsys):
+        """The descriptor column of 2**60 models is refused before its
+        first row is drawn."""
+        err = self._fails({"sim": {"library_size": 2**60}}, tmp_path, capsys)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"sim.library_size {2**60}" in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 class TestCliInstanceFiles:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -1116,6 +1158,7 @@ class TestCliMalformedValues:
             ("build-db", {"sim": {"point_descriptor_dim": 2**60}}, "sim.point_descriptor_dim"),
             ("gen", {"sim": {"point_descriptor_dim": 2**60}}, "sim.point_descriptor_dim"),
             ("build-db", {"sim": {"library_size": 2**60}}, "sim.library_size"),
+            ("gen", {"sim": {"library_size": 2**60}}, "sim.library_size"),
         ],
     )
     def test_width_too_big_to_address(self, command, config, setting, tmp_path, capsys):

@@ -43,6 +43,7 @@ from mvor.sim.io import (
     save_dataset,
     save_instance,
 )
+from mvor.sim import models
 from mvor.sim.models import LIBRARY_VERSION
 from mvor.sim.render import _winners as pick_winners
 from mvor.sim.scene import placement_conflict
@@ -195,7 +196,7 @@ class TestSavedLibrary:
     )
     def test_roundtrip(self, sim, tmp_path):
         generated = generate_model_library(sim)
-        save_model_library(generated, tmp_path / "library", sim)
+        save_model_library(tmp_path / "library", sim)
         loaded = load_model_library(tmp_path / "library", sim)
         for name in TestModelLibrary.COLUMNS:
             a, b = getattr(loaded, name), getattr(generated, name)
@@ -207,8 +208,8 @@ class TestSavedLibrary:
     def test_save_replaces_a_library(self, tmp_path):
         small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
         other = dataclasses.replace(small, library_seed=small.library_seed + 1)
-        save_model_library(generate_model_library(small), tmp_path / "library", small)
-        save_model_library(generate_model_library(other), tmp_path / "library", other)
+        save_model_library(tmp_path / "library", small)
+        save_model_library(tmp_path / "library", other)
         loaded = load_model_library(tmp_path / "library", other)
         assert np.array_equal(loaded.points, generate_model_library(other).points)
         assert sorted(os.listdir(tmp_path)) == ["library"]
@@ -220,7 +221,7 @@ class TestSavedLibrary:
     )
     def test_other_settings_rejected(self, key, value, tmp_path):
         small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
-        save_model_library(generate_model_library(small), tmp_path / "library", small)
+        save_model_library(tmp_path / "library", small)
         with pytest.raises(MvorError, match=f"header.json: library generated with {key}"):
             load_model_library(tmp_path / "library", dataclasses.replace(small, **{key: value}))
 
@@ -232,7 +233,7 @@ class TestSavedLibrary:
     )
     def test_other_header_rejected(self, member, value, error, match, tmp_path):
         small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
-        save_model_library(generate_model_library(small), tmp_path / "library", small)
+        save_model_library(tmp_path / "library", small)
         header_path = tmp_path / "library" / "header.json"
         header = json.loads(header_path.read_text())
         assert header["format"] == "mvor-model-library" and header["version"] == LIBRARY_VERSION
@@ -240,6 +241,64 @@ class TestSavedLibrary:
         header_path.write_text(json.dumps(header))
         with pytest.raises(error, match=f"header.json: {match}"):
             load_model_library(tmp_path / "library", small)
+
+    @pytest.mark.parametrize(
+        "sim",
+        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8),
+         SimConfig(model_points=3, library_size=5)],
+        ids=["default", "small", "grown"],
+    )
+    def test_files_are_np_save_bytes(self, sim, tmp_path):
+        """The streamed descriptor file, its header written for the final
+        row count, holds the bytes np.save writes for the generated column;
+        on the "grown" library that count exceeds library_size x
+        model_points (see test_points_past_model_points_grow_the_columns),
+        so the header written first is rewritten."""
+        save_model_library(tmp_path / "library", sim)
+        generated = generate_model_library(sim)
+        for name in TestModelLibrary.COLUMNS:
+            expected = tmp_path / f"expected_{name}.npy"
+            np.save(expected, getattr(generated, name), allow_pickle=False)
+            written = (tmp_path / "library" / f"{name}.npy").read_bytes()
+            assert written == expected.read_bytes(), name
+
+    def test_failed_write_leaves_the_library(self, tmp_path, monkeypatch):
+        """A descriptor write that fails after the first model raises
+        IOFailure; the library already at the path keeps its bytes and no
+        staging directory is left."""
+        small = SimConfig(library_size=3, model_points=50, point_descriptor_dim=8)
+        save_model_library(tmp_path / "library", small)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "library").iterdir()}
+
+        class FailsAfterFirstModel:
+            def __init__(self, file):
+                self.file, self.blocks = file, 0
+
+            def write(self, data):
+                if isinstance(data, np.ndarray):  # a model's descriptor block
+                    self.blocks += 1
+                    if self.blocks > 1:
+                        raise OSError(28, "No space left on device")
+                return self.file.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+        def failing_open(file, *args, **kwargs):
+            return FailsAfterFirstModel(open(file, *args, **kwargs))
+
+        monkeypatch.setattr(models, "open", failing_open, raising=False)
+        other = dataclasses.replace(small, library_seed=small.library_seed + 1)
+        with pytest.raises(IOFailure, match="No space left on device"):
+            save_model_library(tmp_path / "library", other)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "library").iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["library"]
 
 
 class TestGenerateInstance:
