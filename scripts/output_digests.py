@@ -34,6 +34,8 @@ checkout that holds this script:
   objects it has moved, and this is the one case whose re-observation
   succeeds: the tuned ``rearrange`` re-observes a buffer-moved object, but
   its 300-pair minimum rejects every attempt.
+- ``gen`` into ``dataset/`` of a config whose scenes cannot be placed (3
+  objects from a 2-model library), which must exit 2.
 
 It prints ``sha256  path`` for every file written, except the
 human-readable ``report.txt`` (it carries the wall clock). Two checkouts
@@ -42,7 +44,9 @@ compare them with ``diff``. The run fails unless some home-view
 ``poses.json`` holds an estimate that was never solved, so the identity
 fallback is always covered, and unless the ``outside/`` database and
 poses are byte for byte those of the same commands run inside the dataset,
-and unless the swap's move log holds an executed buffer move.
+unless the swap's move log holds an executed buffer move, and unless the
+failing ``gen`` leaves every byte of ``dataset/``, its ``library/``
+included, as it was; that check prints no line.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ CONFIGS = {
             "object_count_min": 9, "object_count_max": 9, "ring_count": 5,
             "ring_elevation_deg": 25.0, "image_width": 320, "image_height": 240,
         },
+    },
+    "too_few_models.json": {
+        "sim": {"library_size": 2, "object_count_min": 3, "object_count_max": 3},
     },
     "tuned.json": TUNED,
     "tuned_nn.json": {
@@ -179,9 +186,32 @@ def run(cmds: list[list[str]]) -> bool:
     return True
 
 
-def same_bytes(a: str, b: str) -> bool:
-    with open(a, "rb") as fa, open(b, "rb") as fb:
-        return fa.read() == fb.read()
+def file_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def tree_bytes(path: str) -> dict:
+    """The bytes of every file under ``path``, by path."""
+    return {
+        os.path.join(root, name): file_bytes(os.path.join(root, name))
+        for root, _, names in os.walk(path)
+        for name in names
+    }
+
+
+def failed_gen_keeps_dataset() -> bool:
+    before = tree_bytes("dataset")
+    argv = ["gen", "--config", "too_few_models.json", "--out", "dataset"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    if rc != 2:
+        print(f"mvor {' '.join(argv)} exited with {rc}, not 2", file=sys.stderr)
+        return False
+    if tree_bytes("dataset") != before:
+        print("a failed gen changed dataset/", file=sys.stderr)
+        return False
+    return True
 
 
 def never_solved(path: str) -> bool:
@@ -211,10 +241,12 @@ def main() -> int:
             if not run(outside_commands()):
                 return 1
             for name in ("db_0_ring.npz", "poses_0_ring.json"):
-                if not same_bytes(name, os.path.join(OUTSIDE, name)):
+                if file_bytes(name) != file_bytes(os.path.join(OUTSIDE, name)):
                     print(f"{OUTSIDE}/{name} differs from {name}: the library saved "
                           "in the dataset and the one generated disagree", file=sys.stderr)
                     return 1
+            if not failed_gen_keeps_dataset():
+                return 1
         finally:
             os.chdir(cwd)
         paths = sorted(
@@ -224,8 +256,7 @@ def main() -> int:
             if name != "report.txt" and name not in inputs
         )
         for rel in paths:
-            with open(os.path.join(tmp, rel), "rb") as f:
-                print(f"{hashlib.sha256(f.read()).hexdigest()}  {rel}")
+            print(f"{hashlib.sha256(file_bytes(os.path.join(tmp, rel))).hexdigest()}  {rel}")
         home = [os.path.join(tmp, p) for p in paths if p.endswith("_home.json")]
         if not any(never_solved(p) for p in home):
             print("no home-view estimate was left unsolved", file=sys.stderr)

@@ -11,11 +11,13 @@ fixed (config, seed).
 ``instance_<seed:08d>.json`` per scene and ``library/``, the model library
 the instances were generated with (one ``.npy`` per column and a
 ``header.json`` naming its format version and ``LIBRARY_KEYS`` settings;
-about 40 MB at the default config). Each ``gen`` writes the library anew,
-replacing a ``library/`` already in the directory, and memory-maps it to
-place the instances. It writes each model's descriptor rows as soon as they
-are drawn, so its memory does not grow with the library. A ``gen`` that
-fails leaves no new directory and no new ``library/`` behind.
+about 40 MB at the default config), through ``sim.io.write_dataset``:
+each ``gen`` stages the library anew, memory-maps it to place the
+instances, and only then renames it over a ``library/`` already in the
+directory. It writes each model's descriptor rows as soon as they are
+drawn, so its memory does not grow with the library. A ``gen`` that fails
+leaves no new directory behind and keeps the ``library/`` it would have
+replaced.
 ``build-db``, ``localize`` and ``rearrange`` given ``--instance`` memory-map
 the ``library/`` beside the instance file rather than generating the
 library; one whose header carries another version or differs from the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 from dataclasses import replace
 
@@ -58,12 +59,10 @@ from .sim import (
     generate_instance,
     generate_model_library,
     load_instance,
-    load_model_library,
-    save_dataset,
     save_instance,
-    save_model_library,
+    write_dataset,
 )
-from .sim.io import LIBRARY_DIR
+from .sim.io import instance_library
 from .sim.models import LIBRARY_KEYS
 
 
@@ -92,16 +91,6 @@ def _out_dir(args, default_name: str) -> str:
     return os.path.join(os.environ.get("MVOR_OUT", "."), default_name)
 
 
-def _instance_library(instance_path: str, sim):
-    """The model library of the instance file at ``instance_path``, whose
-    config is ``sim``: the dataset's ``library/`` beside the instance,
-    memory-mapped, if there is one; else it is generated."""
-    saved = os.path.join(os.path.dirname(instance_path), LIBRARY_DIR)
-    if not os.path.lexists(saved):
-        return generate_model_library(sim)
-    return load_model_library(saved, sim)
-
-
 def _load_instance(args, cfg: BenchConfig, sim_keys: list):
     """The ``--instance`` file; a ``--seed`` or a ``--config`` sim value
     (``sim_keys`` names those the user gave) that differs from the
@@ -121,7 +110,7 @@ def _scene_setup(cfg: BenchConfig, args, sim_keys: list):
     ``--instance`` or generated from config and seed."""
     if args.instance:
         inst = _load_instance(args, cfg, sim_keys)
-        library = _instance_library(args.instance, inst.config)
+        library = instance_library(args.instance, inst.config)
     else:
         library = generate_model_library(cfg.sim)
         inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
@@ -134,26 +123,21 @@ def cmd_gen(args) -> int:
     if count < 1:
         raise ConfigParseError(f"--count: gen needs at least 1 instance, got {count}")
     out = _out_dir(args, "dataset")
-    library_dir = os.path.join(out, LIBRARY_DIR)
-    # what a failure removes: a new --out directory, else the library once written
-    written = None if os.path.lexists(out) else out
-    make_dirs(out)
-    try:
-        save_model_library(library_dir, cfg.sim)
-        written = written or library_dir
-        # generate_instance reads only the footprint radii, so no descriptor
-        # page of the mapped library is read
-        library = load_model_library(library_dir, cfg.sim)
-        instances = [
-            generate_instance(cfg.sim, library, seed=cfg.base_seed + i) for i in range(count)
-        ]
-    except MvorError:
-        if written:
-            shutil.rmtree(written, ignore_errors=True)
-        raise
-    save_dataset(instances, out, cfg.sim)
+    write_dataset(out, cfg.sim, range(cfg.base_seed, cfg.base_seed + count))
     print(f"wrote {count} instances to {out}")
     return 0
+
+
+def _database_provenance(inst, view: str) -> dict:
+    """What a database header records of the scene it was built from, which
+    ``localize`` checks: the settings its descriptors depend on (they pool
+    the point descriptors of the library these generate), the view and the
+    instance's seed."""
+    return {
+        **{key: getattr(inst.config, key) for key in LIBRARY_KEYS},
+        "view": view,
+        "instance_seed": inst.seed,
+    }
 
 
 def cmd_build_db(args) -> int:
@@ -161,17 +145,7 @@ def cmd_build_db(args) -> int:
     inst, library = _scene_setup(cfg, args, sim_keys)
     db = build_scene_database(inst, VIEW_MODE_OF[args.view], library, cfg)
     out = _out_dir(args, "db.npz")
-    save_database(
-        db,
-        out,
-        extra_meta={
-            # the settings the database depends on: its descriptors pool the
-            # point descriptors of the library these generate
-            **{key: getattr(inst.config, key) for key in LIBRARY_KEYS},
-            "view": args.view,
-            "instance_seed": inst.seed,
-        },
-    )
+    save_database(db, out, extra_meta=_database_provenance(inst, args.view))
     print(f"wrote database ({db.num_instances} instances, {db.num_regions} regions) to {out}")
     return 0
 
@@ -208,14 +182,12 @@ def cmd_localize(args) -> int:
     db, header = load_database(args.db)
     inst = _load_instance(args, cfg, sim_keys)
     # a mismatched database fails before the library is loaded
-    expected = {key: getattr(inst.config, key) for key in LIBRARY_KEYS}
-    expected["instance_seed"] = inst.seed
-    for key, value in expected.items():
-        if header.get(key) != value:
-            raise MvorError(f"database built against {key} {header.get(key)}, instance has {value}")
     views = list(VIEW_MODE_OF)  # compared by ==: a header value need not be hashable
     if header.get("view") not in views:
         raise MvorError(f"database built against view {header.get('view')!r}, not one of {views}")
+    for key, value in _database_provenance(inst, header["view"]).items():
+        if header.get(key) != value:
+            raise MvorError(f"database built against {key} {header.get(key)}, instance has {value}")
     # the header records the width, but the column itself may disagree
     width = inst.config.point_descriptor_dim
     if db.descriptors.shape[1] != width:
@@ -223,7 +195,7 @@ def cmd_localize(args) -> int:
             f"database descriptors have width {db.descriptors.shape[1]}, "
             f"instance's sim.point_descriptor_dim is {width}"
         )
-    library = _instance_library(args.instance, inst.config)
+    library = instance_library(args.instance, inst.config)
     # checked once here: the feature_id matcher never reads the library, so
     # ids naming no row would only ever fail to match
     library.check_feature_ids(db.crop_feature_ids)

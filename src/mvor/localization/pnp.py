@@ -188,21 +188,21 @@ def reprojection_sq_errors(world, pixels, intr, r, t):
     return err
 
 
-def _reprojection_terms(cam, pixels, intr):
-    """Gauss-Newton terms of the reprojection error at camera points ``cam``
-    (all in front of the camera): residuals (2n,), u and v interleaved,
-    and the (n, 3) derivatives of u and of v by the camera coordinates."""
-    n = len(cam)
+def _fill_reprojection_terms(cam, pu, pv, intr, resid, ju, jv):
+    """Fill in place the Gauss-Newton terms of the reprojection error at
+    camera points ``cam`` (all in front of the camera) of the pixels with
+    coordinates ``pu``, ``pv``: residuals ``resid`` (2n,), u and v
+    interleaved, and the (n, 3) derivatives ``ju`` of u and ``jv`` of v by
+    the camera coordinates, whose zero entries the caller sets once. Every
+    entry is elementwise in its pair."""
     z = cam[:, 2]
-    u = intr.fx * cam[:, 0] / z + intr.cx
-    v = intr.fy * cam[:, 1] / z + intr.cy
-    resid = np.empty(2 * n)
-    resid[0::2] = u - pixels[:, 0]
-    resid[1::2] = v - pixels[:, 1]
+    resid[0::2] = intr.fx * cam[:, 0] / z + intr.cx - pu
+    resid[1::2] = intr.fy * cam[:, 1] / z + intr.cy - pv
     inv_z = 1.0 / z
-    ju = np.column_stack([intr.fx * inv_z, np.zeros(n), -intr.fx * cam[:, 0] * inv_z**2])
-    jv = np.column_stack([np.zeros(n), intr.fy * inv_z, -intr.fy * cam[:, 1] * inv_z**2])
-    return resid, ju, jv
+    ju[:, 0] = intr.fx * inv_z
+    ju[:, 2] = -intr.fx * cam[:, 0] * inv_z**2
+    jv[:, 1] = intr.fy * inv_z
+    jv[:, 2] = -intr.fy * cam[:, 1] * inv_z**2
 
 
 def refine_pose(world, pixels, intr, r, t, iters=20):
@@ -214,12 +214,15 @@ def refine_pose(world, pixels, intr, r, t, iters=20):
     r = r.copy()
     t = t.copy()
     n = len(world)
+    resid = np.empty(2 * n)
+    ju = np.zeros((n, 3))
+    jv = np.zeros((n, 3))
+    jac = np.empty((2 * n, 6))
     for _ in range(iters):
         cam = world @ r.T + t
         if np.any(cam[:, 2] <= 1e-9):
             break
-        resid, ju, jv = _reprojection_terms(cam, pixels, intr)
-        jac = np.empty((2 * n, 6))
+        _fill_reprojection_terms(cam, pixels[:, 0], pixels[:, 1], intr, resid, ju, jv)
         # row_vec @ (-skew(c)) == cross(c, row_vec)
         jac[0::2, :3] = np.cross(cam, ju)
         jac[1::2, :3] = np.cross(cam, jv)
@@ -477,10 +480,7 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
     rotation.
 
     The residual and Jacobian buffers are allocated once per refit, and
-    each step fills them in place with the expressions of
-    :func:`_reprojection_terms`. Those are elementwise in each pair, and
-    the buffers have the layout that function returns, so every step's
-    products and solve see the same bits as with freshly built terms.
+    each step fills them in place (:func:`_fill_reprojection_terms`).
     """
     p = p.copy()
     n = len(world)
@@ -494,16 +494,9 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
     for _ in range(iters):
         r, t = _planar_extrinsics(p, w2c)
         cam = world @ r.T + t
-        z = cam[:, 2]
-        if np.any(z <= 1e-9):
+        if np.any(cam[:, 2] <= 1e-9):
             break
-        resid[0::2] = intr.fx * cam[:, 0] / z + intr.cx - pu
-        resid[1::2] = intr.fy * cam[:, 1] / z + intr.cy - pv
-        inv_z = 1.0 / z
-        ju[:, 0] = intr.fx * inv_z
-        ju[:, 2] = -intr.fx * cam[:, 0] * inv_z**2
-        jv[:, 1] = intr.fy * inv_z
-        jv[:, 2] = -intr.fy * cam[:, 1] * inv_z**2
+        _fill_reprojection_terms(cam, pu, pv, intr, resid, ju, jv)
         d_yaw = d_yaw_world @ r.T
         jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
         jac[1::2, 0] = np.einsum("ij,ij->i", jv, d_yaw)

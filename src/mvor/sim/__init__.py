@@ -16,8 +16,8 @@ from .scene import (
 )
 from .io import (
     load_instance,
-    save_dataset,
     save_instance,
+    write_dataset,
 )
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "apply_move",
     "generate_instance",
     "load_instance",
-    "save_dataset",
     "save_instance",
+    "write_dataset",
 ]

@@ -5,12 +5,14 @@ A dataset, as ``mvor gen`` writes it, is a directory holding
 config echo), one ``instance_<seed:08d>.json`` per scene and ``library/``,
 the model library the instances were generated with, as
 ``models.save_model_library`` generates and writes it, one model at a time
-(about 40 MB at the default config); each ``gen`` writes it anew, replacing
-any ``library/`` already there, and places the instances against it.
-``build-db``, ``localize`` and ``rearrange`` given an instance file
-memory-map the ``library/`` beside it instead of generating the library;
-its header must carry ``models.LIBRARY_VERSION`` and name the instance's
-config.
+(about 40 MB at the default config). ``write_dataset`` is the one writer
+of the directory: it stages the library, places every instance against
+it, and only then renames it over any ``library/`` already there, so a
+failed ``gen`` keeps the library it would have replaced.
+``instance_library`` gives ``build-db``, ``localize`` and ``rearrange``
+the ``library/`` beside an instance file, memory-mapped, instead of
+generating the library; its header must carry ``models.LIBRARY_VERSION``
+and name the instance's config.
 
 An instance file is a single JSON document holding only what was drawn:
 ``format``, ``version``, ``seed``, the ``initial`` and ``goal`` placements
@@ -28,13 +30,23 @@ in both lists, and raises ConfigParseError on a malformed document.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
-from ..errors import ConfigParseError
+from ..errors import ConfigParseError, IOFailure
 from ..geometry import PlanarTransform
 from ..serialize import dump_json, from_dict, load_json, make_dirs, to_dict
 from .config import SimConfig
-from .scene import Placement, RearrangementInstance, Rect, SceneState, _table_rect
+from .models import ModelLibrary, generate_model_library, load_model_library, save_model_library
+from .scene import (
+    Placement,
+    RearrangementInstance,
+    Rect,
+    SceneState,
+    _table_rect,
+    generate_instance,
+)
 
 INSTANCE_FORMAT = "mvor-instance"
 DATASET_FORMAT = "mvor-dataset"
@@ -134,14 +146,48 @@ def load_instance(path) -> RearrangementInstance:
     return instance_from_dict(load_json(path))
 
 
-def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimConfig) -> None:
-    """Write one instance file per scene plus a manifest."""
+def instance_library(instance_path, sim: SimConfig) -> ModelLibrary:
+    """The model library of the instance file at ``instance_path``, whose
+    config is ``sim``: the dataset's ``library/`` beside the instance,
+    memory-mapped, if there is one; else it is generated."""
+    saved = os.path.join(os.path.dirname(instance_path), LIBRARY_DIR)
+    if not os.path.lexists(saved):
+        return generate_model_library(sim)
+    return load_model_library(saved, sim)
+
+
+def write_dataset(out_dir, sim: SimConfig, seeds) -> None:
+    """Write the dataset of ``sim`` with one instance per seed into
+    ``out_dir``: the library is written into a stage inside ``out_dir``
+    and memory-mapped to place every instance, and only then renamed over
+    ``library/``; the instance files and the manifest follow. A failure
+    before that rename removes the stage, and ``out_dir`` if this call
+    created it, and leaves any ``library/`` already there untouched."""
+    library_dir = os.path.join(out_dir, LIBRARY_DIR)
+    created = not os.path.lexists(out_dir)
     make_dirs(out_dir)
-    files = []
-    for inst in instances:
-        name = f"instance_{inst.seed:08d}.json"
+    try:
+        with tempfile.TemporaryDirectory(
+            prefix=".library-", dir=out_dir, ignore_cleanup_errors=True
+        ) as stage:
+            staged = os.path.join(stage, LIBRARY_DIR)
+            save_model_library(staged, sim)
+            # generate_instance reads only the footprint radii, so no
+            # descriptor page of the mapped library is read
+            library = load_model_library(staged, sim)
+            instances = [generate_instance(sim, library, seed=seed) for seed in seeds]
+            if os.path.lexists(library_dir):
+                os.rename(library_dir, os.path.join(stage, "replaced"))
+            os.rename(staged, library_dir)
+    except BaseException as e:
+        if created:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        if isinstance(e, OSError):
+            raise IOFailure(f"cannot write {library_dir}: {e}") from e
+        raise
+    files = [f"instance_{inst.seed:08d}.json" for inst in instances]
+    for inst, name in zip(instances, files):
         save_instance(inst, os.path.join(out_dir, name))
-        files.append(name)
     dump_json(
         {
             "format": DATASET_FORMAT,
@@ -149,8 +195,7 @@ def save_dataset(instances: list[RearrangementInstance], out_dir, config: SimCon
             "count": len(instances),
             "seeds": [inst.seed for inst in instances],
             "files": files,
-            "config": to_dict(config),
+            "config": to_dict(sim),
         },
         os.path.join(out_dir, "manifest.json"),
     )
-

@@ -15,12 +15,14 @@ Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
 
 ``generate_model_library`` builds a library in memory.
-``save_model_library`` generates one and stores it as a directory: one
-``.npy`` file per column and a ``header.json`` holding the format name,
-``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings it was generated
-from. It writes each model's descriptor rows as soon as they are drawn, so
-its memory does not grow with the library. Both draw the models through
-one generator, so the saved columns are the generated ones, bit for bit.
+``save_model_library`` generates one and writes it as a new directory:
+one ``.npy`` file per column and a ``header.json`` holding the format
+name, ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings it was
+generated from. It writes each model's descriptor rows as soon as they are
+drawn, so its memory does not grow with the library; ``io.write_dataset``
+stages it and alone replaces a dataset's ``library/``. Both draw the
+models through one generator, so the saved columns are the generated
+ones, bit for bit.
 ``load_model_library`` memory-maps the columns read-only, so a command that
 loads a saved library reads only the rows it uses.
 """
@@ -29,8 +31,6 @@ from __future__ import annotations
 
 import io
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,7 +273,7 @@ def _descriptor_header(rows: int, dim: int) -> bytes:
 
 def save_model_library(path, config) -> None:
     """Generate the library of ``config`` (a SimConfig) and write it as the
-    directory ``path``: ``<column>.npy`` for each column, the bytes
+    new directory ``path``: ``<column>.npy`` for each column, the bytes
     ``np.save`` writes, and ``header.json`` with the format name,
     ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings of ``config``.
 
@@ -282,30 +282,16 @@ def save_model_library(path, config) -> None:
     one model-sized block: the memory used does not grow with the library.
     A block the machine cannot hold raises ConfigParseError; a descriptor
     column larger than the free space where ``path`` lies raises IOFailure
-    before anything is written. The files are written into a temporary
-    directory beside ``path`` and renamed into place, so a reader never sees
-    part of a library: it sees the old one, the new one or, between two
-    renames, none. An existing ``path`` is replaced. A write that fails
-    raises IOFailure and leaves ``path`` as it was."""
+    before anything is written. A write that fails, or a ``path`` that
+    already exists, raises IOFailure; what was written stays for the caller
+    to remove (``io.write_dataset`` writes into a stage it removes)."""
     dim = config.point_descriptor_dim
     block = config_sized_empty(
         (config.model_points, dim),
         f"a model's descriptor block (sim.model_points {config.model_points} rows, "
         f"sim.point_descriptor_dim {dim} columns)",
     )
-    parent = os.path.dirname(os.path.abspath(path))
     planned_rows = config.library_size * config.model_points
-    try:
-        stat = os.statvfs(parent)
-        needed, free = planned_rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
-        if needed > free:
-            raise IOFailure(
-                f"cannot write {path}: {_column_text(config)} needs {needed} bytes, "
-                f"{free} are free"
-            )
-        staging = tempfile.mkdtemp(prefix=".library-", dir=parent)
-    except OSError as e:
-        raise IOFailure(f"cannot write {path}: {e}") from e
 
     def block_for(rows):
         nonlocal block
@@ -314,10 +300,16 @@ def save_model_library(path, config) -> None:
         return block[:rows]
 
     try:
-        written = os.path.join(staging, "library")
-        os.mkdir(written)
+        stat = os.statvfs(os.path.dirname(os.path.abspath(path)))
+        needed, free = planned_rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
+        if needed > free:
+            raise IOFailure(
+                f"cannot write {path}: {_column_text(config)} needs {needed} bytes, "
+                f"{free} are free"
+            )
+        os.mkdir(path)
         models = []
-        with open(os.path.join(written, "point_descriptors.npy"), "wb") as f:
+        with open(os.path.join(path, "point_descriptors.npy"), "wb") as f:
             f.write(_descriptor_header(planned_rows, dim))
             for model, drawn in _draw_models(config, block_for):
                 f.write(drawn)
@@ -326,17 +318,12 @@ def save_model_library(path, config) -> None:
             f.seek(0)
             f.write(_descriptor_header(int(columns["point_offsets"][-1]), dim))
         for name, column in columns.items():
-            np.save(os.path.join(written, f"{name}.npy"), column, allow_pickle=False)
+            np.save(os.path.join(path, f"{name}.npy"), column, allow_pickle=False)
         dump_json({"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION,
                    **{key: getattr(config, key) for key in LIBRARY_KEYS}},
-                  os.path.join(written, "header.json"))
-        if os.path.lexists(path):
-            os.rename(path, os.path.join(staging, "replaced"))
-        os.rename(written, path)
+                  os.path.join(path, "header.json"))
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _load_column(path, name: str, dtype, shape: tuple) -> np.ndarray:

@@ -601,6 +601,7 @@ class TestCliDatasetLibrary:
 
         monkeypatch.setattr(bench, "generate_model_library", no_library)
         monkeypatch.setattr("mvor.cli.generate_model_library", no_library)
+        monkeypatch.setattr("mvor.sim.io.generate_model_library", no_library)
 
     def _outputs(self, files, instance, out):
         """The bytes of every file ``build-db``, ``localize`` and
@@ -644,6 +645,28 @@ class TestCliDatasetLibrary:
         assert sorted(os.listdir(tmp_path / "dataset")) == [
             "instance_00000000.json", "instance_00000004.json", "library", "manifest.json"
         ]
+
+    def test_failed_gen_keeps_the_library(self, tmp_path, capsys, monkeypatch):
+        """A gen whose scenes cannot be placed (3 objects from 2 models)
+        into an existing dataset once removed the library it had written,
+        and the one it replaced with it. It exits 2 and leaves the dataset
+        as it was, so build-db of its instance still maps the library."""
+        ds = tmp_path / "ds"
+        assert cli_main(["gen", "--count", "1", "--out", str(ds)]) == 0
+        before = {str(p): p.read_bytes() for p in ds.rglob("*") if p.is_file()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"sim": {"library_size": 2, "object_count_min": 3, "object_count_max": 3}}
+        ))
+        capsys.readouterr()
+        assert cli_main(["gen", "--config", str(cfg), "--out", str(ds)]) == 2
+        assert "scene needs 3 distinct models" in capsys.readouterr().err
+        assert {str(p): p.read_bytes() for p in ds.rglob("*") if p.is_file()} == before
+        assert sorted(os.listdir(ds)) == ["instance_00000000.json", "library", "manifest.json"]
+        self._forbid_generating(monkeypatch)
+        argv = ["build-db", "--instance", str(ds / "instance_00000000.json"),
+                "--out", str(tmp_path / "db.npz")]
+        assert cli_main(argv) == 0
 
     @staticmethod
     def _damage(library, how):
@@ -913,6 +936,7 @@ class TestCliInstanceFiles:
             raise AssertionError("model library generated")
 
         monkeypatch.setattr("mvor.cli.generate_model_library", no_library)
+        monkeypatch.setattr("mvor.sim.io.generate_model_library", no_library)
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == message
 

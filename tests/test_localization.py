@@ -663,6 +663,48 @@ def reference_planar_equations(world, pixels, intr, w2c):
     return coeff, -(g[..., 2] * z + e @ w2c.translation)
 
 
+def reference_reprojection_terms(cam, pixels, intr):
+    """Reference: the Gauss-Newton terms of the reprojection error, built
+    fresh: residuals (2n,), u and v interleaved, and the (n, 3) derivatives
+    of u and of v by the camera coordinates."""
+    n = len(cam)
+    z = cam[:, 2]
+    u = intr.fx * cam[:, 0] / z + intr.cx
+    v = intr.fy * cam[:, 1] / z + intr.cy
+    resid = np.empty(2 * n)
+    resid[0::2] = u - pixels[:, 0]
+    resid[1::2] = v - pixels[:, 1]
+    inv_z = 1.0 / z
+    ju = np.column_stack([intr.fx * inv_z, np.zeros(n), -intr.fx * cam[:, 0] * inv_z**2])
+    jv = np.column_stack([np.zeros(n), intr.fy * inv_z, -intr.fy * cam[:, 1] * inv_z**2])
+    return resid, ju, jv
+
+
+def reference_refine_pose(world, pixels, intr, r, t, iters):
+    """Reference: SE(3) Gauss-Newton building fresh terms every step."""
+    n = len(world)
+    for _ in range(iters):
+        cam = world @ r.T + t
+        if np.any(cam[:, 2] <= 1e-9):
+            break
+        resid, ju, jv = reference_reprojection_terms(cam, pixels, intr)
+        jac = np.empty((2 * n, 6))
+        jac[0::2, :3] = np.cross(cam, ju)
+        jac[1::2, :3] = np.cross(cam, jv)
+        jac[0::2, 3:] = ju
+        jac[1::2, 3:] = jv
+        try:
+            delta = np.linalg.solve(jac.T @ jac, -(jac.T @ resid))
+        except np.linalg.LinAlgError:
+            break
+        dr = geo.axis_angle_to_matrix(delta[:3])
+        r = dr @ r
+        t = dr @ t + delta[3:]
+        if np.linalg.norm(delta) < 1e-14:
+            break
+    return r, t
+
+
 def reference_refine_planar(world, pixels, intr, w2c, p, iters):
     """Reference: planar Gauss-Newton building fresh terms every step."""
     p = p.copy()
@@ -674,7 +716,7 @@ def reference_refine_planar(world, pixels, intr, w2c, p, iters):
         cam = world @ r.T + t
         if np.any(cam[:, 2] <= 1e-9):
             break
-        resid, ju, jv = pnp._reprojection_terms(cam, pixels, intr)
+        resid, ju, jv = reference_reprojection_terms(cam, pixels, intr)
         d_yaw = d_yaw_world @ r.T
         jac = np.empty((2 * n, 3))
         jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
@@ -832,6 +874,26 @@ class TestRansacPnP:
             assert r.tobytes() == r0.tobytes()
             assert t.tobytes() == t0.tobytes()
             assert np.array_equal(mask, mask0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1),
+           iters=st.sampled_from([1, 5, 20]))
+    def test_refine_pose_matches_reference_bit_for_bit(self, n, seed, iters):
+        """refine_pose, which fills its terms in buffers allocated once,
+        gives the bits of the same steps on freshly built terms, from a
+        start up to 0.3 rad and 5 cm off on noisy pairs."""
+        rng = np.random.default_rng(seed)
+        truth = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.25, 0.25, 2))
+        view = VIEWS[seed % len(VIEWS)]
+        world, uv = planar_pairs(view, truth, n, seed)
+        uv = uv + rng.normal(0.0, 1.0, uv.shape)
+        w2c = geo.compose(geo.invert(view), geo.lift(truth))
+        r0 = geo.axis_angle_to_matrix(rng.uniform(-0.3, 0.3, 3)) @ w2c.rotation
+        t0 = w2c.translation + rng.uniform(-0.05, 0.05, 3)
+        r, t = refine_pose(world, uv, INTR, r0, t0, iters=iters)
+        r_ref, t_ref = reference_refine_pose(world, uv, INTR, r0, t0, iters)
+        assert r.tobytes() == r_ref.tobytes()
+        assert t.tobytes() == t_ref.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))

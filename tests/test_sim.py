@@ -40,8 +40,8 @@ from mvor.sim.io import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    save_dataset,
     save_instance,
+    write_dataset,
 )
 from mvor.sim import models
 from mvor.sim.models import LIBRARY_VERSION
@@ -203,16 +203,20 @@ class TestSavedLibrary:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b), name
             assert not a.flags.writeable, name
-        assert sorted(os.listdir(tmp_path)) == ["library"]  # no staging directory left
+        assert sorted(os.listdir(tmp_path)) == ["library"]  # nothing written beside it
 
     def test_save_replaces_a_library(self, tmp_path):
-        small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)
+        """A dataset written again with another library (write_dataset)
+        has its library/ replaced, with no stage and no old copy left."""
+        small = SimConfig(library_size=2, model_points=50, point_descriptor_dim=8,
+                          object_count_max=2)
         other = dataclasses.replace(small, library_seed=small.library_seed + 1)
-        save_model_library(tmp_path / "library", small)
-        save_model_library(tmp_path / "library", other)
+        write_dataset(tmp_path, small, [0])
+        write_dataset(tmp_path, other, [0])
         loaded = load_model_library(tmp_path / "library", other)
         assert np.array_equal(loaded.points, generate_model_library(other).points)
-        assert sorted(os.listdir(tmp_path)) == ["library"]
+        assert sorted(os.listdir(tmp_path)) == ["instance_00000000.json", "library",
+                                                "manifest.json"]
         assert "replaced" not in os.listdir(tmp_path / "library")
 
     @pytest.mark.parametrize(
@@ -264,11 +268,12 @@ class TestSavedLibrary:
 
     def test_failed_write_leaves_the_library(self, tmp_path, monkeypatch):
         """A descriptor write that fails after the first model raises
-        IOFailure; the library already at the path keeps its bytes and no
-        staging directory is left."""
-        small = SimConfig(library_size=3, model_points=50, point_descriptor_dim=8)
-        save_model_library(tmp_path / "library", small)
-        before = {p.name: p.read_bytes() for p in (tmp_path / "library").iterdir()}
+        IOFailure out of write_dataset; the dataset's library, instance and
+        manifest keep their bytes and no stage is left."""
+        small = SimConfig(library_size=3, model_points=50, point_descriptor_dim=8,
+                          object_count_max=3)
+        write_dataset(tmp_path, small, [0])
+        before = {str(p): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
         class FailsAfterFirstModel:
             def __init__(self, file):
@@ -296,9 +301,10 @@ class TestSavedLibrary:
         monkeypatch.setattr(models, "open", failing_open, raising=False)
         other = dataclasses.replace(small, library_seed=small.library_seed + 1)
         with pytest.raises(IOFailure, match="No space left on device"):
-            save_model_library(tmp_path / "library", other)
-        assert {p.name: p.read_bytes() for p in (tmp_path / "library").iterdir()} == before
-        assert sorted(os.listdir(tmp_path)) == ["library"]
+            write_dataset(tmp_path, other, [0])
+        assert {str(p): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == ["instance_00000000.json", "library",
+                                                "manifest.json"]
 
 
 class TestGenerateInstance:
@@ -900,10 +906,11 @@ class TestInstanceIO:
 
 class TestDatasetIO:
     def test_roundtrip(self, config, library, tmp_path):
-        """The manifest lists each instance's file and seed, and each file
-        loads back to its instance."""
+        """write_dataset's manifest lists each instance's file and seed, and
+        each file loads back to the instance placed against the library in
+        memory."""
         insts = [generate_instance(config, library, seed=s) for s in (1, 2)]
-        save_dataset(insts, tmp_path, config)
+        write_dataset(tmp_path, config, (1, 2))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["count"] == len(insts)
         assert manifest["seeds"] == [i.seed for i in insts]
