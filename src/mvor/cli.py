@@ -11,7 +11,7 @@ fixed (config, seed).
 ``instance_<seed:08d>.json`` per scene and ``library/``, the model library
 the instances were generated with (one ``.npy`` per column and a
 ``header.json`` naming its format version and ``LIBRARY_KEYS`` settings;
-about 40 MB at the default config), through ``sim.io.write_dataset``:
+about 20 MB at the default config), through ``sim.io.write_dataset``:
 each ``gen`` stages the library anew, memory-maps it to place the
 instances, and only then renames it over a ``library/`` already in the
 directory. It writes each model's descriptor rows as soon as they are

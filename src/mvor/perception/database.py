@@ -29,7 +29,7 @@ from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, extract_regions
 
 DB_FORMAT = "mvor-db"
-DB_VERSION = 5
+DB_VERSION = 6
 
 
 @dataclass

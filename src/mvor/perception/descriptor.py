@@ -15,9 +15,12 @@ objects. Nothing is resized: the sum reads each hit once, whatever the
 region's extent in pixels. The width is the library's,
 ``sim.point_descriptor_dim``, and the descriptor has no settings of its own.
 
-Each sum runs over a region's feature ids in ascending order, so a
-region's descriptor has the same bits alone, in any batch, and whatever
-the order of its hits.
+The point descriptors are float32 (``sim.models``), and the sum is taken in
+float32, which reads half the bytes of a float64 gather; the sum is then
+widened and normalized in float64, so descriptors are float64 unit rows.
+A float32 sum depends on the order of its terms, and each sum runs over a
+region's feature ids in ascending order, so a region's descriptor has the
+same bits alone, in any batch, and whatever the order of its hits.
 
 The class keeps the name of the grid-pooled descriptor it replaced, under
 which ``perfbench/spans.py`` times ``GridPooledDescriptor.extract``.
@@ -37,16 +40,16 @@ class GridPooledDescriptor:
         self.library = library
 
     def extract(self, regions: list[ObjectRegion]) -> np.ndarray:
-        """The unit descriptors of ``regions``, one row per region: the
-        normalized sum of the library's point descriptors at the region's
-        feature ids, taken in ascending id order. A region without hits
-        raises ValueError: its sum has no direction."""
+        """The unit descriptors of ``regions``, one float64 row per region:
+        the float32 sum of the library's point descriptors at the region's
+        feature ids, taken in ascending id order, normalized in float64. A
+        region without hits raises ValueError: its sum has no direction."""
         codes = self.library.point_descriptors
         out = np.empty((len(regions), codes.shape[1]))
         for row, region in zip(out, regions):
             ids = region.feature_ids
             if not len(ids):
                 raise ValueError("a region without hits has no descriptor")
-            codes[np.sort(ids)].sum(axis=0, out=row)
+            row[:] = codes[np.sort(ids)].sum(axis=0)
             row /= np.linalg.norm(row)
         return out

@@ -80,12 +80,13 @@ def is_finite(value) -> bool:
         return False
 
 
-def config_sized_empty(shape: tuple, what: str) -> np.ndarray:
-    """``np.empty(shape)`` for an array whose shape config settings set;
-    ``what`` names the array and those settings. A shape the machine cannot
-    hold raises ConfigParseError, not numpy's ValueError or MemoryError."""
+def config_sized_empty(shape: tuple, what: str, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)`` for an array whose shape config settings
+    set; ``what`` names the array and those settings. A shape the machine
+    cannot hold raises ConfigParseError, not numpy's ValueError or
+    MemoryError."""
     try:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     except (ValueError, MemoryError) as e:
         raise ConfigParseError(f"{what} cannot be allocated: {e}") from e
 

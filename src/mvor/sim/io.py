@@ -5,7 +5,7 @@ A dataset, as ``mvor gen`` writes it, is a directory holding
 config echo), one ``instance_<seed:08d>.json`` per scene and ``library/``,
 the model library the instances were generated with, as
 ``models.save_model_library`` generates and writes it, one model at a time
-(about 40 MB at the default config). ``write_dataset`` is the one writer
+(about 20 MB at the default config). ``write_dataset`` is the one writer
 of the directory: it stages the library, places every instance against
 it, and only then renames it over any ``library/`` already there, so a
 failed ``gen`` keeps the library it would have replaced.
@@ -162,7 +162,8 @@ def write_dataset(out_dir, sim: SimConfig, seeds) -> None:
     and memory-mapped to place every instance, and only then renamed over
     ``library/``; the instance files and the manifest follow. A failure
     before that rename removes the stage, and ``out_dir`` if this call
-    created it, and leaves any ``library/`` already there untouched."""
+    created it, and leaves any ``library/`` already there untouched; its
+    IOFailure names ``library/``, not the stage."""
     library_dir = os.path.join(out_dir, LIBRARY_DIR)
     created = not os.path.lexists(out_dir)
     make_dirs(out_dir)
@@ -171,7 +172,7 @@ def write_dataset(out_dir, sim: SimConfig, seeds) -> None:
             prefix=".library-", dir=out_dir, ignore_cleanup_errors=True
         ) as stage:
             staged = os.path.join(stage, LIBRARY_DIR)
-            save_model_library(staged, sim)
+            save_model_library(staged, sim, shown_as=library_dir)
             # generate_instance reads only the footprint radii, so no
             # descriptor page of the mapped library is read
             library = load_model_library(staged, sim)

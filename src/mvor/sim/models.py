@@ -1,7 +1,9 @@
 """Procedural tabletop object models, held as one set of columns.
 
 Each model is a point-sampled surface: local-frame points with outward
-normals and a fixed random unit descriptor per point. The feature ids and
+normals and a fixed random unit descriptor per point, drawn and normalized
+in float64 and stored rounded to float32, which halves the bytes every
+region descriptor reads (``perception.descriptor``). The feature ids and
 descriptors are what the perception stack can observe and match on,
 geometry is what it must infer.
 
@@ -48,7 +50,7 @@ LIBRARY_FORMAT = "mvor-model-library"
 # The version of the bits _draw_models draws for given LIBRARY_KEYS
 # settings and of the saved layout: bump it whenever either changes, so a
 # library saved before is refused rather than read as the new one.
-LIBRARY_VERSION = 1
+LIBRARY_VERSION = 2
 
 
 @dataclass
@@ -58,7 +60,7 @@ class ModelLibrary:
     point_offsets: np.ndarray  # (L+1,) int64; model m: rows o[m]:o[m+1]
     points: np.ndarray  # (P,3) local frame
     normals: np.ndarray  # (P,3) unit rows
-    point_descriptors: np.ndarray  # (P,d_pt) unit rows
+    point_descriptors: np.ndarray  # (P,d_pt) float32, unit rows rounded
 
     def __len__(self) -> int:
         return len(self.family)
@@ -75,9 +77,10 @@ class ModelLibrary:
 
     def descriptors_for(self, feature_ids: np.ndarray) -> np.ndarray:
         """The fixed per-point descriptors of an array of feature ids, as one
-        gather; an id that names no library row raises UnknownFeature."""
+        gather widened to float64; an id that names no library row raises
+        UnknownFeature."""
         self.check_feature_ids(feature_ids)
-        return self.point_descriptors[feature_ids]
+        return self.point_descriptors[feature_ids].astype(np.float64)
 
 
 def _allocate(total: int, areas: np.ndarray) -> np.ndarray:
@@ -177,13 +180,23 @@ def _sample_l_prism(rng, a, b, ta, tb, h, total):
     return np.vstack(pts), np.vstack(nrms), radius
 
 
+def _block_text(config) -> str:
+    return (
+        f"a model's descriptor block (sim.model_points {config.model_points} rows, "
+        f"sim.point_descriptor_dim {config.point_descriptor_dim} columns)"
+    )
+
+
 def _draw_models(config, block_for):
     """Draw the models of ``config`` in library order, deterministic in
     ``config.library_seed``. For each model, its geometry is drawn, then its
-    unit descriptor rows in place into ``block_for(rows)``, an empty
-    (rows, point_descriptor_dim) float64 array the caller supplies; yields
+    unit descriptor rows, drawn and normalized in one reused float64 scratch
+    array and rounded into ``block_for(rows)``, an empty
+    (rows, point_descriptor_dim) float32 array the caller supplies; yields
     ``(family, points, normals, footprint radius)`` and that block. The
     order of the draws fixes the library's bits."""
+    dim = config.point_descriptor_dim
+    scratch = config_sized_empty((config.model_points, dim), _block_text(config))
     rng = np.random.default_rng(config.library_seed)
     for mid in range(config.library_size):
         family = FAMILIES[mid % 3]
@@ -200,9 +213,13 @@ def _draw_models(config, block_for):
             ta, tb = rng.uniform(0.025, 0.04, 2)
             h = rng.uniform(0.035, 0.07)
             pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
+        if len(pts) > len(scratch):
+            scratch = np.empty((len(pts), dim))
+        unit = scratch[: len(pts)]
+        rng.standard_normal(out=unit)
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
         block = block_for(len(pts))
-        rng.standard_normal(out=block)
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        block[...] = unit
         yield (family, pts, nrms, radius), block
 
 
@@ -243,6 +260,7 @@ def generate_model_library(config) -> ModelLibrary:
     descriptors = config_sized_empty(
         (config.library_size * config.model_points, config.point_descriptor_dim),
         _column_text(config),
+        np.float32,
     )
     filled = 0
 
@@ -250,7 +268,8 @@ def generate_model_library(config) -> ModelLibrary:
         nonlocal descriptors, filled
         o0, filled = filled, filled + rows
         if filled > len(descriptors):
-            grown = np.empty((max(filled, 2 * len(descriptors)), descriptors.shape[1]))
+            grown = np.empty((max(filled, 2 * len(descriptors)), descriptors.shape[1]),
+                             np.float32)
             grown[:o0] = descriptors[:o0]
             descriptors = grown
         return descriptors[o0:filled]
@@ -260,18 +279,18 @@ def generate_model_library(config) -> ModelLibrary:
 
 
 def _descriptor_header(rows: int, dim: int) -> bytes:
-    """The ``.npy`` header ``np.save`` writes for a (rows, dim) float64
+    """The ``.npy`` header ``np.save`` writes for a (rows, dim) float32
     array; numpy pads it so that its length does not depend on ``rows``."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float32)),
         "fortran_order": False,
         "shape": (rows, dim),
     })
     return header.getvalue()
 
 
-def save_model_library(path, config) -> None:
+def save_model_library(path, config, shown_as=None) -> None:
     """Generate the library of ``config`` (a SimConfig) and write it as the
     new directory ``path``: ``<column>.npy`` for each column, the bytes
     ``np.save`` writes, and ``header.json`` with the format name,
@@ -284,19 +303,18 @@ def save_model_library(path, config) -> None:
     column larger than the free space where ``path`` lies raises IOFailure
     before anything is written. A write that fails, or a ``path`` that
     already exists, raises IOFailure; what was written stays for the caller
-    to remove (``io.write_dataset`` writes into a stage it removes)."""
+    to remove (``io.write_dataset`` writes into a stage it removes). The
+    IOFailure names ``shown_as``, by default ``path``: ``io.write_dataset``
+    names the ``library/`` its stage is for, not the stage."""
+    shown_as = path if shown_as is None else shown_as
     dim = config.point_descriptor_dim
-    block = config_sized_empty(
-        (config.model_points, dim),
-        f"a model's descriptor block (sim.model_points {config.model_points} rows, "
-        f"sim.point_descriptor_dim {dim} columns)",
-    )
+    block = config_sized_empty((config.model_points, dim), _block_text(config), np.float32)
     planned_rows = config.library_size * config.model_points
 
     def block_for(rows):
         nonlocal block
         if rows > len(block):
-            block = np.empty((rows, dim))
+            block = np.empty((rows, dim), np.float32)
         return block[:rows]
 
     try:
@@ -304,7 +322,7 @@ def save_model_library(path, config) -> None:
         needed, free = planned_rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
         if needed > free:
             raise IOFailure(
-                f"cannot write {path}: {_column_text(config)} needs {needed} bytes, "
+                f"cannot write {shown_as}: {_column_text(config)} needs {needed} bytes, "
                 f"{free} are free"
             )
         os.mkdir(path)
@@ -323,7 +341,8 @@ def save_model_library(path, config) -> None:
                    **{key: getattr(config, key) for key in LIBRARY_KEYS}},
                   os.path.join(path, "header.json"))
     except OSError as e:
-        raise IOFailure(f"cannot write {path}: {e}") from e
+        # strerror alone: the OSError's own file name may lie in a stage
+        raise IOFailure(f"cannot write {shown_as}: {e.strerror or e}") from e
 
 
 def _load_column(path, name: str, dtype, shape: tuple) -> np.ndarray:
@@ -386,6 +405,6 @@ def load_model_library(path, config) -> ModelLibrary:
         points=_load_column(path, "points", np.float64, (rows, 3)),
         normals=_load_column(path, "normals", np.float64, (rows, 3)),
         point_descriptors=_load_column(
-            path, "point_descriptors", np.float64, (rows, config.point_descriptor_dim)
+            path, "point_descriptors", np.float32, (rows, config.point_descriptor_dim)
         ),
     )

@@ -725,17 +725,17 @@ class TestCliGenWrites:
     nothing."""
 
     def test_memory_does_not_hold_the_descriptor_column(self, tmp_path):
-        """The default library's descriptor column is 39.3 MB; a gen that
-        built it in memory peaked above that."""
+        """The default library's float32 descriptor column is 19.7 MB; a gen
+        that built it in memory peaked above that."""
         sim = SimConfig()
-        column = sim.library_size * sim.model_points * sim.point_descriptor_dim * 8
+        column = sim.library_size * sim.model_points * sim.point_descriptor_dim * 4
         tracemalloc.start()
         try:
             assert cli_main(["gen", "--count", "1", "--out", str(tmp_path / "ds")]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < column / 2
+        assert peak < column
 
     def _fails(self, config, tmp_path, capsys):
         """stderr of a gen of ``config`` into a new directory, which must
@@ -759,6 +759,23 @@ class TestCliGenWrites:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"sim.library_size {2**60}" in err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_refusal_names_the_dataset_library(self, tmp_path, capsys):
+        """A refused library in an existing dataset is reported under the
+        dataset's library/, not the stage it was to be written into, and
+        the library/ already there keeps its bytes."""
+        small = {"library_size": 3, "model_points": 50, "point_descriptor_dim": 8,
+                 "object_count_max": 3}
+        ds, path = tmp_path / "ds", tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": small}))
+        assert cli_main(["gen", "--config", str(path), "--count", "1", "--out", str(ds)]) == 0
+        before = {p.name: p.read_bytes() for p in (ds / "library").iterdir()}
+        path.write_text(json.dumps({"sim": {**small, "library_size": 2**60}}))
+        capsys.readouterr()
+        assert cli_main(["gen", "--config", str(path), "--count", "1", "--out", str(ds)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {ds / 'library'}: " in err and ".library-" not in err
+        assert {p.name: p.read_bytes() for p in (ds / "library").iterdir()} == before
 
 
 class TestCliInstanceFiles:

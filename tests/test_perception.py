@@ -293,9 +293,25 @@ class TestHitFrameRegions:
 
 def reference_descriptor(library, region):
     """A region's pooled point codes as the descriptor is defined: the
-    normalized sum of the point descriptors at its sorted feature ids."""
-    pooled = library.point_descriptors[np.sort(region.feature_ids)].sum(0)
+    float32 sum of the point descriptors at its sorted feature ids,
+    normalized in float64."""
+    pooled = library.point_descriptors[np.sort(region.feature_ids)].sum(0, dtype=np.float32)
+    pooled = pooled.astype(np.float64)
     return pooled / np.linalg.norm(pooled)
+
+
+def float32_sum_bound(counts, codes):
+    """A bound on the distance between the unit vectors of the float32
+    sum of ``codes`` rows taken ``counts`` times and of the exact sum
+    ``y``: a recursive sum of n terms errs by at most gamma_(n-1) times
+    the sum of the terms' magnitudes in each component (Higham, "Accuracy
+    and Stability of Numerical Algorithms", 2002, section 4.2), and
+    normalizing at most doubles an error e relative to ``y``: 2|e|/|y|."""
+    n = counts.sum()
+    u = np.finfo(np.float32).eps / 2
+    gamma = (n - 1) * u / (1 - (n - 1) * u)
+    y = counts @ codes
+    return 2 * gamma * np.linalg.norm(counts @ np.abs(codes)) / np.linalg.norm(y)
 
 
 def fid_region(feature_ids):
@@ -434,14 +450,13 @@ class TestDescriptorBatch:
     def test_one_region_batch_is_the_vector_product(self, descriptor, regions):
         """A one-row batch is the bag-of-words vector product: the region's
         hit counts per library point times the point codes, normalized, up
-        to the product's summation order."""
-        codes = descriptor.library.point_descriptors
+        to the rounding of the float32 sum."""
+        codes = descriptor.library.point_descriptors.astype(np.float64)
         for r in regions[:5]:
             counts = np.bincount(r.feature_ids, minlength=len(codes)).astype(float)
             y = counts @ codes
-            np.testing.assert_allclose(
-                descriptor.extract([r])[0], y / np.linalg.norm(y), rtol=0, atol=1e-12
-            )
+            error = np.linalg.norm(descriptor.extract([r])[0] - y / np.linalg.norm(y))
+            assert error <= float32_sum_bound(counts, codes) + 1e-12
 
     def test_empty_batch(self, descriptor):
         assert descriptor.extract([]).shape == (0, CFG.point_descriptor_dim)
@@ -482,9 +497,10 @@ class TestPooling:
     def test_one_pixel_region(self, library, descriptor):
         point = library.point_offsets[3] + 17
         region = fid_region(np.array([[point]]))
-        np.testing.assert_allclose(
-            descriptor.extract([region])[0], library.point_descriptors[point], rtol=0, atol=1e-15
-        )
+        # the stored code, a float64 unit row rounded to float32, renormalized
+        code = library.point_descriptors[point].astype(np.float64)
+        np.testing.assert_allclose(descriptor.extract([region])[0], code, rtol=0,
+                                   atol=np.finfo(np.float32).eps)
         assert descriptor.extract([region])[0].tobytes() == (
             reference_descriptor(library, region).tobytes()
         )

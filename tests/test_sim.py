@@ -19,6 +19,8 @@ from mvor.errors import (
     UnknownFeature,
 )
 from mvor.geometry import PlanarTransform, Pose3
+from mvor.bench import BenchConfig, build_scene_database, scene_goal_regions
+from mvor.localization import retrieve_candidates
 from mvor.perception import PerceptionConfig, build_database, extract_regions, load_database
 from mvor.sim import (
     Frame,
@@ -185,6 +187,98 @@ class TestModelLibrary:
         np.testing.assert_allclose(np.linalg.norm(small.point_descriptors, axis=1), 1.0, atol=1e-12)
 
 
+def float64_reference_library(config):
+    """The library as it was generated while its point codes were float64:
+    one RNG, each model's geometry then its code rows, drawn into a float64
+    column and normalized in place."""
+    rng = np.random.default_rng(config.library_seed)
+    columns = {"family": [], "footprint_radius": [], "points": [], "normals": [],
+               "point_descriptors": []}
+    for mid in range(config.library_size):
+        family = models.FAMILIES[mid % 3]
+        if family == "box":
+            w, d = rng.uniform(0.05, 0.09, 2)
+            h = rng.uniform(0.04, 0.08)
+            pts, nrms, radius = models._sample_box(rng, w, d, h, config.model_points)
+        elif family == "cylinder":
+            r = rng.uniform(0.025, 0.045)
+            h = rng.uniform(0.04, 0.08)
+            pts, nrms, radius = models._sample_cylinder(rng, r, h, config.model_points)
+        else:
+            a, b = rng.uniform(0.06, 0.09, 2)
+            ta, tb = rng.uniform(0.025, 0.04, 2)
+            h = rng.uniform(0.035, 0.07)
+            pts, nrms, radius = models._sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
+        codes = np.empty((len(pts), config.point_descriptor_dim))
+        rng.standard_normal(out=codes)
+        codes /= np.linalg.norm(codes, axis=1, keepdims=True)
+        for name, value in zip(columns, (family, radius, pts, nrms, codes)):
+            columns[name].append(value)
+    offsets = np.zeros(config.library_size + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in columns["points"]], out=offsets[1:])
+    return ModelLibrary(
+        family=np.array(columns["family"]),
+        footprint_radius=np.array(columns["footprint_radius"]),
+        point_offsets=offsets,
+        **{name: np.vstack(columns[name]) for name in ("points", "normals", "point_descriptors")},
+    )
+
+
+class TestFloat32Codes:
+    """The point codes are the float64 unit rows of the reference generator
+    rounded to float32; the draw, the instances and retrieval are those of
+    the reference library."""
+
+    @pytest.mark.parametrize(
+        "sim",
+        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8),
+         SimConfig(model_points=3, library_size=5)],
+        ids=["default", "small", "grown"],
+    )
+    def test_draw_is_unchanged(self, sim):
+        library, reference = generate_model_library(sim), float64_reference_library(sim)
+        for name in ("family", "footprint_radius", "point_offsets", "points", "normals"):
+            a, b = getattr(library, name), getattr(reference, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert library.point_descriptors.dtype == np.float32
+        assert library.point_descriptors.tobytes() == (
+            reference.point_descriptors.astype(np.float32).tobytes()
+        )
+
+    def test_gen_instance_is_unchanged(self, config, tmp_path):
+        assert cli_main(["gen", "--count", "1", "--seed", "5", "--out", str(tmp_path / "ds")]) == 0
+        save_instance(generate_instance(config, float64_reference_library(config), seed=5),
+                      tmp_path / "reference.json")
+        assert (tmp_path / "ds" / "instance_00000005.json").read_bytes() == (
+            (tmp_path / "reference.json").read_bytes()
+        )
+
+    def test_retrieval_is_unchanged(self, config, library):
+        """Every goal region of 10 scenes retrieves the same ring-database
+        regions, in the same order, whether the descriptors pool the float32
+        codes or sum the reference's float64 codes (the same descriptor
+        code, run on a float64 column)."""
+        reference = float64_reference_library(config)
+        bench_cfg = BenchConfig()
+        top_n = bench_cfg.localization.top_n
+        checked = 0
+        for seed in range(10):
+            inst = generate_instance(config, library, seed=seed)
+            db, db64 = (build_scene_database(inst, "multi", lib, bench_cfg)
+                        for lib in (library, reference))
+            goals, goals64 = (scene_goal_regions(inst, lib, bench_cfg)
+                              for lib in (library, reference))
+            # the descriptors differ, so the retrievals compared are two
+            assert db.descriptors.shape == db64.descriptors.shape
+            assert not np.array_equal(db.descriptors, db64.descriptors)
+            assert len(goals) == len(goals64)
+            for goal, goal64 in zip(goals, goals64):
+                assert np.array_equal(retrieve_candidates(goal, db, top_n).region_indices,
+                                      retrieve_candidates(goal64, db64, top_n).region_indices)
+                checked += 1
+        assert checked >= 30
+
+
 class TestSavedLibrary:
     """A saved library loads back column for column, memory-mapped
     read-only, and only for the version and settings it was saved with."""
@@ -268,8 +362,9 @@ class TestSavedLibrary:
 
     def test_failed_write_leaves_the_library(self, tmp_path, monkeypatch):
         """A descriptor write that fails after the first model raises
-        IOFailure out of write_dataset; the dataset's library, instance and
-        manifest keep their bytes and no stage is left."""
+        IOFailure out of write_dataset, naming the dataset's library/; the
+        library, instance and manifest keep their bytes and no stage is
+        left."""
         small = SimConfig(library_size=3, model_points=50, point_descriptor_dim=8,
                           object_count_max=3)
         write_dataset(tmp_path, small, [0])
@@ -300,8 +395,10 @@ class TestSavedLibrary:
 
         monkeypatch.setattr(models, "open", failing_open, raising=False)
         other = dataclasses.replace(small, library_seed=small.library_seed + 1)
-        with pytest.raises(IOFailure, match="No space left on device"):
+        with pytest.raises(IOFailure) as failure:
             write_dataset(tmp_path, other, [0])
+        # named as the library/ the stage was for
+        assert str(failure.value) == f"cannot write {tmp_path / 'library'}: No space left on device"
         assert {str(p): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert sorted(os.listdir(tmp_path)) == ["instance_00000000.json", "library",
                                                 "manifest.json"]
