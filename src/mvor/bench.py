@@ -3,13 +3,17 @@
 The stages of a scene are shared by the drivers, the CLI and the demos.
 Each takes the model library (``generate_model_library``), whose point
 descriptors a region's descriptor pools, and the BenchConfig:
-``build_scene_database`` (the initial scene rendered from the ring or the
-home viewpoint, then the region database), ``scene_goal_regions`` (the
-goal frame, described once per scene for every database) and
-``localize_scene`` (``estimate_all`` on the goal regions, and the
-instance-to-object pairing). ``complete_scene`` runs them and then the
-planner; ``scene_outcome`` judges its result. Both drivers run one loop
-over regimes and seeds and differ only in the records they make.
+``build_scene_database`` (the initial scene captured from the ring or the
+home viewpoint, then associated into the region database),
+``scene_goal_regions`` (the goal scene captured from the home viewpoint,
+once per scene for every database) and ``localize_scene``
+(``estimate_all`` on the goal regions, and the instance-to-object
+pairing). ``complete_scene`` runs them and then the planner, whose
+re-observer (``make_reobserver``) captures the current scene from the home
+viewpoint; ``scene_outcome`` judges its result. Every view the robot takes
+goes through ``capture``: the one render here, and each frame through
+``perception.prepare_goal_regions``. Both drivers run one loop over
+regimes and seeds and differ only in the records they make.
 
 Pose benchmark: per seeded scene, build the multi-view database of the
 initial scene, estimate every object's relative pose from the goal frame,
@@ -43,22 +47,10 @@ import numpy as np
 from .errors import EmptyFrame, PlacementFailure, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
-from .perception import (
-    PerceptionConfig,
-    build_database,
-    describe_regions,
-    extract_regions,
-    prepare_goal_regions,
-)
+from .perception import PerceptionConfig, associate, prepare_goal_regions
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
 from .serialize import dump_json, make_dirs, setting, write_text
-from .sim import (
-    SimConfig,
-    generate_instance,
-    generate_model_library,
-    render,
-    segment,
-)
+from .sim import SimConfig, generate_instance, generate_model_library, render
 from .sim.config import ROTATION_REGIMES
 
 
@@ -174,13 +166,20 @@ def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
     return cfg.localization.make_matcher(library, rng)
 
 
+def capture(scene, viewpoints, inst, library, cfg: BenchConfig) -> list[list]:
+    """Every view the robot takes: ``scene`` rendered from ``viewpoints``
+    through ``inst``'s camera, and each frame segmented, cut and described
+    (``prepare_goal_regions``); one list of regions per view, in order."""
+    frames = render(scene, viewpoints, inst.config.intrinsics(), library)
+    return [prepare_goal_regions(frame, library, cfg.perception) for frame in frames]
+
+
 def build_scene_database(inst, mode: str, library, cfg: BenchConfig):
-    """Database stage: the initial scene rendered from the views of
+    """Database stage: the capture of the initial scene from the views of
     ``mode``, one of VIEW_MODES (the ring, or the home viewpoint alone),
-    segmented and described."""
+    associated into instances."""
     views = {"multi": inst.ring_viewpoints, "single": [inst.home_viewpoint]}[mode]
-    frames = render(inst.initial, views, inst.config.intrinsics(), library)
-    return build_database(frames, library, cfg.perception)
+    return associate(capture(inst.initial, views, inst, library, cfg))
 
 
 @dataclass
@@ -195,11 +194,10 @@ class SceneEstimates:
 
 
 def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
-    """The goal frame, rendered from the home viewpoint, segmented and
-    described; one list serves every database of the scene."""
-    intr = inst.config.intrinsics()
-    (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library)
-    return prepare_goal_regions(goal_frame, library, cfg.perception)
+    """The goal scene's capture from the home viewpoint; one list serves
+    every database of the scene."""
+    (regions,) = capture(inst.goal, [inst.home_viewpoint], inst, library, cfg)
+    return regions
 
 
 def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEstimates:
@@ -332,10 +330,10 @@ def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instanc
     which calls it only for an object it has moved since the object's last
     successful re-observation.
 
-    Renders the current scene from the home viewpoint, picks the region
-    nearest the dead-reckoned guess, describes that region alone, and
-    estimates its motion relative to the database (built on the initial
-    scene), restricted to the object's own instance list.
+    Captures the current scene from the home viewpoint, picks the region
+    nearest the dead-reckoned guess, and estimates its motion relative to
+    the database (built on the initial scene), restricted to the object's
+    own instance list.
     """
     intr = inst.config.intrinsics()
 
@@ -344,15 +342,13 @@ def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instanc
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
         try:
-            (frame,) = render(scene, [inst.home_viewpoint], intr, library)
+            (regions,) = capture(scene, [inst.home_viewpoint], inst, library, cfg)
         except EmptyFrame as e:
             raise ReobservationFailed("home frame sees nothing") from e
-        regions = extract_regions(frame, segment(frame), cfg.perception)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
-        describe_regions([region], library)
         excluded = frozenset(set(range(db.num_instances)) - {u})
         est = estimate_object(region, db, matcher, intr, cfg.localization, excluded)
         if not est.accepted:

@@ -237,9 +237,9 @@ def estimate_all(
     intr,
     config: LocalizationConfig,
 ) -> dict[int, PoseEstimate]:
-    """Estimate every goal region (``prepare_goal_regions``) against the
-    database; returns instance -> estimate. ``intr`` are the goal camera's
-    intrinsics.
+    """Estimate every goal region (the described regions of one captured
+    frame, ``bench.capture``) against the database; returns instance ->
+    estimate. ``intr`` are the goal camera's intrinsics.
 
     Two goal regions claiming the same instance are resolved by inlier
     ratio; the loser re-runs with that instance excluded. Goal regions are

@@ -3,7 +3,6 @@ from .database import (
     PerceptionConfig,
     associate,
     build_database,
-    describe_regions,
     load_database,
     prepare_goal_regions,
     save_database,
@@ -16,7 +15,6 @@ __all__ = [
     "PerceptionConfig",
     "associate",
     "build_database",
-    "describe_regions",
     "load_database",
     "prepare_goal_regions",
     "save_database",

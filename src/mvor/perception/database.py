@@ -10,6 +10,9 @@ cut by offsets; a hit's feature id is its point's row in the model
 library's point columns. Retrieval and pruning index these columns
 directly; ``hits(i)`` views one region's hits, all a candidate is matched
 and lifted by, without copying them.
+
+Every captured frame (``bench.capture``) goes through one chain,
+``prepare_goal_regions``: segment, cut the regions, describe them.
 """
 
 from __future__ import annotations
@@ -130,24 +133,21 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
     )
 
 
-def describe_regions(regions: list[ObjectRegion], library) -> None:
-    """Set the regions' descriptors in one ``GridPooledDescriptor(library)`` call."""
+def build_database(frames, library, config: PerceptionConfig) -> Database:
+    """Full database construction: every frame through
+    ``prepare_goal_regions``, then ``associate``."""
+    return associate([prepare_goal_regions(f, library, config) for f in frames])
+
+
+def prepare_goal_regions(frame, library, config: PerceptionConfig) -> list[ObjectRegion]:
+    """The one perception chain every captured frame goes through, goal,
+    database and re-observation frames alike: segment the frame, cut its
+    regions and describe them in one ``GridPooledDescriptor(library)``
+    batch. A region's descriptor has the same bits in any batch, so frames
+    described one at a time give the database one batch would."""
+    regions = extract_regions(frame, segment(frame), config)
     for r, descriptor in zip(regions, GridPooledDescriptor(library).extract(regions)):
         r.descriptor = descriptor
-
-
-def build_database(frames, library, config: PerceptionConfig) -> Database:
-    """Full database construction: segment each frame, extract regions,
-    describe every region of every frame in one batch, and associate."""
-    regions_by_frame = [extract_regions(f, segment(f), config) for f in frames]
-    describe_regions([r for frame_regions in regions_by_frame for r in frame_regions], library)
-    return associate(regions_by_frame)
-
-
-def prepare_goal_regions(frame, library, config: PerceptionConfig):
-    """Segment and featurize a goal frame the same way database frames are."""
-    regions = extract_regions(frame, segment(frame), config)
-    describe_regions(regions, library)
     return regions
 
 

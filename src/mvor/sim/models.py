@@ -217,7 +217,10 @@ def _draw_models(config, block_for):
             scratch = np.empty((len(pts), dim))
         unit = scratch[: len(pts)]
         rng.standard_normal(out=unit)
-        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        # a row's norm reads its own row alone: normalizing 128 rows at a
+        # time keeps the bits and makes the squares' temporary chunk-sized
+        for chunk in np.split(unit, range(128, len(unit), 128)):
+            chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
         block = block_for(len(pts))
         block[...] = unit
         yield (family, pts, nrms, radius), block

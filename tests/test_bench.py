@@ -5,10 +5,11 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
@@ -24,7 +25,7 @@ from mvor.bench import (
     write_report,
 )
 from mvor.cli import load_config, main as cli_main
-from mvor.errors import ConfigParseError, ReobservationFailed
+from mvor.errors import ConfigParseError, EmptyFrame, ReobservationFailed
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.localization.pipeline import MAX_SIGMA_PX
@@ -32,6 +33,7 @@ from mvor.perception import (
     GridPooledDescriptor,
     PerceptionConfig,
     build_database,
+    extract_regions,
     load_database,
     prepare_goal_regions,
     save_database,
@@ -45,6 +47,7 @@ from mvor.sim import (
     generate_instance,
     generate_model_library,
     render,
+    segment,
 )
 from mvor.serialize import from_dict, load_json, to_dict
 from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT, instance_from_dict, instance_to_dict
@@ -134,6 +137,9 @@ class TestPoseBench:
         assert len(singles) == len(multis)  # every object contributes a row
 
     def test_goal_regions_prepared_once_per_scene(self, monkeypatch):
+        """Every captured frame goes through ``prepare_goal_regions``: the
+        goal frame once, then each ring view and the home view of the two
+        databases."""
         calls = []
 
         def counting(frame, *args, **kwargs):
@@ -143,7 +149,7 @@ class TestPoseBench:
         monkeypatch.setattr(bench, "prepare_goal_regions", counting)
         rep = run_pose_bench(BenchConfig(scenes=1, regimes=["minor"], include_single_view=True))
         assert {r["view_mode"] for r in rep.rows} == {"multi", "single"}
-        assert len(calls) == 1
+        assert len(calls) == 1 + SimConfig().ring_count + 1
 
     def test_single_view_degrades_on_full_rotation(self, pose_report):
         g = pose_report.summary["groups"]
@@ -240,7 +246,7 @@ class TestNoiseModeCorrection:
 
 
 class TestReobserver:
-    def test_describes_only_the_chosen_region(self, monkeypatch):
+    def test_describes_the_home_regions_in_one_batch(self, monkeypatch):
         cfg = SimConfig(object_count_min=4, object_count_max=4)
         bcfg = BenchConfig(sim=cfg)
         pcfg, lcfg = bcfg.perception, bcfg.localization
@@ -272,13 +278,15 @@ class TestReobserver:
             inst, library, db, lcfg.make_matcher(library), bcfg, object_instance
         )
         tracked = reobserve(scene, 0, guess)
-        # one render of the home view, and one region described
+        # one render of the home view, and every home region described in
+        # one batch
         assert view_counts == [1]
-        assert batch_sizes == [1]
+        (described,) = batch_sizes
 
         (frame,) = render(scene, [inst.home_viewpoint], intr, library)
         regions = prepare_goal_regions(frame, library, pcfg)
         assert len(regions) > 1
+        assert described == len(regions)
         region = min(
             regions,
             key=lambda r: np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty),
@@ -312,6 +320,133 @@ class TestReobserver:
         )
         with pytest.raises(ReobservationFailed, match="home frame sees nothing"):
             reobserve(away, 0, away.placements[0].pose)
+
+
+@pytest.fixture(scope="module")
+def default_library():
+    return generate_model_library(SimConfig())
+
+
+def record_renders(monkeypatch) -> list:
+    """Record the (scene, viewpoints) of every ``bench.render`` call."""
+    calls = []
+
+    def recording(scene, viewpoints, *args):
+        calls.append((scene, list(viewpoints)))
+        return render(scene, viewpoints, *args)
+
+    monkeypatch.setattr(bench, "render", recording)
+    return calls
+
+
+def assert_captures(renders: list, expected: list) -> None:
+    """Each recorded render is of the expected scene from the expected
+    viewpoints: the very objects the instance holds."""
+    assert len(renders) == len(expected)
+    for (scene, views), (want_scene, want_views) in zip(renders, expected):
+        assert scene is want_scene
+        assert len(views) == len(want_views)
+        assert all(a is b for a, b in zip(views, want_views))
+
+
+class TestCapture:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        objects=st.integers(1, 6),
+        which=st.sampled_from(["initial", "goal"]),
+        cameras=st.sampled_from(["ring", "home", "random"]),
+        eye=st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8), st.floats(0.01, 1.2)),
+        target=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(-0.2, 0.3)),
+        camera=st.one_of(
+            st.just({}),
+            st.builds(
+                lambda w, h, f: {"image_width": w, "image_height": h, "focal_px": f},
+                st.integers(8, 640), st.integers(8, 480), st.floats(40.0, 1200.0),
+            ),
+        ),
+    )
+    def test_matches_the_render_segment_extract_describe_chain(
+        self, default_library, seed, objects, which, cameras, eye, target, camera
+    ):
+        """A capture equals the chain it replaced, bit for bit: render,
+        ``segment`` and ``extract_regions`` per frame, then every region of
+        every frame described in one ``GridPooledDescriptor`` batch. A view
+        that sees nothing raises EmptyFrame on both."""
+        library = default_library
+        eye, target = np.array(eye), np.array(target)
+        assume(np.linalg.norm(eye - target) > 1e-3)
+        sim = SimConfig(object_count_min=objects, object_count_max=objects, **camera)
+        cfg = BenchConfig(sim=sim)
+        inst = generate_instance(sim, library, seed=seed)
+        scene = getattr(inst, which)
+        views = {
+            "ring": inst.ring_viewpoints,
+            "home": [inst.home_viewpoint],
+            "random": [geo.look_at(eye, target)],
+        }[cameras]
+        try:
+            frames = render(scene, views, sim.intrinsics(), library)
+        except EmptyFrame:
+            with pytest.raises(EmptyFrame):
+                bench.capture(scene, views, inst, library, cfg)
+            return
+        expected = [extract_regions(f, segment(f), cfg.perception) for f in frames]
+        flat = [r for frame_regions in expected for r in frame_regions]
+        for r, descriptor in zip(flat, GridPooledDescriptor(library).extract(flat)):
+            r.descriptor = descriptor
+        captured = bench.capture(scene, views, inst, library, cfg)
+        assert [len(regions) for regions in captured] == [len(regions) for regions in expected]
+        for got, want in zip((r for regions in captured for r in regions), flat):
+            for name in ("feature_ids", "px", "world", "view_local", "descriptor"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert got.viewpoint is want.viewpoint
+            assert got.source_instance == want.source_instance
+
+    def test_complete_scene_cameras(self, default_library, monkeypatch):
+        """On criterion 5's swap with 3 mm actuation, ``complete_scene``
+        captures the initial scene from the ring, the goal scene from the
+        home view, and each scene it re-observes from the home view alone."""
+        library = default_library
+        inst = instance_from_dict(swap_instance_doc())
+        reobserved = []
+        make = bench.make_reobserver
+
+        def tracking(*args):
+            reobserve = make(*args)
+
+            def tracked(scene, i, guess):
+                reobserved.append(scene)
+                return reobserve(scene, i, guess)
+
+            return tracked
+
+        monkeypatch.setattr(bench, "make_reobserver", tracking)
+        renders = record_renders(monkeypatch)
+        bench.complete_scene(inst, library, BenchConfig(sim=inst.config))
+        assert reobserved
+        home = [inst.home_viewpoint]
+        assert_captures(renders, [
+            (inst.initial, inst.ring_viewpoints),
+            (inst.goal, home),
+            *((scene, home) for scene in reobserved),
+        ])
+
+    def test_one_goal_capture_serves_both_databases(self, default_library, monkeypatch):
+        """A pose-bench scene with the single-view ablation captures the
+        goal once, then the initial scene from the ring and from the home
+        view."""
+        library = default_library
+        cfg = BenchConfig(scenes=1, regimes=["minor"], include_single_view=True)
+        inst = generate_instance(replace(cfg.sim, rotation_regime="minor"), library, seed=0)
+        renders = record_renders(monkeypatch)
+        rows = bench._pose_rows(inst, library, cfg)
+        assert {r["view_mode"] for r in rows} == {"multi", "single"}
+        home = [inst.home_viewpoint]
+        assert_captures(renders, [
+            (inst.goal, home), (inst.initial, inst.ring_viewpoints), (inst.initial, home),
+        ])
 
 
 class TestCliDeterminism:

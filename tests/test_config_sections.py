@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from mvor.bench import capture
 from mvor.errors import ConfigParseError
 from mvor.localization import (
     DescriptorNNMatcher,
@@ -44,6 +45,7 @@ CONFIG_VALUED = {
     find_buffer_pose: ["config"],
     plan_and_execute: ["config"],
     generate_instance: ["seed"],
+    capture: ["cfg"],
 }
 
 # the defaults these functions may keep: none of them is a config value

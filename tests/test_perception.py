@@ -17,7 +17,6 @@ from mvor.perception import (
     PerceptionConfig,
     associate,
     build_database,
-    describe_regions,
     extract_regions,
     load_database,
     prepare_goal_regions,
@@ -460,7 +459,10 @@ class TestDescriptorBatch:
 
     def test_empty_batch(self, descriptor):
         assert descriptor.extract([]).shape == (0, CFG.point_descriptor_dim)
-        describe_regions([], descriptor.library)
+        # a frame whose every region is dropped describes an empty batch
+        frame = ring_frames(three_object_scene(), descriptor.library)[0]
+        never = PerceptionConfig(min_region_points=10**9)
+        assert prepare_goal_regions(frame, descriptor.library, never) == []
 
     def test_empty_region_in_batch_raises(self, descriptor, regions):
         empty = fid_region(np.full((7, 5), -1, dtype=np.int64))
@@ -727,9 +729,8 @@ class TestBuildDatabase:
     def test_invariants(self, library):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
-        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
+        regions_by_frame = [prepare_goal_regions(f, library, PCFG) for f in frames]
         regions = [r for frame_regions in regions_by_frame for r in frame_regions]
-        describe_regions(regions, library)
         db = associate(regions_by_frame)
         # the viewpoint is gone once associate keeps the observation direction
         expected = [geo.observation_vector(r.viewpoint, r.world.mean(axis=0)) for r in regions]
@@ -750,20 +751,24 @@ class TestBuildDatabase:
             np.testing.assert_allclose(db.instance_centroids[j], mean, atol=1e-12)
 
     def test_batch_equals_region_by_region(self, library):
-        """Describing every region of the build in one batch gives the
-        database that describing each region alone gives, bit for bit in
+        """Describing the build's regions a frame at a time
+        (``build_database``) gives the database that describing every
+        region in one batch, or each region alone, gives, bit for bit in
         every column: a region's descriptor pools its own hits only."""
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
         db = build_database(frames, library, PCFG)
-        regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
-        for r in (r for frame_regions in regions_by_frame for r in frame_regions):
-            describe_regions([r], library)
-        one_by_one = associate(regions_by_frame)
-        for f in fields(Database):
-            a, b = getattr(db, f.name), getattr(one_by_one, f.name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-            assert a.tobytes() == b.tobytes(), f.name
+        for one_batch in (True, False):
+            regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
+            regions = [r for frame_regions in regions_by_frame for r in frame_regions]
+            for batch in [regions] if one_batch else [[r] for r in regions]:
+                for r, descriptor in zip(batch, GridPooledDescriptor(library).extract(batch)):
+                    r.descriptor = descriptor
+            other = associate(regions_by_frame)
+            for f in fields(Database):
+                a, b = getattr(db, f.name), getattr(other, f.name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+                assert a.tobytes() == b.tobytes(), f.name
 
     def test_deterministic(self, library):
         inst = generate_instance(SimConfig(object_count_min=2, object_count_max=2), library, seed=14)
