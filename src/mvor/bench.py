@@ -41,6 +41,7 @@ import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .geometry import PlanarTransform, planar_compose, planar_distance
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
 from .perception import PerceptionConfig, associate, prepare_goal_regions
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
-from .serialize import dump_json, make_dirs, setting, write_text
+from .serialize import ConfigSection, dump_json, make_dirs, setting, write_text
 from .sim import SimConfig, generate_instance, generate_model_library, render
 from .sim.config import ROTATION_REGIMES
 
@@ -80,8 +81,8 @@ COMPLETION_COLUMNS = [
 ]
 
 
-@dataclass
-class BenchConfig:
+@dataclass(frozen=True)
+class BenchConfig(ConfigSection):
     scenes: int = setting(50, 1)
     base_seed: int = setting(0, 0)
     regimes: list = field(default_factory=lambda: ["minor", "full"])
@@ -149,7 +150,17 @@ def _scene_rng(tag: str, *parts) -> np.random.Generator:
     return np.random.default_rng([zlib.crc32(tag.encode()), *[int(p) for p in parts]])
 
 
-VIEW_MODES = ("multi", "single")  # the ring database, the home-view database
+class ViewMode(NamedTuple):
+    view: str  # its name in build-db's --view and a database header
+    viewpoints: Callable  # instance -> the viewpoints its database is captured from
+
+
+# the view modes: the ring database and the home-view database. A mode's
+# position keys its matcher noise stream (scene_matcher).
+VIEW_MODES = {
+    "multi": ViewMode("ring", lambda inst: inst.ring_viewpoints),
+    "single": ViewMode("home", lambda inst: [inst.home_viewpoint]),
+}
 
 
 def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
@@ -160,7 +171,7 @@ def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
     rng = _scene_rng(
         "matcher",
         ROTATION_REGIMES.index(inst.config.rotation_regime),
-        VIEW_MODES.index(mode),
+        list(VIEW_MODES).index(mode),
         inst.seed,
     )
     return cfg.localization.make_matcher(library, rng)
@@ -178,7 +189,7 @@ def build_scene_database(inst, mode: str, library, cfg: BenchConfig):
     """Database stage: the capture of the initial scene from the views of
     ``mode``, one of VIEW_MODES (the ring, or the home viewpoint alone),
     associated into instances."""
-    views = {"multi": inst.ring_viewpoints, "single": [inst.home_viewpoint]}[mode]
+    views = VIEW_MODES[mode].viewpoints(inst)
     return associate(capture(inst.initial, views, inst, library, cfg))
 
 
@@ -282,7 +293,7 @@ def _run_scenes(cfg: BenchConfig, scene_rows, summarize) -> MetricsReport:
 
 
 def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
-    modes = VIEW_MODES if cfg.include_single_view else VIEW_MODES[:1]
+    modes = list(VIEW_MODES) if cfg.include_single_view else ["multi"]
     goal_regions = scene_goal_regions(inst, library, cfg)
     rows = []
     for mode in modes:

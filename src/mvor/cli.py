@@ -37,6 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import (
+    VIEW_MODES,
     BenchConfig,
     best_effort_error,
     build_scene_database,
@@ -54,7 +55,7 @@ from .bench import (
 from .errors import ConfigParseError, MvorError
 from .geometry import lift, pose_yaw
 from .perception import load_database, save_database
-from .serialize import check_settings, dump_json, from_dict, load_json, make_dirs
+from .serialize import dump_json, from_dict, load_json, make_dirs
 from .sim import (
     generate_instance,
     generate_model_library,
@@ -66,9 +67,14 @@ from .sim.io import instance_library
 from .sim.models import LIBRARY_KEYS
 
 
-# build-db's --view, recorded in the header, and the view mode localize
-# draws the scene's matcher noise for
-VIEW_MODE_OF = {"ring": "multi", "home": "single"}
+# build-db's --view choices, recorded in the header
+VIEWS = [m.view for m in VIEW_MODES.values()]
+
+
+def _view_mode(view: str) -> str:
+    """The view mode of a database built on ``view``: what build-db
+    captures and the matcher noise localize draws."""
+    return next(mode for mode, m in VIEW_MODES.items() if m.view == view)
 
 
 def load_config(path: str | None, seed: int | None) -> tuple[BenchConfig, list]:
@@ -77,9 +83,8 @@ def load_config(path: str | None, seed: int | None) -> tuple[BenchConfig, list]:
     data = load_json(path) if path else {}
     cfg = from_dict(BenchConfig, data)
     if seed is not None:
-        cfg = replace(cfg, base_seed=seed)
         try:
-            check_settings(cfg)
+            cfg = replace(cfg, base_seed=seed)
         except ValueError as e:
             raise ConfigParseError(f"--seed: {e}") from e
     return cfg, list(data.get("sim", {}))
@@ -143,7 +148,7 @@ def _database_provenance(inst, view: str) -> dict:
 def cmd_build_db(args) -> int:
     cfg, sim_keys = load_config(args.config, args.seed)
     inst, library = _scene_setup(cfg, args, sim_keys)
-    db = build_scene_database(inst, VIEW_MODE_OF[args.view], library, cfg)
+    db = build_scene_database(inst, _view_mode(args.view), library, cfg)
     out = _out_dir(args, "db.npz")
     save_database(db, out, extra_meta=_database_provenance(inst, args.view))
     print(f"wrote database ({db.num_instances} instances, {db.num_regions} regions) to {out}")
@@ -182,9 +187,9 @@ def cmd_localize(args) -> int:
     db, header = load_database(args.db)
     inst = _load_instance(args, cfg, sim_keys)
     # a mismatched database fails before the library is loaded
-    views = list(VIEW_MODE_OF)  # compared by ==: a header value need not be hashable
-    if header.get("view") not in views:
-        raise MvorError(f"database built against view {header.get('view')!r}, not one of {views}")
+    # compared by ==: a header value need not be hashable
+    if header.get("view") not in VIEWS:
+        raise MvorError(f"database built against view {header.get('view')!r}, not one of {VIEWS}")
     for key, value in _database_provenance(inst, header["view"]).items():
         if header.get(key) != value:
             raise MvorError(f"database built against {key} {header.get(key)}, instance has {value}")
@@ -199,7 +204,7 @@ def cmd_localize(args) -> int:
     # checked once here: the feature_id matcher never reads the library, so
     # ids naming no row would only ever fail to match
     library.check_feature_ids(db.crop_feature_ids)
-    matcher = scene_matcher(inst, VIEW_MODE_OF[header["view"]], library, cfg)
+    matcher = scene_matcher(inst, _view_mode(header["view"]), library, cfg)
     goal_regions = scene_goal_regions(inst, library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     path = _out_dir(args, "poses.json")
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build-db", help="build a region database for an instance")
     common(sp, "output .npz path")
     sp.add_argument("--instance", help="instance JSON (default: generate from config+seed)")
-    sp.add_argument("--view", choices=list(VIEW_MODE_OF), default="ring")
+    sp.add_argument("--view", choices=VIEWS, default="ring")
     sp.set_defaults(func=cmd_build_db)
 
     sp = sub.add_parser("localize", help="estimate object poses from a goal frame")

@@ -24,7 +24,7 @@ from ..errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from ..geometry import PlanarTransform, Pose3, angular_distance
 from ..perception.database import Database, RegionHits
 from ..perception.regions import ObjectRegion
-from ..serialize import check_settings, setting
+from ..serialize import ConfigSection, setting
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pnp import ransac_planar
 
@@ -34,8 +34,8 @@ from .pnp import ransac_planar
 MAX_SIGMA_PX = 1e6
 
 
-@dataclass
-class LocalizationConfig:
+@dataclass(frozen=True)
+class LocalizationConfig(ConfigSection):
     # retrieval and traversal
     top_n: int = setting(10, 1)
     theta_prune: float = setting(np.pi / 6, 0)
@@ -60,7 +60,6 @@ class LocalizationConfig:
     min_inlier_ratio: float = setting(0.3, 0, 1)
 
     def make_matcher(self, library, rng=None):
-        check_settings(self)  # a config built in Python skips from_dict's checks
         if self.matcher == "feature_id":
             return FeatureIdMatcher(self, rng)
         return DescriptorNNMatcher(library, self)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import IOFailure, NoRegions
 from ..geometry import observation_vector
-from ..serialize import setting
+from ..serialize import ConfigSection, setting
 from ..sim.render import segment
 from .descriptor import GridPooledDescriptor
 from .regions import ObjectRegion, extract_regions
@@ -35,8 +35,8 @@ DB_FORMAT = "mvor-db"
 DB_VERSION = 6
 
 
-@dataclass
-class PerceptionConfig:
+@dataclass(frozen=True)
+class PerceptionConfig(ConfigSection):
     min_region_points: int = setting(10, 1)
 
     def make_backend(self, library) -> GridPooledDescriptor:

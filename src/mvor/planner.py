@@ -39,13 +39,13 @@ import numpy as np
 
 from .errors import NoBufferSpace, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance
-from .serialize import setting
+from .serialize import ConfigSection, setting
 from .sim.models import ModelLibrary
 from .sim.scene import RearrangementInstance, SceneState, apply_move, placement_conflict
 
 
-@dataclass
-class PlannerConfig:
+@dataclass(frozen=True)
+class PlannerConfig(ConfigSection):
     thres_fail: int = setting(3, 0)  # failures tolerated before a buffer relocation
     outer_factor: int = setting(2, 1)  # at most factor * object count + 1 outer passes
     collision_margin: float = setting(0.01, 0)  # meters added around footprints

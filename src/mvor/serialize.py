@@ -34,8 +34,9 @@ def from_dict(cls, data, path: str = "config"):
     Unknown keys are an error: configs are echoed into results files, so a
     silently ignored typo would corrupt reproducibility. Each scalar value
     must have its field's type (a bool is not a number, and a float must be
-    finite: Python's json reads NaN and Infinity), and the object built
-    passes ``check_settings``; every failure raises ConfigParseError.
+    finite: Python's json reads NaN and Infinity), and a ``ConfigSection``
+    checks its own settings as it is built; every failure raises
+    ConfigParseError, whose text carries the ValueError's.
     """
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: expected a mapping, got {type(data).__name__}")
@@ -60,11 +61,9 @@ def from_dict(cls, data, path: str = "config"):
             raise ConfigParseError(f"{path}.{name}: {value!r} is not a finite number")
         kwargs[name] = value
     try:
-        obj = cls(**kwargs)
-        check_settings(obj)
+        return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigParseError(f"{path}: {e}") from e
-    return obj
 
 
 # cached per class: an instance file builds one dataclass per placement
@@ -92,9 +91,9 @@ def config_sized_empty(shape: tuple, what: str, dtype=np.float64) -> np.ndarray:
 
 
 def setting(default, low=-math.inf, high=math.inf, *, open_range=False, choices=None):
-    """A config field's default and the values it allows: one of
+    """A ``ConfigSection`` field's default and the values it allows: one of
     ``choices``, or those in [low, high], or in (low, high) when
-    ``open_range``. ``check_settings`` checks them."""
+    ``open_range``. The section checks them whenever it is built."""
     if choices is not None:
         allowed, text = (lambda v: v in choices), f"not one of {list(choices)}"
     elif open_range:
@@ -104,18 +103,26 @@ def setting(default, low=-math.inf, high=math.inf, *, open_range=False, choices=
     return dataclasses.field(default=default, metadata={"allowed": (allowed, text)})
 
 
-def check_settings(obj) -> None:
-    """Raise ValueError for the first field of ``obj`` whose ``setting``
-    does not allow its value (NaN lies outside every range), then for a
-    rule across fields, in ``obj.validate()`` if it has one."""
-    for f in dataclasses.fields(obj):
-        if "allowed" in f.metadata:
-            allowed, text = f.metadata["allowed"]
-            value = getattr(obj, f.name)
-            if not allowed(value):
-                raise ValueError(f"{f.name}={value!r} {text}")
-    if hasattr(obj, "validate"):
-        obj.validate()
+@dataclasses.dataclass(frozen=True)
+class ConfigSection:
+    """Base of the config dataclasses, each declared
+    ``@dataclass(frozen=True)``: one that exists is valid. Building one, in
+    Python, by ``from_dict`` or by ``dataclasses.replace`` (the way to
+    change a setting), raises ValueError for the first field whose
+    ``setting`` does not allow its value (NaN lies outside every range),
+    then for a rule across fields, in ``validate()``."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if "allowed" in f.metadata:
+                allowed, text = f.metadata["allowed"]
+                value = getattr(self, f.name)
+                if not allowed(value):
+                    raise ValueError(f"{f.name}={value!r} {text}")
+        self.validate()
+
+    def validate(self) -> None:
+        """Rules across fields; a section with none keeps this."""
 
 
 def load_json(path) -> dict:

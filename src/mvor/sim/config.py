@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import CameraIntrinsics, Pose3, look_at
-from ..serialize import setting
+from ..serialize import ConfigSection, setting
 
 ROTATION_REGIMES = ("minor", "full")
 # the largest object count: the renderer's instance ids are int32
@@ -17,20 +17,28 @@ ROTATION_REGIMES = ("minor", "full")
 MAX_OBJECT_COUNT = np.iinfo(np.int32).max
 # the largest ring and home camera radius, in metres
 MAX_CAMERA_RADIUS = 100.0
+# the largest table width and depth, in metres: the widest ring's
+# diameter, past which the table holds objects no camera looks at; a side
+# near the float maximum overflows in projection
+MAX_TABLE_SIDE = 2 * MAX_CAMERA_RADIUS
+# the largest actuation noise, one sigma for yaw (radians) and position
+# (metres): a 1 rad (57 deg) yaw sigma already throws every placement far
+# off its goal, and noise near the float maximum overflows the planar error
+MAX_ACTUATION_SIGMA = 1.0
 # the largest image width and height, in pixels: a row-major pixel index
 # (rows * width + cols) then stays below 2**40, far inside the renderer's
 # int64, where a side near 2**32 overflows it
 MAX_IMAGE_SIDE = 1 << 20
 
 
-@dataclass
-class SimConfig:
+@dataclass(frozen=True)
+class SimConfig(ConfigSection):
     # scene content
     object_count_min: int = setting(1, 1, MAX_OBJECT_COUNT)
     object_count_max: int = setting(9, 1, MAX_OBJECT_COUNT)
     # open ranges: a zero-size table makes no scene
-    table_width: float = setting(1.0, 0, open_range=True)
-    table_depth: float = setting(1.0, 0, open_range=True)
+    table_width: float = setting(1.0, 0, MAX_TABLE_SIDE, open_range=True)
+    table_depth: float = setting(1.0, 0, MAX_TABLE_SIDE, open_range=True)
     min_clearance: float = setting(0.02, 0)  # extra gap between footprint discs
     placement_margin: float = setting(0.10, 0)  # keep-out band along the table edge
     placement_attempts: int = setting(10000, 1)
@@ -64,7 +72,7 @@ class SimConfig:
     point_descriptor_dim: int = setting(256, 1)
 
     # actuation
-    actuation_sigma: float = setting(0.0, 0)
+    actuation_sigma: float = setting(0.0, 0, MAX_ACTUATION_SIGMA)
 
     def validate(self) -> None:
         if self.object_count_min > self.object_count_max:

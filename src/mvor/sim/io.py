@@ -21,10 +21,10 @@ true offsets are derived from the config and the placements when the file
 is loaded, so the config echo governs them. Floats round-trip bit-exactly
 through JSON because Python serializes them via repr. A placement holds
 exactly ``model_id``, ``yaw``, ``tx`` and ``ty``. Loading checks the
-presence and type of every member, that every number is finite, the
-config's values, that both placement lists have the same length and that
-every model id lies in the library and is placed once, by the same object
-in both lists, and raises ConfigParseError on a malformed document.
+presence and type of every member and that every number is finite; the
+config's values and the placement rules (``RearrangementInstance``) check
+themselves as they are built. A malformed document raises
+ConfigParseError.
 """
 
 from __future__ import annotations
@@ -111,31 +111,16 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
         raise ConfigParseError(f"instance member 'seed' {seed!r} is not a non-negative integer")
     config = from_dict(SimConfig, data.get("config"), "config")
     initial, goal = _placements_from_doc(data, "initial"), _placements_from_doc(data, "goal")
-    if len(initial) != len(goal):
-        raise ConfigParseError("instance members 'initial' and 'goal' differ in length")
-    for name, entries in (("initial", initial), ("goal", goal)):
-        ids = [e.model_id for e in entries]
-        if not all(0 <= i < config.library_size for i in ids):
-            raise ConfigParseError(
-                f"instance member {name!r}: model ids {ids} outside the library's "
-                f"[0, {config.library_size})"
-            )
-    models = [e.model_id for e in initial]
-    for i, (model, entry) in enumerate(zip(models, goal)):
-        if entry.model_id != model:
-            raise ConfigParseError(
-                f"instance object {i}: initial model id {model}, goal model id {entry.model_id}"
-            )
-        if model in models[:i]:
-            j = models.index(model)
-            raise ConfigParseError(f"instance objects {j} and {i} both place model id {model}")
     bounds = _table_rect(config)
-    return RearrangementInstance(
-        initial=_placements_from_list(initial, bounds),
-        goal=_placements_from_list(goal, bounds),
-        seed=seed,
-        config=config,
-    )
+    try:
+        return RearrangementInstance(
+            initial=_placements_from_list(initial, bounds),
+            goal=_placements_from_list(goal, bounds),
+            seed=seed,
+            config=config,
+        )
+    except ValueError as e:
+        raise ConfigParseError(str(e)) from e
 
 
 def save_instance(inst: RearrangementInstance, path) -> None:

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..errors import CollisionAtTarget, PlacementFailure, UnknownObject
 from ..geometry import PlanarTransform, Pose3, planar_compose, planar_invert
-from ..serialize import check_settings
 from .config import SimConfig
 from .models import ModelLibrary
 
@@ -66,7 +65,13 @@ class RearrangementInstance:
     """One task: the initial and goal placements drawn for ``seed`` under
     ``config``. Derived, not stored: ``true_offsets`` (per object, goal =
     offset o initial) from the two placement lists, and ``home_viewpoint``
-    and ``ring_viewpoints`` from the config."""
+    and ``ring_viewpoints`` from the config.
+
+    Building one checks the placements, so one that exists is valid: both
+    lists have the same length, every model id lies in the config's
+    library, object i places the same model in both lists, and no model is
+    placed twice (a feature id is its library row, so a database could not
+    tell the two apart). A violation raises ValueError."""
 
     initial: SceneState
     goal: SceneState
@@ -77,12 +82,36 @@ class RearrangementInstance:
     ring_viewpoints: list[Pose3] = field(init=False)
 
     def __post_init__(self):
+        self._check_placements()
         self.true_offsets = [
             planar_compose(g.pose, planar_invert(i.pose))
             for i, g in zip(self.initial.placements, self.goal.placements)
         ]
         self.home_viewpoint = self.config.home_viewpoint()
         self.ring_viewpoints = self.config.ring_viewpoints()
+
+    def _check_placements(self) -> None:
+        initial, goal = self.initial.placements, self.goal.placements
+        if len(initial) != len(goal):
+            raise ValueError("instance members 'initial' and 'goal' differ in length")
+        size = self.config.library_size
+        for name, placements in (("initial", initial), ("goal", goal)):
+            ids = [p.model_id for p in placements]
+            if not all(0 <= i < size for i in ids):
+                raise ValueError(
+                    f"instance member {name!r}: model ids {ids} outside the library's "
+                    f"[0, {size})"
+                )
+        first_object = {}
+        for i, (p, g) in enumerate(zip(initial, goal)):
+            if g.model_id != p.model_id:
+                raise ValueError(
+                    f"instance object {i}: initial model id {p.model_id}, "
+                    f"goal model id {g.model_id}"
+                )
+            j = first_object.setdefault(p.model_id, i)
+            if j != i:
+                raise ValueError(f"instance objects {j} and {i} both place model id {p.model_id}")
 
 
 def _table_rect(config: SimConfig) -> Rect:
@@ -133,7 +162,6 @@ def generate_instance(
     at a fresh collision-free position with a yaw offset drawn from the
     configured rotation regime. Deterministic in (config, seed).
     """
-    check_settings(config)
     rng = np.random.default_rng(seed)
     bounds = _table_rect(config)
     area = bounds.shrunk(config.placement_margin)

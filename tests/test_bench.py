@@ -116,9 +116,13 @@ def test_import_leaves_out_scipy_ndimage_and_special():
 
 
 class TestPoseBench:
-    def test_zero_scenes_empty_report(self, tmp_path):
-        rep = run_pose_bench(BenchConfig(scenes=0))
+    def test_all_scenes_skipped_empty_report(self, tmp_path):
+        """Every scene needs 3 models of a 2-model library, so both regimes
+        skip both scenes and the report has no rows."""
+        sim = SimConfig(library_size=2, object_count_min=3, object_count_max=3)
+        rep = run_pose_bench(BenchConfig(scenes=2, sim=sim))
         assert rep.rows == [] and rep.summary["groups"] == {}
+        assert rep.skipped_scenes == 4
         write_report(rep, tmp_path / "empty")  # must not crash
         assert (tmp_path / "empty" / "records.tsv").read_text().count("\n") == 1
 
@@ -1305,6 +1309,31 @@ class TestCliMalformedValues:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert key in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, sim",
+        [
+            # rearrange exited 0 after numpy's overflow warning from the
+            # planar error, and wrote "final_dt_cm": Infinity
+            ("rearrange", {"actuation_sigma": 1e308}),
+            # build-db printed numpy's overflow warnings from the renderer
+            ("build-db", {"table_width": 1e308, "table_depth": 1e308}),
+        ],
+    )
+    def test_sim_value_past_the_bound(self, command, sim, tmp_path):
+        """Past MAX_ACTUATION_SIGMA or MAX_TABLE_SIDE the config is refused
+        before any scene is drawn, and stderr holds only the error line."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": sim}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvor.cli", command, "--seed", "1", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert next(iter(sim)) in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_gen_count_below_one(self, count, tmp_path, capsys):

@@ -7,11 +7,15 @@ did beside a ``PerceptionConfig`` seed of 5).
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+import typing
 
 import pytest
 
-from mvor.bench import capture
+import mvor
+from mvor.bench import BenchConfig, capture
 from mvor.errors import ConfigParseError
 from mvor.localization import (
     DescriptorNNMatcher,
@@ -27,9 +31,12 @@ from mvor.perception import (
     extract_regions,
     prepare_goal_regions,
 )
-from mvor.planner import check_collision, find_buffer_pose, plan_and_execute
-from mvor.serialize import from_dict
+from mvor.geometry import PlanarTransform
+from mvor.planner import PlannerConfig, check_collision, find_buffer_pose, plan_and_execute
+from mvor.serialize import ConfigSection, from_dict
 from mvor.sim import SimConfig, generate_instance
+from mvor.sim.config import MAX_ACTUATION_SIGMA, MAX_TABLE_SIDE
+from mvor.sim.scene import Placement, RearrangementInstance, Rect, SceneState
 
 # function -> the parameters that carry a config value
 CONFIG_VALUED = {
@@ -98,3 +105,132 @@ def test_unread_seeds_are_gone(cls, name):
     assert name not in {f.name for f in dataclasses.fields(cls)}
     with pytest.raises(ConfigParseError, match=rf"unknown fields \['{name}'\]"):
         from_dict(cls, {name: 0})
+
+
+SECTIONS = [SimConfig, PerceptionConfig, LocalizationConfig, PlannerConfig, BenchConfig]
+
+# values tried, in order, for a value a setting refuses: every range
+# starts at 0 or above
+OUTSIDE = {int: [-1, 2**62], float: [-1.0, 1e300], str: ["no-such-choice"]}
+
+
+def _refused_values():
+    """(section, field, a value its setting refuses), for every setting."""
+    cases = []
+    for cls in SECTIONS:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if "allowed" in f.metadata:
+                allowed, _ = f.metadata["allowed"]
+                bad = next(v for v in OUTSIDE[hints[f.name]] if not allowed(v))
+                cases.append(pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}"))
+    return cases
+
+
+@pytest.mark.parametrize("cls, name, bad", _refused_values())
+def test_section_refuses_value_when_built(cls, name, bad):
+    """Built in Python, a section refuses a value its setting does not
+    allow, naming the field; from_dict refuses it with the same text."""
+    with pytest.raises(ValueError, match=rf"^{name}=") as built:
+        cls(**{name: bad})
+    with pytest.raises(ConfigParseError) as parsed:
+        from_dict(cls, {name: bad})
+    assert str(parsed.value) == f"config: {built.value}"
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        # completion read 0.0 for a scene whose objects all ended ~1e-14 deg off
+        (lambda: PlannerConfig(success_yaw_deg=-5.0), "success_yaw_deg"),
+        (lambda: BenchConfig(scenes=-2), "scenes"),  # an empty report
+        (lambda: BenchConfig(regimes=[]), "regimes is empty"),
+        (lambda: SimConfig(object_count_min=5, object_count_max=2), "object count range"),
+    ],
+)
+def test_invalid_section_cannot_be_built(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+@pytest.mark.parametrize("cls", SECTIONS, ids=lambda cls: cls.__name__)
+def test_sections_are_frozen(cls):
+    """A setting changes only through ``dataclasses.replace``, which checks
+    the section it builds."""
+    obj = cls()
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, getattr(obj, name))
+
+
+def test_replace_checks_the_new_section():
+    with pytest.raises(ValueError, match="outer_factor=0"):
+        dataclasses.replace(PlannerConfig(), outer_factor=0)
+
+
+def test_every_setting_is_checked_when_built():
+    """Every dataclass in mvor that declares a ``setting`` field derives
+    from ConfigSection, so it is checked when it is built."""
+    declaring = set()
+    for info in pkgutil.walk_packages(mvor.__path__, "mvor."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if (
+                inspect.isclass(cls)
+                and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+                and any("allowed" in f.metadata for f in dataclasses.fields(cls))
+            ):
+                declaring.add(cls)
+    assert declaring == set(SECTIONS)
+    assert all(issubclass(cls, ConfigSection) for cls in declaring)
+
+
+@pytest.mark.parametrize(
+    "sim, value",
+    [
+        ("table_width", 1.0),
+        ("table_depth", MAX_TABLE_SIDE / 2),
+        ("actuation_sigma", 0.2),
+        ("actuation_sigma", MAX_ACTUATION_SIGMA),
+    ],
+)
+def test_bounded_sim_values_in_range(sim, value):
+    assert getattr(SimConfig(**{sim: value}), sim) == value
+
+
+@pytest.mark.parametrize(
+    "sim, value",
+    [
+        ("table_width", MAX_TABLE_SIDE),  # an open range
+        ("table_depth", 1e308),
+        ("actuation_sigma", 2 * MAX_ACTUATION_SIGMA),
+        ("actuation_sigma", 1e308),
+    ],
+)
+def test_bounded_sim_values_past_the_bound(sim, value):
+    with pytest.raises(ValueError, match=rf"^{sim}="):
+        SimConfig(**{sim: value})
+
+
+def _scene(models):
+    return SceneState(
+        Rect(-0.5, -0.5, 0.5, 0.5),
+        tuple(Placement(m, PlanarTransform(0.0, 0.1 * k, 0.0)) for k, m in enumerate(models)),
+    )
+
+
+@pytest.mark.parametrize(
+    "initial, goal, message",
+    [
+        # was judged completed on 7 objects
+        (range(8), range(7), "'initial' and 'goal' differ in length"),
+        ([0, 12], [0, 12], r"'initial': model ids \[0, 12\] outside the library's \[0, 12\)"),
+        ([0, 1], [0, -1], r"'goal': model ids \[0, -1\] outside"),
+        ([0, 1], [1, 0], "instance object 0: initial model id 0, goal model id 1"),
+        ([3, 5, 3], [3, 5, 3], "instance objects 0 and 2 both place model id 3"),
+    ],
+)
+def test_invalid_instance_cannot_be_built(initial, goal, message):
+    with pytest.raises(ValueError, match=message):
+        RearrangementInstance(_scene(initial), _scene(goal), seed=0, config=SimConfig())

@@ -349,12 +349,13 @@ class TestFeatureIdMatcher:
         assert FeatureIdMatcher(LCFG).rng is None
 
     @pytest.mark.parametrize("bad", [{"matcher": "sift"}, {"top_n": 0}])
-    def test_make_matcher_checks_settings(self, bad, library):
-        """A config built in Python skips from_dict's checks; make_matcher
-        runs them, and the error names the setting."""
+    def test_config_checks_settings(self, bad):
+        """A config built in Python checks its settings as it is built, so
+        no matcher is ever made from a bad one; the error names the
+        setting."""
         (name,) = bad
         with pytest.raises(ValueError, match=name):
-            LocalizationConfig(**bad).make_matcher(library)
+            LocalizationConfig(**bad)
 
     def test_corruption_model(self, library):
         """Clean, a match's goal side is its goal hit's projection. Noise of
