@@ -85,12 +85,17 @@ COMPLETION_COLUMNS = [
 class BenchConfig(ConfigSection):
     scenes: int = setting(50, 1)
     base_seed: int = setting(0, 0)
-    regimes: list = field(default_factory=lambda: ["minor", "full"])
+    regimes: tuple = ("minor", "full")
     include_single_view: bool = True
     sim: SimConfig = field(default_factory=SimConfig)
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
+
+    def __post_init__(self):
+        # a list, JSON's form, is kept as a tuple: it cannot change in place
+        object.__setattr__(self, "regimes", tuple(self.regimes))
+        super().__post_init__()
 
     def validate(self) -> None:
         unknown = [r for r in self.regimes if r not in ROTATION_REGIMES]

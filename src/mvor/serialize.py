@@ -24,8 +24,9 @@ def to_dict(obj):
 
 
 # JSON types accepted for each scalar type hint; an int is a valid float
-# and is stored unchanged, so a config echo keeps its bytes
-_JSON_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+# and is stored unchanged, so a config echo keeps its bytes, and a JSON
+# list is the form of a tuple
+_JSON_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), tuple: (list,)}
 
 
 def from_dict(cls, data, path: str = "config"):

@@ -29,6 +29,16 @@ MAX_ACTUATION_SIGMA = 1.0
 # (rows * width + cols) then stays below 2**40, far inside the renderer's
 # int64, where a side near 2**32 overflows it
 MAX_IMAGE_SIDE = 1 << 20
+# the fewest points per model, from which on every model has exactly
+# model_points points. A model splits its T points over its faces by
+# rounded area share, the top taking the rest, which falls below 1 only if
+# the others' rounded shares reach T. Each rounding adds at most 0.5, and the
+# top's share is at least 0.1239 for an L-prism (6 sides before it), 0.135
+# for a box (4) and 0.135 for a cylinder (1) over the dimensions models.py
+# draws: T * 0.1239 <= 3, T * 0.135 <= 2 or T * 0.135 <= 0.5 would be
+# needed. From T = 25 the smallest side also gets 0.96 of a point or more,
+# so no face is raised to its floor of one sample.
+MIN_MODEL_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class SimConfig(ConfigSection):
     # model library
     library_size: int = setting(12, 1)
     library_seed: int = setting(7, 0)
-    model_points: int = setting(1600, 1)
+    model_points: int = setting(1600, MIN_MODEL_POINTS)
     point_descriptor_dim: int = setting(256, 1)
 
     # actuation

@@ -9,9 +9,10 @@ geometry is what it must infer.
 
 ``ModelLibrary`` stores the models as columns: ``family`` and
 ``footprint_radius`` hold one row per model, and ``points``, ``normals``
-and ``point_descriptors`` concatenate every model's points, model ``m``
-holding rows ``point_offsets[m]:point_offsets[m + 1]``. A point's feature
-id is its row in these point columns.
+and ``point_descriptors`` concatenate every model's ``model_points``
+points, model ``m`` holding rows ``point_offsets[m] = m * model_points``
+up to ``point_offsets[m + 1]``. A point's feature id is its row in these
+point columns.
 
 Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
@@ -31,7 +32,6 @@ loads a saved library reads only the rows it uses.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -187,16 +187,15 @@ def _block_text(config) -> str:
     )
 
 
-def _draw_models(config, block_for):
+def _draw_models(config):
     """Draw the models of ``config`` in library order, deterministic in
     ``config.library_seed``. For each model, its geometry is drawn, then its
-    unit descriptor rows, drawn and normalized in one reused float64 scratch
-    array and rounded into ``block_for(rows)``, an empty
-    (rows, point_descriptor_dim) float32 array the caller supplies; yields
-    ``(family, points, normals, footprint radius)`` and that block. The
+    ``model_points`` unit descriptor rows (see ``config.MIN_MODEL_POINTS``),
+    drawn and normalized in one reused float64 scratch array; yields
+    ``(family, points, normals, footprint radius)`` and that array. The
     order of the draws fixes the library's bits."""
-    dim = config.point_descriptor_dim
-    scratch = config_sized_empty((config.model_points, dim), _block_text(config))
+    unit = config_sized_empty((config.model_points, config.point_descriptor_dim),
+                              _block_text(config))
     rng = np.random.default_rng(config.library_seed)
     for mid in range(config.library_size):
         family = FAMILIES[mid % 3]
@@ -213,17 +212,12 @@ def _draw_models(config, block_for):
             ta, tb = rng.uniform(0.025, 0.04, 2)
             h = rng.uniform(0.035, 0.07)
             pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
-        if len(pts) > len(scratch):
-            scratch = np.empty((len(pts), dim))
-        unit = scratch[: len(pts)]
         rng.standard_normal(out=unit)
         # a row's norm reads its own row alone: normalizing 128 rows at a
         # time keeps the bits and makes the squares' temporary chunk-sized
         for chunk in np.split(unit, range(128, len(unit), 128)):
             chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
-        block = block_for(len(pts))
-        block[...] = unit
-        yield (family, pts, nrms, radius), block
+        yield (family, pts, nrms, radius), unit
 
 
 def _small_columns(models: list) -> dict:
@@ -255,42 +249,23 @@ def generate_model_library(config) -> ModelLibrary:
     Deterministic in config.library_seed. Families cycle box / cylinder /
     L-prism so the set contains both rotationally symmetric geometry
     (cylinders, identifiable only through surface features) and asymmetric
-    geometry. The descriptor column, the bulk of the library, is drawn in
-    place; it is reallocated only when the models sample more than
-    ``model_points`` points each. A column the machine cannot hold raises
-    ConfigParseError.
+    geometry. The descriptor column, the bulk of the library, is allocated
+    once, ``library_size x model_points`` rows, and model ``m`` is rounded
+    into rows ``m * model_points:(m + 1) * model_points``. A column the
+    machine cannot hold raises ConfigParseError.
     """
+    per_model = config.model_points
     descriptors = config_sized_empty(
-        (config.library_size * config.model_points, config.point_descriptor_dim),
+        (config.library_size * per_model, config.point_descriptor_dim),
         _column_text(config),
         np.float32,
     )
-    filled = 0
-
-    def block_for(rows):
-        nonlocal descriptors, filled
-        o0, filled = filled, filled + rows
-        if filled > len(descriptors):
-            grown = np.empty((max(filled, 2 * len(descriptors)), descriptors.shape[1]),
-                             np.float32)
-            grown[:o0] = descriptors[:o0]
-            descriptors = grown
-        return descriptors[o0:filled]
-
-    models = [model for model, _ in _draw_models(config, block_for)]
-    return ModelLibrary(**_small_columns(models), point_descriptors=descriptors[:filled])
-
-
-def _descriptor_header(rows: int, dim: int) -> bytes:
-    """The ``.npy`` header ``np.save`` writes for a (rows, dim) float32
-    array; numpy pads it so that its length does not depend on ``rows``."""
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float32)),
-        "fortran_order": False,
-        "shape": (rows, dim),
-    })
-    return header.getvalue()
+    models = []
+    for mid, (model, unit) in enumerate(_draw_models(config)):
+        descriptors[mid * per_model : (mid + 1) * per_model] = unit
+        models.append(model)
+    del unit  # the float64 scratch: freed before the small columns are stacked
+    return ModelLibrary(**_small_columns(models), point_descriptors=descriptors)
 
 
 def save_model_library(path, config, shown_as=None) -> None:
@@ -301,28 +276,21 @@ def save_model_library(path, config, shown_as=None) -> None:
 
     The models are drawn as ``generate_model_library`` draws them, and each
     model's descriptor rows are written as soon as they are drawn, through
-    one model-sized block: the memory used does not grow with the library.
-    A block the machine cannot hold raises ConfigParseError; a descriptor
-    column larger than the free space where ``path`` lies raises IOFailure
-    before anything is written. A write that fails, or a ``path`` that
-    already exists, raises IOFailure; what was written stays for the caller
-    to remove (``io.write_dataset`` writes into a stage it removes). The
-    IOFailure names ``shown_as``, by default ``path``: ``io.write_dataset``
-    names the ``library/`` its stage is for, not the stage."""
+    one model-sized block, after a header for all the column's rows: the
+    memory used does not grow with the library. A block the machine cannot
+    hold raises ConfigParseError; a descriptor column larger than the free
+    space where ``path`` lies raises IOFailure before anything is written.
+    A write that fails, or a ``path`` that already exists, raises
+    IOFailure; what was written stays for the caller to remove
+    (``io.write_dataset`` writes into a stage it removes). The IOFailure
+    names ``shown_as``, by default ``path``: ``io.write_dataset`` names the
+    ``library/`` its stage is for, not the stage."""
     shown_as = path if shown_as is None else shown_as
-    dim = config.point_descriptor_dim
+    rows, dim = config.library_size * config.model_points, config.point_descriptor_dim
     block = config_sized_empty((config.model_points, dim), _block_text(config), np.float32)
-    planned_rows = config.library_size * config.model_points
-
-    def block_for(rows):
-        nonlocal block
-        if rows > len(block):
-            block = np.empty((rows, dim), np.float32)
-        return block[:rows]
-
     try:
         stat = os.statvfs(os.path.dirname(os.path.abspath(path)))
-        needed, free = planned_rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
+        needed, free = rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
         if needed > free:
             raise IOFailure(
                 f"cannot write {shown_as}: {_column_text(config)} needs {needed} bytes, "
@@ -331,14 +299,17 @@ def save_model_library(path, config, shown_as=None) -> None:
         os.mkdir(path)
         models = []
         with open(os.path.join(path, "point_descriptors.npy"), "wb") as f:
-            f.write(_descriptor_header(planned_rows, dim))
-            for model, drawn in _draw_models(config, block_for):
-                f.write(drawn)
+            np.lib.format.write_array_header_1_0(f, {
+                "descr": np.lib.format.dtype_to_descr(block.dtype),
+                "fortran_order": False,
+                "shape": (rows, dim),
+            })
+            for model, unit in _draw_models(config):
+                block[...] = unit
+                f.write(block)
                 models.append(model)
-            columns = _small_columns(models)
-            f.seek(0)
-            f.write(_descriptor_header(int(columns["point_offsets"][-1]), dim))
-        for name, column in columns.items():
+            del unit  # as in generate_model_library
+        for name, column in _small_columns(models).items():
             np.save(os.path.join(path, f"{name}.npy"), column, allow_pickle=False)
         dump_json({"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION,
                    **{key: getattr(config, key) for key in LIBRARY_KEYS}},
@@ -376,8 +347,8 @@ def load_model_library(path, config) -> ModelLibrary:
     MvorError naming the key and the header's path; a header that is not
     JSON raises ConfigParseError, and one of another format IOFailure. A file that cannot be
     read, a column whose dtype or shape is not that of the library of
-    ``config``, or ``point_offsets`` that do not split the point rows into
-    its models raise IOFailure naming the file. Of the column values only
+    ``config``, or ``point_offsets`` other than ``model_points`` apart from
+    0 raise IOFailure naming the file. Of the column values only
     the offsets are read; the rest are trusted to be what was saved."""
     header_path = os.path.join(path, "header.json")
     header = load_json(header_path)
@@ -394,13 +365,13 @@ def load_model_library(path, config) -> ModelLibrary:
                 f"{header_path}: library generated with {key} {header.get(key)!r}, "
                 f"expected {getattr(config, key)!r}"
             )
-    n = config.library_size
+    n, rows = config.library_size, config.library_size * config.model_points
     offsets = _load_column(path, "point_offsets", np.int64, (n + 1,))
-    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+    if not np.array_equal(offsets, np.arange(n + 1) * config.model_points):
         raise IOFailure(
-            f"{os.path.join(path, 'point_offsets.npy')}: offsets do not start at 0 and rise"
+            f"{os.path.join(path, 'point_offsets.npy')}: offsets do not split the point "
+            f"rows into {n} models of sim.model_points {config.model_points} rows each"
         )
-    rows = int(offsets[-1])
     return ModelLibrary(
         family=_load_column(path, "family", "U", (n,)),
         footprint_radius=_load_column(path, "footprint_radius", np.float64, (n,)),

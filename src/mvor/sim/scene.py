@@ -60,7 +60,7 @@ class SceneState:
         return [(p.pose.tx, p.pose.ty, r) for p, r in zip(self.placements, radii.tolist())]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RearrangementInstance:
     """One task: the initial and goal placements drawn for ``seed`` under
     ``config``. Derived, not stored: ``true_offsets`` (per object, goal =
@@ -68,10 +68,12 @@ class RearrangementInstance:
     and ``ring_viewpoints`` from the config.
 
     Building one checks the placements, so one that exists is valid: both
-    lists have the same length, every model id lies in the config's
-    library, object i places the same model in both lists, and no model is
-    placed twice (a feature id is its library row, so a database could not
-    tell the two apart). A violation raises ValueError."""
+    scenes lie on the config's table, both lists have the same length,
+    every model id lies in the config's library, object i places the same
+    model in both lists, and no model is placed twice (a feature id is its
+    library row, so a database could not tell the two apart). A violation
+    raises ValueError. It is frozen, so it stays valid: a field changes
+    only through ``dataclasses.replace``, which checks the new instance."""
 
     initial: SceneState
     goal: SceneState
@@ -83,14 +85,21 @@ class RearrangementInstance:
 
     def __post_init__(self):
         self._check_placements()
-        self.true_offsets = [
+        object.__setattr__(self, "true_offsets", [
             planar_compose(g.pose, planar_invert(i.pose))
             for i, g in zip(self.initial.placements, self.goal.placements)
-        ]
-        self.home_viewpoint = self.config.home_viewpoint()
-        self.ring_viewpoints = self.config.ring_viewpoints()
+        ])
+        object.__setattr__(self, "home_viewpoint", self.config.home_viewpoint())
+        object.__setattr__(self, "ring_viewpoints", self.config.ring_viewpoints())
 
     def _check_placements(self) -> None:
+        table = _table_rect(self.config)
+        for name, scene in (("initial", self.initial), ("goal", self.goal)):
+            if scene.table_bounds != table:
+                raise ValueError(
+                    f"instance member {name!r}: table bounds {scene.table_bounds} are not "
+                    f"the config's table {table}"
+                )
         initial, goal = self.initial.placements, self.goal.placements
         if len(initial) != len(goal):
             raise ValueError("instance members 'initial' and 'goal' differ in length")

@@ -50,6 +50,7 @@ from mvor.sim import (
     segment,
 )
 from mvor.serialize import from_dict, load_json, to_dict
+from mvor.sim.config import MIN_MODEL_POINTS
 from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT, instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
@@ -837,11 +838,17 @@ class TestCliDatasetLibrary:
             np.save(library / "footprint_radius.npy", radius.astype(np.float32))
             return "footprint_radius.npy"
         offsets = np.load(library / "point_offsets.npy")
-        np.save(library / "point_offsets.npy", offsets[::-1].copy())
+        if how == "offset_moved":
+            # still starts at 0 and rises: once mapped without a word
+            offsets[1] += 1
+        else:
+            offsets = offsets[::-1]
+        np.save(library / "point_offsets.npy", offsets)
         return "point_offsets.npy"
 
     @pytest.mark.parametrize(
-        "how", ["other_version", "other_seed", "header_not_json", "truncated", "shape", "dtype", "offsets"]
+        "how", ["other_version", "other_seed", "header_not_json", "truncated", "shape", "dtype",
+                "offsets", "offset_moved"]
     )
     @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
     def test_damaged_library_exits_2(self, files, how, command, tmp_path, capsys):
@@ -1355,6 +1362,17 @@ class TestCliMalformedValues:
         path.write_text(json.dumps(doc))
         out = str(tmp_path / "run")
         self._exits_2(["rearrange", "--instance", str(path), "--out", out], capsys)
+
+    def test_model_points_below_the_bound(self, tmp_path, capsys):
+        """Below MIN_MODEL_POINTS a model could sample more points than
+        model_points; such a config is refused before anything is drawn."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": {"model_points": MIN_MODEL_POINTS - 1}}))
+        capsys.readouterr()
+        assert cli_main(["build-db", "--config", str(path), "--out", str(tmp_path / "db")]) == 2
+        err = capsys.readouterr().err
+        assert f"sim: model_points={MIN_MODEL_POINTS - 1} outside" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, config, setting",

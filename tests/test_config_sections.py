@@ -34,9 +34,15 @@ from mvor.perception import (
 from mvor.geometry import PlanarTransform
 from mvor.planner import PlannerConfig, check_collision, find_buffer_pose, plan_and_execute
 from mvor.serialize import ConfigSection, from_dict
-from mvor.sim import SimConfig, generate_instance
-from mvor.sim.config import MAX_ACTUATION_SIGMA, MAX_TABLE_SIDE
-from mvor.sim.scene import Placement, RearrangementInstance, Rect, SceneState
+from mvor.sim import (
+    SimConfig,
+    generate_instance,
+    generate_model_library,
+    load_instance,
+    save_instance,
+)
+from mvor.sim.config import MAX_ACTUATION_SIGMA, MAX_TABLE_SIDE, MIN_MODEL_POINTS
+from mvor.sim.scene import Placement, RearrangementInstance, Rect, SceneState, placement_conflict
 
 # function -> the parameters that carry a config value
 CONFIG_VALUED = {
@@ -163,6 +169,19 @@ def test_sections_are_frozen(cls):
         setattr(obj, name, getattr(obj, name))
 
 
+def test_regimes_cannot_change_in_place():
+    """``regimes.append("sideways")`` once left a built BenchConfig holding
+    a regime its check refuses; a list, as JSON gives it, is kept as a
+    tuple."""
+    cfg = BenchConfig(regimes=["minor", "full"])
+    assert cfg.regimes == ("minor", "full")
+    with pytest.raises(AttributeError):
+        cfg.regimes.append("sideways")
+    assert from_dict(BenchConfig, {"regimes": ["full"]}).regimes == ("full",)
+    with pytest.raises(ConfigParseError, match="regimes: expected tuple, got str"):
+        from_dict(BenchConfig, {"regimes": "full"})
+
+
 def test_replace_checks_the_new_section():
     with pytest.raises(ValueError, match="outer_factor=0"):
         dataclasses.replace(PlannerConfig(), outer_factor=0)
@@ -193,6 +212,7 @@ def test_every_setting_is_checked_when_built():
         ("table_depth", MAX_TABLE_SIDE / 2),
         ("actuation_sigma", 0.2),
         ("actuation_sigma", MAX_ACTUATION_SIGMA),
+        ("model_points", MIN_MODEL_POINTS),
     ],
 )
 def test_bounded_sim_values_in_range(sim, value):
@@ -206,6 +226,8 @@ def test_bounded_sim_values_in_range(sim, value):
         ("table_depth", 1e308),
         ("actuation_sigma", 2 * MAX_ACTUATION_SIGMA),
         ("actuation_sigma", 1e308),
+        # below it a model could sample more than model_points points
+        ("model_points", MIN_MODEL_POINTS - 1),
     ],
 )
 def test_bounded_sim_values_past_the_bound(sim, value):
@@ -234,3 +256,43 @@ def _scene(models):
 def test_invalid_instance_cannot_be_built(initial, goal, message):
     with pytest.raises(ValueError, match=message):
         RearrangementInstance(_scene(initial), _scene(goal), seed=0, config=SimConfig())
+
+
+def test_instance_scenes_lie_on_the_config_table(tmp_path):
+    """Scenes on a +-0.2 m table under a config of a +-0.5 m one were once
+    built: placement_conflict refused (0, 0.35) as off the table, and
+    accepted it on the instance saved and loaded, whose bounds come from
+    the config."""
+    small_table = dataclasses.replace(_scene([0]), table_bounds=Rect(-0.2, -0.2, 0.2, 0.2))
+    with pytest.raises(ValueError, match=r"'initial': table bounds Rect\(xmin=-0.2"):
+        RearrangementInstance(small_table, small_table, seed=0, config=SimConfig())
+    with pytest.raises(ValueError, match="'goal': table bounds"):
+        RearrangementInstance(_scene([0]), small_table, seed=0, config=SimConfig())
+    narrow = SimConfig(table_width=0.4, table_depth=0.4)
+    inst = RearrangementInstance(small_table, small_table, seed=0, config=narrow)
+    save_instance(inst, tmp_path / "inst.json")
+    loaded = load_instance(tmp_path / "inst.json")
+    assert loaded.initial.table_bounds == loaded.goal.table_bounds == inst.initial.table_bounds
+    library = generate_model_library(SimConfig(library_size=1, point_descriptor_dim=1))
+    target = PlanarTransform(0.0, 0.35, 0.0)
+    for scene in (inst.initial, loaded.initial):
+        assert placement_conflict(scene, library, 0, target) == (
+            "target footprint leaves the table"
+        )
+
+
+def test_instance_cannot_change_in_place():
+    """``inst.goal = other.goal`` was once accepted, leaving 5 initial and
+    8 goal objects and 5 stale true offsets; a field changes only through
+    ``dataclasses.replace``, which checks the new instance."""
+    inst = RearrangementInstance(_scene(range(5)), _scene(range(5)), seed=0, config=SimConfig())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.goal = _scene(range(8))
+    assert inst.goal.num_objects == len(inst.true_offsets) == 5
+    with pytest.raises(ValueError, match="'initial' and 'goal' differ in length"):
+        dataclasses.replace(inst, goal=_scene(range(8)))
+    turned = SceneState(inst.goal.table_bounds, tuple(
+        dataclasses.replace(p, pose=PlanarTransform(0.5, p.pose.tx, p.pose.ty))
+        for p in inst.goal.placements
+    ))
+    assert [o.yaw for o in dataclasses.replace(inst, goal=turned).true_offsets] == [0.5] * 5

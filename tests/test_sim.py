@@ -46,6 +46,7 @@ from mvor.sim.io import (
     write_dataset,
 )
 from mvor.sim import models
+from mvor.sim.config import MIN_MODEL_POINTS
 from mvor.sim.models import LIBRARY_VERSION
 from mvor.sim.render import _winners as pick_winners
 from mvor.sim.scene import placement_conflict
@@ -110,9 +111,9 @@ class TestModelLibrary:
         for name in self.COLUMNS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
-    def test_columns_cover_every_model(self, library):
+    def test_columns_cover_every_model(self, config, library):
         o = library.point_offsets
-        assert o[0] == 0 and np.all(np.diff(o) > 0)
+        np.testing.assert_array_equal(o, np.arange(len(library) + 1) * config.model_points)
         assert len(library.family) == len(library.footprint_radius) == len(o) - 1
         for column in (library.points, library.normals, library.point_descriptors):
             assert len(column) == o[-1]
@@ -177,14 +178,25 @@ class TestModelLibrary:
         with pytest.raises(UnknownFeature, match=rf"\[{fid}\]"):
             library.descriptors_for(np.array([2, fid]))
 
-    def test_points_past_model_points_grow_the_columns(self):
-        # 3 points cannot cover a box's 5 faces or an L-prism's 7 at one
-        # sample each, so the descriptor column outgrows its first size
-        small = generate_model_library(SimConfig(model_points=3, library_size=5))
-        counts = np.diff(small.point_offsets)
-        assert counts.sum() > 5 * 3
-        assert len(small.point_descriptors) == len(small.points) == counts.sum()
-        np.testing.assert_allclose(np.linalg.norm(small.point_descriptors, axis=1), 1.0, atol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        total=st.sampled_from([MIN_MODEL_POINTS, MIN_MODEL_POINTS + 1, 50, 1600]),
+        seed=st.integers(0, 2**32 - 1),
+        box=st.tuples(*[st.floats(0.05, 0.09)] * 2, st.floats(0.04, 0.08)),
+        cylinder=st.tuples(st.floats(0.025, 0.045), st.floats(0.04, 0.08)),
+        l_prism=st.tuples(*[st.floats(0.06, 0.09)] * 2, *[st.floats(0.025, 0.04)] * 2,
+                          st.floats(0.035, 0.07)),
+    )
+    def test_every_family_samples_exactly_model_points(self, total, seed, box, cylinder,
+                                                       l_prism):
+        """Anywhere in the dimension ranges _draw_models draws from, each
+        family samples exactly ``total`` points: the bound MIN_MODEL_POINTS
+        rests on, so a library is library_size x model_points rows."""
+        rng = np.random.default_rng(seed)
+        for sample, dims in ((models._sample_box, box), (models._sample_cylinder, cylinder),
+                             (models._sample_l_prism, l_prism)):
+            pts, nrms, _ = sample(rng, *dims, total)
+            assert pts.shape == nrms.shape == (total, 3), sample.__name__
 
 
 def float64_reference_library(config):
@@ -231,9 +243,8 @@ class TestFloat32Codes:
 
     @pytest.mark.parametrize(
         "sim",
-        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8),
-         SimConfig(model_points=3, library_size=5)],
-        ids=["default", "small", "grown"],
+        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)],
+        ids=["default", "small"],
     )
     def test_draw_is_unchanged(self, sim):
         library, reference = generate_model_library(sim), float64_reference_library(sim)
@@ -342,16 +353,13 @@ class TestSavedLibrary:
 
     @pytest.mark.parametrize(
         "sim",
-        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8),
-         SimConfig(model_points=3, library_size=5)],
-        ids=["default", "small", "grown"],
+        [SimConfig(), SimConfig(library_size=2, model_points=50, point_descriptor_dim=8)],
+        ids=["default", "small"],
     )
     def test_files_are_np_save_bytes(self, sim, tmp_path):
-        """The streamed descriptor file, its header written for the final
-        row count, holds the bytes np.save writes for the generated column;
-        on the "grown" library that count exceeds library_size x
-        model_points (see test_points_past_model_points_grow_the_columns),
-        so the header written first is rewritten."""
+        """The streamed descriptor file, its header written first for
+        library_size x model_points rows, holds the bytes np.save writes for
+        the generated column."""
         save_model_library(tmp_path / "library", sim)
         generated = generate_model_library(sim)
         for name in TestModelLibrary.COLUMNS:
