@@ -33,7 +33,6 @@ __all__ = [
     "planar_distance",
     "observation_vector",
     "angular_distance",
-    "project_points",
     "nearest_pixel",
     "back_project_pixels",
     "look_at",
@@ -88,6 +87,9 @@ class PlanarTransform:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """The pinhole camera that renders, back-projects and scores poses;
+    pixel centres are integer (``nearest_pixel``), image edges at -0.5."""
+
     fx: float
     fy: float
     cx: float
@@ -96,10 +98,29 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
+
+    def project(self, cam: np.ndarray) -> np.ndarray:
+        """The (N, 2) pixels ``f * x / z + c`` of (N, 3) camera-frame
+        points, at or behind the camera too (callers filter on depth); one
+        column at a time, several times faster than an (N, 2) broadcast."""
+        uv = np.empty((len(cam), 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, (f, c) in enumerate(((self.fx, self.cx), (self.fy, self.cy))):
+                uv[:, k] = f * cam[:, k] / cam[:, 2] + c
+        return uv
+
+    def constraint_rows(self, uv: np.ndarray) -> np.ndarray:
+        """The two rows ``[fx, 0, cx - u]`` and ``[0, fy, cy - v]`` per
+        pixel (u, v), interleaved as (2N, 3): a camera-frame point projects
+        to the pixel exactly when both rows' dot products with it are 0."""
+        rows = np.zeros((len(uv), 2, 3))
+        rows[:, 0, 0], rows[:, 1, 1] = self.fx, self.fy
+        rows[:, :, 2] = np.array([self.cx, self.cy]) - uv
+        return rows.reshape(-1, 3)
 
 
 def rot_z(yaw: float) -> np.ndarray:
@@ -200,21 +221,6 @@ def angular_distance(e1: np.ndarray, e2: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def project_points(
-    intr: CameraIntrinsics, world_to_cam: Pose3, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pinhole projection of (N,3) world points: returns (uv (N,2), depth (N,)).
-
-    Does not raise for points behind the camera; callers filter on depth.
-    """
-    cam = world_to_cam.apply(points)
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.fx * cam[:, 0] / z + intr.cx
-        v = intr.fy * cam[:, 1] / z + intr.cy
-    return np.stack([u, v], axis=1), z
-
-
 def nearest_pixel(x: np.ndarray) -> np.ndarray:
     """The integer pixel whose centre is nearest each exact coordinate,
     ``floor(x + 0.5)``: a half rounds up, so -0.5 maps to pixel 0."""
@@ -224,8 +230,8 @@ def nearest_pixel(x: np.ndarray) -> np.ndarray:
 def back_project_pixels(
     intr: CameraIntrinsics, world_to_cam: Pose3, uv: np.ndarray, depth: np.ndarray
 ) -> np.ndarray:
-    """Inverse of :func:`project_points` at known depths: (N,2) pixels and
-    (N,) depths -> (N,3) world points."""
+    """Inverse of ``intr.project(world_to_cam.apply(points))`` at known
+    depths: (N,2) pixels and (N,) depths -> (N,3) world points."""
     uv = np.asarray(uv, dtype=float)
     depth = np.asarray(depth, dtype=float)
     cam = np.stack(

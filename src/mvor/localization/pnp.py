@@ -73,16 +73,11 @@ def _barycentric(world, ctrl):
 
 
 def _constraint_matrix(alphas, pixels, intr):
-    n, nc = alphas.shape
-    m = np.zeros((2 * n, 3 * nc))
-    du = intr.cx - pixels[:, 0]
-    dv = intr.cy - pixels[:, 1]
-    for j in range(nc):
-        m[0::2, 3 * j] = alphas[:, j] * intr.fx
-        m[0::2, 3 * j + 2] = alphas[:, j] * du
-        m[1::2, 3 * j + 1] = alphas[:, j] * intr.fy
-        m[1::2, 3 * j + 2] = alphas[:, j] * dv
-    return m
+    """The (2n, 3 nc) constraints on the stacked camera-frame control
+    points: each pixel's ``constraint_rows`` times each of its alphas."""
+    rows = intr.constraint_rows(pixels)
+    weights = np.repeat(alphas, 2, axis=0)
+    return (weights[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
 
 
 def _beta_cases(l_mat, rho, pairs_products, nv):
@@ -168,36 +163,26 @@ def _kabsch(world, cam):
 
 
 def reprojection_sq_errors(world, pixels, intr, r, t):
-    """Squared pixel errors; points at or behind the camera get +inf.
-
-    When every point is in front of the camera (nearly every hypothesis)
-    the errors are taken in one pass over all pairs; otherwise the same
-    expressions run on the points in front. Each error is elementwise in
-    its own pair, so the two paths give the same bits for it."""
+    """Squared pixel errors; points at or behind the camera (depth not
+    above 1e-9) get +inf. Each error is elementwise in its own pair, so a
+    pair scores the same bits whatever the other pairs are."""
     cam = world @ r.T + t
-    z = cam[:, 2]
-    ok = z > 1e-9
-    if ok.all():
-        u = intr.fx * cam[:, 0] / z + intr.cx
-        v = intr.fy * cam[:, 1] / z + intr.cy
-        return (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
-    err = np.full(len(world), np.inf)
-    u = intr.fx * cam[ok, 0] / z[ok] + intr.cx
-    v = intr.fy * cam[ok, 1] / z[ok] + intr.cy
-    err[ok] = (u - pixels[ok, 0]) ** 2 + (v - pixels[ok, 1]) ** 2
+    d = intr.project(cam) - pixels
+    d *= d
+    err = d[:, 0] + d[:, 1]  # sum(axis=1)'s bits, without its slow 2-wide reduction
+    err[~(cam[:, 2] > 1e-9)] = np.inf
     return err
 
 
-def _fill_reprojection_terms(cam, pu, pv, intr, resid, ju, jv):
+def _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv):
     """Fill in place the Gauss-Newton terms of the reprojection error at
-    camera points ``cam`` (all in front of the camera) of the pixels with
-    coordinates ``pu``, ``pv``: residuals ``resid`` (2n,), u and v
-    interleaved, and the (n, 3) derivatives ``ju`` of u and ``jv`` of v by
-    the camera coordinates, whose zero entries the caller sets once. Every
-    entry is elementwise in its pair."""
+    camera points ``cam`` (all in front of the camera) of ``pixels``:
+    residuals ``resid`` (2n,), u and v interleaved, and the (n, 3)
+    derivatives ``ju`` of u and ``jv`` of v by the camera coordinates,
+    whose zero entries the caller sets once. Every entry is elementwise in
+    its pair."""
     z = cam[:, 2]
-    resid[0::2] = intr.fx * cam[:, 0] / z + intr.cx - pu
-    resid[1::2] = intr.fy * cam[:, 1] / z + intr.cy - pv
+    np.subtract(intr.project(cam), pixels, out=resid.reshape(-1, 2))
     inv_z = 1.0 / z
     ju[:, 0] = intr.fx * inv_z
     ju[:, 2] = -intr.fx * cam[:, 0] * inv_z**2
@@ -222,7 +207,7 @@ def refine_pose(world, pixels, intr, r, t, iters=20):
         cam = world @ r.T + t
         if np.any(cam[:, 2] <= 1e-9):
             break
-        _fill_reprojection_terms(cam, pixels[:, 0], pixels[:, 1], intr, resid, ju, jv)
+        _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv)
         # row_vec @ (-skew(c)) == cross(c, row_vec)
         jac[0::2, :3] = np.cross(cam, ju)
         jac[1::2, :3] = np.cross(cam, jv)
@@ -438,18 +423,15 @@ def _planar_equations(world, pixels, intr: CameraIntrinsics, w2c: Pose3):
 
     A moved point's camera coordinates are
     ``cam = Rc (cos [x, y, 0] + sin [-y, x, 0] + [tx, ty, z]) + tc``, and a
-    pixel (u, v) constrains them by ``fx cam_x + (cx - u) cam_z = 0`` and
-    ``fy cam_y + (cy - v) cam_z = 0``. Returns coefficients (n, 2, 4) and
-    right-hand sides (n, 2). Both products by the camera pose take every
-    pair's two rows as one (2n, 3) matrix; each row is the same dot product
-    as in a per-pair 2 x 3 product.
+    pixel (u, v) constrains them by its two ``constraint_rows``,
+    ``fx cam_x + (cx - u) cam_z = 0`` and ``fy cam_y + (cy - v) cam_z = 0``.
+    Returns coefficients (n, 2, 4) and right-hand sides (n, 2). Both
+    products by the camera pose take every pair's two rows as one (2n, 3)
+    matrix; each row is the same dot product as in a per-pair 2 x 3
+    product.
     """
     n = len(world)
-    e = np.zeros((2 * n, 3))
-    e[0::2, 0] = intr.fx
-    e[0::2, 2] = intr.cx - pixels[:, 0]
-    e[1::2, 1] = intr.fy
-    e[1::2, 2] = intr.cy - pixels[:, 1]
+    e = intr.constraint_rows(pixels)
     g = (e @ w2c.rotation).reshape(n, 2, 3)
     x, y, z = world[:, 0, None], world[:, 1, None], world[:, 2, None]
     coeff = np.stack(
@@ -486,7 +468,6 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
     n = len(world)
     d_yaw_world = np.column_stack([-world[:, 1], world[:, 0], np.zeros(n)])
     d_txy = w2c.rotation[:, :2]
-    pu, pv = pixels[:, 0].copy(), pixels[:, 1].copy()
     resid = np.empty(2 * n)
     ju = np.zeros((n, 3))
     jv = np.zeros((n, 3))
@@ -496,7 +477,7 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
         cam = world @ r.T + t
         if np.any(cam[:, 2] <= 1e-9):
             break
-        _fill_reprojection_terms(cam, pu, pv, intr, resid, ju, jv)
+        _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv)
         d_yaw = d_yaw_world @ r.T
         jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
         jac[1::2, 0] = np.einsum("ij,ij->i", jv, d_yaw)

@@ -179,15 +179,17 @@ def load_database(path) -> tuple[Database, dict]:
     member, or whose columns disagree with each other or with the header
     raises IOFailure."""
     try:
-        npz = np.load(path)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise IOFailure(f"{path}: not a database dump")
+        # np.load reads a file that does not start as a zip archive does as
+        # an array, or refuses it as a pickle with advice to load it unsafely
+        with open(path, "rb") as f:
+            if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise IOFailure(f"{path}: not a database dump")
         # an NpzFile re-reads a member from the archive on every access, so
         # read each one once
-        with npz:
+        with np.load(path) as npz:
             data = {name: npz[name] for name in npz.files}
-    # EOFError: an empty file; BadZipFile: a truncated archive; ValueError:
-    # a file of another format, or a pickled (object) member
+    # EOFError, BadZipFile: a truncated archive; ValueError: a pickled
+    # (object) member
     except (OSError, EOFError, zipfile.BadZipFile, ValueError) as e:
         raise IOFailure(f"cannot read database {path}: {e}") from e
     # NpzFile hands back a member that is not an .npy array as raw bytes

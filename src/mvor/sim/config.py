@@ -66,20 +66,21 @@ class SimConfig(ConfigSection):
     # table, and 90 puts it at infinite height (tan of the elevation).
     ring_radius: float = setting(0.85, 0, MAX_CAMERA_RADIUS, open_range=True)
     ring_elevation_deg: float = setting(45.0, 0, 90, open_range=True)
-    home_azimuth_deg: float = -90.0
+    home_azimuth_deg: float = setting(-90.0, open_range=True)  # any finite angle
     home_radius: float = setting(0.95, 0, MAX_CAMERA_RADIUS, open_range=True)
     home_elevation_deg: float = setting(50.0, 0, 90, open_range=True)
 
     # camera
     image_width: int = setting(640, 1, MAX_IMAGE_SIDE)
     image_height: int = setting(480, 1, MAX_IMAGE_SIDE)
-    focal_px: float = 460.0
+    focal_px: float = setting(460.0, 0, open_range=True)
 
     # model library
     library_size: int = setting(12, 1)
     library_seed: int = setting(7, 0)
     model_points: int = setting(1600, MIN_MODEL_POINTS)
-    point_descriptor_dim: int = setting(256, 1)
+    # 1-wide unit codes are +-1, whose sum over a region can be 0
+    point_descriptor_dim: int = setting(256, 2)
 
     # actuation
     actuation_sigma: float = setting(0.0, 0, MAX_ACTUATION_SIGMA)

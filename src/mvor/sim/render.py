@@ -128,15 +128,16 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
         np.subtract(cam_center[k], posed.columns[k], out=to_cam[:, k])
     facing = np.flatnonzero(np.einsum("ij,ij->i", to_cam, posed.normals) > 0.0)
 
-    # project_points, with the translation added and the pixel found one
-    # contiguous column at a time; take gathers the rows several times
-    # faster than fancy indexing does
+    # the facing points' pixels, the translation added one contiguous
+    # column at a time; take and compress gather rows several times faster
+    # than fancy and boolean indexing do. The near plane is 1e-6 m, and the
+    # image edges lie at -0.5
     w2c = invert(viewpoint)
     cam = posed.points.take(facing, axis=0) @ w2c.rotation.T
-    z = cam[:, 2] + w2c.translation[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.fx * (cam[:, 0] + w2c.translation[0]) / z + intr.cx
-        v = intr.fy * (cam[:, 1] + w2c.translation[1]) / z + intr.cy
+    for k in range(3):
+        cam[:, k] += w2c.translation[k]
+    uv = intr.project(cam)
+    u, v, z = uv[:, 0], uv[:, 1], cam[:, 2]
     ok = (
         (z > 1e-6)
         & (u >= -0.5)
@@ -147,9 +148,9 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
     if not ok.any():
         raise EmptyFrame("no model points project into the image")
     cand = facing[ok]
-    u, v, z = u[ok], v[ok], z[ok]
+    uv, z = uv.compress(ok, axis=0), z[ok]
     fid = posed.feature_ids[cand]
-    win = _winners(nearest_pixel(v) * intr.width + nearest_pixel(u), z, fid)
+    win = _winners(nearest_pixel(uv[:, 1]) * intr.width + nearest_pixel(uv[:, 0]), z, fid)
 
     # group the winners by instance, each run in row-major pixel order
     inst = posed.instance_ids[cand[win]]
@@ -173,7 +174,7 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
     return Frame(
         feature_ids=fid[win],
         instance_ids=inst,
-        px=np.stack([u[win], v[win]], axis=1),
+        px=uv.take(win, axis=0),
         depth=z[win],
         view_local=view,
         viewpoint=viewpoint,

@@ -72,25 +72,26 @@ class RearrangementInstance:
     every model id lies in the config's library, object i places the same
     model in both lists, and no model is placed twice (a feature id is its
     library row, so a database could not tell the two apart). A violation
-    raises ValueError. It is frozen, so it stays valid: a field changes
-    only through ``dataclasses.replace``, which checks the new instance."""
+    raises ValueError. It is frozen and its derived sequences are tuples,
+    so it stays valid: a field changes only through
+    ``dataclasses.replace``, which checks the new instance."""
 
     initial: SceneState
     goal: SceneState
     seed: int
     config: SimConfig
-    true_offsets: list[PlanarTransform] = field(init=False)
+    true_offsets: tuple[PlanarTransform, ...] = field(init=False)
     home_viewpoint: Pose3 = field(init=False)
-    ring_viewpoints: list[Pose3] = field(init=False)
+    ring_viewpoints: tuple[Pose3, ...] = field(init=False)
 
     def __post_init__(self):
         self._check_placements()
-        object.__setattr__(self, "true_offsets", [
+        object.__setattr__(self, "true_offsets", tuple(
             planar_compose(g.pose, planar_invert(i.pose))
             for i, g in zip(self.initial.placements, self.goal.placements)
-        ])
+        ))
         object.__setattr__(self, "home_viewpoint", self.config.home_viewpoint())
-        object.__setattr__(self, "ring_viewpoints", self.config.ring_viewpoints())
+        object.__setattr__(self, "ring_viewpoints", tuple(self.config.ring_viewpoints()))
 
     def _check_placements(self) -> None:
         table = _table_rect(self.config)

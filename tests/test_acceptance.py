@@ -73,7 +73,8 @@ def test_criterion_1_pnp_oracle_equivalence():
         current = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.3, 0.3, 2))
         world = geo.lift(current).apply(local)
         truth = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.25, 0.25, 2))
-        uv, z = geo.project_points(intr, geo.invert(xi_q), geo.lift(truth).apply(world))
+        cam = geo.invert(xi_q).apply(geo.lift(truth).apply(world))
+        uv, z = intr.project(cam), cam[:, 2]
         assert (z > 0).all()
         r, t, _ = ransac_pnp(world, uv, intr, seed=7)
         T = geo.compose(xi_q, Pose3(r, t))
@@ -103,7 +104,8 @@ def planar_oracle_cases(intr, xi_q):
         current = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.3, 0.3, 2))
         world = geo.lift(current).apply(local)
         truth = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.25, 0.25, 2))
-        uv, z = geo.project_points(intr, geo.invert(xi_q), geo.lift(truth).apply(world))
+        cam = geo.invert(xi_q).apply(geo.lift(truth).apply(world))
+        uv, z = intr.project(cam), cam[:, 2]
         assert (z > 0).all()
         yield world, uv, truth
 

@@ -497,6 +497,7 @@ class TestCliDeterminism:
             {"library_size": 0},
             {"min_clearance": -5},
             {"point_descriptor_dim": 0},
+            {"point_descriptor_dim": 1},
             {"model_points": 0},
             {"placement_margin": -0.3},
             {"placement_attempts": 0},

@@ -8,6 +8,7 @@ did beside a ``PerceptionConfig`` seed of 5).
 
 import dataclasses
 import importlib
+import math
 import inspect
 import pkgutil
 import typing
@@ -31,7 +32,7 @@ from mvor.perception import (
     extract_regions,
     prepare_goal_regions,
 )
-from mvor.geometry import PlanarTransform
+from mvor.geometry import CameraIntrinsics, PlanarTransform
 from mvor.planner import PlannerConfig, check_collision, find_buffer_pose, plan_and_execute
 from mvor.serialize import ConfigSection, from_dict
 from mvor.sim import (
@@ -115,8 +116,8 @@ def test_unread_seeds_are_gone(cls, name):
 
 SECTIONS = [SimConfig, PerceptionConfig, LocalizationConfig, PlannerConfig, BenchConfig]
 
-# values tried, in order, for a value a setting refuses: every range
-# starts at 0 or above
+# values tried, in order, for a value a setting refuses: every bounded
+# range starts at 0 or above
 OUTSIDE = {int: [-1, 2**62], float: [-1.0, 1e300], str: ["no-such-choice"]}
 
 
@@ -128,7 +129,12 @@ def _refused_values():
         for f in dataclasses.fields(cls):
             if "allowed" in f.metadata:
                 allowed, _ = f.metadata["allowed"]
-                bad = next(v for v in OUTSIDE[hints[f.name]] if not allowed(v))
+                bad = next((v for v in OUTSIDE[hints[f.name]] if not allowed(v)), None)
+                if bad is None:
+                    # a setting that allows every finite value refuses only
+                    # values from_dict refuses first, as not finite
+                    # (test_non_finite_camera_settings_refused)
+                    continue
                 cases.append(pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}"))
     return cases
 
@@ -235,6 +241,21 @@ def test_bounded_sim_values_past_the_bound(sim, value):
         SimConfig(**{sim: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sim", ["focal_px", "home_azimuth_deg"])
+def test_non_finite_camera_settings_refused(sim, value):
+    """A NaN or infinite focal length or home azimuth once built a
+    SimConfig, an infinite azimuth warning in np.cos; the camera itself
+    refuses a focal length that is not finite."""
+    with pytest.raises(ValueError, match=rf"^{sim}="):
+        SimConfig(**{sim: value})
+    if sim == "focal_px":
+        intr = dataclasses.asdict(SimConfig().intrinsics())
+        for axis in ("fx", "fy"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                CameraIntrinsics(**{**intr, axis: value})
+
+
 def _scene(models):
     return SceneState(
         Rect(-0.5, -0.5, 0.5, 0.5),
@@ -273,7 +294,7 @@ def test_instance_scenes_lie_on_the_config_table(tmp_path):
     save_instance(inst, tmp_path / "inst.json")
     loaded = load_instance(tmp_path / "inst.json")
     assert loaded.initial.table_bounds == loaded.goal.table_bounds == inst.initial.table_bounds
-    library = generate_model_library(SimConfig(library_size=1, point_descriptor_dim=1))
+    library = generate_model_library(SimConfig(library_size=1, point_descriptor_dim=2))
     target = PlanarTransform(0.0, 0.35, 0.0)
     for scene in (inst.initial, loaded.initial):
         assert placement_conflict(scene, library, 0, target) == (
@@ -288,6 +309,11 @@ def test_instance_cannot_change_in_place():
     inst = RearrangementInstance(_scene(range(5)), _scene(range(5)), seed=0, config=SimConfig())
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.goal = _scene(range(8))
+    for derived in (inst.true_offsets, inst.ring_viewpoints):
+        with pytest.raises(AttributeError):
+            derived.append(derived[0])
+        with pytest.raises(AttributeError):
+            derived.clear()
     assert inst.goal.num_objects == len(inst.true_offsets) == 5
     with pytest.raises(ValueError, match="'initial' and 'goal' differ in length"):
         dataclasses.replace(inst, goal=_scene(range(8)))

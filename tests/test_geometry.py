@@ -93,11 +93,13 @@ IDENTITY = Pose3(np.eye(3), np.zeros(3))
 
 class TestProjection:
     def test_principal_point(self):
-        uv, z = geo.project_points(INTR, IDENTITY, [[0.0, 0.0, 1.0]])
+        cam = IDENTITY.apply([[0.0, 0.0, 1.0]])
+        uv, z = INTR.project(cam), cam[:, 2]
         assert uv.tolist() == [[320.0, 240.0]] and z.tolist() == [1.0]
 
     def test_pinhole_formula(self):
-        uv, z = geo.project_points(INTR, IDENTITY, [[0.1, 0.0, 1.0], [0.0, -0.2, 2.0]])
+        cam = IDENTITY.apply([[0.1, 0.0, 1.0], [0.0, -0.2, 2.0]])
+        uv, z = INTR.project(cam), cam[:, 2]
         np.testing.assert_allclose(uv, [[370.0, 240.0], [320.0, 190.0]], atol=1e-12)
         assert z.tolist() == [1.0, 2.0]
 
@@ -109,7 +111,8 @@ class TestProjection:
                 [rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5), rng.uniform(0.2, 5, 5)]
             )
             world = geo.invert(w2c).apply(cam_pts)
-            uv, z = geo.project_points(INTR, w2c, world)
+            cam = w2c.apply(world)
+            uv, z = INTR.project(cam), cam[:, 2]
             back = geo.back_project_pixels(INTR, w2c, uv, z)
             np.testing.assert_allclose(back, world, atol=1e-9)
 
@@ -263,7 +266,7 @@ class TestLookAt:
 
     def test_target_projects_to_principal_point(self):
         pose = geo.look_at([0.5, -0.7, 0.9], [0.1, 0.0, 0.0])
-        uv, _ = geo.project_points(INTR, geo.invert(pose), [[0.1, 0.0, 0.0]])
+        uv = INTR.project(geo.invert(pose).apply([[0.1, 0.0, 0.0]]))
         np.testing.assert_allclose(uv, [[INTR.cx, INTR.cy]], atol=1e-9)
 
     @settings(max_examples=300, deadline=None)

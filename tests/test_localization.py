@@ -482,7 +482,7 @@ class TestSolvePose:
         t = np.linspace(0, 0.2, 12)
         world = np.column_stack([t, t * 0.5, np.zeros_like(t)])
         w2c = geo.look_at([0.0, -0.8, 0.8], [0.0, 0.0, 0.0])
-        uv, _ = geo.project_points(INTR, geo.invert(w2c), world)
+        uv = INTR.project(geo.invert(w2c).apply(world))
         with pytest.raises(DegenerateGeometry):
             ransac_pnp(world, uv, INTR, seed=0)
 
@@ -516,7 +516,8 @@ class TestPnPOracleEquivalence:
             world = geo.lift(cur).apply(local)
             truth = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.25, 0.25, 2))
             goal_pts = geo.lift(truth).apply(world)
-            uv, z = geo.project_points(INTR, geo.invert(xi_q), goal_pts)
+            cam = geo.invert(xi_q).apply(goal_pts)
+            uv, z = INTR.project(cam), cam[:, 2]
             assert (z > 0).all()
             r, t, mask = ransac_pnp(world, uv, INTR, seed=11)
             T = geo.compose(xi_q, Pose3(r, t))
@@ -536,7 +537,8 @@ def planar_pairs(view, truth, n, seed):
     )
     current = PlanarTransform(rng.uniform(-np.pi, np.pi), *rng.uniform(-0.3, 0.3, 2))
     world = geo.lift(current).apply(local)
-    uv, z = geo.project_points(INTR, geo.invert(view), geo.lift(truth).apply(world))
+    cam = geo.invert(view).apply(geo.lift(truth).apply(world))
+    uv, z = INTR.project(cam), cam[:, 2]
     assert (z > 0).all()
     return world, uv
 
@@ -588,7 +590,7 @@ class TestPlanarSolver:
     def test_shared_xy_is_degenerate(self, monkeypatch):
         view = VIEWS[0]
         world = np.column_stack([np.full(12, 0.1), np.full(12, -0.05), np.linspace(0, 0.1, 12)])
-        uv, _ = geo.project_points(INTR, geo.invert(view), world)
+        uv = INTR.project(geo.invert(view).apply(world))
         scored = []
         score = pnp.reprojection_sq_errors
         monkeypatch.setattr(pnp, "reprojection_sq_errors", lambda *a: scored.append(a) or score(*a))

@@ -12,6 +12,7 @@ from mvor import geometry as geo
 from mvor.cli import main as cli_main
 from mvor.errors import IOFailure, NoRegions
 from mvor.geometry import PlanarTransform
+from mvor.localization import reprojection_sq_errors
 from mvor.perception import (
     GridPooledDescriptor,
     PerceptionConfig,
@@ -132,6 +133,26 @@ class TestExtractRegions:
             for sel in (mask, slice(i, i + 1)):
                 (reg,) = extract_regions(frame, [(0, sel)], PerceptionConfig(min_region_points=1))
                 assert reg.world.tobytes() == alone.tobytes()
+
+    def test_one_camera_end_to_end(self, library):
+        """The renderer's projection, the region cut's back-projection and
+        the pose solver's scoring are one camera model: at its frame's own
+        camera pose, every hit's back-projected world point reprojects onto
+        its stored pixel to rounding (at most 1.6e-26 px^2 over the 184,769
+        hits of these scenes when this test was written)."""
+        hits = 0
+        for seed in range(5):
+            inst = generate_instance(CFG, library, seed=seed)
+            views = [*inst.ring_viewpoints, inst.home_viewpoint]
+            for frame in render(inst.initial, views, CFG.intrinsics(), library):
+                w2c = geo.invert(frame.viewpoint)
+                for region in extract_regions(frame, segment(frame), PCFG):
+                    err = reprojection_sq_errors(
+                        region.world, region.px, frame.intrinsics, w2c.rotation, w2c.translation
+                    )
+                    assert err.max() < 1e-20
+                    hits += len(err)
+        assert hits > 100_000
 
     def test_empty_mask_list(self, library):
         scene = make_scene([Placement(0, PlanarTransform(0, 0, 0))])
@@ -909,11 +930,21 @@ class TestDatabaseIO:
         assert rc == 2
         assert "unsupported version" in capsys.readouterr().err
 
-    def test_not_an_archive(self, tmp_path):
+    def test_not_an_archive(self, tmp_path, capsys):
+        """A file that is not a zip archive is not a database dump; numpy
+        once read a JSON file as a pickle and advised loading it unsafely."""
         path = tmp_path / "array.npy"
         np.save(path, np.zeros(3))
-        with pytest.raises(IOFailure):
+        with pytest.raises(IOFailure, match="not a database dump"):
             load_database(path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "mvor-dataset"}))
+        with pytest.raises(IOFailure, match="not a database dump"):
+            load_database(manifest)
+        rc = cli_main(["localize", "--db", str(manifest), "--instance", str(tmp_path / "i.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not a database dump" in err and "pickle" not in err
 
     def test_goal_region_prep(self, library):
         cfg = SimConfig(object_count_min=2, object_count_max=2)

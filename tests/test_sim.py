@@ -494,7 +494,8 @@ def reference_render(scene, viewpoint, intr, library):
         if not facing.any():
             continue
         pw = pw[facing]
-        uv, z = geo.project_points(intr, w2c, pw)
+        cam = w2c.apply(pw)
+        uv, z = intr.project(cam), cam[:, 2]
         ok = (
             (z > 1e-6)
             & (uv[:, 0] >= -0.5)
@@ -650,7 +651,7 @@ class TestRender:
         # with a stride of 1,000,000 would give model 0's last point and
         # model 1's first the same id, and name model 1's points off by one
         config = SimConfig(
-            model_points=1_000_001, library_size=2, point_descriptor_dim=1,
+            model_points=1_000_001, library_size=2, point_descriptor_dim=2,
             object_count_min=2, object_count_max=2,
         )
         big = generate_model_library(config)
@@ -945,10 +946,10 @@ class TestInstanceIO:
         d = instance_to_dict(generate_instance(config, library, seed=2))
         d["goal"][0]["yaw"] += 1.0
         inst = instance_from_dict(d)
-        assert inst.true_offsets == [
+        assert inst.true_offsets == tuple(
             geo.planar_compose(g.pose, geo.planar_invert(i.pose))
             for i, g in zip(inst.initial.placements, inst.goal.placements)
-        ]
+        )
         assert inst.goal.placements[0].pose.yaw == d["goal"][0]["yaw"]
 
     @pytest.mark.parametrize("doc", [[], "instance", 3, None])
