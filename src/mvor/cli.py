@@ -14,8 +14,9 @@ the instances were generated with (one ``.npy`` per column and a
 about 20 MB at the default config), through ``sim.io.write_dataset``:
 each ``gen`` stages the library anew, memory-maps it to place the
 instances, and only then renames it over a ``library/`` already in the
-directory. It writes each model's descriptor rows as soon as they are
-drawn, so its memory does not grow with the library. A ``gen`` that fails
+directory. It writes each block of at most 128 descriptor rows as soon
+as it is drawn, so its memory grows with neither the library nor
+``sim.model_points``. A ``gen`` that fails
 leaves no new directory behind and keeps the ``library/`` it would have
 replaced.
 ``build-db``, ``localize`` and ``rearrange`` given ``--instance`` memory-map

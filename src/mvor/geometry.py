@@ -52,8 +52,12 @@ class Pose3:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", np.array(self.rotation, dtype=float))
-        object.__setattr__(self, "translation", np.array(self.translation, dtype=float).reshape(3))
+        rotation = np.array(self.rotation, dtype=float)
+        translation = np.array(self.translation, dtype=float).reshape(3)
+        # read-only copies: a frozen pose cannot be moved in place either
+        rotation.flags.writeable = translation.flags.writeable = False
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -67,7 +71,7 @@ class Pose3:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanarTransform:
     """Rotation about the table normal plus in-plane translation (m)."""
 
@@ -76,9 +80,9 @@ class PlanarTransform:
     ty: float
 
     def __post_init__(self):
-        self.yaw = float(wrap_angle(self.yaw))
-        self.tx = float(self.tx)
-        self.ty = float(self.ty)
+        object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
+        object.__setattr__(self, "tx", float(self.tx))
+        object.__setattr__(self, "ty", float(self.ty))
 
     @staticmethod
     def identity() -> "PlanarTransform":

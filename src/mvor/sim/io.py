@@ -4,8 +4,8 @@ A dataset, as ``mvor gen`` writes it, is a directory holding
 ``manifest.json`` (format, version, count, seeds, file names and the sim
 config echo), one ``instance_<seed:08d>.json`` per scene and ``library/``,
 the model library the instances were generated with, as
-``models.save_model_library`` generates and writes it, one model at a time
-(about 20 MB at the default config). ``write_dataset`` is the one writer
+``models.save_model_library`` generates and writes it, in blocks of at most
+``models.BLOCK_ROWS`` descriptor rows (about 20 MB at the default config). ``write_dataset`` is the one writer
 of the directory: it stages the library, places every instance against
 it, and only then renames it over any ``library/`` already there, so a
 failed ``gen`` keeps the library it would have replaced.

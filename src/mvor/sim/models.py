@@ -2,10 +2,10 @@
 
 Each model is a point-sampled surface: local-frame points with outward
 normals and a fixed random unit descriptor per point, drawn and normalized
-in float64 and stored rounded to float32, which halves the bytes every
-region descriptor reads (``perception.descriptor``). The feature ids and
-descriptors are what the perception stack can observe and match on,
-geometry is what it must infer.
+in float64, ``BLOCK_ROWS`` rows at a time, and stored rounded to float32,
+which halves the bytes every region descriptor reads
+(``perception.descriptor``). The feature ids and descriptors are what the
+perception stack can observe and match on, geometry is what it must infer.
 
 ``ModelLibrary`` stores the models as columns: ``family`` and
 ``footprint_radius`` hold one row per model, and ``points``, ``normals``
@@ -21,11 +21,11 @@ center is the local origin.
 ``save_model_library`` generates one and writes it as a new directory:
 one ``.npy`` file per column and a ``header.json`` holding the format
 name, ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings it was
-generated from. It writes each model's descriptor rows as soon as they are
-drawn, so its memory does not grow with the library; ``io.write_dataset``
-stages it and alone replaces a dataset's ``library/``. Both draw the
-models through one generator, so the saved columns are the generated
-ones, bit for bit.
+generated from. It writes each block of descriptor rows as soon as it is
+drawn, so its memory grows with neither the library nor ``model_points``;
+``io.write_dataset`` stages it and alone replaces a dataset's
+``library/``. Both draw the models through one generator, so the saved
+columns are the generated ones, bit for bit.
 ``load_model_library`` memory-maps the columns read-only, so a command that
 loads a saved library reads only the rows it uses.
 """
@@ -180,44 +180,68 @@ def _sample_l_prism(rng, a, b, ta, tb, h, total):
     return np.vstack(pts), np.vstack(nrms), radius
 
 
+# The rows of a model's codes drawn, normalized and rounded at a time: the
+# float64 scratch, and the squares each row norm reads, stay this size
+# whatever sim.model_points is.
+BLOCK_ROWS = 128
+
+
 def _block_text(config) -> str:
     return (
-        f"a model's descriptor block (sim.model_points {config.model_points} rows, "
-        f"sim.point_descriptor_dim {config.point_descriptor_dim} columns)"
+        f"the descriptor scratch block (at most {BLOCK_ROWS} rows, sim.point_descriptor_dim "
+        f"{config.point_descriptor_dim} columns)"
     )
 
 
 def _draw_models(config):
     """Draw the models of ``config`` in library order, deterministic in
-    ``config.library_seed``. For each model, its geometry is drawn, then its
-    ``model_points`` unit descriptor rows (see ``config.MIN_MODEL_POINTS``),
-    drawn and normalized in one reused float64 scratch array; yields
-    ``(family, points, normals, footprint radius)`` and that array. The
-    order of the draws fixes the library's bits."""
-    unit = config_sized_empty((config.model_points, config.point_descriptor_dim),
-                              _block_text(config))
+    ``config.library_seed``: an iterator of ``(family, points, normals,
+    footprint radius), codes`` per model, where ``codes`` iterates over
+    the model's ``model_points`` unit descriptor rows (see
+    ``config.MIN_MODEL_POINTS``) in blocks of at most ``BLOCK_ROWS`` rows,
+    each drawn and normalized in float64 and yielded rounded to float32.
+    A model's ``codes`` must be exhausted before the next model is drawn:
+    the order of the draws fixes the library's bits, and drawing block by
+    block consumes the generator as one fill of the model's rows would.
+
+    The two block-sized scratch arrays are allocated here, when
+    ``_draw_models`` is called, so a width the machine cannot hold raises
+    ConfigParseError before anything else is done; each yielded block is a
+    view of one of them, valid until the next block is drawn."""
+    shape = (min(BLOCK_ROWS, config.model_points), config.point_descriptor_dim)
+    scratch = config_sized_empty(shape, _block_text(config))
+    rounded = config_sized_empty(shape, _block_text(config), np.float32)
     rng = np.random.default_rng(config.library_seed)
-    for mid in range(config.library_size):
-        family = FAMILIES[mid % 3]
-        if family == "box":
-            w, d = rng.uniform(0.05, 0.09, 2)
-            h = rng.uniform(0.04, 0.08)
-            pts, nrms, radius = _sample_box(rng, w, d, h, config.model_points)
-        elif family == "cylinder":
-            r = rng.uniform(0.025, 0.045)
-            h = rng.uniform(0.04, 0.08)
-            pts, nrms, radius = _sample_cylinder(rng, r, h, config.model_points)
-        else:
-            a, b = rng.uniform(0.06, 0.09, 2)
-            ta, tb = rng.uniform(0.025, 0.04, 2)
-            h = rng.uniform(0.035, 0.07)
-            pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
-        rng.standard_normal(out=unit)
-        # a row's norm reads its own row alone: normalizing 128 rows at a
-        # time keeps the bits and makes the squares' temporary chunk-sized
-        for chunk in np.split(unit, range(128, len(unit), 128)):
-            chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)
-        yield (family, pts, nrms, radius), unit
+
+    def codes():
+        for start in range(0, config.model_points, BLOCK_ROWS):
+            block = scratch[: config.model_points - start]
+            rng.standard_normal(out=block)
+            # a row's norm reads its own row alone, so the bits are those
+            # of normalizing the model's rows at once
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+            rounded[: len(block)] = block
+            yield rounded[: len(block)]
+
+    def models():
+        for mid in range(config.library_size):
+            family = FAMILIES[mid % 3]
+            if family == "box":
+                w, d = rng.uniform(0.05, 0.09, 2)
+                h = rng.uniform(0.04, 0.08)
+                pts, nrms, radius = _sample_box(rng, w, d, h, config.model_points)
+            elif family == "cylinder":
+                r = rng.uniform(0.025, 0.045)
+                h = rng.uniform(0.04, 0.08)
+                pts, nrms, radius = _sample_cylinder(rng, r, h, config.model_points)
+            else:
+                a, b = rng.uniform(0.06, 0.09, 2)
+                ta, tb = rng.uniform(0.025, 0.04, 2)
+                h = rng.uniform(0.035, 0.07)
+                pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
+            yield (family, pts, nrms, radius), codes()
+
+    return models()
 
 
 def _small_columns(models: list) -> dict:
@@ -250,21 +274,22 @@ def generate_model_library(config) -> ModelLibrary:
     L-prism so the set contains both rotationally symmetric geometry
     (cylinders, identifiable only through surface features) and asymmetric
     geometry. The descriptor column, the bulk of the library, is allocated
-    once, ``library_size x model_points`` rows, and model ``m`` is rounded
-    into rows ``m * model_points:(m + 1) * model_points``. A column the
-    machine cannot hold raises ConfigParseError.
+    once, ``library_size x model_points`` rows, and model ``m``'s rounded
+    blocks are copied into rows ``m * model_points:(m + 1) * model_points``
+    as they are drawn. A column the machine cannot hold raises
+    ConfigParseError.
     """
-    per_model = config.model_points
     descriptors = config_sized_empty(
-        (config.library_size * per_model, config.point_descriptor_dim),
+        (config.library_size * config.model_points, config.point_descriptor_dim),
         _column_text(config),
         np.float32,
     )
-    models = []
-    for mid, (model, unit) in enumerate(_draw_models(config)):
-        descriptors[mid * per_model : (mid + 1) * per_model] = unit
+    models, row = [], 0
+    for model, codes in _draw_models(config):
+        for block in codes:
+            descriptors[row : row + len(block)] = block
+            row += len(block)
         models.append(model)
-    del unit  # the float64 scratch: freed before the small columns are stacked
     return ModelLibrary(**_small_columns(models), point_descriptors=descriptors)
 
 
@@ -275,11 +300,12 @@ def save_model_library(path, config, shown_as=None) -> None:
     ``LIBRARY_VERSION`` and the ``LIBRARY_KEYS`` settings of ``config``.
 
     The models are drawn as ``generate_model_library`` draws them, and each
-    model's descriptor rows are written as soon as they are drawn, through
-    one model-sized block, after a header for all the column's rows: the
-    memory used does not grow with the library. A block the machine cannot
-    hold raises ConfigParseError; a descriptor column larger than the free
-    space where ``path`` lies raises IOFailure before anything is written.
+    block of at most ``BLOCK_ROWS`` rounded descriptor rows is written as
+    soon as it is drawn, after a header for all the column's rows: the
+    memory used grows with neither the library nor ``model_points``. A
+    scratch block the machine cannot hold raises ConfigParseError, and
+    then a descriptor column larger than the free space where ``path``
+    lies raises IOFailure, both before anything is written.
     A write that fails, or a ``path`` that already exists, raises
     IOFailure; what was written stays for the caller to remove
     (``io.write_dataset`` writes into a stage it removes). The IOFailure
@@ -287,10 +313,12 @@ def save_model_library(path, config, shown_as=None) -> None:
     ``library/`` its stage is for, not the stage."""
     shown_as = path if shown_as is None else shown_as
     rows, dim = config.library_size * config.model_points, config.point_descriptor_dim
-    block = config_sized_empty((config.model_points, dim), _block_text(config), np.float32)
+    # drawn before the free-space check: a width the machine cannot hold is
+    # reported as that, not as a column too large for the disk
+    draws, code = _draw_models(config), np.dtype(np.float32)
     try:
         stat = os.statvfs(os.path.dirname(os.path.abspath(path)))
-        needed, free = rows * dim * block.itemsize, stat.f_bavail * stat.f_frsize
+        needed, free = rows * dim * code.itemsize, stat.f_bavail * stat.f_frsize
         if needed > free:
             raise IOFailure(
                 f"cannot write {shown_as}: {_column_text(config)} needs {needed} bytes, "
@@ -300,15 +328,14 @@ def save_model_library(path, config, shown_as=None) -> None:
         models = []
         with open(os.path.join(path, "point_descriptors.npy"), "wb") as f:
             np.lib.format.write_array_header_1_0(f, {
-                "descr": np.lib.format.dtype_to_descr(block.dtype),
+                "descr": np.lib.format.dtype_to_descr(code),
                 "fortran_order": False,
                 "shape": (rows, dim),
             })
-            for model, unit in _draw_models(config):
-                block[...] = unit
-                f.write(block)
+            for model, codes in draws:
+                for block in codes:
+                    f.write(block)
                 models.append(model)
-            del unit  # as in generate_model_library
         for name, column in _small_columns(models).items():
             np.save(os.path.join(path, f"{name}.npy"), column, allow_pickle=False)
         dump_json({"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION,

@@ -13,6 +13,7 @@ import inspect
 import pkgutil
 import typing
 
+import numpy as np
 import pytest
 
 import mvor
@@ -32,7 +33,7 @@ from mvor.perception import (
     extract_regions,
     prepare_goal_regions,
 )
-from mvor.geometry import CameraIntrinsics, PlanarTransform
+from mvor.geometry import CameraIntrinsics, PlanarTransform, Pose3
 from mvor.planner import PlannerConfig, check_collision, find_buffer_pose, plan_and_execute
 from mvor.serialize import ConfigSection, from_dict
 from mvor.sim import (
@@ -322,3 +323,24 @@ def test_instance_cannot_change_in_place():
         for p in inst.goal.placements
     ))
     assert [o.yaw for o in dataclasses.replace(inst, goal=turned).true_offsets] == [0.5] * 5
+
+
+def test_instance_parts_cannot_change_in_place():
+    """``inst.true_offsets[0].yaw = 1.0`` once changed a frozen instance's
+    offset and ``inst.ring_viewpoints[0].translation[0] = 5.0`` moved its
+    camera: a ``PlanarTransform`` is frozen and a ``Pose3`` holds read-only
+    copies of the arrays it was built from."""
+    inst = RearrangementInstance(_scene(range(2)), _scene(range(2)), seed=0, config=SimConfig())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.true_offsets[0].yaw = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.goal.placements[0].pose.tx = 1.0
+    for pose in (inst.ring_viewpoints[0], inst.home_viewpoint):
+        with pytest.raises(ValueError, match="read-only"):
+            pose.translation[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            pose.rotation[0, 0] = 5.0
+    translation = np.zeros(3)
+    pose = Pose3(np.eye(3), translation)
+    translation[0] = 5.0  # the caller's array stays writeable and unshared
+    assert pose.translation[0] == 0.0
