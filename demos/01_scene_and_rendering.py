@@ -10,17 +10,19 @@ import numpy as np
 
 from mvor import geometry as geo
 from mvor.sim import SimConfig, generate_instance, generate_model_library, render, segment
+from mvor.sim.models import FAMILIES
 
 config = SimConfig(object_count_min=4, object_count_max=6)
 library = generate_model_library(config)
 
 print(f"model library: {len(library)} models (seed {config.library_seed})")
-# the library is one set of columns: per-model family and footprint
-# radius, and every model's points concatenated, cut by point_offsets
+# the library stores only what was drawn, as columns: the per-model
+# footprint radius, and every model's points concatenated, model_points
+# rows each. The family is not stored: it cycles box, cylinder, L-prism
+print(f"  {library.model_points} surface points per model")
 for m in range(4):
     print(
-        f"  model {m} [{library.family[m]:8s}] "
-        f"{library.point_offsets[m + 1] - library.point_offsets[m]} surface points, "
+        f"  model {m} [{FAMILIES[m % 3]:8s}] "
         f"footprint radius {library.footprint_radius[m] * 100:.1f} cm"
     )
 

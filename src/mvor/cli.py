@@ -24,8 +24,11 @@ the ``library/`` beside the instance file rather than generating the
 library; one whose header carries another version or differs from the
 instance's config exits 2, naming the key and the header's path. An
 instance file outside a dataset has its library generated, with the same
-bits. The instance fixes the seed and the sim config: a ``--seed`` or
-``--config`` sim value that differs from the instance's exits 2.
+bits. Either way the instance's scenes are checked against the library
+(``sim.scene.check_scenes``): a footprint that leaves the table or
+overlaps another exits 2. The instance fixes the seed and the sim config:
+a ``--seed`` or ``--config`` sim value that differs from the instance's
+exits 2.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .sim import (
     write_dataset,
 )
 from .sim.io import instance_library
+from .sim.scene import check_scenes
 from .sim.models import LIBRARY_KEYS
 
 
@@ -113,10 +117,12 @@ def _load_instance(args, cfg: BenchConfig, sim_keys: list):
 
 def _scene_setup(cfg: BenchConfig, args, sim_keys: list):
     """(instance, its model library), the instance loaded from
-    ``--instance`` or generated from config and seed."""
+    ``--instance``, its scenes checked against the library, or generated
+    from config and seed."""
     if args.instance:
         inst = _load_instance(args, cfg, sim_keys)
         library = instance_library(args.instance, inst.config)
+        check_scenes(inst, library)
     else:
         library = generate_model_library(cfg.sim)
         inst = generate_instance(cfg.sim, library, seed=cfg.base_seed)
@@ -202,6 +208,7 @@ def cmd_localize(args) -> int:
             f"instance's sim.point_descriptor_dim is {width}"
         )
     library = instance_library(args.instance, inst.config)
+    check_scenes(inst, library)
     # checked once here: the feature_id matcher never reads the library, so
     # ids naming no row would only ever fail to match
     library.check_feature_ids(db.crop_feature_ids)

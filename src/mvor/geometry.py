@@ -261,10 +261,15 @@ def look_at(eye: np.ndarray, target: np.ndarray) -> Pose3:
     """Camera-in-world pose looking from ``eye`` toward ``target``.
 
     Camera axes: +z forward, +x right, +y down (image v grows downward).
+    An ``eye`` at ``target``, or so near it that the distance underflows
+    to 0, gives no direction: ValueError, as does a non-finite one.
     """
-    eye = np.asarray(eye, dtype=float)
-    forward = np.asarray(target, dtype=float) - eye
-    forward = forward / np.linalg.norm(forward)
+    eye, target = np.asarray(eye, dtype=float), np.asarray(target, dtype=float)
+    forward = target - eye
+    distance = np.linalg.norm(forward)
+    if not 0.0 < distance < np.inf:
+        raise ValueError(f"a camera at {eye.tolist()} has no direction to {target.tolist()}")
+    forward = forward / distance
     right = _cross(forward, (0.0, 0.0, 1.0))
     n = np.linalg.norm(right)
     if n < 1e-9:

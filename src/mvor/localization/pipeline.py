@@ -25,6 +25,7 @@ from ..geometry import PlanarTransform, Pose3, angular_distance
 from ..perception.database import Database, RegionHits
 from ..perception.regions import ObjectRegion
 from ..serialize import ConfigSection, setting
+from ..sim.config import MAX_IMAGE_SIDE
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pnp import ransac_planar
 
@@ -32,6 +33,10 @@ from .pnp import ransac_planar
 # the largest matcher noise, in matching-resolution pixels: it already moves
 # goal pixels far off any image; far larger noise overflows the pose solver
 MAX_SIGMA_PX = 1e6
+# the largest RANSAC inlier threshold, in pixels: above the diagonal of the
+# largest image, so it already accepts every pair, and its square stays
+# finite where a threshold near the float maximum overflows
+MAX_REPROJ_THRESHOLD_PX = 2.0 * MAX_IMAGE_SIDE
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,9 @@ class LocalizationConfig(ConfigSection):
     theta_prune: float = setting(np.pi / 6, 0)
     # matching
     matcher: str = setting("feature_id", choices=("feature_id", "descriptor_nn"))
-    match_resolution: int = setting(256, 1)
+    # at most the largest image side: a larger square only upsamples the
+    # goal region, and an int past the float range overflows the noise scale
+    match_resolution: int = setting(256, 1, MAX_IMAGE_SIDE)
     min_correspondences: int = setting(4, 0)
     drop_rate: float = setting(0.0, 0, 1)
     sigma_px: float = setting(0.0, 0, MAX_SIGMA_PX)  # matching-resolution pixels
@@ -51,7 +58,7 @@ class LocalizationConfig(ConfigSection):
     max_matches: int = setting(2000, 1)
     # pose solving
     ransac_iterations: int = setting(1000, 1)
-    reproj_threshold_px: float = setting(2.0, 0)
+    reproj_threshold_px: float = setting(2.0, 0, MAX_REPROJ_THRESHOLD_PX)
     # an open range: the early exit takes log(1 - confidence)
     ransac_confidence: float = setting(0.999, 0, 1, open_range=True)
     ransac_seed: int = setting(0, 0)

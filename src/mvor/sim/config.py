@@ -89,6 +89,14 @@ class SimConfig(ConfigSection):
         if self.object_count_min > self.object_count_max:
             raise ValueError("object count range is empty")
         self.intrinsics()  # raises ValueError on a bad focal length or image size
+        # look_at raises ValueError for a radius so small that the camera
+        # sits at the table centre
+        for key, views in (("home_radius", self.home_viewpoint),
+                           ("ring_radius", self.ring_viewpoints)):
+            try:
+                views()
+            except ValueError as e:
+                raise ValueError(f"{key}={getattr(self, key)!r}: {e}") from e
 
     def yaw_range(self) -> tuple[float, float]:
         if self.rotation_regime == "minor":

@@ -7,12 +7,12 @@ which halves the bytes every region descriptor reads
 (``perception.descriptor``). The feature ids and descriptors are what the
 perception stack can observe and match on, geometry is what it must infer.
 
-``ModelLibrary`` stores the models as columns: ``family`` and
-``footprint_radius`` hold one row per model, and ``points``, ``normals``
+``ModelLibrary`` stores only what was drawn, as columns:
+``footprint_radius`` holds one row per model, and ``points``, ``normals``
 and ``point_descriptors`` concatenate every model's ``model_points``
-points, model ``m`` holding rows ``point_offsets[m] = m * model_points``
-up to ``point_offsets[m + 1]``. A point's feature id is its row in these
-point columns.
+points, model ``m`` holding rows ``m * model_points`` up to
+``(m + 1) * model_points``. A point's feature id is its row in these
+point columns. A model's family is ``FAMILIES[m % 3]``.
 
 Models sit on the table plane: local z spans [0, height], the footprint
 center is the local origin.
@@ -49,26 +49,30 @@ LIBRARY_KEYS = ("library_seed", "library_size", "model_points", "point_descripto
 LIBRARY_FORMAT = "mvor-model-library"
 # The version of the bits _draw_models draws for given LIBRARY_KEYS
 # settings and of the saved layout: bump it whenever either changes, so a
-# library saved before is refused rather than read as the new one.
-LIBRARY_VERSION = 2
+# library saved before is refused rather than read as the new one. 3 since
+# the family and point offset columns, both derived, are no longer saved.
+LIBRARY_VERSION = 3
 
 
 @dataclass
 class ModelLibrary:
-    family: np.ndarray  # (L,) str
     footprint_radius: np.ndarray  # (L,) float64
-    point_offsets: np.ndarray  # (L+1,) int64; model m: rows o[m]:o[m+1]
-    points: np.ndarray  # (P,3) local frame
-    normals: np.ndarray  # (P,3) unit rows
-    point_descriptors: np.ndarray  # (P,d_pt) float32, unit rows rounded
+    points: np.ndarray  # (L*n,3) local frame; model m: rows m*n:(m+1)*n
+    normals: np.ndarray  # (L*n,3) unit rows
+    point_descriptors: np.ndarray  # (L*n,d_pt) float32, unit rows rounded
 
     def __len__(self) -> int:
-        return len(self.family)
+        return len(self.footprint_radius)
+
+    @property
+    def model_points(self) -> int:
+        """The rows of each model, ``n`` above."""
+        return len(self.points) // len(self)
 
     def check_feature_ids(self, feature_ids: np.ndarray) -> None:
         """Raise UnknownFeature if an id names no library row."""
         feature_ids = np.asarray(feature_ids)
-        unknown = (feature_ids < 0) | (feature_ids >= self.point_offsets[-1])
+        unknown = (feature_ids < 0) | (feature_ids >= len(self.points))
         if unknown.any():
             bad = feature_ids[unknown][:5].tolist()
             raise UnknownFeature(
@@ -193,16 +197,14 @@ def _block_text(config) -> str:
     )
 
 
-def _draw_models(config):
+def _draw_models(config, models: list):
     """Draw the models of ``config`` in library order, deterministic in
-    ``config.library_seed``: an iterator of ``(family, points, normals,
-    footprint radius), codes`` per model, where ``codes`` iterates over
-    the model's ``model_points`` unit descriptor rows (see
-    ``config.MIN_MODEL_POINTS``) in blocks of at most ``BLOCK_ROWS`` rows,
-    each drawn and normalized in float64 and yielded rounded to float32.
-    A model's ``codes`` must be exhausted before the next model is drawn:
-    the order of the draws fixes the library's bits, and drawing block by
-    block consumes the generator as one fill of the model's rows would.
+    ``config.library_seed``: an iterator of the library's unit descriptor
+    rows in blocks of at most ``BLOCK_ROWS`` rows, each model's
+    ``model_points`` rows (see ``config.MIN_MODEL_POINTS``) in blocks of
+    their own, each drawn and normalized in float64 and yielded rounded to
+    float32. As each model is drawn, its ``(points, normals, footprint
+    radius)`` is appended to ``models``, before its first block.
 
     The two block-sized scratch arrays are allocated here, when
     ``_draw_models`` is called, so a width the machine cannot hold raises
@@ -213,47 +215,40 @@ def _draw_models(config):
     rounded = config_sized_empty(shape, _block_text(config), np.float32)
     rng = np.random.default_rng(config.library_seed)
 
-    def codes():
-        for start in range(0, config.model_points, BLOCK_ROWS):
-            block = scratch[: config.model_points - start]
-            rng.standard_normal(out=block)
-            # a row's norm reads its own row alone, so the bits are those
-            # of normalizing the model's rows at once
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-            rounded[: len(block)] = block
-            yield rounded[: len(block)]
-
-    def models():
+    def blocks():
         for mid in range(config.library_size):
             family = FAMILIES[mid % 3]
             if family == "box":
                 w, d = rng.uniform(0.05, 0.09, 2)
                 h = rng.uniform(0.04, 0.08)
-                pts, nrms, radius = _sample_box(rng, w, d, h, config.model_points)
+                models.append(_sample_box(rng, w, d, h, config.model_points))
             elif family == "cylinder":
                 r = rng.uniform(0.025, 0.045)
                 h = rng.uniform(0.04, 0.08)
-                pts, nrms, radius = _sample_cylinder(rng, r, h, config.model_points)
+                models.append(_sample_cylinder(rng, r, h, config.model_points))
             else:
                 a, b = rng.uniform(0.06, 0.09, 2)
                 ta, tb = rng.uniform(0.025, 0.04, 2)
                 h = rng.uniform(0.035, 0.07)
-                pts, nrms, radius = _sample_l_prism(rng, a, b, ta, tb, h, config.model_points)
-            yield (family, pts, nrms, radius), codes()
+                models.append(_sample_l_prism(rng, a, b, ta, tb, h, config.model_points))
+            for start in range(0, config.model_points, BLOCK_ROWS):
+                block = scratch[: config.model_points - start]
+                rng.standard_normal(out=block)
+                # a row's norm reads its own row alone, so the bits are
+                # those of normalizing the model's rows at once
+                block /= np.linalg.norm(block, axis=1, keepdims=True)
+                rounded[: len(block)] = block
+                yield rounded[: len(block)]
 
-    return models()
+    return blocks()
 
 
 def _small_columns(models: list) -> dict:
-    """Every column but ``point_descriptors`` of the ``(family, points,
-    normals, footprint radius)`` of each model, in library order."""
-    family, points, normals, radius = zip(*models)
-    offsets = np.zeros(len(models) + 1, dtype=np.int64)
-    np.cumsum([len(pts) for pts in points], out=offsets[1:])
+    """Every column but ``point_descriptors`` of the ``(points, normals,
+    footprint radius)`` of each model, in library order."""
+    points, normals, radius = zip(*models)
     return {
-        "family": np.array(family),
         "footprint_radius": np.array(radius),
-        "point_offsets": offsets,
         "points": np.vstack(points),
         "normals": np.vstack(normals),
     }
@@ -285,11 +280,9 @@ def generate_model_library(config) -> ModelLibrary:
         np.float32,
     )
     models, row = [], 0
-    for model, codes in _draw_models(config):
-        for block in codes:
-            descriptors[row : row + len(block)] = block
-            row += len(block)
-        models.append(model)
+    for block in _draw_models(config, models):
+        descriptors[row : row + len(block)] = block
+        row += len(block)
     return ModelLibrary(**_small_columns(models), point_descriptors=descriptors)
 
 
@@ -315,7 +308,8 @@ def save_model_library(path, config, shown_as=None) -> None:
     rows, dim = config.library_size * config.model_points, config.point_descriptor_dim
     # drawn before the free-space check: a width the machine cannot hold is
     # reported as that, not as a column too large for the disk
-    draws, code = _draw_models(config), np.dtype(np.float32)
+    models = []
+    blocks, code = _draw_models(config, models), np.dtype(np.float32)
     try:
         stat = os.statvfs(os.path.dirname(os.path.abspath(path)))
         needed, free = rows * dim * code.itemsize, stat.f_bavail * stat.f_frsize
@@ -325,17 +319,14 @@ def save_model_library(path, config, shown_as=None) -> None:
                 f"{free} are free"
             )
         os.mkdir(path)
-        models = []
         with open(os.path.join(path, "point_descriptors.npy"), "wb") as f:
             np.lib.format.write_array_header_1_0(f, {
                 "descr": np.lib.format.dtype_to_descr(code),
                 "fortran_order": False,
                 "shape": (rows, dim),
             })
-            for model, codes in draws:
-                for block in codes:
-                    f.write(block)
-                models.append(model)
+            for block in blocks:
+                f.write(block)
         for name, column in _small_columns(models).items():
             np.save(os.path.join(path, f"{name}.npy"), column, allow_pickle=False)
         dump_json({"format": LIBRARY_FORMAT, "version": LIBRARY_VERSION,
@@ -348,20 +339,17 @@ def save_model_library(path, config, shown_as=None) -> None:
 
 def _load_column(path, name: str, dtype, shape: tuple) -> np.ndarray:
     """Column ``name`` of the library saved at ``path``, memory-mapped
-    read-only; ``dtype`` "U" accepts a str array of any width."""
+    read-only."""
     file = os.path.join(path, f"{name}.npy")
     try:
         # a plain ndarray view: the memmap subclass runs Python hooks on every slice
         array = np.asarray(np.load(file, mmap_mode="r", allow_pickle=False))
     except (OSError, ValueError, EOFError) as e:
         raise IOFailure(f"cannot read {file}: {e}") from e
-    if dtype == "U":
-        dtype_ok, dtype = array.dtype.kind == "U", "str"
-    else:
-        dtype_ok, dtype = array.dtype == dtype, np.dtype(dtype)
-    if not dtype_ok or array.shape != shape:
+    if array.dtype != dtype or array.shape != shape:
         raise IOFailure(
-            f"{file}: {array.dtype} array of shape {array.shape}, expected {dtype} of shape {shape}"
+            f"{file}: {array.dtype} array of shape {array.shape}, "
+            f"expected {np.dtype(dtype)} of shape {shape}"
         )
     return array
 
@@ -372,11 +360,10 @@ def load_model_library(path, config) -> ModelLibrary:
     library expected. A header whose ``version`` is not ``LIBRARY_VERSION``,
     or whose ``LIBRARY_KEYS`` settings differ from ``config``'s, raises
     MvorError naming the key and the header's path; a header that is not
-    JSON raises ConfigParseError, and one of another format IOFailure. A file that cannot be
-    read, a column whose dtype or shape is not that of the library of
-    ``config``, or ``point_offsets`` other than ``model_points`` apart from
-    0 raise IOFailure naming the file. Of the column values only
-    the offsets are read; the rest are trusted to be what was saved."""
+    JSON raises ConfigParseError, and one of another format IOFailure. A
+    file that cannot be read, or a column whose dtype or shape is not that
+    of the library of ``config``, raises IOFailure naming the file. No
+    column value is read; each is trusted to be what was saved."""
     header_path = os.path.join(path, "header.json")
     header = load_json(header_path)
     if not isinstance(header, dict) or header.get("format") != LIBRARY_FORMAT:
@@ -393,16 +380,8 @@ def load_model_library(path, config) -> ModelLibrary:
                 f"expected {getattr(config, key)!r}"
             )
     n, rows = config.library_size, config.library_size * config.model_points
-    offsets = _load_column(path, "point_offsets", np.int64, (n + 1,))
-    if not np.array_equal(offsets, np.arange(n + 1) * config.model_points):
-        raise IOFailure(
-            f"{os.path.join(path, 'point_offsets.npy')}: offsets do not split the point "
-            f"rows into {n} models of sim.model_points {config.model_points} rows each"
-        )
     return ModelLibrary(
-        family=_load_column(path, "family", "U", (n,)),
         footprint_radius=_load_column(path, "footprint_radius", np.float64, (n,)),
-        point_offsets=offsets,
         points=_load_column(path, "points", np.float64, (rows, 3)),
         normals=_load_column(path, "normals", np.float64, (rows, 3)),
         point_descriptors=_load_column(

@@ -70,25 +70,26 @@ class _PosedScene(NamedTuple):
 
 
 def _pose(scene: SceneState, library: ModelLibrary) -> _PosedScene:
-    offsets = library.point_offsets
-    spans = [(offsets[p.model_id], offsets[p.model_id + 1]) for p in scene.placements]
-    ends = np.cumsum([0, *(stop - start for start, stop in spans)])
-    points, normals = np.empty((ends[-1], 3)), np.empty((ends[-1], 3))
-    feature_ids = np.empty(ends[-1], dtype=np.int64)
+    n, count = library.model_points, scene.num_objects
+    points, normals = np.empty((count * n, 3)), np.empty((count * n, 3))
+    feature_ids = np.empty(count * n, dtype=np.int64)
     rotations = []
-    for placement, (start, stop), a, b in zip(scene.placements, spans, ends[:-1], ends[1:]):
+    for i, placement in enumerate(scene.placements):
+        # model m holds library rows m * n up to (m + 1) * n
+        rows = slice(placement.model_id * n, (placement.model_id + 1) * n)
+        out = slice(i * n, (i + 1) * n)
         rz = rot_z(placement.pose.yaw)
-        np.matmul(library.points[start:stop], rz.T, out=points[a:b])
-        points[a:b] += np.array([placement.pose.tx, placement.pose.ty, 0.0])
-        np.matmul(library.normals[start:stop], rz.T, out=normals[a:b])
-        feature_ids[a:b] = np.arange(start, stop)
+        np.matmul(library.points[rows], rz.T, out=points[out])
+        points[out] += np.array([placement.pose.tx, placement.pose.ty, 0.0])
+        np.matmul(library.normals[rows], rz.T, out=normals[out])
+        feature_ids[out] = np.arange(rows.start, rows.stop)
         rotations.append(rz)
     return _PosedScene(
         points=points,
         columns=np.ascontiguousarray(points.T),
         normals=normals,
         feature_ids=feature_ids,
-        instance_ids=np.repeat(np.arange(len(spans), dtype=np.int32), np.diff(ends)),
+        instance_ids=np.repeat(np.arange(count, dtype=np.int32), n),
         rotations=rotations,
     )
 

@@ -2,7 +2,8 @@
 
 Collision model: every object occupies a vertical disc of its model's
 footprint radius. A scene is valid when no two discs overlap and every
-disc lies inside the table bounds.
+disc lies inside the table bounds; ``check_scenes`` checks both scenes of
+an instance against a library.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import CollisionAtTarget, PlacementFailure, UnknownObject
+from ..errors import CollisionAtTarget, ConfigParseError, PlacementFailure, UnknownObject
 from ..geometry import PlanarTransform, Pose3, planar_compose, planar_invert
 from .config import SimConfig
 from .models import ModelLibrary
@@ -228,6 +229,22 @@ def placement_conflict(
         if j != object_index and np.hypot(target.tx - x, target.ty - y) < grown + r:
             return f"target overlaps object {j}"
     return None
+
+
+def check_scenes(inst: RearrangementInstance, library: ModelLibrary) -> None:
+    """Raise ConfigParseError unless both scenes of ``inst`` are valid under
+    the collision model, with ``library``'s footprint radii: no footprint
+    leaves the table or overlaps another (touching is allowed). The
+    instance cannot check this itself, as the radii live in the library;
+    its text names the member, the object and what the object runs into."""
+    for name, scene in (("initial", inst.initial), ("goal", inst.goal)):
+        for i, p in enumerate(scene.placements):
+            conflict = placement_conflict(scene, library, i, p.pose)
+            if conflict is not None:
+                raise ConfigParseError(
+                    f"instance member {name!r}: object {i} at ({p.pose.tx!r}, {p.pose.ty!r}): "
+                    f"{conflict.removeprefix('target ')}"
+                )
 
 
 def apply_move(

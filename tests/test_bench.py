@@ -28,7 +28,7 @@ from mvor.cli import load_config, main as cli_main
 from mvor.errors import ConfigParseError, EmptyFrame, ReobservationFailed
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
-from mvor.localization.pipeline import MAX_SIGMA_PX
+from mvor.localization.pipeline import MAX_REPROJ_THRESHOLD_PX, MAX_SIGMA_PX
 from mvor.perception import (
     GridPooledDescriptor,
     PerceptionConfig,
@@ -50,7 +50,8 @@ from mvor.sim import (
     segment,
 )
 from mvor.serialize import from_dict, load_json, to_dict
-from mvor.sim.config import MIN_MODEL_POINTS
+from mvor.sim.config import MAX_IMAGE_SIDE, MIN_MODEL_POINTS
+from mvor.sim.models import FAMILIES
 from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT, instance_from_dict, instance_to_dict
 
 SMALL = dict(scenes=3, base_seed=0)
@@ -772,9 +773,8 @@ class TestCliDatasetLibrary:
         gen = ["gen", "--count", "1", "--out", str(tmp_path / "dataset")]
         assert cli_main(gen) == 0
         saved = {p.name: p.read_bytes() for p in library.iterdir()}
-        assert sorted(saved) == ["family.npy", "footprint_radius.npy", "header.json",
-                                 "normals.npy", "point_descriptors.npy", "point_offsets.npy",
-                                 "points.npy"]
+        assert sorted(saved) == ["footprint_radius.npy", "header.json", "normals.npy",
+                                 "point_descriptors.npy", "points.npy"]
         assert cli_main([*gen, "--seed", "4"]) == 0
         assert {p.name: p.read_bytes() for p in library.iterdir()} == saved
         other = tmp_path / "other.json"
@@ -838,18 +838,20 @@ class TestCliDatasetLibrary:
             radius = np.load(library / "footprint_radius.npy")
             np.save(library / "footprint_radius.npy", radius.astype(np.float32))
             return "footprint_radius.npy"
-        offsets = np.load(library / "point_offsets.npy")
-        if how == "offset_moved":
-            # still starts at 0 and rises: once mapped without a word
-            offsets[1] += 1
-        else:
-            offsets = offsets[::-1]
-        np.save(library / "point_offsets.npy", offsets)
-        return "point_offsets.npy"
+        # a library as version 2 saved it: the two derived columns beside
+        # the four, and version 2 in the header
+        size = len(np.load(library / "footprint_radius.npy"))
+        rows = len(np.load(library / "points.npy"))
+        np.save(library / "family.npy", np.array([FAMILIES[m % 3] for m in range(size)]))
+        np.save(library / "point_offsets.npy", np.arange(size + 1) * (rows // size))
+        header = json.loads((library / "header.json").read_text())
+        header["version"] = 2
+        (library / "header.json").write_text(json.dumps(header))
+        return "library saved with version 2, expected 3"
 
     @pytest.mark.parametrize(
         "how", ["other_version", "other_seed", "header_not_json", "truncated", "shape", "dtype",
-                "offsets", "offset_moved"]
+                "version_2"]
     )
     @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
     def test_damaged_library_exits_2(self, files, how, command, tmp_path, capsys):
@@ -1045,7 +1047,7 @@ class TestCliInstanceFiles:
         other points (descriptor_nn) or rejecting every estimate with exit 0
         (feature_id, which matches ids without reading the library)."""
         db, header = load_database(files / "db.npz")
-        rows = generate_model_library(SimConfig()).point_offsets[-1]
+        rows = len(generate_model_library(SimConfig()).points)
         db.crop_feature_ids = db.crop_feature_ids + (-rows if shift == "negative" else rows)
         save_database(db, tmp_path / "db.npz", header)
         cfg = tmp_path / "cfg.json"
@@ -1302,21 +1304,67 @@ class TestCliMalformedValues:
         out = str(tmp_path / "db.npz")
         self._exits_2(["build-db", "--config", str(path), "--out", out], capsys)
 
+    @staticmethod
+    def _only_error_line(argv, config, tmp_path) -> str:
+        """The stderr of ``mvor`` run in its own process on ``argv`` and a
+        ``--config`` holding ``config``, which must exit 2 with one
+        ``error:`` line and nothing else: no traceback and no warning."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvor.cli", *argv, "--config", str(path)],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        return proc.stderr
+
     @pytest.mark.parametrize("key", ["ring_radius", "home_radius"])
     def test_camera_radius_past_the_bound(self, key, tmp_path):
         """A radius near the float maximum once made build-db print numpy's
         overflow warnings before it exited 2; now the config is refused
         first, and stderr holds only the error line."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"sim": {key: 1e308}}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mvor.cli", "build-db", "--config", str(path),
-             "--out", str(tmp_path / "db.npz")],
-            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert key in proc.stderr
+        argv = ["build-db", "--out", str(tmp_path / "db.npz")]
+        assert key in self._only_error_line(argv, {"sim": {key: 1e308}}, tmp_path)
+
+    @pytest.mark.parametrize("key", ["ring_radius", "home_radius"])
+    def test_camera_radius_near_zero(self, key, tmp_path):
+        """A radius of 1e-300 puts the camera at the table centre: its view
+        direction once divided by a zero distance, and rearrange printed
+        numpy's warnings before "no model points project into the image".
+        Now the config is refused when it is built."""
+        argv = ["rearrange", "--seed", "3", "--out", str(tmp_path / "out")]
+        err = self._only_error_line(argv, {"sim": {key: 1e-300}}, tmp_path)
+        assert f"{key}=1e-300" in err and "has no direction" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "localization",
+        [
+            # was an OverflowError scaling the matcher noise
+            {"sigma_px": 1.0, "match_resolution": 10**400},
+            # was an OverflowError squaring the threshold in RANSAC
+            {"reproj_threshold_px": 1e300},
+        ],
+        ids=["match_resolution", "reproj_threshold_px"],
+    )
+    def test_localization_value_past_the_bound(self, localization, tmp_path):
+        """Past MAX_IMAGE_SIDE or MAX_REPROJ_THRESHOLD_PX the config is
+        refused before any scene is drawn; the largest allowed values run
+        (``test_largest_localization_values_run``)."""
+        argv = ["rearrange", "--seed", "3", "--out", str(tmp_path / "out")]
+        err = self._only_error_line(argv, {"localization": localization}, tmp_path)
+        assert f"{list(localization)[-1]}=" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_localization_values_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"localization": {
+            "sigma_px": 1.0, "match_resolution": MAX_IMAGE_SIDE,
+            "reproj_threshold_px": MAX_REPROJ_THRESHOLD_PX,
+        }}))
+        assert cli_main(["rearrange", "--config", str(cfg), "--seed", "3",
+                         "--out", str(tmp_path / "r")]) == 0
 
     @pytest.mark.parametrize(
         "command, sim",
@@ -1331,16 +1379,8 @@ class TestCliMalformedValues:
     def test_sim_value_past_the_bound(self, command, sim, tmp_path):
         """Past MAX_ACTUATION_SIGMA or MAX_TABLE_SIDE the config is refused
         before any scene is drawn, and stderr holds only the error line."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"sim": sim}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mvor.cli", command, "--seed", "1", "--config", str(path),
-             "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert next(iter(sim)) in proc.stderr
+        argv = [command, "--seed", "1", "--out", str(tmp_path / "out")]
+        assert next(iter(sim)) in self._only_error_line(argv, {"sim": sim}, tmp_path)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
@@ -1354,6 +1394,45 @@ class TestCliMalformedValues:
         with pytest.raises(ConfigParseError, match="--seed"):
             load_config(None, -1)
         self._exits_2(["gen", "--seed", "-1", "--out", str(tmp_path / "ds")], capsys)
+
+    @pytest.mark.parametrize(
+        "case, named",
+        [
+            # rearrange once exited 0, INCOMPLETE, and build-db wrote a database
+            ("same spot",
+             "instance member 'initial': object 0 at ({x!r}, {y!r}): overlaps object 1"),
+            # rearrange once exited 2 with "no model points project into the image"
+            ("off the table", "instance member 'goal': object 1 at ({x!r}, 3.0): "
+                              "footprint leaves the table"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
+    def test_scene_breaking_the_collision_model(self, instance_doc, case, named, command,
+                                                tmp_path, capsys):
+        """Two objects in one spot, or one off the table, break the
+        collision model the planner and simulator rest on; such a file
+        exits 2, naming the member, the object and what it runs into."""
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(instance_doc))
+        doc = copy.deepcopy(instance_doc)
+        if case == "same spot":
+            first, second = doc["initial"]
+            second["tx"], second["ty"] = first["tx"], first["ty"]
+            x, y = first["tx"], first["ty"]
+        else:
+            doc["goal"][1]["ty"] = 3.0
+            x, y = doc["goal"][1]["tx"], 3.0
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--instance", str(path), "--out", str(tmp_path / "out")]
+        if command == "localize":
+            db = str(tmp_path / "db.npz")
+            assert cli_main(["build-db", "--instance", str(good), "--out", db]) == 0
+            argv += ["--db", db]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {named.format(x=x, y=y)}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_instance_seed(self, instance_doc, tmp_path, capsys):
         doc = dict(instance_doc, seed=-1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,3 +299,16 @@ class TestLookAt:
         pose = geo.look_at(eye, target)
         assert pose.rotation.tobytes() == expect.tobytes()
         assert pose.translation.tobytes() == eye.tobytes()
+
+    @pytest.mark.parametrize(
+        "eye",
+        [[0.0, 0.0, 0.0], [1e-300, 0.0, 1e-300], [np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0]],
+        ids=["at the target", "distance underflows", "infinite", "nan"],
+    )
+    def test_no_view_direction_raises(self, eye):
+        """An eye at the target, so near it that the distance is 0, or not
+        finite, once gave a NaN rotation with numpy's RuntimeWarnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="has no direction"):
+                geo.look_at(eye, [0.0, 0.0, 0.0])

@@ -423,8 +423,8 @@ class TestLiftTo3D:
         scene = make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         cand, m2d = self._matched_pair(library, scene)
         m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
-        o = library.point_offsets
-        surface = geo.lift(scene.placements[0].pose).apply(library.points[o[2] : o[3]])
+        n = library.model_points
+        surface = geo.lift(scene.placements[0].pose).apply(library.points[2 * n : 3 * n])
         for w in m3d.world[:: max(1, len(m3d) // 50)]:
             assert np.min(np.linalg.norm(surface - w, axis=1)) < 1e-6
 

@@ -82,11 +82,11 @@ class TestExtractRegions:
         regions = extract_regions(frame, segment(frame), PCFG)
         assert len(regions) == 1
         reg = regions[0]
-        o = library.point_offsets
-        world_pts = geo.lift(scene.placements[0].pose).apply(library.points[o[1] : o[2]])
+        n = library.model_points
+        world_pts = geo.lift(scene.placements[0].pose).apply(library.points[n : 2 * n])
         seen_ids = frame.feature_ids
-        assert np.all((seen_ids >= o[1]) & (seen_ids < o[2]))
-        expect = world_pts[seen_ids - o[1]]
+        assert np.all((seen_ids >= n) & (seen_ids < 2 * n))
+        expect = world_pts[seen_ids - n]
         got = reg.world
         assert got.shape == expect.shape
         d = np.linalg.norm(np.sort(got, axis=0) - np.sort(expect, axis=0), axis=1)
@@ -170,7 +170,7 @@ class TestExtractRegions:
         regions = extract_regions(frame, segment(frame), PCFG)
         for reg in regions:
             fids = reg.feature_ids
-            models = np.unique(np.searchsorted(library.point_offsets, fids, side="right"))
+            models = np.unique(fids // library.model_points)
             assert len(models) == 1
 
 
@@ -349,8 +349,8 @@ def random_fids(library, rng, h, w, hole_rate):
     with holes (-1) at ``hole_rate`` and at least one hit; ids may repeat."""
     models = rng.integers(len(library), size=2)
     which = models[rng.integers(2, size=(h, w))]
-    o = library.point_offsets
-    rows = o[which] + (rng.random((h, w)) * (o[which + 1] - o[which])).astype(np.int64)
+    n = library.model_points
+    rows = which * n + (rng.random((h, w)) * n).astype(np.int64)
     holes = rng.random((h, w)) < hole_rate
     holes.flat[rng.integers(h * w)] = False
     return np.where(holes, -1, rows)
@@ -518,7 +518,7 @@ class TestPooling:
         ]
 
     def test_one_pixel_region(self, library, descriptor):
-        point = library.point_offsets[3] + 17
+        point = 3 * library.model_points + 17
         region = fid_region(np.array([[point]]))
         # the stored code, a float64 unit row rounded to float32, renormalized
         code = library.point_descriptors[point].astype(np.float64)

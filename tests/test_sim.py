@@ -27,6 +27,7 @@ from mvor.sim import (
     Frame,
     ModelLibrary,
     Placement,
+    RearrangementInstance,
     Rect,
     SceneState,
     SimConfig,
@@ -50,7 +51,7 @@ from mvor.sim import models
 from mvor.sim.config import MIN_MODEL_POINTS
 from mvor.sim.models import LIBRARY_VERSION
 from mvor.sim.render import _winners as pick_winners
-from mvor.sim.scene import placement_conflict
+from mvor.sim.scene import check_scenes, placement_conflict
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +82,24 @@ def conflicts(scene, library):
 
 def model_rows(library, m):
     """The slice of model ``m``'s rows in the library's point columns."""
-    return slice(library.point_offsets[m], library.point_offsets[m + 1])
+    return slice(m * library.model_points, (m + 1) * library.model_points)
 
 
 def owning_model(library, feature_ids):
     """The model whose row slice holds each feature id."""
-    return np.searchsorted(library.point_offsets, feature_ids, side="right") - 1
+    return feature_ids // library.model_points
+
+
+def models_of(library, family):
+    """The ids of the library's models of ``family``."""
+    return [m for m in range(len(library)) if models.FAMILIES[m % 3] == family]
 
 
 def reference_descriptors_for(library, feature_ids):
     """The lookup as a per-model loop: one masked gather per model, from
     that model's block of the descriptor column."""
     model_ids = owning_model(library, feature_ids)
-    local = feature_ids - library.point_offsets[model_ids]
+    local = feature_ids - model_ids * library.model_points
     out = np.empty((feature_ids.shape[0], library.point_descriptors.shape[1]))
     for mid in np.unique(model_ids):
         sel = model_ids == mid
@@ -102,9 +108,7 @@ def reference_descriptors_for(library, feature_ids):
 
 
 class TestModelLibrary:
-    COLUMNS = (
-        "family", "footprint_radius", "point_offsets", "points", "normals", "point_descriptors"
-    )
+    COLUMNS = ("footprint_radius", "points", "normals", "point_descriptors")
 
     def test_deterministic(self, config):
         a = generate_model_library(config)
@@ -113,14 +117,13 @@ class TestModelLibrary:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_columns_cover_every_model(self, config, library):
-        o = library.point_offsets
-        np.testing.assert_array_equal(o, np.arange(len(library) + 1) * config.model_points)
-        assert len(library.family) == len(library.footprint_radius) == len(o) - 1
+        assert len(library) == len(library.footprint_radius) == config.library_size
+        assert library.model_points == config.model_points
         for column in (library.points, library.normals, library.point_descriptors):
-            assert len(column) == o[-1]
+            assert len(column) == config.library_size * config.model_points
 
     def test_box_normals_axis_aligned(self, library):
-        boxes = np.flatnonzero(library.family == "box")
+        boxes = models_of(library, "box")
         assert len(boxes)
         for m in boxes:
             normals = library.normals[model_rows(library, m)]
@@ -132,13 +135,13 @@ class TestModelLibrary:
         np.testing.assert_allclose(np.linalg.norm(library.normals, axis=1), 1.0, atol=1e-9)
 
     def test_feature_ids_globally_unique(self, library):
-        counts = np.diff(library.point_offsets)
         all_ids = np.concatenate(
-            [np.arange(n) + library.point_offsets[m] for m, n in enumerate(counts)]
+            [np.arange(len(library.points))[model_rows(library, m)] for m in range(len(library))]
         )
-        np.testing.assert_array_equal(all_ids, np.arange(library.point_offsets[-1]))
+        np.testing.assert_array_equal(all_ids, np.arange(len(library.points)))
         np.testing.assert_array_equal(
-            owning_model(library, all_ids), np.repeat(np.arange(len(library)), counts)
+            owning_model(library, all_ids),
+            np.repeat(np.arange(len(library)), library.model_points),
         )
         # every point's id looks up that point's own descriptor row
         np.testing.assert_array_equal(library.descriptors_for(all_ids), library.point_descriptors)
@@ -149,22 +152,38 @@ class TestModelLibrary:
             assert library.footprint_radius[m] >= extent - 1e-12
 
     def test_three_families_present(self, library):
-        assert set(library.family) == {"box", "cylinder", "l_prism"}
+        """Model m has the geometry of family FAMILIES[m % 3]: a box's points
+        lie on 5 face planes, an L-prism's on 7 (six sides and the top), and
+        a cylinder's side points on its footprint circle."""
+        faces = {"box": 5, "l_prism": 7}
+        for m in range(len(library)):
+            family = models.FAMILIES[m % 3]
+            rows = model_rows(library, m)
+            if family in faces:
+                normals = library.normals[rows]
+                offsets = np.einsum("ij,ij->i", library.points[rows], normals)
+                planes = np.unique(np.column_stack([normals, offsets]).round(9), axis=0)
+                assert len(planes) == faces[family], (m, family)
+            else:
+                side = library.normals[rows, 2] == 0.0
+                np.testing.assert_allclose(
+                    np.hypot(*library.points[rows][side, :2].T), library.footprint_radius[m]
+                )
+        assert {models.FAMILIES[m % 3] for m in range(len(library))} == set(models.FAMILIES)
 
     def test_descriptor_lookup(self, library):
         local = np.array([5, 17, 3])
         np.testing.assert_array_equal(
-            library.descriptors_for(library.point_offsets[2] + local),
+            library.descriptors_for(2 * library.model_points + local),
             library.point_descriptors[model_rows(library, 2)][local],
         )
 
     @settings(max_examples=40, deadline=None)
     @given(picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=300))
     def test_lookup_matches_per_model_loop(self, library, picks):
-        counts = np.diff(library.point_offsets)
         models = np.array([m % len(library) for m, _ in picks], dtype=np.int64)
-        local = np.array([r % counts[m] for m, (_, r) in zip(models, picks)], dtype=np.int64)
-        ids = library.point_offsets[models] + local
+        local = np.array([r % library.model_points for _, r in picks], dtype=np.int64)
+        ids = models * library.model_points + local
         np.testing.assert_array_equal(
             library.descriptors_for(ids), reference_descriptors_for(library, ids)
         )
@@ -174,7 +193,7 @@ class TestModelLibrary:
         fid = {
             # a bare gather at -1 would read the last row
             "negative id": -1,
-            "past the last row": library.point_offsets[-1],
+            "past the last row": len(library.points),
         }[case]
         with pytest.raises(UnknownFeature, match=rf"\[{fid}\]"):
             library.descriptors_for(np.array([2, fid]))
@@ -205,8 +224,7 @@ def float64_reference_library(config):
     one RNG, each model's geometry then its code rows, drawn into a float64
     column and normalized in place."""
     rng = np.random.default_rng(config.library_seed)
-    columns = {"family": [], "footprint_radius": [], "points": [], "normals": [],
-               "point_descriptors": []}
+    columns = {"footprint_radius": [], "points": [], "normals": [], "point_descriptors": []}
     for mid in range(config.library_size):
         family = models.FAMILIES[mid % 3]
         if family == "box":
@@ -225,14 +243,10 @@ def float64_reference_library(config):
         codes = np.empty((len(pts), config.point_descriptor_dim))
         rng.standard_normal(out=codes)
         codes /= np.linalg.norm(codes, axis=1, keepdims=True)
-        for name, value in zip(columns, (family, radius, pts, nrms, codes)):
+        for name, value in zip(columns, (radius, pts, nrms, codes)):
             columns[name].append(value)
-    offsets = np.zeros(config.library_size + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in columns["points"]], out=offsets[1:])
     return ModelLibrary(
-        family=np.array(columns["family"]),
         footprint_radius=np.array(columns["footprint_radius"]),
-        point_offsets=offsets,
         **{name: np.vstack(columns[name]) for name in ("points", "normals", "point_descriptors")},
     )
 
@@ -255,7 +269,7 @@ class TestFloat32Codes:
         reference = float64_reference_library(sim)
         save_model_library(tmp_path / "library", sim)
         for library in (generate_model_library(sim), load_model_library(tmp_path / "library", sim)):
-            for name in ("family", "footprint_radius", "point_offsets", "points", "normals"):
+            for name in ("footprint_radius", "points", "normals"):
                 a, b = getattr(library, name), getattr(reference, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert library.point_descriptors.dtype == np.float32
@@ -467,9 +481,26 @@ class TestGenerateInstance:
 
     def test_collision_free_scenes(self, config, library):
         for seed in range(20):
-            inst = generate_instance(config, library, seed=seed)
-            assert not any(conflicts(inst.initial, library))
-            assert not any(conflicts(inst.goal, library))
+            check_scenes(generate_instance(config, library, seed=seed), library)
+
+    def test_check_scenes_names_the_conflict(self, config, library):
+        """Touching footprints pass; an overlap or a footprint off the
+        table raises, naming the member, the object and the conflict."""
+        table = Rect(-0.5, -0.5, 0.5, 0.5)
+        initial = SceneState(table, (Placement(0, PlanarTransform(0.0, -0.2, 0.0)),
+                                     Placement(1, PlanarTransform(0.0, 0.2, 0.0))))
+        touching = float(library.footprint_radius[0] + library.footprint_radius[1])
+        for tx, ty, error in [(touching, 0.0, None),
+                              (np.nextafter(touching, 0.0), 0.0, "object 0 at .*: overlaps object 1"),
+                              (0.0, 0.5, "object 1 at .*: footprint leaves the table")]:
+            goal = SceneState(table, (Placement(0, PlanarTransform(0.0, 0.0, 0.0)),
+                                      Placement(1, PlanarTransform(0.0, tx, ty))))
+            inst = RearrangementInstance(initial, goal, seed=0, config=config)
+            if error is None:
+                check_scenes(inst, library)
+                continue
+            with pytest.raises(ConfigParseError, match=f"member 'goal': {error}"):
+                check_scenes(inst, library)
 
     def test_true_offsets_exact(self, config, library):
         for seed in range(10):
@@ -583,9 +614,7 @@ def one_point_library(points, normals):
     """A hand-built library of one-point models: model m is point m."""
     n = len(points)
     return ModelLibrary(
-        family=np.array(["box"] * n),
         footprint_radius=np.full(n, 0.05),
-        point_offsets=np.arange(n + 1, dtype=np.int64),
         points=np.array(points, dtype=float),
         normals=np.array(normals, dtype=float),
         point_descriptors=np.eye(n),
@@ -594,14 +623,14 @@ def one_point_library(points, normals):
 
 class TestRender:
     def test_top_down_sees_only_top_faces(self, library):
-        m = int(np.flatnonzero(library.family == "box")[0])
+        m = models_of(library, "box")[0]
         scene = single_object_scene(library, m)
         cam = geo.look_at([0.0, 0.0, 0.9], [0.0, 0.0, 0.0])
         (frame,) = render(scene, [cam], SimConfig().intrinsics(), library)
         seen = frame.feature_ids
         # oracle: points whose normal faces a straight-down camera
         up = library.normals[model_rows(library, m), 2] > 1e-9
-        top_ids = set((library.point_offsets[m] + np.flatnonzero(up)).tolist())
+        top_ids = set((m * library.model_points + np.flatnonzero(up)).tolist())
         assert len(seen) > 50
         assert set(seen.tolist()) <= top_ids
 
@@ -751,7 +780,7 @@ class TestRender:
         """A camera in the plane of the box's top face (z) or of its +x
         face (x): those points' facing value is exactly 0, so they are not
         seen, as in the reference."""
-        m = int(np.flatnonzero(library.family == "box")[0])
+        m = models_of(library, "box")[0]
         rows = model_rows(library, m)
         pts, nrm = library.points[rows], library.normals[rows]
         plane = {0: pts[nrm[:, 0] > 0.5, 0], 2: pts[nrm[:, 2] > 0.5, 2]}
@@ -951,11 +980,14 @@ class TestInstanceIO:
     def test_config_echo_governs(self, config, library, key, value, views, half_width, tmp_path):
         """The viewpoints and the table are the config echo's: a stored copy
         once kept 8 views (``build-db`` wrote 64 regions) for ``ring_count``
-        4 and a +-0.5 m table for ``table_width`` 0.6."""
-        d = instance_to_dict(generate_instance(config, library, seed=2))
+        4 and a +-0.5 m table for ``table_width`` 0.6. The objects are placed
+        0.2 m in from the edge, so each footprint lies on the 0.6 m table
+        too: the CLI refuses a scene with one off its table."""
+        placed = dataclasses.replace(config, placement_margin=0.2)
+        d = instance_to_dict(generate_instance(placed, library, seed=2))
         d["config"][key] = value
         inst = instance_from_dict(d)
-        edited = dataclasses.replace(config, **{key: value})
+        edited = dataclasses.replace(placed, **{key: value})
         assert inst.initial.table_bounds == inst.goal.table_bounds
         assert inst.initial.table_bounds.xmax == half_width == -inst.initial.table_bounds.xmin
         assert len(inst.ring_viewpoints) == views
