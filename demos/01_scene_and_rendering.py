@@ -3,7 +3,9 @@
 Walks through: model library generation, sampling a rearrangement task
 (goal scene first, then a shuffled initial scene), rendering the ring of
 viewpoints, and checking that the stored hits back-project onto the true
-object surfaces.
+object surfaces. The cameras belong to the config: ``config.intrinsics``,
+``config.home_viewpoint`` and ``config.ring_viewpoints`` are derived once,
+when the config is built, and every instance of it reads them there.
 """
 
 import numpy as np
@@ -36,8 +38,8 @@ for i, off in enumerate(instance.true_offsets):
 
 # render the ring of database viewpoints around the initial scene, in one
 # call: the models are posed once, and the frames come back in view order
-intr = config.intrinsics()
-frames = render(instance.initial, instance.ring_viewpoints, intr, library)
+intr = config.intrinsics
+frames = render(instance.initial, config.ring_viewpoints, intr, library)
 print(f"\nrendered {len(frames)} ring frames at {intr.width}x{intr.height}")
 for k, f in enumerate(frames[:3]):
     print(
@@ -56,3 +58,10 @@ print(f"\nframe 0 hits rows {rows.min()}..{rows.max()}, columns {cols.min()}..{c
 world = geo.back_project_pixels(intr, geo.invert(f.viewpoint), f.px, f.depth)
 print(f"back-projected {len(world)} pixels from frame 0")
 print(f"  world z range: {world[:, 2].min():.3f}..{world[:, 2].max():.3f} m (table is z=0)")
+
+# a camera that sees no object renders a frame with no hits, which keeps
+# its viewpoint and segments into nothing: it adds no region to a database
+away = geo.look_at([2.0, 0.0, 0.5], [3.0, 0.0, 0.5])
+(empty,) = render(instance.initial, [away], intr, library)
+print(f"\na camera facing away: {len(empty.feature_ids)} pixels hit, "
+      f"{len(segment(empty))} objects visible")

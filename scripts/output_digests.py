@@ -14,6 +14,10 @@ checkout that holds this script:
   of 5 views at 25 deg elevation, 320x240 images), then ``build-db`` on
   the ring and on the home view and ``localize`` against both databases:
   every other case renders the default ring's views;
+- ``gen`` of 1 two-object instance on a 6 m table (seed 8), then
+  ``build-db`` on the ring and ``localize`` against it: the objects lie
+  far out on the table, so some ring views see nothing and render frames
+  with no hits, which add no regions;
 - ``localize`` of the first instance against its ring database with the
   ``descriptor_nn`` matcher, which reads the library's point descriptors;
 - with ``tuned.json``, which sets a non-default value for every retrieval,
@@ -44,9 +48,10 @@ compare them with ``diff``. The run fails unless some home-view
 ``poses.json`` holds an estimate that was never solved, so the identity
 fallback is always covered, and unless the ``outside/`` database and
 poses are byte for byte those of the same commands run inside the dataset,
-unless the swap's move log holds an executed buffer move, and unless the
-failing ``gen`` leaves every byte of ``dataset/``, its ``library/``
-included, as it was; that check prints no line.
+unless the swap's move log holds an executed buffer move, unless the 6 m
+table's ring database has no region from at least one ring view, and
+unless the failing ``gen`` leaves every byte of ``dataset/``, its
+``library/`` included, as it was; that check prints no line.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from mvor import cli  # noqa: E402
+from mvor.perception import load_database  # noqa: E402
 from mvor.serialize import to_dict  # noqa: E402
 from mvor.sim import SimConfig  # noqa: E402
 from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT  # noqa: E402
@@ -93,6 +99,12 @@ CONFIGS = {
             "ring_elevation_deg": 25.0, "image_width": 320, "image_height": 240,
         },
     },
+    "wide.json": {
+        "sim": {
+            "table_width": 6.0, "table_depth": 6.0, "object_count_min": 2,
+            "object_count_max": 2,
+        },
+    },
     "too_few_models.json": {
         "sim": {"library_size": 2, "object_count_min": 3, "object_count_max": 3},
     },
@@ -108,6 +120,7 @@ CONFIGS = {
 INSTANCES = 2
 OUTSIDE = "outside"  # a copy of the first instance with no library beside it
 SWAP = "swap.json"  # criterion 5's swap, whose re-observation succeeds
+WIDE_SEED = 8  # on the 6 m table, 3 of the 8 ring views see an object
 
 
 def swap_instance() -> dict:
@@ -149,6 +162,15 @@ def commands() -> list[list[str]]:
                      "crowded/instance_00000000.json", "--view", view, "--out", db])
         cmds.append(["localize", "--config", "crowded.json", "--db", db, "--instance",
                      "crowded/instance_00000000.json", "--out", f"crowded_poses_{view}.json"])
+    wide = f"wide/instance_{WIDE_SEED:08d}.json"
+    cmds += [
+        ["gen", "--config", "wide.json", "--seed", str(WIDE_SEED), "--count", "1",
+         "--out", "wide"],
+        ["build-db", "--config", "wide.json", "--instance", wide, "--view", "ring",
+         "--out", "wide_db_ring.npz"],
+        ["localize", "--config", "wide.json", "--db", "wide_db_ring.npz", "--instance", wide,
+         "--out", "wide_poses_ring.json"],
+    ]
     inst = "dataset/instance_00000000.json"
     cmds.append(["localize", "--config", "nn.json", "--db", "db_0_ring.npz",
                  "--instance", inst, "--out", "poses_0_ring_nn.json"])
@@ -225,6 +247,13 @@ def buffer_moved(path: str) -> bool:
         return any(m["kind"] == "buffer-move" and m["executed"] for m in json.load(f))
 
 
+def misses_a_ring_view(path: str) -> bool:
+    """Whether some ring view gave the database at ``path`` no region."""
+    db, _ = load_database(path)
+    # wide.json keeps the default ring
+    return bool(set(range(SimConfig().ring_count)) - set(db.region_frame.tolist()))
+
+
 def main() -> int:
     inputs = {**CONFIGS, SWAP: swap_instance()}
     with tempfile.TemporaryDirectory() as tmp:
@@ -245,6 +274,10 @@ def main() -> int:
                     print(f"{OUTSIDE}/{name} differs from {name}: the library saved "
                           "in the dataset and the one generated disagree", file=sys.stderr)
                     return 1
+            if not misses_a_ring_view("wide_db_ring.npz"):
+                print("every ring view of the 6 m table saw an object, so no frame "
+                      "was empty", file=sys.stderr)
+                return 1
             if not failed_gen_keeps_dataset():
                 return 1
         finally:

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyFrame, PlacementFailure, ReobservationFailed
+from .errors import PlacementFailure, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance
 from .localization import LocalizationConfig, PoseEstimate, estimate_all, estimate_object
 from .perception import PerceptionConfig, associate, prepare_goal_regions
@@ -163,8 +163,8 @@ class ViewMode(NamedTuple):
 # the view modes: the ring database and the home-view database. A mode's
 # position keys its matcher noise stream (scene_matcher).
 VIEW_MODES = {
-    "multi": ViewMode("ring", lambda inst: inst.ring_viewpoints),
-    "single": ViewMode("home", lambda inst: [inst.home_viewpoint]),
+    "multi": ViewMode("ring", lambda inst: inst.config.ring_viewpoints),
+    "single": ViewMode("home", lambda inst: [inst.config.home_viewpoint]),
 }
 
 
@@ -186,7 +186,7 @@ def capture(scene, viewpoints, inst, library, cfg: BenchConfig) -> list[list]:
     """Every view the robot takes: ``scene`` rendered from ``viewpoints``
     through ``inst``'s camera, and each frame segmented, cut and described
     (``prepare_goal_regions``); one list of regions per view, in order."""
-    frames = render(scene, viewpoints, inst.config.intrinsics(), library)
+    frames = render(scene, viewpoints, inst.config.intrinsics, library)
     return [prepare_goal_regions(frame, library, cfg.perception) for frame in frames]
 
 
@@ -212,7 +212,7 @@ class SceneEstimates:
 def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
     """The goal scene's capture from the home viewpoint; one list serves
     every database of the scene."""
-    (regions,) = capture(inst.goal, [inst.home_viewpoint], inst, library, cfg)
+    (regions,) = capture(inst.goal, [inst.config.home_viewpoint], inst, library, cfg)
     return regions
 
 
@@ -220,7 +220,7 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
     """Localization stage: every object's relative pose from the goal
     regions (``scene_goal_regions``)."""
     by_instance = estimate_all(
-        goal_regions, db, matcher, inst.config.intrinsics(), cfg.localization
+        goal_regions, db, matcher, inst.config.intrinsics, cfg.localization
     )
     return SceneEstimates(by_instance, match_instances_to_objects(db, inst.initial))
 
@@ -351,22 +351,20 @@ def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instanc
     the database (built on the initial scene), restricted to the object's
     own instance list.
     """
-    intr = inst.config.intrinsics()
 
     def reobserve(scene, i, guess):
         u = object_instance.get(i)
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
-        try:
-            (regions,) = capture(scene, [inst.home_viewpoint], inst, library, cfg)
-        except EmptyFrame as e:
-            raise ReobservationFailed("home frame sees nothing") from e
+        (regions,) = capture(scene, [inst.config.home_viewpoint], inst, library, cfg)
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
         excluded = frozenset(set(range(db.num_instances)) - {u})
-        est = estimate_object(region, db, matcher, intr, cfg.localization, excluded)
+        est = estimate_object(
+            region, db, matcher, inst.config.intrinsics, cfg.localization, excluded
+        )
         if not est.accepted:
             raise ReobservationFailed(est.note or "re-estimation rejected")
         return planar_compose(est.offset, inst.initial.placements[i].pose)

@@ -26,9 +26,14 @@ instance's config exits 2, naming the key and the header's path. An
 instance file outside a dataset has its library generated, with the same
 bits. Either way the instance's scenes are checked against the library
 (``sim.scene.check_scenes``): a footprint that leaves the table or
-overlaps another exits 2. The instance fixes the seed and the sim config:
-a ``--seed`` or ``--config`` sim value that differs from the instance's
-exits 2.
+overlaps another exits 2, as does an instance that places no object. The
+instance fixes the seed and the sim config: a ``--seed`` or ``--config``
+sim value that differs from the instance's exits 2.
+
+A view that sees nothing adds no region; a capture in which none sees an
+object exits 2 ("no regions in any frame"). ``localize`` refuses a
+database whose header names another library, view, seed or instance file
+(``instance_sha256``: the SHA-256 of the text ``save_instance`` writes).
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .sim import (
     save_instance,
     write_dataset,
 )
-from .sim.io import instance_library
+from .sim.io import instance_library, instance_sha256
 from .sim.scene import check_scenes
 from .sim.models import LIBRARY_KEYS
 
@@ -143,13 +148,24 @@ def cmd_gen(args) -> int:
 def _database_provenance(inst, view: str) -> dict:
     """What a database header records of the scene it was built from, which
     ``localize`` checks: the settings its descriptors depend on (they pool
-    the point descriptors of the library these generate), the view and the
-    instance's seed."""
+    the point descriptors of the library these generate), the view, the
+    instance's seed and the SHA-256 of its instance file as
+    ``save_instance`` writes it, which tells apart two scenes of one seed."""
     return {
         **{key: getattr(inst.config, key) for key in LIBRARY_KEYS},
         "view": view,
         "instance_seed": inst.seed,
+        "instance_sha256": instance_sha256(inst),
     }
+
+
+def _check_provenance(header: dict, expected: dict) -> None:
+    """Raise MvorError naming the first key of ``expected`` whose value the
+    database header does not hold."""
+    for key, value in expected.items():
+        # compared by ==: a header value need not be hashable
+        if header.get(key) != value:
+            raise MvorError(f"database built against {key} {header.get(key)}, instance has {value}")
 
 
 def cmd_build_db(args) -> int:
@@ -193,13 +209,14 @@ def cmd_localize(args) -> int:
     cfg, sim_keys = load_config(args.config, args.seed)
     db, header = load_database(args.db)
     inst = _load_instance(args, cfg, sim_keys)
-    # a mismatched database fails before the library is loaded
-    # compared by ==: a header value need not be hashable
+    # a mismatched database fails before the library is loaded, but for
+    # the instance digest: an instance that breaks the collision model is
+    # refused as such (check_scenes), not as another scene
     if header.get("view") not in VIEWS:
         raise MvorError(f"database built against view {header.get('view')!r}, not one of {VIEWS}")
-    for key, value in _database_provenance(inst, header["view"]).items():
-        if header.get(key) != value:
-            raise MvorError(f"database built against {key} {header.get(key)}, instance has {value}")
+    provenance = _database_provenance(inst, header["view"])
+    digest = {"instance_sha256": provenance.pop("instance_sha256")}
+    _check_provenance(header, provenance)
     # the header records the width, but the column itself may disagree
     width = inst.config.point_descriptor_dim
     if db.descriptors.shape[1] != width:
@@ -209,6 +226,7 @@ def cmd_localize(args) -> int:
         )
     library = instance_library(args.instance, inst.config)
     check_scenes(inst, library)
+    _check_provenance(header, digest)
     # checked once here: the feature_id matcher never reads the library, so
     # ids naming no row would only ever fail to match
     library.check_feature_ids(db.crop_feature_ids)

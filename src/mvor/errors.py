@@ -20,10 +20,6 @@ class CollisionAtTarget(MvorError):
     """Requested placement overlaps another object or leaves the table."""
 
 
-class EmptyFrame(MvorError):
-    """Rendering produced no visible points."""
-
-
 class UnknownFeature(MvorError):
     """A feature id names no point of the model library."""
 

@@ -145,8 +145,13 @@ def write_text(text: str, path) -> None:
         raise IOFailure(f"cannot write {path}: {e}") from e
 
 
+def json_text(data) -> str:
+    """The text ``dump_json`` writes for ``data``."""
+    return json.dumps(data, indent=1) + "\n"
+
+
 def dump_json(data, path) -> None:
-    write_text(json.dumps(data, indent=1) + "\n", path)
+    write_text(json_text(data), path)
 
 
 def make_dirs(path) -> None:

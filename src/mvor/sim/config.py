@@ -5,6 +5,7 @@ rendered of it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +57,8 @@ class SimConfig(ConfigSection):
     rotation_regime: str = setting("full", choices=ROTATION_REGIMES)
 
     # viewpoints
-    # a view is derived per ring step whenever an instance is built or
-    # loaded: one per degree of azimuth at most
+    # a view is derived per ring step when the config is built: one per
+    # degree of azimuth at most
     ring_count: int = setting(8, 1, 360)
     # Open ranges: a zero camera radius makes no view. A camera
     # MAX_CAMERA_RADIUS out sees a 10 cm object at under a pixel at the
@@ -88,13 +89,12 @@ class SimConfig(ConfigSection):
     def validate(self) -> None:
         if self.object_count_min > self.object_count_max:
             raise ValueError("object count range is empty")
-        self.intrinsics()  # raises ValueError on a bad focal length or image size
+        self.intrinsics  # raises ValueError on a bad focal length or image size
         # look_at raises ValueError for a radius so small that the camera
         # sits at the table centre
-        for key, views in (("home_radius", self.home_viewpoint),
-                           ("ring_radius", self.ring_viewpoints)):
+        for key, views in (("home_radius", "home_viewpoint"), ("ring_radius", "ring_viewpoints")):
             try:
-                views()
+                getattr(self, views)
             except ValueError as e:
                 raise ValueError(f"{key}={getattr(self, key)!r}: {e}") from e
 
@@ -103,6 +103,9 @@ class SimConfig(ConfigSection):
             return (-np.pi / 3.0, np.pi / 3.0)
         return (-np.pi, np.pi)
 
+    # the cameras, derived once, by validate; not fields, so to_dict, ==,
+    # hash and repr see only the settings
+    @cached_property
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(
             fx=self.focal_px,
@@ -124,12 +127,14 @@ class SimConfig(ConfigSection):
         )
         return look_at(eye, np.zeros(3))
 
+    @cached_property
     def home_viewpoint(self) -> Pose3:
         return self._viewpoint(self.home_azimuth_deg, self.home_radius, self.home_elevation_deg)
 
-    def ring_viewpoints(self) -> list[Pose3]:
+    @cached_property
+    def ring_viewpoints(self) -> tuple[Pose3, ...]:
         step = 360.0 / self.ring_count
-        return [
+        return tuple(
             self._viewpoint(k * step, self.ring_radius, self.ring_elevation_deg)
             for k in range(self.ring_count)
-        ]
+        )

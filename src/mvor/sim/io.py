@@ -16,10 +16,11 @@ and name the instance's config.
 
 An instance file is a single JSON document holding only what was drawn:
 ``format``, ``version``, ``seed``, the ``initial`` and ``goal`` placements
-and the full ``config`` echo. The table bounds, the viewpoints and the
-true offsets are derived from the config and the placements when the file
-is loaded, so the config echo governs them. Floats round-trip bit-exactly
-through JSON because Python serializes them via repr. A placement holds
+and the full ``config`` echo. The table bounds and the true offsets are
+derived from the config and the placements when the file is loaded, and
+the cameras are the config's own, so the config echo governs them.
+Floats round-trip bit-exactly through JSON because Python serializes them
+via repr. A placement holds
 exactly ``model_id``, ``yaw``, ``tx`` and ``ty``. Loading checks the
 presence and type of every member and that every number is finite; the
 config's values and the placement rules (``RearrangementInstance``) check
@@ -29,6 +30,7 @@ ConfigParseError.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import tempfile
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigParseError, IOFailure
 from ..geometry import PlanarTransform
-from ..serialize import dump_json, from_dict, load_json, make_dirs, to_dict
+from ..serialize import dump_json, from_dict, json_text, load_json, make_dirs, to_dict
 from .config import SimConfig
 from .models import ModelLibrary, generate_model_library, load_model_library, save_model_library
 from .scene import (
@@ -125,6 +127,13 @@ def instance_from_dict(data: dict) -> RearrangementInstance:
 
 def save_instance(inst: RearrangementInstance, path) -> None:
     dump_json(instance_to_dict(inst), path)
+
+
+def instance_sha256(inst: RearrangementInstance) -> str:
+    """The SHA-256 of the instance file ``save_instance`` writes for
+    ``inst``; a file it wrote loads back to an instance with the same
+    digest."""
+    return hashlib.sha256(json_text(instance_to_dict(inst)).encode()).hexdigest()
 
 
 def load_instance(path) -> RearrangementInstance:

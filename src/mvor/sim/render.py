@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import EmptyFrame
 from ..geometry import CameraIntrinsics, Pose3, invert, nearest_pixel, rot_z
 from .models import ModelLibrary
 from .scene import SceneState
@@ -147,7 +146,7 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
         & (v < intr.height - 0.5)
     )
     if not ok.any():
-        raise EmptyFrame("no model points project into the image")
+        return empty_frame(viewpoint, intr)
     cand = facing[ok]
     uv, z = uv.compress(ok, axis=0), z[ok]
     fid = posed.feature_ids[cand]
@@ -195,7 +194,8 @@ def render(
     A point is visible iff its outward normal faces the camera and it wins
     the z-buffer at its pixel; occlusion between objects emerges from the
     depth comparison. The placements are posed once for all the views.
-    Raises EmptyFrame when nothing projects into a view's image.
+    A view into which nothing projects gives a frame with no hits
+    (``empty_frame``), which segments into no regions.
     """
     posed = _pose(scene, library)
     return [_render_view(posed, vp, intr) for vp in viewpoints]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import CollisionAtTarget, ConfigParseError, PlacementFailure, UnknownObject
-from ..geometry import PlanarTransform, Pose3, planar_compose, planar_invert
+from ..geometry import PlanarTransform, planar_compose, planar_invert
 from .config import SimConfig
 from .models import ModelLibrary
 
@@ -65,25 +65,24 @@ class SceneState:
 class RearrangementInstance:
     """One task: the initial and goal placements drawn for ``seed`` under
     ``config``. Derived, not stored: ``true_offsets`` (per object, goal =
-    offset o initial) from the two placement lists, and ``home_viewpoint``
-    and ``ring_viewpoints`` from the config.
+    offset o initial) from the two placement lists. The cameras are the
+    config's (``config.intrinsics``, ``config.home_viewpoint`` and
+    ``config.ring_viewpoints``).
 
-    Building one checks the placements, so one that exists is valid: both
-    scenes lie on the config's table, both lists have the same length,
-    every model id lies in the config's library, object i places the same
-    model in both lists, and no model is placed twice (a feature id is its
-    library row, so a database could not tell the two apart). A violation
-    raises ValueError. It is frozen and its derived sequences are tuples,
-    so it stays valid: a field changes only through
-    ``dataclasses.replace``, which checks the new instance."""
+    Building one checks the placements, so one that exists is valid: the
+    scenes hold at least one object, both lie on the config's table, both
+    lists have the same length, every model id lies in the config's
+    library, object i places the same model in both lists, and no model is
+    placed twice (a feature id is its library row, so a database could not
+    tell the two apart). A violation raises ValueError. It is frozen and
+    its derived sequences are tuples, so it stays valid: a field changes
+    only through ``dataclasses.replace``, which checks the new instance."""
 
     initial: SceneState
     goal: SceneState
     seed: int
     config: SimConfig
     true_offsets: tuple[PlanarTransform, ...] = field(init=False)
-    home_viewpoint: Pose3 = field(init=False)
-    ring_viewpoints: tuple[Pose3, ...] = field(init=False)
 
     def __post_init__(self):
         self._check_placements()
@@ -91,10 +90,10 @@ class RearrangementInstance:
             planar_compose(g.pose, planar_invert(i.pose))
             for i, g in zip(self.initial.placements, self.goal.placements)
         ))
-        object.__setattr__(self, "home_viewpoint", self.config.home_viewpoint())
-        object.__setattr__(self, "ring_viewpoints", tuple(self.config.ring_viewpoints()))
 
     def _check_placements(self) -> None:
+        if not self.initial.placements and not self.goal.placements:
+            raise ValueError("instance members 'initial' and 'goal' place no object")
         table = _table_rect(self.config)
         for name, scene in (("initial", self.initial), ("goal", self.goal)):
             if scene.table_bounds != table:

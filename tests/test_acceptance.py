@@ -60,8 +60,8 @@ def test_criterion_1_pnp_oracle_equivalence():
     to 1e-6 rad / 1e-6 m, 100% pass, in under 10 seconds of this process's
     CPU time (wall time would also count other processes on a loaded host)."""
     cfg = SimConfig()
-    intr = cfg.intrinsics()
-    xi_q = cfg.home_viewpoint()
+    intr = cfg.intrinsics
+    xi_q = cfg.home_viewpoint
     rng = np.random.default_rng(20240)
     worst_rot, worst_t = 0.0, 0.0
     cpu0, wall0 = time.process_time(), time.monotonic()
@@ -115,8 +115,8 @@ def test_planar_solver_oracle_equivalence():
     LocalizationConfig, on criterion 1's cases: every motion recovered to
     1e-6 deg / 1e-6 cm, in under 10 seconds of this process's CPU time."""
     cfg = SimConfig()
-    intr = cfg.intrinsics()
-    xi_q = cfg.home_viewpoint()
+    intr = cfg.intrinsics
+    xi_q = cfg.home_viewpoint
     lcfg = LocalizationConfig()
     worst_deg, worst_cm = 0.0, 0.0
     cases = 0
@@ -276,13 +276,13 @@ def test_criterion_6_association_and_retrieval_exactness():
     pcfg = PerceptionConfig()
     lcfg = LocalizationConfig()
     library = generate_model_library(cfg)
-    intr = cfg.intrinsics()
+    intr = cfg.intrinsics
     regions_total = 0
     retrieval_hits = 0
     pure = True
     for seed in range(SUITE_SCENES):
         inst = generate_instance(cfg, library, seed=seed)
-        frames = render(inst.initial, inst.ring_viewpoints, intr, library)
+        frames = render(inst.initial, inst.config.ring_viewpoints, intr, library)
         db = build_database(frames, library, pcfg)
         instance_label = {}
         for j in range(db.num_instances):
@@ -293,7 +293,7 @@ def test_criterion_6_association_and_retrieval_exactness():
             instance_label[j] = labels.pop()
         if not pure:
             break
-        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], intr, library)
+        (goal_frame,) = render(inst.goal, [inst.config.home_viewpoint], intr, library)
         for g in prepare_goal_regions(goal_frame, library, pcfg):
             regions_total += 1
             cands = retrieve_candidates(g, db, lcfg.top_n)

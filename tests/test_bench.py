@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import shutil
@@ -25,13 +26,14 @@ from mvor.bench import (
     write_report,
 )
 from mvor.cli import load_config, main as cli_main
-from mvor.errors import ConfigParseError, EmptyFrame, ReobservationFailed
+from mvor.errors import ConfigParseError, ReobservationFailed
 from mvor.geometry import PlanarTransform
 from mvor.localization import LocalizationConfig, PoseEstimate, estimate_object
 from mvor.localization.pipeline import MAX_REPROJ_THRESHOLD_PX, MAX_SIGMA_PX
 from mvor.perception import (
     GridPooledDescriptor,
     PerceptionConfig,
+    associate,
     build_database,
     extract_regions,
     load_database,
@@ -201,8 +203,8 @@ class TestInstanceObjectMatching:
         library = generate_model_library(cfg)
         pcfg = PerceptionConfig()
         inst = generate_instance(cfg, library, seed=3)
-        intr = cfg.intrinsics()
-        frames = render(inst.initial, inst.ring_viewpoints, intr, library)
+        intr = cfg.intrinsics
+        frames = render(inst.initial, inst.config.ring_viewpoints, intr, library)
         db = build_database(frames, library, pcfg)
         mapping = match_instances_to_objects(db, inst.initial)
         assert len(mapping) == 6
@@ -220,12 +222,12 @@ class TestNoiseModeCorrection:
         cfg = SimConfig(object_count_min=1, object_count_max=1, actuation_sigma=sigma)
         bcfg = BenchConfig(sim=cfg)
         library = generate_model_library(cfg)
-        intr = cfg.intrinsics()
+        intr = cfg.intrinsics
         ok = 0
         trials = 0
         for scene_seed in range(20):
             inst = generate_instance(cfg, library, seed=scene_seed)
-            frames = render(inst.initial, inst.ring_viewpoints, intr, library)
+            frames = render(inst.initial, inst.config.ring_viewpoints, intr, library)
             db = build_database(frames, library, bcfg.perception)
             matcher = bcfg.localization.make_matcher(library)
             reobserve = make_reobserver(inst, library, db, matcher, bcfg, {0: 0})
@@ -257,9 +259,9 @@ class TestReobserver:
         bcfg = BenchConfig(sim=cfg)
         pcfg, lcfg = bcfg.perception, bcfg.localization
         library = generate_model_library(cfg)
-        intr = cfg.intrinsics()
+        intr = cfg.intrinsics
         inst = generate_instance(cfg, library, seed=7)
-        frames = render(inst.initial, inst.ring_viewpoints, intr, library)
+        frames = render(inst.initial, inst.config.ring_viewpoints, intr, library)
         db = build_database(frames, library, pcfg)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         guess = inst.goal.placements[0].pose
@@ -289,7 +291,7 @@ class TestReobserver:
         assert view_counts == [1]
         (described,) = batch_sizes
 
-        (frame,) = render(scene, [inst.home_viewpoint], intr, library)
+        (frame,) = render(scene, [inst.config.home_viewpoint], intr, library)
         regions = prepare_goal_regions(frame, library, pcfg)
         assert len(regions) > 1
         assert described == len(regions)
@@ -305,13 +307,12 @@ class TestReobserver:
 
     def test_home_frame_seeing_nothing_fails_as_a_reobservation(self):
         """A scene the home view misses entirely raises ReobservationFailed,
-        which the planner counts as a failure, not the renderer's
-        EmptyFrame, which would escape it."""
+        which the planner counts as a failure."""
         cfg = SimConfig(actuation_sigma=0.003)
         bcfg = BenchConfig(sim=cfg)
         library = generate_model_library(cfg)
         inst = generate_instance(cfg, library, seed=1)
-        frames = render(inst.initial, inst.ring_viewpoints, cfg.intrinsics(), library)
+        frames = render(inst.initial, inst.config.ring_viewpoints, cfg.intrinsics, library)
         db = build_database(frames, library, bcfg.perception)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         reobserve = make_reobserver(
@@ -378,7 +379,7 @@ class TestCapture:
         """A capture equals the chain it replaced, bit for bit: render,
         ``segment`` and ``extract_regions`` per frame, then every region of
         every frame described in one ``GridPooledDescriptor`` batch. A view
-        that sees nothing raises EmptyFrame on both."""
+        that sees nothing gives no regions on both."""
         library = default_library
         eye, target = np.array(eye), np.array(target)
         assume(np.linalg.norm(eye - target) > 1e-3)
@@ -387,16 +388,11 @@ class TestCapture:
         inst = generate_instance(sim, library, seed=seed)
         scene = getattr(inst, which)
         views = {
-            "ring": inst.ring_viewpoints,
-            "home": [inst.home_viewpoint],
+            "ring": inst.config.ring_viewpoints,
+            "home": [inst.config.home_viewpoint],
             "random": [geo.look_at(eye, target)],
         }[cameras]
-        try:
-            frames = render(scene, views, sim.intrinsics(), library)
-        except EmptyFrame:
-            with pytest.raises(EmptyFrame):
-                bench.capture(scene, views, inst, library, cfg)
-            return
+        frames = render(scene, views, sim.intrinsics, library)
         expected = [extract_regions(f, segment(f), cfg.perception) for f in frames]
         flat = [r for frame_regions in expected for r in frame_regions]
         for r, descriptor in zip(flat, GridPooledDescriptor(library).extract(flat)):
@@ -432,9 +428,9 @@ class TestCapture:
         renders = record_renders(monkeypatch)
         bench.complete_scene(inst, library, BenchConfig(sim=inst.config))
         assert reobserved
-        home = [inst.home_viewpoint]
+        home = [inst.config.home_viewpoint]
         assert_captures(renders, [
-            (inst.initial, inst.ring_viewpoints),
+            (inst.initial, inst.config.ring_viewpoints),
             (inst.goal, home),
             *((scene, home) for scene in reobserved),
         ])
@@ -449,10 +445,54 @@ class TestCapture:
         renders = record_renders(monkeypatch)
         rows = bench._pose_rows(inst, library, cfg)
         assert {r["view_mode"] for r in rows} == {"multi", "single"}
-        home = [inst.home_viewpoint]
+        home = [inst.config.home_viewpoint]
         assert_captures(renders, [
-            (inst.goal, home), (inst.initial, inst.ring_viewpoints), (inst.initial, home),
+            (inst.goal, home), (inst.initial, inst.config.ring_viewpoints), (inst.initial, home),
         ])
+
+
+# two objects on a 6 m table: most scenes place them where some or all of
+# the default cameras see nothing
+WIDE_TABLE = {"table_width": 6.0, "table_depth": 6.0, "object_count_min": 2, "object_count_max": 2}
+
+
+class TestEmptyViews:
+    """A view that sees nothing renders a frame with no hits, which adds no
+    region: it once raised EmptyFrame and voided the views that did see an
+    object, so ``mvor rearrange`` exited 2 on 8 of seeds 0-9 of the 6 m
+    table."""
+
+    def test_ring_capture_builds_its_database_from_the_views_that_see(self, default_library):
+        library, sim = default_library, SimConfig(**WIDE_TABLE)
+        cfg = BenchConfig(sim=sim)
+        inst = generate_instance(sim, library, seed=8)
+        frames = render(inst.initial, sim.ring_viewpoints, sim.intrinsics, library)
+        assert all(f.viewpoint is vp for f, vp in zip(frames, sim.ring_viewpoints))
+        empty = [k for k, f in enumerate(frames) if len(f.feature_ids) == 0]
+        assert 0 < len(empty) < len(frames)
+        captured = bench.capture(inst.initial, sim.ring_viewpoints, inst, library, cfg)
+        assert all(captured[k] == [] for k in empty)
+        db = bench.build_scene_database(inst, "multi", library, cfg)
+        sizes = [len(regions) for regions in captured]
+        assert db.region_frame.tolist() == np.repeat(np.arange(len(frames)), sizes).tolist()
+        assert not set(db.region_frame.tolist()) & set(empty)
+        # the views that see build the same database, but for the frame
+        # positions
+        seen = associate([regions for regions in captured if regions])
+        assert db.region_instance.tolist() == seen.region_instance.tolist()
+        assert db.descriptors.tobytes() == seen.descriptors.tobytes()
+        assert db.crop_world.tobytes() == seen.crop_world.tobytes()
+
+    def test_rearrange_sees_with_the_views_it_has(self, tmp_path, capsys):
+        """Seed 1 has its objects seen by two ring views only; seed 0 by
+        none of them, which exits 2 with one line."""
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"sim": WIDE_TABLE}))
+        argv = ["rearrange", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli_main([*argv, "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert cli_main([*argv, "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "error: no regions in any frame\n"
 
 
 class TestCliDeterminism:
@@ -674,6 +714,40 @@ class TestCliLocalize:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert "instance_seed" in capsys.readouterr().err
+
+    def test_rejects_database_of_another_scene_of_its_seed(self, tmp_path, capsys):
+        """Two datasets' seed-0 instances, of 1 and 3 objects, share every
+        key the header once held: localizing one against the other's
+        database exited 0, "estimated 3 objects (0 accepted)", pairing an
+        instance with an object 117 deg and 43 cm away."""
+        three = tmp_path / "b.json"
+        three.write_text(json.dumps({"sim": {"object_count_min": 3, "object_count_max": 3}}))
+        a, b, db = tmp_path / "A", tmp_path / "B", tmp_path / "dbA.npz"
+        assert cli_main(["gen", "--count", "1", "--out", str(a)]) == 0
+        assert cli_main(["gen", "--count", "1", "--out", str(b), "--config", str(three)]) == 0
+        argv = ["build-db", "--instance", str(a / "instance_00000000.json"), "--out", str(db)]
+        assert cli_main(argv) == 0
+        argv = ["localize", "--db", str(db), "--instance", str(b / "instance_00000000.json"),
+                "--config", str(three), "--out", str(tmp_path / "poses.json")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: database built against instance_sha256 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "poses.json").exists()
+
+    def test_header_holds_the_instance_file_digest(self, tmp_path):
+        """``build-db`` records the SHA-256 of the instance file as
+        ``save_instance`` writes it, whether it read the file or generated
+        the instance from config and seed."""
+        ds = tmp_path / "ds"
+        assert cli_main(["gen", "--seed", "3", "--count", "1", "--out", str(ds)]) == 0
+        path = ds / "instance_00000003.json"
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        for source in (["--instance", str(path)], ["--seed", "3"]):
+            db = tmp_path / "db.npz"
+            assert cli_main(["build-db", *source, "--out", str(db)]) == 0
+            assert load_database(db)[1]["instance_sha256"] == want
 
     @pytest.mark.parametrize("view", ["side", None, ["ring"]])
     def test_rejects_unknown_view(self, view, tmp_path, capsys):
@@ -1432,6 +1506,28 @@ class TestCliMalformedValues:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {named.format(x=x, y=y)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["build-db", "localize", "rearrange"])
+    def test_instance_with_no_objects(self, instance_doc, command, tmp_path, capsys):
+        """An instance whose placement lists are both empty once exited 2
+        with "no model points project into the image", which did not name
+        the cause."""
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(instance_doc))
+        doc = dict(instance_doc, initial=[], goal=[])
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--instance", str(path), "--out", str(tmp_path / "out")]
+        if command == "localize":
+            db = str(tmp_path / "db.npz")
+            assert cli_main(["build-db", "--instance", str(good), "--out", db]) == 0
+            argv += ["--db", db]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: instance members 'initial' and 'goal' place no object\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_negative_instance_seed(self, instance_doc, tmp_path, capsys):

@@ -43,7 +43,10 @@ from mvor.sim import (
     load_instance,
     save_instance,
 )
+from mvor.geometry import look_at
+from mvor.sim import config as sim_config
 from mvor.sim.config import MAX_ACTUATION_SIGMA, MAX_TABLE_SIDE, MIN_MODEL_POINTS
+from mvor.sim.io import instance_from_dict, instance_to_dict
 from mvor.sim.scene import Placement, RearrangementInstance, Rect, SceneState, placement_conflict
 
 # function -> the parameters that carry a config value
@@ -251,7 +254,7 @@ def test_non_finite_camera_settings_refused(sim, value):
     with pytest.raises(ValueError, match=rf"^{sim}="):
         SimConfig(**{sim: value})
     if sim == "focal_px":
-        intr = dataclasses.asdict(SimConfig().intrinsics())
+        intr = dataclasses.asdict(SimConfig().intrinsics)
         for axis in ("fx", "fy"):
             with pytest.raises(ValueError, match="positive and finite"):
                 CameraIntrinsics(**{**intr, axis: value})
@@ -273,6 +276,8 @@ def _scene(models):
         ([0, 1], [0, -1], r"'goal': model ids \[0, -1\] outside"),
         ([0, 1], [1, 0], "instance object 0: initial model id 0, goal model id 1"),
         ([3, 5, 3], [3, 5, 3], "instance objects 0 and 2 both place model id 3"),
+        # rendered nothing, and failed later as "no regions in any frame"
+        ([], [], "'initial' and 'goal' place no object"),
     ],
 )
 def test_invalid_instance_cannot_be_built(initial, goal, message):
@@ -310,7 +315,7 @@ def test_instance_cannot_change_in_place():
     inst = RearrangementInstance(_scene(range(5)), _scene(range(5)), seed=0, config=SimConfig())
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.goal = _scene(range(8))
-    for derived in (inst.true_offsets, inst.ring_viewpoints):
+    for derived in (inst.true_offsets, inst.config.ring_viewpoints):
         with pytest.raises(AttributeError):
             derived.append(derived[0])
         with pytest.raises(AttributeError):
@@ -325,17 +330,76 @@ def test_instance_cannot_change_in_place():
     assert [o.yaw for o in dataclasses.replace(inst, goal=turned).true_offsets] == [0.5] * 5
 
 
+def test_instance_equals_its_saved_copy(tmp_path):
+    """Two camera copies of ``Pose3`` arrays once made ``==`` between
+    instances raise ValueError and ``hash`` raise TypeError."""
+    cfg = SimConfig(object_count_min=3, object_count_max=3)
+    library = generate_model_library(dataclasses.replace(cfg, model_points=MIN_MODEL_POINTS))
+    inst = generate_instance(cfg, library, seed=1)
+    assert inst == generate_instance(cfg, library, seed=1)
+    assert inst != generate_instance(cfg, library, seed=2)
+    save_instance(inst, tmp_path / "inst.json")
+    loaded = load_instance(tmp_path / "inst.json")
+    assert loaded == inst and hash(loaded) == hash(inst)
+    assert loaded.config == cfg and hash(loaded.config) == hash(cfg)
+    assert repr(loaded.config) == repr(cfg)
+    assert "viewpoint" not in repr(inst)
+
+
+def test_cameras_are_derived_once_per_config(monkeypatch):
+    """Each instance built or loaded once derived all nine cameras again,
+    after its config had derived and dropped them: the config now derives
+    them once, when it is built, and every instance reads the config's."""
+    calls = []
+
+    def counting(eye, target):
+        calls.append(1)
+        return look_at(eye, target)
+
+    monkeypatch.setattr(sim_config, "look_at", counting)
+    cfg = SimConfig(ring_count=5)
+    assert len(calls) == 1 + 5
+    library = generate_model_library(dataclasses.replace(cfg, model_points=MIN_MODEL_POINTS))
+    calls.clear()
+    inst = generate_instance(cfg, library, seed=0)
+    again = dataclasses.replace(inst, seed=7)
+    for built in (inst, again):
+        assert built.config.home_viewpoint is cfg.home_viewpoint
+        assert built.config.ring_viewpoints is cfg.ring_viewpoints
+        assert built.config.intrinsics is cfg.intrinsics
+    assert calls == []
+    # loading builds the config the file echoes, and nothing more
+    loaded = instance_from_dict(instance_to_dict(inst))
+    assert len(calls) == 1 + 5
+    assert loaded.config.ring_viewpoints is loaded.config.ring_viewpoints
+    assert len(calls) == 1 + 5
+
+
 def test_instance_parts_cannot_change_in_place():
     """``inst.true_offsets[0].yaw = 1.0`` once changed a frozen instance's
     offset and ``inst.ring_viewpoints[0].translation[0] = 5.0`` moved its
     camera: a ``PlanarTransform`` is frozen and a ``Pose3`` holds read-only
-    copies of the arrays it was built from."""
+    copies of the arrays it was built from. The cameras are now the
+    config's derived properties, which a frozen config cannot have
+    assigned or deleted."""
     inst = RearrangementInstance(_scene(range(2)), _scene(range(2)), seed=0, config=SimConfig())
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.true_offsets[0].yaw = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.goal.placements[0].pose.tx = 1.0
-    for pose in (inst.ring_viewpoints[0], inst.home_viewpoint):
+    config = inst.config
+    for name in ("intrinsics", "home_viewpoint", "ring_viewpoints"):
+        kept = getattr(config, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(config, name)
+        assert getattr(config, name) is kept
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.intrinsics.fx = 1.0
+    with pytest.raises(TypeError):
+        config.ring_viewpoints[0] = config.home_viewpoint
+    for pose in (config.ring_viewpoints[0], config.home_viewpoint):
         with pytest.raises(ValueError, match="read-only"):
             pose.translation[0] = 5.0
         with pytest.raises(ValueError, match="read-only"):

@@ -47,8 +47,8 @@ from mvor.sim import (
 CFG = SimConfig()
 PCFG = PerceptionConfig()
 LCFG = LocalizationConfig()
-INTR = CFG.intrinsics()
-VIEWS = [CFG.home_viewpoint(), *CFG.ring_viewpoints()]
+INTR = CFG.intrinsics
+VIEWS = [CFG.home_viewpoint, *CFG.ring_viewpoints]
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +61,12 @@ def make_scene(placements):
 
 
 def ring_db(scene, library):
-    frames = render(scene, CFG.ring_viewpoints(), INTR, library)
+    frames = render(scene, CFG.ring_viewpoints, INTR, library)
     return build_database(frames, library, PCFG)
 
 
 def goal_regions_of(scene, library):
-    (frame,) = render(scene, [CFG.home_viewpoint()], INTR, library)
+    (frame,) = render(scene, [CFG.home_viewpoint], INTR, library)
     return frame, prepare_goal_regions(frame, library, PCFG)
 
 
@@ -506,7 +506,7 @@ class TestSolvePose:
 class TestPnPOracleEquivalence:
     def test_exact_planar_motions(self):
         rng = np.random.default_rng(7)
-        xi_q = CFG.home_viewpoint()
+        xi_q = CFG.home_viewpoint
         for _ in range(200):
             n = rng.integers(6, 40)
             local = np.column_stack(
@@ -946,7 +946,7 @@ class TestEstimateObject:
         model_id = 0  # box: opposite sides share no visible points
         initial = make_scene([Placement(model_id, PlanarTransform(0.0, 0.0, 0.0))])
         goal_scene = apply_offsets(initial, [PlanarTransform(np.pi, 0.0, 0.0)])
-        home = render(initial, [CFG.home_viewpoint()], INTR, library)
+        home = render(initial, [CFG.home_viewpoint], INTR, library)
         db = build_database(home, library, PCFG)
         _, goals = goal_regions_of(goal_scene, library)
         est = estimate_object(goals[0], db, FeatureIdMatcher(LCFG), INTR, LCFG)
@@ -1080,7 +1080,7 @@ class TestEstimateAll:
         cfg3 = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg3, library, seed=9)
         db = ring_db(inst.initial, library)
-        (goal_frame,) = render(inst.goal, [inst.home_viewpoint], INTR, library)
+        (goal_frame,) = render(inst.goal, [inst.config.home_viewpoint], INTR, library)
         goals = prepare_goal_regions(goal_frame, library, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3
@@ -1110,7 +1110,7 @@ class TestEstimateAll:
     def test_empty_goal_frame(self, library):
         from mvor.sim import empty_frame
 
-        frame = empty_frame(CFG.home_viewpoint(), INTR)
+        frame = empty_frame(CFG.home_viewpoint, INTR)
         goals = prepare_goal_regions(frame, library, PCFG)
         assert goals == []
         out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(LCFG), INTR, LCFG)

@@ -66,8 +66,8 @@ def three_object_scene():
 
 
 def ring_frames(scene, library, config=CFG):
-    intr = config.intrinsics()
-    return render(scene, config.ring_viewpoints(), intr, library)
+    intr = config.intrinsics
+    return render(scene, config.ring_viewpoints, intr, library)
 
 
 def db_for(scene, library, frames=None):
@@ -143,8 +143,8 @@ class TestExtractRegions:
         hits = 0
         for seed in range(5):
             inst = generate_instance(CFG, library, seed=seed)
-            views = [*inst.ring_viewpoints, inst.home_viewpoint]
-            for frame in render(inst.initial, views, CFG.intrinsics(), library):
+            views = [*inst.config.ring_viewpoints, inst.config.home_viewpoint]
+            for frame in render(inst.initial, views, CFG.intrinsics, library):
                 w2c = geo.invert(frame.viewpoint)
                 for region in extract_regions(frame, segment(frame), PCFG):
                     err = reprojection_sq_errors(
@@ -277,15 +277,15 @@ class TestHitFrameRegions:
     @pytest.mark.parametrize("erode_radius", [0, 1])
     def test_matches_dense_reference(self, library, erode_radius):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
-        intr = cfg.intrinsics()
+        intr = cfg.intrinsics
         checked = 0
         for seed in (0, 3):
             inst = generate_instance(cfg, library, seed=seed)
             views = [
-                (inst.initial, inst.ring_viewpoints[0]),
-                (inst.initial, inst.ring_viewpoints[5]),
-                (inst.initial, inst.home_viewpoint),
-                (inst.goal, inst.home_viewpoint),
+                (inst.initial, inst.config.ring_viewpoints[0]),
+                (inst.initial, inst.config.ring_viewpoints[5]),
+                (inst.initial, inst.config.home_viewpoint),
+                (inst.goal, inst.config.home_viewpoint),
             ]
             for scene, vp in views:
                 (frame,) = render(scene, [vp], intr, library)
@@ -695,13 +695,13 @@ class TestBuildDatabase:
     def test_single_frame_database(self, library):
         cfg = SimConfig(object_count_min=3, object_count_max=3)
         inst = generate_instance(cfg, library, seed=6)
-        frames = render(inst.initial, [inst.home_viewpoint], cfg.intrinsics(), library)
+        frames = render(inst.initial, [inst.config.home_viewpoint], cfg.intrinsics, library)
         db = build_database(frames, library, PCFG)
         assert db.num_instances == 3
         assert all(len(np.flatnonzero(db.region_instance == j)) == 1 for j in range(3))
 
     def test_no_regions(self, library):
-        frames = [empty_frame(vp, CFG.intrinsics()) for vp in CFG.ring_viewpoints()]
+        frames = [empty_frame(vp, CFG.intrinsics) for vp in CFG.ring_viewpoints]
         with pytest.raises(NoRegions):
             build_database(frames, library, PCFG)
 
@@ -739,7 +739,7 @@ class TestBuildDatabase:
         cfg = SimConfig(**sim)
         inst = generate_instance(cfg, library, seed=seed)
         if view == "home":
-            frames = render(inst.initial, [inst.home_viewpoint], cfg.intrinsics(), library)
+            frames = render(inst.initial, [inst.config.home_viewpoint], cfg.intrinsics, library)
         else:
             frames = ring_frames(inst.initial, library, cfg)
         db = db_for(inst.initial, library, frames)
@@ -949,7 +949,7 @@ class TestDatabaseIO:
     def test_goal_region_prep(self, library):
         cfg = SimConfig(object_count_min=2, object_count_max=2)
         inst = generate_instance(cfg, library, seed=16)
-        (frame,) = render(inst.goal, [inst.home_viewpoint], cfg.intrinsics(), library)
+        (frame,) = render(inst.goal, [inst.config.home_viewpoint], cfg.intrinsics, library)
         regions = prepare_goal_regions(frame, library, PCFG)
         assert len(regions) == 2
         for r in regions:

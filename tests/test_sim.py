@@ -13,7 +13,6 @@ from mvor.cli import main as cli_main
 from mvor.errors import (
     CollisionAtTarget,
     ConfigParseError,
-    EmptyFrame,
     IOFailure,
     MvorError,
     PlacementFailure,
@@ -579,7 +578,7 @@ def reference_render(scene, viewpoint, intr, library):
         inst_all.append(np.full(int(ok.sum()), idx, dtype=np.int32))
         view_all.append(rays @ rz)
     if not uv_all:
-        raise EmptyFrame("no model points project into the image")
+        return empty_frame(viewpoint, intr)
     uv = np.vstack(uv_all)
     z = np.concatenate(z_all)
     fid = np.concatenate(fid_all)
@@ -626,7 +625,7 @@ class TestRender:
         m = models_of(library, "box")[0]
         scene = single_object_scene(library, m)
         cam = geo.look_at([0.0, 0.0, 0.9], [0.0, 0.0, 0.0])
-        (frame,) = render(scene, [cam], SimConfig().intrinsics(), library)
+        (frame,) = render(scene, [cam], SimConfig().intrinsics, library)
         seen = frame.feature_ids
         # oracle: points whose normal faces a straight-down camera
         up = library.normals[model_rows(library, m), 2] > 1e-9
@@ -638,8 +637,8 @@ class TestRender:
         """Distinct pixels, grouped by instance in ascending order, each
         instance's run in row-major pixel order."""
         inst = generate_instance(config, library, seed=5)
-        intr = config.intrinsics()
-        (frame,) = render(inst.initial, [inst.ring_viewpoints[2]], intr, library)
+        intr = config.intrinsics
+        (frame,) = render(inst.initial, [inst.config.ring_viewpoints[2]], intr, library)
         assert len(np.unique(pixel_index(frame))) == len(frame.feature_ids)
         runs = segment(frame)
         assert len(runs) > 1
@@ -653,10 +652,10 @@ class TestRender:
         assert cols.min() >= 0 and cols.max() < intr.width
 
     def test_frame_holds_no_full_resolution_array(self, config, library):
-        intr = config.intrinsics()
+        intr = config.intrinsics
         assert (intr.width, intr.height) == (640, 480)
         inst = generate_instance(config, library, seed=5)
-        for vp in (inst.ring_viewpoints[0], inst.home_viewpoint):
+        for vp in (inst.config.ring_viewpoints[0], inst.config.home_viewpoint):
             (frame,) = render(inst.initial, [vp], intr, library)
             assert [f.name for f in dataclasses.fields(frame)] == [
                 *FRAME_ARRAYS, "viewpoint", "intrinsics",
@@ -667,7 +666,7 @@ class TestRender:
             assert sum(a.nbytes for a in arrays) < 1_000_000
 
     def test_nearer_object_wins_contested_pixels(self, config, library):
-        intr = config.intrinsics()
+        intr = config.intrinsics
         cam = geo.look_at([1.1, 0.0, 0.25], [0.0, 0.0, 0.0])
         bounds = Rect(-0.5, -0.5, 0.5, 0.5)
         far = SceneState(bounds, (Placement(0, PlanarTransform(0.0, -0.12, 0.0)),))
@@ -689,15 +688,19 @@ class TestRender:
         np.testing.assert_array_equal(got_near, expect_near)
 
     def test_camera_facing_away_empty(self, config, library):
+        """A view that sees nothing is a frame with no hits, which keeps its
+        camera and segments into nothing."""
         scene = single_object_scene(library)
         cam = geo.look_at([1.0, 0.0, 0.5], [2.0, 0.0, 0.5])
-        with pytest.raises(EmptyFrame):
-            render(scene, [cam], config.intrinsics(), library)
+        (frame,) = render(scene, [cam], config.intrinsics, library)
+        assert_same_frame(frame, empty_frame(cam, config.intrinsics))
+        assert frame.intrinsics is config.intrinsics
+        assert segment(frame) == []
 
     def test_backprojection_recovers_world_points(self, config, library):
         inst = generate_instance(config, library, seed=5)
-        intr = config.intrinsics()
-        (frame,) = render(inst.initial, [inst.ring_viewpoints[2]], intr, library)
+        intr = config.intrinsics
+        (frame,) = render(inst.initial, [inst.config.ring_viewpoints[2]], intr, library)
         w2c = geo.invert(frame.viewpoint)
         world = geo.back_project_pixels(intr, w2c, frame.px, frame.depth)
         # each recovered point must coincide with an actual surface point
@@ -720,8 +723,8 @@ class TestRender:
         )
         big = generate_model_library(config)
         inst = generate_instance(config, big, seed=0)
-        intr = config.intrinsics()
-        (frame,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, big)
+        intr = config.intrinsics
+        (frame,) = render(inst.initial, [inst.config.ring_viewpoints[0]], intr, big)
         world = geo.back_project_pixels(intr, geo.invert(frame.viewpoint), frame.px, frame.depth)
         seen = [frame.instance_ids == i for i in range(2)]
         assert seen[0].any() and seen[1].any()
@@ -738,10 +741,10 @@ class TestRender:
         """Every ring and home view of initial and goal scenes, rendered in
         one call, equals the per-view reference field by field."""
         sim = dataclasses.replace(config, rotation_regime=regime)
-        intr = sim.intrinsics()
+        intr = sim.intrinsics
         for seed in (3, 4):
             inst = generate_instance(sim, library, seed=seed)
-            views = [*inst.ring_viewpoints, inst.home_viewpoint]
+            views = [*inst.config.ring_viewpoints, inst.config.home_viewpoint]
             for scene in (inst.initial, inst.goal):
                 frames = render(scene, views, intr, library)
                 assert len(frames) == len(views)
@@ -759,21 +762,15 @@ class TestRender:
     def test_random_cameras_match_reference(self, library, seed, eye, target, size, focal):
         """Cameras anywhere over and among the objects, with any image size
         and focal length, leave points behind the camera and off the image:
-        each view equals the reference field by field, or both raise
-        EmptyFrame."""
+        each view equals the reference field by field, a frame with no hits
+        included."""
         sim = SimConfig(image_width=size[0], image_height=size[1], focal_px=focal)
         eye, target = np.array(eye), np.array(target)
         assume(np.linalg.norm(eye - target) > 1e-3)
         inst = generate_instance(sim, library, seed=seed)
-        cam, intr = geo.look_at(eye, target), sim.intrinsics()
-        try:
-            expect = reference_render(inst.initial, cam, intr, library)
-        except EmptyFrame:
-            with pytest.raises(EmptyFrame):
-                render(inst.initial, [cam], intr, library)
-            return
+        cam, intr = geo.look_at(eye, target), sim.intrinsics
         (frame,) = render(inst.initial, [cam], intr, library)
-        assert_same_frame(frame, expect)
+        assert_same_frame(frame, reference_render(inst.initial, cam, intr, library))
 
     @pytest.mark.parametrize("eye", [(0.4, 0.1, None), (None, 0.5, 0.3)])
     def test_camera_in_a_face_plane_matches_reference(self, config, library, eye):
@@ -791,15 +788,15 @@ class TestRender:
         cam = geo.look_at(eye, [0.0, 0.0, 0.03])
         facing = np.einsum("ij,ij->i", eye - pts, nrm)
         assert np.count_nonzero(facing == 0.0) > 10
-        intr = config.intrinsics()
+        intr = config.intrinsics
         (frame,) = render(scene, [cam], intr, library)
         assert len(frame.feature_ids) > 50
         assert_same_frame(frame, reference_render(scene, cam, intr, library))
 
     def test_batched_call_equals_one_call_per_view(self, config, library):
         inst = generate_instance(config, library, seed=6)
-        intr = config.intrinsics()
-        views = [inst.home_viewpoint, *inst.ring_viewpoints[:3]]
+        intr = config.intrinsics
+        views = [inst.config.home_viewpoint, *inst.config.ring_viewpoints[:3]]
         batched = render(inst.initial, views, intr, library)
         for frame, vp in zip(batched, views):
             (alone,) = render(inst.initial, [vp], intr, library)
@@ -814,7 +811,7 @@ class TestRender:
         pose = PlanarTransform(0.3, 0.01, -0.02)
         scene = SceneState(Rect(-0.5, -0.5, 0.5, 0.5), (Placement(1, pose), Placement(0, pose)))
         cam = geo.look_at([0.05, 0.02, 0.9], [0.0, 0.0, 0.0])
-        intr = config.intrinsics()
+        intr = config.intrinsics
         (frame,) = render(scene, [cam], intr, tiny)
         assert frame.feature_ids.tolist() == [0]
         assert frame.instance_ids.tolist() == [1]
@@ -827,8 +824,8 @@ class TestRender:
         pose = PlanarTransform(0.4, 0.02, 0.01)
         alone = single_object_scene(library, 2, pose)
         twice = SceneState(alone.table_bounds, alone.placements * 2)
-        intr = config.intrinsics()
-        views = config.ring_viewpoints()[:2]
+        intr = config.intrinsics
+        views = config.ring_viewpoints[:2]
         singles, doubles = render(alone, views, intr, library), render(twice, views, intr, library)
         for k, (single, double) in enumerate(zip(singles, doubles)):
             assert len(double.feature_ids) > 50
@@ -852,9 +849,9 @@ class TestRender:
 
     def test_render_deterministic(self, config, library):
         inst = generate_instance(config, library, seed=8)
-        intr = config.intrinsics()
-        (a,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, library)
-        (b,) = render(inst.initial, [inst.ring_viewpoints[0]], intr, library)
+        intr = config.intrinsics
+        (a,) = render(inst.initial, [inst.config.ring_viewpoints[0]], intr, library)
+        (b,) = render(inst.initial, [inst.config.ring_viewpoints[0]], intr, library)
         for name in FRAME_ARRAYS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -862,7 +859,7 @@ class TestRender:
 class TestSegment:
     def test_noiseless_masks_match_ground_truth(self, config, library):
         inst = generate_instance(config, library, seed=9)
-        (frame,) = render(inst.initial, [inst.ring_viewpoints[1]], config.intrinsics(), library)
+        (frame,) = render(inst.initial, [config.ring_viewpoints[1]], config.intrinsics, library)
         runs = segment(frame)
         assert len(runs) == len(np.unique(frame.instance_ids))
         hits = np.arange(len(frame.instance_ids))
@@ -870,7 +867,7 @@ class TestSegment:
             np.testing.assert_array_equal(hits[run], np.flatnonzero(frame.instance_ids == inst_id))
 
     def test_empty_frame_has_no_masks(self, config):
-        frame = empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics())
+        frame = empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics)
         assert segment(frame) == []
 
     @pytest.mark.parametrize("ids", [[1, 1, 0, 0], [0, 1, 0], [2, 2, 2, 1]])
@@ -879,7 +876,7 @@ class TestSegment:
         that are the instances' hits: segment refuses them."""
         n = len(ids)
         frame = dataclasses.replace(
-            empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics()),
+            empty_frame(Pose3(np.eye(3), np.zeros(3)), config.intrinsics),
             px=np.stack([np.arange(n), np.zeros(n)], axis=1),
             instance_ids=np.array(ids, dtype=np.int32),
         )
@@ -888,7 +885,7 @@ class TestSegment:
 
     def test_masks_disjoint(self, config, library):
         inst = generate_instance(config, library, seed=12)
-        (frame,) = render(inst.initial, [inst.ring_viewpoints[3]], config.intrinsics(), library)
+        (frame,) = render(inst.initial, [config.ring_viewpoints[3]], config.intrinsics, library)
         acc = np.zeros(frame.instance_ids.shape, dtype=int)
         for _, run in segment(frame):
             acc[run] += 1
@@ -990,9 +987,9 @@ class TestInstanceIO:
         edited = dataclasses.replace(placed, **{key: value})
         assert inst.initial.table_bounds == inst.goal.table_bounds
         assert inst.initial.table_bounds.xmax == half_width == -inst.initial.table_bounds.xmin
-        assert len(inst.ring_viewpoints) == views
-        for got, want in zip([inst.home_viewpoint, *inst.ring_viewpoints],
-                             [edited.home_viewpoint(), *edited.ring_viewpoints()]):
+        assert len(inst.config.ring_viewpoints) == views
+        for got, want in zip([inst.config.home_viewpoint, *inst.config.ring_viewpoints],
+                             [edited.home_viewpoint, *edited.ring_viewpoints]):
             assert np.array_equal(got.matrix, want.matrix)
         path, out = tmp_path / "inst.json", tmp_path / "db.npz"
         path.write_text(json.dumps(d))
@@ -1000,8 +997,10 @@ class TestInstanceIO:
         db, _ = load_database(out)
         # a region's frame is its view's position, for the views rendered in
         # one call (build-db) and for frames rendered one call per view
-        intr, perception = inst.config.intrinsics(), PerceptionConfig()
-        frames = [render(inst.initial, [vp], intr, library)[0] for vp in inst.ring_viewpoints]
+        intr, perception = inst.config.intrinsics, PerceptionConfig()
+        frames = [
+            render(inst.initial, [vp], intr, library)[0] for vp in inst.config.ring_viewpoints
+        ]
         sizes = [len(extract_regions(f, segment(f), perception)) for f in frames]
         positions = np.repeat(np.arange(views), sizes).tolist()
         assert db.region_frame.tolist() == positions
