@@ -1,7 +1,8 @@
 """Close the loop: perceive the scene, then move objects until it matches
-the goal image (``complete_scene``). The scene counts as completed when
-every object ends within the planner's success thresholds
-(``scene_outcome``), as in the completion benchmark and ``mvor rearrange``.
+the goal image (``scene_goal_regions``, then ``complete_scene``). The
+scene counts as completed when every object ends within the planner's
+success thresholds (``scene_outcome``), as in the completion benchmark and
+``mvor rearrange``.
 
 Uses a deliberately entangled two-object swap on top of a generated scene.
 Each of the pair blocks the other's goal, so both goal moves fail. Past
@@ -12,7 +13,7 @@ succeed. (ROADMAP item 4 plans to move the blocker instead.)
 
 import numpy as np
 
-from mvor.bench import BenchConfig, complete_scene, scene_outcome
+from mvor.bench import BenchConfig, complete_scene, scene_goal_regions, scene_outcome
 from mvor.geometry import PlanarTransform
 from mvor.sim import Placement, Rect, SceneState, SimConfig, generate_model_library
 from mvor.sim.scene import RearrangementInstance
@@ -45,7 +46,8 @@ goal_scene = SceneState(
 instance = RearrangementInstance(
     initial=initial_scene, goal=goal_scene, seed=12, config=config
 )
-_, result = complete_scene(instance, library, cfg)
+goal_regions = scene_goal_regions(instance, library, cfg)
+_, result = complete_scene(instance, library, cfg, goal_regions)
 outcome = scene_outcome(instance, result, cfg.planner)
 print(f"completed: {outcome.completed} in {result.outer_iterations} outer iterations")
 print(f"manipulations: {result.total_manipulations} "

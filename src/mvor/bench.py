@@ -6,14 +6,16 @@ descriptors a region's descriptor pools, and the BenchConfig:
 ``build_scene_database`` (the initial scene captured from the ring or the
 home viewpoint, then associated into the region database),
 ``scene_goal_regions`` (the goal scene captured from the home viewpoint,
-once per scene for every database) and ``localize_scene``
+once per seed for every regime and database) and ``localize_scene``
 (``estimate_all`` on the goal regions, and the instance-to-object
-pairing). ``complete_scene`` runs them and then the planner, whose
-re-observer (``make_reobserver``) captures the current scene from the home
-viewpoint; ``scene_outcome`` judges its result. Every view the robot takes
-goes through ``capture``: the one render here, and each frame through
-``perception.prepare_goal_regions``. Both drivers run one loop over
-regimes and seeds and differ only in the records they make.
+pairing). ``complete_scene`` runs the database and localization stages on
+the goal regions it is given, and then the planner, whose re-observer
+(``make_reobserver``) captures the current scene from the home viewpoint;
+``scene_outcome`` judges its result. Every view the robot takes goes
+through ``capture``: the one render here, and each frame through
+``perception.prepare_goal_regions``. Both drivers run one loop over seeds
+and, within a seed, its regimes (``_run_scenes``), and differ only in the
+records they make.
 
 Pose benchmark: per seeded scene, build the multi-view database of the
 initial scene, estimate every object's relative pose from the goal frame,
@@ -210,8 +212,11 @@ class SceneEstimates:
 
 
 def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
-    """The goal scene's capture from the home viewpoint; one list serves
-    every database of the scene."""
+    """The goal scene's capture from the home viewpoint. The regions are
+    only read (each derives its matching index once, on first use), so one
+    list serves every database of the scene and every regime of its seed:
+    the rotation regime draws only the initial yaws, so the regimes of one
+    seed share its goal scene."""
     (regions,) = capture(inst.goal, [inst.config.home_viewpoint], inst, library, cfg)
     return regions
 
@@ -225,16 +230,18 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
     return SceneEstimates(by_instance, match_instances_to_objects(db, inst.initial))
 
 
-def complete_scene(inst, library, cfg: BenchConfig) -> tuple[SceneEstimates, ExecutionResult]:
+def complete_scene(
+    inst, library, cfg: BenchConfig, goal_regions
+) -> tuple[SceneEstimates, ExecutionResult]:
     """The full-scene run: the ring database of the initial scene, every
-    object localized from the goal frame (a rejected identity estimate when
-    it has none) with the scene's multi-view matcher, then the planner.
+    object localized from the goal regions (``scene_goal_regions``; a
+    rejected identity estimate for an object with none) with the scene's
+    multi-view matcher, then the planner.
     When ``inst.config.actuation_sigma > 0`` the planner re-observes an
     object from the home viewpoint, with the same matcher, before a goal
     move, if the robot has moved that object since it last re-observed it
     (a buffer move, in practice)."""
     db = build_scene_database(inst, "multi", library, cfg)
-    goal_regions = scene_goal_regions(inst, library, cfg)
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     estimates = {
@@ -279,27 +286,34 @@ def scene_outcome(inst, result: ExecutionResult, config: PlannerConfig) -> Scene
 
 
 def _run_scenes(cfg: BenchConfig, scene_rows, summarize) -> MetricsReport:
-    """The drivers' loop over regimes and seeds: ``scene_rows(inst,
-    library, cfg)`` per scene that generates."""
+    """The drivers' one scene loop: over seeds, and within a seed over its
+    regimes, ``scene_rows(inst, library, cfg, goal_regions)`` per scene that
+    generates. The regimes of a seed share its goal scene, so the goal is
+    captured again only when a regime's goal scene differs from the one
+    last captured for the seed. The rows are joined regime by regime, in
+    ``cfg.regimes`` order, and by seed within a regime."""
     t0 = time.perf_counter()
     library = generate_model_library(cfg.sim)
-    rows = []
+    sims = [replace(cfg.sim, rotation_regime=regime) for regime in cfg.regimes]
+    rows = {regime: [] for regime in cfg.regimes}
     skipped = 0
-    for regime in cfg.regimes:
-        sim = replace(cfg.sim, rotation_regime=regime)
-        for seed in range(cfg.base_seed, cfg.base_seed + cfg.scenes):
+    for seed in range(cfg.base_seed, cfg.base_seed + cfg.scenes):
+        goal = goal_regions = None
+        for sim in sims:
             try:
                 inst = generate_instance(sim, library, seed=seed)
             except PlacementFailure:
                 skipped += 1
                 continue
-            rows += scene_rows(inst, library, cfg)
+            if inst.goal != goal:
+                goal, goal_regions = inst.goal, scene_goal_regions(inst, library, cfg)
+            rows[sim.rotation_regime] += scene_rows(inst, library, cfg, goal_regions)
+    rows = [row for regime in cfg.regimes for row in rows[regime]]
     return MetricsReport(rows, summarize(rows, skipped), time.perf_counter() - t0)
 
 
-def _pose_rows(inst, library, cfg: BenchConfig) -> list[dict]:
+def _pose_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
     modes = list(VIEW_MODES) if cfg.include_single_view else ["multi"]
-    goal_regions = scene_goal_regions(inst, library, cfg)
     rows = []
     for mode in modes:
         db = build_scene_database(inst, mode, library, cfg)
@@ -372,8 +386,8 @@ def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instanc
     return reobserve
 
 
-def _completion_rows(inst, library, cfg: BenchConfig) -> list[dict]:
-    found, result = complete_scene(inst, library, cfg)
+def _completion_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
+    found, result = complete_scene(inst, library, cfg, goal_regions)
     outcome = scene_outcome(inst, result, cfg.planner)
     by_object = found.by_object
     rows = []

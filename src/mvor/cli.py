@@ -243,7 +243,7 @@ def cmd_localize(args) -> int:
 def cmd_rearrange(args) -> int:
     cfg, sim_keys = load_config(args.config, args.seed)
     inst, library = _scene_setup(cfg, args, sim_keys)
-    _, result = complete_scene(inst, library, cfg)
+    _, result = complete_scene(inst, library, cfg, scene_goal_regions(inst, library, cfg))
     outcome = scene_outcome(inst, result, cfg.planner)
     out_dir = _out_dir(args, "rearrange")
     make_dirs(out_dir)

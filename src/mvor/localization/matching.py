@@ -29,6 +29,13 @@ goal-image coordinates (uncorrupted, the goal hit's exact projection) and
 the index of the candidate region's hit; lift_to_3d gathers that hit's
 stored world point.
 Every match has its own candidate hit and its own goal coordinates.
+
+FeatureIdMatcher reads the goal side through what the goal region derives
+once and keeps (``ObjectRegion.id_index`` and ``pixel_box``), as a visual
+localization pipeline indexes its query once for every database image it
+is matched against: per call only the candidate's ids are looked up
+(``common_hits``). Rows are gathered with ``ndarray.take``, which gives the
+bytes of fancy indexing several times faster for (n, 2) and (n, 3) rows.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import nearest_pixel
+from ..perception.regions import first_hits
 
 
 @dataclass
@@ -51,6 +58,25 @@ class Correspondences2D:
 
 def _empty_matches() -> Correspondences2D:
     return Correspondences2D(np.empty((0, 2)), np.empty(0, dtype=np.intp))
+
+
+def common_hits(goal_index, cand_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The goal and candidate hits that hold a common feature id: per id
+    held on both sides, in ascending order, the first goal hit and the first
+    candidate hit holding it: the indices numpy's ``intersect1d`` of the
+    two id arrays returns with ``return_indices=True``.
+
+    ``goal_index`` is the goal's ``ObjectRegion.id_index``. Each candidate
+    hit's id is looked up in it (one ``searchsorted``), and the hits found
+    are indexed by their goal position (``first_hits``): in id order, the
+    first candidate hit of each id."""
+    goal_ids, goal_hits = goal_index
+    if not len(goal_ids):  # no id to look up, nor a position to clip to
+        return goal_hits, goal_hits
+    pos = np.searchsorted(goal_ids, cand_ids)
+    cand_hits = np.flatnonzero(goal_ids.take(pos, mode="clip") == cand_ids)
+    pos, first = first_hits(pos[cand_hits])
+    return goal_hits[pos], cand_hits[first]
 
 
 class FeatureIdMatcher:
@@ -68,9 +94,12 @@ class FeatureIdMatcher:
         self.rng = rng
 
     def match(self, goal, cand) -> Correspondences2D:
-        _, gi, ci = np.intersect1d(goal.feature_ids, cand.feature_ids, return_indices=True)
+        gi, ci = common_hits(goal.id_index, cand.feature_ids)
         compatible = (
-            np.einsum("ij,ij->i", goal.view_local[gi], cand.view_local[ci]) >= self.cos_max
+            np.einsum(
+                "ij,ij->i", goal.view_local.take(gi, axis=0), cand.view_local.take(ci, axis=0)
+            )
+            >= self.cos_max
         )
         gi, ci = gi[compatible], ci[compatible]
         n = len(gi)
@@ -78,10 +107,9 @@ class FeatureIdMatcher:
             keep = self.rng.uniform(size=n) >= self.drop_rate
             gi, ci = gi[keep], ci[keep]
             n = len(gi)
-        px = goal.px[gi]
+        px = goal.px.take(gi, axis=0)
         if n and max(self.sigma_px, self.outlier_rate) > 0.0:
-            low = nearest_pixel(goal.px.min(axis=0))  # the goal hits' pixel box, (u, v)
-            size = nearest_pixel(goal.px.max(axis=0)) - low + 1
+            low, size = goal.pixel_box  # the goal hits' pixel box, (u, v)
             side = size.max()
             if self.sigma_px > 0.0:
                 noise = self.rng.normal(0.0, self.sigma_px, px.shape)

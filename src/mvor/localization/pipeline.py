@@ -159,7 +159,7 @@ def lift_to_3d(
         raise TooFewCorrespondences("no 2D matches")
     if len(m2d) < min_correspondences:
         raise TooFewCorrespondences(f"{len(m2d)} 2D-3D pairs")
-    return Correspondences3D(m2d.goal_px, cand.world[m2d.cand_hits])
+    return Correspondences3D(m2d.goal_px, cand.world.take(m2d.cand_hits, axis=0))
 
 
 def solve_pose(

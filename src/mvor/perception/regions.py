@@ -5,17 +5,20 @@ segmentation), in the frame's order, which is row-major within one
 instance's run: each hit's feature id, exact projection, world point
 back-projected through the frame's viewpoint and object-local viewing
 direction. It also keeps the observing viewpoint, and later gains a
-global descriptor.
+global descriptor. What the matcher reads of a goal region on every call,
+its feature ids indexed for lookup and its pixel box, is derived once per
+region (``ObjectRegion.id_index`` and ``pixel_box``).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..geometry import Pose3, back_project_pixels, invert
+from ..geometry import Pose3, back_project_pixels, invert, nearest_pixel
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +40,36 @@ class ObjectRegion:
     def centroid(self) -> np.ndarray:
         """Mean world point of the region's hits."""
         return self.world.mean(axis=0)
+
+    # Derived on first use and kept, not fields (``fields``, ``repr`` and
+    # every output leave them out): a goal region is matched against every
+    # candidate of every database and regime of its seed.
+
+    @cached_property
+    def id_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The region's distinct feature ids in ascending order, and the
+        first hit holding each (``first_hits``)."""
+        return first_hits(self.feature_ids)
+
+    @cached_property
+    def pixel_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(low, size)``: the (u, v) of the box's top-left pixel and its
+        (width, height) in pixels, over the ``nearest_pixel`` of every hit;
+        only a region with hits has one."""
+        low = nearest_pixel(self.px.min(axis=0))
+        return low, nearest_pixel(self.px.max(axis=0)) - low + 1
+
+
+def first_hits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ids``' distinct values in ascending order, and the position of the
+    first occurrence of each: one stable argsort, so an id held by several
+    hits keeps its earliest."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.empty(len(ids), dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return ids[first], order[first]
 
 
 def extract_regions(frame, selections, config) -> list[ObjectRegion]:

@@ -426,12 +426,13 @@ class TestCapture:
 
         monkeypatch.setattr(bench, "make_reobserver", tracking)
         renders = record_renders(monkeypatch)
-        bench.complete_scene(inst, library, BenchConfig(sim=inst.config))
+        cfg = BenchConfig(sim=inst.config)
+        bench.complete_scene(inst, library, cfg, bench.scene_goal_regions(inst, library, cfg))
         assert reobserved
         home = [inst.config.home_viewpoint]
         assert_captures(renders, [
-            (inst.initial, inst.config.ring_viewpoints),
             (inst.goal, home),
+            (inst.initial, inst.config.ring_viewpoints),
             *((scene, home) for scene in reobserved),
         ])
 
@@ -443,12 +444,109 @@ class TestCapture:
         cfg = BenchConfig(scenes=1, regimes=["minor"], include_single_view=True)
         inst = generate_instance(replace(cfg.sim, rotation_regime="minor"), library, seed=0)
         renders = record_renders(monkeypatch)
-        rows = bench._pose_rows(inst, library, cfg)
+        rows = bench._pose_rows(inst, library, cfg, bench.scene_goal_regions(inst, library, cfg))
         assert {r["view_mode"] for r in rows} == {"multi", "single"}
         home = [inst.config.home_viewpoint]
         assert_captures(renders, [
             (inst.goal, home), (inst.initial, inst.config.ring_viewpoints), (inst.initial, home),
         ])
+
+
+def turned_in_place(scene, yaw):
+    """``scene`` with every object turned by ``yaw`` about its own centre;
+    footprints are discs, so it stays valid."""
+    return SceneState(scene.table_bounds, tuple(
+        replace(p, pose=replace(p.pose, yaw=p.pose.yaw + yaw)) for p in scene.placements
+    ))
+
+
+DRIVERS = {"pose": run_pose_bench, "completion": run_completion_bench}
+
+
+@pytest.fixture(scope="module", params=list(DRIVERS))
+def watched_run(request):
+    """A driver's run over 3 seeds and both regimes, with every instance
+    ``bench.generate_instance`` returns and every scene ``bench.capture``
+    renders recorded in call order."""
+    generated, captured = [], []
+    generate, capture = bench.generate_instance, bench.capture
+
+    def generating(*args, **kwargs):
+        generated.append(generate(*args, **kwargs))
+        return generated[-1]
+
+    def capturing(scene, *args):
+        captured.append(scene)
+        return capture(scene, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "generate_instance", generating)
+        mp.setattr(bench, "capture", capturing)
+        report = DRIVERS[request.param](BenchConfig(**SMALL))
+    return request.param, report, generated, captured
+
+
+class TestSceneLoop:
+    """``_run_scenes`` loops over seeds and, within a seed, over its regimes.
+    The regimes of a seed share its goal scene (the regime draws only the
+    initial yaws), which is captured once for all of them."""
+
+    def test_rows_join_the_one_scene_runs_in_regime_order(self, watched_run):
+        driver, report, _, _ = watched_run
+        cfg = BenchConfig(**SMALL)
+        joined = [
+            row
+            for regime in cfg.regimes
+            for seed in range(cfg.base_seed, cfg.base_seed + cfg.scenes)
+            for row in DRIVERS[driver](
+                BenchConfig(scenes=1, base_seed=seed, regimes=[regime])
+            ).rows
+        ]
+        assert report.rows and report.rows == joined
+
+    def test_generates_once_per_regime_and_seed(self, watched_run):
+        _, _, generated, _ = watched_run
+        assert [(inst.seed, inst.config.rotation_regime) for inst in generated] == [
+            (seed, regime) for seed in range(3) for regime in ("minor", "full")
+        ]
+
+    def test_captures_each_seeds_goal_once(self, watched_run):
+        _, _, generated, captured = watched_run
+        minor, full = generated[0::2], generated[1::2]
+        assert all(a.goal == b.goal and a.goal is not b.goal for a, b in zip(minor, full))
+        goals = [scene for scene in captured if any(scene is inst.goal for inst in generated)]
+        assert len(goals) == 3
+        assert all(got is inst.goal for got, inst in zip(goals, minor))
+
+    def test_a_goal_that_differs_is_captured_again(self, default_library, monkeypatch):
+        """A ``full`` goal turned in place is not the ``minor`` goal, so the
+        driver captures both, and the ``full`` rows are those of the turned
+        goal's own regions."""
+        library = default_library
+        generated, captured = [], []
+        generate, capture = bench.generate_instance, bench.capture
+
+        def generating(sim, *args, **kwargs):
+            inst = generate(sim, *args, **kwargs)
+            if sim.rotation_regime == "full":
+                inst = replace(inst, goal=turned_in_place(inst.goal, 0.3))
+            generated.append(inst)
+            return inst
+
+        def capturing(scene, *args):
+            captured.append(scene)
+            return capture(scene, *args)
+
+        monkeypatch.setattr(bench, "generate_instance", generating)
+        monkeypatch.setattr(bench, "capture", capturing)
+        cfg = BenchConfig(scenes=1)
+        report = run_pose_bench(cfg)
+        minor, full = generated
+        goals = [scene for scene in captured if scene is minor.goal or scene is full.goal]
+        assert len(goals) == 2 and goals[0] is minor.goal and goals[1] is full.goal
+        monkeypatch.undo()
+        want = bench._pose_rows(full, library, cfg, bench.scene_goal_regions(full, library, cfg))
+        assert [r for r in report.rows if r["regime"] == "full"] == want
 
 
 # two objects on a 6 m table: most scenes place them where some or all of

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from mvor import geometry as geo
+from mvor.bench import BenchConfig, build_scene_database, scene_goal_regions
 from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from mvor.geometry import PlanarTransform, Pose3, nearest_pixel
 from mvor.localization import pnp
+from mvor.localization.matching import common_hits
 from mvor.localization import (
     Correspondences2D,
     DescriptorNNMatcher,
@@ -397,6 +399,122 @@ class TestFeatureIdMatcher:
         # spread over the whole square, padding included
         assert np.all(local.min(axis=0) < 0.05 * side)
         assert np.all(local.max(axis=0) > 0.95 * side)
+
+
+def reference_match(matcher, goal, cand) -> Correspondences2D:
+    """``FeatureIdMatcher.match`` as it was before the goal side was indexed
+    once: both id arrays sorted on every call (``np.intersect1d``), rows
+    gathered by fancy indexing and the goal's pixel box found on every
+    call. It draws from ``matcher``'s rng."""
+    _, gi, ci = np.intersect1d(goal.feature_ids, cand.feature_ids, return_indices=True)
+    compatible = (
+        np.einsum("ij,ij->i", goal.view_local[gi], cand.view_local[ci]) >= matcher.cos_max
+    )
+    gi, ci = gi[compatible], ci[compatible]
+    n = len(gi)
+    if n and matcher.drop_rate > 0.0:
+        keep = matcher.rng.uniform(size=n) >= matcher.drop_rate
+        gi, ci = gi[keep], ci[keep]
+        n = len(gi)
+    px = goal.px[gi]
+    if n and max(matcher.sigma_px, matcher.outlier_rate) > 0.0:
+        low = nearest_pixel(goal.px.min(axis=0))
+        size = nearest_pixel(goal.px.max(axis=0)) - low + 1
+        side = size.max()
+        if matcher.sigma_px > 0.0:
+            noise = matcher.rng.normal(0.0, matcher.sigma_px, px.shape)
+            px = px + noise * (side / matcher.resolution)
+        if matcher.outlier_rate > 0.0:
+            bad = matcher.rng.uniform(size=n) < matcher.outlier_rate
+            corner = low - (side - size) // 2
+            px[bad] = corner - 0.5 + matcher.rng.uniform(0.0, side, (int(bad.sum()), 2))
+    return Correspondences2D(px, ci)
+
+
+class _ReferenceCheckedMatcher:
+    """``FeatureIdMatcher`` and ``reference_match``, each with its own rng
+    of one seed, compared call by call."""
+
+    def __init__(self, config, seed):
+        self.matcher = FeatureIdMatcher(config, np.random.default_rng(seed))
+        self.reference = FeatureIdMatcher(config, np.random.default_rng(seed))
+        self.calls = 0
+
+    def match(self, goal, cand):
+        got = self.matcher.match(goal, cand)
+        want = reference_match(self.reference, goal, cand)
+        for a, b in ((got.goal_px, want.goal_px), (got.cand_hits, want.cand_hits)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        self.calls += 1
+        return got
+
+
+feature_ids = st.lists(
+    st.one_of(st.integers(-3, 24), st.integers(-(2**63), 2**63 - 1)), max_size=40
+).map(lambda ids: np.array(ids, dtype=np.int64))
+
+
+class TestCommonHits:
+    """The matcher's common-hit step looks each candidate id up in the goal
+    region's index (``ObjectRegion.id_index``, built once per region) in
+    place of ``np.intersect1d``, which sorted both sides on every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(goal_ids=feature_ids, cand_ids=feature_ids, disjoint=st.booleans())
+    @example(goal_ids=np.empty(0, np.int64), cand_ids=np.empty(0, np.int64), disjoint=False)
+    @example(goal_ids=np.empty(0, np.int64), cand_ids=np.array([3, 1, 3]), disjoint=False)
+    @example(goal_ids=np.array([3, 1, 3]), cand_ids=np.empty(0, np.int64), disjoint=False)
+    @example(goal_ids=np.array([5, 2, 5, 2, 9]), cand_ids=np.array([9, 2, 2, 5, 9]), disjoint=False)
+    def test_names_the_hits_intersect1d_names(self, goal_ids, cand_ids, disjoint):
+        """Unsorted ids, repeated on either side, an empty side and sides
+        sharing no id: per common id, in ascending order, the first hit on
+        each side, with intersect1d's dtype."""
+        if disjoint:  # even ids on the goal side, odd on the candidate's
+            goal_ids, cand_ids = goal_ids * 2, cand_ids * 2 + 1
+        n = len(goal_ids)
+        goal = ObjectRegion(
+            goal_ids, np.zeros((n, 2)), np.zeros((n, 3)), np.zeros((n, 3)),
+            viewpoint=Pose3(np.eye(3), np.zeros(3)), source_instance=0,
+        )
+        want = np.intersect1d(goal_ids, cand_ids, return_indices=True)[1:]
+        got = common_hits(goal.id_index, cand_ids)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+    def test_region_indexes_its_ids_once(self, library):
+        """``id_index`` and ``pixel_box`` are derived on first use and kept;
+        they are not fields, so ``repr`` and ``fields`` do not show them."""
+        scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
+        _, (goal,) = goal_regions_of(scene, library)
+        assert goal.id_index is goal.id_index and goal.pixel_box is goal.pixel_box
+        ids, hits = goal.id_index
+        np.testing.assert_array_equal(ids, np.unique(goal.feature_ids))
+        np.testing.assert_array_equal(goal.feature_ids[hits], ids)
+        low, size = goal.pixel_box
+        np.testing.assert_array_equal(low, nearest_pixel(goal.px).min(axis=0))
+        np.testing.assert_array_equal(low + size - 1, nearest_pixel(goal.px).max(axis=0))
+        assert not {"id_index", "pixel_box"} & {f.name for f in fields(ObjectRegion)}
+        assert "id_index" not in repr(goal) and "pixel_box" not in repr(goal)
+
+    def test_noisy_matches_keep_their_bytes(self, library):
+        """Over every goal and candidate region the walk visits in 5 seeds
+        under both rotation regimes and both view modes, the noisy matcher
+        (1 px, 20 % outliers, 10 % dropped) gives, call by call, the bytes
+        of ``reference_match`` drawing from the same seed."""
+        cfg = BenchConfig(
+            localization=LocalizationConfig(sigma_px=1.0, outlier_rate=0.2, drop_rate=0.1)
+        )
+        calls = 0
+        for regime in ("minor", "full"):
+            for seed in range(5):
+                inst = generate_instance(SimConfig(rotation_regime=regime), library, seed)
+                goals = scene_goal_regions(inst, library, cfg)
+                for mode in ("multi", "single"):
+                    db = build_scene_database(inst, mode, library, cfg)
+                    matcher = _ReferenceCheckedMatcher(cfg.localization, seed)
+                    estimate_all(goals, db, matcher, INTR, cfg.localization)
+                    calls += matcher.calls
+        assert calls >= 100
 
 
 class TestLiftTo3D:
