@@ -60,7 +60,7 @@ from .sim.config import ROTATION_REGIMES
 def estimate_counters(est: PoseEstimate | None) -> dict:
     """An estimate's search and solve counters, keyed (and ordered) as
     records.tsv and poses.json write them; all zero without an estimate."""
-    est = est if est is not None else PoseEstimate(offset=PlanarTransform.identity())
+    est = est if est is not None else PoseEstimate()
     return {
         "inliers": est.inlier_count,
         "inlier_ratio": est.inlier_ratio,
@@ -244,10 +244,7 @@ def complete_scene(
     db = build_scene_database(inst, "multi", library, cfg)
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
-    estimates = {
-        i: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)
-        for i in range(inst.initial.num_objects)
-    } | found.by_object
+    estimates = {i: PoseEstimate() for i in range(inst.initial.num_objects)} | found.by_object
     reobserve = None
     if inst.config.actuation_sigma > 0:
         reobserve = make_reobserver(

@@ -1,7 +1,6 @@
 from .matching import Correspondences2D, DescriptorNNMatcher, FeatureIdMatcher
 from .pipeline import (
     CandidateList,
-    Correspondences3D,
     LocalizationConfig,
     PoseEstimate,
     estimate_all,
@@ -18,7 +17,6 @@ __all__ = [
     "DescriptorNNMatcher",
     "FeatureIdMatcher",
     "CandidateList",
-    "Correspondences3D",
     "LocalizationConfig",
     "PoseEstimate",
     "estimate_all",

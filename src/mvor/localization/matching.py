@@ -26,9 +26,14 @@ Backends:
 Both read only the candidate's ``feature_ids`` and ``view_local`` (a
 database's ``RegionHits`` or any region), and name, per match, the
 goal-image coordinates (uncorrupted, the goal hit's exact projection) and
-the index of the candidate region's hit; lift_to_3d gathers that hit's
-stored world point.
+the index of the candidate region's hit; ``lift_to_3d`` gathers that
+hit's stored world point, and ``solve_pose`` takes the goal coordinates
+and those points as two arrays in match order.
 Every match has its own candidate hit and its own goal coordinates.
+Every region holds at least one hit (``extract_regions`` drops smaller
+ones, ``load_database`` refuses them), so neither matcher has a special
+case: a call that finds no pair returns (0, 2) and (0,) arrays from its
+general path, and a zero-size draw leaves the rng as it was.
 
 FeatureIdMatcher reads the goal side through what the goal region derives
 once and keeps (``ObjectRegion.id_index`` and ``pixel_box``), as a visual
@@ -47,17 +52,13 @@ import numpy as np
 from ..perception.regions import first_hits
 
 
-@dataclass
+@dataclass(eq=False)
 class Correspondences2D:
     goal_px: np.ndarray  # (N,2) goal-image coords
     cand_hits: np.ndarray  # (N,) index of the candidate region's hit
 
     def __len__(self) -> int:
         return len(self.goal_px)
-
-
-def _empty_matches() -> Correspondences2D:
-    return Correspondences2D(np.empty((0, 2)), np.empty(0, dtype=np.intp))
 
 
 def common_hits(goal_index, cand_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,20 +103,18 @@ class FeatureIdMatcher:
             >= self.cos_max
         )
         gi, ci = gi[compatible], ci[compatible]
-        n = len(gi)
-        if n and self.drop_rate > 0.0:
-            keep = self.rng.uniform(size=n) >= self.drop_rate
+        if self.drop_rate > 0.0:
+            keep = self.rng.uniform(size=len(gi)) >= self.drop_rate
             gi, ci = gi[keep], ci[keep]
-            n = len(gi)
         px = goal.px.take(gi, axis=0)
-        if n and max(self.sigma_px, self.outlier_rate) > 0.0:
+        if max(self.sigma_px, self.outlier_rate) > 0.0:
             low, size = goal.pixel_box  # the goal hits' pixel box, (u, v)
             side = size.max()
             if self.sigma_px > 0.0:
                 noise = self.rng.normal(0.0, self.sigma_px, px.shape)
                 px = px + noise * (side / self.resolution)
             if self.outlier_rate > 0.0:
-                bad = self.rng.uniform(size=n) < self.outlier_rate
+                bad = self.rng.uniform(size=len(gi)) < self.outlier_rate
                 # the top-left pixel edge of the padded square
                 corner = low - (side - size) // 2
                 px[bad] = corner - 0.5 + self.rng.uniform(0.0, side, (int(bad.sum()), 2))
@@ -145,16 +144,12 @@ class DescriptorNNMatcher:
     def match(self, goal, cand) -> Correspondences2D:
         g_hits, gd, g_view = self._features(goal)
         c_hits, cd, c_view = self._features(cand)
-        if len(gd) == 0 or len(cd) == 0:
-            return _empty_matches()
         sims = gd @ cd.T
         # appearance is only comparable inside the view cone
         sims[g_view @ c_view.T < self.cos_max] = -np.inf
         nn = np.argmax(sims, axis=1)
         best = sims[np.arange(len(gd)), nn]
         feasible = np.isfinite(best)
-        if not feasible.any():
-            return _empty_matches()
         nn_back = np.argmax(sims, axis=0)
         mutual = nn_back[nn] == np.arange(len(gd))
         # Lowe ratio on L2 distances between unit descriptors

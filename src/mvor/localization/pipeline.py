@@ -16,7 +16,7 @@ the generator's true offsets (goal = offset o initial).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,29 +72,22 @@ class LocalizationConfig(ConfigSection):
         return DescriptorNNMatcher(library, self)
 
 
-@dataclass
+@dataclass(eq=False)
 class CandidateList:
     instance_id: int
     region_indices: np.ndarray  # db region indices, similarity-descending
     scores: np.ndarray
-    pruned: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.pruned = np.zeros(len(self.region_indices), dtype=bool)
+    pruned: np.ndarray  # per region, marked by prune_after_rejection
 
 
-@dataclass
-class Correspondences3D:
-    goal_px: np.ndarray  # (N,2) goal-image coords
-    world: np.ndarray  # (N,3) current-scene world points
-
-    def __len__(self) -> int:
-        return len(self.goal_px)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PoseEstimate:
-    offset: PlanarTransform  # the object's planar motion, initial -> goal
+    """One localization attempt, built whole: ``solve_pose`` fills the
+    solve, ``estimate_object`` adds the instance and the search count with
+    ``dataclasses.replace``. A failed attempt keeps the identity offset
+    and says why in ``note``."""
+
+    offset: PlanarTransform = PlanarTransform.identity()  # initial -> goal
     inlier_count: int = 0
     num_correspondences: int = 0
     instance_id: int | None = None
@@ -132,24 +125,22 @@ def retrieve_candidates(
     # a tie goes to the instance holding the best-ranked of the tied regions
     winner = int(top[np.argmax(votes[top] == votes.max())])
     members = order[labels == winner]
-    return CandidateList(winner, members, sims[members])
+    return CandidateList(winner, members, sims[members], np.zeros(len(members), dtype=bool))
 
 
 def prune_after_rejection(
     cands: CandidateList, rejected_pos: int, db: Database, theta_prune: float
-) -> CandidateList:
-    """Mark the rejected candidate and every candidate whose observation
-    direction lies within theta_prune of it."""
+) -> None:
+    """Mark, in ``cands.pruned``, the rejected candidate and every candidate
+    whose observation direction lies within theta_prune of it."""
     e_rej = db.obs_dirs[cands.region_indices[rejected_pos]]
     cands.pruned[rejected_pos] = True
     cands.pruned |= angular_distance(db.obs_dirs[cands.region_indices], e_rej) < theta_prune
-    return cands
 
 
-def lift_to_3d(
-    m2d: Correspondences2D, cand: RegionHits, min_correspondences: int
-) -> Correspondences3D:
-    """2D-2D matches -> (goal pixel, candidate world point) pairs.
+def lift_to_3d(m2d: Correspondences2D, cand: RegionHits, min_correspondences: int) -> np.ndarray:
+    """The (N, 3) world points of 2D-2D matches, in match order: each
+    match's goal pixel ``m2d.goal_px[k]`` pairs with row k.
 
     Each match names the candidate region's hit, so its 3D point is that
     hit's stored world point: a gather. The matchers pair each candidate
@@ -159,27 +150,28 @@ def lift_to_3d(
         raise TooFewCorrespondences("no 2D matches")
     if len(m2d) < min_correspondences:
         raise TooFewCorrespondences(f"{len(m2d)} 2D-3D pairs")
-    return Correspondences3D(m2d.goal_px, cand.world.take(m2d.cand_hits, axis=0))
+    return cand.world.take(m2d.cand_hits, axis=0)
 
 
 def solve_pose(
-    m3d: Correspondences3D,
+    goal_px: np.ndarray,
+    world: np.ndarray,
     intr,
     goal_viewpoint: Pose3,
     config: LocalizationConfig,
 ) -> PoseEstimate:
-    """The object's planar motion (yaw, tx, ty): planar RANSAC
-    (:func:`~mvor.localization.pnp.ransac_planar`) of the lifted
-    correspondences against the known goal camera ``goal_viewpoint``.
-    Acceptance needs enough inliers and enough inlier ratio.
+    """The object's planar motion (yaw, tx, ty) from the goal pixels and
+    their lifted world points: planar RANSAC
+    (:func:`~mvor.localization.pnp.ransac_planar`) against the known goal
+    camera ``goal_viewpoint``. Acceptance needs enough inliers and enough
+    inlier ratio. The estimate names no instance yet.
 
     Raises TooFewCorrespondences (< 2 pairs) or DegenerateGeometry (no
     non-singular pair of pairs)."""
-    p, mask = ransac_planar(m3d.world, m3d.goal_px, intr, goal_viewpoint, config)
-    count = int(mask.sum())
-    est = PoseEstimate(offset=p, inlier_count=count, num_correspondences=len(m3d))
-    est.accepted = count >= config.min_inliers and est.inlier_ratio >= config.min_inlier_ratio
-    return est
+    p, mask = ransac_planar(world, goal_px, intr, goal_viewpoint, config)
+    count, n = int(mask.sum()), len(goal_px)
+    accepted = count >= config.min_inliers and count / n >= config.min_inlier_ratio
+    return PoseEstimate(p, count, n, accepted=accepted)
 
 
 def estimate_object(
@@ -196,14 +188,16 @@ def estimate_object(
     accepted pose wins. On rejection the candidate's angular
     neighborhood is pruned. If the instance exhausts, falls back to the
     next most frequent instance in the retrieval vote. With nothing
-    accepted, returns the highest-inlier attempt (or the identity offset)
-    flagged not accepted.
+    accepted, returns the highest-inlier attempt (or, with no candidate
+    evaluated, an identity estimate naming no instance) flagged not
+    accepted. Every attempt carries its candidate's instance, and the
+    returned one the number of candidates visited.
     """
     if db.num_regions == 0:
         raise NoCandidates("database is empty")
     excluded = set(excluded)
     visited = 0
-    best: PoseEstimate | None = None
+    best = PoseEstimate(note="no candidates evaluated")  # until an attempt names an instance
     for _ in range(db.num_instances):
         try:
             cands = retrieve_candidates(goal_region, db, config.top_n, frozenset(excluded))
@@ -218,22 +212,18 @@ def estimate_object(
             cand = db.hits(int(cands.region_indices[pos]))
             m2d = matcher.match(goal_region, cand)
             try:
-                m3d = lift_to_3d(m2d, cand, config.min_correspondences)
-                est = solve_pose(m3d, intr, goal_region.viewpoint, config)
+                world = lift_to_3d(m2d, cand, config.min_correspondences)
+                est = solve_pose(m2d.goal_px, world, intr, goal_region.viewpoint, config)
             except (TooFewCorrespondences, DegenerateGeometry) as e:
-                est = PoseEstimate(offset=PlanarTransform.identity(), note=str(e))
-            est.instance_id = cands.instance_id
-            if best is None or est.inlier_count > best.inlier_count:
-                best = est
+                est = PoseEstimate(note=str(e))
+            est = replace(est, instance_id=cands.instance_id)
             if est.accepted:
-                est.candidates_visited = visited
-                return est
+                return replace(est, candidates_visited=visited)
+            if best.instance_id is None or est.inlier_count > best.inlier_count:
+                best = est
             prune_after_rejection(cands, pos, db, config.theta_prune)
         excluded.add(cands.instance_id)
-    if best is None:
-        best = PoseEstimate(offset=PlanarTransform.identity(), note="no candidates evaluated")
-    best.candidates_visited = visited
-    return best
+    return replace(best, candidates_visited=visited)
 
 
 def estimate_all(
@@ -255,8 +245,6 @@ def estimate_all(
     pending: list[tuple[int, frozenset]] = [(i, frozenset()) for i in range(len(goal_regions))]
     while pending:
         ridx, excl = pending.pop(0)
-        if len(excl) >= db.num_instances:
-            continue
         est = estimate_object(goal_regions[ridx], db, matcher, intr, config, excl)
         u = est.instance_id
         if u is None:

@@ -59,7 +59,7 @@ class RegionHits(NamedTuple):
     view_local: np.ndarray  # (n,3) object-local viewing direction
 
 
-@dataclass
+@dataclass(eq=False)
 class Database:
     region_instance: np.ndarray = _column("R", kind="i")  # instance index per region
     region_frame: np.ndarray = _column("R", kind="i")  # position of its frame in the input

@@ -23,7 +23,7 @@ from ..geometry import Pose3, back_project_pixels, invert, nearest_pixel
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(eq=False)
 class ObjectRegion:
     """The hits of one region, in the frame's order, and the viewpoint
     that saw them."""

@@ -27,7 +27,7 @@ from .models import ModelLibrary
 from .scene import SceneState
 
 
-@dataclass
+@dataclass(eq=False)
 class Frame:
     """The z-buffer winners of one view, one entry per hit pixel, grouped
     by instance id in ascending order and, within one instance's run,

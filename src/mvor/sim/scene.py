@@ -208,25 +208,30 @@ def generate_instance(
     )
 
 
+# what placement_conflict returns for a footprint that leaves the table
+TABLE_EDGE = -1
+
+
 def placement_conflict(
     scene: SceneState,
     library: ModelLibrary,
     object_index: int,
     target: PlanarTransform,
     margin: float = 0.0,
-) -> str | None:
+) -> int | None:
     """What placing the object at ``object_index`` on ``target``, its
-    footprint grown by ``margin``, runs into (the table edge or another
-    object's footprint), or None when the placement is free. An index that
-    names none of the scene's objects raises UnknownObject."""
+    footprint grown by ``margin``, runs into: ``TABLE_EDGE`` when the
+    footprint leaves the table, else the index of the first object whose
+    footprint it overlaps, or None when the placement is free. An index
+    that names none of the scene's objects raises UnknownObject."""
     if not 0 <= object_index < scene.num_objects:
         raise UnknownObject(f"object index {object_index}")
     grown = float(library.footprint_radius[scene.placements[object_index].model_id]) + margin
     if not scene.table_bounds.contains_disc(target.tx, target.ty, grown):
-        return "target footprint leaves the table"
+        return TABLE_EDGE
     for j, (x, y, r) in enumerate(scene.footprints(library)):
         if j != object_index and np.hypot(target.tx - x, target.ty - y) < grown + r:
-            return f"target overlaps object {j}"
+            return j
     return None
 
 
@@ -239,11 +244,15 @@ def check_scenes(inst: RearrangementInstance, library: ModelLibrary) -> None:
     for name, scene in (("initial", inst.initial), ("goal", inst.goal)):
         for i, p in enumerate(scene.placements):
             conflict = placement_conflict(scene, library, i, p.pose)
-            if conflict is not None:
-                raise ConfigParseError(
-                    f"instance member {name!r}: object {i} at ({p.pose.tx!r}, {p.pose.ty!r}): "
-                    f"{conflict.removeprefix('target ')}"
-                )
+            if conflict is None:
+                continue
+            what = (
+                "footprint leaves the table" if conflict == TABLE_EDGE
+                else f"overlaps object {conflict}"
+            )
+            raise ConfigParseError(
+                f"instance member {name!r}: object {i} at ({p.pose.tx!r}, {p.pose.ty!r}): {what}"
+            )
 
 
 def apply_move(
@@ -266,8 +275,10 @@ def apply_move(
     if sigma > 0.0 and rng is None:
         raise ValueError("apply_move: sigma > 0 needs an rng")
     conflict = placement_conflict(scene, library, object_index, target)
+    if conflict == TABLE_EDGE:
+        raise CollisionAtTarget("target footprint leaves the table")
     if conflict is not None:
-        raise CollisionAtTarget(conflict)
+        raise CollisionAtTarget(f"target overlaps object {conflict}")
     final = target
     if sigma > 0.0:
         noise = rng.normal(0.0, sigma, size=3)

@@ -47,7 +47,14 @@ from mvor.geometry import look_at
 from mvor.sim import config as sim_config
 from mvor.sim.config import MAX_ACTUATION_SIGMA, MAX_TABLE_SIDE, MIN_MODEL_POINTS
 from mvor.sim.io import instance_from_dict, instance_to_dict
-from mvor.sim.scene import Placement, RearrangementInstance, Rect, SceneState, placement_conflict
+from mvor.sim.scene import (
+    TABLE_EDGE,
+    Placement,
+    RearrangementInstance,
+    Rect,
+    SceneState,
+    placement_conflict,
+)
 
 # function -> the parameters that carry a config value
 CONFIG_VALUED = {
@@ -303,9 +310,7 @@ def test_instance_scenes_lie_on_the_config_table(tmp_path):
     library = generate_model_library(SimConfig(library_size=1, point_descriptor_dim=2))
     target = PlanarTransform(0.0, 0.35, 0.0)
     for scene in (inst.initial, loaded.initial):
-        assert placement_conflict(scene, library, 0, target) == (
-            "target footprint leaves the table"
-        )
+        assert placement_conflict(scene, library, 0, target) == TABLE_EDGE
 
 
 def test_instance_cannot_change_in_place():

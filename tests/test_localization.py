@@ -1,3 +1,5 @@
+import dataclasses
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +19,7 @@ from mvor.localization import (
     DescriptorNNMatcher,
     FeatureIdMatcher,
     LocalizationConfig,
+    PoseEstimate,
     epnp,
     estimate_all,
     estimate_object,
@@ -315,7 +318,9 @@ class TestPruning:
 
     def test_zero_radius_prunes_only_rejected(self, library):
         db, cands = self._ring_candidates(library)
-        prune_after_rejection(cands, 0, db, theta_prune=0.0)
+        assert not cands.pruned.any()
+        # it marks cands.pruned in place and returns nothing
+        assert prune_after_rejection(cands, 0, db, theta_prune=0.0) is None
         assert cands.pruned[0]
         assert cands.pruned.sum() == 1
 
@@ -358,6 +363,25 @@ class TestFeatureIdMatcher:
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             LocalizationConfig(**bad)
+
+    def test_no_pair_in_the_view_cone_draws_nothing(self, library):
+        """With every common hit outside the view cone, drop, noise and
+        outliers all on, ``match`` returns no pair and leaves the rng as it
+        was: its zero-size draws draw nothing, so it needs no empty case."""
+        scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        assert len(common_hits(goals[0].id_index, cand.feature_ids)[0]) >= 200
+        cfg = LocalizationConfig(
+            max_view_angle_deg=0.0, drop_rate=0.1, sigma_px=1.0, outlier_rate=0.2
+        )
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        m2d = FeatureIdMatcher(cfg, rng).match(goals[0], cand)
+        assert len(m2d) == 0
+        assert m2d.goal_px.shape == (0, 2) and m2d.cand_hits.shape == (0,)
+        assert rng.bit_generator.state == state
 
     def test_corruption_model(self, library):
         """Clean, a match's goal side is its goal hit's projection. Noise of
@@ -517,6 +541,36 @@ class TestCommonHits:
         assert calls >= 100
 
 
+class TestPoseEstimate:
+    def test_built_once(self):
+        """An estimate is built whole and never changed: its default is the
+        identity offset, and a field changes only through ``replace``."""
+        est = PoseEstimate()
+        assert est.offset == PlanarTransform.identity() and not est.accepted
+        for f in fields(PoseEstimate):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(est, f.name, getattr(est, f.name))
+        assert dataclasses.replace(est, instance_id=3).instance_id == 3
+        assert est.instance_id is None
+
+    def test_solve_pose_accepts_by_inlier_ratio(self, library):
+        """``solve_pose`` accepts from the count and the pair total, the
+        quotient ``inlier_ratio`` reports."""
+        scene = make_scene([Placement(3, PlanarTransform(-0.3, 0.1, 0.05))])
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        noisy = LocalizationConfig(outlier_rate=0.3)
+        m2d = FeatureIdMatcher(noisy, np.random.default_rng(5)).match(goals[0], cand)
+        world = lift_to_3d(m2d, cand, LCFG.min_correspondences)
+        est = solve_pose(m2d.goal_px, world, INTR, goals[0].viewpoint, LCFG)
+        assert est.num_correspondences == len(m2d) and est.instance_id is None
+        assert 0.5 < est.inlier_ratio < 1.0
+        strict = dataclasses.replace(LCFG, min_inlier_ratio=np.nextafter(est.inlier_ratio, 2.0))
+        assert est.accepted
+        assert not solve_pose(m2d.goal_px, world, INTR, goals[0].viewpoint, strict).accepted
+
+
 class TestLiftTo3D:
     def _matched_pair(self, library, scene=None):
         scene = scene or make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
@@ -528,8 +582,8 @@ class TestLiftTo3D:
 
     def test_all_depth_pixels_lift(self, library):
         cand, m2d = self._matched_pair(library)
-        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
-        assert len(m3d) == len(m2d)
+        world = lift_to_3d(m2d, cand, LCFG.min_correspondences)
+        assert world.shape == (len(m2d), 3)
 
     def test_too_few_pairs(self, library):
         cand, m2d = self._matched_pair(library)
@@ -540,10 +594,10 @@ class TestLiftTo3D:
     def test_lifted_points_on_true_surface(self, library):
         scene = make_scene([Placement(2, PlanarTransform(0.5, 0.05, -0.1))])
         cand, m2d = self._matched_pair(library, scene)
-        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
+        world = lift_to_3d(m2d, cand, LCFG.min_correspondences)
         n = library.model_points
         surface = geo.lift(scene.placements[0].pose).apply(library.points[2 * n : 3 * n])
-        for w in m3d.world[:: max(1, len(m3d) // 50)]:
+        for w in world[:: max(1, len(world) // 50)]:
             assert np.min(np.linalg.norm(surface - w, axis=1)) < 1e-6
 
 
@@ -554,8 +608,8 @@ class TestSolvePose:
         _, goals = goal_regions_of(scene, library)
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = FeatureIdMatcher(LCFG).match(goals[0], cand)
-        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
-        est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
+        world = lift_to_3d(m2d, cand, LCFG.min_correspondences)
+        est = solve_pose(m2d.goal_px, world, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
         np.testing.assert_allclose([est.offset.yaw, est.offset.tx, est.offset.ty], 0.0, atol=1e-6)
 
@@ -615,9 +669,9 @@ class TestSolvePose:
         )
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = matcher.match(goals[0], cand)
-        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
-        r, t, mask = ransac_pnp(m3d.world, m3d.goal_px, INTR, seed=0)
-        err = reprojection_sq_errors(m3d.world, m3d.goal_px, INTR, r, t)
+        world = lift_to_3d(m2d, cand, LCFG.min_correspondences)
+        r, t, mask = ransac_pnp(world, m2d.goal_px, INTR, seed=0)
+        err = reprojection_sq_errors(world, m2d.goal_px, INTR, r, t)
         assert np.all(err[mask] <= LCFG.reproj_threshold_px**2 + 1e-9)
 
 
@@ -742,8 +796,8 @@ class TestPlanarSolver:
         )
         cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
         m2d = matcher.match(goals[0], cand)
-        m3d = lift_to_3d(m2d, cand, LCFG.min_correspondences)
-        est = solve_pose(m3d, INTR, goals[0].viewpoint, LCFG)
+        world = lift_to_3d(m2d, cand, LCFG.min_correspondences)
+        est = solve_pose(m2d.goal_px, world, INTR, goals[0].viewpoint, LCFG)
         assert est.accepted
         assert isinstance(est.offset, PlanarTransform)
         T = geo.lift(est.offset)  # the 4 x 4 matrix pose reports print
@@ -1121,6 +1175,22 @@ class TestDescriptorNNMatcher:
         assert dtheta < 0.5 and dt < 0.5
 
 
+    def test_no_pair_in_the_view_cone(self, library):
+        """At a 0-degree view cone no pair is feasible, and the general path
+        returns the empty pair a match of no hits has: (0, 2) float64
+        pixels and (0,) intp hits, with no RuntimeWarning."""
+        scene = make_scene([Placement(4, PlanarTransform(0.0, 0.0, 0.0))])
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
+        cand = db.hits(retrieve_candidates(goals[0], db, LCFG.top_n).region_indices[0])
+        matcher = DescriptorNNMatcher(library, LocalizationConfig(max_view_angle_deg=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m2d = matcher.match(goals[0], cand)
+        assert m2d.goal_px.shape == (0, 2) and m2d.goal_px.dtype == np.float64
+        assert m2d.cand_hits.shape == (0,) and m2d.cand_hits.dtype == np.intp
+
+
 class TestRegionRecord:
     def test_goal_region_holds_its_hits(self, library):
         """A region is one record holding its hits, with no ``RegionCrop``
@@ -1224,6 +1294,21 @@ class TestEstimateAll:
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 2
         assert set(out.keys()) == {0, 1}
+
+    def test_region_excluded_from_every_instance_is_dropped(self, library):
+        """Two goal regions claim the one instance; the loser re-runs with
+        it excluded, so it retrieves nothing, makes no matcher call, names
+        no instance and is dropped."""
+        scene = make_scene([Placement(2, PlanarTransform(0.4, 0.05, -0.1))])
+        db = ring_db(scene, library)
+        _, goals = goal_regions_of(scene, library)
+        matcher = _RecordingMatcher(FeatureIdMatcher(LCFG))
+        out = estimate_all([goals[0], goals[0]], db, matcher, INTR, LCFG)
+        assert list(out) == [0] and out[0].accepted
+        assert len(matcher.cands) == 2  # one accepted candidate per claim
+        est = estimate_object(goals[0], db, matcher, INTR, LCFG, frozenset({0}))
+        assert len(matcher.cands) == 2
+        assert (est.instance_id, est.candidates_visited) == (None, 0)
 
     def test_empty_goal_frame(self, library):
         from mvor.sim import empty_frame

@@ -683,6 +683,25 @@ def point_region(label, x):
     )
 
 
+class TestRecordsCompareByIdentity:
+    def test_equal_captures_are_distinct_records(self, library):
+        """Records holding arrays compare by identity: two captures of one
+        scene hold equal arrays but are two records. Their dataclass ``==``
+        once compared the arrays and raised ValueError ("truth value of an
+        array ... is ambiguous"), so ``!=`` and ``in`` raised too."""
+        scene = three_object_scene()
+        frames_a, frames_b = ring_frames(scene, library), ring_frames(scene, library)
+        a = prepare_goal_regions(frames_a[0], library, PCFG)
+        b = prepare_goal_regions(frames_b[0], library, PCFG)
+        assert a[0].feature_ids.tobytes() == b[0].feature_ids.tobytes()
+        db_a, db_b = db_for(scene, library, frames_a), db_for(scene, library, frames_b)
+        for x, y, members in ((a[0], b[0], a), (frames_a[0], frames_b[0], frames_a),
+                              (db_a, db_b, [db_a])):
+            assert x == x
+            assert x != y
+            assert x in members and y not in members
+
+
 class TestBuildDatabase:
     def test_three_object_ring(self, library):
         cfg = SimConfig(object_count_min=3, object_count_max=3)
