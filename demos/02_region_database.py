@@ -1,13 +1,16 @@
 """Build the hierarchical region database and poke at retrieval.
 
-Every segmented object region from every ring frame becomes one row of the
-database's columns (descriptor, observation direction) and adds its hits
-(feature id, world point, view direction) to the hit columns. The frame
-with the most regions names the object instances, and every region joins
-the instance whose named region has the nearest centroid (the mean world
-point of its hits); a frame that sees nothing adds no region, and the
-other frames keep their positions in ``region_frame``. A goal region
-retrieves candidates by descriptor dot product.
+The ring frames are one capture (``prepare_goal_regions``, which
+``build_database`` runs before associating): each frame is segmented and
+cut, and every region of every frame is described in one batch, visited
+model by model. Every region becomes one row of the database's columns
+(descriptor, observation direction) and adds its hits (feature id, world
+point, view direction) to the hit columns. The frame with the most
+regions names the object instances, and every region joins the instance
+whose named region has the nearest centroid (the mean world point of its
+hits); a frame that sees nothing adds no region, and the other frames
+keep their positions in ``region_frame``. A goal region retrieves
+candidates by descriptor dot product.
 """
 
 import numpy as np
@@ -54,7 +57,7 @@ print(f"\ndescriptor cosine: same-instance mean {np.mean(same):.3f}, cross-insta
 
 # retrieval from the goal image of the (rearranged) goal scene
 (goal_frame,) = render(instance.goal, [config.home_viewpoint], intr, library)
-goal_regions = prepare_goal_regions(goal_frame, library, perception)
+(goal_regions,) = prepare_goal_regions([goal_frame], library, perception)
 print(f"\ngoal frame has {len(goal_regions)} regions; retrieval votes:")
 for g in goal_regions:
     cands = retrieve_candidates(g, db, top_n=10)

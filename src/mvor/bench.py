@@ -12,8 +12,9 @@ pairing). ``complete_scene`` runs the database and localization stages on
 the goal regions it is given, and then the planner, whose re-observer
 (``make_reobserver``) captures the current scene from the home viewpoint;
 ``scene_outcome`` judges its result. Every view the robot takes goes
-through ``capture``: the one render here, and each frame through
-``perception.prepare_goal_regions``. Both drivers run one loop over seeds
+through ``capture``: the one render here, and its frames through
+``perception.prepare_goal_regions``, which describes the regions of all
+of them in one batch. Both drivers run one loop over seeds
 and, within a seed, its regimes (``_run_scenes``), and differ only in the
 records they make.
 
@@ -186,10 +187,11 @@ def scene_matcher(inst, mode: str, library, cfg: BenchConfig):
 
 def capture(scene, viewpoints, inst, library, cfg: BenchConfig) -> list[list]:
     """Every view the robot takes: ``scene`` rendered from ``viewpoints``
-    through ``inst``'s camera, and each frame segmented, cut and described
-    (``prepare_goal_regions``); one list of regions per view, in order."""
+    through ``inst``'s camera, and the frames segmented, cut and described
+    as one capture (``prepare_goal_regions``: one descriptor batch for all
+    the views); one list of regions per view, in order."""
     frames = render(scene, viewpoints, inst.config.intrinsics, library)
-    return [prepare_goal_regions(frame, library, cfg.perception) for frame in frames]
+    return prepare_goal_regions(frames, library, cfg.perception)
 
 
 def build_scene_database(inst, mode: str, library, cfg: BenchConfig):

@@ -11,8 +11,10 @@ library's point columns. Retrieval and pruning index these columns
 directly; ``hits(i)`` views one region's hits, all a candidate is matched
 and lifted by, without copying them.
 
-Every captured frame (``bench.capture``) goes through one chain,
-``prepare_goal_regions``: segment, cut the regions, describe them.
+Every capture (``bench.capture``: the frames of one scene from one set of
+viewpoints) goes through one chain, ``prepare_goal_regions``: segment each
+frame, cut its regions, then describe all the capture's regions in one
+batch, which the descriptor visits model by model (``descriptor``).
 """
 
 from __future__ import annotations
@@ -134,21 +136,25 @@ def associate(regions_by_frame: list[list[ObjectRegion]]) -> Database:
 
 
 def build_database(frames, library, config: PerceptionConfig) -> Database:
-    """Full database construction: every frame through
+    """Full database construction: the frames' capture through
     ``prepare_goal_regions``, then ``associate``."""
-    return associate([prepare_goal_regions(f, library, config) for f in frames])
+    return associate(prepare_goal_regions(frames, library, config))
 
 
-def prepare_goal_regions(frame, library, config: PerceptionConfig) -> list[ObjectRegion]:
-    """The one perception chain every captured frame goes through, goal,
-    database and re-observation frames alike: segment the frame, cut its
-    regions and describe them in one ``GridPooledDescriptor(library)``
-    batch. A region's descriptor has the same bits in any batch, so frames
-    described one at a time give the database one batch would."""
-    regions = extract_regions(frame, segment(frame), config)
+def prepare_goal_regions(frames, library, config: PerceptionConfig) -> list[list[ObjectRegion]]:
+    """The one perception chain every capture goes through, goal, database
+    and re-observation captures alike: segment each frame, cut its regions,
+    then describe every region of the capture in one
+    ``GridPooledDescriptor(library)`` batch, which visits them model by
+    model. One list of regions per frame, in order. A region's descriptor
+    has the same bits in any batch, so the database is the one frames
+    described one at a time would give. (The name is kept from when it
+    served goal frames only: ``perfbench/spans.py`` times it by name.)"""
+    regions_by_frame = [extract_regions(f, segment(f), config) for f in frames]
+    regions = [r for frame_regions in regions_by_frame for r in frame_regions]
     for r, descriptor in zip(regions, GridPooledDescriptor(library).extract(regions)):
         r.descriptor = descriptor
-    return regions
+    return regions_by_frame
 
 
 def save_database(db: Database, path, extra_meta: dict | None = None) -> None:

@@ -94,14 +94,26 @@ def config_sized_empty(shape: tuple, what: str, dtype=np.float64) -> np.ndarray:
 def setting(default, low=-math.inf, high=math.inf, *, open_range=False, choices=None):
     """A ``ConfigSection`` field's default and the values it allows: one of
     ``choices``, or those in [low, high], or in (low, high) when
-    ``open_range``. The section checks them whenever it is built."""
+    ``open_range``. The section checks them whenever it is built; the
+    field's metadata keeps the check (``allowed``) and the range it was
+    made from (``low``, ``high``, ``open_range``, ``choices``), which
+    ``scripts/config_probe.py`` draws from."""
     if choices is not None:
         allowed, text = (lambda v: v in choices), f"not one of {list(choices)}"
     elif open_range:
         allowed, text = (lambda v: low < v < high), f"outside ({low}, {high})"
     else:
         allowed, text = (lambda v: low <= v <= high), f"outside [{low}, {high}]"
-    return dataclasses.field(default=default, metadata={"allowed": (allowed, text)})
+    return dataclasses.field(
+        default=default,
+        metadata={
+            "allowed": (allowed, text),
+            "low": low,
+            "high": high,
+            "open_range": open_range,
+            "choices": choices,
+        },
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -294,7 +294,8 @@ def test_criterion_6_association_and_retrieval_exactness():
         if not pure:
             break
         (goal_frame,) = render(inst.goal, [inst.config.home_viewpoint], intr, library)
-        for g in prepare_goal_regions(goal_frame, library, pcfg):
+        (goal_regions,) = prepare_goal_regions([goal_frame], library, pcfg)
+        for g in goal_regions:
             regions_total += 1
             cands = retrieve_candidates(g, db, lcfg.top_n)
             if instance_label[cands.instance_id] == g.source_instance:

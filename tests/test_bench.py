@@ -145,19 +145,19 @@ class TestPoseBench:
         assert len(singles) == len(multis)  # every object contributes a row
 
     def test_goal_regions_prepared_once_per_scene(self, monkeypatch):
-        """Every captured frame goes through ``prepare_goal_regions``: the
-        goal frame once, then each ring view and the home view of the two
-        databases."""
+        """Every capture goes through ``prepare_goal_regions`` once, with
+        all its frames: the goal frame, then the ring views and the home
+        view of the two databases."""
         calls = []
 
-        def counting(frame, *args, **kwargs):
-            calls.append(frame)
-            return prepare_goal_regions(frame, *args, **kwargs)
+        def counting(frames, *args, **kwargs):
+            calls.append(len(frames))
+            return prepare_goal_regions(frames, *args, **kwargs)
 
         monkeypatch.setattr(bench, "prepare_goal_regions", counting)
         rep = run_pose_bench(BenchConfig(scenes=1, regimes=["minor"], include_single_view=True))
         assert {r["view_mode"] for r in rep.rows} == {"multi", "single"}
-        assert len(calls) == 1 + SimConfig().ring_count + 1
+        assert calls == [1, SimConfig().ring_count, 1]
 
     def test_single_view_degrades_on_full_rotation(self, pose_report):
         g = pose_report.summary["groups"]
@@ -292,7 +292,7 @@ class TestReobserver:
         (described,) = batch_sizes
 
         (frame,) = render(scene, [inst.config.home_viewpoint], intr, library)
-        regions = prepare_goal_regions(frame, library, pcfg)
+        (regions,) = prepare_goal_regions([frame], library, pcfg)
         assert len(regions) > 1
         assert described == len(regions)
         region = min(
@@ -405,6 +405,27 @@ class TestCapture:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             assert got.viewpoint is want.viewpoint
             assert got.source_instance == want.source_instance
+
+    def test_ring_capture_is_one_descriptor_batch(self, default_library, monkeypatch):
+        """A ring capture describes every region of every view in one
+        ``GridPooledDescriptor.extract`` call, in view order."""
+        library = default_library
+        inst = generate_instance(SimConfig(), library, seed=3)
+        batches = []
+        extract = GridPooledDescriptor.extract
+
+        def recording(self, regions):
+            batches.append(list(regions))
+            return extract(self, regions)
+
+        monkeypatch.setattr(GridPooledDescriptor, "extract", recording)
+        views = inst.config.ring_viewpoints
+        captured = bench.capture(inst.initial, views, inst, library, BenchConfig())
+        assert len(captured) == len(views)
+        (batch,) = batches
+        flat = [r for regions in captured for r in regions]
+        assert len(flat) > len(views)
+        assert len(batch) == len(flat) and all(a is b for a, b in zip(batch, flat))
 
     def test_complete_scene_cameras(self, default_library, monkeypatch):
         """On criterion 5's swap with 3 mm actuation, ``complete_scene``

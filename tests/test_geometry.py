@@ -144,6 +144,21 @@ class TestPoseAlgebra:
         # b first: (1,0,0) -> (2,0,0); then a: rotate 90deg and shift -> (1,2,0)
         np.testing.assert_allclose(geo.compose(a, b).apply([1.0, 0.0, 0.0]), [1.0, 2.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (5000, 3)])
+    def test_apply_is_the_broadcast_sum(self, shape):
+        """``apply`` has the bits of ``points @ R.T + t``, for a single
+        3-vector, one row, two rows and many, and leaves its input as it
+        was."""
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            p = random_pose(rng)
+            points = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+            before = points.tobytes()
+            got = p.apply(points)
+            want = points @ p.rotation.T + p.translation
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert points.tobytes() == before
+
     def test_matrix_roundtrip(self):
         p = random_pose(np.random.default_rng(5))
         m = p.matrix

@@ -72,7 +72,8 @@ def ring_db(scene, library):
 
 def goal_regions_of(scene, library):
     (frame,) = render(scene, [CFG.home_viewpoint], INTR, library)
-    return frame, prepare_goal_regions(frame, library, PCFG)
+    (regions,) = prepare_goal_regions([frame], library, PCFG)
+    return frame, regions
 
 
 def apply_offsets(scene, offsets):
@@ -1269,7 +1270,7 @@ class TestEstimateAll:
         inst = generate_instance(cfg3, library, seed=9)
         db = ring_db(inst.initial, library)
         (goal_frame,) = render(inst.goal, [inst.config.home_viewpoint], INTR, library)
-        goals = prepare_goal_regions(goal_frame, library, PCFG)
+        (goals,) = prepare_goal_regions([goal_frame], library, PCFG)
         out = estimate_all(goals, db, FeatureIdMatcher(LCFG), INTR, LCFG)
         assert len(out) == 3
         i2s = source_of_instance(db)
@@ -1314,7 +1315,7 @@ class TestEstimateAll:
         from mvor.sim import empty_frame
 
         frame = empty_frame(CFG.home_viewpoint, INTR)
-        goals = prepare_goal_regions(frame, library, PCFG)
+        (goals,) = prepare_goal_regions([frame], library, PCFG)
         assert goals == []
         out = estimate_all(goals, _EmptyDb(), FeatureIdMatcher(LCFG), INTR, LCFG)
         assert out == {}

@@ -483,12 +483,58 @@ class TestDescriptorBatch:
         # a frame whose every region is dropped describes an empty batch
         frame = ring_frames(three_object_scene(), descriptor.library)[0]
         never = PerceptionConfig(min_region_points=10**9)
-        assert prepare_goal_regions(frame, descriptor.library, never) == []
+        assert prepare_goal_regions([frame], descriptor.library, never) == [[]]
 
     def test_empty_region_in_batch_raises(self, descriptor, regions):
+        """An empty region raises the same ValueError wherever it sits in
+        the batch, first, last or between regions of other models."""
         empty = fid_region(np.full((7, 5), -1, dtype=np.int64))
-        with pytest.raises(ValueError, match="without hits"):
-            descriptor.extract([regions[0], empty, regions[1]])
+        batch = regions[:6]
+        for at in range(len(batch) + 1):
+            with pytest.raises(ValueError, match="^a region without hits has no descriptor$"):
+                descriptor.extract([*batch[:at], empty, *batch[at:]])
+
+
+class TestCaptureBatch:
+    """A batch is visited model by model, yet each row sits at its region's
+    input position with the bits of the region described alone."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, library):
+        """Ring and home regions of two scenes that both hold model 3, in
+        shuffled order, and a synthetic region whose ids span the blocks of
+        models 2 and 7 (its first id is in model 2's)."""
+        n = library.model_points
+        other = make_scene(
+            [
+                Placement(3, PlanarTransform(1.1, -0.25, 0.25)),
+                Placement(9, PlanarTransform(-0.4, 0.3, -0.25)),
+            ]
+        )
+        views = [*CFG.ring_viewpoints, CFG.home_viewpoint]
+        models = []
+        regions = []
+        for scene in (three_object_scene(), other):
+            frames = render(scene, views, CFG.intrinsics, library)
+            scene_regions = [r for f in frames for r in extract_regions(f, segment(f), PCFG)]
+            models.append({int(r.feature_ids[0]) // n for r in scene_regions})
+            regions += scene_regions
+        assert 3 in models[0] & models[1]
+        regions.append(fid_region(np.array([[2 * n + 5, 7 * n + 1, 2 * n, 7 * n + 1]])))
+        order = np.random.default_rng(5).permutation(len(regions))
+        return [regions[i] for i in order]
+
+    def test_rows_are_regions_alone(self, descriptor, mixed):
+        assert described_bytes(descriptor, mixed) == [
+            descriptor.extract([r])[0].tobytes() for r in mixed
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_permutation_permutes_rows(self, descriptor, mixed, data):
+        order = data.draw(st.permutations(range(len(mixed))))
+        alone = described_bytes(descriptor, mixed)
+        assert described_bytes(descriptor, [mixed[i] for i in order]) == [alone[i] for i in order]
 
 
 class TestPooling:
@@ -691,8 +737,8 @@ class TestRecordsCompareByIdentity:
         array ... is ambiguous"), so ``!=`` and ``in`` raised too."""
         scene = three_object_scene()
         frames_a, frames_b = ring_frames(scene, library), ring_frames(scene, library)
-        a = prepare_goal_regions(frames_a[0], library, PCFG)
-        b = prepare_goal_regions(frames_b[0], library, PCFG)
+        (a,) = prepare_goal_regions([frames_a[0]], library, PCFG)
+        (b,) = prepare_goal_regions([frames_b[0]], library, PCFG)
         assert a[0].feature_ids.tobytes() == b[0].feature_ids.tobytes()
         db_a, db_b = db_for(scene, library, frames_a), db_for(scene, library, frames_b)
         for x, y, members in ((a[0], b[0], a), (frames_a[0], frames_b[0], frames_a),
@@ -769,7 +815,7 @@ class TestBuildDatabase:
     def test_invariants(self, library):
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
-        regions_by_frame = [prepare_goal_regions(f, library, PCFG) for f in frames]
+        regions_by_frame = [prepare_goal_regions([f], library, PCFG)[0] for f in frames]
         regions = [r for frame_regions in regions_by_frame for r in frame_regions]
         db = associate(regions_by_frame)
         # the viewpoint is gone once associate keeps the observation direction
@@ -791,17 +837,17 @@ class TestBuildDatabase:
             np.testing.assert_allclose(db.instance_centroids[j], mean, atol=1e-12)
 
     def test_batch_equals_region_by_region(self, library):
-        """Describing the build's regions a frame at a time
-        (``build_database``) gives the database that describing every
-        region in one batch, or each region alone, gives, bit for bit in
-        every column: a region's descriptor pools its own hits only."""
+        """Describing the capture's regions in one batch
+        (``build_database``) gives the database that describing them a
+        frame at a time, or each region alone, gives, bit for bit in every
+        column: a region's descriptor pools its own hits only."""
         inst = generate_instance(SimConfig(object_count_min=4, object_count_max=4), library, seed=13)
         frames = ring_frames(inst.initial, library)
         db = build_database(frames, library, PCFG)
-        for one_batch in (True, False):
+        for unit in ("frame", "region"):
             regions_by_frame = [extract_regions(f, segment(f), PCFG) for f in frames]
             regions = [r for frame_regions in regions_by_frame for r in frame_regions]
-            for batch in [regions] if one_batch else [[r] for r in regions]:
+            for batch in regions_by_frame if unit == "frame" else [[r] for r in regions]:
                 for r, descriptor in zip(batch, GridPooledDescriptor(library).extract(batch)):
                     r.descriptor = descriptor
             other = associate(regions_by_frame)
@@ -969,7 +1015,7 @@ class TestDatabaseIO:
         cfg = SimConfig(object_count_min=2, object_count_max=2)
         inst = generate_instance(cfg, library, seed=16)
         (frame,) = render(inst.goal, [inst.config.home_viewpoint], cfg.intrinsics, library)
-        regions = prepare_goal_regions(frame, library, PCFG)
+        (regions,) = prepare_goal_regions([frame], library, PCFG)
         assert len(regions) == 2
         for r in regions:
             assert r.descriptor is not None
