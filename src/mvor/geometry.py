@@ -68,14 +68,12 @@ class Pose3:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an (N,3) array (or a single 3-vector): the bits of
-        ``points @ rotation.T + translation``. Rows get the translation a
+        ``points @ rotation.T + translation``. The translation is added a
         column at a time, which is faster than broadcasting a 3-vector over
-        them (an inner loop of 3 per row) and adds the same terms."""
+        the rows (an inner loop of 3 per row) and adds the same terms."""
         out = np.asarray(points, dtype=float) @ self.rotation.T
-        if out.ndim == 1:
-            return out + self.translation
         for k in range(3):
-            out[:, k] += self.translation[k]
+            out[..., k] += self.translation[k]
         return out
 
 

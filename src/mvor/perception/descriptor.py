@@ -25,9 +25,11 @@ same bits alone, in any batch, and whatever the order of its hits.
 A capture describes all its regions in one batch (``prepare_goal_regions``),
 and the batch is visited model by model rather than in input order. Each
 model's block of codes (``model_points`` rows, about 1.6 MB at the
-default config) is larger than a core's L2 cache, so visiting the views in
-turn fetched it from memory once per view that sees the object; visited
-model by model, a capture reads each block from beyond L2 about once.
+default config) fits in a 2 MB L2 cache alone, but the other data read
+between views (other models' blocks, the render, the segmentation)
+evicts it, so visiting the views in turn fetched it from memory once per
+view that sees the object; visited model by model, a capture reads each
+block from beyond L2 about once.
 This is the loop reordering that shortens reuse distance (Wolf & Lam, "A
 Data Locality Optimizing Algorithm", PLDI 1991); the rows keep their bits,
 since each is summed alone.

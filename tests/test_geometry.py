@@ -144,7 +144,7 @@ class TestPoseAlgebra:
         # b first: (1,0,0) -> (2,0,0); then a: rotate 90deg and shift -> (1,2,0)
         np.testing.assert_allclose(geo.compose(a, b).apply([1.0, 0.0, 0.0]), [1.0, 2.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (5000, 3)])
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (5000, 3), (2, 4, 3)])
     def test_apply_is_the_broadcast_sum(self, shape):
         """``apply`` has the bits of ``points @ R.T + t``, for a single
         3-vector, one row, two rows and many, and leaves its input as it
