@@ -8,6 +8,10 @@ table (yaw, tx, ty). Each estimate carries that motion as its planar
 ``offset``, compared directly against the generator's true offset. Under
 the slightly adversarial matcher below, every estimate is accepted, each
 within 0.1 degree and 0.05 cm of the truth.
+
+The database is the ring capture of the scene's ``World``, the true scene
+the robot senses and acts through, before any move. The goal image is an
+input of the task, so ``scene_goal_regions`` captures the goal scene itself.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ import numpy as np
 from mvor import geometry as geo
 from mvor.bench import (
     BenchConfig,
+    World,
     build_scene_database,
     localize_scene,
     scene_goal_regions,
@@ -32,7 +37,7 @@ cfg = BenchConfig(
 library = generate_model_library(cfg.sim)
 
 instance = generate_instance(cfg.sim, library, seed=3)
-db = build_scene_database(instance, "multi", library, cfg)
+db = build_scene_database(World(instance, library, cfg), "multi")
 # the scene's own noise stream: the pose bench and `mvor localize` draw the same
 matcher = scene_matcher(instance, "multi", library, cfg)
 goal_regions = scene_goal_regions(instance, library, cfg)

@@ -1,5 +1,8 @@
 """Close the loop: perceive the scene, then move objects until it matches
 the goal image (``scene_goal_regions``, then ``complete_scene``). The
+robot senses and acts only through the scene's ``World``: its captures
+build the database, and every executed move in the log below is one
+``World.execute``, with the instance's actuation noise. The
 scene counts as completed when every object ends within the planner's
 success thresholds (``scene_outcome``), as in the completion benchmark and
 ``mvor rearrange``.

@@ -2,21 +2,20 @@
 
 The stages of a scene are shared by the drivers, the CLI and the demos.
 Each takes the model library (``generate_model_library``), whose point
-descriptors a region's descriptor pools, and the BenchConfig:
-``build_scene_database`` (the initial scene captured from the ring or the
-home viewpoint, then associated into the region database),
-``scene_goal_regions`` (the goal scene captured from the home viewpoint,
-once per seed for every regime and database) and ``localize_scene``
-(``estimate_all`` on the goal regions, and the instance-to-object
-pairing). ``complete_scene`` runs the database and localization stages on
-the goal regions it is given, and then the planner, whose re-observer
-(``make_reobserver``) captures the current scene from the home viewpoint;
-``scene_outcome`` judges its result. Every view the robot takes goes
-through ``capture``: the one render here, and its frames through
-``perception.prepare_goal_regions``, which describes the regions of all
-of them in one batch. Both drivers run one loop over seeds
-and, within a seed, its regimes (``_run_scenes``), and differ only in the
-records they make.
+descriptors a region's descriptor pools, and the BenchConfig. A scene run
+senses and acts only through its ``World``, the true scene and the
+actuation stream: ``build_scene_database`` associates the world's capture
+from the ring or the home viewpoint into the region database, and
+``complete_scene`` runs the planner, whose moves the world executes and
+whose re-observer (``make_reobserver``) captures the world from the home
+viewpoint. ``scene_goal_regions`` captures the goal scene from the home
+viewpoint once per seed, for every regime and database: the goal image is
+an input of the task, not the world's state. ``localize_scene`` runs
+``estimate_all`` on the goal regions and pairs instances to objects;
+``scene_outcome`` judges a run. Every view goes through ``capture``: the
+one render here, and ``perception.prepare_goal_regions``, one descriptor
+batch per capture. Both drivers run one loop over seeds and, within a
+seed, its regimes (``_run_scenes``), and differ only in their records.
 
 Pose benchmark: per seeded scene, build the multi-view database of the
 initial scene, estimate every object's relative pose from the goal frame,
@@ -54,7 +53,7 @@ from .localization import LocalizationConfig, PoseEstimate, estimate_all, estima
 from .perception import PerceptionConfig, associate, prepare_goal_regions
 from .planner import ExecutionResult, PlannerConfig, plan_and_execute
 from .serialize import ConfigSection, dump_json, make_dirs, setting, write_text
-from .sim import SimConfig, generate_instance, generate_model_library, render
+from .sim import SimConfig, apply_move, generate_instance, generate_model_library, render
 from .sim.config import ROTATION_REGIMES
 
 
@@ -194,12 +193,31 @@ def capture(scene, viewpoints, inst, library, cfg: BenchConfig) -> list[list]:
     return prepare_goal_regions(frames, library, cfg.perception)
 
 
-def build_scene_database(inst, mode: str, library, cfg: BenchConfig):
-    """Database stage: the capture of the initial scene from the views of
-    ``mode``, one of VIEW_MODES (the ring, or the home viewpoint alone),
-    associated into instances."""
-    views = VIEW_MODES[mode].viewpoints(inst)
-    return associate(capture(inst.initial, views, inst, library, cfg))
+class World:
+    """One scene run's simulator, the robot's only way to sense and act:
+    the true ``scene``, from ``inst.initial``, and the actuation stream
+    ``rng``, which buffer searches share. Seeded by ``inst.seed`` alone, it
+    replays ``generate_instance``'s raw draws (ROADMAP item 13). The methods
+    look ``capture`` and ``apply_move`` up here when called."""
+
+    def __init__(self, inst, library, cfg: BenchConfig):
+        self.inst, self.library, self.cfg = inst, library, cfg
+        self.scene, self.rng = inst.initial, np.random.default_rng(inst.seed)
+
+    def capture(self, viewpoints) -> list[list]:
+        """``capture`` of the scene as it is now."""
+        return capture(self.scene, viewpoints, self.inst, self.library, self.cfg)
+
+    def execute(self, i: int, target: PlanarTransform) -> None:
+        """``apply_move`` with the instance's actuation noise."""
+        sigma = self.inst.config.actuation_sigma
+        self.scene = apply_move(self.scene, self.library, i, target, sigma, self.rng)
+
+
+def build_scene_database(world: World, mode: str):
+    """Database stage: the world's capture from the views of ``mode``, one
+    of VIEW_MODES (the ring, or the home viewpoint alone), associated."""
+    return associate(world.capture(VIEW_MODES[mode].viewpoints(world.inst)))
 
 
 @dataclass
@@ -243,16 +261,16 @@ def complete_scene(
     object from the home viewpoint, with the same matcher, before a goal
     move, if the robot has moved that object since it last re-observed it
     (a buffer move, in practice)."""
-    db = build_scene_database(inst, "multi", library, cfg)
+    world = World(inst, library, cfg)
+    db = build_scene_database(world, "multi")
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
     estimates = {i: PoseEstimate() for i in range(inst.initial.num_objects)} | found.by_object
     reobserve = None
     if inst.config.actuation_sigma > 0:
-        reobserve = make_reobserver(
-            inst, library, db, matcher, cfg, {i: u for u, i in found.object_of.items()}
-        )
-    return found, plan_and_execute(inst, estimates, library, cfg.planner, reobserve)
+        object_instance = {i: u for u, i in found.object_of.items()}
+        reobserve = make_reobserver(world, db, matcher, cfg, object_instance)
+    return found, plan_and_execute(world, estimates, library, cfg.planner, reobserve)
 
 
 @dataclass
@@ -313,9 +331,10 @@ def _run_scenes(cfg: BenchConfig, scene_rows, summarize) -> MetricsReport:
 
 def _pose_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
     modes = list(VIEW_MODES) if cfg.include_single_view else ["multi"]
+    world = World(inst, library, cfg)  # no move is made, so one serves both modes
     rows = []
     for mode in modes:
-        db = build_scene_database(inst, mode, library, cfg)
+        db = build_scene_database(world, mode)
         matcher = scene_matcher(inst, mode, library, cfg)
         by_object = localize_scene(inst, db, goal_regions, matcher, cfg).by_object
         for i, p in enumerate(inst.initial.placements):
@@ -354,33 +373,33 @@ def compute_pose_summary(rows, skipped_scenes=0) -> dict:
     return summary
 
 
-def make_reobserver(inst, library, db, matcher, cfg: BenchConfig, object_instance):
+def make_reobserver(world: World, db, matcher, cfg: BenchConfig, object_instance):
     """Home-viewpoint re-estimation hook for the planner (noisy actuation),
     which calls it only for an object it has moved since the object's last
     successful re-observation.
 
-    Captures the current scene from the home viewpoint, picks the region
-    nearest the dead-reckoned guess, and estimates its motion relative to
-    the database (built on the initial scene), restricted to the object's
-    own instance list.
+    Captures the world's current scene from the home viewpoint, picks the
+    region nearest the dead-reckoned guess, and estimates its motion
+    relative to the database (built on the initial scene), restricted to
+    the object's own instance list.
     """
 
-    def reobserve(scene, i, guess):
+    def reobserve(i, guess):
         u = object_instance.get(i)
         if u is None:
             raise ReobservationFailed(f"object {i} has no database instance")
-        (regions,) = capture(scene, [inst.config.home_viewpoint], inst, library, cfg)
+        (regions,) = world.capture([world.inst.config.home_viewpoint])
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
         excluded = frozenset(set(range(db.num_instances)) - {u})
         est = estimate_object(
-            region, db, matcher, inst.config.intrinsics, cfg.localization, excluded
+            region, db, matcher, world.inst.config.intrinsics, cfg.localization, excluded
         )
         if not est.accepted:
             raise ReobservationFailed(est.note or "re-estimation rejected")
-        return planar_compose(est.offset, inst.initial.placements[i].pose)
+        return planar_compose(est.offset, world.inst.initial.placements[i].pose)
 
     return reobserve
 

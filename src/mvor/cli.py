@@ -48,6 +48,7 @@ import numpy as np
 from .bench import (
     VIEW_MODES,
     BenchConfig,
+    World,
     best_effort_error,
     build_scene_database,
     complete_scene,
@@ -171,7 +172,7 @@ def _check_provenance(header: dict, expected: dict) -> None:
 def cmd_build_db(args) -> int:
     cfg, sim_keys = load_config(args.config, args.seed)
     inst, library = _scene_setup(cfg, args, sim_keys)
-    db = build_scene_database(inst, _view_mode(args.view), library, cfg)
+    db = build_scene_database(World(inst, library, cfg), _view_mode(args.view))
     out = _out_dir(args, "db.npz")
     save_database(db, out, extra_meta=_database_provenance(inst, args.view))
     print(f"wrote database ({db.num_instances} instances, {db.num_regions} regions) to {out}")

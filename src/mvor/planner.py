@@ -16,18 +16,20 @@ goal move executes, placed or not, so the loop's end says nothing about
 success: ``bench.scene_outcome`` judges completion, from the final scene
 against the true goal.
 
-The planner operates on estimated offsets only. Each accepted estimate
-fixes the object's believed goal once, as its planar ``offset`` applied
-to the object's initial pose, and every goal move targets that belief.
-The tracked pose, initialized from the initial scene, stands in for the
-robot's perception of the current scene: it decides whether an object is
-already within the success thresholds. Only the robot's own moves change
-a pose in the simulator, so an object it has not moved keeps its tracked
-pose and is never re-observed: re-observation costs one pass per move.
-Every attempted move is logged, including blocked goal moves and buffer
-searches that give up, and the log is the loop's only record: a move's
-step is its place in the log, and every move count is read off the log's
-executed moves.
+The planner operates on estimated offsets only, and reaches the simulator
+only through its world (``bench.World``): ``world.execute`` makes each
+move, the re-observer captures the world, and collision checks and buffer
+searches read ``world.scene`` (ROADMAP item 13 plans on belief instead).
+Each accepted estimate fixes the object's believed goal once, as its
+planar ``offset`` applied to the object's initial pose, and every goal
+move targets that belief. The tracked pose stands in for the robot's
+perception of the current scene: it decides whether an object is already
+within the success thresholds. Only the robot's own moves change a pose in
+the world, so an object it has not moved keeps its tracked pose and is
+never re-observed: re-observation costs one pass per move. Every attempted
+move is logged, including blocked goal moves and buffer searches that give
+up, and the log is the loop's only record: a move's step is its place in
+the log, and every move count is read off the log's executed moves.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import NoBufferSpace, ReobservationFailed
 from .geometry import PlanarTransform, planar_compose, planar_distance
 from .serialize import ConfigSection, setting
 from .sim.models import ModelLibrary
-from .sim.scene import RearrangementInstance, SceneState, apply_move, placement_conflict
+from .sim.scene import SceneState, placement_conflict
 
 
 @dataclass(frozen=True)
@@ -152,33 +154,29 @@ def find_buffer_pose(
 
 
 def plan_and_execute(
-    instance: RearrangementInstance,
+    world,
     estimates: dict,
     library: ModelLibrary,
     config: PlannerConfig,
     reobserve=None,
 ) -> ExecutionResult:
-    """Run the full rearrangement loop against the simulator.
+    """Run the full rearrangement loop in ``world`` (``bench.World``).
 
     ``estimates`` maps object index -> PoseEstimate, whose ``offset`` is
     the object's estimated planar motion; objects with a not-accepted
     estimate are never moved toward a goal and accrue failures instead.
-    ``reobserve(scene, object_index, tracked_guess)`` returns a fresh
-    tracked pose (or raises ReobservationFailed, which counts a failure but
-    never relocates). It runs before a goal-move attempt, and only for an
-    object with an executed move (goal or buffer) since its last successful
+    ``reobserve(object_index, tracked_guess)`` returns a fresh tracked pose
+    (or raises ReobservationFailed, which counts a failure but never
+    relocates). It runs before a goal-move attempt, and only for an object
+    with an executed move (goal or buffer) since its last successful
     re-observation; every other object keeps its tracked pose. Without it
-    the planner dead-reckons. Actuation noise is the instance's
-    ``config.actuation_sigma``; buffer poses and noise draw from an RNG
-    seeded with the instance seed, so a run is deterministic per instance.
+    the planner dead-reckons. Buffer poses draw from ``world.rng``, the
+    actuation stream, so a run is deterministic per instance.
     """
-    sigma = instance.config.actuation_sigma
-    rng = np.random.default_rng(instance.seed)
-    scene = instance.initial
     order = sorted(estimates)
     remaining = list(order)
     failures = dict.fromkeys(order, 0)
-    tracked = {i: scene.placements[i].pose for i in order}
+    tracked = {i: world.scene.placements[i].pose for i in order}
     # objects with an executed move since their last successful
     # re-observation; only the robot's own moves change a pose
     moved: set[int] = set()
@@ -188,15 +186,14 @@ def plan_and_execute(
         for i in order if estimates[i].accepted
     }
     moves: list[MoveRecord] = []
-    thres_outer = config.outer_factor * max(1, scene.num_objects)
+    thres_outer = config.outer_factor * max(1, world.scene.num_objects)
     outer_iterations = 0
 
     def attempt(i, kind, target, collision) -> bool:
         """Log a move, then make it unless ``collision`` blocked it."""
-        nonlocal scene
         moves.append(MoveRecord(i, kind, target, collision, failures[i]))
         if not collision:
-            scene = apply_move(scene, library, i, target, sigma, rng)
+            world.execute(i, target)
             tracked[i] = target
             moved.add(i)
         return not collision
@@ -207,7 +204,7 @@ def plan_and_execute(
             if i in goal_beliefs:
                 if reobserve is not None and i in moved:
                     try:
-                        tracked[i] = reobserve(scene, i, tracked[i])
+                        tracked[i] = reobserve(i, tracked[i])
                     except ReobservationFailed:
                         failures[i] += 1
                         continue
@@ -218,7 +215,9 @@ def plan_and_execute(
                 if config.within_success(*planar_distance(tracked[i], target)):
                     remaining.remove(i)
                     continue
-                collision = check_collision(scene, library, i, target, config.collision_margin)
+                collision = check_collision(
+                    world.scene, library, i, target, config.collision_margin
+                )
                 if attempt(i, "goal-move", target, collision):
                     remaining.remove(i)
                     continue
@@ -230,11 +229,12 @@ def plan_and_execute(
             if failures[i] <= config.thres_fail:
                 continue
             try:
-                pose, collision = find_buffer_pose(scene, library, i, rng, config), False
+                pose = find_buffer_pose(world.scene, library, i, world.rng, config)
+                collision = False
             except NoBufferSpace:
                 pose, collision = tracked[i], True
             attempt(i, "buffer-move", pose, collision)
         if not remaining or outer_iterations > thres_outer:
             break
 
-    return ExecutionResult(moves=moves, outer_iterations=outer_iterations, final_scene=scene)
+    return ExecutionResult(moves=moves, outer_iterations=outer_iterations, final_scene=world.scene)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, run_completion_bench, run_pose_bench, scene_outcome
+from mvor.bench import BenchConfig, World, run_completion_bench, run_pose_bench, scene_outcome
 from mvor.cli import main as cli_main
 from mvor.geometry import PlanarTransform, Pose3
 from mvor.localization import (
@@ -233,7 +233,9 @@ def test_criterion_5_planner_swap_and_conflict_free():
         i: PoseEstimate(offset=off, accepted=True, inlier_count=100, num_correspondences=100)
         for i, off in enumerate(inst.true_offsets)
     }
-    result = plan_and_execute(inst, estimates, library, PlannerConfig())
+    result = plan_and_execute(
+        World(inst, library, BenchConfig()), estimates, library, PlannerConfig()
+    )
     swap_ok = (
         scene_outcome(inst, result, PlannerConfig()).completed
         and result.total_manipulations == 3
@@ -253,7 +255,9 @@ def test_criterion_5_planner_swap_and_conflict_free():
         i: PoseEstimate(offset=off, accepted=True, inlier_count=100, num_correspondences=100)
         for i, off in enumerate(inst2.true_offsets)
     }
-    result2 = plan_and_execute(inst2, estimates2, library, PlannerConfig())
+    result2 = plan_and_execute(
+        World(inst2, library, BenchConfig()), estimates2, library, PlannerConfig()
+    )
     free_ok = (
         scene_outcome(inst2, result2, PlannerConfig()).completed
         and result2.total_manipulations == k

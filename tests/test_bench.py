@@ -14,9 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvor import geometry as geo
-from mvor import bench
+from mvor import bench, planner
 from mvor.bench import (
     BenchConfig,
+    World,
     best_effort_error,
     compute_pose_summary,
     make_reobserver,
@@ -40,7 +41,7 @@ from mvor.perception import (
     prepare_goal_regions,
     save_database,
 )
-from mvor.planner import PlannerConfig
+from mvor.planner import MoveRecord, PlannerConfig
 from mvor.sim import (
     Placement,
     SceneState,
@@ -230,16 +231,17 @@ class TestNoiseModeCorrection:
             frames = render(inst.initial, inst.config.ring_viewpoints, intr, library)
             db = build_database(frames, library, bcfg.perception)
             matcher = bcfg.localization.make_matcher(library)
-            reobserve = make_reobserver(inst, library, db, matcher, bcfg, {0: 0})
+            world = World(inst, library, bcfg)
+            reobserve = make_reobserver(world, db, matcher, bcfg, {0: 0})
             goal_pose = inst.goal.placements[0].pose
             for noise_seed in range(10):
                 trials += 1
                 rng = np.random.default_rng(900 + noise_seed)
                 # a prior noisy manipulation leaves the dead-reckoned pose stale
                 waypoint = PlanarTransform(0.4, 0.05, 0.05)
-                scene1 = apply_move(inst.initial, library, 0, waypoint, sigma, rng)
+                scene1 = world.scene = apply_move(inst.initial, library, 0, waypoint, sigma, rng)
                 try:
-                    tracked = reobserve(scene1, 0, waypoint)
+                    tracked = reobserve(0, waypoint)
                 except Exception:
                     continue
                 # the planner trusts the re-observed pose to tell whether the
@@ -282,10 +284,10 @@ class TestReobserver:
 
         monkeypatch.setattr(GridPooledDescriptor, "extract", counting)
         monkeypatch.setattr(bench, "render", rendering)
-        reobserve = make_reobserver(
-            inst, library, db, lcfg.make_matcher(library), bcfg, object_instance
-        )
-        tracked = reobserve(scene, 0, guess)
+        world = World(inst, library, bcfg)
+        world.scene = scene
+        reobserve = make_reobserver(world, db, lcfg.make_matcher(library), bcfg, object_instance)
+        tracked = reobserve(0, guess)
         # one render of the home view, and every home region described in
         # one batch
         assert view_counts == [1]
@@ -315,10 +317,11 @@ class TestReobserver:
         frames = render(inst.initial, inst.config.ring_viewpoints, cfg.intrinsics, library)
         db = build_database(frames, library, bcfg.perception)
         object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
+        world = World(inst, library, bcfg)
         reobserve = make_reobserver(
-            inst, library, db, bcfg.localization.make_matcher(library), bcfg, object_instance
+            world, db, bcfg.localization.make_matcher(library), bcfg, object_instance
         )
-        away = SceneState(
+        world.scene = away = SceneState(
             inst.initial.table_bounds,
             tuple(
                 Placement(p.model_id, PlanarTransform(p.pose.yaw, p.pose.tx + 50.0, p.pose.ty))
@@ -326,7 +329,7 @@ class TestReobserver:
             ),
         )
         with pytest.raises(ReobservationFailed, match="home frame sees nothing"):
-            reobserve(away, 0, away.placements[0].pose)
+            reobserve(0, away.placements[0].pose)
 
 
 @pytest.fixture(scope="module")
@@ -436,12 +439,12 @@ class TestCapture:
         reobserved = []
         make = bench.make_reobserver
 
-        def tracking(*args):
-            reobserve = make(*args)
+        def tracking(world, *args):
+            reobserve = make(world, *args)
 
-            def tracked(scene, i, guess):
-                reobserved.append(scene)
-                return reobserve(scene, i, guess)
+            def tracked(i, guess):
+                reobserved.append(world.scene)
+                return reobserve(i, guess)
 
             return tracked
 
@@ -591,7 +594,7 @@ class TestEmptyViews:
         assert 0 < len(empty) < len(frames)
         captured = bench.capture(inst.initial, sim.ring_viewpoints, inst, library, cfg)
         assert all(captured[k] == [] for k in empty)
-        db = bench.build_scene_database(inst, "multi", library, cfg)
+        db = bench.build_scene_database(World(inst, library, cfg), "multi")
         sizes = [len(regions) for regions in captured]
         assert db.region_frame.tolist() == np.repeat(np.arange(len(frames)), sizes).tolist()
         assert not set(db.region_frame.tolist()) & set(empty)
@@ -693,6 +696,103 @@ def swap_instance_doc() -> dict:
     }
 
 
+class StubWorld:
+    """A world built apart from ``bench.World``, with the same true scene
+    and actuation stream, that records each ``capture`` (its scene and
+    views) and each ``execute`` in ``events``."""
+
+    def __init__(self, events, inst, library, cfg):
+        self.events, self.inst, self.library, self.cfg = events, inst, library, cfg
+        self.scene, self.rng = inst.initial, np.random.default_rng(inst.seed)
+
+    def capture(self, viewpoints):
+        self.events.append(("capture", self.scene, list(viewpoints)))
+        return bench.capture(self.scene, viewpoints, self.inst, self.library, self.cfg)
+
+    def execute(self, i, target):
+        self.events.append(("execute", i, target))
+        sigma = self.inst.config.actuation_sigma
+        self.scene = apply_move(self.scene, self.library, i, target, sigma, self.rng)
+
+
+class TestThroughTheWorld:
+    """``complete_scene`` senses and acts only through its world. Run with
+    a stub world, the planner's executed moves are the world's executes, in
+    order; a blocked move reaches no execute; and every render, database
+    and re-observation alike, is a capture the world made."""
+
+    def _run(self, monkeypatch, inst, library, cfg) -> list:
+        """``complete_scene`` through a StubWorld; its events in call order,
+        with ``("render", scene, views)`` per ``bench.render`` call and
+        ``("log", move)`` per move-log entry. The run's moves are the moves
+        of a run through ``bench.World``."""
+        goal_regions = bench.scene_goal_regions(inst, library, cfg)
+        _, want = bench.complete_scene(inst, library, cfg, goal_regions)
+        events = []
+
+        def rendering(scene, viewpoints, *args):
+            events.append(("render", scene, list(viewpoints)))
+            return render(scene, viewpoints, *args)
+
+        def logged(*args):
+            events.append(("log", MoveRecord(*args)))
+            return events[-1][1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(bench, "World", lambda *args: StubWorld(events, *args))
+            mp.setattr(bench, "render", rendering)
+            mp.setattr(planner, "MoveRecord", logged)
+            _, result = bench.complete_scene(inst, library, cfg, goal_regions)
+        assert result.moves == want.moves
+        assert [e[1] for e in events if e[0] == "log"] == result.moves
+        return events
+
+    def _assert_through_the_world(self, events) -> None:
+        executes = [e[1:] for e in events if e[0] == "execute"]
+        logged = [e[1] for e in events if e[0] == "log"]
+        assert executes == [(m.object_index, m.target) for m in logged if m.executed]
+        for before, after in zip(events, events[1:] + [("end",)]):
+            if before[0] == "log":
+                # an executed move goes to the world at once, a blocked one never
+                assert (after[0] == "execute") == before[1].executed
+            if after[0] == "execute":
+                assert before[0] == "log"
+            if after[0] == "render":
+                assert before[0] == "capture"
+                assert before[1] is after[1] and before[2] == after[2]
+
+    def _reobservations(self, events, inst) -> int:
+        """Captures from the home view after the world's first execute."""
+        first = next((k for k, e in enumerate(events) if e[0] == "execute"), len(events))
+        home = [inst.config.home_viewpoint]
+        return sum(e[0] == "capture" and e[2] == home for e in events[first:])
+
+    def test_swap(self, default_library, monkeypatch):
+        """Criterion 5's swap with 3 mm actuation: a blocked goal move, a
+        buffer move, and one re-observation before its goal move."""
+        inst = instance_from_dict(swap_instance_doc())
+        events = self._run(monkeypatch, inst, default_library, BenchConfig(sim=inst.config))
+        self._assert_through_the_world(events)
+        logged = [e[1] for e in events if e[0] == "log"]
+        assert {m.executed for m in logged} == {True, False}
+        assert self._reobservations(events, inst) == 1
+
+    def test_generated_scenes(self, default_library, monkeypatch):
+        """Generated scenes with 3 mm actuation and a 6 cm collision
+        margin, which blocks goal moves and buffers objects."""
+        sim = SimConfig(actuation_sigma=0.003)
+        cfg = BenchConfig(sim=sim, planner=PlannerConfig(collision_margin=0.06))
+        kinds, reobservations = set(), 0
+        for seed in range(3):
+            inst = generate_instance(sim, default_library, seed=seed)
+            events = self._run(monkeypatch, inst, default_library, cfg)
+            self._assert_through_the_world(events)
+            kinds |= {(e[1].kind, e[1].executed) for e in events if e[0] == "log"}
+            reobservations += self._reobservations(events, inst)
+        assert {("goal-move", False), ("buffer-move", True)} <= kinds
+        assert reobservations > 0
+
+
 class TestCliRearrange:
     def test_noisy_rearrange(self, tmp_path, monkeypatch):
         """Noisy actuation re-observes the buffer-moved object alone, once,
@@ -705,9 +805,9 @@ class TestCliRearrange:
         def counting(*args):
             reobserve = make(*args)
 
-            def counted(scene, i, guess):
+            def counted(i, guess):
                 calls.append(i)
-                return reobserve(scene, i, guess)
+                return reobserve(i, guess)
 
             return counted
 

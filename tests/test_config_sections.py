@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mvor
-from mvor.bench import BenchConfig, capture
+from mvor.bench import BenchConfig, World, capture
 from mvor.errors import ConfigParseError
 from mvor.localization import (
     DescriptorNNMatcher,
@@ -71,6 +71,7 @@ CONFIG_VALUED = {
     plan_and_execute: ["config"],
     generate_instance: ["seed"],
     capture: ["cfg"],
+    World: ["cfg"],
 }
 
 # the defaults these functions may keep: none of them is a config value

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from mvor import geometry as geo
-from mvor.bench import BenchConfig, build_scene_database, scene_goal_regions
+from mvor.bench import BenchConfig, World, build_scene_database, scene_goal_regions
 from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from mvor.geometry import PlanarTransform, Pose3, nearest_pixel
 from mvor.localization import pnp
@@ -535,7 +535,7 @@ class TestCommonHits:
                 inst = generate_instance(SimConfig(rotation_regime=regime), library, seed)
                 goals = scene_goal_regions(inst, library, cfg)
                 for mode in ("multi", "single"):
-                    db = build_scene_database(inst, mode, library, cfg)
+                    db = build_scene_database(World(inst, library, cfg), mode)
                     matcher = _ReferenceCheckedMatcher(cfg.localization, seed)
                     estimate_all(goals, db, matcher, INTR, cfg.localization)
                     calls += matcher.calls

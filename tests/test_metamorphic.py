@@ -36,6 +36,7 @@ import pytest
 from mvor.bench import (
     VIEW_MODES,
     BenchConfig,
+    World,
     build_scene_database,
     complete_scene,
     localize_scene,
@@ -100,7 +101,8 @@ def scene(regime, seed, change=None, arg=None):
         )
     cfg = MATCHERS["clean"]  # the capture reads only the perception settings
     goal_regions = scene_goal_regions(inst, library(), cfg)
-    dbs = {mode: build_scene_database(inst, mode, library(), cfg) for mode in VIEW_MODES}
+    world = World(inst, library(), cfg)
+    dbs = {mode: build_scene_database(world, mode) for mode in VIEW_MODES}
     return inst, goal_regions, dbs
 
 

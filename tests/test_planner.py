@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from mvor import geometry as geo
 from mvor import planner
-from mvor.bench import scene_outcome
+from mvor.bench import BenchConfig, World, scene_outcome
 from mvor.cli import main as cli_main
 from mvor.errors import CollisionAtTarget, NoBufferSpace, ReobservationFailed, UnknownObject
 from mvor.geometry import PlanarTransform
@@ -50,6 +53,11 @@ def scene_of(poses, bounds=Rect(-0.5, -0.5, 0.5, 0.5), model_ids=None):
 
 def instance_of(initial, goal, config=None):
     return RearrangementInstance(initial=initial, goal=goal, seed=0, config=config or SimConfig())
+
+
+def world_of(inst, library):
+    """A fresh world of ``inst``: its initial scene and actuation stream."""
+    return World(inst, library, BenchConfig())
 
 
 def completed(inst, result, config=PlannerConfig()):
@@ -151,6 +159,25 @@ class TestCheckCollision:
         assert check_collision(scene, library, index, pose, margin) >= blocked
 
 
+def test_planner_reaches_the_simulator_only_through_its_world():
+    """``planner.py`` neither names ``apply_move`` nor calls
+    ``default_rng``: only the world it is handed moves an object or owns the
+    actuation stream, and a planner change cannot reopen that seam."""
+    tree = ast.parse(Path(planner.__file__).read_text())
+    named, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named |= {node.name.rpartition(".")[2], node.asname}
+        elif isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert "apply_move" not in named
+    assert "default_rng" not in called
+
+
 def assert_planar_close(a, b, tol=1e-12):
     assert abs(geo.wrap_angle(a.yaw - b.yaw)) < tol
     assert abs(a.tx - b.tx) < tol and abs(a.ty - b.ty) < tol
@@ -164,7 +191,9 @@ class TestGoalTarget:
         initial = scene_of([PlanarTransform(0.4, x, -0.3) for x in (-0.3, 0.0, 0.3)])
         goal = scene_of([PlanarTransform(-0.7, x, 0.3) for x in (-0.3, 0.0, 0.3)])
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        result = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
         assert [m.kind for m in result.moves] == ["goal-move"] * 3
         for m in result.moves:
             i = m.object_index
@@ -175,7 +204,9 @@ class TestGoalTarget:
         initial = scene_of([PlanarTransform(0.1, -0.15, 0.0), PlanarTransform(0.5, 0.15, 0.0)])
         goal = scene_of([PlanarTransform(0.9, 0.15, 0.0), PlanarTransform(-0.4, -0.15, 0.0)])
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        result = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
         assert completed(inst, result)
         b, buffer = next((k, m) for k, m in enumerate(result.moves) if m.kind == "buffer-move")
         i = buffer.object_index
@@ -223,7 +254,9 @@ class TestPlanAndExecute:
             [PlanarTransform(1.0, x, 0.3) for x in (-0.3, 0.0, 0.3)]
         )
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        result = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
         assert completed(inst, result)
         assert result.total_manipulations == 3
         assert all(result.goal_moves[i] == 1 for i in range(3))
@@ -239,7 +272,9 @@ class TestPlanAndExecute:
             [PlanarTransform(0.0, 0.15, 0.0), PlanarTransform(0.0, -0.15, 0.0)]
         )
         inst = instance_of(initial, goal)
-        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        result = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
         assert completed(inst, result)
         assert result.total_manipulations == 3
         assert sum(result.buffer_moves.values()) == 1
@@ -252,7 +287,9 @@ class TestPlanAndExecute:
     def test_already_at_goal_no_moves(self, library):
         initial = scene_of([PlanarTransform(0.3, 0.1, 0.1), PlanarTransform(0, -0.2, -0.2)])
         inst = instance_of(initial, initial)
-        result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        result = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
         assert completed(inst, result)
         assert result.total_manipulations == 0
 
@@ -263,7 +300,7 @@ class TestPlanAndExecute:
         inst = instance_of(initial, goal)
         estimates = {0: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)}
         config = PlannerConfig(outer_factor=outer_factor)
-        result = plan_and_execute(inst, estimates, library, config)
+        result = plan_and_execute(world_of(inst, library), estimates, library, config)
         # one failure per pass: the budget of outer_factor passes for the
         # one object ends the loop on the pass after it, before the failures
         # pass thres_fail (3), so nothing moves
@@ -275,7 +312,9 @@ class TestPlanAndExecute:
         for seed in range(8):
             cfg = SimConfig(object_count_min=4, object_count_max=7)
             inst = generate_instance(cfg, library, seed=seed)
-            result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+            result = plan_and_execute(
+                world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            )
             assert completed(inst, result)
             final = replay(inst, result, library)  # must not raise
             for p, q in zip(final.placements, result.final_scene.placements):
@@ -286,7 +325,9 @@ class TestPlanAndExecute:
         for seed in range(25):
             inst = generate_instance(cfg, library, seed=seed)
             k = inst.initial.num_objects
-            result = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+            result = plan_and_execute(
+                world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            )
             assert completed(inst, result), f"seed {seed} did not complete"
             assert result.outer_iterations <= 2 * k + 1
             for i in range(k):
@@ -304,7 +345,7 @@ class TestPlanAndExecute:
         )
         inst = instance_of(initial, goal)
         config = PlannerConfig()
-        result = plan_and_execute(inst, exact_estimates(inst), library, config)
+        result = plan_and_execute(world_of(inst, library), exact_estimates(inst), library, config)
         scene = inst.initial
         for m in result.moves:
             if m.executed:
@@ -316,8 +357,12 @@ class TestPlanAndExecute:
     def test_deterministic(self, library):
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=17)
-        a = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
-        b = plan_and_execute(inst, exact_estimates(inst), library, PlannerConfig())
+        a = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
+        b = plan_and_execute(
+            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+        )
         assert a.moves == b.moves
 
     def test_failed_buffer_search_is_logged(self, library):
@@ -328,7 +373,7 @@ class TestPlanAndExecute:
         goal = scene_of([PlanarTransform(1.0, 0.02, 0.0), PlanarTransform(-1.0, -0.02, 0.0)])
         inst = instance_of(initial, goal)
         config = PlannerConfig(buffer_attempts=50)
-        result = plan_and_execute(inst, exact_estimates(inst), lib_big, config)
+        result = plan_and_execute(world_of(inst, lib_big), exact_estimates(inst), lib_big, config)
         assert not completed(inst, result, config)
         assert sum(result.buffer_moves.values()) == 0
         failed = [m for m in result.moves if m.kind == "buffer-move"]
@@ -448,17 +493,31 @@ def reference_buffer_relocate(scene, library, i, state, config, sigma, rng, move
     return scene
 
 
-def seeded_reobserver(seed, fail_rate):
-    """Re-observation that returns the object's true pose, and fails on a
-    schedule drawn from ``seed``; each call of this factory replays it."""
+def seeded_reobserver(world, seed, fail_rate):
+    """Re-observation that returns the object's true pose in ``world``'s
+    scene as it is now, and fails on a schedule drawn from ``seed``; each
+    call of this factory replays it."""
     rng = np.random.default_rng(seed)
 
-    def reobserve(scene, i, guess):
+    def reobserve(i, guess):
         if rng.random() < fail_rate:
             raise ReobservationFailed(f"scheduled failure of object {i}")
-        return scene.placements[i].pose
+        return world.scene.placements[i].pose
 
     return reobserve
+
+
+def reference_reobserver(seed, fail_rate):
+    """``seeded_reobserver`` for the reference planner, which hands its
+    re-observer the scene rather than keeping it in a world."""
+    world = SimpleNamespace(scene=None)
+    reobserve = seeded_reobserver(world, seed, fail_rate)
+
+    def reobserve_scene(scene, i, guess):
+        world.scene = scene
+        return reobserve(i, guess)
+
+    return reobserve_scene
 
 
 class TestMoveLogPlannerMatchesReference:
@@ -467,11 +526,13 @@ class TestMoveLogPlannerMatchesReference:
     seeded mix of accepted and rejected estimates."""
 
     def _assert_same(self, inst, estimates, library, config, fail_rate=None):
-        def reobserver():
-            return None if fail_rate is None else seeded_reobserver(inst.seed, fail_rate)
-
-        ref = reference_plan_and_execute(inst, estimates, library, config, reobserver())
-        got = plan_and_execute(inst, estimates, library, config, reobserver())
+        ref_reobserve = reobserve = None
+        world = world_of(inst, library)
+        if fail_rate is not None:
+            ref_reobserve = reference_reobserver(inst.seed, fail_rate)
+            reobserve = seeded_reobserver(world, inst.seed, fail_rate)
+        ref = reference_plan_and_execute(inst, estimates, library, config, ref_reobserve)
+        got = plan_and_execute(world, estimates, library, config, reobserve)
         assert got.moves == ref.moves
         assert got.outer_iterations == ref.outer_iterations
         assert got.final_scene.placements == ref.final_scene.placements
@@ -511,7 +572,7 @@ class TestMoveLogPlannerMatchesReference:
         assert ref.outer_iterations == 1 and not ref.moves
 
 
-def planner_timeline(monkeypatch, inst, estimates, library, config, reobserve):
+def planner_timeline(monkeypatch, world, estimates, library, config, reobserve):
     """Run the planner with ``reobserve`` and return its events in order:
     ``("reobserve", i, ok)`` per re-observer call and ``("log", move)`` per
     move-log entry, with the result."""
@@ -522,9 +583,9 @@ def planner_timeline(monkeypatch, inst, estimates, library, config, reobserve):
         events.append(("log", move))
         return move
 
-    def counted(scene, i, guess):
+    def counted(i, guess):
         try:
-            pose = reobserve(scene, i, guess)
+            pose = reobserve(i, guess)
         except ReobservationFailed:
             events.append(("reobserve", i, False))
             raise
@@ -532,7 +593,7 @@ def planner_timeline(monkeypatch, inst, estimates, library, config, reobserve):
         return pose
 
     monkeypatch.setattr(planner, "MoveRecord", logged)
-    result = plan_and_execute(inst, estimates, library, config, counted)
+    result = plan_and_execute(world, estimates, library, config, counted)
     return events, result
 
 
@@ -558,8 +619,10 @@ class TestReobserveMovedOnly:
                 i: PoseEstimate(offset=off, accepted=bool(rng.random() < 0.7))
                 for i, off in enumerate(inst.true_offsets)
             }
+            world = world_of(inst, library)
             events, result = planner_timeline(
-                monkeypatch, inst, estimates, library, config, seeded_reobserver(seed, fail_rate)
+                monkeypatch, world, estimates, library, config,
+                seeded_reobserver(world, seed, fail_rate),
             )
             moved = set()
             for n, event in enumerate(events):
@@ -591,9 +654,10 @@ class TestReobserveMovedOnly:
         initial = scene_of([PlanarTransform(0.0, -0.15, 0.0), PlanarTransform(0.0, 0.15, 0.0)])
         goal = scene_of([PlanarTransform(0.0, 0.15, 0.0), PlanarTransform(0.0, -0.15, 0.0)])
         inst = instance_of(initial, goal, SimConfig(actuation_sigma=0.003))
+        world = world_of(inst, library)
         events, result = planner_timeline(
-            monkeypatch, inst, exact_estimates(inst), library, PlannerConfig(),
-            seeded_reobserver(0, 0.0),
+            monkeypatch, world, exact_estimates(inst), library, PlannerConfig(),
+            seeded_reobserver(world, 0, 0.0),
         )
         assert completed(inst, result) and result.total_manipulations == 3
         (buffer,) = [m for m in result.moves if m.kind == "buffer-move"]

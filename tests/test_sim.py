@@ -19,7 +19,7 @@ from mvor.errors import (
     UnknownFeature,
 )
 from mvor.geometry import PlanarTransform, Pose3
-from mvor.bench import BenchConfig, build_scene_database, scene_goal_regions
+from mvor.bench import BenchConfig, World, build_scene_database, scene_goal_regions
 from mvor.localization import retrieve_candidates
 from mvor.perception import PerceptionConfig, build_database, extract_regions, load_database
 from mvor.sim import (
@@ -295,7 +295,7 @@ class TestFloat32Codes:
         checked = 0
         for seed in range(10):
             inst = generate_instance(config, library, seed=seed)
-            db, db64 = (build_scene_database(inst, "multi", lib, bench_cfg)
+            db, db64 = (build_scene_database(World(inst, lib, bench_cfg), "multi")
                         for lib in (library, reference))
             goals, goals64 = (scene_goal_regions(inst, lib, bench_cfg)
                               for lib in (library, reference))
