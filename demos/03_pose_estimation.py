@@ -5,9 +5,12 @@ are matched locally in similarity order; matches lift to 2D-3D pairs
 through the stored candidate geometry; a RANSAC over 2-pair planar
 solves against the known goal camera recovers each object's motion on the
 table (yaw, tx, ty). Each estimate carries that motion as its planar
-``offset``, compared directly against the generator's true offset. Under
-the slightly adversarial matcher below, every estimate is accepted, each
-within 0.1 degree and 0.05 cm of the truth.
+``offset``, compared directly against the generator's true offset.
+``localize_scene`` gives every scene object one estimate, ``PoseEstimate()``
+(the identity offset, not accepted) for an object no goal region claimed,
+so the last line covers every object. Under the slightly adversarial
+matcher below, every object's estimate is accepted, each within 0.1 degree
+and 0.05 cm of the truth.
 
 The database is the ring capture of the scene's ``World``, the true scene
 the robot senses and acts through, before any move. The goal image is an

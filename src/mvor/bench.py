@@ -22,9 +22,12 @@ initial scene, estimate every object's relative pose from the goal frame,
 and accumulate planar errors against the generator's true offsets. The
 single-view ablation rebuilds the database from the home-viewpoint frame
 alone, on the same seeds and the same goal regions, so comparisons are
-paired. Rejected estimates contribute their best-effort error (an object
-with no usable estimate counts as "assumed unmoved"), never get dropped
-from the medians.
+paired. ``localize_scene`` gives every scene object one estimate record:
+an object whose paired instance no goal region claimed reads
+``PoseEstimate()``, the identity offset with zero counters, not accepted.
+So every record's error is its estimate's offset against the true offset
+(for a missing estimate, the identity's: the assume-unmoved error), and
+rejected and missing estimates are never dropped from the medians.
 
 Completion benchmark: ``complete_scene`` per scene, recorded through its
 ``scene_outcome``.
@@ -57,10 +60,9 @@ from .sim import SimConfig, apply_move, generate_instance, generate_model_librar
 from .sim.config import ROTATION_REGIMES
 
 
-def estimate_counters(est: PoseEstimate | None) -> dict:
+def estimate_counters(est: PoseEstimate) -> dict:
     """An estimate's search and solve counters, keyed (and ordered) as
-    records.tsv and poses.json write them; all zero without an estimate."""
-    est = est if est is not None else PoseEstimate()
+    records.tsv and poses.json write them; all zero for ``PoseEstimate()``."""
     return {
         "inliers": est.inlier_count,
         "inlier_ratio": est.inlier_ratio,
@@ -73,7 +75,7 @@ def estimate_counters(est: PoseEstimate | None) -> dict:
 
 POSE_COLUMNS = [
     "regime", "view_mode", "scene_seed", "object", "model_id", "accepted",
-    "dtheta_deg", "dt_cm", *estimate_counters(None),
+    "dtheta_deg", "dt_cm", *estimate_counters(PoseEstimate()),
 ]
 
 COMPLETION_COLUMNS = [
@@ -142,13 +144,6 @@ def match_instances_to_objects(db, scene) -> dict:
         used_u.add(u)
         used_i.add(i)
     return out
-
-
-def best_effort_error(est: PoseEstimate | None, truth: PlanarTransform) -> tuple[float, float]:
-    """Planar error of an estimate; without one, the assume-unmoved error."""
-    if est is not None:
-        return planar_distance(est.offset, truth)
-    return planar_distance(truth, PlanarTransform.identity())
 
 
 def _scene_rng(tag: str, *parts) -> np.random.Generator:
@@ -224,11 +219,14 @@ def build_scene_database(world: World, mode: str):
 class SceneEstimates:
     by_instance: dict  # database instance -> PoseEstimate, as estimate_all returns it
     object_of: dict  # database instance -> scene object (match_instances_to_objects)
+    num_objects: int  # scene objects: by_object has a key for each
 
     @property
     def by_object(self) -> dict:
-        """Scene object -> PoseEstimate, for the paired instances."""
-        return {self.object_of[u]: e for u, e in self.by_instance.items() if u in self.object_of}
+        """Scene object -> PoseEstimate, for every object: ``PoseEstimate()``
+        for one whose paired instance no goal region claimed."""
+        found = {i: self.by_instance[u] for u, i in self.object_of.items() if u in self.by_instance}
+        return {i: found.get(i, PoseEstimate()) for i in range(self.num_objects)}
 
 
 def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
@@ -247,15 +245,16 @@ def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEs
     by_instance = estimate_all(
         goal_regions, db, matcher, inst.config.intrinsics, cfg.localization
     )
-    return SceneEstimates(by_instance, match_instances_to_objects(db, inst.initial))
+    scene = inst.initial
+    return SceneEstimates(by_instance, match_instances_to_objects(db, scene), scene.num_objects)
 
 
 def complete_scene(
     inst, library, cfg: BenchConfig, goal_regions
 ) -> tuple[SceneEstimates, ExecutionResult]:
     """The full-scene run: the ring database of the initial scene, every
-    object localized from the goal regions (``scene_goal_regions``; a
-    rejected identity estimate for an object with none) with the scene's
+    object localized from the goal regions (``scene_goal_regions``;
+    ``PoseEstimate()`` for an object with none) with the scene's
     multi-view matcher, then the planner.
     When ``inst.config.actuation_sigma > 0`` the planner re-observes an
     object from the home viewpoint, with the same matcher, before a goal
@@ -265,12 +264,11 @@ def complete_scene(
     db = build_scene_database(world, "multi")
     matcher = scene_matcher(inst, "multi", library, cfg)
     found = localize_scene(inst, db, goal_regions, matcher, cfg)
-    estimates = {i: PoseEstimate() for i in range(inst.initial.num_objects)} | found.by_object
     reobserve = None
     if inst.config.actuation_sigma > 0:
         object_instance = {i: u for u, i in found.object_of.items()}
         reobserve = make_reobserver(world, db, matcher, cfg, object_instance)
-    return found, plan_and_execute(world, estimates, library, cfg.planner, reobserve)
+    return found, plan_and_execute(world, found.by_object, library, cfg.planner, reobserve)
 
 
 @dataclass
@@ -338,15 +336,15 @@ def _pose_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
         matcher = scene_matcher(inst, mode, library, cfg)
         by_object = localize_scene(inst, db, goal_regions, matcher, cfg).by_object
         for i, p in enumerate(inst.initial.placements):
-            est = by_object.get(i)
-            dtheta, dt = best_effort_error(est, inst.true_offsets[i])
+            est = by_object[i]
+            dtheta, dt = planar_distance(est.offset, inst.true_offsets[i])
             rows.append({
                 "regime": inst.config.rotation_regime,
                 "view_mode": mode,
                 "scene_seed": inst.seed,
                 "object": i,
                 "model_id": p.model_id,
-                "accepted": int(est.accepted) if est else 0,
+                "accepted": int(est.accepted),
                 "dtheta_deg": dtheta,
                 "dt_cm": dt,
                 **estimate_counters(est),
@@ -407,15 +405,13 @@ def make_reobserver(world: World, db, matcher, cfg: BenchConfig, object_instance
 def _completion_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
     found, result = complete_scene(inst, library, cfg, goal_regions)
     outcome = scene_outcome(inst, result, cfg.planner)
-    by_object = found.by_object
     rows = []
-    for i, (o, p) in enumerate(zip(outcome.objects, inst.initial.placements)):
-        est = by_object.get(i)
+    for o, p, est in zip(outcome.objects, inst.initial.placements, found.by_object.values()):
         rows.append({
             "regime": inst.config.rotation_regime,
             "scene_seed": inst.seed,
             "model_id": p.model_id,
-            "accepted": int(est.accepted) if est else 0,
+            "accepted": int(est.accepted),
             **o,
             "scene_completed": int(outcome.completed),
             "scene_one_step": int(outcome.one_step),

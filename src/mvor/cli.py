@@ -49,7 +49,6 @@ from .bench import (
     VIEW_MODES,
     BenchConfig,
     World,
-    best_effort_error,
     build_scene_database,
     complete_scene,
     estimate_counters,
@@ -63,7 +62,7 @@ from .bench import (
     write_report,
 )
 from .errors import ConfigParseError, MvorError
-from .geometry import lift, pose_yaw
+from .geometry import lift, planar_distance, pose_yaw
 from .perception import load_database, save_database
 from .serialize import dump_json, from_dict, load_json, make_dirs
 from .sim import (
@@ -199,7 +198,7 @@ def _pose_report_rows(inst, found):
         if u in found.object_of:
             i = found.object_of[u]
             row["matched_object"] = i
-            dtheta, dt = best_effort_error(est, inst.true_offsets[i])
+            dtheta, dt = planar_distance(est.offset, inst.true_offsets[i])
             row["dtheta_deg"] = dtheta
             row["dt_cm"] = dt
         rows.append(row)

@@ -39,6 +39,7 @@ from ..geometry import (
 _COLLINEAR_TOL = 1e-7  # second-moment ratio below which points are a line
 _PLANAR_TOL = 1e-7  # third-moment ratio below which the planar branch runs
 _SINGULAR_TOL = 1e-10  # |det| / product of row norms below which a 2-pair system is singular
+_MIN_DEPTH = 1e-9  # camera depth (m) a point must exceed to be scored or refined
 
 
 def _principal_frame(world):
@@ -164,13 +165,13 @@ def _kabsch(world, cam):
 
 def reprojection_sq_errors(world, pixels, intr, r, t):
     """Squared pixel errors; points at or behind the camera (depth not
-    above 1e-9) get +inf. Each error is elementwise in its own pair, so a
-    pair scores the same bits whatever the other pairs are."""
+    above ``_MIN_DEPTH``) get +inf. Each error is elementwise in its own
+    pair, so a pair scores the same bits whatever the other pairs are."""
     cam = world @ r.T + t
     d = intr.project(cam) - pixels
     d *= d
     err = d[:, 0] + d[:, 1]  # sum(axis=1)'s bits, without its slow 2-wide reduction
-    err[~(cam[:, 2] > 1e-9)] = np.inf
+    err[~(cam[:, 2] > _MIN_DEPTH)] = np.inf
     return err
 
 
@@ -205,7 +206,7 @@ def refine_pose(world, pixels, intr, r, t, iters=20):
     jac = np.empty((2 * n, 6))
     for _ in range(iters):
         cam = world @ r.T + t
-        if np.any(cam[:, 2] <= 1e-9):
+        if np.any(cam[:, 2] <= _MIN_DEPTH):
             break
         _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv)
         # row_vec @ (-skew(c)) == cross(c, row_vec)
@@ -475,7 +476,7 @@ def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
     for _ in range(iters):
         r, t = _planar_extrinsics(p, w2c)
         cam = world @ r.T + t
-        if np.any(cam[:, 2] <= 1e-9):
+        if np.any(cam[:, 2] <= _MIN_DEPTH):
             break
         _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv)
         d_yaw = d_yaw_world @ r.T

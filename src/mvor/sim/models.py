@@ -156,15 +156,15 @@ def _sample_l_prism(rng, a, b, ta, tb, h, total):
 
     pts, nrms = [], []
     for (p, q), c in zip(edges, counts[:-1]):
-        t = rng.uniform(0.0, 1.0, c)
-        z = rng.uniform(0.0, h, c)
-        xy = p + t[:, None] * (q - p)
-        pts.append(np.column_stack([xy, z]))
-        d = q - p
+        dx, dy = q - p
         # CCW polygon: outward normal is the edge direction rotated -90 deg
-        n = np.array([d[1], -d[0], 0.0])
+        n = np.array([dy, -dx, 0.0])
         n /= np.linalg.norm(n)
-        nrms.append(np.tile(n, (c, 1)))
+        side_pts, side_nrms = _sample_rect_face(
+            rng, np.append(p, 0.0), np.array([dx, dy, 0.0]), np.array([0.0, 0.0, h]), n, c
+        )
+        pts.append(side_pts)
+        nrms.append(side_nrms)
 
     # top face by rejection inside the L
     need = counts[-1]

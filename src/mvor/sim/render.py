@@ -128,14 +128,10 @@ def _render_view(posed: _PosedScene, viewpoint: Pose3, intr: CameraIntrinsics) -
         np.subtract(cam_center[k], posed.columns[k], out=to_cam[:, k])
     facing = np.flatnonzero(np.einsum("ij,ij->i", to_cam, posed.normals) > 0.0)
 
-    # the facing points' pixels, the translation added one contiguous
-    # column at a time; take and compress gather rows several times faster
-    # than fancy and boolean indexing do. The near plane is 1e-6 m, and the
-    # image edges lie at -0.5
-    w2c = invert(viewpoint)
-    cam = posed.points.take(facing, axis=0) @ w2c.rotation.T
-    for k in range(3):
-        cam[:, k] += w2c.translation[k]
+    # the facing points' pixels; take and compress gather rows several
+    # times faster than fancy and boolean indexing do. The near plane is
+    # 1e-6 m, and the image edges lie at -0.5
+    cam = invert(viewpoint).apply(posed.points.take(facing, axis=0))
     uv = intr.project(cam)
     u, v, z = uv[:, 0], uv[:, 1], cam[:, 2]
     ok = (

@@ -18,12 +18,15 @@ from mvor import bench, planner
 from mvor.bench import (
     BenchConfig,
     World,
-    best_effort_error,
+    build_scene_database,
     compute_pose_summary,
+    localize_scene,
     make_reobserver,
     match_instances_to_objects,
     run_completion_bench,
     run_pose_bench,
+    scene_goal_regions,
+    scene_matcher,
     write_report,
 )
 from mvor.cli import load_config, main as cli_main
@@ -97,12 +100,18 @@ class TestMetrics:
             assert g["median_dtheta_deg"] == oracle
 
     def test_best_effort_fallback(self):
+        """An object with no estimate reads ``PoseEstimate()``: not
+        accepted, zero counters, and the identity offset, whose error is
+        the assume-unmoved one."""
         truth = PlanarTransform(np.radians(120), 0.3, -0.4)
-        dtheta, dt = best_effort_error(None, truth)
+        missing = PoseEstimate()
+        assert not missing.accepted
+        assert set(bench.estimate_counters(missing).values()) == {0}
+        dtheta, dt = geo.planar_distance(missing.offset, truth)
         assert dtheta == pytest.approx(120.0)
         assert dt == pytest.approx(50.0)
         est = PoseEstimate(offset=PlanarTransform(np.radians(123), 0.3, -0.4))
-        assert best_effort_error(est, truth) == pytest.approx((3.0, 0.0))
+        assert geo.planar_distance(est.offset, truth) == pytest.approx((3.0, 0.0))
 
 
 def test_import_leaves_out_scipy_ndimage_and_special():
@@ -144,6 +153,36 @@ class TestPoseBench:
         singles = [r for r in rep.rows if r["view_mode"] == "single"]
         multis = [r for r in rep.rows if r["view_mode"] == "multi"]
         assert len(singles) == len(multis)  # every object contributes a row
+
+    def test_every_object_has_one_estimate_record(self):
+        """``by_object`` has a key for every scene object, in object order;
+        one whose paired instance no goal region claimed reads
+        ``PoseEstimate()``, and its pose record carries ``accepted`` 0,
+        zero counters and the identity offset's error. A 400-point region
+        minimum leaves object 4 of the seed-1 full-rotation scene so."""
+        perception = PerceptionConfig(min_region_points=400)
+        cfg = BenchConfig(regimes=["full"], include_single_view=False, perception=perception)
+        library = generate_model_library(cfg.sim)
+        inst = generate_instance(cfg.sim, library, seed=1)
+        goal_regions = scene_goal_regions(inst, library, cfg)
+        db = build_scene_database(World(inst, library, cfg), "multi")
+        matcher = scene_matcher(inst, "multi", library, cfg)
+        found = localize_scene(inst, db, goal_regions, matcher, cfg)
+        by_object = found.by_object
+        assert list(by_object) == list(range(inst.initial.num_objects))
+        claimed = {
+            i: found.by_instance[u] for u, i in found.object_of.items() if u in found.by_instance
+        }
+        assert all(by_object[i] is est for i, est in claimed.items())
+        assert set(by_object) - set(claimed) == {4}
+        assert by_object[4] == PoseEstimate()
+        rows = bench._pose_rows(inst, library, cfg, goal_regions)
+        assert [r["object"] for r in rows] == list(by_object)
+        assert rows[4]["accepted"] == 0
+        assert all(rows[4][k] == 0 for k in bench.estimate_counters(PoseEstimate()))
+        assert (rows[4]["dtheta_deg"], rows[4]["dt_cm"]) == geo.planar_distance(
+            PlanarTransform.identity(), inst.true_offsets[4]
+        )
 
     def test_goal_regions_prepared_once_per_scene(self, monkeypatch):
         """Every capture goes through ``prepare_goal_regions`` once, with
@@ -916,7 +955,7 @@ class TestCliLocalize:
                     continue
                 r = rows[o["matched_object"]]
                 assert int(r["accepted"]) == o["accepted"]
-                for key in ("dtheta_deg", "dt_cm", *bench.estimate_counters(None)):
+                for key in ("dtheta_deg", "dt_cm", *bench.estimate_counters(PoseEstimate())):
                     assert float(r[key]) == o[key], key
                 compared += 1
         assert compared >= 2

@@ -267,6 +267,25 @@ class TestPlanarProperties:
     def test_lifted_identity_has_no_negative_zero(self):
         assert not np.signbit(geo.lift(PlanarTransform.identity()).matrix).any()
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        yaw=st.floats(-10.0, 10.0)
+        | st.floats(-1e-300, 1e-300)
+        | st.sampled_from([np.pi, -np.pi, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.9]),
+        tx=st.floats(-5.0, 5.0),
+        ty=st.floats(-5.0, 5.0),
+    )
+    def test_distance_to_identity_agrees_both_ways(self, yaw, tx, ty):
+        """The identity's distance to a transform, the error a record of an
+        object with no estimate reads, is the transform's distance to the
+        identity: the translation bit for bit, the yaw to 1e-12 degrees.
+        Not the yaw bit for bit: ``wrap_angle(-w)`` need not be ``-w`` for a
+        wrapped yaw ``w`` (pi + w rounds where pi - w does not; w = 1.9)."""
+        t, ident = PlanarTransform(yaw, tx, ty), PlanarTransform.identity()
+        (yaw_a, dt_a), (yaw_b, dt_b) = geo.planar_distance(ident, t), geo.planar_distance(t, ident)
+        assert dt_a == dt_b
+        assert abs(yaw_a - yaw_b) <= 1e-12
+
 
 # 3-vectors whose components include signed zeros and exact ones
 VEC3 = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0]), min_size=3, max_size=3)
