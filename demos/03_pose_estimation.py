@@ -6,9 +6,9 @@ through the stored candidate geometry; a RANSAC over 2-pair planar
 solves against the known goal camera recovers each object's motion on the
 table (yaw, tx, ty). Each estimate carries that motion as its planar
 ``offset``, compared directly against the generator's true offset.
-``localize_scene`` gives every scene object one estimate, ``PoseEstimate()``
-(the identity offset, not accepted) for an object no goal region claimed,
-so the last line covers every object. Under the slightly adversarial
+``localize_scene`` returns one estimate per scene object, in object order:
+``PoseEstimate()`` (the identity offset, not accepted) for an object no
+goal region claimed, so the last line covers every object. Under the slightly adversarial
 matcher below, every object's estimate is accepted, each within 0.1 degree
 and 0.05 cm of the truth.
 
@@ -44,12 +44,11 @@ db = build_scene_database(World(instance, library, cfg), "multi")
 # the scene's own noise stream: the pose bench and `mvor localize` draw the same
 matcher = scene_matcher(instance, "multi", library, cfg)
 goal_regions = scene_goal_regions(instance, library, cfg)
-by_object = localize_scene(instance, db, goal_regions, matcher, cfg).by_object
+estimates = localize_scene(instance, db, goal_regions, matcher, cfg)
 
 print(f"{'object':>6s} {'true dyaw':>10s} {'est dyaw':>10s} {'err deg':>8s} {'err cm':>7s} "
       f"{'inliers':>7s} {'visited':>7s}")
-for i in range(instance.initial.num_objects):
-    est = by_object[i]
+for i, est in estimates.items():
     truth = instance.true_offsets[i]
     dtheta, dt = geo.planar_distance(est.offset, truth)
     est_yaw = np.degrees(est.offset.yaw)
@@ -57,4 +56,4 @@ for i in range(instance.initial.num_objects):
         f"{i:>6d} {np.degrees(truth.yaw):>9.1f}  {est_yaw:>9.1f}  {dtheta:>8.3f} {dt:>7.3f} "
         f"{est.inlier_count:>7d} {est.candidates_visited:>7d}"
     )
-print("\nall estimates accepted:", all(e.accepted for e in by_object.values()))
+print("\nall estimates accepted:", all(e.accepted for e in estimates.values()))

@@ -11,7 +11,8 @@ whose re-observer (``make_reobserver``) captures the world from the home
 viewpoint. ``scene_goal_regions`` captures the goal scene from the home
 viewpoint once per seed, for every regime and database: the goal image is
 an input of the task, not the world's state. ``localize_scene`` runs
-``estimate_all`` on the goal regions and pairs instances to objects;
+``estimate_all`` on the goal regions and returns one estimate per scene
+object, the currency of the records, the planner and the CLI;
 ``scene_outcome`` judges a run. Every view goes through ``capture``: the
 one render here, and ``perception.prepare_goal_regions``, one descriptor
 batch per capture. Both drivers run one loop over seeds and, within a
@@ -22,8 +23,8 @@ initial scene, estimate every object's relative pose from the goal frame,
 and accumulate planar errors against the generator's true offsets. The
 single-view ablation rebuilds the database from the home-viewpoint frame
 alone, on the same seeds and the same goal regions, so comparisons are
-paired. ``localize_scene`` gives every scene object one estimate record:
-an object whose paired instance no goal region claimed reads
+paired. ``localize_scene`` gives every scene object one estimate: an
+object whose paired instance no goal region claimed reads
 ``PoseEstimate()``, the identity offset with zero counters, not accepted.
 So every record's error is its estimate's offset against the true offset
 (for a missing estimate, the identity's: the assume-unmoved error), and
@@ -215,20 +216,6 @@ def build_scene_database(world: World, mode: str):
     return associate(world.capture(VIEW_MODES[mode].viewpoints(world.inst)))
 
 
-@dataclass
-class SceneEstimates:
-    by_instance: dict  # database instance -> PoseEstimate, as estimate_all returns it
-    object_of: dict  # database instance -> scene object (match_instances_to_objects)
-    num_objects: int  # scene objects: by_object has a key for each
-
-    @property
-    def by_object(self) -> dict:
-        """Scene object -> PoseEstimate, for every object: ``PoseEstimate()``
-        for one whose paired instance no goal region claimed."""
-        found = {i: self.by_instance[u] for u, i in self.object_of.items() if u in self.by_instance}
-        return {i: found.get(i, PoseEstimate()) for i in range(self.num_objects)}
-
-
 def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
     """The goal scene's capture from the home viewpoint. The regions are
     only read (each derives its matching index once, on first use), so one
@@ -239,23 +226,25 @@ def scene_goal_regions(inst, library, cfg: BenchConfig) -> list:
     return regions
 
 
-def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> SceneEstimates:
-    """Localization stage: every object's relative pose from the goal
-    regions (``scene_goal_regions``)."""
+def localize_scene(inst, db, goal_regions, matcher, cfg: BenchConfig) -> dict:
+    """Localization stage: scene object -> PoseEstimate, in object order,
+    from the goal regions (``scene_goal_regions``): the estimate of the
+    instance paired with the object (``match_instances_to_objects``, which
+    pairs every instance of a built database), or ``PoseEstimate()`` when
+    no goal region claimed that instance."""
     by_instance = estimate_all(
         goal_regions, db, matcher, inst.config.intrinsics, cfg.localization
     )
-    scene = inst.initial
-    return SceneEstimates(by_instance, match_instances_to_objects(db, scene), scene.num_objects)
+    object_of = match_instances_to_objects(db, inst.initial)
+    found = {object_of[u]: est for u, est in by_instance.items()}
+    return {i: found.get(i, PoseEstimate()) for i in range(inst.initial.num_objects)}
 
 
-def complete_scene(
-    inst, library, cfg: BenchConfig, goal_regions
-) -> tuple[SceneEstimates, ExecutionResult]:
+def complete_scene(inst, library, cfg: BenchConfig, goal_regions) -> tuple[dict, ExecutionResult]:
     """The full-scene run: the ring database of the initial scene, every
-    object localized from the goal regions (``scene_goal_regions``;
-    ``PoseEstimate()`` for an object with none) with the scene's
-    multi-view matcher, then the planner.
+    object localized from the goal regions (``scene_goal_regions``) with
+    the scene's multi-view matcher, then the planner; the per-object
+    estimates (``localize_scene``) and the planner's result.
     When ``inst.config.actuation_sigma > 0`` the planner re-observes an
     object from the home viewpoint, with the same matcher, before a goal
     move, if the robot has moved that object since it last re-observed it
@@ -263,12 +252,11 @@ def complete_scene(
     world = World(inst, library, cfg)
     db = build_scene_database(world, "multi")
     matcher = scene_matcher(inst, "multi", library, cfg)
-    found = localize_scene(inst, db, goal_regions, matcher, cfg)
+    estimates = localize_scene(inst, db, goal_regions, matcher, cfg)
     reobserve = None
     if inst.config.actuation_sigma > 0:
-        object_instance = {i: u for u, i in found.object_of.items()}
-        reobserve = make_reobserver(world, db, matcher, cfg, object_instance)
-    return found, plan_and_execute(world, found.by_object, library, cfg.planner, reobserve)
+        reobserve = make_reobserver(world, db, matcher, estimates)
+    return estimates, plan_and_execute(world, estimates, cfg.planner, reobserve)
 
 
 @dataclass
@@ -334,9 +322,9 @@ def _pose_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
     for mode in modes:
         db = build_scene_database(world, mode)
         matcher = scene_matcher(inst, mode, library, cfg)
-        by_object = localize_scene(inst, db, goal_regions, matcher, cfg).by_object
+        estimates = localize_scene(inst, db, goal_regions, matcher, cfg)
         for i, p in enumerate(inst.initial.placements):
-            est = by_object[i]
+            est = estimates[i]
             dtheta, dt = planar_distance(est.offset, inst.true_offsets[i])
             rows.append({
                 "regime": inst.config.rotation_regime,
@@ -371,29 +359,27 @@ def compute_pose_summary(rows, skipped_scenes=0) -> dict:
     return summary
 
 
-def make_reobserver(world: World, db, matcher, cfg: BenchConfig, object_instance):
+def make_reobserver(world: World, db, matcher, estimates: dict):
     """Home-viewpoint re-estimation hook for the planner (noisy actuation),
-    which calls it only for an object it has moved since the object's last
+    which calls it only for an object with an accepted estimate (one that
+    names its instance) that it has moved since the object's last
     successful re-observation.
 
     Captures the world's current scene from the home viewpoint, picks the
     region nearest the dead-reckoned guess, and estimates its motion
     relative to the database (built on the initial scene), restricted to
-    the object's own instance list.
+    the instance the object's estimate in ``estimates`` names.
     """
 
     def reobserve(i, guess):
-        u = object_instance.get(i)
-        if u is None:
-            raise ReobservationFailed(f"object {i} has no database instance")
         (regions,) = world.capture([world.inst.config.home_viewpoint])
         if not regions:
             raise ReobservationFailed("home frame sees nothing")
         dists = [np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty) for r in regions]
         region = regions[int(np.argmin(dists))]
-        excluded = frozenset(set(range(db.num_instances)) - {u})
+        excluded = frozenset(set(range(db.num_instances)) - {estimates[i].instance_id})
         est = estimate_object(
-            region, db, matcher, world.inst.config.intrinsics, cfg.localization, excluded
+            region, db, matcher, world.inst.config.intrinsics, world.cfg.localization, excluded
         )
         if not est.accepted:
             raise ReobservationFailed(est.note or "re-estimation rejected")
@@ -403,10 +389,10 @@ def make_reobserver(world: World, db, matcher, cfg: BenchConfig, object_instance
 
 
 def _completion_rows(inst, library, cfg: BenchConfig, goal_regions) -> list[dict]:
-    found, result = complete_scene(inst, library, cfg, goal_regions)
+    estimates, result = complete_scene(inst, library, cfg, goal_regions)
     outcome = scene_outcome(inst, result, cfg.planner)
     rows = []
-    for o, p, est in zip(outcome.objects, inst.initial.placements, found.by_object.values()):
+    for o, p, est in zip(outcome.objects, inst.initial.placements, estimates.values()):
         rows.append({
             "regime": inst.config.rotation_regime,
             "scene_seed": inst.seed,

@@ -33,7 +33,9 @@ sim value that differs from the instance's exits 2.
 A view that sees nothing adds no region; a capture in which none sees an
 object exits 2 ("no regions in any frame"). ``localize`` refuses a
 database whose header names another library, view, seed or instance file
-(``instance_sha256``: the SHA-256 of the text ``save_instance`` writes).
+(``instance_sha256``: the SHA-256 of the text ``save_instance`` writes),
+and one with more instances than the instance has objects; every row of
+its ``poses.json`` names the object its instance is paired with.
 """
 
 from __future__ import annotations
@@ -178,14 +180,18 @@ def cmd_build_db(args) -> int:
     return 0
 
 
-def _pose_report_rows(inst, found):
+def _pose_report_rows(inst, estimates: dict) -> list:
+    """poses.json's rows: one per estimate a goal region claimed, in
+    instance order, each naming its matched object and its error."""
     rows = []
-    for u in sorted(found.by_instance):
-        est = found.by_instance[u]
+    claimed = [(est.instance_id, i) for i, est in estimates.items() if est.instance_id is not None]
+    for u, i in sorted(claimed):
+        est = estimates[i]
         # yaw_deg is read back off the matrix: degrees(offset.yaw) differs
         # from it in the last bit for some yaws
         T = lift(est.offset)
-        row = {
+        dtheta, dt = planar_distance(est.offset, inst.true_offsets[i])
+        rows.append({
             "instance": u,
             "accepted": bool(est.accepted),
             "yaw_deg": float(np.degrees(pose_yaw(T))),
@@ -194,14 +200,10 @@ def _pose_report_rows(inst, found):
             "T": [[float(v) for v in r] for r in T.matrix],
             **estimate_counters(est),
             "note": est.note,
-        }
-        if u in found.object_of:
-            i = found.object_of[u]
-            row["matched_object"] = i
-            dtheta, dt = planar_distance(est.offset, inst.true_offsets[i])
-            row["dtheta_deg"] = dtheta
-            row["dt_cm"] = dt
-        rows.append(row)
+            "matched_object": i,
+            "dtheta_deg": dtheta,
+            "dt_cm": dt,
+        })
     return rows
 
 
@@ -227,16 +229,22 @@ def cmd_localize(args) -> int:
     library = instance_library(args.instance, inst.config)
     check_scenes(inst, library)
     _check_provenance(header, digest)
+    # a built database names at most one instance per object: each pairs with one
+    objects = inst.initial.num_objects
+    if db.num_instances > objects:
+        raise MvorError(
+            f"database has {db.num_instances} instances, the instance has {objects} objects"
+        )
     # checked once here: the feature_id matcher never reads the library, so
     # ids naming no row would only ever fail to match
     library.check_feature_ids(db.crop_feature_ids)
     matcher = scene_matcher(inst, _view_mode(header["view"]), library, cfg)
     goal_regions = scene_goal_regions(inst, library, cfg)
-    found = localize_scene(inst, db, goal_regions, matcher, cfg)
+    rows = _pose_report_rows(inst, localize_scene(inst, db, goal_regions, matcher, cfg))
     path = _out_dir(args, "poses.json")
-    dump_json({"instance_seed": inst.seed, "objects": _pose_report_rows(inst, found)}, path)
-    accepted = sum(1 for e in found.by_instance.values() if e.accepted)
-    print(f"estimated {len(found.by_instance)} objects ({accepted} accepted); report at {path}")
+    dump_json({"instance_seed": inst.seed, "objects": rows}, path)
+    accepted = sum(r["accepted"] for r in rows)
+    print(f"estimated {len(rows)} objects ({accepted} accepted); report at {path}")
     return 0
 
 

@@ -201,7 +201,10 @@ def pose_yaw(pose: Pose3) -> float:
 
 def planar_distance(a: PlanarTransform, b: PlanarTransform) -> tuple[float, float]:
     """(|yaw difference| in degrees, wrapped so that adding 2*pi to either
-    yaw changes nothing; translation distance in cm)."""
+    yaw changes nothing; translation distance in cm). The yaw term is not
+    bit-symmetric (``wrap_angle(-w)`` need not be ``-wrap_angle(w)``), so
+    every record passes the estimate or final pose first and the truth or
+    goal second: argument order is part of the byte contract."""
     dtheta = abs(float(np.degrees(wrap_angle(a.yaw - b.yaw))))
     return dtheta, float(np.hypot(a.tx - b.tx, a.ty - b.ty) * 100.0)
 

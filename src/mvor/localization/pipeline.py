@@ -238,10 +238,10 @@ def estimate_all(
     estimate. ``intr`` are the goal camera's intrinsics.
 
     Two goal regions claiming the same instance are resolved by inlier
-    ratio; the loser re-runs with that instance excluded. Goal regions are
-    only read, so one prepared list serves several databases.
+    ratio; the loser re-runs with its own exclusions plus that instance.
+    Goal regions are only read, so one list serves several databases.
     """
-    results: dict[int, tuple[int, PoseEstimate]] = {}
+    results = {}  # instance -> the claim holding it: (goal region, exclusions, estimate)
     pending: list[tuple[int, frozenset]] = [(i, frozenset()) for i in range(len(goal_regions))]
     while pending:
         ridx, excl = pending.pop(0)
@@ -249,13 +249,13 @@ def estimate_all(
         u = est.instance_id
         if u is None:
             continue
+        claim = (ridx, excl, est)
         if u not in results:
-            results[u] = (ridx, est)
+            results[u] = claim
             continue
-        held_ridx, held = results[u]
+        held = results[u][2]
         if (est.inlier_ratio, est.inlier_count) > (held.inlier_ratio, held.inlier_count):
-            results[u] = (ridx, est)
-            pending.append((held_ridx, excl | frozenset({u})))
-        else:
-            pending.append((ridx, excl | frozenset({u})))
-    return {u: est for u, (_, est) in results.items()}
+            results[u], claim = claim, results[u]
+        lost_ridx, lost_excl, _ = claim
+        pending.append((lost_ridx, lost_excl | {u}))
+    return {u: est for u, (_, _, est) in results.items()}

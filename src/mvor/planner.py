@@ -19,7 +19,8 @@ against the true goal.
 The planner operates on estimated offsets only, and reaches the simulator
 only through its world (``bench.World``): ``world.execute`` makes each
 move, the re-observer captures the world, and collision checks and buffer
-searches read ``world.scene`` (ROADMAP item 13 plans on belief instead).
+searches read ``world.scene`` and ``world.library`` (ROADMAP item 13 plans
+on belief instead).
 Each accepted estimate fixes the object's believed goal once, as its
 planar ``offset`` applied to the object's initial pose, and every goal
 move targets that belief. The tracked pose stands in for the robot's
@@ -154,11 +155,7 @@ def find_buffer_pose(
 
 
 def plan_and_execute(
-    world,
-    estimates: dict,
-    library: ModelLibrary,
-    config: PlannerConfig,
-    reobserve=None,
+    world, estimates: dict, config: PlannerConfig, reobserve=None
 ) -> ExecutionResult:
     """Run the full rearrangement loop in ``world`` (``bench.World``).
 
@@ -216,7 +213,7 @@ def plan_and_execute(
                     remaining.remove(i)
                     continue
                 collision = check_collision(
-                    world.scene, library, i, target, config.collision_margin
+                    world.scene, world.library, i, target, config.collision_margin
                 )
                 if attempt(i, "goal-move", target, collision):
                     remaining.remove(i)
@@ -229,7 +226,7 @@ def plan_and_execute(
             if failures[i] <= config.thres_fail:
                 continue
             try:
-                pose = find_buffer_pose(world.scene, library, i, world.rng, config)
+                pose = find_buffer_pose(world.scene, world.library, i, world.rng, config)
                 collision = False
             except NoBufferSpace:
                 pose, collision = tracked[i], True

@@ -234,7 +234,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
         for i, off in enumerate(inst.true_offsets)
     }
     result = plan_and_execute(
-        World(inst, library, BenchConfig()), estimates, library, PlannerConfig()
+        World(inst, library, BenchConfig()), estimates, PlannerConfig()
     )
     swap_ok = (
         scene_outcome(inst, result, PlannerConfig()).completed
@@ -256,7 +256,7 @@ def test_criterion_5_planner_swap_and_conflict_free():
         for i, off in enumerate(inst2.true_offsets)
     }
     result2 = plan_and_execute(
-        World(inst2, library, BenchConfig()), estimates2, library, PlannerConfig()
+        World(inst2, library, BenchConfig()), estimates2, PlannerConfig()
     )
     free_ok = (
         scene_outcome(inst2, result2, PlannerConfig()).completed

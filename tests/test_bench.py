@@ -56,7 +56,7 @@ from mvor.sim import (
     segment,
 )
 from mvor.serialize import from_dict, load_json, to_dict
-from mvor.sim.config import MAX_IMAGE_SIDE, MIN_MODEL_POINTS
+from mvor.sim.config import MAX_IMAGE_SIDE, MIN_MODEL_POINTS, ROTATION_REGIMES
 from mvor.sim.models import FAMILIES
 from mvor.sim.io import FORMAT_VERSION, INSTANCE_FORMAT, instance_from_dict, instance_to_dict
 
@@ -155,8 +155,9 @@ class TestPoseBench:
         assert len(singles) == len(multis)  # every object contributes a row
 
     def test_every_object_has_one_estimate_record(self):
-        """``by_object`` has a key for every scene object, in object order;
-        one whose paired instance no goal region claimed reads
+        """``localize_scene`` gives a key to every scene object, in object
+        order, whose estimate names the instance paired with it; one whose
+        paired instance no goal region claimed reads
         ``PoseEstimate()``, and its pose record carries ``accepted`` 0,
         zero counters and the identity offset's error. A 400-point region
         minimum leaves object 4 of the seed-1 full-rotation scene so."""
@@ -167,17 +168,15 @@ class TestPoseBench:
         goal_regions = scene_goal_regions(inst, library, cfg)
         db = build_scene_database(World(inst, library, cfg), "multi")
         matcher = scene_matcher(inst, "multi", library, cfg)
-        found = localize_scene(inst, db, goal_regions, matcher, cfg)
-        by_object = found.by_object
-        assert list(by_object) == list(range(inst.initial.num_objects))
-        claimed = {
-            i: found.by_instance[u] for u, i in found.object_of.items() if u in found.by_instance
-        }
-        assert all(by_object[i] is est for i, est in claimed.items())
-        assert set(by_object) - set(claimed) == {4}
-        assert by_object[4] == PoseEstimate()
+        estimates = localize_scene(inst, db, goal_regions, matcher, cfg)
+        assert list(estimates) == list(range(inst.initial.num_objects))
+        object_of = match_instances_to_objects(db, inst.initial)
+        claimed = {i for i, est in estimates.items() if est.instance_id is not None}
+        assert all(object_of[estimates[i].instance_id] == i for i in claimed)
+        assert set(estimates) - claimed == {4}
+        assert estimates[4] == PoseEstimate()
         rows = bench._pose_rows(inst, library, cfg, goal_regions)
-        assert [r["object"] for r in rows] == list(by_object)
+        assert [r["object"] for r in rows] == list(estimates)
         assert rows[4]["accepted"] == 0
         assert all(rows[4][k] == 0 for k in bench.estimate_counters(PoseEstimate()))
         assert (rows[4]["dtheta_deg"], rows[4]["dt_cm"]) == geo.planar_distance(
@@ -252,6 +251,32 @@ class TestInstanceObjectMatching:
             labels = set(db.source_instance[np.flatnonzero(db.region_instance == u)].tolist())
             assert labels == {i}
 
+    @pytest.mark.parametrize(
+        "sim",
+        [
+            SimConfig(),
+            # the output digests' crowded scene: 9 objects, 5 ring views
+            SimConfig(object_count_min=9, object_count_max=9, ring_count=5,
+                      ring_elevation_deg=25.0, image_width=320, image_height=240),
+        ],
+        ids=["default", "crowded"],
+    )
+    def test_every_instance_is_paired(self, default_library, sim):
+        """A built database has at most as many instances as its scene has
+        objects (the fullest frame names them), so the pairing covers every
+        instance, ring or home view, either regime: ``localize_scene`` and
+        ``mvor localize`` rely on it."""
+        cfg = BenchConfig(sim=sim)
+        for regime in ROTATION_REGIMES:
+            for seed in range(3):
+                scene_sim = replace(sim, rotation_regime=regime)
+                inst = generate_instance(scene_sim, default_library, seed=seed)
+                world = World(inst, default_library, cfg)
+                for mode in bench.VIEW_MODES:
+                    db = build_scene_database(world, mode)
+                    pairs = match_instances_to_objects(db, inst.initial)
+                    assert sorted(pairs) == list(range(db.num_instances)), (regime, seed, mode)
+
 
 class TestNoiseModeCorrection:
     def test_reobserved_correction_reaches_goal(self):
@@ -271,7 +296,7 @@ class TestNoiseModeCorrection:
             db = build_database(frames, library, bcfg.perception)
             matcher = bcfg.localization.make_matcher(library)
             world = World(inst, library, bcfg)
-            reobserve = make_reobserver(world, db, matcher, bcfg, {0: 0})
+            reobserve = make_reobserver(world, db, matcher, {0: PoseEstimate(instance_id=0)})
             goal_pose = inst.goal.placements[0].pose
             for noise_seed in range(10):
                 trials += 1
@@ -294,6 +319,13 @@ class TestNoiseModeCorrection:
         assert ok >= 190
 
 
+def paired_estimates(db, inst) -> dict:
+    """Per scene object, an estimate naming only its paired instance: all
+    the re-observer reads of an estimate."""
+    pairs = match_instances_to_objects(db, inst.initial)
+    return {i: PoseEstimate(instance_id=u) for u, i in pairs.items()}
+
+
 class TestReobserver:
     def test_describes_the_home_regions_in_one_batch(self, monkeypatch):
         cfg = SimConfig(object_count_min=4, object_count_max=4)
@@ -304,7 +336,7 @@ class TestReobserver:
         inst = generate_instance(cfg, library, seed=7)
         frames = render(inst.initial, inst.config.ring_viewpoints, intr, library)
         db = build_database(frames, library, pcfg)
-        object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
+        estimates = paired_estimates(db, inst)
         guess = inst.goal.placements[0].pose
         scene = apply_move(inst.initial, library, 0, guess, 0.003, np.random.default_rng(1))
 
@@ -325,7 +357,7 @@ class TestReobserver:
         monkeypatch.setattr(bench, "render", rendering)
         world = World(inst, library, bcfg)
         world.scene = scene
-        reobserve = make_reobserver(world, db, lcfg.make_matcher(library), bcfg, object_instance)
+        reobserve = make_reobserver(world, db, lcfg.make_matcher(library), estimates)
         tracked = reobserve(0, guess)
         # one render of the home view, and every home region described in
         # one batch
@@ -340,7 +372,7 @@ class TestReobserver:
             regions,
             key=lambda r: np.hypot(r.centroid[0] - guess.tx, r.centroid[1] - guess.ty),
         )
-        excluded = frozenset(set(range(db.num_instances)) - {object_instance[0]})
+        excluded = frozenset(set(range(db.num_instances)) - {estimates[0].instance_id})
         est = estimate_object(region, db, lcfg.make_matcher(library), intr, lcfg, excluded)
         assert est.accepted
         expected = geo.planar_compose(est.offset, inst.initial.placements[0].pose)
@@ -355,10 +387,9 @@ class TestReobserver:
         inst = generate_instance(cfg, library, seed=1)
         frames = render(inst.initial, inst.config.ring_viewpoints, cfg.intrinsics, library)
         db = build_database(frames, library, bcfg.perception)
-        object_instance = {i: u for u, i in match_instances_to_objects(db, inst.initial).items()}
         world = World(inst, library, bcfg)
         reobserve = make_reobserver(
-            world, db, bcfg.localization.make_matcher(library), bcfg, object_instance
+            world, db, bcfg.localization.make_matcher(library), paired_estimates(db, inst)
         )
         world.scene = away = SceneState(
             inst.initial.table_bounds,
@@ -1437,6 +1468,23 @@ class TestCliInstanceFiles:
         monkeypatch.setattr("mvor.sim.io.generate_model_library", no_library)
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == message
+
+    def test_localize_rejects_more_instances_than_objects(self, files, tmp_path, capsys):
+        """A database edited to hold one instance more than its one-object
+        scene would leave an instance no object is paired with; it exits 2
+        before anything is written."""
+        db, header = load_database(files / "db.npz")
+        db.instance_centroids = np.vstack([db.instance_centroids, db.instance_centroids])
+        del header["num_instances"]  # save_database writes the new count
+        save_database(db, tmp_path / "db.npz", header)
+        out = tmp_path / "poses.json"
+        argv = ["localize", "--db", str(tmp_path / "db.npz"),
+                "--instance", str(files / "instance.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: database has 2 instances, the instance has 1 objects\n"
+        assert not out.exists()
 
     def test_localize_accepts_its_own_descriptor_settings(self, files, tmp_path):
         argv = ["localize", "--db", str(files / "db.npz"),

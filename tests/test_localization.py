@@ -12,7 +12,7 @@ from mvor import geometry as geo
 from mvor.bench import BenchConfig, World, build_scene_database, scene_goal_regions
 from mvor.errors import DegenerateGeometry, NoCandidates, TooFewCorrespondences
 from mvor.geometry import PlanarTransform, Pose3, nearest_pixel
-from mvor.localization import pnp
+from mvor.localization import pipeline, pnp
 from mvor.localization.matching import common_hits
 from mvor.localization import (
     Correspondences2D,
@@ -1310,6 +1310,33 @@ class TestEstimateAll:
         est = estimate_object(goals[0], db, matcher, INTR, LCFG, frozenset({0}))
         assert len(matcher.cands) == 2
         assert (est.instance_id, est.candidates_visited) == (None, 0)
+
+    def test_evicted_claim_reruns_with_its_own_exclusions(self, monkeypatch):
+        """A region evicted once (r0, then excluding instance 0) wins
+        instance 1 from r2, which excluded nothing: r2 re-runs excluding
+        instance 1 alone. It once re-ran with r0's exclusions added, barred
+        from instance 0, which it never contested."""
+        script = {
+            ("r0", frozenset()): (0, 0.5),
+            ("r1", frozenset()): (0, 0.9),
+            ("r2", frozenset()): (1, 0.5),
+            ("r0", frozenset({0})): (1, 0.9),
+            ("r2", frozenset({1})): (2, 0.5),
+        }
+        calls = []
+
+        def scripted(goal_region, db, matcher, intr, config, excluded=frozenset()):
+            calls.append((goal_region, excluded))
+            if (goal_region, excluded) not in script:
+                return PoseEstimate()
+            u, ratio = script[goal_region, excluded]
+            return PoseEstimate(inlier_count=int(ratio * 100), num_correspondences=100,
+                                instance_id=u, accepted=True)
+
+        monkeypatch.setattr(pipeline, "estimate_object", scripted)
+        out = estimate_all(["r0", "r1", "r2"], None, None, INTR, LCFG)
+        assert calls == list(script)
+        assert {u: est.inlier_ratio for u, est in out.items()} == {0: 0.9, 1: 0.9, 2: 0.5}
 
     def test_empty_goal_frame(self, library):
         from mvor.sim import empty_frame

@@ -44,7 +44,7 @@ from mvor.bench import (
     scene_matcher,
 )
 from mvor.geometry import PlanarTransform
-from mvor.localization import LocalizationConfig
+from mvor.localization import LocalizationConfig, PoseEstimate
 from mvor.sim import Placement, SceneState, SimConfig, generate_instance, generate_model_library
 
 SCENES = [(regime, seed) for regime in ("minor", "full") for seed in range(5)]
@@ -112,11 +112,14 @@ def estimates(regime, seed, matcher, change=None, arg=None):
     inst, goal_regions, dbs = scene(regime, seed, change, arg)
     cfg = MATCHERS[matcher]
     return {
-        mode: localize_scene(
-            inst, db, goal_regions, scene_matcher(inst, mode, library(), cfg), cfg
-        ).by_object
+        mode: localize_scene(inst, db, goal_regions, scene_matcher(inst, mode, library(), cfg), cfg)
         for mode, db in dbs.items()
     }
+
+
+def claimed_objects(estimates) -> set:
+    """The objects whose paired instance a goal region claimed."""
+    return {i for i, est in estimates.items() if est.instance_id is not None}
 
 
 def assert_same(a, b):
@@ -174,13 +177,15 @@ def test_dropped_goal_region_leaves_the_others():
         inst, goal_regions, dbs = scene(regime, seed)
         for mode, db in dbs.items():
             matcher = scene_matcher(inst, mode, library(), cfg)
-            full = localize_scene(inst, db, goal_regions, matcher, cfg).by_instance
+            full = localize_scene(inst, db, goal_regions, matcher, cfg)
+            claimed = claimed_objects(full)
             for kept in (goal_regions[1:], goal_regions[:-1]):
-                fewer = localize_scene(inst, db, kept, matcher, cfg).by_instance
-                assert len(fewer) == len(full) - 1 and fewer.keys() < full.keys()
-                for u, est in fewer.items():
-                    assert est.instance_id == full[u].instance_id == u
-                    assert_same(est, full[u])
+                fewer = localize_scene(inst, db, kept, matcher, cfg)
+                (dropped,) = claimed - claimed_objects(fewer)
+                assert claimed_objects(fewer) < claimed and fewer[dropped] == PoseEstimate()
+                for i in claimed - {dropped}:
+                    assert fewer[i].instance_id == full[i].instance_id
+                    assert_same(fewer[i], full[i])
 
 
 def test_move_log_turns_with_the_world():

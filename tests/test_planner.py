@@ -192,7 +192,7 @@ class TestGoalTarget:
         goal = scene_of([PlanarTransform(-0.7, x, 0.3) for x in (-0.3, 0.0, 0.3)])
         inst = instance_of(initial, goal)
         result = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         assert [m.kind for m in result.moves] == ["goal-move"] * 3
         for m in result.moves:
@@ -205,7 +205,7 @@ class TestGoalTarget:
         goal = scene_of([PlanarTransform(0.9, 0.15, 0.0), PlanarTransform(-0.4, -0.15, 0.0)])
         inst = instance_of(initial, goal)
         result = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         assert completed(inst, result)
         b, buffer = next((k, m) for k, m in enumerate(result.moves) if m.kind == "buffer-move")
@@ -255,7 +255,7 @@ class TestPlanAndExecute:
         )
         inst = instance_of(initial, goal)
         result = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         assert completed(inst, result)
         assert result.total_manipulations == 3
@@ -273,7 +273,7 @@ class TestPlanAndExecute:
         )
         inst = instance_of(initial, goal)
         result = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         assert completed(inst, result)
         assert result.total_manipulations == 3
@@ -288,7 +288,7 @@ class TestPlanAndExecute:
         initial = scene_of([PlanarTransform(0.3, 0.1, 0.1), PlanarTransform(0, -0.2, -0.2)])
         inst = instance_of(initial, initial)
         result = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         assert completed(inst, result)
         assert result.total_manipulations == 0
@@ -300,7 +300,7 @@ class TestPlanAndExecute:
         inst = instance_of(initial, goal)
         estimates = {0: PoseEstimate(offset=PlanarTransform.identity(), accepted=False)}
         config = PlannerConfig(outer_factor=outer_factor)
-        result = plan_and_execute(world_of(inst, library), estimates, library, config)
+        result = plan_and_execute(world_of(inst, library), estimates, config)
         # one failure per pass: the budget of outer_factor passes for the
         # one object ends the loop on the pass after it, before the failures
         # pass thres_fail (3), so nothing moves
@@ -313,7 +313,7 @@ class TestPlanAndExecute:
             cfg = SimConfig(object_count_min=4, object_count_max=7)
             inst = generate_instance(cfg, library, seed=seed)
             result = plan_and_execute(
-                world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+                world_of(inst, library), exact_estimates(inst), PlannerConfig()
             )
             assert completed(inst, result)
             final = replay(inst, result, library)  # must not raise
@@ -326,7 +326,7 @@ class TestPlanAndExecute:
             inst = generate_instance(cfg, library, seed=seed)
             k = inst.initial.num_objects
             result = plan_and_execute(
-                world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+                world_of(inst, library), exact_estimates(inst), PlannerConfig()
             )
             assert completed(inst, result), f"seed {seed} did not complete"
             assert result.outer_iterations <= 2 * k + 1
@@ -345,7 +345,7 @@ class TestPlanAndExecute:
         )
         inst = instance_of(initial, goal)
         config = PlannerConfig()
-        result = plan_and_execute(world_of(inst, library), exact_estimates(inst), library, config)
+        result = plan_and_execute(world_of(inst, library), exact_estimates(inst), config)
         scene = inst.initial
         for m in result.moves:
             if m.executed:
@@ -358,10 +358,10 @@ class TestPlanAndExecute:
         cfg = SimConfig(object_count_min=5, object_count_max=5)
         inst = generate_instance(cfg, library, seed=17)
         a = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         b = plan_and_execute(
-            world_of(inst, library), exact_estimates(inst), library, PlannerConfig()
+            world_of(inst, library), exact_estimates(inst), PlannerConfig()
         )
         assert a.moves == b.moves
 
@@ -373,7 +373,7 @@ class TestPlanAndExecute:
         goal = scene_of([PlanarTransform(1.0, 0.02, 0.0), PlanarTransform(-1.0, -0.02, 0.0)])
         inst = instance_of(initial, goal)
         config = PlannerConfig(buffer_attempts=50)
-        result = plan_and_execute(world_of(inst, lib_big), exact_estimates(inst), lib_big, config)
+        result = plan_and_execute(world_of(inst, lib_big), exact_estimates(inst), config)
         assert not completed(inst, result, config)
         assert sum(result.buffer_moves.values()) == 0
         failed = [m for m in result.moves if m.kind == "buffer-move"]
@@ -532,7 +532,7 @@ class TestMoveLogPlannerMatchesReference:
             ref_reobserve = reference_reobserver(inst.seed, fail_rate)
             reobserve = seeded_reobserver(world, inst.seed, fail_rate)
         ref = reference_plan_and_execute(inst, estimates, library, config, ref_reobserve)
-        got = plan_and_execute(world, estimates, library, config, reobserve)
+        got = plan_and_execute(world, estimates, config, reobserve)
         assert got.moves == ref.moves
         assert got.outer_iterations == ref.outer_iterations
         assert got.final_scene.placements == ref.final_scene.placements
@@ -572,7 +572,7 @@ class TestMoveLogPlannerMatchesReference:
         assert ref.outer_iterations == 1 and not ref.moves
 
 
-def planner_timeline(monkeypatch, world, estimates, library, config, reobserve):
+def planner_timeline(monkeypatch, world, estimates, config, reobserve):
     """Run the planner with ``reobserve`` and return its events in order:
     ``("reobserve", i, ok)`` per re-observer call and ``("log", move)`` per
     move-log entry, with the result."""
@@ -593,7 +593,7 @@ def planner_timeline(monkeypatch, world, estimates, library, config, reobserve):
         return pose
 
     monkeypatch.setattr(planner, "MoveRecord", logged)
-    result = plan_and_execute(world, estimates, library, config, counted)
+    result = plan_and_execute(world, estimates, config, counted)
     return events, result
 
 
@@ -621,7 +621,7 @@ class TestReobserveMovedOnly:
             }
             world = world_of(inst, library)
             events, result = planner_timeline(
-                monkeypatch, world, estimates, library, config,
+                monkeypatch, world, estimates, config,
                 seeded_reobserver(world, seed, fail_rate),
             )
             moved = set()
@@ -656,7 +656,7 @@ class TestReobserveMovedOnly:
         inst = instance_of(initial, goal, SimConfig(actuation_sigma=0.003))
         world = world_of(inst, library)
         events, result = planner_timeline(
-            monkeypatch, world, exact_estimates(inst), library, PlannerConfig(),
+            monkeypatch, world, exact_estimates(inst), PlannerConfig(),
             seeded_reobserver(world, 0, 0.0),
         )
         assert completed(inst, result) and result.total_manipulations == 3
