@@ -114,14 +114,25 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
     def project(self, cam: np.ndarray) -> np.ndarray:
-        """The (N, 2) pixels ``f * x / z + c`` of (N, 3) camera-frame
-        points, at or behind the camera too (callers filter on depth); one
-        column at a time, several times faster than an (N, 2) broadcast."""
+        """The (N, 2) pixels of (N, 3) camera-frame points
+        (:meth:`project_columns`), at or behind the camera too (callers
+        filter on depth)."""
         uv = np.empty((len(cam), 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, (f, c) in enumerate(((self.fx, self.cx), (self.fy, self.cy))):
-                uv[:, k] = f * cam[:, k] / cam[:, 2] + c
+            self.project_columns(cam, uv[:, 0], uv[:, 1])
         return uv
+
+    def project_columns(self, cam: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        """Write the pixels ``f * x / z + c`` of (N, 3) camera-frame points
+        into the (N,) arrays ``u`` and ``v``, one column at a time (several
+        times faster than an (N, 2) broadcast). A point at zero depth
+        divides by zero: a caller that passes one silences that in
+        ``np.errstate``."""
+        z = cam[:, 2]
+        for out, k, f, c in ((u, 0, self.fx, self.cx), (v, 1, self.fy, self.cy)):
+            np.multiply(cam[:, k], f, out=out)
+            np.divide(out, z, out=out)
+            np.add(out, c, out=out)
 
     def constraint_rows(self, uv: np.ndarray) -> np.ndarray:
         """The two rows ``[fx, 0, cx - u]`` and ``[0, fy, cy - v]`` per

@@ -16,8 +16,19 @@ two models.
   machine precision.
 
 Both share :func:`_ransac`: seeded minimal samples, inlier scoring by
-reprojection, a confidence-based early exit and up to three consensus
-refits.
+reprojection (:func:`_inlier_mask`), a confidence-based early exit and up
+to three consensus refits.
+
+The planar solver is the largest stage of a ``pose-ablation`` scene
+(ROADMAP, state section), and its cost is numpy dispatch, not
+arithmetic: a noisy solve scores about 9 hypotheses and runs about 7
+Gauss-Newton steps on a few hundred pairs. So the hot paths keep every
+operation and its operands and cut the calls around them. The pixels are
+split into contiguous u and v rows once per solve, scoring and refits
+fill buffers made once per solve or refit, and each product of (n, 3)
+rows by a small matrix takes that matrix C-ordered: numpy hands BLAS a
+transposed or column-ordered view as a transposed operand, a path about
+twice as slow on these thin products, with the same bits.
 """
 
 from __future__ import annotations
@@ -175,20 +186,43 @@ def reprojection_sq_errors(world, pixels, intr, r, t):
     return err
 
 
-def _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv):
+def _inlier_mask(world, pix, intr, r, t, thr2, d):
+    """The pairs whose squared reprojection error at (r, t) is at most
+    ``thr2``: bit for bit ``reprojection_sq_errors(world, pix.T, intr, r,
+    t) <= thr2``, the same operations on the same operands, on contiguous
+    u and v columns. ``pix`` holds the pixels as (2, n) u and v rows, and
+    ``d`` is a (2, n) buffer the call overwrites. Only the projection runs
+    under ``np.errstate``, as in :meth:`CameraIntrinsics.project`."""
+    cam = world @ np.ascontiguousarray(r.T)  # C-ordered (module docstring)
+    cam += t
+    du, dv = d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        intr.project_columns(cam, du, dv)
+    d -= pix
+    d *= d
+    du += dv
+    mask = du <= thr2
+    mask &= cam[:, 2] > _MIN_DEPTH
+    return mask
+
+
+def _fill_reprojection_terms(cam, pix, intr, ru, rv, j):
     """Fill in place the Gauss-Newton terms of the reprojection error at
-    camera points ``cam`` (all in front of the camera) of ``pixels``:
-    residuals ``resid`` (2n,), u and v interleaved, and the (n, 3)
-    derivatives ``ju`` of u and ``jv`` of v by the camera coordinates,
-    whose zero entries the caller sets once. Every entry is elementwise in
-    its pair."""
-    z = cam[:, 2]
-    np.subtract(intr.project(cam), pixels, out=resid.reshape(-1, 2))
-    inv_z = 1.0 / z
-    ju[:, 0] = intr.fx * inv_z
-    ju[:, 2] = -intr.fx * cam[:, 0] * inv_z**2
-    jv[:, 1] = intr.fy * inv_z
-    jv[:, 2] = -intr.fy * cam[:, 1] * inv_z**2
+    camera points ``cam`` (all in front of the camera) of the pixels
+    ``pix``, (2, n) u and v rows: the u and v residuals ``ru`` and ``rv``
+    (the even and odd entries of one interleaved (2n,) vector), and the
+    (n, 2, 3) derivatives of u (``j[:, 0]``) and of v (``j[:, 1]``) by the
+    camera coordinates, whose zero entries the caller sets once; read as
+    (2n, 3), their rows are interleaved as the residuals are. Every entry
+    is elementwise in its pair."""
+    intr.project_columns(cam, ru, rv)
+    ru -= pix[0]
+    rv -= pix[1]
+    inv_z = 1.0 / cam[:, 2]
+    inv_z2 = inv_z**2
+    for k, f in ((0, intr.fx), (1, intr.fy)):
+        np.multiply(inv_z, f, out=j[:, k, k])
+        np.multiply(-f * cam[:, k], inv_z2, out=j[:, k, 2])
 
 
 def refine_pose(world, pixels, intr, r, t, iters=20):
@@ -201,19 +235,17 @@ def refine_pose(world, pixels, intr, r, t, iters=20):
     t = t.copy()
     n = len(world)
     resid = np.empty(2 * n)
-    ju = np.zeros((n, 3))
-    jv = np.zeros((n, 3))
+    j = np.zeros((n, 2, 3))
     jac = np.empty((2 * n, 6))
     for _ in range(iters):
         cam = world @ r.T + t
         if np.any(cam[:, 2] <= _MIN_DEPTH):
             break
-        _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv)
+        _fill_reprojection_terms(cam, pixels.T, intr, resid[0::2], resid[1::2], j)
         # row_vec @ (-skew(c)) == cross(c, row_vec)
-        jac[0::2, :3] = np.cross(cam, ju)
-        jac[1::2, :3] = np.cross(cam, jv)
-        jac[0::2, 3:] = ju
-        jac[1::2, 3:] = jv
+        jac[0::2, :3] = np.cross(cam, j[:, 0])
+        jac[1::2, :3] = np.cross(cam, j[:, 1])
+        jac[:, 3:] = j.reshape(-1, 3)
         jtj = jac.T @ jac
         jtr = jac.T @ resid
         try:
@@ -279,13 +311,14 @@ def epnp(world, pixels, intr: CameraIntrinsics, polish_iters: int = 5):
 
 class _Model(NamedTuple):
     """What the RANSAC loop needs of a pose model. ``solve`` maps sample
-    indices to a hypothesis (None for a degenerate sample), ``sq_errors``
-    a hypothesis to the squared pixel error of every pair, and ``refit`` a
-    hypothesis and a consensus mask to a refined hypothesis."""
+    indices to a hypothesis (None for a degenerate sample), ``inliers`` a
+    hypothesis and a squared pixel threshold to the mask of the pairs
+    that reproject within it, and ``refit`` a hypothesis and a consensus
+    mask to a refined hypothesis."""
 
     sample_size: int
     solve: Callable
-    sq_errors: Callable
+    inliers: Callable
     refit: Callable
 
 
@@ -315,7 +348,7 @@ def _sample_consensus(model: _Model, n, iterations, thr2, confidence, seed, poli
             sample_mask = np.zeros(n, dtype=bool)
             sample_mask[sample] = True
             hyp = model.refit(hyp, sample_mask)
-        mask = model.sq_errors(hyp) <= thr2
+        mask = model.inliers(hyp, thr2)
         count = np.count_nonzero(mask)
         if count > best_count:
             best_count, best_mask, best_hyp = count, mask, hyp
@@ -360,11 +393,11 @@ def _ransac(model: _Model, n, iterations, threshold_px, confidence, seed):
     hyp, mask = best_hyp, best_mask
     slack = max(2, int(0.02 * n))
     for _ in range(3):
-        if mask.sum() < s:
+        if np.count_nonzero(mask) < s:
             break
         new_hyp = model.refit(hyp, mask)
-        new_mask = model.sq_errors(new_hyp) <= thr2
-        if new_mask.sum() + slack < mask.sum():
+        new_mask = model.inliers(new_hyp, thr2)
+        if np.count_nonzero(new_mask) + slack < np.count_nonzero(mask):
             break  # refinement drifted on a corrupt set; keep the previous fit
         changed = not np.array_equal(new_mask, mask)
         hyp, mask = new_hyp, new_mask
@@ -397,6 +430,8 @@ def ransac_pnp(
     """
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
+    pix = np.ascontiguousarray(pixels.T)
+    d = np.empty_like(pix)
 
     def refit(rt, mask):
         sol = epnp(world[mask], pixels[mask], intr, polish_iters=0)
@@ -406,7 +441,7 @@ def ransac_pnp(
     model = _Model(
         4,
         lambda sample: epnp(world[sample], pixels[sample], intr),
-        lambda rt: reprojection_sq_errors(world, pixels, intr, *rt),
+        lambda rt, thr2: _inlier_mask(world, pix, intr, *rt, thr2, d),
         refit,
     )
     (r, t), mask = _ransac(model, len(world), iterations, threshold_px, confidence, seed)
@@ -433,7 +468,7 @@ def _planar_equations(world, pixels, intr: CameraIntrinsics, w2c: Pose3):
     """
     n = len(world)
     e = intr.constraint_rows(pixels)
-    g = (e @ w2c.rotation).reshape(n, 2, 3)
+    g = (e @ np.ascontiguousarray(w2c.rotation)).reshape(n, 2, 3)  # C-ordered
     x, y, z = world[:, 0, None], world[:, 1, None], world[:, 2, None]
     coeff = np.stack(
         [g[..., 0] * x + g[..., 1] * y, g[..., 1] * x - g[..., 0] * y, g[..., 0], g[..., 1]],
@@ -446,7 +481,10 @@ def _planar_minimal(a, b):
     """(yaw, tx, ty) from the 4 x 4 system of two pairs, or None when it is
     singular (both pairs share their (x, y), or nearly so) or not finite
     (pixels overflowed by matcher noise pass the determinant test)."""
-    if abs(np.linalg.det(a)) <= _SINGULAR_TOL * np.prod(np.linalg.norm(a, axis=1)):
+    # the two reduces np.prod(np.linalg.norm(a, axis=1)) runs, without
+    # their Python wrappers
+    row_norms = np.sqrt(np.add.reduce(a * a, axis=1))
+    if abs(np.linalg.det(a)) <= _SINGULAR_TOL * np.multiply.reduce(row_norms):
         return None
     try:
         c, s, tx, ty = np.linalg.solve(a, b)
@@ -455,41 +493,46 @@ def _planar_minimal(a, b):
     return np.array([np.arctan2(s, c), tx, ty])
 
 
-def _refine_planar(world, pixels, intr: CameraIntrinsics, w2c: Pose3, p, iters):
-    """Gauss-Newton minimization of reprojection error over (yaw, tx, ty).
+def _refine_planar(world, pix, intr: CameraIntrinsics, w2c: Pose3, p, iters):
+    """Gauss-Newton minimization of reprojection error over (yaw, tx, ty)
+    of ``world`` against the pixels ``pix``, (2, n) u and v rows.
 
     The yaw derivative of a camera point is ``R @ (e_z x world)`` and the
     translation derivatives are the first two columns of the camera
     rotation.
 
     The residual and Jacobian buffers are allocated once per refit, and
-    each step fills them in place (:func:`_fill_reprojection_terms`).
+    each step fills them in place (:func:`_fill_reprojection_terms`). The
+    u and v derivative rows are read as one interleaved (2n, 3) matrix, so
+    each Jacobian column is one product over both; every row is the same
+    dot product as in a product over the u or v rows alone.
     """
     p = p.copy()
     n = len(world)
-    d_yaw_world = np.column_stack([-world[:, 1], world[:, 0], np.zeros(n)])
-    d_txy = w2c.rotation[:, :2]
+    # each pair's yaw derivative twice, once for its u row and once for its v row
+    d_yaw_world = np.repeat(np.column_stack([-world[:, 1], world[:, 0], np.zeros(n)]), 2, axis=0)
+    d_txy = np.ascontiguousarray(w2c.rotation[:, :2])  # C-ordered
     resid = np.empty(2 * n)
-    ju = np.zeros((n, 3))
-    jv = np.zeros((n, 3))
+    ru, rv = resid[0::2], resid[1::2]
+    j = np.zeros((n, 2, 3))
+    j_rows = j.reshape(-1, 3)
     jac = np.empty((2 * n, 3))
     for _ in range(iters):
         r, t = _planar_extrinsics(p, w2c)
-        cam = world @ r.T + t
-        if np.any(cam[:, 2] <= _MIN_DEPTH):
+        r_t = np.ascontiguousarray(r.T)  # C-ordered
+        cam = world @ r_t
+        cam += t
+        if (cam[:, 2] <= _MIN_DEPTH).any():
             break
-        _fill_reprojection_terms(cam, pixels, intr, resid, ju, jv)
-        d_yaw = d_yaw_world @ r.T
-        jac[0::2, 0] = np.einsum("ij,ij->i", ju, d_yaw)
-        jac[1::2, 0] = np.einsum("ij,ij->i", jv, d_yaw)
-        jac[0::2, 1:] = ju @ d_txy
-        jac[1::2, 1:] = jv @ d_txy
+        _fill_reprojection_terms(cam, pix, intr, ru, rv, j)
+        jac[:, 0] = np.einsum("ij,ij->i", j_rows, d_yaw_world @ r_t)
+        np.matmul(j_rows, d_txy, out=jac[:, 1:])
         try:
             delta = np.linalg.solve(jac.T @ jac, -(jac.T @ resid))
         except np.linalg.LinAlgError:
             break
         p += delta
-        if np.linalg.norm(delta) < 1e-14:
+        if np.sqrt(delta.dot(delta)) < 1e-14:  # np.linalg.norm(delta)'s bits
             break
     return p
 
@@ -515,12 +558,16 @@ def ransac_planar(world, pixels, intr: CameraIntrinsics, viewpoint: Pose3, confi
     pixels = np.asarray(pixels, dtype=float)
     w2c = invert(viewpoint)
     coeff, rhs = _planar_equations(world, pixels, intr, w2c)
+    pix = np.ascontiguousarray(pixels.T)
+    d = np.empty_like(pix)
     model = _Model(
         2,
-        lambda sample: _planar_minimal(coeff[sample].reshape(4, 4), rhs[sample].reshape(4)),
-        lambda p: reprojection_sq_errors(world, pixels, intr, *_planar_extrinsics(p, w2c)),
+        lambda sample: _planar_minimal(
+            coeff.take(sample, axis=0).reshape(4, 4), rhs.take(sample, axis=0).reshape(4)
+        ),
+        lambda p, thr2: _inlier_mask(world, pix, intr, *_planar_extrinsics(p, w2c), thr2, d),
         lambda p, mask: _refine_planar(
-            world[mask], pixels[mask], intr, w2c, p, config.refine_iters
+            world[mask], pix[:, mask], intr, w2c, p, config.refine_iters
         ),
     )
     p, mask = _ransac(

@@ -765,8 +765,8 @@ class TestPlanarSolver:
         world = np.column_stack([np.full(12, 0.1), np.full(12, -0.05), np.linspace(0, 0.1, 12)])
         uv = INTR.project(geo.invert(view).apply(world))
         scored = []
-        score = pnp.reprojection_sq_errors
-        monkeypatch.setattr(pnp, "reprojection_sq_errors", lambda *a: scored.append(a) or score(*a))
+        score = pnp._inlier_mask
+        monkeypatch.setattr(pnp, "_inlier_mask", lambda *a: scored.append(a) or score(*a))
         with pytest.raises(DegenerateGeometry):
             ransac_planar(world, uv, INTR, view, LCFG)
         assert scored == []  # every sample was skipped as singular, none was scored
@@ -917,7 +917,8 @@ def reference_ransac_planar(world, pixels, intr, viewpoint, config):
     model = pnp._Model(
         2,
         lambda sample: pnp._planar_minimal(coeff[sample].reshape(4, 4), rhs[sample].reshape(4)),
-        lambda p: reference_sq_errors(world, pixels, intr, *pnp._planar_extrinsics(p, w2c)),
+        lambda p, thr2: reference_sq_errors(world, pixels, intr, *pnp._planar_extrinsics(p, w2c))
+        <= thr2,
         lambda p, mask: reference_refine_planar(
             world[mask], pixels[mask], intr, w2c, p, config.refine_iters
         ),
@@ -983,6 +984,40 @@ class TestReprojectionSqErrors:
         alone = reprojection_sq_errors(world[front], pixels[front], INTR, r, t)
         assert np.all(np.isfinite(alone))
         assert err[front].tobytes() == alone.tobytes()
+
+
+class TestInlierMask:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+    def test_equals_thresholded_sq_errors(self, n, seed):
+        """The solvers' scoring kernel gives the bits of
+        ``reprojection_sq_errors(...) <= thr2``: pairs at depths -1, 0,
+        1e-9 and 2e-9 are never inliers, pairs in front are inliers
+        exactly when their squared error is within ``thr2``, and pixels
+        that overflowed to +-inf never are. Rotating about the camera's z
+        axis keeps every depth exact."""
+        rng = np.random.default_rng(seed)
+        r = geo.rot_z(rng.uniform(-np.pi, np.pi))
+        t = np.array([*rng.uniform(-0.5, 0.5, 2), 0.0])
+        depth = rng.choice([-1.0, 0.0, 1e-9, 2e-9, 0.5, 1.0, 2.0], n)
+        depth[:2] = rng.uniform(0.5, 2.0, 2)
+        depth[2] = rng.choice([-1.0, 0.0, 1e-9, 2e-9])
+        world = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), depth])
+        # pixels near the pairs' projections, behind the camera too; a pair
+        # at depth 0 projects to +-inf, so its pixel is a finite one
+        pixels = rng.uniform([0, 0], [INTR.width, INTR.height], (n, 2))
+        nonzero = depth != 0
+        cam = world[nonzero] @ r.T + t
+        pixels[nonzero] = INTR.project(cam) + rng.normal(0.0, 2.0, (int(nonzero.sum()), 2))
+        overflowed = nonzero & (rng.random(n) < 0.2)
+        pixels[overflowed] = rng.choice([-np.inf, np.inf], (int(overflowed.sum()), 2))
+        thr2 = rng.choice([1.0, 4.0, 25.0])
+        pix = np.ascontiguousarray(pixels.T)
+        mask = pnp._inlier_mask(world, pix, INTR, r, t, thr2, np.empty_like(pix))
+        assert not mask[depth <= 1e-9].any()
+        assert not mask[overflowed].any()
+        expected = reprojection_sq_errors(world, pixels, INTR, r, t) <= thr2
+        assert mask.tobytes() == expected.tobytes()
 
 
 def reference_ransac_pnp(world, pixels, intr, iterations=1000, threshold_px=2.0,
